@@ -17,7 +17,7 @@
 //! ```
 
 use bbal_arith::{GateLibrary, PeKind, ProcessingElement};
-use bbal_core::{BbfpConfig, BfpConfig, FormatError, SchemeError, SchemeSpec};
+use bbal_core::{FormatError, SchemeError, SchemeSpec};
 use bbal_mem::{DramChannel, MemError, SramMacro};
 use bbal_nonlinear::NonlinearUnitConfig;
 use std::fmt;
@@ -92,38 +92,11 @@ pub struct FormatSpec {
 }
 
 impl FormatSpec {
-    /// Specification for a BFP format.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FormatError`] for an invalid mantissa width.
-    pub fn bfp(mantissa_bits: u8) -> Result<FormatSpec, FormatError> {
-        let cost = BfpConfig::new(mantissa_bits)?.cost();
-        Ok(FormatSpec {
-            pe: PeKind::Bfp(mantissa_bits),
-            weight_bits: cost.equivalent_bit_width,
-            activation_bits: cost.equivalent_bit_width,
-        })
-    }
-
-    /// Specification for a BBFP format.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FormatError`] for invalid widths.
-    pub fn bbfp(mantissa_bits: u8, overlap_bits: u8) -> Result<FormatSpec, FormatError> {
-        let cost = BbfpConfig::new(mantissa_bits, overlap_bits)?.cost();
-        Ok(FormatSpec {
-            pe: PeKind::Bbfp(mantissa_bits, overlap_bits),
-            weight_bits: cost.equivalent_bit_width,
-            activation_bits: cost.equivalent_bit_width,
-        })
-    }
-
     /// The paper's BBAL format: BBFP(4,2).
     pub fn bbal_paper() -> FormatSpec {
         // BBFP(4,2) is compile-time valid (see `SchemeSpec::BBAL_PAPER`).
-        FormatSpec::bbfp(4, 2).unwrap_or_else(|_| unreachable!("BBFP(4,2) is a valid format"))
+        FormatSpec::from_scheme(SchemeSpec::BBAL_PAPER)
+            .unwrap_or_else(|_| unreachable!("BBFP(4,2) is a valid format"))
     }
 
     /// Specification for the Oltron baseline: 4-bit body plus the
@@ -159,15 +132,13 @@ impl FormatSpec {
     pub fn from_scheme(scheme: SchemeSpec) -> Result<FormatSpec, SchemeError> {
         scheme.validate()?;
         match scheme {
-            SchemeSpec::Bfp(m) => Ok(FormatSpec::bfp(m)?),
-            SchemeSpec::Bbfp(m, o) => Ok(FormatSpec::bbfp(m, o)?),
             SchemeSpec::Oltron => Ok(FormatSpec::oltron()),
             SchemeSpec::Olive => Ok(FormatSpec::olive()),
-            // Algebra-derived block families: the PE microarchitecture and
-            // the amortised storage bits both fall out of the point.
-            SchemeSpec::Mx(..) | SchemeSpec::Msfp(..) | SchemeSpec::BlockMf(..) => {
+            // Block families: the PE microarchitecture and the amortised
+            // storage bits both fall out of the format-algebra point.
+            _ => {
                 let alg = scheme
-                    .algebra()?
+                    .block_algebra()
                     .ok_or(SchemeError::NoHardwareMapping(scheme))?;
                 let bits = alg.cost().equivalent_bit_width;
                 Ok(FormatSpec {
@@ -176,7 +147,6 @@ impl FormatSpec {
                     activation_bits: bits,
                 })
             }
-            other => Err(SchemeError::NoHardwareMapping(other)),
         }
     }
 }
@@ -314,14 +284,18 @@ mod tests {
     fn paper_config_dimensions() {
         let c = AcceleratorConfig::bbal_paper();
         assert_eq!(c.pe_count(), 256);
-        assert_eq!(c.format.pe, PeKind::Bbfp(4, 2));
+        assert_eq!(
+            c.format.pe,
+            PeKind::from_scheme(SchemeSpec::Bbfp(4, 2)).unwrap()
+        );
+        assert_eq!(c.format.pe.name(), "BBFP(4,2)");
     }
 
     #[test]
     fn format_bits_match_core_costs() {
-        let bfp6 = FormatSpec::bfp(6).unwrap();
+        let bfp6 = FormatSpec::from_scheme(SchemeSpec::Bfp(6)).unwrap();
         assert!((bfp6.weight_bits - 7.15625).abs() < 1e-9);
-        let bbfp42 = FormatSpec::bbfp(4, 2).unwrap();
+        let bbfp42 = FormatSpec::from_scheme(SchemeSpec::Bbfp(4, 2)).unwrap();
         assert!((bbfp42.weight_bits - (4.0 + 2.0 + 5.0 / 32.0)).abs() < 1e-9);
     }
 

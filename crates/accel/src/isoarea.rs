@@ -98,8 +98,16 @@ mod tests {
     fn cheaper_pes_get_bigger_arrays() {
         let lib = GateLibrary::default();
         let budget = 50_000.0;
-        let (r3, c3) = array_for_budget(FormatSpec::bbfp(3, 1).unwrap(), budget, &lib);
-        let (r6, c6) = array_for_budget(FormatSpec::bbfp(6, 3).unwrap(), budget, &lib);
+        let (r3, c3) = array_for_budget(
+            FormatSpec::from_scheme(SchemeSpec::Bbfp(3, 1)).unwrap(),
+            budget,
+            &lib,
+        );
+        let (r6, c6) = array_for_budget(
+            FormatSpec::from_scheme(SchemeSpec::Bbfp(6, 3)).unwrap(),
+            budget,
+            &lib,
+        );
         assert!(r3 * c3 > r6 * c6, "{} vs {}", r3 * c3, r6 * c6);
     }
 
@@ -142,8 +150,8 @@ mod tests {
     fn budget_is_respected() {
         let lib = GateLibrary::default();
         for spec in [
-            FormatSpec::bfp(4).unwrap(),
-            FormatSpec::bbfp(6, 3).unwrap(),
+            FormatSpec::from_scheme(SchemeSpec::Bfp(4)).unwrap(),
+            FormatSpec::from_scheme(SchemeSpec::Bbfp(6, 3)).unwrap(),
             FormatSpec::oltron(),
         ] {
             let budget = 40_000.0;

@@ -219,7 +219,7 @@ pub fn simulate_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FormatSpec;
+    use bbal_core::SchemeSpec;
     use bbal_llm::graph::{decoder_ops, paper_dims, GemmKind};
 
     fn cfg() -> AcceleratorConfig {
@@ -296,12 +296,12 @@ mod tests {
             n: 2048,
         }];
         let narrow = simulate(
-            &AcceleratorConfig::with_format(FormatSpec::bbfp(3, 1).unwrap(), 16, 16).unwrap(),
+            &AcceleratorConfig::for_scheme(SchemeSpec::Bbfp(3, 1), 16, 16).unwrap(),
             &ops,
             &lib,
         );
         let wide = simulate(
-            &AcceleratorConfig::with_format(FormatSpec::bfp(6).unwrap(), 16, 16).unwrap(),
+            &AcceleratorConfig::for_scheme(SchemeSpec::Bfp(6), 16, 16).unwrap(),
             &ops,
             &lib,
         );

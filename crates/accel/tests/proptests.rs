@@ -4,7 +4,7 @@
 
 use bbal_accel::{simulate, AcceleratorConfig, BbalGemm, FormatSpec, SystolicTile};
 use bbal_arith::GateLibrary;
-use bbal_core::BbfpConfig;
+use bbal_core::{BbfpConfig, SchemeSpec};
 use bbal_llm::graph::{GemmKind, Op};
 use bbal_llm::Tensor;
 use proptest::prelude::*;
@@ -52,7 +52,7 @@ proptest! {
     #[test]
     fn no_superunitary_utilisation(m in 8usize..64, k in 32usize..256, n in 32usize..256) {
         let lib = GateLibrary::default();
-        let cfg = AcceleratorConfig::with_format(FormatSpec::bbfp(4, 2).unwrap(), 8, 8).unwrap();
+        let cfg = AcceleratorConfig::with_format(FormatSpec::from_scheme(SchemeSpec::Bbfp(4, 2)).unwrap(), 8, 8).unwrap();
         let ops = [Op::Gemm { name: GemmKind::Query, m, k, n }];
         let r = simulate(&cfg, &ops, &lib);
         prop_assert!(r.linear_cycles as u128 * cfg.pe_count() as u128 >= r.macs as u128);

@@ -11,10 +11,7 @@ use crate::float::{Fp16Multiplier, FpAccumulator, FpEncoder};
 use crate::gates::{CostSummary, GateCounts, GateKind, GateLibrary};
 use crate::multiplier::ArrayMultiplier;
 use crate::shifter::{BarrelShifter, FlagShifter};
-use bbal_core::{
-    BbfpConfig, BfpConfig, ElementKind, FormatAlgebra, FormatCost, ScaleKind, SchemeError,
-    SchemeSpec,
-};
+use bbal_core::{ElementKind, FormatAlgebra, FormatCost, ScaleKind, SchemeError, SchemeSpec};
 
 /// Guard bits a lane accumulator carries above the product width to absorb
 /// block-length accumulation (32 terms → 5 bits).
@@ -27,14 +24,16 @@ pub enum MacKind {
     Fp16,
     /// Scalar fixed-point multiply-accumulate of the given width.
     Int(u8),
-    /// Vanilla block floating point with `m`-bit mantissas.
-    Bfp(BfpConfig),
-    /// Bidirectional block floating point.
-    Bbfp(BbfpConfig),
-    /// A format-algebra point (MX, MSFP, block minifloat): the lane and
-    /// shared logic are derived from the point's scale and element kinds
-    /// rather than hand-written per family.
+    /// A block-format algebra point (BFP, BBFP, MX, MSFP, block
+    /// minifloat): the lane and shared logic are derived from the
+    /// point's scale and element kinds rather than hand-written per
+    /// family.
     Algebra(FormatAlgebra),
+}
+
+/// The flag's window gap `m − o` of a flagged (BBFP) point.
+fn flag_gap(alg: &FormatAlgebra) -> u32 {
+    alg.window_gap().unwrap_or(0)
 }
 
 /// Lane datapath gates for a format-algebra point: the multiplier, the
@@ -70,9 +69,12 @@ fn algebra_lane_gate_counts(alg: &FormatAlgebra) -> GateCounts {
             g += GateCounts::new().with(GateKind::Xor2, 1);
             g
         }
-        (ElementKind::Fixed, _) if alg.overlap_bits > 0 => {
-            // Overlapped-window lane (the BBFP structure).
-            let gap = m - alg.overlap_bits as u32;
+        (ElementKind::Flagged { .. }, _) => {
+            // Overlapped-window lane (the BBFP structure): flag-controlled
+            // product routing (Eq. 10 / Fig. 5a), then a sparse
+            // partial-sum adder — dense 2m bits plus a carry chain over
+            // the structurally sparse high bits and the guard bits.
+            let gap = flag_gap(alg);
             let mut g = ArrayMultiplier::new(m).gate_counts();
             g += FlagShifter::new(2 * m, gap).gate_counts();
             g += RippleCarryAdder::new(2 * m).gate_counts();
@@ -81,7 +83,8 @@ fn algebra_lane_gate_counts(alg: &FormatAlgebra) -> GateCounts {
             g
         }
         (ElementKind::Fixed, _) => {
-            // Plain shared-scale lane (the BFP / MSFP structure).
+            // Plain shared-scale lane (the BFP / MSFP structure); sign
+            // handling (Eq. 3) is one XOR per lane.
             let mut g = ArrayMultiplier::new(m).gate_counts();
             g += RippleCarryAdder::new(2 * m + ACCUMULATOR_GUARD_BITS).gate_counts();
             g += GateCounts::new().with(GateKind::Xor2, 1);
@@ -104,9 +107,7 @@ fn algebra_shared_gate_counts(alg: &FormatAlgebra) -> GateCounts {
         (ElementKind::Fixed, ScaleKind::TwoLevel { sub_scale_bits, .. }) => {
             2 * m + 2 * sub_scale_bits as u32 + ACCUMULATOR_GUARD_BITS
         }
-        (ElementKind::Fixed, _) if alg.overlap_bits > 0 => {
-            2 * m + 2 * (m - alg.overlap_bits as u32) + ACCUMULATOR_GUARD_BITS
-        }
+        (ElementKind::Flagged { .. }, _) => 2 * m + 2 * flag_gap(alg) + ACCUMULATOR_GUARD_BITS,
         (ElementKind::Fixed, _) => 2 * m + ACCUMULATOR_GUARD_BITS,
     };
     let mut g = RippleCarryAdder::new(scale_bits + 1).gate_counts();
@@ -139,8 +140,8 @@ fn algebra_lane_delay_ps(alg: &FormatAlgebra, lib: &GateLibrary) -> f64 {
                     .cost(lib)
                     .delay_ps
         }
-        (ElementKind::Fixed, _) if alg.overlap_bits > 0 => {
-            let gap = m - alg.overlap_bits as u32;
+        (ElementKind::Flagged { .. }, _) => {
+            let gap = flag_gap(alg);
             ArrayMultiplier::new(m).cost(lib).delay_ps
                 + FlagShifter::new(2 * m, gap).cost(lib).delay_ps
                 + RippleCarryAdder::new(2 * m).cost(lib).delay_ps
@@ -171,13 +172,10 @@ impl MacKind {
         match scheme {
             SchemeSpec::Fp16 => Ok(MacKind::Fp16),
             SchemeSpec::Int(bits) => Ok(MacKind::Int(bits)),
-            SchemeSpec::Bfp(m) => Ok(MacKind::Bfp(BfpConfig::new(m)?)),
-            SchemeSpec::Bbfp(m, o) => Ok(MacKind::Bbfp(BbfpConfig::new(m, o)?)),
-            SchemeSpec::Mx(..) | SchemeSpec::Msfp(..) | SchemeSpec::BlockMf(..) => scheme
-                .algebra()?
+            _ => scheme
+                .block_algebra()
                 .map(MacKind::Algebra)
                 .ok_or(SchemeError::NoHardwareMapping(scheme)),
-            other => Err(SchemeError::NoHardwareMapping(other)),
         }
     }
 
@@ -186,8 +184,6 @@ impl MacKind {
         match self {
             MacKind::Fp16 => FormatCost::fp16(),
             MacKind::Int(bits) => FormatCost::int(*bits as u32),
-            MacKind::Bfp(cfg) => cfg.cost(),
-            MacKind::Bbfp(cfg) => cfg.cost(),
             MacKind::Algebra(alg) => alg.cost(),
         }
     }
@@ -197,8 +193,6 @@ impl MacKind {
         match self {
             MacKind::Fp16 => "FP16".to_owned(),
             MacKind::Int(bits) => format!("INT{bits}"),
-            MacKind::Bfp(cfg) => format!("BFP{}", cfg.mantissa_bits()),
-            MacKind::Bbfp(cfg) => format!("BBFP({},{})", cfg.mantissa_bits(), cfg.overlap_bits()),
             MacKind::Algebra(alg) => alg.display_name(),
         }
     }
@@ -238,27 +232,6 @@ impl BlockMac {
                 g += RippleCarryAdder::new(2 * b + ACCUMULATOR_GUARD_BITS).gate_counts();
                 g
             }
-            MacKind::Bfp(cfg) => {
-                let m = cfg.mantissa_bits() as u32;
-                let mut g = ArrayMultiplier::new(m).gate_counts();
-                g += RippleCarryAdder::new(2 * m + ACCUMULATOR_GUARD_BITS).gate_counts();
-                // Sign handling (Eq. 3): XOR per lane.
-                g += GateCounts::new().with(GateKind::Xor2, 1);
-                g
-            }
-            MacKind::Bbfp(cfg) => {
-                let m = cfg.mantissa_bits() as u32;
-                let gap = cfg.window_gap() as u32;
-                let mut g = ArrayMultiplier::new(m).gate_counts();
-                // Flag-controlled product routing (Eq. 10 / Fig. 5a).
-                g += FlagShifter::new(2 * m, gap).gate_counts();
-                // Sparse partial-sum adder: dense 2m bits + carry chain over
-                // the structurally sparse high bits and the guard bits.
-                g += RippleCarryAdder::new(2 * m).gate_counts();
-                g += CarryChain::new(2 * gap + ACCUMULATOR_GUARD_BITS).gate_counts();
-                g += GateCounts::new().with(GateKind::Xor2, 1);
-                g
-            }
             MacKind::Algebra(alg) => algebra_lane_gate_counts(&alg),
         }
     }
@@ -268,19 +241,6 @@ impl BlockMac {
         match self.kind {
             MacKind::Fp16 | MacKind::Int(_) => GateCounts::new(),
             MacKind::Algebra(alg) => algebra_shared_gate_counts(&alg),
-            MacKind::Bfp(cfg) => {
-                let m = cfg.mantissa_bits() as u32;
-                let mut g = RippleCarryAdder::new(6).gate_counts(); // shared exponent add
-                g += FpEncoder::new(2 * m + ACCUMULATOR_GUARD_BITS).gate_counts();
-                g
-            }
-            MacKind::Bbfp(cfg) => {
-                let m = cfg.mantissa_bits() as u32;
-                let gap = cfg.window_gap() as u32;
-                let mut g = RippleCarryAdder::new(6).gate_counts();
-                g += FpEncoder::new(2 * m + 2 * gap + ACCUMULATOR_GUARD_BITS).gate_counts();
-                g
-            }
         }
     }
 
@@ -301,23 +261,6 @@ impl BlockMac {
                 let b = bits as u32;
                 ArrayMultiplier::new(b).cost(lib).delay_ps
                     + RippleCarryAdder::new(2 * b + ACCUMULATOR_GUARD_BITS)
-                        .cost(lib)
-                        .delay_ps
-            }
-            MacKind::Bfp(cfg) => {
-                let m = cfg.mantissa_bits() as u32;
-                ArrayMultiplier::new(m).cost(lib).delay_ps
-                    + RippleCarryAdder::new(2 * m + ACCUMULATOR_GUARD_BITS)
-                        .cost(lib)
-                        .delay_ps
-            }
-            MacKind::Bbfp(cfg) => {
-                let m = cfg.mantissa_bits() as u32;
-                let gap = cfg.window_gap() as u32;
-                ArrayMultiplier::new(m).cost(lib).delay_ps
-                    + FlagShifter::new(2 * m, gap).cost(lib).delay_ps
-                    + RippleCarryAdder::new(2 * m).cost(lib).delay_ps
-                    + CarryChain::new(2 * gap + ACCUMULATOR_GUARD_BITS)
                         .cost(lib)
                         .delay_ps
             }
@@ -352,6 +295,10 @@ mod tests {
         GateLibrary::default()
     }
 
+    fn block(scheme: SchemeSpec) -> MacKind {
+        MacKind::from_scheme(scheme).unwrap()
+    }
+
     fn area(kind: MacKind) -> f64 {
         BlockMac::new(kind, 32).cost(&lib()).area_um2
     }
@@ -368,7 +315,7 @@ mod tests {
     fn table1_bfp8_close_to_int8() {
         // Paper: 9371 vs 9257 (+1.2%). Same multipliers and adders; only
         // the per-block exponent adder and FP encoder differ.
-        let ratio = area(MacKind::Bfp(BfpConfig::new(8).unwrap())) / area(MacKind::Int(8));
+        let ratio = area(block(SchemeSpec::Bfp(8))) / area(MacKind::Int(8));
         assert!((0.95..1.15).contains(&ratio), "BFP8/INT8 ratio {ratio}");
     }
 
@@ -376,10 +323,8 @@ mod tests {
     fn table1_bbfp_slightly_above_bfp() {
         // Paper: BBFP(8,4) 9806 vs BFP8 9371 (+4.6%); BBFP(6,3) 5764 vs
         // BFP6 5633 (+2.3%). Allow up to +20% for the structural model.
-        let r84 = area(MacKind::Bbfp(BbfpConfig::new(8, 4).unwrap()))
-            / area(MacKind::Bfp(BfpConfig::new(8).unwrap()));
-        let r63 = area(MacKind::Bbfp(BbfpConfig::new(6, 3).unwrap()))
-            / area(MacKind::Bfp(BfpConfig::new(6).unwrap()));
+        let r84 = area(block(SchemeSpec::Bbfp(8, 4))) / area(block(SchemeSpec::Bfp(8)));
+        let r63 = area(block(SchemeSpec::Bbfp(6, 3))) / area(block(SchemeSpec::Bfp(6)));
         assert!((1.0..1.2).contains(&r84), "BBFP(8,4)/BFP8 ratio {r84}");
         assert!((1.0..1.2).contains(&r63), "BBFP(6,3)/BFP6 ratio {r63}");
     }
@@ -387,8 +332,7 @@ mod tests {
     #[test]
     fn table1_bfp6_much_smaller_than_bfp8() {
         // Paper: 5633 vs 9371 (0.60x).
-        let ratio = area(MacKind::Bfp(BfpConfig::new(6).unwrap()))
-            / area(MacKind::Bfp(BfpConfig::new(8).unwrap()));
+        let ratio = area(block(SchemeSpec::Bfp(6))) / area(block(SchemeSpec::Bfp(8)));
         assert!((0.45..0.75).contains(&ratio), "BFP6/BFP8 ratio {ratio}");
     }
 
@@ -404,11 +348,11 @@ mod tests {
     fn bbfp63_beats_bfp8_on_area_with_more_range() {
         // The paper's headline Table I observation: BBFP(6,3) has higher
         // representational capability than BFP8 at *less* area and memory.
-        let bbfp63 = area(MacKind::Bbfp(BbfpConfig::new(6, 3).unwrap()));
-        let bfp8 = area(MacKind::Bfp(BfpConfig::new(8).unwrap()));
+        let bbfp63 = area(block(SchemeSpec::Bbfp(6, 3)));
+        let bfp8 = area(block(SchemeSpec::Bfp(8)));
         assert!(bbfp63 < bfp8);
-        let c63 = BbfpConfig::new(6, 3).unwrap().cost();
-        let c8 = BfpConfig::new(8).unwrap().cost();
+        let c63 = block(SchemeSpec::Bbfp(6, 3)).format_cost();
+        let c8 = block(SchemeSpec::Bfp(8)).format_cost();
         assert!(c63.equivalent_bit_width < c8.equivalent_bit_width);
     }
 
@@ -424,8 +368,8 @@ mod tests {
         for kind in [
             MacKind::Fp16,
             MacKind::Int(8),
-            MacKind::Bfp(BfpConfig::new(6).unwrap()),
-            MacKind::Bbfp(BbfpConfig::new(6, 3).unwrap()),
+            block(SchemeSpec::Bfp(6)),
+            block(SchemeSpec::Bbfp(6, 3)),
         ] {
             assert!(BlockMac::new(kind, 32).cost(&lib()).delay_ps > 0.0);
         }
@@ -449,11 +393,25 @@ mod tests {
     }
 
     #[test]
+    fn algebra_zero_overlap_bbfp_mac_keeps_the_flag_datapath() {
+        // BBFP(6,0) is a flagged point: it pays the widest flag router
+        // and carry chain of its family, above both BBFP(6,1) and BFP6.
+        let bbfp60 = block(SchemeSpec::Bbfp(6, 0));
+        assert_eq!(bbfp60.name(), "BBFP(6,0)");
+        assert!(area(bbfp60) > area(block(SchemeSpec::Bbfp(6, 1))));
+        assert!(area(bbfp60) > area(block(SchemeSpec::Bfp(6))));
+        assert_eq!(
+            bbfp60.format_cost(),
+            block(SchemeSpec::Bbfp(6, 3)).format_cost()
+        );
+    }
+
+    #[test]
     fn algebra_mac_areas_are_ordered_sensibly() {
         let mx = area(MacKind::from_scheme("mx:8,4,2".parse().unwrap()).unwrap());
         let msfp = area(MacKind::from_scheme("msfp:4,32".parse().unwrap()).unwrap());
         let blockmf = area(MacKind::from_scheme("blockmf:4,3,8".parse().unwrap()).unwrap());
-        let bfp4 = area(MacKind::Bfp(BfpConfig::new(4).unwrap()));
+        let bfp4 = area(block(SchemeSpec::Bfp(4)));
         // MSFP shares the BFP lane structure; only the shared scale adder
         // width differs, so the 32-lane MAC areas sit within a few percent.
         assert!(

@@ -12,7 +12,7 @@ use crate::adder::{CarryChain, RippleCarryAdder};
 use crate::gates::{CostSummary, GateCounts, GateKind, GateLibrary};
 use crate::multiplier::ArrayMultiplier;
 use crate::shifter::{BarrelShifter, FlagShifter};
-use bbal_core::{ElementKind, FormatAlgebra, ScaleKind};
+use bbal_core::{ElementKind, FormatAlgebra, ScaleKind, SchemeSpec};
 
 /// Guard bits each PE's partial-sum path carries above the product width.
 pub const PE_GUARD_BITS: u32 = 4;
@@ -26,13 +26,11 @@ pub enum PeKind {
     /// Olive-style outlier-victim PE: 4-bit multiplier plus victim
     /// decode/encode logic.
     Olive,
-    /// Vanilla BFP PE with an `m`-bit multiplier.
-    Bfp(u8),
-    /// BBFP PE: `m`-bit multiplier, flag routing, sparse partial-sum adder.
-    Bbfp(u8, u8),
-    /// A PE derived from a format-algebra point (MX, MSFP, block
-    /// minifloat): the datapath mirrors the point's scale and element
-    /// kinds instead of a hand-written per-family design.
+    /// A PE derived from a block-format algebra point (BFP: `m`-bit
+    /// multiplier; BBFP: plus flag routing and a sparse partial-sum
+    /// adder; MX, MSFP, block minifloat): the datapath mirrors the
+    /// point's scale and element kinds instead of a hand-written
+    /// per-family design.
     Algebra(FormatAlgebra),
 }
 
@@ -42,28 +40,38 @@ impl PeKind {
         match self {
             PeKind::Oltron => "Oltron".to_owned(),
             PeKind::Olive => "Olive".to_owned(),
-            PeKind::Bfp(m) => format!("BFP{m}"),
-            PeKind::Bbfp(m, o) => format!("BBFP({m},{o})"),
             PeKind::Algebra(alg) => alg.display_name(),
         }
     }
 
+    /// The PE of a block scheme's format-algebra point, if it has one.
+    pub fn from_scheme(scheme: SchemeSpec) -> Option<PeKind> {
+        scheme.block_algebra().map(PeKind::Algebra)
+    }
+
     /// All eleven Table III columns in paper order.
     pub fn table3_lineup() -> Vec<PeKind> {
-        vec![
-            PeKind::Oltron,
-            PeKind::Olive,
-            PeKind::Bfp(4),
-            PeKind::Bfp(6),
-            PeKind::Bbfp(3, 1),
-            PeKind::Bbfp(3, 2),
-            PeKind::Bbfp(4, 2),
-            PeKind::Bbfp(4, 3),
-            PeKind::Bbfp(6, 3),
-            PeKind::Bbfp(6, 4),
-            PeKind::Bbfp(6, 5),
-        ]
+        let block = [
+            SchemeSpec::Bfp(4),
+            SchemeSpec::Bfp(6),
+            SchemeSpec::Bbfp(3, 1),
+            SchemeSpec::Bbfp(3, 2),
+            SchemeSpec::Bbfp(4, 2),
+            SchemeSpec::Bbfp(4, 3),
+            SchemeSpec::Bbfp(6, 3),
+            SchemeSpec::Bbfp(6, 4),
+            SchemeSpec::Bbfp(6, 5),
+        ];
+        [PeKind::Oltron, PeKind::Olive]
+            .into_iter()
+            .chain(block.into_iter().filter_map(PeKind::from_scheme))
+            .collect()
     }
+}
+
+/// The flag's window gap `m − o` of a flagged (BBFP) point.
+fn flag_gap(alg: &FormatAlgebra) -> u32 {
+    alg.window_gap().unwrap_or(0)
 }
 
 /// Lane datapath gates for an algebra-derived PE, mirroring the block-MAC
@@ -89,8 +97,8 @@ fn algebra_pe_gate_counts(alg: &FormatAlgebra) -> GateCounts {
             g += GateCounts::new().with(GateKind::Xor2, 1);
             g
         }
-        (ElementKind::Fixed, _) if alg.overlap_bits > 0 => {
-            let gap = m - alg.overlap_bits as u32;
+        (ElementKind::Flagged { .. }, _) => {
+            let gap = flag_gap(alg);
             let mut g = ArrayMultiplier::new(m).gate_counts();
             g += FlagShifter::new(2 * m, gap).gate_counts();
             g += RippleCarryAdder::new(2 * m).gate_counts();
@@ -129,8 +137,8 @@ fn algebra_pe_delay_ps(alg: &FormatAlgebra, lib: &GateLibrary) -> f64 {
                 + RippleCarryAdder::new(2 * m).cost(lib).delay_ps
                 + CarryChain::new(2 * s + PE_GUARD_BITS).cost(lib).delay_ps
         }
-        (ElementKind::Fixed, _) if alg.overlap_bits > 0 => {
-            let gap = m - alg.overlap_bits as u32;
+        (ElementKind::Flagged { .. }, _) => {
+            let gap = flag_gap(alg);
             ArrayMultiplier::new(m).cost(lib).delay_ps
                 + FlagShifter::new(2 * m, gap).cost(lib).delay_ps
                 + RippleCarryAdder::new(2 * m).cost(lib).delay_ps
@@ -154,9 +162,7 @@ fn algebra_register_bits(alg: &FormatAlgebra) -> (u32, u32) {
         (ElementKind::Fixed, ScaleKind::TwoLevel { sub_scale_bits, .. }) => {
             2 * m + 2 * sub_scale_bits as u32 + PE_GUARD_BITS
         }
-        (ElementKind::Fixed, _) if alg.overlap_bits > 0 => {
-            2 * m + 2 * (m - alg.overlap_bits as u32) + PE_GUARD_BITS
-        }
+        (ElementKind::Flagged { .. }, _) => 2 * m + 2 * flag_gap(alg) + PE_GUARD_BITS,
         (ElementKind::Fixed, _) => 2 * m + PE_GUARD_BITS,
     };
     (weight, psum)
@@ -216,25 +222,6 @@ impl ProcessingElement {
                     .with(GateKind::Or2, 4);
                 g
             }
-            PeKind::Bfp(m) => {
-                let m = m as u32;
-                let mut g = ArrayMultiplier::new(m).gate_counts();
-                g += RippleCarryAdder::new(2 * m + PE_GUARD_BITS).gate_counts();
-                g += GateCounts::new().with(GateKind::Xor2, 1); // sign
-                g
-            }
-            PeKind::Bbfp(m, o) => {
-                // The window gap is m − o (BbfpConfig::window_gap), computed
-                // directly so a cost query never panics on the widths.
-                let gap = m.saturating_sub(o) as u32;
-                let m = m as u32;
-                let mut g = ArrayMultiplier::new(m).gate_counts();
-                g += FlagShifter::new(2 * m, gap).gate_counts();
-                g += RippleCarryAdder::new(2 * m).gate_counts();
-                g += CarryChain::new(2 * gap + PE_GUARD_BITS).gate_counts();
-                g += GateCounts::new().with(GateKind::Xor2, 1); // sign
-                g
-            }
             PeKind::Algebra(alg) => algebra_pe_gate_counts(&alg),
         };
         // Weight register + partial-sum pipeline register (systolic).
@@ -253,11 +240,6 @@ impl ProcessingElement {
         match self.kind {
             PeKind::Oltron => (4, 2 * 3 + PE_GUARD_BITS - 2),
             PeKind::Olive => (5, 2 * 4 + PE_GUARD_BITS),
-            PeKind::Bfp(m) => (m as u32 + 1, 2 * m as u32 + PE_GUARD_BITS),
-            PeKind::Bbfp(m, o) => {
-                let gap = (m - o) as u32;
-                (m as u32 + 2, 2 * m as u32 + 2 * gap + PE_GUARD_BITS)
-            }
             PeKind::Algebra(alg) => algebra_register_bits(&alg),
         }
     }
@@ -273,19 +255,6 @@ impl ProcessingElement {
             PeKind::Olive => {
                 ArrayMultiplier::new(4).cost(lib).delay_ps
                     + RippleCarryAdder::new(12).cost(lib).delay_ps
-            }
-            PeKind::Bfp(m) => {
-                ArrayMultiplier::new(m as u32).cost(lib).delay_ps
-                    + RippleCarryAdder::new(2 * m as u32 + PE_GUARD_BITS)
-                        .cost(lib)
-                        .delay_ps
-            }
-            PeKind::Bbfp(m, o) => {
-                let gap = (m - o) as u32;
-                ArrayMultiplier::new(m as u32).cost(lib).delay_ps
-                    + FlagShifter::new(2 * m as u32, gap).cost(lib).delay_ps
-                    + RippleCarryAdder::new(2 * m as u32).cost(lib).delay_ps
-                    + CarryChain::new(2 * gap + PE_GUARD_BITS).cost(lib).delay_ps
             }
             PeKind::Algebra(alg) => algebra_pe_delay_ps(&alg, lib),
         };
@@ -322,6 +291,10 @@ impl ProcessingElement {
 mod tests {
     use super::*;
 
+    fn block(scheme: SchemeSpec) -> PeKind {
+        PeKind::from_scheme(scheme).unwrap()
+    }
+
     fn area(kind: PeKind) -> f64 {
         ProcessingElement::with_exponent_adder(kind)
             .cost(&GateLibrary::default())
@@ -334,22 +307,22 @@ mod tests {
         // ≈ Oltron 0.33 < BFP4 0.46 < BBFP(4,3) 0.47 < BBFP(4,2) 0.49 <
         // Olive 0.65 < BFP6 0.90 < BBFP(6,5) 0.93 < BBFP(6,4) 0.96 <
         // BBFP(6,3) 1.00.
-        assert!(area(PeKind::Bbfp(3, 2)) < area(PeKind::Bbfp(3, 1)));
-        assert!(area(PeKind::Bbfp(3, 1)) < area(PeKind::Bfp(4)));
-        assert!(area(PeKind::Oltron) < area(PeKind::Bfp(4)));
-        assert!(area(PeKind::Bfp(4)) < area(PeKind::Bbfp(4, 3)));
-        assert!(area(PeKind::Bbfp(4, 3)) < area(PeKind::Bbfp(4, 2)));
-        assert!(area(PeKind::Bbfp(4, 2)) < area(PeKind::Olive));
-        assert!(area(PeKind::Olive) < area(PeKind::Bfp(6)));
-        assert!(area(PeKind::Bfp(6)) < area(PeKind::Bbfp(6, 5)));
-        assert!(area(PeKind::Bbfp(6, 5)) < area(PeKind::Bbfp(6, 4)));
-        assert!(area(PeKind::Bbfp(6, 4)) < area(PeKind::Bbfp(6, 3)));
+        assert!(area(block(SchemeSpec::Bbfp(3, 2))) < area(block(SchemeSpec::Bbfp(3, 1))));
+        assert!(area(block(SchemeSpec::Bbfp(3, 1))) < area(block(SchemeSpec::Bfp(4))));
+        assert!(area(PeKind::Oltron) < area(block(SchemeSpec::Bfp(4))));
+        assert!(area(block(SchemeSpec::Bfp(4))) < area(block(SchemeSpec::Bbfp(4, 3))));
+        assert!(area(block(SchemeSpec::Bbfp(4, 3))) < area(block(SchemeSpec::Bbfp(4, 2))));
+        assert!(area(block(SchemeSpec::Bbfp(4, 2))) < area(PeKind::Olive));
+        assert!(area(PeKind::Olive) < area(block(SchemeSpec::Bfp(6))));
+        assert!(area(block(SchemeSpec::Bfp(6))) < area(block(SchemeSpec::Bbfp(6, 5))));
+        assert!(area(block(SchemeSpec::Bbfp(6, 5))) < area(block(SchemeSpec::Bbfp(6, 4))));
+        assert!(area(block(SchemeSpec::Bbfp(6, 4))) < area(block(SchemeSpec::Bbfp(6, 3))));
     }
 
     #[test]
     fn bbfp_premium_over_bfp_is_modest() {
         // Paper: BBFP(6,3) / BFP6 = 1.00 / 0.90 ≈ 1.11.
-        let ratio = area(PeKind::Bbfp(6, 3)) / area(PeKind::Bfp(6));
+        let ratio = area(block(SchemeSpec::Bbfp(6, 3))) / area(block(SchemeSpec::Bfp(6)));
         assert!((1.02..1.35).contains(&ratio), "ratio {ratio}");
     }
 
@@ -358,14 +331,14 @@ mod tests {
         // §V-B: "with multiplier occupying the majority".
         let lib = GateLibrary::default();
         let mult = ArrayMultiplier::new(6).cost(&lib).area_um2;
-        let pe = area(PeKind::Bfp(6));
+        let pe = area(block(SchemeSpec::Bfp(6)));
         assert!(mult > 0.35 * pe, "mult {mult} vs pe {pe}");
     }
 
     #[test]
     fn exponent_bypass_is_cheaper_than_adder() {
         let lib = GateLibrary::default();
-        let k = PeKind::Bbfp(4, 2);
+        let k = block(SchemeSpec::Bbfp(4, 2));
         let with = ProcessingElement::with_exponent_adder(k)
             .cost(&lib)
             .area_um2;
@@ -394,12 +367,12 @@ mod tests {
         assert_eq!(blockmf.name(), "BlockMF(4,3,8)");
         // The MSFP PE shares the BFP lane; its area matches BFP4 to within
         // the weight-register difference.
-        let r = area(msfp) / area(PeKind::Bfp(4));
+        let r = area(msfp) / area(block(SchemeSpec::Bfp(4)));
         assert!((0.9..1.1).contains(&r), "MSFP/BFP4 PE ratio {r}");
         // MX pays the micro-exponent router; BlockMF pays the per-lane
         // exponent add + alignment shifter. Both stay in the low-bit class.
-        assert!(area(mx) > area(PeKind::Bfp(4)));
-        assert!(area(blockmf) < area(PeKind::Bfp(6)) * 1.5);
+        assert!(area(mx) > area(block(SchemeSpec::Bfp(4))));
+        assert!(area(blockmf) < area(block(SchemeSpec::Bfp(6))) * 1.5);
         for k in [mx, msfp, blockmf] {
             let pe = ProcessingElement::with_exponent_adder(k);
             assert!(pe.cost(&lib).delay_ps > 0.0, "{}", k.name());
@@ -413,10 +386,19 @@ mod tests {
     }
 
     #[test]
+    fn algebra_zero_overlap_bbfp_pe_keeps_the_flag_datapath() {
+        let bbfp40 = block(SchemeSpec::Bbfp(4, 0));
+        assert_eq!(bbfp40.name(), "BBFP(4,0)");
+        assert!(area(bbfp40) > area(block(SchemeSpec::Bbfp(4, 2))));
+        assert!(area(bbfp40) > area(block(SchemeSpec::Bfp(4))));
+        assert!(PeKind::from_scheme(SchemeSpec::Fp16).is_none());
+    }
+
+    #[test]
     fn oltron_uses_3bit_multiplier_class_area() {
         // Within the BBFP(3,x) ballpark per Fig. 8's iso-area grouping.
         let oltron = area(PeKind::Oltron);
-        let bbfp31 = area(PeKind::Bbfp(3, 1));
+        let bbfp31 = area(block(SchemeSpec::Bbfp(3, 1)));
         let ratio = oltron / bbfp31;
         assert!((0.7..1.3).contains(&ratio), "ratio {ratio}");
     }

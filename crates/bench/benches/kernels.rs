@@ -1,17 +1,18 @@
 //! Criterion benchmarks for the hot kernels of the reproduction stack:
-//! block encoding, block dot products, the functional BBAL GEMM, the
-//! segmented-LUT nonlinear unit, and the cycle simulator.
+//! block encoding (the reference BFP/BBFP slices and the format-algebra
+//! quantiser side by side), block dot products, the functional BBAL
+//! GEMM, the segmented-LUT nonlinear unit, and the cycle simulator.
 
 use bbal_accel::{simulate, AcceleratorConfig, BbalEngine, BbalGemm};
 use bbal_arith::GateLibrary;
 use bbal_core::{
-    bbfp_dot, bbfp_quantize_slice, bfp_quantize_slice, BbfpBlock, BbfpConfig, BfpConfig,
-    RoundingMode,
+    algebra_quantize_slice, bbfp_dot, bbfp_quantize_slice, bfp_quantize_slice, BbfpBlock,
+    BbfpConfig, BfpConfig, FormatAlgebra, RoundingMode,
 };
 use bbal_llm::graph::{decoder_ops, paper_dims};
 use bbal_llm::Tensor;
 use bbal_nonlinear::{NonlinearUnit, NonlinearUnitConfig};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
 
 fn test_data(n: usize) -> Vec<f32> {
@@ -31,18 +32,32 @@ fn bench_block_encode(c: &mut Criterion) {
     let mut group = c.benchmark_group("block_encode");
     let data = test_data(4096);
     let mut out = vec![0.0f32; 4096];
+    // Formats and rounding arrive as runtime values in the quantiser
+    // hooks; `black_box` keeps every encoder from specialising on
+    // constants the hooks never see.
+    let rne = black_box(RoundingMode::NearestEven);
     group.throughput(Throughput::Elements(4096));
     group.bench_function("bbfp_4_2", |b| {
-        let cfg = BbfpConfig::new(4, 2).unwrap();
-        b.iter(|| bbfp_quantize_slice(&data, cfg, RoundingMode::NearestEven, &mut out));
+        let cfg = black_box(BbfpConfig::new(4, 2).unwrap());
+        b.iter(|| bbfp_quantize_slice(&data, cfg, rne, &mut out));
     });
     group.bench_function("bbfp_6_3", |b| {
-        let cfg = BbfpConfig::new(6, 3).unwrap();
-        b.iter(|| bbfp_quantize_slice(&data, cfg, RoundingMode::NearestEven, &mut out));
+        let cfg = black_box(BbfpConfig::new(6, 3).unwrap());
+        b.iter(|| bbfp_quantize_slice(&data, cfg, rne, &mut out));
     });
     group.bench_function("bfp_4", |b| {
-        let cfg = BfpConfig::new(4).unwrap();
-        b.iter(|| bfp_quantize_slice(&data, cfg, RoundingMode::NearestEven, &mut out));
+        let cfg = black_box(BfpConfig::new(4).unwrap());
+        b.iter(|| bfp_quantize_slice(&data, cfg, rne, &mut out));
+    });
+    // The format-algebra block quantiser (every block scheme's hook) on
+    // the same points, for parity with the reference slices above.
+    group.bench_function("algebra_bbfp_4_2", |b| {
+        let alg = black_box(FormatAlgebra::bbfp(4, 2).unwrap());
+        b.iter(|| algebra_quantize_slice(&data, &alg, rne, &mut out));
+    });
+    group.bench_function("algebra_bfp_4", |b| {
+        let alg = black_box(FormatAlgebra::bfp(4).unwrap());
+        b.iter(|| algebra_quantize_slice(&data, &alg, rne, &mut out));
     });
     group.finish();
 }

@@ -39,11 +39,8 @@ pub fn run(w: &mut dyn Write) -> io::Result<()> {
             .build()
             .map_err(to_io)?;
         ppl_cache.push(session.evaluate().ppl);
-        let cfg = scheme
-            .bbfp_config()
-            .map_err(to_io)?
-            .expect("bbfp scheme has a bbfp config");
-        overhead_cache.push(BlockMac::new(MacKind::Bbfp(cfg), 32).cost(&lib).area_um2);
+        let mac = MacKind::from_scheme(scheme).map_err(to_io)?;
+        overhead_cache.push(BlockMac::new(mac, 32).cost(&lib).area_um2);
     }
 
     let result = select_overlap_width(

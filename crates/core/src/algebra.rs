@@ -14,8 +14,8 @@
 //!                         sub_block,      //   micro-exponent per sub-block
 //!                         sub_scale_bits },
 //!       mantissa_bits,                    // magnitude bits per element
-//!       overlap_bits,                     // BBFP's bidirectional window
 //!       element: Fixed                    // sign-magnitude integer lanes
+//!              | Flagged { overlap_bits } // BBFP: lanes plus a window flag
 //!              | Minifloat { exp_bits },  // per-element tiny floats
 //!   }
 //! ```
@@ -33,16 +33,17 @@
 //! The codec (encode/decode/pack) supports exactly three families of
 //! points, which cover every named scheme:
 //!
-//! 1. `SharedExponent × Fixed` with any `overlap_bits < m` — BFP
-//!    (`o = 0`), BBFP (`o > 0`), and MSFP (`o = 0`, wide blocks, 8-bit
-//!    exponent field).
-//! 2. `TwoLevel × Fixed` with `o = 0` and a 1-bit sub-scale — MX: the
-//!    block stores `max-exponent` and each sub-block a 1-bit offset
-//!    below it, so small sub-blocks keep one extra bit of alignment.
-//! 3. `SharedBias × Minifloat` with `o = 0` — block minifloat: each
-//!    element is a tiny `e`-bit-exponent float and the block stores a
-//!    shared exponent *bias* picked so the block maximum lands on the
-//!    top exponent code.
+//! 1. `SharedExponent × Fixed` — BFP, and MSFP (wide blocks, 8-bit
+//!    exponent field). `SharedExponent × Flagged { o }` with `o < m` —
+//!    BBFP(m,o), `o = 0` included: the flag bit is part of the element
+//!    kind, so a zero-overlap BBFP point is still a flagged format.
+//! 2. `TwoLevel × Fixed` with a 1-bit sub-scale — MX: the block stores
+//!    `max-exponent` and each sub-block a 1-bit offset below it, so
+//!    small sub-blocks keep one extra bit of alignment.
+//! 3. `SharedBias × Minifloat` — block minifloat: each element is a
+//!    tiny `e`-bit-exponent float and the block stores a shared
+//!    exponent *bias* picked so the block maximum lands on the top
+//!    exponent code.
 //!
 //! Scalar FP16 and INTx also lower (block size 1, zero shared bits) so
 //! that storage-cost accounting is uniform, but they use their own
@@ -54,16 +55,16 @@
 //! on: every scale is a power of two, so a block factors into an exact
 //! integer-valued (or exactly-representable) f32 *lane* times one
 //! power-of-two scale per block, and `fl(a·(lane·2^s)) =
-//! fl((a·2^s)·lane)`. [`algebra_quantize_slice`] and the packed encoder
-//! share a single internal `encode_chunk` routine, so packing a
-//! quantised matrix is the identity and the self-verify fallback never
-//! fires on honest input.
+//! fl((a·2^s)·lane)`. [`algebra_quantize_in_place`] and the packed
+//! encoder share the per-block scale choice and the per-element
+//! encoders, so packing a quantised matrix is the identity and the
+//! self-verify fallback never fires on honest input.
 
 use crate::bbfp::encode_element;
 use crate::bfp::{exp2i, max_exponent};
 use crate::bitpack::{BitReader, BitWriter};
 use crate::error::FormatError;
-use crate::format::{BbfpConfig, FormatCost, DEFAULT_BLOCK_SIZE, SHARED_EXPONENT_BITS};
+use crate::format::{FormatCost, DEFAULT_BLOCK_SIZE, SHARED_EXPONENT_BITS};
 use crate::fp16::{Fp16, SIGNIFICAND_BITS};
 use crate::policy::ExponentPolicy;
 use crate::rounding::RoundingMode;
@@ -101,6 +102,14 @@ pub enum ScaleKind {
 pub enum ElementKind {
     /// A sign-magnitude integer aligned against the shared scale.
     Fixed,
+    /// BBFP's bidirectional element: a sign-magnitude integer plus a
+    /// 1-bit window flag. A flagged mantissa sits in the high window,
+    /// worth `×2^(m − overlap_bits)`; the two windows overlap by
+    /// `overlap_bits` bits (`0` means adjacent windows, still flagged).
+    Flagged {
+        /// Bits shared by the low and high mantissa windows.
+        overlap_bits: u8,
+    },
     /// A tiny float: sign, `exp_bits` of exponent, `m` of mantissa,
     /// interpreted against the shared bias.
     Minifloat {
@@ -129,8 +138,6 @@ pub struct FormatAlgebra {
     pub scale: ScaleKind,
     /// Mantissa magnitude bits per element.
     pub mantissa_bits: u8,
-    /// BBFP overlap bits (`0` for every other family).
-    pub overlap_bits: u8,
     /// Per-element payload interpretation.
     pub element: ElementKind,
 }
@@ -153,14 +160,13 @@ impl FormatAlgebra {
                 bits: SHARED_EXPONENT_BITS as u8,
             },
             mantissa_bits,
-            overlap_bits: 0,
             element: ElementKind::Fixed,
         }
         .validated()
     }
 
-    /// The paper's BBFP point: as [`FormatAlgebra::bfp`] plus `o`
-    /// overlap bits (and the 1-bit high/low flag they imply).
+    /// The paper's BBFP point: as [`FormatAlgebra::bfp`], with flagged
+    /// elements whose windows overlap by `o` bits (`o = 0` included).
     ///
     /// # Errors
     ///
@@ -173,8 +179,7 @@ impl FormatAlgebra {
                 bits: SHARED_EXPONENT_BITS as u8,
             },
             mantissa_bits,
-            overlap_bits,
-            element: ElementKind::Fixed,
+            element: ElementKind::Flagged { overlap_bits },
         }
         .validated()
     }
@@ -202,7 +207,6 @@ impl FormatAlgebra {
                 sub_scale_bits: 1,
             },
             mantissa_bits,
-            overlap_bits: 0,
             element: ElementKind::Fixed,
         }
         .validated()
@@ -224,7 +228,6 @@ impl FormatAlgebra {
             block_size,
             scale: ScaleKind::SharedExponent { bits: 8 },
             mantissa_bits,
-            overlap_bits: 0,
             element: ElementKind::Fixed,
         }
         .validated()
@@ -248,7 +251,6 @@ impl FormatAlgebra {
             block_size: DEFAULT_BLOCK_SIZE,
             scale: ScaleKind::SharedBias { bits: bias_bits },
             mantissa_bits,
-            overlap_bits: 0,
             element: ElementKind::Minifloat { exp_bits },
         }
         .validated()
@@ -261,7 +263,6 @@ impl FormatAlgebra {
             block_size: 1,
             scale: ScaleKind::SharedBias { bits: 0 },
             mantissa_bits: 10,
-            overlap_bits: 0,
             element: ElementKind::Minifloat { exp_bits: 5 },
         }
     }
@@ -281,7 +282,6 @@ impl FormatAlgebra {
             block_size: 1,
             scale: ScaleKind::SharedExponent { bits: 0 },
             mantissa_bits: bits - 1,
-            overlap_bits: 0,
             element: ElementKind::Fixed,
         }
         .validated()
@@ -312,30 +312,25 @@ impl FormatAlgebra {
         if self.mantissa_bits == 0 || self.mantissa_bits > max_m {
             return Err(FormatError::MantissaWidth(self.mantissa_bits));
         }
-        if self.overlap_bits > 0 {
-            if self.overlap_bits >= self.mantissa_bits {
-                return Err(FormatError::OverlapWidth {
-                    mantissa_bits: self.mantissa_bits,
-                    overlap_bits: self.overlap_bits,
-                });
+        match self.element {
+            ElementKind::Fixed => {}
+            ElementKind::Flagged { overlap_bits } => {
+                if overlap_bits >= self.mantissa_bits {
+                    return Err(FormatError::OverlapWidth {
+                        mantissa_bits: self.mantissa_bits,
+                        overlap_bits,
+                    });
+                }
             }
-            if !matches!(
-                (self.scale, self.element),
-                (ScaleKind::SharedExponent { .. }, ElementKind::Fixed)
-            ) {
-                return Err(FormatError::UnsupportedCombination(
-                    "overlap bits require a shared-exponent fixed-point format",
-                ));
-            }
-        }
-        if let ElementKind::Minifloat { exp_bits } = self.element {
-            if !((2..=6).contains(&exp_bits) || (scalar && exp_bits == 5)) {
-                return Err(FormatError::ExponentWidth(exp_bits));
-            }
-            if !matches!(self.scale, ScaleKind::SharedBias { .. }) {
-                return Err(FormatError::UnsupportedCombination(
-                    "minifloat elements require a shared bias",
-                ));
+            ElementKind::Minifloat { exp_bits } => {
+                if !((2..=6).contains(&exp_bits) || (scalar && exp_bits == 5)) {
+                    return Err(FormatError::ExponentWidth(exp_bits));
+                }
+                if !matches!(self.scale, ScaleKind::SharedBias { .. }) {
+                    return Err(FormatError::UnsupportedCombination(
+                        "minifloat elements require a shared bias",
+                    ));
+                }
             }
         }
         match self.scale {
@@ -378,7 +373,7 @@ impl FormatAlgebra {
                         "two-level sub-scales are currently 1 bit wide",
                     ));
                 }
-                if !matches!(self.element, ElementKind::Fixed) {
+                if self.element != ElementKind::Fixed {
                     return Err(FormatError::UnsupportedCombination(
                         "two-level scaling requires fixed-point elements",
                     ));
@@ -389,14 +384,25 @@ impl FormatAlgebra {
     }
 
     /// Payload bits stored per element: sign + mantissa, plus the BBFP
-    /// flag when overlapping, plus the minifloat exponent field.
+    /// flag for flagged elements or the exponent field for minifloats.
     pub fn payload_bits_per_element(&self) -> u32 {
-        let flag = u32::from(self.overlap_bits > 0);
-        let exp = match self.element {
+        let extra = match self.element {
             ElementKind::Fixed => 0,
+            ElementKind::Flagged { .. } => 1,
             ElementKind::Minifloat { exp_bits } => exp_bits as u32,
         };
-        1 + self.mantissa_bits as u32 + flag + exp
+        1 + self.mantissa_bits as u32 + extra
+    }
+
+    /// BBFP's window gap `m − o` — a set flag scales the mantissa by
+    /// `2^gap` — for flagged elements; `None` for every other kind.
+    pub fn window_gap(&self) -> Option<u32> {
+        match self.element {
+            ElementKind::Flagged { overlap_bits } => {
+                Some(u32::from(self.mantissa_bits.saturating_sub(overlap_bits)))
+            }
+            _ => None,
+        }
     }
 
     /// Shared bits stored per block: the scale field, plus every
@@ -452,8 +458,8 @@ impl FormatAlgebra {
             (ScaleKind::SharedExponent { .. }, _) if self.block_size == 1 => {
                 format!("INT{}", m + 1)
             }
-            (ScaleKind::SharedExponent { .. }, _) if self.overlap_bits > 0 => {
-                format!("BBFP({m},{})", self.overlap_bits)
+            (ScaleKind::SharedExponent { .. }, ElementKind::Flagged { overlap_bits }) => {
+                format!("BBFP({m},{overlap_bits})")
             }
             (ScaleKind::SharedExponent { bits }, _) => {
                 if bits == 8 || self.block_size != DEFAULT_BLOCK_SIZE {
@@ -462,7 +468,7 @@ impl FormatAlgebra {
                     format!("BFP{m}")
                 }
             }
-            (ScaleKind::SharedBias { .. }, ElementKind::Fixed) => {
+            (ScaleKind::SharedBias { .. }, _) => {
                 // validate() rejects this combination; name it anyway.
                 format!("SharedBias({m})")
             }
@@ -475,8 +481,7 @@ impl FormatAlgebra {
 // ---------------------------------------------------------------------
 
 /// One encoded element of an algebra chunk. `exp` is the minifloat
-/// exponent code (0 for fixed-point elements), `flag` the BBFP
-/// high-window flag.
+/// exponent code (0 otherwise), `flag` the BBFP high-window flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct AlgElement {
     pub(crate) sign: bool,
@@ -516,28 +521,17 @@ impl AlgChunk {
     pub(crate) fn lane_value(&self, idx: usize, alg: &FormatAlgebra) -> f32 {
         let e = &self.elements[idx];
         let mag = match alg.element {
-            ElementKind::Fixed => {
-                let flag_scale = if e.flag {
-                    exp2i((alg.mantissa_bits - alg.overlap_bits) as i32)
-                } else {
-                    1.0
-                };
-                let micro = match alg.scale {
-                    ScaleKind::TwoLevel { sub_block, .. } => {
-                        exp2i(-(self.sub[idx / sub_block] as i32))
-                    }
-                    _ => 1.0,
-                };
-                e.mantissa as f32 * flag_scale * micro
-            }
-            ElementKind::Minifloat { .. } => {
-                if e.exp == 0 {
-                    e.mantissa as f32
-                } else {
-                    (((1u32 << alg.mantissa_bits) + e.mantissa as u32) as f32)
-                        * exp2i(e.exp as i32 - 1)
+            ElementKind::Fixed => match alg.scale {
+                ScaleKind::TwoLevel { sub_block, .. } => {
+                    e.mantissa as f32 * exp2i(-(self.sub[idx / sub_block] as i32))
                 }
+                _ => e.mantissa as f32,
+            },
+            ElementKind::Flagged { .. } if e.flag => {
+                e.mantissa as f32 * exp2i(alg.window_gap().unwrap_or(0) as i32)
             }
+            ElementKind::Flagged { .. } => e.mantissa as f32,
+            ElementKind::Minifloat { .. } => minifloat_lane(e, alg.mantissa_bits),
         };
         if e.sign {
             -mag
@@ -561,9 +555,8 @@ fn msb(sig: u16) -> i32 {
 /// (`value = 1.x × 2^(E−15)`), or `None` if every element is zero.
 /// Differs from [`max_exponent`] for FP16 subnormals, whose recorded
 /// exponent is 1 but whose leading bit sits lower.
-fn max_true_exponent(values: &[Fp16]) -> Option<i32> {
+fn max_true_exponent(values: impl Iterator<Item = Fp16>) -> Option<i32> {
     values
-        .iter()
         .filter_map(|v| {
             let (sig, exp) = v.significand();
             (sig != 0).then(|| exp + msb(sig) - 10)
@@ -571,240 +564,228 @@ fn max_true_exponent(values: &[Fp16]) -> Option<i32> {
         .max()
 }
 
+/// A fixed-point element's `m`-bit mantissa aligned against `shared`
+/// (the BFP/MSFP/MX right shift), saturating at `2^m − 1`.
+#[inline]
+fn fixed_mantissa(v: Fp16, shared: i32, m: u32, rounding: RoundingMode) -> u64 {
+    let (sig, exp) = v.significand();
+    let shift = (SIGNIFICAND_BITS - m) as i32 + (shared - exp);
+    rounding
+        .shift_right(sig as u64, shift as u32)
+        .min((1u64 << m) - 1)
+}
+
+/// The shared exponent of a flagged (BBFP) chunk: the block maximum
+/// lowered by the window gap (the paper's Eq. 9 policy).
+fn flagged_shared_exponent(values: &[Fp16], gap: u32) -> i32 {
+    ExponentPolicy::MaxMinus(gap as u8).shared_exponent(max_exponent(values))
+}
+
+/// A two-level sub-block's offset below the block exponent `e1`: 1 when
+/// the whole sub-block sits below `e1`, granting it an extra bit.
+fn sub_block_offset(e1: i32, values: &[Fp16]) -> i32 {
+    (e1 - max_exponent(values)).clamp(0, 1)
+}
+
 /// Encodes one chunk of values (a full block or a ragged tail, each
-/// with its own shared scale) at this algebra point. Shared verbatim by
-/// [`algebra_quantize_slice`] and the packed encoder, so re-encoding a
+/// with its own shared scale) at this algebra point: the packed
+/// encoder's view of the block, built from the same scale choices and
+/// element encoders as [`algebra_quantize_in_place`], so re-encoding a
 /// quantised chunk is the identity.
 pub(crate) fn encode_chunk(
     values: &[Fp16],
     alg: &FormatAlgebra,
     rounding: RoundingMode,
 ) -> AlgChunk {
-    match alg.scale {
-        ScaleKind::SharedExponent { .. } => encode_shared_exponent(values, alg, rounding),
-        ScaleKind::TwoLevel { sub_block, .. } => encode_two_level(values, alg, sub_block, rounding),
-        ScaleKind::SharedBias { bits } => encode_shared_bias(values, alg, bits, rounding),
-    }
-}
-
-/// BFP/BBFP/MSFP: one max-exponent per chunk, fixed mantissas aligned
-/// against it (BBFP adds the flag via the paper-default policy).
-fn encode_shared_exponent(
-    values: &[Fp16],
-    alg: &FormatAlgebra,
-    rounding: RoundingMode,
-) -> AlgChunk {
     let m = alg.mantissa_bits as u32;
-    if alg.overlap_bits > 0 {
-        let cfg = BbfpConfig::with_block_size(alg.mantissa_bits, alg.overlap_bits, alg.block_size)
-            .expect("validated widths");
-        let policy = ExponentPolicy::paper_default(cfg);
-        let shared = policy.shared_exponent(max_exponent(values));
-        let elements = values
-            .iter()
-            .map(|&v| {
-                let e = encode_element(v, cfg, shared, rounding);
-                AlgElement {
-                    sign: e.sign,
-                    flag: e.flag,
-                    exp: 0,
-                    mantissa: e.mantissa,
-                }
-            })
-            .collect();
-        return AlgChunk {
-            scale_code: shared,
-            sub: Vec::new(),
-            elements,
-        };
-    }
-    let shared = max_exponent(values);
-    let max_mantissa = (1u64 << m) - 1;
-    let elements = values
-        .iter()
-        .map(|v| {
-            let (sig, exp) = v.significand();
-            let shift = (SIGNIFICAND_BITS - m) as i32 + (shared - exp);
-            let q = rounding
-                .shift_right(sig as u64, shift as u32)
-                .min(max_mantissa);
-            AlgElement {
-                sign: v.is_sign_negative(),
-                flag: false,
-                exp: 0,
-                mantissa: q as u16,
+    let fixed = |v: &Fp16, shared: i32| AlgElement {
+        sign: v.is_sign_negative(),
+        flag: false,
+        exp: 0,
+        mantissa: fixed_mantissa(*v, shared, m, rounding) as u16,
+    };
+    match (alg.scale, alg.element) {
+        (ScaleKind::SharedExponent { .. }, ElementKind::Flagged { overlap_bits }) => {
+            let shared = flagged_shared_exponent(values, alg.window_gap().unwrap_or(0));
+            AlgChunk {
+                scale_code: shared,
+                sub: Vec::new(),
+                elements: values
+                    .iter()
+                    .map(|&v| {
+                        let e =
+                            encode_element(v, alg.mantissa_bits, overlap_bits, shared, rounding);
+                        AlgElement {
+                            sign: e.sign,
+                            flag: e.flag,
+                            exp: 0,
+                            mantissa: e.mantissa,
+                        }
+                    })
+                    .collect(),
             }
-        })
-        .collect();
-    AlgChunk {
-        scale_code: shared,
-        sub: Vec::new(),
-        elements,
+        }
+        (ScaleKind::SharedExponent { .. }, _) => {
+            let shared = max_exponent(values);
+            AlgChunk {
+                scale_code: shared,
+                sub: Vec::new(),
+                elements: values.iter().map(|v| fixed(v, shared)).collect(),
+            }
+        }
+        (ScaleKind::TwoLevel { sub_block, .. }, _) => {
+            let e1 = max_exponent(values);
+            let mut sub = Vec::with_capacity(values.len().div_ceil(sub_block));
+            let mut elements = Vec::with_capacity(values.len());
+            for part in values.chunks(sub_block) {
+                let d = sub_block_offset(e1, part);
+                sub.push(d as u8);
+                elements.extend(part.iter().map(|v| fixed(v, e1 - d)));
+            }
+            AlgChunk {
+                scale_code: e1,
+                sub,
+                elements,
+            }
+        }
+        (ScaleKind::SharedBias { bits }, _) => {
+            let grid = MinifloatGrid::new(alg, bits);
+            let mut decoded = vec![0.0; values.len()];
+            let w = grid.settle_bias(values, rounding, &mut decoded);
+            AlgChunk {
+                scale_code: w,
+                sub: Vec::new(),
+                elements: values
+                    .iter()
+                    .map(|&v| grid.encode(v, w, rounding))
+                    .collect(),
+            }
+        }
     }
 }
 
-/// MX: block exponent `E1 = max`, per-sub-block offset `d =
-/// min(E1 − max_sub, 1)`, elements aligned against `E1 − d`. The d=1
-/// case grants small sub-blocks one extra alignment bit.
-fn encode_two_level(
-    values: &[Fp16],
-    alg: &FormatAlgebra,
-    sub_block: usize,
-    rounding: RoundingMode,
-) -> AlgChunk {
-    let m = alg.mantissa_bits as u32;
-    let max_mantissa = (1u64 << m) - 1;
-    let e1 = max_exponent(values);
-    let mut sub = Vec::with_capacity(values.len().div_ceil(sub_block));
-    let mut elements = Vec::with_capacity(values.len());
-    for chunk in values.chunks(sub_block) {
-        let d = (e1 - max_exponent(chunk)).clamp(0, 1) as u8;
-        sub.push(d);
-        let shared = e1 - d as i32;
-        for v in chunk {
-            let (sig, exp) = v.significand();
-            let shift = (SIGNIFICAND_BITS - m) as i32 + (shared - exp);
-            let q = rounding
-                .shift_right(sig as u64, shift as u32)
-                .min(max_mantissa);
-            elements.push(AlgElement {
-                sign: v.is_sign_negative(),
-                flag: false,
-                exp: 0,
-                mantissa: q as u16,
-            });
-        }
-    }
-    AlgChunk {
-        scale_code: e1,
-        sub,
-        elements,
-    }
-}
-
-/// Block minifloat: pick the shared bias `w` so the block maximum lands
-/// on the top exponent code, clamp it to the stored field *and* to the
-/// widths FP16 can reproduce, then round every element to its own
-/// `e`-bit-exponent float. Iterated to a fixpoint so re-encoding the
-/// quantised output is the identity even when rounding bumps the block
-/// maximum into the next binade.
-fn encode_shared_bias(
-    values: &[Fp16],
-    alg: &FormatAlgebra,
-    bias_bits: u8,
-    rounding: RoundingMode,
-) -> AlgChunk {
-    let exp_bits = match alg.element {
-        ElementKind::Minifloat { exp_bits } => exp_bits as i32,
-        ElementKind::Fixed => unreachable!("validate() rejects SharedBias × Fixed"),
-    };
-    let m = alg.mantissa_bits as i32;
-    let top = (1i32 << exp_bits) - 1;
-    let w_min = -(1i32 << (bias_bits - 1));
-    // Upper clamp: the stored field, and the finest step FP16 itself
-    // can represent (2^(−w−14−m) >= 2^−24) so quantised values stay
-    // exactly FP16-representable and the packed round trip is exact.
-    let w_max = ((1i32 << (bias_bits - 1)) - 1).min(10 - m);
-    let pick_w = |vals: &[Fp16]| -> i32 {
-        max_true_exponent(vals).map_or(0, |e| (top - e).clamp(w_min, w_max))
-    };
-    let mut w = pick_w(values);
-    let mut chunk;
-    loop {
-        chunk = AlgChunk {
-            scale_code: w,
-            sub: Vec::new(),
-            elements: values
-                .iter()
-                .map(|&v| encode_minifloat(v, m, top, w, rounding))
-                .collect(),
-        };
-        // Rounding can carry the block maximum into the next binade;
-        // re-derive w from the quantised output until stable (the max
-        // only moves up, and w only moves down, so this terminates).
-        let decoded: Vec<Fp16> = (0..values.len())
-            .map(|i| Fp16::from_f32_saturating(chunk.decode_value(i, alg)))
-            .collect();
-        let w_next = pick_w(&decoded);
-        if w_next == w {
-            break;
-        }
-        w = w_next;
-    }
-    chunk
-}
-
-/// Rounds one FP16 value to the minifloat grid `±(2^m + mant) ×
-/// 2^(ee − w − 15 − m)` (normal, `ee >= 1`) / `±mant × 2^(1 − w − 15 −
-/// m)` (subnormal, `ee = 0`), saturating at the top code.
-fn encode_minifloat(v: Fp16, m: i32, top: i32, w: i32, rounding: RoundingMode) -> AlgElement {
-    // When w is clamped at the stored-field (or FP16-step) maximum, the
-    // grid's nominal top can exceed FP16's largest finite value; cap the
-    // usable exponent code so every decoded magnitude stays <= 2^16 − ulp
-    // (code `w + 30` decodes to the 2^15 binade, which FP16 still holds).
-    let top = top.min(w + 30);
-    let (sig, exp) = v.significand();
-    let sign = v.is_sign_negative();
-    if sig == 0 {
-        return AlgElement {
-            sign,
-            flag: false,
-            exp: 0,
-            mantissa: 0,
-        };
-    }
-    let p = msb(sig);
-    let mut ee = (exp + p - 10) + w;
-    if ee >= 1 {
-        // Normal target: round the significand to m+1 bits.
-        let mut q = if m >= p {
-            (sig as u64) << (m - p)
-        } else {
-            rounding.shift_right(sig as u64, (p - m) as u32)
-        };
-        if q == 1u64 << (m + 1) {
-            // Round-up carry into the next binade.
-            ee += 1;
-            q = 1u64 << m;
-        }
-        if ee > top {
-            // Saturate (only reachable when w was clamped, or by the
-            // carry above on the block maximum itself).
-            return AlgElement {
-                sign,
-                flag: false,
-                exp: top as u8,
-                mantissa: ((1u32 << m) - 1) as u16,
-            };
-        }
-        AlgElement {
-            sign,
-            flag: false,
-            exp: ee as u8,
-            mantissa: (q - (1u64 << m)) as u16,
-        }
+/// A minifloat element's lane magnitude: `mant` (subnormal, `exp = 0`)
+/// or `(2^m + mant) × 2^(exp − 1)`.
+#[inline]
+fn minifloat_lane(e: &AlgElement, mantissa_bits: u8) -> f32 {
+    if e.exp == 0 {
+        e.mantissa as f32
     } else {
-        // Subnormal target: round in units of the smallest step.
-        let t = exp + w + m - 11;
-        let q = if t >= 0 {
-            (sig as u64) << t
-        } else {
-            rounding.shift_right(sig as u64, (-t) as u32)
+        (((1u32 << mantissa_bits) + e.mantissa as u32) as f32) * exp2i(e.exp as i32 - 1)
+    }
+}
+
+/// The fixed parameters of a block-minifloat point's element grid.
+struct MinifloatGrid {
+    m: i32,
+    /// The top exponent code, `2^e − 1`.
+    top: i32,
+    w_min: i32,
+    w_max: i32,
+}
+
+impl MinifloatGrid {
+    fn new(alg: &FormatAlgebra, bias_bits: u8) -> MinifloatGrid {
+        let exp_bits = match alg.element {
+            ElementKind::Minifloat { exp_bits } => exp_bits as i32,
+            _ => unreachable!("validate() pairs SharedBias with Minifloat"),
         };
-        if q >= 1u64 << m {
-            // Rounded up across the normal boundary (q == 2^m exactly).
-            AlgElement {
-                sign,
-                flag: false,
-                exp: 1,
-                mantissa: (q - (1u64 << m)) as u16,
+        let m = alg.mantissa_bits as i32;
+        MinifloatGrid {
+            m,
+            top: (1i32 << exp_bits) - 1,
+            w_min: -(1i32 << (bias_bits - 1)),
+            // Upper clamp: the stored field, and the finest step FP16
+            // itself can represent (2^(−w−14−m) >= 2^−24) so quantised
+            // values stay exactly FP16-representable and the packed
+            // round trip is exact.
+            w_max: ((1i32 << (bias_bits - 1)) - 1).min(10 - m),
+        }
+    }
+
+    /// The bias that puts the block maximum on the top exponent code,
+    /// clamped to the stored field and to FP16's finest step.
+    fn pick_w(&self, values: impl Iterator<Item = Fp16>) -> i32 {
+        max_true_exponent(values).map_or(0, |e| (self.top - e).clamp(self.w_min, self.w_max))
+    }
+
+    /// Block minifloat's bias search: pick `w`, round every element to
+    /// its own `e`-bit-exponent float (decoded into `out`), and repeat
+    /// until `w` is stable. Rounding can carry the block maximum into
+    /// the next binade; the max only moves up and `w` only down, so
+    /// this terminates, and re-encoding `out` is the identity.
+    fn settle_bias(&self, values: &[Fp16], rounding: RoundingMode, out: &mut [f32]) -> i32 {
+        let mut w = self.pick_w(values.iter().copied());
+        loop {
+            let scale = exp2i(-w - 14 - self.m);
+            for (v, o) in values.iter().zip(out.iter_mut()) {
+                let e = self.encode(*v, w, rounding);
+                let mag = minifloat_lane(&e, self.m as u8) * scale;
+                *o = if e.sign { -mag } else { mag };
             }
+            let w_next = self.pick_w(out.iter().map(|&v| Fp16::from_f32_saturating(v)));
+            if w_next == w {
+                return w;
+            }
+            w = w_next;
+        }
+    }
+
+    /// Rounds one FP16 value to the minifloat grid `±(2^m + mant) ×
+    /// 2^(ee − w − 15 − m)` (normal, `ee >= 1`) / `±mant × 2^(1 − w − 15
+    /// − m)` (subnormal, `ee = 0`), saturating at the top code.
+    fn encode(&self, v: Fp16, w: i32, rounding: RoundingMode) -> AlgElement {
+        let m = self.m;
+        // When w is clamped at the stored-field (or FP16-step) maximum,
+        // the grid's nominal top can exceed FP16's largest finite value;
+        // cap the usable exponent code so every decoded magnitude stays
+        // <= 2^16 − ulp (code `w + 30` decodes to the 2^15 binade, which
+        // FP16 still holds).
+        let top = self.top.min(w + 30);
+        let (sig, exp) = v.significand();
+        let sign = v.is_sign_negative();
+        let element = |exp: i32, mantissa: u64| AlgElement {
+            sign,
+            flag: false,
+            exp: exp as u8,
+            mantissa: mantissa as u16,
+        };
+        if sig == 0 {
+            return element(0, 0);
+        }
+        let p = msb(sig);
+        let mut ee = (exp + p - 10) + w;
+        if ee >= 1 {
+            // Normal target: round the significand to m+1 bits.
+            let mut q = if m >= p {
+                (sig as u64) << (m - p)
+            } else {
+                rounding.shift_right(sig as u64, (p - m) as u32)
+            };
+            if q == 1u64 << (m + 1) {
+                // Round-up carry into the next binade.
+                ee += 1;
+                q = 1u64 << m;
+            }
+            if ee > top {
+                // Saturate (only reachable when w was clamped, or by the
+                // carry above on the block maximum itself).
+                return element(top, (1u64 << m) - 1);
+            }
+            element(ee, q - (1u64 << m))
         } else {
-            AlgElement {
-                sign,
-                flag: false,
-                exp: 0,
-                mantissa: q as u16,
+            // Subnormal target: round in units of the smallest step.
+            let t = exp + w + m - 11;
+            let q = if t >= 0 {
+                (sig as u64) << t
+            } else {
+                rounding.shift_right(sig as u64, (-t) as u32)
+            };
+            if q >= 1u64 << m {
+                // Rounded up across the normal boundary (q == 2^m exactly).
+                element(1, q - (1u64 << m))
+            } else {
+                element(0, q)
             }
         }
     }
@@ -816,6 +797,15 @@ fn scale_field_bits(alg: &FormatAlgebra) -> u32 {
         ScaleKind::SharedExponent { bits }
         | ScaleKind::SharedBias { bits }
         | ScaleKind::TwoLevel { bits, .. } => bits as u32,
+    }
+}
+
+/// The per-element field widths `(flag, exp)` after the sign bit.
+fn element_field_bits(alg: &FormatAlgebra) -> (u32, u32) {
+    match alg.element {
+        ElementKind::Fixed => (0, 0),
+        ElementKind::Flagged { .. } => (1, 0),
+        ElementKind::Minifloat { exp_bits } => (0, exp_bits as u32),
     }
 }
 
@@ -834,15 +824,11 @@ pub(crate) fn write_chunk(w: &mut BitWriter, chunk: &AlgChunk, alg: &FormatAlgeb
         }
     }
     let m = alg.mantissa_bits as u32;
-    let has_flag = alg.overlap_bits > 0;
-    let exp_bits = match alg.element {
-        ElementKind::Fixed => 0u32,
-        ElementKind::Minifloat { exp_bits } => exp_bits as u32,
-    };
+    let (flag_bits, exp_bits) = element_field_bits(alg);
     for e in &chunk.elements {
         w.push(e.sign as u32, 1);
-        if has_flag {
-            w.push(e.flag as u32, 1);
+        if flag_bits > 0 {
+            w.push(e.flag as u32, flag_bits);
         }
         if exp_bits > 0 {
             w.push(e.exp as u32, exp_bits);
@@ -872,15 +858,11 @@ pub(crate) fn read_chunk(r: &mut BitReader<'_>, len: usize, alg: &FormatAlgebra)
         }
     }
     let m = alg.mantissa_bits as u32;
-    let has_flag = alg.overlap_bits > 0;
-    let exp_bits = match alg.element {
-        ElementKind::Fixed => 0u32,
-        ElementKind::Minifloat { exp_bits } => exp_bits as u32,
-    };
+    let (flag_bits, exp_bits) = element_field_bits(alg);
     let mut elements = Vec::with_capacity(len);
     for _ in 0..len {
         let sign = r.read(1).expect("packed buffer intact") == 1;
-        let flag = has_flag && r.read(1).expect("packed buffer intact") == 1;
+        let flag = flag_bits > 0 && r.read(flag_bits).expect("packed buffer intact") == 1;
         let exp = if exp_bits > 0 {
             r.read(exp_bits).expect("packed buffer intact") as u8
         } else {
@@ -901,11 +883,99 @@ pub(crate) fn read_chunk(r: &mut BitReader<'_>, len: usize, alg: &FormatAlgebra)
     }
 }
 
-/// Quantise-dequantise an arbitrary-length slice through any packable
-/// algebra point, block by block, writing the reconstruction into
-/// `out`. The final partial block gets its own shared scale; non-finite
-/// inputs saturate through FP16 narrowing first. Idempotent: the packed
-/// encoder re-encodes this output bit-for-bit.
+/// Writes `±mantissa(v) × scale` for every fixed-point element of one
+/// (sub-)block aligned against `shared`.
+#[inline]
+fn quantize_fixed(values: &[Fp16], shared: i32, m: u32, rounding: RoundingMode, out: &mut [f32]) {
+    let scale = exp2i(shared - 14 - m as i32);
+    for (v, o) in values.iter().zip(out.iter_mut()) {
+        let mag = fixed_mantissa(*v, shared, m, rounding) as f32 * scale;
+        *o = if v.is_sign_negative() { -mag } else { mag };
+    }
+}
+
+/// Quantise-dequantise `data` in place through any packable algebra
+/// point, block by block. The final partial block gets its own shared
+/// scale; non-finite inputs saturate through FP16 narrowing first.
+/// Idempotent: the packed encoder re-encodes this output bit-for-bit.
+///
+/// This is the block quantiser every block scheme runs through. It
+/// picks the point's encoder once per block, reuses one FP16 buffer for
+/// the whole slice, and allocates nothing per block.
+///
+/// ```
+/// use bbal_core::{algebra_quantize_in_place, FormatAlgebra, RoundingMode};
+///
+/// let alg = FormatAlgebra::bbfp(4, 2)?;
+/// let mut data: Vec<f32> = (0..40).map(|i| (i as f32 - 20.0) * 0.07).collect();
+/// algebra_quantize_in_place(&mut data, &alg, RoundingMode::NearestEven);
+/// let once = data.clone();
+/// algebra_quantize_in_place(&mut data, &alg, RoundingMode::NearestEven);
+/// assert_eq!(data, once);
+/// # Ok::<(), bbal_core::FormatError>(())
+/// ```
+///
+/// # Panics
+///
+/// Panics if the point is not packable.
+pub fn algebra_quantize_in_place(data: &mut [f32], alg: &FormatAlgebra, rounding: RoundingMode) {
+    let mut fp16 = block_buffer(alg, data.len());
+    for chunk in data.chunks_mut(alg.block_size) {
+        narrow_into(&mut fp16, chunk);
+        quantize_block(&fp16, alg, rounding, chunk);
+    }
+}
+
+/// The FP16 staging buffer both quantiser entry points reuse for every
+/// block of one call.
+fn block_buffer(alg: &FormatAlgebra, len: usize) -> Vec<Fp16> {
+    assert!(alg.packable(), "scalar points have no block quantiser");
+    Vec::with_capacity(alg.block_size.min(len))
+}
+
+/// Narrows one block into `fp16` (saturating, as the paper's FP16-input
+/// pipeline does).
+#[inline]
+fn narrow_into(fp16: &mut Vec<Fp16>, values: &[f32]) {
+    fp16.clear();
+    fp16.extend(values.iter().map(|&v| Fp16::from_f32_saturating(v)));
+}
+
+/// Quantise-dequantises one FP16 block into `out`: the point's encoder
+/// is chosen once here, then runs over the block without per-element
+/// dispatch.
+#[inline]
+fn quantize_block(fp16: &[Fp16], alg: &FormatAlgebra, rounding: RoundingMode, out: &mut [f32]) {
+    let m = alg.mantissa_bits as u32;
+    match (alg.scale, alg.element) {
+        (ScaleKind::SharedExponent { .. }, ElementKind::Flagged { overlap_bits }) => {
+            let gap = alg.window_gap().unwrap_or(0);
+            let shared = flagged_shared_exponent(fp16, gap);
+            let low = exp2i(shared - 14 - m as i32);
+            let high = low * exp2i(gap as i32);
+            for (v, o) in fp16.iter().zip(out.iter_mut()) {
+                let e = encode_element(*v, alg.mantissa_bits, overlap_bits, shared, rounding);
+                let mag = e.mantissa as f32 * if e.flag { high } else { low };
+                *o = if e.sign { -mag } else { mag };
+            }
+        }
+        (ScaleKind::SharedExponent { .. }, _) => {
+            quantize_fixed(fp16, max_exponent(fp16), m, rounding, out);
+        }
+        (ScaleKind::TwoLevel { sub_block, .. }, _) => {
+            let e1 = max_exponent(fp16);
+            for (part, out) in fp16.chunks(sub_block).zip(out.chunks_mut(sub_block)) {
+                quantize_fixed(part, e1 - sub_block_offset(e1, part), m, rounding, out);
+            }
+        }
+        (ScaleKind::SharedBias { bits }, _) => {
+            MinifloatGrid::new(alg, bits).settle_bias(fp16, rounding, out);
+        }
+    }
+}
+
+/// As [`algebra_quantize_in_place`], reading `values` and writing the
+/// reconstruction into `out`.
 ///
 /// ```
 /// use bbal_core::{algebra_quantize_slice, FormatAlgebra, RoundingMode};
@@ -930,17 +1000,13 @@ pub fn algebra_quantize_slice(
     out: &mut [f32],
 ) {
     assert_eq!(out.len(), values.len(), "output length mismatch");
-    assert!(alg.packable(), "scalar points have no block quantiser");
-    let bs = alg.block_size;
-    for (chunk, out_chunk) in values.chunks(bs).zip(out.chunks_mut(bs)) {
-        let fp16: Vec<Fp16> = chunk
-            .iter()
-            .map(|&v| Fp16::from_f32_saturating(v))
-            .collect();
-        let encoded = encode_chunk(&fp16, alg, rounding);
-        for (i, o) in out_chunk.iter_mut().enumerate() {
-            *o = encoded.decode_value(i, alg);
-        }
+    let mut fp16 = block_buffer(alg, values.len());
+    for (block, chunk) in values
+        .chunks(alg.block_size)
+        .zip(out.chunks_mut(alg.block_size))
+    {
+        narrow_into(&mut fp16, block);
+        quantize_block(&fp16, alg, rounding, chunk);
     }
 }
 
@@ -949,7 +1015,7 @@ mod tests {
     use super::*;
     use crate::bbfp::bbfp_quantize_slice;
     use crate::bfp::bfp_quantize_slice;
-    use crate::format::BfpConfig;
+    use crate::format::{BbfpConfig, BfpConfig};
 
     fn wavy(n: usize, scale: f32) -> Vec<f32> {
         (0..n)
@@ -995,9 +1061,6 @@ mod tests {
                 "bfp{m}"
             );
             for o in 0..m {
-                if o == 0 {
-                    continue;
-                }
                 assert_eq!(
                     FormatAlgebra::bbfp(m, o)
                         .unwrap()
@@ -1051,6 +1114,21 @@ mod tests {
             FormatAlgebra::blockmf(4, 3, 1),
             Err(FormatError::BiasWidth(1))
         ));
+        assert!(matches!(
+            FormatAlgebra::bbfp(4, 4),
+            Err(FormatError::OverlapWidth { .. })
+        ));
+        // A window flag only exists on shared-exponent lanes.
+        for mut alg in [
+            FormatAlgebra::mx(8, 4, 2).unwrap(),
+            FormatAlgebra::blockmf(4, 3, 8).unwrap(),
+        ] {
+            alg.element = ElementKind::Flagged { overlap_bits: 1 };
+            assert!(matches!(
+                alg.validate(),
+                Err(FormatError::UnsupportedCombination(_))
+            ));
+        }
     }
 
     #[test]
@@ -1071,7 +1149,7 @@ mod tests {
             assert_eq!(a, b, "bfp{m}");
         }
         // The algebra's BBFP point == bbfp_quantize_slice.
-        for (m, o) in [(4u8, 2u8), (6, 3), (4, 3)] {
+        for (m, o) in [(4u8, 2u8), (6, 3), (4, 3), (6, 0), (1, 0)] {
             let alg = FormatAlgebra::bbfp(m, o).unwrap();
             let mut a = vec![0.0; raw.len()];
             algebra_quantize_slice(&raw, &alg, RoundingMode::NearestEven, &mut a);
@@ -1191,6 +1269,7 @@ mod tests {
             FormatAlgebra::blockmf(4, 3, 8).unwrap(),
             FormatAlgebra::bfp(6).unwrap(),
             FormatAlgebra::bbfp(4, 2).unwrap(),
+            FormatAlgebra::bbfp(6, 0).unwrap(),
         ];
         for alg in &points {
             for len in [alg.block_size, 5, 1] {
@@ -1243,6 +1322,10 @@ mod tests {
         assert_eq!(
             FormatAlgebra::bbfp(4, 2).unwrap().display_name(),
             "BBFP(4,2)"
+        );
+        assert_eq!(
+            FormatAlgebra::bbfp(6, 0).unwrap().display_name(),
+            "BBFP(6,0)"
         );
         assert_eq!(FormatAlgebra::scalar_fp16().display_name(), "FP16");
         assert_eq!(FormatAlgebra::scalar_int(8).unwrap().display_name(), "INT8");

@@ -108,9 +108,10 @@ impl BbfpBlock {
             }
         }
         let shared_exponent = policy.shared_exponent(max_exponent(values));
+        let (m, o) = (config.mantissa_bits(), config.overlap_bits());
         let elements = values
             .iter()
-            .map(|v| encode_element(*v, config, shared_exponent, rounding))
+            .map(|v| encode_element(*v, m, o, shared_exponent, rounding))
             .collect();
         Ok(BbfpBlock {
             config,
@@ -197,15 +198,17 @@ impl BbfpBlock {
     }
 }
 
-/// Encodes a single FP16 value against a given shared exponent.
+/// Encodes a single FP16 value into `BBFP(m, o)` against a given shared
+/// exponent.
 pub(crate) fn encode_element(
     v: Fp16,
-    config: BbfpConfig,
+    mantissa_bits: u8,
+    overlap_bits: u8,
     shared: i32,
     rounding: RoundingMode,
 ) -> BbfpElement {
-    let m = config.mantissa_bits() as i32;
-    let o = config.overlap_bits() as i32;
+    let m = mantissa_bits as i32;
+    let o = overlap_bits as i32;
     let max_mantissa = (1u64 << m) - 1;
     let (sig, exp) = v.significand();
     let sign = v.is_sign_negative();
@@ -294,8 +297,9 @@ pub fn bbfp_quantize_slice_with(
         let shared = policy.shared_exponent(max_exponent(&fp16));
         let scale = exp2i(shared - 14 - config.mantissa_bits() as i32);
         let flag_scale = config.flag_scale();
+        let (m, overlap) = (config.mantissa_bits(), config.overlap_bits());
         for (v, o) in fp16.iter().zip(out_chunk.iter_mut()) {
-            let e = encode_element(*v, config, shared, rounding);
+            let e = encode_element(*v, m, overlap, shared, rounding);
             let f = if e.flag { flag_scale } else { 1 };
             let mag = (e.mantissa as u64 * f as u64) as f32 * scale;
             *o = if e.sign { -mag } else { mag };

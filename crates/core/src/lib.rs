@@ -52,7 +52,9 @@ pub mod policy;
 pub mod rounding;
 pub mod scheme;
 
-pub use algebra::{algebra_quantize_slice, ElementKind, FormatAlgebra, ScaleKind};
+pub use algebra::{
+    algebra_quantize_in_place, algebra_quantize_slice, ElementKind, FormatAlgebra, ScaleKind,
+};
 pub use bbfp::{bbfp_quantize_slice, bbfp_quantize_slice_with, BbfpBlock, BbfpElement};
 pub use bfp::{bfp_quantize_slice, BfpBlock};
 pub use dot::{bbfp_dot, bbfp_products, bfp_dot, BbfpProduct, FixedPointDot};
@@ -61,8 +63,8 @@ pub use format::{BbfpConfig, BfpConfig, FormatCost, DEFAULT_BLOCK_SIZE, SHARED_E
 pub use fp16::Fp16;
 pub use overlap::{select_overlap_width, OverlapScore, OverlapSearch};
 pub use packed::{
-    attn_dot_packed, attn_weighted_sum_packed, packed_rows_capacity_bytes, BlockScheme, LayoutKind,
-    PackedBlock, PackedMatrix, PackedRows,
+    attn_dot_packed, attn_weighted_sum_packed, packed_rows_capacity_bytes, LayoutKind, PackedBlock,
+    PackedMatrix, PackedRows,
 };
 pub use policy::ExponentPolicy;
 pub use rounding::RoundingMode;

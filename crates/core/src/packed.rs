@@ -58,107 +58,18 @@
 //! to the dense layout on any mismatch, so the invariant holds
 //! unconditionally.
 
-use crate::algebra::{self, AlgChunk, ElementKind, FormatAlgebra, ScaleKind};
+use crate::algebra::{self, AlgChunk, FormatAlgebra, ScaleKind};
 use crate::bfp::exp2i;
 use crate::bitpack::{BitReader, BitWriter};
 use crate::error::FormatError;
-use crate::format::{BbfpConfig, BfpConfig, SHARED_EXPONENT_BITS};
 use crate::fp16::Fp16;
 use crate::rounding::RoundingMode;
 use crate::scheme::SchemeSpec;
 
-/// The block-format family a [`PackedBlock`] or block-layout
-/// [`PackedMatrix`] is encoded in.
-///
-/// All variants encode and decode through the same
-/// [`crate::algebra`] chunk codec; `Bfp`/`Bbfp` keep their own
-/// constructors (and the exact bit layout PR 8 pinned), while
-/// `Algebra` carries any other packable point of the format algebra —
-/// MX, MSFP, block minifloat.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockScheme {
-    /// Vanilla BFP: `sign|mantissa` elements.
-    Bfp(BfpConfig),
-    /// Bidirectional BFP: `sign|flag|mantissa` elements, the flag worth
-    /// `×2^(m−o)`.
-    Bbfp(BbfpConfig),
-    /// Any other packable point of the format algebra (MX two-level
-    /// scaling, MSFP wide blocks, block minifloat).
-    Algebra(FormatAlgebra),
-}
-
-impl BlockScheme {
-    /// The block-format mapping of `scheme`, if it has one.
-    pub fn from_scheme(scheme: SchemeSpec) -> Option<BlockScheme> {
-        match scheme {
-            SchemeSpec::Bfp(m) => BfpConfig::new(m).ok().map(BlockScheme::Bfp),
-            SchemeSpec::Bbfp(m, o) => BbfpConfig::new(m, o).ok().map(BlockScheme::Bbfp),
-            SchemeSpec::Mx(..) | SchemeSpec::Msfp(..) | SchemeSpec::BlockMf(..) => scheme
-                .algebra()
-                .ok()
-                .flatten()
-                .filter(FormatAlgebra::packable)
-                .map(BlockScheme::Algebra),
-            _ => None,
-        }
-    }
-
-    /// The format-algebra point every variant lowers to — the single
-    /// description the chunk codec runs on.
-    pub fn algebra_form(&self) -> FormatAlgebra {
-        match self {
-            BlockScheme::Bfp(c) => FormatAlgebra {
-                block_size: c.block_size(),
-                scale: ScaleKind::SharedExponent {
-                    bits: SHARED_EXPONENT_BITS as u8,
-                },
-                mantissa_bits: c.mantissa_bits(),
-                overlap_bits: 0,
-                element: ElementKind::Fixed,
-            },
-            BlockScheme::Bbfp(c) => FormatAlgebra {
-                block_size: c.block_size(),
-                scale: ScaleKind::SharedExponent {
-                    bits: SHARED_EXPONENT_BITS as u8,
-                },
-                mantissa_bits: c.mantissa_bits(),
-                overlap_bits: c.overlap_bits(),
-                element: ElementKind::Fixed,
-            },
-            BlockScheme::Algebra(a) => *a,
-        }
-    }
-
-    /// Elements per block.
-    pub fn block_size(&self) -> usize {
-        match self {
-            BlockScheme::Bfp(c) => c.block_size(),
-            BlockScheme::Bbfp(c) => c.block_size(),
-            BlockScheme::Algebra(a) => a.block_size,
-        }
-    }
-
-    /// Mantissa bits per element.
-    pub fn mantissa_bits(&self) -> u8 {
-        match self {
-            BlockScheme::Bfp(c) => c.mantissa_bits(),
-            BlockScheme::Bbfp(c) => c.mantissa_bits(),
-            BlockScheme::Algebra(a) => a.mantissa_bits,
-        }
-    }
-
-    /// Packed payload bits per element (`1+m` for BFP, `2+m` for BBFP,
-    /// `1+e+m` for minifloat elements).
-    pub fn element_bits(&self) -> usize {
-        self.algebra_form().payload_bits_per_element() as usize
-    }
-}
-
 /// Encodes one chunk (a full block or a ragged tail) of *already
 /// quantised* values against its own shared scale — exactly the
-/// per-chunk step of [`crate::algebra::algebra_quantize_slice`] (which
-/// the legacy `bfp_quantize_slice`/`bbfp_quantize_slice` agree with on
-/// their points), so re-encoding a quantised chunk is the identity.
+/// per-chunk step of [`crate::algebra::algebra_quantize_in_place`], so
+/// re-encoding a quantised chunk is the identity.
 fn encode_chunk(values: &[f32], alg: &FormatAlgebra) -> AlgChunk {
     let fp16: Vec<Fp16> = values
         .iter()
@@ -167,8 +78,9 @@ fn encode_chunk(values: &[f32], alg: &FormatAlgebra) -> AlgChunk {
     algebra::encode_chunk(&fp16, alg, RoundingMode::NearestEven)
 }
 
-/// One block (up to `block_size` values) stored in its packed bit
-/// layout: 5-bit shared exponent, then the per-element payloads.
+/// One block (up to `block_size` values) of a block-format algebra
+/// point, stored in its packed bit layout: the shared scale field, any
+/// sub-block offsets, then the per-element payloads.
 ///
 /// This is the single-block face of the packed storage format — the
 /// proptest battery drives it directly. [`PackedBlock::block_dot`] is
@@ -176,16 +88,15 @@ fn encode_chunk(values: &[f32], alg: &FormatAlgebra) -> AlgChunk {
 /// the shared-exponent scale applies once at the end.
 ///
 /// ```
-/// use bbal_core::packed::{BlockScheme, PackedBlock};
-/// use bbal_core::{bfp_quantize_slice, BfpConfig, RoundingMode, SchemeSpec};
+/// use bbal_core::packed::PackedBlock;
+/// use bbal_core::{algebra_quantize_slice, FormatAlgebra, RoundingMode};
 ///
-/// let cfg = BfpConfig::new(4)?;
+/// let bfp4 = FormatAlgebra::bfp(4)?;
 /// let raw: Vec<f32> = (0..32).map(|i| (i as f32 - 16.0) * 0.1).collect();
 /// let mut q = vec![0.0; 32];
-/// bfp_quantize_slice(&raw, cfg, RoundingMode::NearestEven, &mut q);
+/// algebra_quantize_slice(&raw, &bfp4, RoundingMode::NearestEven, &mut q);
 ///
-/// let scheme = BlockScheme::from_scheme(SchemeSpec::Bfp(4)).unwrap();
-/// let block = PackedBlock::encode(&q, scheme)?;
+/// let block = PackedBlock::encode(&q, bfp4)?;
 /// assert_eq!(block.decode(), q); // exact round trip
 ///
 /// let acts = vec![1.0f32; 32];
@@ -195,7 +106,7 @@ fn encode_chunk(values: &[f32], alg: &FormatAlgebra) -> AlgChunk {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedBlock {
-    scheme: BlockScheme,
+    format: FormatAlgebra,
     len: usize,
     shared_exponent: i32,
     bit_len: usize,
@@ -209,13 +120,19 @@ impl PackedBlock {
     ///
     /// # Errors
     ///
-    /// [`FormatError::LengthMismatch`] if `values` is empty or longer
-    /// than the scheme's block size, [`FormatError::NonFinite`] on NaN
-    /// or infinity, and [`FormatError::NotRepresentable`] if any value
-    /// is not exactly representable in the scheme (i.e. the input was
-    /// not produced by this scheme's quantiser).
-    pub fn encode(values: &[f32], scheme: BlockScheme) -> Result<PackedBlock, FormatError> {
-        let bs = scheme.block_size();
+    /// The point's own validation error if `format` is invalid,
+    /// [`FormatError::BlockSize`] if it is a scalar (block size 1)
+    /// point, [`FormatError::LengthMismatch`] if `values` is empty or
+    /// longer than the block size, [`FormatError::NonFinite`] on NaN or
+    /// infinity, and [`FormatError::NotRepresentable`] if any value is
+    /// not exactly representable at the point (i.e. the input was not
+    /// produced by its quantiser).
+    pub fn encode(values: &[f32], format: FormatAlgebra) -> Result<PackedBlock, FormatError> {
+        format.validate()?;
+        if !format.packable() {
+            return Err(FormatError::BlockSize(format.block_size));
+        }
+        let bs = format.block_size;
         if values.is_empty() || values.len() > bs {
             return Err(FormatError::LengthMismatch {
                 got: values.len(),
@@ -227,18 +144,17 @@ impl PackedBlock {
                 return Err(FormatError::NonFinite(i));
             }
         }
-        let alg = scheme.algebra_form();
-        let chunk = encode_chunk(values, &alg);
+        let chunk = encode_chunk(values, &format);
         for (i, v) in values.iter().enumerate() {
-            if chunk.decode_value(i, &alg).to_bits() != v.to_bits() {
+            if chunk.decode_value(i, &format).to_bits() != v.to_bits() {
                 return Err(FormatError::NotRepresentable(i));
             }
         }
         let mut w = BitWriter::new();
-        algebra::write_chunk(&mut w, &chunk, &alg);
+        algebra::write_chunk(&mut w, &chunk, &format);
         let bit_len = w.bit_len();
         Ok(PackedBlock {
-            scheme,
+            format,
             len: values.len(),
             shared_exponent: chunk.scale_code,
             bit_len,
@@ -246,9 +162,9 @@ impl PackedBlock {
         })
     }
 
-    /// The scheme this block is packed in.
-    pub fn scheme(&self) -> BlockScheme {
-        self.scheme
+    /// The format-algebra point this block is packed in.
+    pub fn format(&self) -> FormatAlgebra {
+        self.format
     }
 
     /// Number of encoded values.
@@ -283,10 +199,10 @@ impl PackedBlock {
     /// Decodes the packed bytes back to f32 values — the exact inverse
     /// of [`PackedBlock::encode`].
     pub fn decode(&self) -> Vec<f32> {
-        let alg = self.scheme.algebra_form();
+        let alg = &self.format;
         let mut r = BitReader::new(&self.bytes);
-        let chunk = algebra::read_chunk(&mut r, self.len, &alg);
-        (0..self.len).map(|i| chunk.decode_value(i, &alg)).collect()
+        let chunk = algebra::read_chunk(&mut r, self.len, alg);
+        (0..self.len).map(|i| chunk.decode_value(i, alg)).collect()
     }
 
     /// The block-dot kernel: accumulates activation × mantissa-integer
@@ -300,14 +216,14 @@ impl PackedBlock {
     /// Panics if `acts.len() != self.len()`.
     pub fn block_dot(&self, acts: &[f32]) -> f32 {
         assert_eq!(acts.len(), self.len, "activation length mismatch");
-        let alg = self.scheme.algebra_form();
+        let alg = &self.format;
         let mut r = BitReader::new(&self.bytes);
-        let chunk = algebra::read_chunk(&mut r, self.len, &alg);
+        let chunk = algebra::read_chunk(&mut r, self.len, alg);
         let mut acc = 0.0f32;
         for (i, a) in acts.iter().enumerate() {
-            acc += a * chunk.lane_value(i, &alg);
+            acc += a * chunk.lane_value(i, alg);
         }
-        acc * exp2i(chunk.scale_exponent(&alg))
+        acc * exp2i(chunk.scale_exponent(alg))
     }
 }
 
@@ -334,7 +250,8 @@ enum Layout {
         lane: Vec<f32>,
     },
     Block {
-        scheme: BlockScheme,
+        /// The block-format point the bits are encoded in.
+        alg: FormatAlgebra,
         /// Packed bits of every block, concatenated with no padding.
         bytes: Vec<u8>,
         bit_len: usize,
@@ -398,11 +315,12 @@ impl PackedMatrix {
     /// Packs an **already quantised** `rows × cols` row-major matrix
     /// into `scheme`'s native layout.
     ///
-    /// BFP/BBFP schemes get the block layout, FP16 the binary16 layout;
-    /// every other scheme — and any input the block encoder cannot
-    /// reproduce bit-for-bit (e.g. values that did not come from this
-    /// scheme's quantiser) — falls back to a dense f32 lane, so the
-    /// GEMM bit-identity invariant holds unconditionally.
+    /// Block schemes ([`SchemeSpec::block_algebra`]) get the block
+    /// layout, FP16 the binary16 layout; every other scheme — and any
+    /// input the block encoder cannot reproduce bit-for-bit (e.g.
+    /// values that did not come from this scheme's quantiser) — falls
+    /// back to a dense f32 lane, so the GEMM bit-identity invariant
+    /// holds unconditionally.
     ///
     /// # Panics
     ///
@@ -412,14 +330,9 @@ impl PackedMatrix {
         assert_eq!(values.len(), rows * cols, "data length mismatch");
         let layout = match scheme {
             SchemeSpec::Fp16 => pack_fp16(values),
-            SchemeSpec::Bfp(_)
-            | SchemeSpec::Bbfp(_, _)
-            | SchemeSpec::Mx(..)
-            | SchemeSpec::Msfp(..)
-            | SchemeSpec::BlockMf(..) => {
-                BlockScheme::from_scheme(scheme).and_then(|bs| pack_blocks(values, bs))
-            }
-            _ => None,
+            _ => scheme
+                .block_algebra()
+                .and_then(|alg| pack_blocks(values, alg)),
         }
         .unwrap_or_else(|| Layout::Dense {
             lane: values.to_vec(),
@@ -477,21 +390,17 @@ impl PackedMatrix {
                 bits.iter().map(|&b| Fp16::from_bits(b).to_f32()).collect()
             }
             Layout::Block {
-                scheme,
-                bytes,
-                group,
-                ..
+                alg, bytes, group, ..
             } => {
-                let alg = scheme.algebra_form();
                 let n = self.rows * self.cols;
                 let mut out = Vec::with_capacity(n);
                 let mut r = BitReader::new(bytes);
                 let mut done = 0;
                 while done < n {
                     let len = (*group).min(n - done);
-                    let chunk = algebra::read_chunk(&mut r, len, &alg);
+                    let chunk = algebra::read_chunk(&mut r, len, alg);
                     for i in 0..len {
-                        out.push(chunk.decode_value(i, &alg));
+                        out.push(chunk.decode_value(i, alg));
                     }
                     done += len;
                 }
@@ -640,11 +549,7 @@ fn pack_fp16(values: &[f32]) -> Option<Layout> {
 
 /// Packs the block layout over the flat buffer; `None` if any block
 /// fails the bit-exact round-trip check.
-fn pack_blocks(values: &[f32], scheme: BlockScheme) -> Option<Layout> {
-    let alg = scheme.algebra_form();
-    if !alg.packable() {
-        return None;
-    }
+fn pack_blocks(values: &[f32], alg: FormatAlgebra) -> Option<Layout> {
     let group = alg.block_size;
     let mut w = BitWriter::new();
     let mut lane = Vec::with_capacity(values.len());
@@ -665,7 +570,7 @@ fn pack_blocks(values: &[f32], scheme: BlockScheme) -> Option<Layout> {
     }
     let bit_len = w.bit_len();
     Some(Layout::Block {
-        scheme,
+        alg,
         bytes: w.into_bytes(),
         bit_len,
         lane,
@@ -878,7 +783,8 @@ enum RowsLayout {
     /// number of blocks, every row starts block-aligned and blocks
     /// never straddle rows.
     Block {
-        scheme: BlockScheme,
+        /// The block-format point rows are encoded in.
+        alg: FormatAlgebra,
         /// Packed bits of every chunk, appended row by row.
         writer: BitWriter,
         /// Effective lane values (flags, micro-exponents folded), one
@@ -950,13 +856,13 @@ impl PackedRows {
     /// `scheme`'s block layout when the scheme has one and `width` is a
     /// whole number of blocks, else as dense f32.
     pub fn new(scheme: SchemeSpec, width: usize) -> PackedRows {
-        let layout = match BlockScheme::from_scheme(scheme) {
-            Some(bs) if width > 0 && width.is_multiple_of(bs.block_size()) => RowsLayout::Block {
-                scheme: bs,
+        let layout = match scheme.block_algebra() {
+            Some(alg) if width > 0 && width.is_multiple_of(alg.block_size) => RowsLayout::Block {
+                alg,
                 writer: BitWriter::new(),
                 lane: Vec::new(),
                 scale: Vec::new(),
-                group: bs.block_size(),
+                group: alg.block_size,
             },
             _ => RowsLayout::Dense { lane: Vec::new() },
         };
@@ -1051,18 +957,17 @@ impl PackedRows {
                 return;
             }
             RowsLayout::Block {
-                scheme,
+                alg,
                 writer,
                 lane,
                 scale,
                 group,
             } => {
-                let alg = scheme.algebra_form();
-                if let Some((row_lane, chunks)) = encode_row(row, &alg, *group) {
+                if let Some((row_lane, chunks)) = encode_row(row, alg, *group) {
                     lane.extend_from_slice(&row_lane);
                     for c in &chunks {
-                        scale.push(exp2i(c.scale_exponent(&alg)));
-                        algebra::write_chunk(writer, c, &alg);
+                        scale.push(exp2i(c.scale_exponent(alg)));
+                        algebra::write_chunk(writer, c, alg);
                     }
                     return;
                 }
@@ -1243,10 +1148,9 @@ fn chunk_bits(alg: &FormatAlgebra, len: usize) -> usize {
 /// byte budgets by: a full [`PackedRows`] buffer of quantised rows
 /// occupies exactly this many bytes.
 pub fn packed_rows_capacity_bytes(scheme: SchemeSpec, width: usize, rows: usize) -> usize {
-    let bits = match BlockScheme::from_scheme(scheme) {
-        Some(bs) if width > 0 && width.is_multiple_of(bs.block_size()) => {
-            let alg = bs.algebra_form();
-            rows * (width / bs.block_size()) * chunk_bits(&alg, bs.block_size())
+    let bits = match scheme.block_algebra() {
+        Some(alg) if width > 0 && width.is_multiple_of(alg.block_size) => {
+            rows * (width / alg.block_size) * chunk_bits(&alg, alg.block_size)
         }
         _ => rows * width * 32,
     };
@@ -1258,6 +1162,7 @@ mod tests {
     use super::*;
     use crate::bbfp::bbfp_quantize_slice;
     use crate::bfp::bfp_quantize_slice;
+    use crate::format::{BbfpConfig, BfpConfig};
 
     fn quantised(scheme: SchemeSpec, n: usize, seed: u64) -> Vec<f32> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -1329,12 +1234,15 @@ mod tests {
     #[test]
     fn block_round_trip_full_and_ragged() {
         for scheme in [SchemeSpec::Bfp(4), SchemeSpec::Bbfp(4, 2)] {
-            let bs = BlockScheme::from_scheme(scheme).unwrap();
+            let bs = scheme.block_algebra().unwrap();
             for len in [32usize, 7, 1] {
                 let q = quantised(scheme, len, 3 + len as u64);
                 let block = PackedBlock::encode(&q, bs).unwrap();
                 assert_eq!(block.decode(), q, "{scheme} len {len}");
-                assert_eq!(block.packed_bits(), 5 + len * bs.element_bits());
+                assert_eq!(
+                    block.packed_bits(),
+                    5 + len * bs.payload_bits_per_element() as usize
+                );
             }
         }
     }
@@ -1342,11 +1250,10 @@ mod tests {
     #[test]
     fn new_family_blocks_round_trip_with_exact_bit_budgets() {
         for scheme in NEW_FAMILIES {
-            let bs = BlockScheme::from_scheme(scheme).unwrap();
-            let alg = bs.algebra_form();
-            for len in [bs.block_size(), 7, 1] {
+            let alg = scheme.block_algebra().unwrap();
+            for len in [alg.block_size, 7, 1] {
                 let q = quantised(scheme, len, 3 + len as u64);
-                let block = PackedBlock::encode(&q, bs).unwrap();
+                let block = PackedBlock::encode(&q, alg).unwrap();
                 assert_eq!(block.decode(), q, "{scheme} len {len}");
                 let sub_bits = match alg.scale {
                     ScaleKind::TwoLevel {
@@ -1363,7 +1270,7 @@ mod tests {
                 };
                 assert_eq!(
                     block.packed_bits(),
-                    scale_bits + sub_bits + len * bs.element_bits(),
+                    scale_bits + sub_bits + len * alg.payload_bits_per_element() as usize,
                     "{scheme} len {len}"
                 );
             }
@@ -1373,8 +1280,8 @@ mod tests {
     #[test]
     fn new_family_block_dot_is_bit_identical() {
         for scheme in NEW_FAMILIES {
-            let bs = BlockScheme::from_scheme(scheme).unwrap();
-            let n = bs.block_size();
+            let bs = scheme.block_algebra().unwrap();
+            let n = bs.block_size;
             let q = quantised(scheme, n, 11);
             let acts = quantised(SchemeSpec::Fp16, n, 17);
             let block = PackedBlock::encode(&q, bs).unwrap();
@@ -1388,11 +1295,23 @@ mod tests {
 
     #[test]
     fn encode_rejects_unquantised_input() {
-        let bs = BlockScheme::from_scheme(SchemeSpec::Bfp(4)).unwrap();
+        let bs = SchemeSpec::Bfp(4).block_algebra().unwrap();
         let raw: Vec<f32> = (0..32).map(|i| (i as f32 * 0.37).sin()).collect();
         assert!(matches!(
             PackedBlock::encode(&raw, bs),
             Err(FormatError::NotRepresentable(_))
+        ));
+        // Points that have no block codec are typed errors too.
+        let q = quantised(SchemeSpec::Fp16, 32, 3);
+        assert!(matches!(
+            PackedBlock::encode(&q[..1], FormatAlgebra::scalar_fp16()),
+            Err(FormatError::BlockSize(1))
+        ));
+        let mut wide = FormatAlgebra::bbfp(4, 2).unwrap();
+        wide.element = crate::algebra::ElementKind::Flagged { overlap_bits: 4 };
+        assert!(matches!(
+            PackedBlock::encode(&q, wide),
+            Err(FormatError::OverlapWidth { .. })
         ));
     }
 
@@ -1403,7 +1322,7 @@ mod tests {
             SchemeSpec::Bbfp(4, 2),
             SchemeSpec::Bbfp(6, 3),
         ] {
-            let bs = BlockScheme::from_scheme(scheme).unwrap();
+            let bs = scheme.block_algebra().unwrap();
             let q = quantised(scheme, 32, 11);
             let acts = quantised(SchemeSpec::Fp16, 32, 17);
             let block = PackedBlock::encode(&q, bs).unwrap();
@@ -1526,8 +1445,8 @@ mod tests {
             SchemeSpec::Msfp(4, 16),
             SchemeSpec::BlockMf(4, 3, 8),
         ] {
-            let bs = BlockScheme::from_scheme(scheme).unwrap();
-            let group = bs.block_size();
+            let bs = scheme.block_algebra().unwrap();
+            let group = bs.block_size;
             let (w_rows, n) = (4usize, group * 3);
             let q = quantised(scheme, w_rows * n, 31);
             let p = PackedMatrix::pack(&q, w_rows, n, scheme);
@@ -1557,8 +1476,8 @@ mod tests {
             SchemeSpec::BlockMf(4, 3, 8),
         ];
         for scheme in schemes {
-            let bs = BlockScheme::from_scheme(scheme).unwrap();
-            let width = bs.block_size() * 2;
+            let bs = scheme.block_algebra().unwrap();
+            let width = bs.block_size * 2;
             let mut rows = PackedRows::new(scheme, width);
             assert_eq!(rows.layout_kind(), LayoutKind::Block, "{scheme}");
             let mut all = Vec::new();
@@ -1593,8 +1512,8 @@ mod tests {
     #[test]
     fn packed_rows_capacity_matches_actual_bits() {
         for scheme in [SchemeSpec::Bbfp(4, 2), SchemeSpec::Mx(8, 4, 2)] {
-            let bs = BlockScheme::from_scheme(scheme).unwrap();
-            let width = bs.block_size();
+            let bs = scheme.block_algebra().unwrap();
+            let width = bs.block_size;
             let mut rows = PackedRows::new(scheme, width);
             for r in 0..3 {
                 rows.push_row(&quantised(scheme, width, 7 + r));

@@ -162,6 +162,16 @@ impl SchemeSpec {
         Ok(Some(alg))
     }
 
+    /// The packable block point this scheme lowers to — the key of the
+    /// block quantiser and the packed layouts — or `None` for scalar,
+    /// outlier-aware and invalid schemes.
+    pub fn block_algebra(&self) -> Option<FormatAlgebra> {
+        self.algebra()
+            .ok()
+            .flatten()
+            .filter(FormatAlgebra::packable)
+    }
+
     /// Validates the width parameters, returning the typed error a parse
     /// of the equivalent string would produce.
     ///
@@ -697,12 +707,7 @@ mod tests {
         // Outlier-aware baselines are not block formats.
         assert!(SchemeSpec::Oltron.algebra().unwrap().is_none());
         // Display names agree with paper names for block formats.
-        // (BBFP(m,0) lowers to the same point as BFP<m> and takes the
-        // BFP label, so the zero-overlap alias is skipped.)
         for s in SchemeSpec::enumerate() {
-            if matches!(s, SchemeSpec::Bbfp(_, 0)) {
-                continue;
-            }
             if let Some(alg) = s.algebra().unwrap() {
                 if alg.packable() {
                     assert_eq!(alg.display_name(), s.paper_name(), "{s}");

@@ -51,8 +51,7 @@
 //! allocation would otherwise exhaust the budget.
 
 use bbal_core::{
-    algebra_quantize_slice, packed_rows_capacity_bytes, BlockScheme, PackedRows, RoundingMode,
-    SchemeSpec,
+    algebra_quantize_in_place, packed_rows_capacity_bytes, PackedRows, RoundingMode, SchemeSpec,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -154,14 +153,13 @@ impl KvStore {
         if !self.quantize {
             return;
         }
-        let Some(block) = BlockScheme::from_scheme(self.scheme) else {
+        let Some(alg) = self.scheme.block_algebra() else {
             return;
         };
         if !row.iter().all(|v| v.is_finite()) {
             return;
         }
-        let raw = row.to_vec();
-        algebra_quantize_slice(&raw, &block.algebra_form(), RoundingMode::NearestEven, row);
+        algebra_quantize_in_place(row, &alg, RoundingMode::NearestEven);
     }
 
     /// Bytes a `layers`-layer cache holding `tokens` tokens occupies

@@ -1,127 +1,27 @@
-//! BFP and BBFP quantisers as inference hooks — the thin adapters that
-//! carry the `bbal-core` formats into the transformer forward pass.
+//! The block-format quantiser as an inference hook — the thin adapter
+//! that carries every `bbal-core` block format (BFP, BBFP, MX, MSFP,
+//! block minifloat) into the transformer forward pass.
 
-use bbal_core::{
-    algebra_quantize_slice, bbfp_quantize_slice_with, bfp_quantize_slice, BbfpConfig, BfpConfig,
-    ExponentPolicy, FormatAlgebra, RoundingMode, SchemeSpec,
-};
+use bbal_core::{algebra_quantize_in_place, FormatAlgebra, RoundingMode, SchemeSpec};
 use bbal_llm::{InferenceHooks, StatsSpan};
 
-/// Vanilla BFP weight/activation quantiser.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BfpQuantizer {
-    /// Block format.
-    pub config: BfpConfig,
-    /// Rounding mode (the paper's analysis assumes round-to-nearest).
-    pub rounding: RoundingMode,
-}
-
-impl BfpQuantizer {
-    /// Creates a `BFPm` quantiser with block size 32 and RNE rounding.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`bbal_core::FormatError`] for invalid widths.
-    pub fn new(mantissa_bits: u8) -> Result<BfpQuantizer, bbal_core::FormatError> {
-        Ok(BfpQuantizer {
-            config: BfpConfig::new(mantissa_bits)?,
-            rounding: RoundingMode::NearestEven,
-        })
-    }
-
-    fn apply(&self, data: &mut [f32]) {
-        let src = data.to_vec();
-        bfp_quantize_slice(&src, self.config, self.rounding, data);
-    }
-}
-
-impl InferenceHooks for BfpQuantizer {
-    fn transform_weights(&self, weights: &mut [f32]) {
-        self.apply(weights);
-    }
-
-    fn transform_activations(&self, activations: &mut [f32]) {
-        self.apply(activations);
-    }
-
-    fn activation_stats_span(&self) -> StatsSpan {
-        StatsSpan::Blocks(self.config.block_size())
-    }
-
-    fn name(&self) -> String {
-        format!("BFP{}", self.config.mantissa_bits())
-    }
-}
-
-/// BBFP weight/activation quantiser.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BbfpQuantizer {
-    /// Block format.
-    pub config: BbfpConfig,
-    /// Shared-exponent policy (defaults to the paper's Eq. 9).
-    pub policy: ExponentPolicy,
-    /// Rounding mode.
-    pub rounding: RoundingMode,
-}
-
-impl BbfpQuantizer {
-    /// Creates a `BBFP(m, o)` quantiser with the paper-default policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`bbal_core::FormatError`] for invalid configurations.
-    pub fn new(
-        mantissa_bits: u8,
-        overlap_bits: u8,
-    ) -> Result<BbfpQuantizer, bbal_core::FormatError> {
-        let config = BbfpConfig::new(mantissa_bits, overlap_bits)?;
-        Ok(BbfpQuantizer {
-            config,
-            policy: ExponentPolicy::paper_default(config),
-            rounding: RoundingMode::NearestEven,
-        })
-    }
-
-    /// Overrides the shared-exponent policy (the Fig. 3 sweep).
-    pub fn with_policy(mut self, policy: ExponentPolicy) -> BbfpQuantizer {
-        self.policy = policy;
-        self
-    }
-
-    fn apply(&self, data: &mut [f32]) {
-        let src = data.to_vec();
-        bbfp_quantize_slice_with(&src, self.config, self.policy, self.rounding, data);
-    }
-}
-
-impl InferenceHooks for BbfpQuantizer {
-    fn transform_weights(&self, weights: &mut [f32]) {
-        self.apply(weights);
-    }
-
-    fn transform_activations(&self, activations: &mut [f32]) {
-        self.apply(activations);
-    }
-
-    fn activation_stats_span(&self) -> StatsSpan {
-        StatsSpan::Blocks(self.config.block_size())
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "BBFP({},{})",
-            self.config.mantissa_bits(),
-            self.config.overlap_bits()
-        )
-    }
-}
-
-/// Generic block-format quantiser for any packable point of the
-/// [`FormatAlgebra`] — the single hook set behind the MX, MSFP, and
-/// block-minifloat scheme families. Where [`BfpQuantizer`] and
-/// [`BbfpQuantizer`] adapt hand-written encoders, this adapter is
-/// *derived*: the algebra point fixes the codec, the stats span, and
-/// the display name with no per-family code.
+/// Block-format quantiser for any packable point of the
+/// [`FormatAlgebra`] — the single hook set behind every block scheme
+/// family. The adapter is *derived*: the algebra point fixes the codec,
+/// the stats span, and the display name with no per-family code.
+///
+/// ```
+/// use bbal_core::SchemeSpec;
+/// use bbal_llm::InferenceHooks;
+/// use bbal_quant::AlgebraQuantizer;
+///
+/// let q = AlgebraQuantizer::from_scheme(SchemeSpec::Bbfp(4, 2))?;
+/// let mut acts = vec![0.1f32; 64];
+/// acts[0] = 12.5; // an outlier
+/// q.transform_activations(&mut acts);
+/// assert!((acts[0] - 12.5).abs() < 1.0); // outlier survives
+/// # Ok::<(), bbal_core::SchemeError>(())
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlgebraQuantizer {
     /// The format-algebra point this quantiser encodes to.
@@ -140,9 +40,9 @@ impl AlgebraQuantizer {
     /// width parameters, and `NoHardwareMapping` for schemes that are
     /// not packable block formats.
     pub fn from_scheme(scheme: SchemeSpec) -> Result<AlgebraQuantizer, bbal_core::SchemeError> {
+        scheme.validate()?;
         let algebra = scheme
-            .algebra()?
-            .filter(FormatAlgebra::packable)
+            .block_algebra()
             .ok_or(bbal_core::SchemeError::NoHardwareMapping(scheme))?;
         Ok(AlgebraQuantizer {
             algebra,
@@ -152,8 +52,7 @@ impl AlgebraQuantizer {
     }
 
     fn apply(&self, data: &mut [f32]) {
-        let src = data.to_vec();
-        algebra_quantize_slice(&src, &self.algebra, self.rounding, data);
+        algebra_quantize_in_place(data, &self.algebra, self.rounding);
     }
 }
 
@@ -178,6 +77,7 @@ impl InferenceHooks for AlgebraQuantizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bbal_core::{bbfp_quantize_slice, bfp_quantize_slice, BbfpConfig, BfpConfig};
 
     fn outlier_data(n: usize) -> Vec<f32> {
         (0..n)
@@ -200,38 +100,30 @@ mod tests {
             / a.len() as f64
     }
 
+    fn quantizer(scheme: SchemeSpec) -> AlgebraQuantizer {
+        AlgebraQuantizer::from_scheme(scheme).unwrap()
+    }
+
     #[test]
     fn bbfp_beats_bfp_at_equal_width() {
         let data = outlier_data(2048);
         let mut bfp = data.clone();
         let mut bbfp = data.clone();
-        BfpQuantizer::new(4).unwrap().quantize_for_test(&mut bfp);
-        BbfpQuantizer::new(4, 2)
-            .unwrap()
-            .quantize_for_test(&mut bbfp);
+        quantizer(SchemeSpec::Bfp(4)).apply(&mut bfp);
+        quantizer(SchemeSpec::Bbfp(4, 2)).apply(&mut bbfp);
         assert!(mse(&data, &bbfp) < mse(&data, &bfp));
-    }
-
-    impl BfpQuantizer {
-        fn quantize_for_test(&self, data: &mut [f32]) {
-            self.apply(data);
-        }
-    }
-    impl BbfpQuantizer {
-        fn quantize_for_test(&self, data: &mut [f32]) {
-            self.apply(data);
-        }
     }
 
     #[test]
     fn names_match_paper_rows() {
-        assert_eq!(BfpQuantizer::new(6).unwrap().name(), "BFP6");
-        assert_eq!(BbfpQuantizer::new(6, 3).unwrap().name(), "BBFP(6,3)");
+        assert_eq!(quantizer(SchemeSpec::Bfp(6)).name(), "BFP6");
+        assert_eq!(quantizer(SchemeSpec::Bbfp(6, 3)).name(), "BBFP(6,3)");
+        assert_eq!(quantizer(SchemeSpec::Bbfp(6, 0)).name(), "BBFP(6,0)");
     }
 
     #[test]
     fn weights_and_activations_use_same_format() {
-        let q = BbfpQuantizer::new(4, 2).unwrap();
+        let q = quantizer(SchemeSpec::Bbfp(4, 2));
         let data = outlier_data(256);
         let mut w = data.clone();
         let mut a = data.clone();
@@ -242,10 +134,43 @@ mod tests {
 
     #[test]
     fn invalid_configs_propagate_errors() {
-        assert!(BfpQuantizer::new(0).is_err());
-        assert!(BbfpQuantizer::new(4, 4).is_err());
+        assert!(AlgebraQuantizer::from_scheme(SchemeSpec::Bfp(0)).is_err());
+        assert!(AlgebraQuantizer::from_scheme(SchemeSpec::Bbfp(4, 4)).is_err());
         assert!(AlgebraQuantizer::from_scheme(SchemeSpec::Mx(9, 4, 2)).is_err());
         assert!(AlgebraQuantizer::from_scheme(SchemeSpec::Oltron).is_err());
+        assert!(AlgebraQuantizer::from_scheme(SchemeSpec::Fp16).is_err());
+    }
+
+    #[test]
+    fn algebra_quantizer_matches_reference_encoders() {
+        // The reference slice encoders stay in bbal-core; the hook must
+        // reproduce them bit for bit on every BFP/BBFP point.
+        let data = outlier_data(300);
+        for scheme in SchemeSpec::enumerate() {
+            let mut expect = vec![0.0; data.len()];
+            match scheme {
+                SchemeSpec::Bfp(m) => bfp_quantize_slice(
+                    &data,
+                    BfpConfig::new(m).unwrap(),
+                    RoundingMode::NearestEven,
+                    &mut expect,
+                ),
+                SchemeSpec::Bbfp(m, o) => bbfp_quantize_slice(
+                    &data,
+                    BbfpConfig::new(m, o).unwrap(),
+                    RoundingMode::NearestEven,
+                    &mut expect,
+                ),
+                _ => continue,
+            }
+            let mut got = data.clone();
+            quantizer(scheme).transform_activations(&mut got);
+            let same = got
+                .iter()
+                .zip(&expect)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "{scheme}");
+        }
     }
 
     #[test]

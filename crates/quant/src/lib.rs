@@ -4,8 +4,9 @@
 //! [`bbal_llm::InferenceHooks`] so each plugs into the same transformer
 //! forward pass:
 //!
-//! * [`block`] — BFP and BBFP (the paper's format and its baseline),
-//!   adapting `bbal-core`'s bit-exact encoders;
+//! * [`block`] — every block format (BFP, the paper's BBFP, MX, MSFP,
+//!   block minifloat) through one quantiser over `bbal-core`'s format
+//!   algebra;
 //! * [`int`] — plain symmetric INT4/INT8;
 //! * [`olive`] — outlier-victim pair quantisation (Olive, ISCA 2023);
 //! * [`oltron`] — fixed-budget dual-precision outlier quantisation
@@ -21,15 +22,15 @@
 //! orderings the paper reports. See `DESIGN.md` §2.
 //!
 //! ```
-//! use bbal_quant::BbfpQuantizer;
-//! use bbal_llm::InferenceHooks;
+//! use bbal_core::SchemeSpec;
+//! use bbal_quant::hooks_for;
 //!
-//! let q = BbfpQuantizer::new(4, 2)?;
+//! let q = hooks_for(SchemeSpec::Bbfp(4, 2))?;
 //! let mut acts = vec![0.1f32; 64];
 //! acts[0] = 12.5; // an outlier
 //! q.transform_activations(&mut acts);
 //! assert!((acts[0] - 12.5).abs() < 1.0); // outlier survives
-//! # Ok::<(), bbal_core::FormatError>(())
+//! # Ok::<(), bbal_core::SchemeError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -43,7 +44,7 @@ pub mod omniquant;
 pub mod registry;
 pub mod smooth;
 
-pub use block::{AlgebraQuantizer, BbfpQuantizer, BfpQuantizer};
+pub use block::AlgebraQuantizer;
 pub use int::IntQuantizer;
 pub use olive::OliveQuantizer;
 pub use oltron::OltronQuantizer;

@@ -15,7 +15,7 @@
 //! # Ok::<(), bbal_core::SchemeError>(())
 //! ```
 
-use crate::block::{AlgebraQuantizer, BbfpQuantizer, BfpQuantizer};
+use crate::block::AlgebraQuantizer;
 use crate::int::IntQuantizer;
 use crate::olive::OliveQuantizer;
 use crate::oltron::OltronQuantizer;
@@ -85,11 +85,11 @@ pub fn hooks_for(scheme: SchemeSpec) -> Result<Box<dyn InferenceHooks + Send>, S
         SchemeSpec::Fp32 => Box::new(ExactHooks),
         SchemeSpec::Fp16 => Box::new(Fp16Hooks),
         SchemeSpec::Int(bits) => Box::new(IntQuantizer::new(bits)),
-        SchemeSpec::Bfp(m) => Box::new(BfpQuantizer::new(m)?),
-        SchemeSpec::Bbfp(m, o) => Box::new(BbfpQuantizer::new(m, o)?),
-        SchemeSpec::Mx(..) | SchemeSpec::Msfp(..) | SchemeSpec::BlockMf(..) => {
-            Box::new(AlgebraQuantizer::from_scheme(scheme)?)
-        }
+        SchemeSpec::Bfp(_)
+        | SchemeSpec::Bbfp(..)
+        | SchemeSpec::Mx(..)
+        | SchemeSpec::Msfp(..)
+        | SchemeSpec::BlockMf(..) => Box::new(AlgebraQuantizer::from_scheme(scheme)?),
         SchemeSpec::Olive => Box::new(OliveQuantizer::new()),
         SchemeSpec::Oltron => Box::new(OltronQuantizer::new()),
         SchemeSpec::OmniQuant => Box::new(OmniQuantizer::new()),

@@ -13,18 +13,19 @@
 //! into strictly fewer preemptions.
 
 use bbal_accel::FormatSpec;
-use bbal_core::{BlockScheme, SchemeSpec};
+use bbal_core::SchemeSpec;
 use bbal_llm::{KvArena, KvStore};
 use bbal_quant::registry::TABLE2_SCHEMES;
 use bbal_serve::{GenerateRequest, ServeConfig, ServeReport, ServeRuntime};
 use bbal_session::{argmax, SessionBuilder};
 use proptest::prelude::*;
 
-/// The full scheme battery: the paper's Table 2 plus one member of
-/// each PR-9 composable-algebra family.
+/// The full scheme battery: the paper's Table 2, one member of each
+/// other composable-algebra family, and the flagged zero-overlap
+/// BBFP(6,0) point.
 fn battery() -> Vec<SchemeSpec> {
     let mut schemes = TABLE2_SCHEMES.to_vec();
-    for family in ["mx:8,4,2", "msfp:4,16", "blockmf:4,3,8"] {
+    for family in ["mx:8,4,2", "msfp:4,16", "blockmf:4,3,8", "bbfp:6,0"] {
         schemes.push(family.parse().expect("family spec parses"));
     }
     schemes
@@ -166,7 +167,7 @@ fn block_scheme_pages_store_at_most_half_the_f32_bytes() {
             packed: true,
         };
         let packed = store.page_bytes(64, 8);
-        if BlockScheme::from_scheme(scheme).is_some() {
+        if scheme.block_algebra().is_some() {
             assert!(
                 2 * packed <= dense,
                 "{scheme:?}: packed page {packed} B vs dense {dense} B"

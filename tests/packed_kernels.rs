@@ -13,7 +13,7 @@
 //!
 //! Run with `PROPTEST_CASES=128` (CI does) for the full sweep.
 
-use bbal::core::{BlockScheme, LayoutKind, PackedBlock, PackedMatrix, SchemeSpec};
+use bbal::core::{LayoutKind, PackedBlock, PackedMatrix, SchemeSpec};
 use bbal::llm::Tensor;
 use bbal::quant::registry::{hooks_for, TABLE2_SCHEMES};
 use proptest::prelude::*;
@@ -77,12 +77,14 @@ fn quantised_weights(scheme: SchemeSpec, n: usize, seed: u64) -> Vec<f32> {
     w
 }
 
-/// The algebra-derived families (MX / MSFP / block minifloat) ride the
-/// same battery as the Table II lineup, including a non-32 block size.
-const ALGEBRA_SCHEMES: [SchemeSpec; 3] = [
+/// The other algebra families (MX / MSFP / block minifloat) and the
+/// flagged zero-overlap BBFP(6,0) point ride the same battery as the
+/// Table II lineup, including a non-32 block size.
+const ALGEBRA_SCHEMES: [SchemeSpec; 4] = [
     SchemeSpec::Mx(8, 4, 2),
     SchemeSpec::Msfp(4, 16),
     SchemeSpec::BlockMf(4, 3, 8),
+    SchemeSpec::Bbfp(6, 0),
 ];
 
 /// Every scheme the battery sweeps: the Table II lineup followed by the
@@ -214,18 +216,13 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let scheme = sweep_schemes()[scheme_idx]; // indices 4.. are block formats
-        let block_scheme = BlockScheme::from_scheme(scheme)
+        let format = scheme
+            .block_algebra()
             .expect("indices 4.. are block formats");
         // One block holds at most `block_size` values (16 for MSFP(4,16)).
-        let len = len.min(
-            scheme
-                .algebra()
-                .expect("block formats validate")
-                .expect("block formats lower to the algebra")
-                .block_size,
-        );
+        let len = len.min(format.block_size);
         let w = quantised_weights(scheme, len, seed);
-        let block = PackedBlock::encode(&w, block_scheme)
+        let block = PackedBlock::encode(&w, format)
             .expect("hook-quantised values are representable");
         assert_bits_eq(&block.decode(), &w, "block decode")?;
 

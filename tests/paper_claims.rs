@@ -23,8 +23,8 @@ fn claim_bbfp63_dominates_bfp8() {
     // Table I: BBFP(6,3) has more representational range than BFP8 at less
     // area and memory.
     let lib = GateLibrary::default();
-    let bbfp = BlockMac::new(MacKind::Bbfp(BbfpConfig::new(6, 3).unwrap()), 32);
-    let bfp8 = BlockMac::new(MacKind::Bfp(BfpConfig::new(8).unwrap()), 32);
+    let bbfp = BlockMac::new(MacKind::from_scheme(SchemeSpec::Bbfp(6, 3)).unwrap(), 32);
+    let bfp8 = BlockMac::new(MacKind::from_scheme(SchemeSpec::Bfp(8)).unwrap(), 32);
     assert!(bbfp.cost(&lib).area_um2 < bfp8.cost(&lib).area_um2);
     assert!(
         bbfp.kind.format_cost().equivalent_bit_width < bfp8.kind.format_cost().equivalent_bit_width
@@ -40,12 +40,15 @@ fn claim_table3_pe_ordering() {
             .cost(&lib)
             .area_um2
     };
-    assert!(area(PeKind::Bbfp(3, 2)) < area(PeKind::Bbfp(3, 1)));
-    assert!(area(PeKind::Oltron) < area(PeKind::Bfp(4)));
-    assert!(area(PeKind::Bfp(4)) < area(PeKind::Bbfp(4, 2)));
-    assert!(area(PeKind::Bbfp(4, 2)) < area(PeKind::Olive));
-    assert!(area(PeKind::Olive) < area(PeKind::Bfp(6)));
-    assert!(area(PeKind::Bfp(6)) < area(PeKind::Bbfp(6, 3)));
+    let block = |s: SchemeSpec| area(PeKind::from_scheme(s).unwrap());
+    let bfp = |m| block(SchemeSpec::Bfp(m));
+    let bbfp = |m, o| block(SchemeSpec::Bbfp(m, o));
+    assert!(bbfp(3, 2) < bbfp(3, 1));
+    assert!(area(PeKind::Oltron) < bfp(4));
+    assert!(bfp(4) < bbfp(4, 2));
+    assert!(bbfp(4, 2) < area(PeKind::Olive));
+    assert!(area(PeKind::Olive) < bfp(6));
+    assert!(bfp(6) < bbfp(6, 3));
 }
 
 #[test]

@@ -220,7 +220,7 @@ pub fn simulate_with(
 mod tests {
     use super::*;
     use bbal_core::SchemeSpec;
-    use bbal_llm::graph::{decoder_ops, paper_dims, GemmKind};
+    use bbal_llm::graph::{decode_step_ops, decoder_ops, paper_dims, tick_ops, Chunk, GemmKind};
 
     fn cfg() -> AcceleratorConfig {
         AcceleratorConfig::bbal_paper()
@@ -272,6 +272,21 @@ mod tests {
         let f4096 = frac(4096);
         assert!(f1024 > f128, "{f1024} vs {f128}");
         assert!(f4096 > f1024, "{f4096} vs {f1024}");
+    }
+
+    #[test]
+    fn batched_decode_is_cheaper_than_sequential_decode() {
+        // The continuous-batching dividend: 8 decode steps fused into
+        // one tick cost far less than 8 sequential single-token ticks,
+        // because the weight tiles stream from DRAM once.
+        let c = cfg();
+        let lib = GateLibrary::default();
+        let d = paper_dims("Llama-7B").unwrap();
+        let one = simulate(&c, &decode_step_ops(&d, 512), &lib);
+        let items = [Chunk { new: 1, past: 511 }; 8];
+        let eight = simulate(&c, &tick_ops(&d, &items), &lib);
+        let speedup = 8.0 * one.total_cycles() as f64 / eight.total_cycles() as f64;
+        assert!(speedup >= 2.0, "batched speedup only {speedup:.2}x");
     }
 
     #[test]

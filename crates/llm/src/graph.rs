@@ -2,9 +2,15 @@
 //!
 //! The cycle-level simulator (`bbal-accel`) does not need tensors — it
 //! needs operator shapes. This module emits the operator list of one
-//! decoder forward pass at the true dimensions of the paper's models
+//! decoder pass at the true dimensions of the paper's models
 //! (Llama-7B = 4096 hidden, 11008 FFN, 32 heads × 32 layers), which is
 //! what Fig. 1(b)'s runtime breakdown sweeps over sequence length.
+//!
+//! Every pass is a batch of [`Chunk`]s: a prompt prefill is one chunk
+//! over an empty cache, a decode step a one-token chunk over the cached
+//! tokens, a serving tick several chunks fused. [`tick_ops`] is the one
+//! builder; [`decoder_ops`] and [`decode_step_ops`] name its two
+//! single-sequence cases.
 
 /// True dimensions of a paper model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,186 +191,137 @@ impl Op {
     }
 }
 
+/// One sequence's share of a decoder pass: `new` tokens entering a KV
+/// cache that already holds `past` tokens. A whole-prompt prefill is
+/// `Chunk { new: s, past: 0 }` and a decode step is a one-token chunk,
+/// `Chunk { new: 1, past: cached }` — the same layer dataflow either
+/// way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Chunk {
+    /// Tokens processed by this pass.
+    pub new: usize,
+    /// Tokens already in the KV cache.
+    pub past: usize,
+}
+
 /// Emits the operator list of a full prefill pass over `seq_len` tokens.
 ///
 /// # Panics
 ///
 /// Panics if `seq_len` is zero.
 pub fn decoder_ops(dims: &PaperDims, seq_len: usize) -> Vec<Op> {
-    assert!(seq_len > 0);
-    let s = seq_len;
-    let h = dims.hidden;
-    let dh = h / dims.heads;
-    let mut ops = Vec::new();
-    for _ in 0..dims.layers {
-        ops.push(Op::Gemm {
-            name: GemmKind::Query,
-            m: s,
-            k: h,
-            n: h,
-        });
-        ops.push(Op::Gemm {
-            name: GemmKind::Key,
-            m: s,
-            k: h,
-            n: h,
-        });
-        ops.push(Op::Gemm {
-            name: GemmKind::Value,
-            m: s,
-            k: h,
-            n: h,
-        });
-        // Per-head score and context matmuls, emitted once with the head
-        // count folded into m.
-        ops.push(Op::Gemm {
-            name: GemmKind::AttnScore,
-            m: s * dims.heads,
-            k: dh,
-            n: s,
-        });
-        ops.push(Op::Softmax {
-            rows: s * dims.heads,
-            cols: s,
-        });
-        ops.push(Op::Gemm {
-            name: GemmKind::AttnContext,
-            m: s * dims.heads,
-            k: s,
-            n: dh,
-        });
-        ops.push(Op::Gemm {
-            name: GemmKind::Proj,
-            m: s,
-            k: h,
-            n: h,
-        });
-        if dims.gated_ffn {
-            ops.push(Op::Gemm {
-                name: GemmKind::Gate,
-                m: s,
-                k: h,
-                n: dims.ffn,
-            });
-            ops.push(Op::Activation {
-                silu: true,
-                elems: s * dims.ffn,
-            });
-            ops.push(Op::Gemm {
-                name: GemmKind::Fc1,
-                m: s,
-                k: h,
-                n: dims.ffn,
-            });
-        } else {
-            ops.push(Op::Gemm {
-                name: GemmKind::Fc1,
-                m: s,
-                k: h,
-                n: dims.ffn,
-            });
-            ops.push(Op::Activation {
-                silu: false,
-                elems: s * dims.ffn,
-            });
-        }
-        ops.push(Op::Gemm {
-            name: GemmKind::Fc2,
-            m: s,
-            k: dims.ffn,
-            n: h,
-        });
-    }
-    ops
+    tick_ops(
+        dims,
+        &[Chunk {
+            new: seq_len,
+            past: 0,
+        }],
+    )
 }
 
 /// Emits the operator list of one autoregressive *decode* step: a single
-/// query token attending to a KV cache of `kv_len` tokens. This is the
-/// regime where the linear work collapses to `O(h²)` per layer while the
-/// attention/softmax work stays `O(kv_len)` — the long-context serving
-/// case.
+/// query token attending to a KV cache of `kv_len` tokens (including
+/// itself). This is the regime where the linear work collapses to
+/// `O(h²)` per layer while the attention/softmax work stays
+/// `O(kv_len)` — the long-context serving case.
 ///
 /// # Panics
 ///
 /// Panics if `kv_len` is zero.
 pub fn decode_step_ops(dims: &PaperDims, kv_len: usize) -> Vec<Op> {
-    assert!(kv_len > 0);
+    assert!(kv_len > 0, "a decode step attends over at least itself");
+    tick_ops(
+        dims,
+        &[Chunk {
+            new: 1,
+            past: kv_len - 1,
+        }],
+    )
+}
+
+/// Emits the fused operator list of one batched decoder pass (one
+/// serving scheduler tick) over `chunks`.
+///
+/// Continuous batching on a weight-stationary accelerator works because
+/// the *linear* layers of every co-scheduled sequence share weights: the
+/// token rows of every chunk concatenate into one `[m_total × k]`
+/// activation matrix per projection/FFN GEMM, so the weight tiles stream
+/// from DRAM once per pass instead of once per sequence (ORCA-style
+/// selective batching). Attention cannot fuse that way — its operands
+/// are per-sequence KV state — so score/softmax/context are emitted per
+/// chunk, chunk row `i` attending over `past + i + 1` keys (costed at
+/// the chunk's full span).
+///
+/// # Panics
+///
+/// Panics if `chunks` is empty or any chunk has no new tokens.
+pub fn tick_ops(dims: &PaperDims, chunks: &[Chunk]) -> Vec<Op> {
+    assert!(!chunks.is_empty(), "a tick needs at least one work item");
+    assert!(chunks.iter().all(|c| c.new > 0), "degenerate item");
+    let m_total: usize = chunks.iter().map(|c| c.new).sum();
     let h = dims.hidden;
     let dh = h / dims.heads;
     let mut ops = Vec::new();
     for _ in 0..dims.layers {
-        ops.push(Op::Gemm {
-            name: GemmKind::Query,
-            m: 1,
-            k: h,
-            n: h,
-        });
-        ops.push(Op::Gemm {
-            name: GemmKind::Key,
-            m: 1,
-            k: h,
-            n: h,
-        });
-        ops.push(Op::Gemm {
-            name: GemmKind::Value,
-            m: 1,
-            k: h,
-            n: h,
-        });
-        ops.push(Op::Gemm {
-            name: GemmKind::AttnScore,
-            m: dims.heads,
-            k: dh,
-            n: kv_len,
-        });
-        ops.push(Op::Softmax {
-            rows: dims.heads,
-            cols: kv_len,
-        });
-        ops.push(Op::Gemm {
-            name: GemmKind::AttnContext,
-            m: dims.heads,
-            k: kv_len,
-            n: dh,
-        });
+        for name in [GemmKind::Query, GemmKind::Key, GemmKind::Value] {
+            ops.push(Op::Gemm {
+                name,
+                m: m_total,
+                k: h,
+                n: h,
+            });
+        }
+        // Per-head score and context matmuls, emitted once per chunk
+        // with the head count folded into m.
+        for c in chunks {
+            let span = c.past + c.new;
+            let rows = c.new * dims.heads;
+            ops.push(Op::Gemm {
+                name: GemmKind::AttnScore,
+                m: rows,
+                k: dh,
+                n: span,
+            });
+            ops.push(Op::Softmax { rows, cols: span });
+            ops.push(Op::Gemm {
+                name: GemmKind::AttnContext,
+                m: rows,
+                k: span,
+                n: dh,
+            });
+        }
         ops.push(Op::Gemm {
             name: GemmKind::Proj,
-            m: 1,
+            m: m_total,
             k: h,
             n: h,
+        });
+        let (first, silu) = if dims.gated_ffn {
+            (GemmKind::Gate, true)
+        } else {
+            (GemmKind::Fc1, false)
+        };
+        ops.push(Op::Gemm {
+            name: first,
+            m: m_total,
+            k: h,
+            n: dims.ffn,
+        });
+        ops.push(Op::Activation {
+            silu,
+            elems: m_total * dims.ffn,
         });
         if dims.gated_ffn {
             ops.push(Op::Gemm {
-                name: GemmKind::Gate,
-                m: 1,
-                k: h,
-                n: dims.ffn,
-            });
-            ops.push(Op::Activation {
-                silu: true,
-                elems: dims.ffn,
-            });
-            ops.push(Op::Gemm {
                 name: GemmKind::Fc1,
-                m: 1,
+                m: m_total,
                 k: h,
                 n: dims.ffn,
-            });
-        } else {
-            ops.push(Op::Gemm {
-                name: GemmKind::Fc1,
-                m: 1,
-                k: h,
-                n: dims.ffn,
-            });
-            ops.push(Op::Activation {
-                silu: false,
-                elems: dims.ffn,
             });
         }
         ops.push(Op::Gemm {
             name: GemmKind::Fc2,
-            m: 1,
+            m: m_total,
             k: dims.ffn,
             n: h,
         });
@@ -497,5 +454,192 @@ mod tests {
         };
         let r = nl(256) as f64 / nl(128) as f64;
         assert!((3.9..4.1).contains(&r), "ratio {r}");
+    }
+
+    #[test]
+    fn fused_batch_preserves_total_work() {
+        // Batching reshapes the linear GEMMs but must not change the
+        // MAC count or the nonlinear element count.
+        let d = paper_dims("Llama-7B").unwrap();
+        let items = [
+            Chunk { new: 1, past: 99 },
+            Chunk { new: 1, past: 199 },
+            Chunk { new: 16, past: 8 },
+        ];
+        let fused = tick_ops(&d, &items);
+        let separate: Vec<Op> = items
+            .iter()
+            .flat_map(|i| tick_ops(&d, std::slice::from_ref(i)))
+            .collect();
+        let macs = |ops: &[Op]| ops.iter().map(Op::macs).sum::<u64>();
+        let nl = |ops: &[Op]| ops.iter().map(Op::nonlinear_elems).sum::<u64>();
+        assert_eq!(macs(&fused), macs(&separate));
+        assert_eq!(nl(&fused), nl(&separate));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one work item")]
+    fn empty_tick_is_rejected() {
+        let _ = tick_ops(&paper_dims("Llama-7B").unwrap(), &[]);
+    }
+
+    // Exact op-list goldens on small geometries: hidden 8 / 2 heads
+    // (head dim 4) gated over 2 layers, hidden 6 / 3 heads (head dim 2)
+    // plain over 1 layer.
+    const GATED: PaperDims = PaperDims {
+        hidden: 8,
+        ffn: 12,
+        heads: 2,
+        layers: 2,
+        gated_ffn: true,
+    };
+    const PLAIN: PaperDims = PaperDims {
+        hidden: 6,
+        ffn: 10,
+        heads: 3,
+        layers: 1,
+        gated_ffn: false,
+    };
+
+    fn gemm(name: GemmKind, m: usize, k: usize, n: usize) -> Op {
+        Op::Gemm { name, m, k, n }
+    }
+
+    /// Both layers of `GATED` over `m` fused rows; `attn` holds one
+    /// `(rows × heads, span)` pair per chunk.
+    fn gated_layer(m: usize, attn: &[(usize, usize)]) -> Vec<Op> {
+        use GemmKind::*;
+        let mut ops = vec![
+            gemm(Query, m, 8, 8),
+            gemm(Key, m, 8, 8),
+            gemm(Value, m, 8, 8),
+        ];
+        for &(rows, span) in attn {
+            ops.extend([
+                gemm(AttnScore, rows, 4, span),
+                Op::Softmax { rows, cols: span },
+                gemm(AttnContext, rows, span, 4),
+            ]);
+        }
+        ops.extend([
+            gemm(Proj, m, 8, 8),
+            gemm(Gate, m, 8, 12),
+            Op::Activation {
+                silu: true,
+                elems: m * 12,
+            },
+            gemm(Fc1, m, 8, 12),
+            gemm(Fc2, m, 12, 8),
+        ]);
+        ops.repeat(2)
+    }
+
+    #[test]
+    fn gated_goldens() {
+        use GemmKind::*;
+        // Whole-prompt prefill of 5 tokens.
+        assert_eq!(
+            decoder_ops(&GATED, 5),
+            [
+                gemm(Query, 5, 8, 8),
+                gemm(Key, 5, 8, 8),
+                gemm(Value, 5, 8, 8),
+                gemm(AttnScore, 10, 4, 5),
+                Op::Softmax { rows: 10, cols: 5 },
+                gemm(AttnContext, 10, 5, 4),
+                gemm(Proj, 5, 8, 8),
+                gemm(Gate, 5, 8, 12),
+                Op::Activation {
+                    silu: true,
+                    elems: 60
+                },
+                gemm(Fc1, 5, 8, 12),
+                gemm(Fc2, 5, 12, 8),
+            ]
+            .repeat(2)
+        );
+        assert_eq!(decoder_ops(&GATED, 5), gated_layer(5, &[(10, 5)]));
+        // Decode step over a 7-token cache (including the new token).
+        assert_eq!(decode_step_ops(&GATED, 7), gated_layer(1, &[(2, 7)]));
+        // Mid-sequence chunk: 3 new tokens after 4 cached.
+        assert_eq!(
+            tick_ops(&GATED, &[Chunk { new: 3, past: 4 }]),
+            gated_layer(3, &[(6, 7)])
+        );
+        // Mixed tick: decode over 9, chunk 2 after 5, whole prompt 4.
+        assert_eq!(
+            tick_ops(
+                &GATED,
+                &[
+                    Chunk { new: 1, past: 8 },
+                    Chunk { new: 2, past: 5 },
+                    Chunk { new: 4, past: 0 },
+                ]
+            ),
+            gated_layer(7, &[(2, 9), (4, 7), (8, 4)])
+        );
+    }
+
+    #[test]
+    fn plain_goldens() {
+        use GemmKind::*;
+        let layer = |m: usize, attn: &[(usize, usize)]| {
+            let mut ops = vec![
+                gemm(Query, m, 6, 6),
+                gemm(Key, m, 6, 6),
+                gemm(Value, m, 6, 6),
+            ];
+            for &(rows, span) in attn {
+                ops.extend([
+                    gemm(AttnScore, rows, 2, span),
+                    Op::Softmax { rows, cols: span },
+                    gemm(AttnContext, rows, span, 2),
+                ]);
+            }
+            ops.extend([
+                gemm(Proj, m, 6, 6),
+                gemm(Fc1, m, 6, 10),
+                Op::Activation {
+                    silu: false,
+                    elems: m * 10,
+                },
+                gemm(Fc2, m, 10, 6),
+            ]);
+            ops
+        };
+        assert_eq!(
+            decoder_ops(&PLAIN, 4),
+            [
+                gemm(Query, 4, 6, 6),
+                gemm(Key, 4, 6, 6),
+                gemm(Value, 4, 6, 6),
+                gemm(AttnScore, 12, 2, 4),
+                Op::Softmax { rows: 12, cols: 4 },
+                gemm(AttnContext, 12, 4, 2),
+                gemm(Proj, 4, 6, 6),
+                gemm(Fc1, 4, 6, 10),
+                Op::Activation {
+                    silu: false,
+                    elems: 40
+                },
+                gemm(Fc2, 4, 10, 6),
+            ]
+        );
+        assert_eq!(decode_step_ops(&PLAIN, 6), layer(1, &[(3, 6)]));
+        assert_eq!(
+            tick_ops(&PLAIN, &[Chunk { new: 2, past: 3 }]),
+            layer(2, &[(6, 5)])
+        );
+        assert_eq!(
+            tick_ops(
+                &PLAIN,
+                &[
+                    Chunk { new: 3, past: 0 },
+                    Chunk { new: 1, past: 7 },
+                    Chunk { new: 2, past: 6 },
+                ]
+            ),
+            layer(6, &[(9, 3), (3, 8), (6, 8)])
+        );
     }
 }

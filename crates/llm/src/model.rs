@@ -305,8 +305,8 @@ struct PackedWeights {
 /// After PTQ ([`TransformerModel::with_transformed_weights`]) the
 /// decoder weights can additionally be *packed* into their scheme's
 /// native bit layout ([`TransformerModel::pack_weights`]); every weight
-/// GEMM in [`forward`](TransformerModel::forward) and
-/// [`prefill_chunk`](TransformerModel::prefill_chunk) then routes
+/// GEMM in [`prefill_chunk`](TransformerModel::prefill_chunk) (and so
+/// in `forward`, `prefill` and `decode_step`) then routes
 /// through the packed block-dot kernels — bit-identical to the scalar
 /// path by the packed storage invariant (see `bbal_core::packed`).
 #[derive(Debug, Clone)]
@@ -616,9 +616,6 @@ impl TransformerModel {
     /// the prefill phase of autoregressive serving. Subsequent tokens go
     /// through [`TransformerModel::decode_step`].
     ///
-    /// Produces bit-identical logits to [`TransformerModel::forward`] on
-    /// the same tokens.
-    ///
     /// # Panics
     ///
     /// Panics if the cache is non-empty, was built for a different
@@ -647,93 +644,17 @@ impl TransformerModel {
     }
 
     /// Runs the decoder over a token sequence, returning `[seq, vocab]`
-    /// logits. Activation transforms and nonlinear hooks are applied at
-    /// every layer; weight transforms are *not* (call
-    /// [`TransformerModel::with_transformed_weights`] first).
+    /// logits: a [`prefill_chunk`](TransformerModel::prefill_chunk) of
+    /// the whole sequence into a scratch KV cache. Activation transforms
+    /// and nonlinear hooks are applied at every layer; weight transforms
+    /// are *not* (call [`TransformerModel::with_transformed_weights`]
+    /// first).
     ///
     /// # Panics
     ///
     /// Panics if `tokens` is empty or contains an id outside the vocab.
     pub fn forward(&self, tokens: &[usize], hooks: &impl InferenceHooks) -> Tensor {
-        assert!(!tokens.is_empty(), "empty token sequence");
-        let h = self.spec.hidden;
-        let seq = tokens.len();
-
-        // Embedding lookup.
-        let mut x = Tensor::zeros(seq, h);
-        for (i, &t) in tokens.iter().enumerate() {
-            assert!(t < self.spec.vocab, "token id {t} out of vocab");
-            x.row_mut(i).copy_from_slice(self.embedding.row(t));
-        }
-
-        let heads = self.spec.heads;
-        let dh = self.spec.head_dim();
-        let scale = 1.0 / (dh as f32).sqrt();
-
-        let packed = self.packed.as_deref();
-        for (li, layer) in self.layers.iter().enumerate() {
-            let pl = packed.map(|p| &p.layers[li]);
-            // --- Attention block ---
-            let mut a = self.normalise(&x);
-            hooks.transform_activations(a.data_mut());
-            let q = self.mm(&a, &layer.wq, pl.map(|p| &p.wq));
-            let k = self.mm(&a, &layer.wk, pl.map(|p| &p.wk));
-            let v = self.mm(&a, &layer.wv, pl.map(|p| &p.wv));
-
-            let mut ctx = Tensor::zeros(seq, h);
-            for head in 0..heads {
-                let (c0, c1) = (head * dh, (head + 1) * dh);
-                let qh = q.column_slice(c0, c1);
-                let kh = k.column_slice(c0, c1);
-                let vh = v.column_slice(c0, c1);
-                let mut scores = qh.matmul_transposed(&kh);
-                scores.scale(scale);
-                // Causal mask + hooked softmax, row by row.
-                for i in 0..seq {
-                    let row = scores.row_mut(i);
-                    for s in row.iter_mut().skip(i + 1) {
-                        *s = f32::NEG_INFINITY;
-                    }
-                    hooks.softmax_row(&mut row[..=i]);
-                    for s in row.iter_mut().skip(i + 1) {
-                        *s = 0.0;
-                    }
-                }
-                let ctx_h = scores.matmul(&vh);
-                ctx.set_column_slice(c0, &ctx_h);
-            }
-            hooks.transform_activations(ctx.data_mut());
-            let attn_out = self.mm(&ctx, &layer.wo, pl.map(|p| &p.wo));
-            x.add_assign(&attn_out);
-
-            // --- FFN block ---
-            let mut f = self.normalise(&x);
-            hooks.transform_activations(f.data_mut());
-            let ffn_out = match (&layer.w_gate, self.spec.family) {
-                (Some(w_gate), _) => {
-                    let mut gate = self.mm(&f, w_gate, pl.and_then(|p| p.w_gate.as_ref()));
-                    hooks.activation(gate.data_mut(), self.spec.activation());
-                    let up = self.mm(&f, &layer.w_up, pl.map(|p| &p.w_up));
-                    gate.mul_assign_elementwise(&up);
-                    hooks.transform_activations(gate.data_mut());
-                    self.mm(&gate, &layer.w_down, pl.map(|p| &p.w_down))
-                }
-                (None, _) => {
-                    let mut up = self.mm(&f, &layer.w_up, pl.map(|p| &p.w_up));
-                    hooks.activation(up.data_mut(), self.spec.activation());
-                    hooks.transform_activations(up.data_mut());
-                    self.mm(&up, &layer.w_down, pl.map(|p| &p.w_down))
-                }
-            };
-            x.add_assign(&ffn_out);
-        }
-
-        let final_norm = self.normalise(&x);
-        self.mm(
-            &final_norm,
-            &self.unembedding,
-            packed.map(|p| &p.unembedding),
-        )
+        self.prefill_chunk(tokens, hooks, &mut self.kv_cache())
     }
 
     /// Processes a *chunk* of tokens against a (possibly non-empty) KV
@@ -743,15 +664,14 @@ impl TransformerModel {
     /// as one batched GEMM over the chunk, while each row attends
     /// causally over the cache (`past + i + 1` keys for chunk row `i`).
     ///
-    /// This is the one decoder implementation behind the whole serving
-    /// path: [`TransformerModel::prefill`] is the empty-cache case and
-    /// [`TransformerModel::decode_step`] the single-token case. Because
-    /// every linear operator is row-independent and the attention dot
-    /// products accumulate in the same order as
-    /// [`TransformerModel::forward`]'s score matmuls, the logits are
-    /// bit-identical to re-running `forward` over the whole sequence for
-    /// hooks whose activation transform is block-local — so any chunking
-    /// of a prompt yields the same tokens.
+    /// This is the one decoder implementation: [`TransformerModel::forward`]
+    /// and [`TransformerModel::prefill`] are the empty-cache case and
+    /// [`TransformerModel::decode_step`] the single-token case. Every
+    /// linear operator is row-independent and each row's attention dot
+    /// products accumulate in key order whatever the chunk boundaries,
+    /// so for hooks whose activation transform is block-local the logits
+    /// are bit-identical to one whole-sequence chunk — any chunking of a
+    /// prompt yields the same tokens.
     ///
     /// # Panics
     ///
@@ -860,11 +780,12 @@ impl TransformerModel {
     /// next-token logits (`vocab` long).
     ///
     /// The per-token work is `O(hidden² + len·hidden)` — the full
-    /// re-forward this replaces is `O(len·hidden² + len²·hidden)`. For
-    /// hooks whose activation transform is block-local (FP16, INT, BFP,
-    /// BBFP with the default 32-wide blocks), the logits are
-    /// bit-identical to re-running [`TransformerModel::forward`] over the
-    /// whole sequence.
+    /// re-forward this replaces is `O(len·hidden² + len²·hidden)`. It is
+    /// the one-token [`prefill_chunk`](TransformerModel::prefill_chunk),
+    /// so for hooks whose activation transform is block-local (FP16,
+    /// INT, BFP, BBFP with the default 32-wide blocks) the logits are
+    /// bit-identical to the last row of [`TransformerModel::forward`]
+    /// over the whole sequence.
     ///
     /// # Panics
     ///
@@ -886,6 +807,67 @@ mod tests {
     use crate::hooks::ExactHooks;
     use crate::kv::KvArena;
     use crate::zoo::tiny_test_model;
+
+    /// An independent reference decoder: dense whole-sequence attention
+    /// (`Tensor::matmul` over a causally masked score matrix, no KV
+    /// cache) on the scalar GEMMs, ignoring any packed weights.
+    fn reference(
+        model: &TransformerModel,
+        tokens: &[usize],
+        hooks: &impl InferenceHooks,
+    ) -> Tensor {
+        let spec = &model.spec;
+        let (h, seq, heads, dh) = (spec.hidden, tokens.len(), spec.heads, spec.head_dim());
+        let scale = 1.0 / (dh as f32).sqrt();
+        let mut x = Tensor::zeros(seq, h);
+        for (i, &t) in tokens.iter().enumerate() {
+            x.row_mut(i).copy_from_slice(model.embedding.row(t));
+        }
+        for layer in &model.layers {
+            let mut a = model.normalise(&x);
+            hooks.transform_activations(a.data_mut());
+            let (q, k, v) = (
+                a.matmul(&layer.wq),
+                a.matmul(&layer.wk),
+                a.matmul(&layer.wv),
+            );
+            let mut ctx = Tensor::zeros(seq, h);
+            for head in 0..heads {
+                let (c0, c1) = (head * dh, (head + 1) * dh);
+                let mut scores = q
+                    .column_slice(c0, c1)
+                    .matmul_transposed(&k.column_slice(c0, c1));
+                scores.scale(scale);
+                for i in 0..seq {
+                    let row = scores.row_mut(i);
+                    hooks.softmax_row(&mut row[..=i]);
+                    row[i + 1..].fill(0.0);
+                }
+                ctx.set_column_slice(c0, &scores.matmul(&v.column_slice(c0, c1)));
+            }
+            hooks.transform_activations(ctx.data_mut());
+            x.add_assign(&ctx.matmul(&layer.wo));
+
+            let mut f = model.normalise(&x);
+            hooks.transform_activations(f.data_mut());
+            let mut inner = match &layer.w_gate {
+                Some(w_gate) => {
+                    let mut gate = f.matmul(w_gate);
+                    hooks.activation(gate.data_mut(), spec.activation());
+                    gate.mul_assign_elementwise(&f.matmul(&layer.w_up));
+                    gate
+                }
+                None => {
+                    let mut up = f.matmul(&layer.w_up);
+                    hooks.activation(up.data_mut(), spec.activation());
+                    up
+                }
+            };
+            hooks.transform_activations(inner.data_mut());
+            x.add_assign(&inner.matmul(&layer.w_down));
+        }
+        model.normalise(&x).matmul(&model.unembedding)
+    }
 
     #[test]
     fn synthesis_is_deterministic() {
@@ -977,15 +959,17 @@ mod tests {
         let tokens = [1usize, 5, 9, 2];
         let mut cache = model.kv_cache();
         let prefilled = model.prefill(&tokens, &ExactHooks, &mut cache);
-        let forward = model.forward(&tokens, &ExactHooks);
-        assert_eq!(prefilled.data(), forward.data());
+        let expected = reference(&model, &tokens, &ExactHooks);
+        assert_eq!(prefilled.data(), expected.data());
+        assert_eq!(model.forward(&tokens, &ExactHooks).data(), expected.data());
         assert_eq!(cache.len(), tokens.len());
     }
 
     #[test]
     fn decode_step_matches_full_forward() {
-        // Prefill + incremental decode must reproduce the re-forward
-        // logits bit for bit (same accumulation order everywhere).
+        // Prefill + incremental decode must reproduce the reference
+        // decoder's whole-sequence logits bit for bit (same accumulation
+        // order everywhere).
         let model = TransformerModel::synthesize(&tiny_test_model());
         let mut cache = model.kv_cache();
         let prompt = [3usize, 7, 1];
@@ -995,7 +979,7 @@ mod tests {
         for &t in &[4usize, 8, 2] {
             let step = model.decode_step(t, &ExactHooks, &mut cache);
             seq.push(t);
-            let full = model.forward(&seq, &ExactHooks);
+            let full = reference(&model, &seq, &ExactHooks);
             assert_eq!(step.as_slice(), full.row(seq.len() - 1), "token {t}");
         }
         assert_eq!(cache.len(), seq.len());
@@ -1006,7 +990,7 @@ mod tests {
         let model = TransformerModel::synthesize(&tiny_test_model());
         let mut cache = model.kv_cache();
         let step = model.decode_step(6, &ExactHooks, &mut cache);
-        let full = model.forward(&[6], &ExactHooks);
+        let full = reference(&model, &[6], &ExactHooks);
         assert_eq!(step.as_slice(), full.row(0));
         assert_eq!(cache.len(), 1);
     }
@@ -1019,7 +1003,7 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         let step = model.decode_step(9, &ExactHooks, &mut cache);
-        let full = model.forward(&[9], &ExactHooks);
+        let full = reference(&model, &[9], &ExactHooks);
         assert_eq!(step.as_slice(), full.row(0));
     }
 
@@ -1046,8 +1030,8 @@ mod tests {
     #[test]
     fn chunked_serving_matches_forward_under_quantising_hooks() {
         // The serving path (prefill + chunks + decode steps) must agree
-        // with a full re-forward bit for bit under a non-trivial hook
-        // set, not just ExactHooks.
+        // with the whole-sequence reference bit for bit under a
+        // non-trivial hook set, not just ExactHooks.
         use crate::hooks::Fp16Hooks;
         let model = TransformerModel::synthesize(&tiny_test_model());
         let seq = [3usize, 7, 1, 4, 8, 2, 6];
@@ -1056,7 +1040,7 @@ mod tests {
         model.prefill_chunk(&seq[2..5], &Fp16Hooks, &mut cache);
         let last = model.decode_step(seq[5], &Fp16Hooks, &mut cache);
         let step = model.decode_step(seq[6], &Fp16Hooks, &mut cache);
-        let full = model.forward(&seq, &Fp16Hooks);
+        let full = reference(&model, &seq, &Fp16Hooks);
         assert_eq!(last.as_slice(), full.row(5));
         assert_eq!(step.as_slice(), full.row(6));
         assert_eq!(cache.len(), seq.len());
@@ -1068,7 +1052,7 @@ mod tests {
         let tokens = [1usize, 5, 9, 2];
         let mut cache = model.kv_cache();
         let chunk = model.prefill_chunk(&tokens, &ExactHooks, &mut cache);
-        let full = model.forward(&tokens, &ExactHooks);
+        let full = reference(&model, &tokens, &ExactHooks);
         assert_eq!(chunk.data(), full.data());
         assert_eq!(cache.len(), tokens.len());
     }
@@ -1083,7 +1067,7 @@ mod tests {
         let decode = [4usize, 8, 2];
         let mut seq = prompt.to_vec();
         seq.extend_from_slice(&decode);
-        let full = model.forward(&seq, &ExactHooks);
+        let full = reference(&model, &seq, &ExactHooks);
 
         for page_tokens in [1usize, 4, 16, 64] {
             let arena = KvArena::unbounded(page_tokens);
@@ -1178,7 +1162,7 @@ mod tests {
         let warm_tail = model.prefill_chunk(&prompt_b[adopted..], &ExactHooks, &mut warm);
         let warm_step = model.decode_step(6, &ExactHooks, &mut warm);
 
-        let cold_full = model.forward(&[3, 7, 1, 9, 8, 5, 6], &ExactHooks);
+        let cold_full = reference(&model, &[3, 7, 1, 9, 8, 5, 6], &ExactHooks);
         assert_eq!(warm_tail.row(1), cold_full.row(5));
         assert_eq!(warm_step.as_slice(), cold_full.row(6));
     }
@@ -1277,7 +1261,7 @@ mod tests {
         }
 
         // ...while genuinely changing the numerics vs the exact cache.
-        let exact = model.forward(&seq, &ExactHooks);
+        let exact = reference(&model, &seq, &ExactHooks);
         let last = seq.len() - 1;
         assert_ne!(full.row(last), exact.row(last));
     }
@@ -1293,12 +1277,30 @@ mod tests {
         let mut cache = model.kv_cache_with(&arena, st);
         let tokens = [1usize, 5, 9, 2];
         let got = model.prefill(&tokens, &ExactHooks, &mut cache);
-        let exact = model.forward(&tokens, &ExactHooks);
+        let exact = reference(&model, &tokens, &ExactHooks);
         assert_eq!(got.data(), exact.data());
         assert_eq!(
             arena.bytes_in_use(),
             KvStore::dense_f32().page_bytes(model.spec().hidden, 4)
         );
+    }
+
+    #[test]
+    fn packed_weights_match_the_scalar_reference() {
+        // Packed block-dot GEMMs reproduce the reference decoder's
+        // scalar GEMMs bit for bit on block-quantised weights.
+        struct Quantise;
+        impl InferenceHooks for Quantise {
+            fn transform_weights(&self, w: &mut [f32]) {
+                store("bbfp:4,2", true, false).quantize_row(w);
+            }
+        }
+        let mut model =
+            TransformerModel::synthesize(&tiny_test_model()).with_transformed_weights(&Quantise);
+        model.pack_weights("bbfp:4,2".parse().unwrap());
+        let tokens = [1usize, 5, 9, 2];
+        let scalar = reference(&model, &tokens, &ExactHooks);
+        assert_eq!(model.forward(&tokens, &ExactHooks).data(), scalar.data());
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   the accelerator's `FormatSpec`; schemes without a block storage
 //!   cost fall back to FP16);
 //! * [`KvTraffic`] — a read/write byte accumulator that converts to
-//!   DRAM energy through a [`DramChannel`].
+//!   DRAM energy through a [`DramChannel`]. One rule charges every
+//!   pass: a chunk of `new` tokens over `past` cached ones (a decode
+//!   step is the chunk `(1, kv_len - 1)`).
 //!
 //! ```
 //! use bbal_core::SchemeSpec;
@@ -23,7 +25,7 @@
 //! assert!(fp.bytes_per_token() > 0.0);
 //!
 //! let mut traffic = KvTraffic::default();
-//! traffic.record_decode(&fp, 512);       // one step over a 512-token cache
+//! traffic.record_prefill(&fp, 1, 511);  // one decode step over a 512-token cache
 //! assert!(traffic.total_bytes() > 0);
 //! assert!(traffic.energy_pj(&DramChannel::lpddr4()) > 0.0);
 //! ```
@@ -103,16 +105,11 @@ pub struct KvTraffic {
 }
 
 impl KvTraffic {
-    /// Charges one decode step: writes one token, reads the whole
-    /// `kv_len`-token cache (K and V of every layer).
-    pub fn record_decode(&mut self, fp: &KvFootprint, kv_len: usize) {
-        self.write_bytes += fp.bytes_for_tokens(1);
-        self.read_bytes += fp.bytes_for_tokens(kv_len);
-    }
-
-    /// Charges one prefill chunk of `new` tokens entering a cache of
-    /// `past` tokens: writes `new` tokens; chunk row `i` reads the
-    /// `past + i + 1` tokens it attends over.
+    /// Charges one chunk of `new` tokens entering a cache of `past`
+    /// tokens: writes `new` tokens; chunk row `i` reads the
+    /// `past + i + 1` tokens it attends over. A decode step over a
+    /// `kv_len`-token cache is the chunk `(1, kv_len - 1)`: it writes
+    /// one token and reads all `kv_len`.
     ///
     /// Under prefix caching `past` includes any adopted shared-prefix
     /// tokens, but only the `new` (private) tokens are *written*: an
@@ -238,13 +235,37 @@ mod tests {
         assert_eq!(chunked.read_bytes, 12 * 8);
         assert_eq!(chunked.write_bytes, 3 * 8);
 
-        // A chunked prefill reads/writes the same as the equivalent
-        // decode steps.
-        let mut stepped = KvTraffic::default();
-        for kv_len in [3usize, 4, 5] {
-            stepped.record_decode(&fp, kv_len);
+        // Any split of a sequence into chunks — prompt chunks, then
+        // one-token decode steps — charges the closed form of one pass
+        // over all T tokens: T writes and 1 + 2 + … + T reads.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut below = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for _ in 0..64 {
+            let (prompt, steps) = (1 + below(40), below(40));
+            let mut traffic = KvTraffic::default();
+            let mut past = 0;
+            while past < prompt {
+                let new = (1 + below(9)).min(prompt - past);
+                traffic.record_prefill(&fp, new, past);
+                past += new;
+            }
+            for _ in 0..steps {
+                traffic.record_prefill(&fp, 1, past);
+                past += 1;
+            }
+            let t = (prompt + steps) as u64;
+            assert_eq!(traffic.write_bytes, t * 8, "{prompt} + {steps}");
+            assert_eq!(
+                traffic.read_bytes,
+                t * (t + 1) / 2 * 8,
+                "{prompt} + {steps}"
+            );
         }
-        assert_eq!(stepped, chunked);
     }
 
     #[test]
@@ -270,9 +291,9 @@ mod tests {
     fn merge_accumulates_and_energy_is_linear() {
         let fp = KvFootprint::for_scheme(SchemeSpec::Fp16, 8, 2);
         let mut a = KvTraffic::default();
-        a.record_decode(&fp, 100);
+        a.record_prefill(&fp, 1, 99);
         let mut b = KvTraffic::default();
-        b.record_decode(&fp, 100);
+        b.record_prefill(&fp, 1, 99);
         b.merge(&a);
         assert_eq!(b.total_bytes(), 2 * a.total_bytes());
         let ch = DramChannel::lpddr4();

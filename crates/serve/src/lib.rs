@@ -112,7 +112,6 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod batch;
 mod config;
 mod policy;
 mod pool;
@@ -120,7 +119,6 @@ mod report;
 mod request;
 mod runtime;
 
-pub use batch::{tick_ops, TickWork};
 pub use config::ServeConfig;
 pub use policy::{AdmissionPolicy, QueuedEntry};
 pub use pool::SessionPool;
@@ -199,5 +197,69 @@ impl std::error::Error for ServeError {
 impl From<SessionError> for ServeError {
     fn from(e: SessionError) -> ServeError {
         ServeError::Session(e)
+    }
+}
+
+/// The batched-tick cost model as the runtime charges it: a tick that
+/// holds one request's work costs exactly the single-session op list,
+/// so sequential serving costs what `Session::simulate_prefill` and
+/// `Session::simulate_decode` report.
+#[cfg(test)]
+mod batch {
+    mod tests {
+        use crate::{GenerateRequest, ServeConfig, ServeReport, ServeRuntime};
+        use bbal_session::SessionBuilder;
+
+        const PROMPT: [usize; 5] = [4, 8, 15, 16, 23];
+        const MAX_NEW: usize = 6;
+
+        fn builder() -> SessionBuilder {
+            SessionBuilder::new().model("Tiny").scheme("bbfp:4,2")
+        }
+
+        /// Serves one request alone; the whole prompt fits one chunk.
+        fn lone_report() -> ServeReport {
+            let config = ServeConfig {
+                max_batch: 1,
+                prefill_chunk: 32,
+                ..ServeConfig::default()
+            };
+            let mut rt = ServeRuntime::new(builder(), config).expect("runtime builds");
+            let report = rt
+                .serve(&[GenerateRequest::new(PROMPT.to_vec(), MAX_NEW)])
+                .expect("serve runs");
+            // One prefill tick emits the first token; each later token
+            // is one decode tick.
+            assert_eq!(report.ticks.len(), MAX_NEW);
+            report
+        }
+
+        #[test]
+        fn single_decode_matches_decode_step_ops() {
+            let report = lone_report();
+            let session = builder().build().expect("session builds");
+            for (i, tick) in report.ticks.iter().enumerate().skip(1) {
+                assert_eq!(tick.decode_steps, 1);
+                // Decode `i` attends over the prompt plus the `i`
+                // tokens generated so far, the fed one included.
+                let kv_len = PROMPT.len() + i;
+                let want = session.simulate_decode(kv_len).unwrap().total_cycles();
+                assert_eq!(tick.tick_cycles, want, "decode tick {i}, kv_len {kv_len}");
+            }
+        }
+
+        #[test]
+        fn single_whole_prompt_prefill_matches_decoder_ops() {
+            let report = lone_report();
+            let session = builder().build().expect("session builds");
+            let tick = &report.ticks[0];
+            assert_eq!(tick.prefill_tokens, PROMPT.len());
+            assert_eq!(tick.decode_steps, 0);
+            let want = session
+                .simulate_prefill(PROMPT.len())
+                .unwrap()
+                .total_cycles();
+            assert_eq!(tick.tick_cycles, want);
+        }
     }
 }

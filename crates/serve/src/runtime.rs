@@ -12,8 +12,9 @@
 //!    the worker threads (each unit runs on the request's own session,
 //!    which travels to the worker and back through channels);
 //! 4. cost the tick on the accelerator cycle model: the fused op list of
-//!    all units (see [`crate::tick_ops`]), grouped by scheme, through
-//!    `bbal_accel::simulate_with`, while the workers grind the math;
+//!    all units (see [`bbal_llm::graph::tick_ops`]), grouped by scheme,
+//!    through `bbal_accel::simulate_with`, while the workers grind the
+//!    math;
 //! 5. collect the results, advance the simulated clock by the tick cost,
 //!    record first-token/finish times, and release the sessions of
 //!    completed requests back to the pool.
@@ -37,7 +38,6 @@
 //!   `serve` is exactly `begin` + `submit`× + `step` to completion +
 //!   `finish`, so the two modes are bit-identical by construction.
 
-use crate::batch::{tick_ops, TickWork};
 use crate::config::ServeConfig;
 use crate::policy::{AdmissionPolicy, QueuedEntry};
 use crate::pool::SessionPool;
@@ -50,7 +50,7 @@ use bbal_accel::{
 };
 use bbal_arith::GateLibrary;
 use bbal_core::SchemeSpec;
-use bbal_llm::graph::PaperDims;
+use bbal_llm::graph::{tick_ops, Chunk, PaperDims};
 use bbal_llm::{KvArena, KvStore, ModelSpec, PrefixProbe};
 use bbal_mem::interconnect::ring_allreduce_cycles;
 use bbal_mem::{InterconnectTraffic, KvFootprint, KvTraffic};
@@ -1157,43 +1157,36 @@ impl ServeRuntime {
         // chunk of its feed sequence (prompt, or prompt + generated
         // tokens when replaying after a preemption), or one decode
         // step.
-        let mut items: BTreeMap<SchemeSpec, Vec<TickWork>> = BTreeMap::new();
+        let mut items: BTreeMap<SchemeSpec, Vec<Chunk>> = BTreeMap::new();
         let mut prefill_tokens = 0usize;
         let mut decode_steps = 0usize;
         for &id in &ss.active {
             let st = &mut ss.states[id];
             let chunk = st.next_chunk(self.config.prefill_chunk);
-            let (work, tick_work, emit) = if chunk > 0 {
-                let tokens: Vec<usize> =
-                    (st.fed..st.fed + chunk).map(|p| st.feed_token(p)).collect();
-                let past = st.fed;
-                st.fed += chunk;
-                st.cached += chunk;
+            // Either way the unit is a chunk of the feed sequence over
+            // the `fed` tokens already cached; a decode step is the
+            // one-token chunk of the last generated token.
+            let past = st.fed;
+            let (work, new, emit) = if chunk > 0 {
+                let tokens: Vec<usize> = (past..past + chunk).map(|p| st.feed_token(p)).collect();
                 prefill_tokens += chunk;
                 // Only a *fresh* prefill emits its last chunk's
                 // argmax as the first token; a replay regenerates
                 // state for tokens it already emitted.
-                (
-                    Work::Prefill(tokens),
-                    TickWork::Prefill { new: chunk, past },
-                    st.fed == st.feed_len() && st.tokens.is_empty(),
-                )
+                let first_token = past + chunk == st.feed_len() && st.tokens.is_empty();
+                (Work::Prefill(tokens), chunk, first_token)
             } else {
                 let last = *st.tokens.last().expect("decode follows the first token");
-                // The decode step consumes the next feed-sequence
-                // position (the last generated token).
-                st.fed += 1;
-                st.cached += 1;
+                debug_assert_eq!(past + 1, st.prompt.len() + st.tokens.len());
                 decode_steps += 1;
-                (
-                    Work::Decode(last),
-                    TickWork::Decode {
-                        kv_len: st.prompt.len() + st.tokens.len(),
-                    },
-                    true,
-                )
+                (Work::Decode(last), 1, true)
             };
-            items.entry(st.scheme).or_default().push(tick_work);
+            st.fed += new;
+            st.cached += new;
+            items
+                .entry(st.scheme)
+                .or_default()
+                .push(Chunk { new, past });
             let session = st.session.take().expect("active request owns a session");
             ss.job_tx
                 .send(Job {
@@ -1267,21 +1260,18 @@ impl ServeRuntime {
             ss.energy_pj += group_energy.total_pj();
             ss.energy.accumulate(&group_energy);
             // Charge the KV traffic of this scheme's work at its
-            // per-scheme footprint: prefill writes its chunk and
-            // reads each row's causal span; decode writes one token
-            // and streams the whole cache. Sharding leaves it alone:
-            // each head's K/V rows live on exactly one shard, so the
-            // group-wide KV bytes equal the single-array bytes.
+            // per-scheme footprint: each chunk writes its new rows and
+            // reads each row's causal span (a decode step writes one
+            // token and streams the whole cache). Sharding leaves it
+            // alone: each head's K/V rows live on exactly one shard, so
+            // the group-wide KV bytes equal the single-array bytes.
             let fp = ss
                 .kv_footprints
                 .get(scheme)
                 .expect("inserted at activation");
             let mut group_traffic = KvTraffic::default();
-            for item in group {
-                match *item {
-                    TickWork::Prefill { new, past } => group_traffic.record_prefill(fp, new, past),
-                    TickWork::Decode { kv_len } => group_traffic.record_decode(fp, kv_len),
-                }
+            for c in group {
+                group_traffic.record_prefill(fp, c.new, c.past);
             }
             let group_kv_pj = group_traffic.energy_pj(&cfg.dram);
             ss.kv_dram_energy_pj += group_kv_pj;

@@ -45,8 +45,7 @@
 #![warn(missing_debug_implementations)]
 
 use bbal_accel::{
-    shard_ops, simulate_with, AcceleratorConfig, BbalEngine, ConfigError, NonlinearTiming,
-    SimReport,
+    simulate_with, AcceleratorConfig, BbalEngine, ConfigError, NonlinearTiming, SimReport,
 };
 use bbal_arith::GateLibrary;
 use bbal_core::{SchemeError, SchemeSpec};
@@ -840,23 +839,14 @@ impl Session {
     ///
     /// Propagates [`Session::accelerator_config`] errors.
     pub fn simulate_prefill(&self, seq_len: usize) -> Result<SimReport, SessionError> {
-        self.simulate_prefill_with(seq_len, NonlinearTiming::BbalUnit)
-    }
-
-    /// Simulates a prefill pass with an explicit nonlinear timing model
-    /// (the Fig. 1(b) FP32-baseline comparison).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Session::accelerator_config`] errors.
-    pub fn simulate_prefill_with(
-        &self,
-        seq_len: usize,
-        timing: NonlinearTiming,
-    ) -> Result<SimReport, SessionError> {
         let cfg = self.accelerator_config()?;
         let ops = decoder_ops(&self.simulated_dims(), seq_len);
-        Ok(simulate_with(&cfg, &ops, &self.lib, timing))
+        Ok(simulate_with(
+            &cfg,
+            &ops,
+            &self.lib,
+            NonlinearTiming::BbalUnit,
+        ))
     }
 
     /// Simulates one decode step against a KV cache of `kv_len` tokens —
@@ -882,52 +872,6 @@ impl Session {
         let cfg = self.accelerator_config()?;
         let ops = decode_step_ops(&self.simulated_dims(), kv_len);
         Ok(simulate_with(&cfg, &ops, &self.lib, timing))
-    }
-
-    /// Simulates a prefill pass split tensor-parallel across `shards`
-    /// identical arrays (Megatron split, see [`bbal_accel::shard_ops`]).
-    /// Returns one shard's cycle/energy report — shards run the same
-    /// shapes in lockstep, so the group's latency is one shard's latency
-    /// plus the all-reduce time `bbal_mem::interconnect` charges on top.
-    /// `shards <= 1` matches [`Session::simulate_prefill`] exactly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Session::accelerator_config`] errors.
-    pub fn simulate_prefill_sharded(
-        &self,
-        seq_len: usize,
-        shards: usize,
-    ) -> Result<SimReport, SessionError> {
-        let cfg = self.accelerator_config()?;
-        let ops = shard_ops(&decoder_ops(&self.simulated_dims(), seq_len), shards);
-        Ok(simulate_with(
-            &cfg,
-            &ops,
-            &self.lib,
-            NonlinearTiming::BbalUnit,
-        ))
-    }
-
-    /// Simulates one decode step split tensor-parallel across `shards`
-    /// arrays; the sharded counterpart of [`Session::simulate_decode`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Session::accelerator_config`] errors.
-    pub fn simulate_decode_sharded(
-        &self,
-        kv_len: usize,
-        shards: usize,
-    ) -> Result<SimReport, SessionError> {
-        let cfg = self.accelerator_config()?;
-        let ops = shard_ops(&decode_step_ops(&self.simulated_dims(), kv_len), shards);
-        Ok(simulate_with(
-            &cfg,
-            &ops,
-            &self.lib,
-            NonlinearTiming::BbalUnit,
-        ))
     }
 
     /// The bit-faithful hardware datapath (PE array + nonlinear unit)

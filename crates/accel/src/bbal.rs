@@ -71,27 +71,16 @@ impl BbalGemm {
     /// Panics if `a.cols() != b.rows()`.
     pub fn matmul(&self, a: &Tensor, b: &Tensor) -> Tensor {
         assert_eq!(a.cols(), b.rows(), "GEMM shape mismatch");
-        let k = a.cols();
-        let n = b.cols();
-        let bs = self.config.block_size();
-        let mut out = Tensor::zeros(a.rows(), n);
+        let mut out = Tensor::zeros(a.rows(), b.cols());
 
-        // Pre-encode the B operand column stripes (weight-stationary: the
+        // Pre-encode the B operand columns (weight-stationary: the
         // weight blocks are encoded once and preloaded).
-        let mut b_blocks: Vec<Vec<BbfpBlock>> = Vec::with_capacity(n);
-        for j in 0..n {
-            let mut col_blocks = Vec::with_capacity(k.div_ceil(bs));
-            for k0 in (0..k).step_by(bs) {
-                let end = (k0 + bs).min(k);
-                let mut stripe = vec![0.0f32; bs];
-                for (idx, kk) in (k0..end).enumerate() {
-                    stripe[idx] = b.get(kk, j);
-                }
-                col_blocks
-                    .push(BbfpBlock::from_f32_slice(&stripe, self.config).expect("finite weights"));
-            }
-            b_blocks.push(col_blocks);
-        }
+        let b_blocks: Vec<Vec<BbfpBlock>> = (0..b.cols())
+            .map(|j| {
+                let col: Vec<f32> = (0..b.rows()).map(|kk| b.get(kk, j)).collect();
+                self.encode_row(&col)
+            })
+            .collect();
 
         for i in 0..a.rows() {
             // Input encoder: encode the activation row stripes.

@@ -3,210 +3,11 @@
 //! through the hardware numerics end to end (Fig. 7's computation flow:
 //! PE array → FP encoder/adder → max unit → nonlinear unit → output
 //! encoder).
-//!
-//! For autoregressive serving the engine exposes [`KvState`]: the KV
-//! cache in the *serving layout* — K is held transposed and pre-encoded
-//! into BBFP blocks once per token (the weight buffer's weight-stationary
-//! view), so a decode step re-encodes only the new query row instead of
-//! re-materialising and re-encoding `kᵀ` from scratch on every call.
 
 use crate::bbal::BbalGemm;
-use bbal_core::{BbfpBlock, BbfpConfig, PackedRows, SchemeError, SchemeSpec, SHARED_EXPONENT_BITS};
+use bbal_core::{BbfpBlock, BbfpConfig, SchemeError, SchemeSpec};
 use bbal_llm::Tensor;
 use bbal_nonlinear::{NonlinearUnit, NonlinearUnitConfig};
-
-/// Default tokens per [`KvState`] page, matching the default page
-/// granularity of the model-level arena (`bbal_llm::DEFAULT_PAGE_TOKENS`).
-pub const KV_STATE_PAGE_TOKENS: usize = 16;
-
-/// One fixed-size page of the engine-level KV cache: up to
-/// `page_tokens` K rows in the *packed* BBFP storage layout (each row's
-/// blocks back-to-back at their exact `FormatCost` bit widths, rounded
-/// up to bytes per block) and V rows in a [`PackedRows`] buffer. The
-/// packed bytes decode to exactly the [`BbfpBlock`]s that were encoded
-/// (the bit-level round trip is exact), so packing is storage only —
-/// attention over a packed cache is bit-identical to attention over the
-/// unpacked blocks.
-#[derive(Debug, Clone)]
-struct KvStatePage {
-    /// Packed K rows, `rows × blocks_per_row × block_bytes`.
-    k_packed: Vec<u8>,
-    /// Cached K rows in this page (`v_rows` tracks the same count).
-    k_rows: usize,
-    /// V rows (dense f32 layout — context blocks span the sequence
-    /// dimension, so V cannot be pre-blocked along the head).
-    v_rows: PackedRows,
-}
-
-impl KvStatePage {
-    fn new(head_dim: usize) -> KvStatePage {
-        KvStatePage {
-            k_packed: Vec::new(),
-            k_rows: 0,
-            v_rows: PackedRows::new(SchemeSpec::Fp32, head_dim),
-        }
-    }
-}
-
-/// The KV cache of one attention head in the engine's serving layout.
-///
-/// Each cached token holds its K row *pre-encoded* into the engine's
-/// BBFP blocks (K transposed into the weight buffer once, when the token
-/// is appended) and its V row in FP32 (context re-encodes per step — its
-/// blocks span the growing sequence dimension, so they cannot be cached).
-///
-/// Storage is *paged*, mirroring the model-level
-/// `bbal_llm::KvCache`: tokens land in fixed-size pages of
-/// [`KvState::page_tokens`] rows, so the weight buffer's serving view
-/// grows in page-sized steps a memory-budgeted scheduler can count.
-/// The paging is layout only — attention results are bit-identical for
-/// any page size.
-#[derive(Debug, Clone)]
-pub struct KvState {
-    config: BbfpConfig,
-    head_dim: usize,
-    page_tokens: usize,
-    pages: Vec<KvStatePage>,
-    len: usize,
-}
-
-impl KvState {
-    /// An empty cache for heads of width `head_dim`, encoding K rows with
-    /// `config`, at the default page granularity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `head_dim` is zero.
-    pub fn new(config: BbfpConfig, head_dim: usize) -> KvState {
-        KvState::with_page_tokens(config, head_dim, KV_STATE_PAGE_TOKENS)
-    }
-
-    /// An empty cache with an explicit page granularity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `head_dim` or `page_tokens` is zero.
-    pub fn with_page_tokens(config: BbfpConfig, head_dim: usize, page_tokens: usize) -> KvState {
-        assert!(head_dim > 0, "degenerate head width");
-        assert!(page_tokens > 0, "zero-token pages");
-        KvState {
-            config,
-            head_dim,
-            page_tokens,
-            pages: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// Number of cached tokens.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if no token has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Head width.
-    pub fn head_dim(&self) -> usize {
-        self.head_dim
-    }
-
-    /// Tokens per page.
-    pub fn page_tokens(&self) -> usize {
-        self.page_tokens
-    }
-
-    /// Pages currently backing the cache.
-    pub fn pages_in_use(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Bytes each packed K block occupies: the exact `FormatCost` bit
-    /// width of one `sign|flag|mantissa` block plus its 5-bit shared
-    /// exponent, rounded up to whole bytes.
-    fn block_bytes(&self) -> usize {
-        let bs = self.config.block_size();
-        let m = self.config.mantissa_bits() as usize;
-        (SHARED_EXPONENT_BITS as usize + bs * (2 + m)).div_ceil(8)
-    }
-
-    /// Packed K blocks per row (`encode_row` zero-pads the tail stripe,
-    /// so every block is full-width).
-    fn blocks_per_row(&self) -> usize {
-        self.head_dim.div_ceil(self.config.block_size())
-    }
-
-    /// Bytes the cache actually stores: packed K blocks plus the V
-    /// buffer's packed layout.
-    pub fn packed_kv_bytes(&self) -> usize {
-        self.pages
-            .iter()
-            .map(|p| p.k_packed.len() + p.v_rows.packed_bytes())
-            .sum()
-    }
-
-    /// Bytes the same tokens would occupy as dense f32 K and V rows —
-    /// the baseline the packed layout is saving against.
-    pub fn dense_kv_bytes(&self) -> usize {
-        2 * self.len * self.head_dim * std::mem::size_of::<f32>()
-    }
-
-    /// Appends one token's key/value rows, encoding the key into the
-    /// weight buffer's block layout once and storing it packed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a row width disagrees with `head_dim` or the key row
-    /// contains non-finite values.
-    pub fn push(&mut self, k_row: &[f32], v_row: &[f32]) {
-        assert_eq!(k_row.len(), self.head_dim, "key row width mismatch");
-        assert_eq!(v_row.len(), self.head_dim, "value row width mismatch");
-        let gemm = BbalGemm::new(self.config);
-        if self
-            .pages
-            .last()
-            .is_none_or(|p| p.k_rows >= self.page_tokens)
-        {
-            self.pages.push(KvStatePage::new(self.head_dim));
-        }
-        let block_bytes = self.block_bytes();
-        let page = self.pages.last_mut().expect("page ensured above");
-        for block in gemm.encode_row(k_row) {
-            let bytes = block.to_packed_bytes();
-            debug_assert_eq!(bytes.len(), block_bytes);
-            page.k_packed.extend_from_slice(&bytes);
-        }
-        page.k_rows += 1;
-        page.v_rows.push_row(v_row);
-        self.len += 1;
-    }
-
-    /// The K blocks of token `j`, decoded from their packed bytes (the
-    /// round trip is bit-exact, so these are the blocks `push` encoded).
-    fn k_row_blocks(&self, j: usize) -> Vec<BbfpBlock> {
-        let page = &self.pages[j / self.page_tokens];
-        let (bpr, bb) = (self.blocks_per_row(), self.block_bytes());
-        let row0 = (j % self.page_tokens) * bpr * bb;
-        (0..bpr)
-            .map(|b| {
-                let off = row0 + b * bb;
-                BbfpBlock::from_packed_bytes(&page.k_packed[off..off + bb], self.config)
-                    .expect("packed cache holds whole blocks")
-            })
-            .collect()
-    }
-
-    /// The cached values as a `[len, head_dim]` tensor.
-    fn v_tensor(&self) -> Tensor {
-        let mut data = Vec::with_capacity(self.len * self.head_dim);
-        for page in &self.pages {
-            data.extend_from_slice(&page.v_rows.to_dense());
-        }
-        Tensor::from_vec(self.len, self.head_dim, data)
-    }
-}
 
 /// A functional BBAL engine: linear path + nonlinear unit.
 #[derive(Debug)]
@@ -250,11 +51,6 @@ impl BbalEngine {
         self.gemm.config
     }
 
-    /// An empty KV cache matching this engine's block format.
-    pub fn new_kv_state(&self, head_dim: usize) -> KvState {
-        KvState::new(self.gemm.config, head_dim)
-    }
-
     /// Quantised GEMM through the PE array (see [`BbalGemm::matmul`]).
     pub fn matmul(&self, a: &Tensor, b: &Tensor) -> Tensor {
         self.gemm.matmul(a, b)
@@ -268,45 +64,28 @@ impl BbalEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the operand shapes disagree — the KV cache stores one
-    /// head width, so `v` must match `k`'s width — or if
-    /// `q.rows() != k.rows()` (use [`BbalEngine::cross_attention`] for
-    /// unaligned shapes).
+    /// Panics if `q.rows() != k.rows()` (use
+    /// [`BbalEngine::cross_attention`] for unaligned shapes), or as
+    /// [`BbalEngine::attention_masked`].
     pub fn attention(&mut self, q: &Tensor, k: &Tensor, v: &Tensor) -> Tensor {
         assert_eq!(
             q.rows(),
             k.rows(),
             "causal attention needs aligned q/k; use cross_attention"
         );
-        let kv = self.cache_kv(k, v);
-        self.attention_over(q, &kv, true)
+        self.attention_masked(q, k, v, |i, j| j <= i)
     }
 
     /// Full (unmasked) attention of `q.rows()` queries over `k.rows()`
     /// keys — the cross-attention shape, where the two lengths may
-    /// differ.
+    /// differ. A decode step is the one-row case: the newest query
+    /// attending over every cached key.
     ///
     /// # Panics
     ///
-    /// Panics if `q`/`k` widths or `k`/`v` lengths disagree.
+    /// As [`BbalEngine::attention_masked`].
     pub fn cross_attention(&mut self, q: &Tensor, k: &Tensor, v: &Tensor) -> Tensor {
-        let kv = self.cache_kv(k, v);
-        self.attention_over(q, &kv, false)
-    }
-
-    /// One decode step: a single query row attending over the whole
-    /// cache. K arrives pre-encoded from the [`KvState`], so only the
-    /// query row goes through the input encoder.
-    ///
-    /// Returns a `[1, dh]` context row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache is empty or `q` is not `[1, head_dim]`.
-    pub fn decode_attention(&mut self, q: &Tensor, kv: &KvState) -> Tensor {
-        assert!(!kv.is_empty(), "decode over an empty KV cache");
-        assert_eq!(q.rows(), 1, "decode takes one query row");
-        self.attention_over(q, kv, false)
+        self.attention_masked(q, k, v, |_, _| true)
     }
 
     /// Attention with an arbitrary visibility mask: `mask(i, j)` decides
@@ -316,7 +95,7 @@ impl BbalEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `q`/`k` widths or `k`/`v` lengths disagree.
+    /// Panics if `q`, `k` and `v` widths or `k`/`v` lengths disagree.
     pub fn attention_masked(
         &mut self,
         q: &Tensor,
@@ -324,10 +103,15 @@ impl BbalEngine {
         v: &Tensor,
         mask: impl Fn(usize, usize) -> bool,
     ) -> Tensor {
-        let kv = self.cache_kv(k, v);
-        assert_eq!(q.cols(), kv.head_dim(), "q/k head width mismatch");
+        assert_eq!(q.cols(), k.cols(), "q/k head width mismatch");
+        assert_eq!(k.rows(), v.rows(), "k/v length mismatch");
+        assert_eq!(k.cols(), v.cols(), "k/v width mismatch");
         let scale = 1.0 / (q.cols() as f32).sqrt();
-        let len = kv.len();
+        let len = k.rows();
+        // The weight buffer holds K transposed: each key row is encoded
+        // into BBFP blocks once, then scored against every query.
+        let k_blocks: Vec<Vec<BbfpBlock>> =
+            (0..len).map(|j| self.gemm.encode_row(k.row(j))).collect();
 
         let mut probs = Tensor::zeros(q.rows(), len);
         for i in 0..q.rows() {
@@ -335,12 +119,12 @@ impl BbalEngine {
             if visible.is_empty() {
                 continue; // fully masked: zero context row
             }
-            // Gather the visible scores, softmax them through the
-            // nonlinear unit, scatter the probabilities back.
+            // Scores = q · kᵀ on the PE array; gather the visible ones,
+            // softmax them through the nonlinear unit, scatter back.
             let q_blocks = self.gemm.encode_row(q.row(i));
             let mut gathered: Vec<f32> = visible
                 .iter()
-                .map(|&j| self.gemm.dot_encoded(&q_blocks, &kv.k_row_blocks(j)) * scale)
+                .map(|&j| self.gemm.dot_encoded(&q_blocks, &k_blocks[j]) * scale)
                 .collect();
             self.nonlinear.softmax_row(&mut gathered);
             let row = probs.row_mut(i);
@@ -348,59 +132,8 @@ impl BbalEngine {
                 row[j] = p;
             }
         }
-        self.matmul(&probs, &kv.v_tensor())
-    }
-
-    /// Encodes `k`/`v` into a fresh KV cache (the serving layout).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k`/`v` shapes disagree.
-    pub fn cache_kv(&self, k: &Tensor, v: &Tensor) -> KvState {
-        assert_eq!(k.rows(), v.rows(), "k/v length mismatch");
-        assert_eq!(k.cols(), v.cols(), "k/v width mismatch");
-        let mut kv = self.new_kv_state(k.cols());
-        for r in 0..k.rows() {
-            kv.push(k.row(r), v.row(r));
-        }
-        kv
-    }
-
-    /// Attention of `q` over a cached KV state. With `causal`, query row
-    /// `i` sees cache entries `0..=i`; a row whose visible window is
-    /// empty produces a zero context row (the fully-masked convention).
-    fn attention_over(&mut self, q: &Tensor, kv: &KvState, causal: bool) -> Tensor {
-        assert_eq!(q.cols(), kv.head_dim(), "q/k head width mismatch");
-        let dh = q.cols();
-        let len = kv.len();
-        let scale = 1.0 / (dh as f32).sqrt();
-
-        // Scores = q · kᵀ on the PE array against the pre-encoded K
-        // (the weight buffer holds K transposed in the serving layout).
-        let mut probs = Tensor::zeros(q.rows(), len.max(1));
-        for i in 0..q.rows() {
-            let visible = if causal { (i + 1).min(len) } else { len };
-            if visible == 0 {
-                continue; // fully masked: zero context row
-            }
-            let q_blocks = self.gemm.encode_row(q.row(i));
-            let row = probs.row_mut(i);
-            for (j, s) in row.iter_mut().enumerate().take(visible) {
-                *s = self.gemm.dot_encoded(&q_blocks, &kv.k_row_blocks(j)) * scale;
-            }
-            // Causal softmax through the nonlinear unit: the max unit and
-            // subtraction operate on the visible prefix only.
-            self.nonlinear.softmax_row(&mut row[..visible]);
-            for s in row.iter_mut().skip(visible) {
-                *s = 0.0;
-            }
-        }
-
-        if len == 0 {
-            return Tensor::zeros(q.rows(), dh);
-        }
         // Context = probs · v on the PE array.
-        self.matmul(&probs, &kv.v_tensor())
+        self.matmul(&probs, v)
     }
 }
 
@@ -496,31 +229,19 @@ mod tests {
     }
 
     #[test]
-    fn decode_attention_matches_batch_attention_last_row() {
-        // Growing the cache token by token and decoding the last query
-        // must agree with the batch causal path's last row.
+    fn one_row_cross_attention_matches_causal_last_row() {
+        // A decode step — the newest query over every cached key — is a
+        // one-row cross attention, and agrees bit for bit with the batch
+        // causal path's last row.
         let (seq, dh) = (12, 32);
         let q = tensor(seq, dh, 31);
         let k = tensor(seq, dh, 37);
         let v = tensor(seq, dh, 41);
         let mut engine = BbalEngine::paper();
         let batch = engine.attention(&q, &k, &v);
-
-        let mut kv = engine.new_kv_state(dh);
-        let mut last = Tensor::zeros(1, dh);
-        for t in 0..seq {
-            kv.push(k.row(t), v.row(t));
-            let q_row = Tensor::from_vec(1, dh, q.row(t).to_vec());
-            last = engine.decode_attention(&q_row, &kv);
-        }
-        for c in 0..dh {
-            assert!(
-                (last.get(0, c) - batch.get(seq - 1, c)).abs() < 1e-5,
-                "col {c}: {} vs {}",
-                last.get(0, c),
-                batch.get(seq - 1, c)
-            );
-        }
+        let q_last = Tensor::from_vec(1, dh, q.row(seq - 1).to_vec());
+        let last = engine.cross_attention(&q_last, &k, &v);
+        assert_eq!(last.data(), batch.row(seq - 1));
     }
 
     #[test]
@@ -570,9 +291,10 @@ mod tests {
         let mut engine = BbalEngine::paper();
         let causal = engine.attention(&q, &k, &v);
         let masked = engine.attention_masked(&q, &k, &v, |i, j| j <= i);
-        for (a, b) in causal.data().iter().zip(masked.data()) {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        }
+        assert_eq!(causal.data(), masked.data());
+        let cross = engine.cross_attention(&q, &k, &v);
+        let all = engine.attention_masked(&q, &k, &v, |_, _| true);
+        assert_eq!(cross.data(), all.data());
     }
 
     #[test]
@@ -608,57 +330,6 @@ mod tests {
         let k = tensor(4, 32, 5);
         let v = tensor(4, 32, 7);
         let _ = engine.attention(&q, &k, &v);
-    }
-
-    #[test]
-    fn kv_state_page_size_never_changes_attention() {
-        // The paged serving layout is storage only: decode through
-        // caches of every page granularity agrees bit for bit.
-        let (seq, dh) = (19, 32);
-        let q = tensor(seq, dh, 101);
-        let k = tensor(seq, dh, 103);
-        let v = tensor(seq, dh, 107);
-        let mut engine = BbalEngine::paper();
-        let reference = {
-            let mut kv = engine.new_kv_state(dh);
-            for t in 0..seq {
-                kv.push(k.row(t), v.row(t));
-            }
-            let q_row = Tensor::from_vec(1, dh, q.row(seq - 1).to_vec());
-            engine.decode_attention(&q_row, &kv)
-        };
-        for page_tokens in [1usize, 4, 16, 64] {
-            let mut kv = KvState::with_page_tokens(engine.linear_config(), dh, page_tokens);
-            for t in 0..seq {
-                kv.push(k.row(t), v.row(t));
-            }
-            assert_eq!(kv.len(), seq);
-            assert_eq!(kv.pages_in_use(), seq.div_ceil(page_tokens));
-            let q_row = Tensor::from_vec(1, dh, q.row(seq - 1).to_vec());
-            let out = engine.decode_attention(&q_row, &kv);
-            assert_eq!(out.data(), reference.data(), "page_tokens {page_tokens}");
-        }
-    }
-
-    #[test]
-    fn packed_kv_state_stores_a_fraction_of_dense_bytes() {
-        // BBFP(4,2) K rows pack to 6 bits + shared exponent per element
-        // against 32-bit f32: the K half of the cache must shrink below
-        // a quarter, so K+V together land under ⅝ of the dense bytes.
-        let (seq, dh) = (19, 32);
-        let k = tensor(seq, dh, 109);
-        let v = tensor(seq, dh, 113);
-        let engine = BbalEngine::paper();
-        let mut kv = engine.new_kv_state(dh);
-        for t in 0..seq {
-            kv.push(k.row(t), v.row(t));
-        }
-        let packed = kv.packed_kv_bytes();
-        let dense = kv.dense_kv_bytes();
-        // V stays f32 (seq × dh × 4); K packs to ⌈(5 + 32·6)/8⌉ bytes a
-        // block — exactly one block per 32-wide row here.
-        assert_eq!(packed, seq * dh * 4 + seq * 25);
-        assert!(8 * packed < 5 * dense, "packed {packed} vs dense {dense}");
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod tp;
 
 pub use bbal::BbalGemm;
 pub use config::{AcceleratorConfig, ConfigError, FormatSpec};
-pub use engine::{BbalEngine, KvState, KV_STATE_PAGE_TOKENS};
+pub use engine::BbalEngine;
 pub use isoarea::{array_for_budget, iso_area_sweep, IsoAreaPoint};
 pub use sim::{simulate, simulate_with, EnergyBreakdown, NonlinearTiming, SimReport};
 pub use systolic::{SystolicTile, TileRun};

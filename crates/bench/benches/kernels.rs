@@ -121,10 +121,8 @@ fn bench_nonlinear_unit(c: &mut Criterion) {
 }
 
 fn bench_decode_attention(c: &mut Criterion) {
-    // The satellite measurement for the KV-state redesign: one decode
-    // step over a long cache, (a) re-encoding K from scratch every call
-    // (the old `attention` path, which materialised kᵀ per call) vs
-    // (b) attending against the pre-encoded `KvState` serving layout.
+    // One decode step over a long cache: a one-row cross attention,
+    // which encodes K into BBFP blocks once per call.
     let (kv_len, dh) = (256usize, 64usize);
     let q = Tensor::from_vec(1, dh, test_data(dh));
     let k = Tensor::from_vec(kv_len, dh, test_data(kv_len * dh));
@@ -133,14 +131,9 @@ fn bench_decode_attention(c: &mut Criterion) {
     let mut group = c.benchmark_group("decode_attention");
     group.sample_size(10);
     group.throughput(Throughput::Elements(kv_len as u64));
-    group.bench_function("reencode_kv_per_step", |b| {
+    group.bench_function("one_row_cross_attention", |b| {
         let mut engine = BbalEngine::paper();
         b.iter(|| engine.cross_attention(&q, &k, &v));
-    });
-    group.bench_function("cached_kv_state", |b| {
-        let mut engine = BbalEngine::paper();
-        let cache = engine.cache_kv(&k, &v);
-        b.iter(|| engine.decode_attention(&q, &cache));
     });
     group.finish();
 }

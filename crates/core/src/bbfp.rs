@@ -133,21 +133,6 @@ impl BbfpBlock {
         BbfpBlock::from_fp16_slice(&fp16, config)
     }
 
-    /// Reassembles a block from stored parts (the unpacking path of
-    /// [`crate::bitpack`]).
-    pub(crate) fn from_raw_parts(
-        config: BbfpConfig,
-        shared_exponent: i32,
-        elements: Vec<BbfpElement>,
-    ) -> BbfpBlock {
-        debug_assert_eq!(elements.len(), config.block_size());
-        BbfpBlock {
-            config,
-            shared_exponent,
-            elements,
-        }
-    }
-
     /// The configuration this block was encoded with.
     #[inline]
     pub fn config(&self) -> BbfpConfig {

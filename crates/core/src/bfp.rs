@@ -107,24 +107,6 @@ impl BfpBlock {
         BfpBlock::from_fp16_slice(&fp16, config)
     }
 
-    /// Reassembles a block from stored parts (the unpacking path of
-    /// [`crate::bitpack`]).
-    pub(crate) fn from_raw_parts(
-        config: BfpConfig,
-        shared_exponent: i32,
-        signs: Vec<bool>,
-        mantissas: Vec<u16>,
-    ) -> BfpBlock {
-        debug_assert_eq!(signs.len(), config.block_size());
-        debug_assert_eq!(mantissas.len(), config.block_size());
-        BfpBlock {
-            config,
-            shared_exponent,
-            signs,
-            mantissas,
-        }
-    }
-
     /// The configuration this block was encoded with.
     #[inline]
     pub fn config(&self) -> BfpConfig {

@@ -1,17 +1,11 @@
-//! Bit-exact packed storage of block-format tensors.
+//! Little-endian bit writer and reader.
 //!
 //! Table I's memory-efficiency column is realised by an actual memory
-//! layout: per block, the 5-bit shared exponent followed by `N` packed
-//! element payloads — `sign|mantissa` for BFP, `sign|flag|mantissa` for
-//! BBFP — with no padding between fields. This module implements that
-//! layout exactly, so a packed buffer's length matches
-//! [`FormatCost::total_bits`](crate::format::FormatCost::total_bits) and
-//! DRAM-traffic numbers in the simulator correspond to real bytes.
-
-use crate::bbfp::{BbfpBlock, BbfpElement};
-use crate::bfp::BfpBlock;
-use crate::error::FormatError;
-use crate::format::{BbfpConfig, BfpConfig, SHARED_EXPONENT_BITS};
+//! layout with no padding between fields: the packed block codec of
+//! [`crate::packed`] and the algebra's chunk codec in [`crate::algebra`]
+//! write their shared scale fields and element payloads through these
+//! two types, so a packed buffer's length matches
+//! [`FormatCost::total_bits`](crate::format::FormatCost::total_bits).
 
 /// A little-endian bit writer.
 #[derive(Debug, Clone, Default)]
@@ -88,117 +82,17 @@ impl<'a> BitReader<'a> {
     }
 }
 
-impl BbfpBlock {
-    /// Packs the block into its storage layout: `5`-bit shared exponent,
-    /// then `sign|flag|mantissa` per element.
-    pub fn to_packed_bytes(&self) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        w.push(self.shared_exponent() as u32, SHARED_EXPONENT_BITS);
-        let m = self.config().mantissa_bits() as u32;
-        for e in self.elements() {
-            w.push(e.sign as u32, 1);
-            w.push(e.flag as u32, 1);
-            w.push(e.mantissa as u32, m);
-        }
-        w.into_bytes()
-    }
-
-    /// Exact packed size in bits (matches `FormatCost::total_bits` for one
-    /// block).
-    pub fn packed_bits(&self) -> usize {
-        SHARED_EXPONENT_BITS as usize
-            + self.elements().len() * (2 + self.config().mantissa_bits() as usize)
-    }
-
-    /// Unpacks a block previously packed with
-    /// [`BbfpBlock::to_packed_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FormatError::LengthMismatch`] if the buffer is too short
-    /// for the configured block.
-    pub fn from_packed_bytes(bytes: &[u8], config: BbfpConfig) -> Result<BbfpBlock, FormatError> {
-        let mut r = BitReader::new(bytes);
-        let needed = SHARED_EXPONENT_BITS as usize
-            + config.block_size() * (2 + config.mantissa_bits() as usize);
-        if bytes.len() * 8 < needed {
-            return Err(FormatError::LengthMismatch {
-                got: bytes.len() * 8,
-                expected: needed,
-            });
-        }
-        let shared = r.read(SHARED_EXPONENT_BITS).expect("length checked") as i32;
-        let m = config.mantissa_bits() as u32;
-        let mut elements = Vec::with_capacity(config.block_size());
-        for _ in 0..config.block_size() {
-            let sign = r.read(1).expect("length checked") == 1;
-            let flag = r.read(1).expect("length checked") == 1;
-            let mantissa = r.read(m).expect("length checked") as u16;
-            elements.push(BbfpElement {
-                sign,
-                flag,
-                mantissa,
-            });
-        }
-        Ok(BbfpBlock::from_raw_parts(config, shared, elements))
-    }
-}
-
-impl BfpBlock {
-    /// Packs the block into its storage layout: `5`-bit shared exponent,
-    /// then `sign|mantissa` per element.
-    pub fn to_packed_bytes(&self) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        w.push(self.shared_exponent() as u32, SHARED_EXPONENT_BITS);
-        let m = self.config().mantissa_bits() as u32;
-        for i in 0..self.mantissas().len() {
-            w.push(self.signs()[i] as u32, 1);
-            w.push(self.mantissas()[i] as u32, m);
-        }
-        w.into_bytes()
-    }
-
-    /// Exact packed size in bits.
-    pub fn packed_bits(&self) -> usize {
-        SHARED_EXPONENT_BITS as usize
-            + self.mantissas().len() * (1 + self.config().mantissa_bits() as usize)
-    }
-
-    /// Unpacks a block previously packed with
-    /// [`BfpBlock::to_packed_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FormatError::LengthMismatch`] if the buffer is too short
-    /// for the configured block.
-    pub fn from_packed_bytes(bytes: &[u8], config: BfpConfig) -> Result<BfpBlock, FormatError> {
-        let mut r = BitReader::new(bytes);
-        let needed = SHARED_EXPONENT_BITS as usize
-            + config.block_size() * (1 + config.mantissa_bits() as usize);
-        if bytes.len() * 8 < needed {
-            return Err(FormatError::LengthMismatch {
-                got: bytes.len() * 8,
-                expected: needed,
-            });
-        }
-        let shared = r.read(SHARED_EXPONENT_BITS).expect("length checked") as i32;
-        let m = config.mantissa_bits() as u32;
-        let mut signs = Vec::with_capacity(config.block_size());
-        let mut mantissas = Vec::with_capacity(config.block_size());
-        for _ in 0..config.block_size() {
-            signs.push(r.read(1).expect("length checked") == 1);
-            mantissas.push(r.read(m).expect("length checked") as u16);
-        }
-        Ok(BfpBlock::from_raw_parts(config, shared, signs, mantissas))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::{algebra_quantize_slice, FormatAlgebra};
+    use crate::packed::PackedBlock;
+    use crate::rounding::RoundingMode;
 
-    fn data() -> Vec<f32> {
-        (0..32)
+    /// One 32-value block with an outlier at index 9, quantised onto
+    /// `format` so the packed codec accepts it.
+    fn packed(format: FormatAlgebra) -> PackedBlock {
+        let raw: Vec<f32> = (0..32)
             .map(|i| {
                 let body = ((i * 41 % 97) as f32 - 48.0) * 0.02;
                 if i == 9 {
@@ -207,7 +101,10 @@ mod tests {
                     body
                 }
             })
-            .collect()
+            .collect();
+        let mut q = vec![0.0; 32];
+        algebra_quantize_slice(&raw, &format, RoundingMode::NearestEven, &mut q);
+        PackedBlock::encode(&q, format).unwrap()
     }
 
     #[test]
@@ -236,55 +133,21 @@ mod tests {
     }
 
     #[test]
-    fn bbfp_pack_round_trips() {
-        let cfg = BbfpConfig::new(4, 2).unwrap();
-        let block = BbfpBlock::from_f32_slice(&data(), cfg).unwrap();
-        let bytes = block.to_packed_bytes();
-        let back = BbfpBlock::from_packed_bytes(&bytes, cfg).unwrap();
-        assert_eq!(block, back);
-    }
-
-    #[test]
-    fn bfp_pack_round_trips() {
-        let cfg = BfpConfig::new(6).unwrap();
-        let block = BfpBlock::from_f32_slice(&data(), cfg).unwrap();
-        let bytes = block.to_packed_bytes();
-        let back = BfpBlock::from_packed_bytes(&bytes, cfg).unwrap();
-        assert_eq!(block, back);
-    }
-
-    #[test]
     fn packed_size_matches_format_cost() {
-        let cfg = BbfpConfig::new(6, 3).unwrap();
-        let block = BbfpBlock::from_f32_slice(&data(), cfg).unwrap();
-        assert_eq!(block.packed_bits() as u64, cfg.cost().total_bits(32));
+        let bbfp = FormatAlgebra::bbfp(6, 3).unwrap();
+        let block = packed(bbfp);
+        assert_eq!(block.packed_bits() as u64, bbfp.cost().total_bits(32));
         // 32*(6+2)+5 = 261 bits = 33 bytes.
-        assert_eq!(block.to_packed_bytes().len(), 33);
+        assert_eq!(block.bytes().len(), 33);
 
-        let bcfg = BfpConfig::new(6).unwrap();
-        let bblock = BfpBlock::from_f32_slice(&data(), bcfg).unwrap();
-        assert_eq!(bblock.packed_bits() as u64, bcfg.cost().total_bits(32));
-    }
-
-    #[test]
-    fn short_buffer_rejected() {
-        let cfg = BbfpConfig::new(4, 2).unwrap();
-        assert!(matches!(
-            BbfpBlock::from_packed_bytes(&[0u8; 4], cfg),
-            Err(FormatError::LengthMismatch { .. })
-        ));
-        let bcfg = BfpConfig::new(4).unwrap();
-        assert!(matches!(
-            BfpBlock::from_packed_bytes(&[0u8; 2], bcfg),
-            Err(FormatError::LengthMismatch { .. })
-        ));
+        let bfp = FormatAlgebra::bfp(6).unwrap();
+        assert_eq!(packed(bfp).packed_bits() as u64, bfp.cost().total_bits(32));
     }
 
     #[test]
     fn packed_memory_density_beats_fp16() {
         // 32 FP16 values = 64 bytes; BBFP(4,2) = 5 + 32*6 bits = 25 bytes.
-        let cfg = BbfpConfig::new(4, 2).unwrap();
-        let block = BbfpBlock::from_f32_slice(&data(), cfg).unwrap();
-        assert!(block.to_packed_bytes().len() * 2 < 64);
+        let block = packed(FormatAlgebra::bbfp(4, 2).unwrap());
+        assert!(block.bytes().len() * 2 < 64);
     }
 }

@@ -1,11 +1,11 @@
 //! Packed quantised matrix storage and block-dot GEMM kernels.
 //!
-//! [`crate::bitpack`] defines the bit-exact storage layout of a single
-//! block; this module promotes it to the *storage format* of whole
-//! matrices. A [`PackedMatrix`] holds a weight matrix in its scheme's
-//! native layout — one shared scale field per block (5-bit exponent for
-//! BFP/BBFP, 8-bit for MX/MSFP, a signed bias for block minifloat),
-//! any per-sub-block offset codes, then the packed element payloads
+//! [`PackedBlock`] owns the bit-exact storage layout of a single block;
+//! this module promotes it to the *storage format* of whole matrices. A
+//! [`PackedMatrix`] holds a weight matrix in its scheme's native layout
+//! — one shared scale field per block (5-bit exponent for BFP/BBFP,
+//! 8-bit for MX/MSFP, a signed bias for block minifloat), any
+//! per-sub-block offset codes, then the packed element payloads
 //! (`sign|mantissa`, `sign|flag|mantissa`, or `sign|exp|mantissa`),
 //! with no padding between fields — plus the two kernel operands that
 //! layout factors every weight into:

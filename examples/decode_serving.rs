@@ -5,7 +5,8 @@
 //! its sharpest form. This example sweeps KV length through the session's
 //! simulator, comparing a scalar-FP32 nonlinear baseline against BBAL's
 //! segmented-LUT unit, then decodes real tokens through the session's
-//! KV-cached serving path and the engine's pre-encoded `KvState`.
+//! KV-cached serving path and one decode attention step through the
+//! engine's hardware numerics.
 //!
 //! Run with: `cargo run --release --example decode_serving`
 
@@ -50,8 +51,8 @@ fn main() -> Result<(), SessionError> {
     println!("KV cache now holds {} tokens", session.kv_len());
 
     // One decode attention step through the full hardware numerics: the
-    // engine's KvState keeps K pre-encoded (transposed into the weight
-    // buffer once), so each step encodes only the new query row.
+    // newest query row attending over every cached key is a one-row
+    // cross attention.
     let (kv_len, dh) = (256usize, 64usize);
     let mut engine = session.engine()?;
     let q = Tensor::from_vec(1, dh, (0..dh).map(|i| ((i as f32) * 0.3).sin()).collect());
@@ -69,8 +70,7 @@ fn main() -> Result<(), SessionError> {
             .map(|i| ((i as f32) * 0.011).sin() * 0.5)
             .collect(),
     );
-    let cache = engine.cache_kv(&k, &v);
-    let out = engine.decode_attention(&q, &cache);
+    let out = engine.cross_attention(&q, &k, &v);
     println!(
         "\nquantised decode attention over a {kv_len}-token cache: out[0..4] = {:?}",
         &out.row(0)[..4]

@@ -125,9 +125,9 @@ fn deterministic_across_runs() {
 
 #[test]
 fn session_serving_agrees_with_session_engine_numerics() -> Result<(), SessionError> {
-    // The session's decode path and the engine's KV state are two views
-    // of the same serving design; both must run end to end from one
-    // builder.
+    // The session's KV-cached decode path and the engine's one-row cross
+    // attention (a decode step through the hardware numerics) must both
+    // run end to end from one builder.
     let mut session = SessionBuilder::new()
         .model("Tiny")
         .scheme("bbfp:4,2")
@@ -151,8 +151,7 @@ fn session_serving_agrees_with_session_engine_numerics() -> Result<(), SessionEr
         (0..8 * dh).map(|i| (i as f32 * 0.05).cos()).collect(),
     );
     let q = Tensor::from_vec(1, dh, (0..dh).map(|i| (i as f32 * 0.11).sin()).collect());
-    let cache = engine.cache_kv(&k, &v);
-    let out = engine.decode_attention(&q, &cache);
+    let out = engine.cross_attention(&q, &k, &v);
     assert!(out.data().iter().all(|x| x.is_finite()));
     Ok(())
 }

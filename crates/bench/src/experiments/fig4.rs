@@ -13,6 +13,7 @@ use bbal_core::{select_overlap_width, SchemeSpec};
 use bbal_llm::{zoo, TransformerModel};
 use bbal_session::SessionBuilder;
 use std::io::{self, Write};
+use std::sync::Arc;
 
 /// Runs the experiment, printing the reproduced series.
 ///
@@ -25,7 +26,7 @@ pub fn run(w: &mut dyn Write) -> io::Result<()> {
         "# Fig 4: overlap-width selection (Algorithm 1) for BBFP(6,o), Llama-7B stand-in\n"
     )?;
     let lib = GateLibrary::default();
-    let model = TransformerModel::synthesize(&zoo::llama_7b());
+    let model = Arc::new(TransformerModel::synthesize(&zoo::llama_7b()));
 
     // Evaluate each candidate once; Algorithm 1 then reads the cache.
     let mut ppl_cache = Vec::new();
@@ -33,7 +34,7 @@ pub fn run(w: &mut dyn Write) -> io::Result<()> {
     for o in 0..6u8 {
         let scheme = SchemeSpec::Bbfp(6, o);
         let session = SessionBuilder::new()
-            .with_model(model.clone())
+            .with_model(Arc::clone(&model))
             .scheme_spec(scheme)
             .eval_set(2, 24, 17)
             .build()

@@ -16,6 +16,7 @@ use bbal_llm::{zoo, TransformerModel};
 use bbal_quant::FIG8_SCHEMES;
 use bbal_session::SessionBuilder;
 use std::io::{self, Write};
+use std::sync::Arc;
 
 /// Runs the experiment, printing the reproduced rows.
 ///
@@ -46,10 +47,10 @@ pub fn run(w: &mut dyn Write) -> io::Result<()> {
     for (bucket, specs) in [(&mut llama_ppl, &llama_specs), (&mut opt_ppl, &opt_specs)] {
         for spec in specs.iter() {
             // One synthesis per model, shared by all per-scheme sessions.
-            let model = TransformerModel::synthesize(spec);
+            let model = Arc::new(TransformerModel::synthesize(spec));
             for (mi, &scheme) in FIG8_SCHEMES.iter().enumerate() {
                 let session = SessionBuilder::new()
-                    .with_model(model.clone())
+                    .with_model(Arc::clone(&model))
                     .scheme_spec(scheme)
                     .eval_set(2, 24, 888)
                     .build()

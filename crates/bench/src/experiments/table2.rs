@@ -10,6 +10,7 @@ use bbal_llm::{zoo, TransformerModel};
 use bbal_quant::TABLE2_SCHEMES;
 use bbal_session::SessionBuilder;
 use std::io::{self, Write};
+use std::sync::Arc;
 
 /// Runs the experiment, printing the reproduced rows.
 ///
@@ -35,10 +36,10 @@ pub fn run(w: &mut dyn Write) -> io::Result<()> {
 
     for spec in &models {
         // Synthesise each model once; every per-scheme session shares it.
-        let model = TransformerModel::synthesize(spec);
+        let model = Arc::new(TransformerModel::synthesize(spec));
         for (mi, &scheme) in TABLE2_SCHEMES.iter().enumerate() {
             let session = SessionBuilder::new()
-                .with_model(model.clone())
+                .with_model(Arc::clone(&model))
                 .scheme_spec(scheme)
                 .eval_set(2, 24, 1234)
                 .build()

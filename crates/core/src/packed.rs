@@ -42,7 +42,7 @@
 //!   nothing;
 //! * power-of-two scaling commutes with rounding: `fl(a·(m·2^s)) =
 //!   fl((a·2^s)·m) = fl(a·m)·2^s` whenever no intermediate is subnormal
-//!   or infinite — true for the exponent ranges block formats produce;
+//!   or infinite — the GEMMs check this per activation row (see below);
 //! * accumulation order is preserved: the GEMMs accumulate each output
 //!   element in ascending-`k` order with the same `a == 0.0` skip as the
 //!   reference i-k-j loop, and `fl((x+y)·2^s) = fl(x·2^s + y·2^s)` makes
@@ -55,8 +55,18 @@
 //! FP16 keeps its raw bits next to an exact f32 lane
 //! ([`LayoutKind::Fp16`]). Packing *verifies* itself: the packed bytes
 //! are decoded and compared bit-for-bit against the input, falling back
-//! to the dense layout on any mismatch, so the invariant holds
-//! unconditionally.
+//! to the dense layout on any mismatch.
+//!
+//! The activation side needs `a·2^s` to stay a normal f32. Every
+//! [`PackedMatrix`] GEMM checks that once per activation row: the row's
+//! smallest nonzero and largest magnitude against the matrix's smallest
+//! and largest block scale (recorded at pack time). A row that would
+//! leave the normal range, or that holds ±inf/NaN, takes the scalar
+//! `a·w` order instead. So the weight GEMMs are bit-identical to the
+//! scalar path for every input. The attention kernels
+//! ([`attn_dot_packed`], [`attn_weighted_sum_packed`]) fold the scale
+//! without that guard: for them the invariant still holds only while
+//! the folded products stay in the normal range.
 
 use crate::algebra::{self, AlgChunk, FormatAlgebra, ScaleKind};
 use crate::bfp::exp2i;
@@ -264,6 +274,9 @@ enum Layout {
         /// The scheme's block size — the stride of `scale` along the
         /// flat buffer.
         group: usize,
+        /// The smallest and largest entry of `scale`, recorded at pack
+        /// time for the per-row range guard ([`PackedMatrix::folds_exactly`]).
+        scale_range: (f32, f32),
     },
 }
 
@@ -319,8 +332,9 @@ impl PackedMatrix {
     /// layout, FP16 the binary16 layout; every other scheme — and any
     /// input the block encoder cannot reproduce bit-for-bit (e.g.
     /// values that did not come from this scheme's quantiser) — falls
-    /// back to a dense f32 lane, so the GEMM bit-identity invariant
-    /// holds unconditionally.
+    /// back to a dense f32 lane, so the weight side of the GEMM
+    /// bit-identity invariant never depends on the encoder; the
+    /// activation side is covered by the kernels' per-row range guard.
     ///
     /// # Panics
     ///
@@ -449,6 +463,9 @@ impl PackedMatrix {
             out_row.fill(0.0);
             match scale {
                 None => axpy_dense(x_row, lane, n, c0, c1, out_row),
+                Some((scale, group)) if !self.folds_exactly(x_row) => {
+                    axpy_unfolded(x_row, lane, scale, group, n, c0, c1, out_row);
+                }
                 Some((scale, group)) => {
                     if n.is_multiple_of(group)
                         && c0.is_multiple_of(group)
@@ -500,10 +517,14 @@ impl PackedMatrix {
         let n = self.cols;
         for i in 0..x_rows {
             let x_row = &x[i * n..(i + 1) * n];
+            let folds = self.folds_exactly(x_row);
             for r in r0..r1 {
                 let w_row = &lane[r * n..(r + 1) * n];
                 let acc = match scale {
                     None => dot_plain(x_row, w_row),
+                    Some((scale, group)) if !folds => {
+                        dot_unfolded(x_row, w_row, scale, group, r * n)
+                    }
                     // Row-aligned rows (the common decoder shapes, where
                     // n is a multiple of the block size) take the fast
                     // path: no per-segment flat-index division.
@@ -515,6 +536,36 @@ impl PackedMatrix {
                 out[i * width + (r - r0)] = acc;
             }
         }
+    }
+
+    /// The per-row range guard of the scale-folding kernels: true when
+    /// every `a·2^s` — any activation of `x_row` times any block scale of
+    /// this matrix — is an exact, normal f32, so `fl((a·2^s)·lane)`
+    /// equals the scalar `fl(a·w)` bit for bit. False for a row holding
+    /// ±inf or NaN, or whose smallest nonzero / largest magnitude would
+    /// leave the normal range against the matrix's smallest / largest
+    /// block scale; such rows take the scalar `a·w` order instead. Always
+    /// true for layouts without block scales.
+    fn folds_exactly(&self, x_row: &[f32]) -> bool {
+        let Layout::Block {
+            scale_range: (lo, hi),
+            ..
+        } = &self.layout
+        else {
+            return true;
+        };
+        let (mut min, mut max) = (f32::INFINITY, 0.0f32);
+        for &a in x_row {
+            let m = a.abs();
+            if !m.is_finite() {
+                return false;
+            }
+            if m != 0.0 {
+                min = min.min(m);
+                max = max.max(m);
+            }
+        }
+        max == 0.0 || (min * lo >= f32::MIN_POSITIVE && max * hi <= f32::MAX)
     }
 
     /// The kernel operands: the f32 lane and, for the block layout, the
@@ -569,6 +620,9 @@ fn pack_blocks(values: &[f32], alg: FormatAlgebra) -> Option<Layout> {
         algebra::write_chunk(&mut w, &encoded, &alg);
     }
     let bit_len = w.bit_len();
+    let scale_range = scale.iter().fold((f32::INFINITY, 0.0f32), |(lo, hi), &s| {
+        (lo.min(s), hi.max(s))
+    });
     Some(Layout::Block {
         alg,
         bytes: w.into_bytes(),
@@ -576,6 +630,7 @@ fn pack_blocks(values: &[f32], alg: FormatAlgebra) -> Option<Layout> {
         lane,
         scale,
         group,
+        scale_range,
     })
 }
 
@@ -719,6 +774,42 @@ fn axpy_block_ragged(
             j = seg_end;
         }
     }
+}
+
+/// Block-layout axpy in the scalar reference order, for activation rows
+/// the range guard rejects: each weight is rebuilt as `lane·2^s` (exact —
+/// it is the stored value) before the product, so every term is the
+/// reference `fl(a·w)`; ascending `k` with the reference zero skip.
+#[allow(clippy::too_many_arguments)]
+fn axpy_unfolded(
+    x_row: &[f32],
+    lane: &[f32],
+    scale: &[f32],
+    group: usize,
+    n: usize,
+    c0: usize,
+    c1: usize,
+    out_row: &mut [f32],
+) {
+    for (k, &a) in x_row.iter().enumerate() {
+        if a == 0.0 {
+            continue;
+        }
+        for (j, o) in (c0..c1).zip(out_row.iter_mut()) {
+            let flat = k * n + j;
+            *o += a * (lane[flat] * scale[flat / group]);
+        }
+    }
+}
+
+/// Sequential dot in the scalar reference order against weights rebuilt
+/// as `lane·2^s` — the transposed counterpart of [`axpy_unfolded`].
+fn dot_unfolded(x_row: &[f32], w_row: &[f32], scale: &[f32], group: usize, flat0: usize) -> f32 {
+    let mut acc = 0.0f32;
+    for (j, (x, l)) in x_row.iter().zip(w_row).enumerate() {
+        acc += x * (l * scale[(flat0 + j) / group]);
+    }
+    acc
 }
 
 /// Sequential dot product (the transposed-GEMM reference order).

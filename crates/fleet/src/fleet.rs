@@ -14,8 +14,9 @@
 use crate::report::{FleetReport, ReplicaSlice};
 use crate::router::{ReplicaSignals, RoutePolicy, Router};
 use crate::FleetError;
-use bbal_serve::{GenerateRequest, ServeConfig, ServeRuntime};
+use bbal_serve::{GenerateRequest, ServeConfig, ServeError, ServeRuntime};
 use bbal_session::SessionBuilder;
+use std::collections::HashMap;
 
 /// One replica's build recipe: a name for the report, the model it
 /// serves, and its serving configuration (KV budget, admission policy,
@@ -82,16 +83,27 @@ impl Fleet {
             return Err(FleetError::NoReplicas);
         }
         let count = specs.len();
+        // Replicas of one model share one resolved template, so the fleet
+        // holds one copy of each model's weights (and of each prepared
+        // scheme) however many replicas serve it.
+        let mut templates: HashMap<String, SessionBuilder> = HashMap::new();
         let replicas = specs
             .into_iter()
             .map(|spec| {
-                let template = SessionBuilder::new().model(&spec.model);
-                let runtime = ServeRuntime::new(template, spec.config).map_err(|source| {
-                    FleetError::Replica {
+                let template = match templates.get(&spec.model) {
+                    Some(t) => Ok(t.clone()),
+                    None => SessionBuilder::new()
+                        .model(&spec.model)
+                        .resolve_model()
+                        .map(|t| templates.entry(spec.model.clone()).or_insert(t).clone())
+                        .map_err(ServeError::from),
+                };
+                let runtime = template
+                    .and_then(|t| ServeRuntime::new(t, spec.config))
+                    .map_err(|source| FleetError::Replica {
                         name: spec.name.clone(),
                         source,
-                    }
-                })?;
+                    })?;
                 Ok(Replica {
                     name: spec.name,
                     runtime,

@@ -20,25 +20,43 @@ use crate::rng::Stream;
 use crate::tensor::Tensor;
 use crate::zoo::{Family, ModelSpec};
 use bbal_core::{attn_dot_packed, attn_weighted_sum_packed, PackedMatrix, SchemeSpec};
+use std::borrow::Cow;
 use std::sync::Arc;
 
-/// The weight matrices of one decoder layer.
+/// The weight matrices of one decoder layer, in one storage form `W`:
+/// dense [`Tensor`]s by default, [`PackedMatrix`]es inside a packed
+/// model.
 #[derive(Debug, Clone)]
-pub struct LayerWeights {
+pub struct LayerWeights<W = Tensor> {
     /// Query projection, `hidden × hidden`.
-    pub wq: Tensor,
+    pub wq: W,
     /// Key projection, `hidden × hidden`.
-    pub wk: Tensor,
+    pub wk: W,
     /// Value projection, `hidden × hidden`.
-    pub wv: Tensor,
+    pub wv: W,
     /// Attention output projection, `hidden × hidden`.
-    pub wo: Tensor,
+    pub wo: W,
     /// FFN gate projection (`hidden × ffn`), Llama family only.
-    pub w_gate: Option<Tensor>,
+    pub w_gate: Option<W>,
     /// FFN up projection, `hidden × ffn`.
-    pub w_up: Tensor,
+    pub w_up: W,
     /// FFN down projection, `ffn × hidden`.
-    pub w_down: Tensor,
+    pub w_down: W,
+}
+
+impl<W> LayerWeights<W> {
+    /// The same layer with every matrix converted by `f`.
+    fn map<U>(&self, mut f: impl FnMut(&W) -> U) -> LayerWeights<U> {
+        LayerWeights {
+            wq: f(&self.wq),
+            wk: f(&self.wk),
+            wv: f(&self.wv),
+            wo: f(&self.wo),
+            w_gate: self.w_gate.as_ref().map(&mut f),
+            w_up: f(&self.w_up),
+            w_down: f(&self.w_down),
+        }
+    }
 }
 
 impl LayerWeights {
@@ -278,26 +296,59 @@ impl Drop for KvCache {
     }
 }
 
-/// One decoder layer's weights in packed storage (mirrors
-/// [`LayerWeights`] matrix for matrix).
-#[derive(Debug)]
-struct PackedLayer {
-    wq: PackedMatrix,
-    wk: PackedMatrix,
-    wv: PackedMatrix,
-    wo: PackedMatrix,
-    w_gate: Option<PackedMatrix>,
-    w_up: PackedMatrix,
-    w_down: PackedMatrix,
+/// The decoder's linear weights — every layer plus the unembedding
+/// head — in one storage form `W`.
+#[derive(Debug, Clone)]
+struct Linears<W> {
+    layers: Vec<LayerWeights<W>>,
+    unembedding: W,
 }
 
-/// Every decoder weight of a model packed for one scheme (built once at
-/// prepare time, shared by reference between model clones).
-#[derive(Debug)]
-struct PackedWeights {
-    scheme: SchemeSpec,
-    layers: Vec<PackedLayer>,
-    unembedding: PackedMatrix,
+impl Linears<PackedMatrix> {
+    /// Every matrix decoded from its packed storage (exact: packing
+    /// never re-quantises).
+    fn decode(&self) -> Linears<Tensor> {
+        let dense = |p: &PackedMatrix| Tensor::from_vec(p.rows(), p.cols(), p.decode());
+        Linears {
+            layers: self.layers.iter().map(|l| l.map(dense)).collect(),
+            unembedding: dense(&self.unembedding),
+        }
+    }
+}
+
+/// Where a model's linear weights live: exactly one copy, dense or
+/// packed.
+#[derive(Debug, Clone)]
+enum Weights {
+    /// Dense f32 tensors: a synthesised or PTQ-transformed model.
+    Dense(Linears<Tensor>),
+    /// Packed for the scheme by [`TransformerModel::pack_weights`] —
+    /// the only copy of a prepared model's weights.
+    Packed(SchemeSpec, Linears<PackedMatrix>),
+}
+
+/// `x · W` for one decoder weight, in whichever storage holds it.
+trait Linear {
+    fn apply(&self, x: &Tensor, workers: usize) -> Tensor;
+}
+
+impl Linear for Tensor {
+    /// The scalar reference GEMM.
+    fn apply(&self, x: &Tensor, _workers: usize) -> Tensor {
+        x.matmul(self)
+    }
+}
+
+impl Linear for PackedMatrix {
+    /// The packed kernel, fanned out over `workers` threads —
+    /// bit-identical to `Tensor::matmul` over the decoded weights by the
+    /// packed storage invariant (see `bbal_core::packed`).
+    fn apply(&self, x: &Tensor, workers: usize) -> Tensor {
+        assert_eq!(x.cols(), self.rows(), "matmul shape mismatch");
+        let mut out = Tensor::zeros(x.rows(), self.cols());
+        crate::gemm::gemm(self, x.data(), x.rows(), workers, out.data_mut());
+        out
+    }
 }
 
 /// A decoder-only transformer with synthetic weights.
@@ -308,18 +359,15 @@ struct PackedWeights {
 /// GEMM in [`prefill_chunk`](TransformerModel::prefill_chunk) (and so
 /// in `forward`, `prefill` and `decode_step`) then routes
 /// through the packed block-dot kernels — bit-identical to the scalar
-/// path by the packed storage invariant (see `bbal_core::packed`).
+/// path by the packed storage invariant (see `bbal_core::packed`). A
+/// packed model keeps its linear weights *only* in packed form; the
+/// dense tensors are decoded on demand ([`TransformerModel::layers`]).
 #[derive(Debug, Clone)]
 pub struct TransformerModel {
     spec: ModelSpec,
     embedding: Tensor,
-    layers: Vec<LayerWeights>,
-    unembedding: Tensor,
+    weights: Weights,
     outlier_channels: Vec<usize>,
-    /// Packed decoder weights, shared between clones; dropped by any
-    /// weight transform (the pack mirrors the weights it was built
-    /// from).
-    packed: Option<Arc<PackedWeights>>,
     /// Worker threads the packed GEMM driver may fan out to (1 =
     /// inline, no spawning). Any value produces identical bits.
     gemm_workers: usize,
@@ -465,10 +513,11 @@ impl TransformerModel {
         TransformerModel {
             spec: spec.clone(),
             embedding,
-            layers,
-            unembedding,
+            weights: Weights::Dense(Linears {
+                layers,
+                unembedding,
+            }),
             outlier_channels,
-            packed: None,
             gemm_workers: 1,
         }
     }
@@ -478,9 +527,25 @@ impl TransformerModel {
         &self.spec
     }
 
-    /// The decoder layers (for inspection and statistics).
-    pub fn layers(&self) -> &[LayerWeights] {
-        &self.layers
+    /// The decoder layers as dense tensors (for inspection and
+    /// statistics). Borrowed from a dense model; a packed model holds
+    /// its weights only in packed form, so for it every matrix is
+    /// decoded from the packed bits (exactly the weights it computes
+    /// with).
+    pub fn layers(&self) -> Cow<'_, [LayerWeights]> {
+        match self.dense() {
+            Cow::Borrowed(w) => Cow::Borrowed(&w.layers),
+            Cow::Owned(w) => Cow::Owned(w.layers),
+        }
+    }
+
+    /// The linear weights as dense tensors: borrowed, or decoded from
+    /// the packed storage.
+    fn dense(&self) -> Cow<'_, Linears<Tensor>> {
+        match &self.weights {
+            Weights::Dense(w) => Cow::Borrowed(w),
+            Weights::Packed(_, linears) => Cow::Owned(linears.decode()),
+        }
     }
 
     /// Hidden channels designated as outlier carriers.
@@ -493,13 +558,17 @@ impl TransformerModel {
     /// weight matrix once). Embedding and unembedding stay full precision,
     /// as is standard for W/A quantisation studies.
     pub fn with_transformed_weights(&self, hooks: &impl InferenceHooks) -> TransformerModel {
-        let mut clone = self.clone();
-        // Any stale pack belongs to the weights before this transform.
-        clone.packed = None;
-        for layer in &mut clone.layers {
+        let mut linears = self.dense().into_owned();
+        for layer in &mut linears.layers {
             layer.for_each_weight_mut(&mut |w| hooks.transform_weights(w));
         }
-        clone
+        TransformerModel {
+            spec: self.spec.clone(),
+            embedding: self.embedding.clone(),
+            weights: Weights::Dense(linears),
+            outlier_channels: self.outlier_channels.clone(),
+            gemm_workers: self.gemm_workers,
+        }
     }
 
     /// Packs every decoder weight matrix into `scheme`'s native bit
@@ -508,38 +577,31 @@ impl TransformerModel {
     /// that produced the weights; any weight the layout cannot reproduce
     /// bit-for-bit falls back to a dense lane, so outputs are identical
     /// either way. The unembedding stays full precision (as in PTQ) and
-    /// packs as an f32 lane.
+    /// packs as an f32 lane. The dense tensors are dropped: the packed
+    /// form becomes the model's only copy of its linear weights.
     pub fn pack_weights(&mut self, scheme: SchemeSpec) {
-        let pack = |t: &Tensor| PackedMatrix::pack(t.data(), t.rows(), t.cols(), scheme);
-        let layers = self
-            .layers
-            .iter()
-            .map(|l| PackedLayer {
-                wq: pack(&l.wq),
-                wk: pack(&l.wk),
-                wv: pack(&l.wv),
-                wo: pack(&l.wo),
-                w_gate: l.w_gate.as_ref().map(pack),
-                w_up: pack(&l.w_up),
-                w_down: pack(&l.w_down),
-            })
-            .collect();
-        let unembedding = PackedMatrix::pack(
-            self.unembedding.data(),
-            self.unembedding.rows(),
-            self.unembedding.cols(),
-            SchemeSpec::Fp32,
-        );
-        self.packed = Some(Arc::new(PackedWeights {
-            scheme,
-            layers,
-            unembedding,
-        }));
+        let linears = {
+            let dense = self.dense();
+            let pack =
+                |t: &Tensor, scheme| PackedMatrix::pack(t.data(), t.rows(), t.cols(), scheme);
+            Linears {
+                layers: dense
+                    .layers
+                    .iter()
+                    .map(|l| l.map(|t| pack(t, scheme)))
+                    .collect(),
+                unembedding: pack(&dense.unembedding, SchemeSpec::Fp32),
+            }
+        };
+        self.weights = Weights::Packed(scheme, linears);
     }
 
     /// The scheme the decoder weights are currently packed for, if any.
     pub fn packed_scheme(&self) -> Option<SchemeSpec> {
-        self.packed.as_ref().map(|p| p.scheme)
+        match &self.weights {
+            Weights::Dense(_) => None,
+            Weights::Packed(scheme, _) => Some(*scheme),
+        }
     }
 
     /// Sets how many worker threads the packed GEMM driver may fan out
@@ -552,21 +614,6 @@ impl TransformerModel {
     /// The packed GEMM driver's worker-thread budget.
     pub fn gemm_workers(&self) -> usize {
         self.gemm_workers
-    }
-
-    /// `x · w`, routed through the packed kernel when a packed mirror of
-    /// `w` is available (bit-identical to `Tensor::matmul` by the packed
-    /// storage invariant), else the scalar reference path.
-    fn mm(&self, x: &Tensor, w: &Tensor, packed: Option<&PackedMatrix>) -> Tensor {
-        match packed {
-            Some(p) => {
-                assert_eq!(x.cols(), p.rows(), "matmul shape mismatch");
-                let mut out = Tensor::zeros(x.rows(), p.cols());
-                crate::gemm::gemm(p, x.data(), x.rows(), self.gemm_workers, out.data_mut());
-                out
-            }
-            None => x.matmul(w),
-        }
     }
 
     fn normalise(&self, x: &Tensor) -> Tensor {
@@ -683,6 +730,21 @@ impl TransformerModel {
         hooks: &impl InferenceHooks,
         cache: &mut KvCache,
     ) -> Tensor {
+        match &self.weights {
+            Weights::Dense(w) => self.decode_chunk(w, tokens, hooks, cache),
+            Weights::Packed(_, linears) => self.decode_chunk(linears, tokens, hooks, cache),
+        }
+    }
+
+    /// The decoder body of [`prefill_chunk`](TransformerModel::prefill_chunk),
+    /// over whichever storage holds the weights.
+    fn decode_chunk<W: Linear>(
+        &self,
+        weights: &Linears<W>,
+        tokens: &[usize],
+        hooks: &impl InferenceHooks,
+        cache: &mut KvCache,
+    ) -> Tensor {
         self.check_cache(cache);
         assert!(!tokens.is_empty(), "empty token sequence");
         let h = self.spec.hidden;
@@ -698,15 +760,14 @@ impl TransformerModel {
             x.row_mut(i).copy_from_slice(self.embedding.row(t));
         }
 
-        let packed = self.packed.as_deref();
-        for (li, layer) in self.layers.iter().enumerate() {
-            let pl = packed.map(|p| &p.layers[li]);
+        let workers = self.gemm_workers;
+        for (li, layer) in weights.layers.iter().enumerate() {
             // --- Attention block ---
             let mut a = self.normalise(&x);
             hooks.transform_activations(a.data_mut());
-            let q = self.mm(&a, &layer.wq, pl.map(|p| &p.wq));
-            let k = self.mm(&a, &layer.wk, pl.map(|p| &p.wk));
-            let v = self.mm(&a, &layer.wv, pl.map(|p| &p.wv));
+            let q = layer.wq.apply(&a, workers);
+            let k = layer.wk.apply(&a, workers);
+            let v = layer.wv.apply(&a, workers);
             for r in 0..new {
                 cache.push_layer_row(li, k.row(r), v.row(r));
             }
@@ -741,26 +802,26 @@ impl TransformerModel {
                 }
             }
             hooks.transform_activations(ctx.data_mut());
-            let attn_out = self.mm(&ctx, &layer.wo, pl.map(|p| &p.wo));
+            let attn_out = layer.wo.apply(&ctx, workers);
             x.add_assign(&attn_out);
 
             // --- FFN block ---
             let mut f = self.normalise(&x);
             hooks.transform_activations(f.data_mut());
-            let ffn_out = match (&layer.w_gate, self.spec.family) {
-                (Some(w_gate), _) => {
-                    let mut gate = self.mm(&f, w_gate, pl.and_then(|p| p.w_gate.as_ref()));
+            let ffn_out = match &layer.w_gate {
+                Some(w_gate) => {
+                    let mut gate = w_gate.apply(&f, workers);
                     hooks.activation(gate.data_mut(), self.spec.activation());
-                    let up = self.mm(&f, &layer.w_up, pl.map(|p| &p.w_up));
+                    let up = layer.w_up.apply(&f, workers);
                     gate.mul_assign_elementwise(&up);
                     hooks.transform_activations(gate.data_mut());
-                    self.mm(&gate, &layer.w_down, pl.map(|p| &p.w_down))
+                    layer.w_down.apply(&gate, workers)
                 }
-                (None, _) => {
-                    let mut up = self.mm(&f, &layer.w_up, pl.map(|p| &p.w_up));
+                None => {
+                    let mut up = layer.w_up.apply(&f, workers);
                     hooks.activation(up.data_mut(), self.spec.activation());
                     hooks.transform_activations(up.data_mut());
-                    self.mm(&up, &layer.w_down, pl.map(|p| &p.w_down))
+                    layer.w_down.apply(&up, workers)
                 }
             };
             x.add_assign(&ffn_out);
@@ -768,11 +829,7 @@ impl TransformerModel {
         cache.len = past + new;
 
         let final_norm = self.normalise(&x);
-        self.mm(
-            &final_norm,
-            &self.unembedding,
-            packed.map(|p| &p.unembedding),
-        )
+        weights.unembedding.apply(&final_norm, workers)
     }
 
     /// One autoregressive decode step: processes `token` against the
@@ -810,7 +867,8 @@ mod tests {
 
     /// An independent reference decoder: dense whole-sequence attention
     /// (`Tensor::matmul` over a causally masked score matrix, no KV
-    /// cache) on the scalar GEMMs, ignoring any packed weights.
+    /// cache) on the scalar GEMMs, over the dense weights — decoded from
+    /// the packed bits for a packed model.
     fn reference(
         model: &TransformerModel,
         tokens: &[usize],
@@ -823,7 +881,8 @@ mod tests {
         for (i, &t) in tokens.iter().enumerate() {
             x.row_mut(i).copy_from_slice(model.embedding.row(t));
         }
-        for layer in &model.layers {
+        let weights = model.dense();
+        for layer in &weights.layers {
             let mut a = model.normalise(&x);
             hooks.transform_activations(a.data_mut());
             let (q, k, v) = (
@@ -866,7 +925,7 @@ mod tests {
             hooks.transform_activations(inner.data_mut());
             x.add_assign(&inner.matmul(&layer.w_down));
         }
-        model.normalise(&x).matmul(&model.unembedding)
+        model.normalise(&x).matmul(&weights.unembedding)
     }
 
     #[test]
@@ -1285,22 +1344,68 @@ mod tests {
         );
     }
 
+    /// A PTQ hook quantising every weight through a block scheme.
+    struct Quantise(KvStore);
+    impl InferenceHooks for Quantise {
+        fn transform_weights(&self, w: &mut [f32]) {
+            self.0.quantize_row(w);
+        }
+    }
+
+    const PACKED_SCHEMES: [&str; 5] = ["bfp:4", "bbfp:4,2", "bfp:6", "bbfp:6,3", "mx:8,4,2"];
+
     #[test]
     fn packed_weights_match_the_scalar_reference() {
         // Packed block-dot GEMMs reproduce the reference decoder's
-        // scalar GEMMs bit for bit on block-quantised weights.
-        struct Quantise;
-        impl InferenceHooks for Quantise {
-            fn transform_weights(&self, w: &mut [f32]) {
-                store("bbfp:4,2", true, false).quantize_row(w);
-            }
+        // scalar GEMMs — run over the weights decoded from the packed
+        // bits — bit for bit on block-quantised weights.
+        for scheme in PACKED_SCHEMES {
+            let mut model = TransformerModel::synthesize(&tiny_test_model())
+                .with_transformed_weights(&Quantise(store(scheme, true, false)));
+            model.pack_weights(scheme.parse().unwrap());
+            let tokens = [1usize, 5, 9, 2];
+            let scalar = reference(&model, &tokens, &ExactHooks);
+            let packed = model.forward(&tokens, &ExactHooks);
+            assert_eq!(packed.data(), scalar.data(), "{scheme}");
         }
-        let mut model =
-            TransformerModel::synthesize(&tiny_test_model()).with_transformed_weights(&Quantise);
-        model.pack_weights("bbfp:4,2".parse().unwrap());
-        let tokens = [1usize, 5, 9, 2];
-        let scalar = reference(&model, &tokens, &ExactHooks);
-        assert_eq!(model.forward(&tokens, &ExactHooks).data(), scalar.data());
+    }
+
+    #[test]
+    fn packed_model_keeps_only_packed_weights_and_decodes_them_exactly() {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let layer_bits = |l: &LayerWeights| {
+            let mut out = Vec::new();
+            l.clone()
+                .for_each_weight_mut(&mut |w| out.extend(w.iter().map(|v| v.to_bits())));
+            out
+        };
+        for scheme in PACKED_SCHEMES {
+            let transformed = TransformerModel::synthesize(&tiny_test_model())
+                .with_transformed_weights(&Quantise(store(scheme, true, false)));
+            let mut packed = transformed.clone();
+            packed.pack_weights(scheme.parse().unwrap());
+            assert!(
+                matches!(packed.weights, Weights::Packed(..)),
+                "no dense mirror"
+            );
+            assert!(matches!(packed.layers(), Cow::Owned(_)), "layers() decodes");
+            // Every matrix decodes bit for bit to the PTQ tensors it was
+            // packed from, the full-precision unembedding included.
+            let (want, got) = (transformed.dense(), packed.dense());
+            assert_eq!(got.layers.len(), want.layers.len());
+            for (g, w) in got.layers.iter().zip(&want.layers) {
+                assert_eq!(layer_bits(g), layer_bits(w), "{scheme}");
+            }
+            assert_eq!(bits(&got.unembedding), bits(&want.unembedding), "{scheme}");
+            // Re-transforming a packed model starts from the decoded
+            // weights, never from stale or empty ones.
+            let again = packed.with_transformed_weights(&ExactHooks);
+            assert_eq!(again.packed_scheme(), None);
+            assert_eq!(
+                bits(&again.layers()[0].wq),
+                bits(&transformed.layers()[0].wq)
+            );
+        }
     }
 
     #[test]

@@ -148,7 +148,7 @@ pub fn collect_activations_by_layer(
 /// Collects all linear weights of the model into one flat vector.
 pub fn collect_weights(model: &TransformerModel) -> Vec<f32> {
     let mut out = Vec::new();
-    for layer in model.layers() {
+    for layer in model.layers().iter() {
         let mut layer = layer.clone();
         layer.for_each_weight_mut(&mut |w| out.extend_from_slice(w));
     }

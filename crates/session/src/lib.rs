@@ -20,6 +20,14 @@
 //! * [`Session::engine`] — the bit-faithful hardware datapath for BBFP
 //!   schemes (Fig. 7).
 //!
+//! **One resident copy of the model.** Sessions never copy weights. The
+//! reference model lives behind an `Arc`: every session built from one
+//! resolved builder ([`SessionBuilder::resolve_model`],
+//! [`SessionBuilder::with_model`]) or its clones shares it. The prepared
+//! model of each model+scheme pairing is built once and shared through
+//! the builder's cache, and it keeps its decoder weights only in packed
+//! form.
+//!
 //! ```
 //! use bbal_session::SessionBuilder;
 //!
@@ -154,7 +162,7 @@ impl From<ConfigError> for SessionError {
 enum ModelChoice {
     Name(String),
     Spec(ModelSpec),
-    Built(TransformerModel),
+    Built(Arc<TransformerModel>),
 }
 
 #[derive(Debug, Clone)]
@@ -245,9 +253,11 @@ impl SessionBuilder {
     }
 
     /// Uses an already-synthesised model instead of synthesising from a
-    /// spec — lets sweeps share one set of reference weights across many
-    /// per-scheme sessions.
-    pub fn with_model(mut self, model: TransformerModel) -> SessionBuilder {
+    /// spec. The model is shared, not copied: every session built from
+    /// this builder (and from its clones) holds the same reference
+    /// weights through the `Arc`, so a sweep that hands one model to many
+    /// per-scheme builders keeps one resident copy of it.
+    pub fn with_model(mut self, model: Arc<TransformerModel>) -> SessionBuilder {
         self.model = ModelChoice::Built(model);
         self
     }
@@ -344,25 +354,29 @@ impl SessionBuilder {
 
     /// Resolves the model choice *now* (name lookup + weight synthesis)
     /// and stores the built model, so every later [`SessionBuilder::build`]
-    /// on clones of this builder shares the same reference weights instead
-    /// of re-synthesising them — what a session pool wants when it builds
-    /// one session per scheme over a single model.
+    /// on clones of this builder shares the same reference weights (one
+    /// `Arc`) instead of re-synthesising them — what a session pool wants
+    /// when it builds one session per scheme over a single model.
     ///
     /// # Errors
     ///
     /// [`SessionError::UnknownModel`] if a model name is not in the zoo.
     pub fn resolve_model(mut self) -> Result<SessionBuilder, SessionError> {
-        let model = match self.model {
-            ModelChoice::Name(ref name) => {
-                let spec =
-                    zoo::find(name).ok_or_else(|| SessionError::UnknownModel(name.clone()))?;
-                TransformerModel::synthesize(&spec)
-            }
-            ModelChoice::Spec(ref spec) => TransformerModel::synthesize(spec),
-            ModelChoice::Built(model) => model,
-        };
-        self.model = ModelChoice::Built(model);
+        self.model = ModelChoice::Built(self.reference_model()?);
         Ok(self)
+    }
+
+    /// The reference model the builder names: synthesised for a name or
+    /// spec, shared for an already-built one.
+    fn reference_model(&self) -> Result<Arc<TransformerModel>, SessionError> {
+        let spec = match &self.model {
+            ModelChoice::Name(name) => {
+                zoo::find(name).ok_or_else(|| SessionError::UnknownModel(name.clone()))?
+            }
+            ModelChoice::Spec(spec) => spec.clone(),
+            ModelChoice::Built(model) => return Ok(Arc::clone(model)),
+        };
+        Ok(Arc::new(TransformerModel::synthesize(&spec)))
     }
 
     /// Resolves every choice and assembles the session: parses/validates
@@ -383,15 +397,7 @@ impl SessionBuilder {
                 *s
             }
         };
-        let reference = match self.model {
-            ModelChoice::Name(ref name) => {
-                let spec =
-                    zoo::find(name).ok_or_else(|| SessionError::UnknownModel(name.clone()))?;
-                TransformerModel::synthesize(&spec)
-            }
-            ModelChoice::Spec(ref spec) => TransformerModel::synthesize(spec),
-            ModelChoice::Built(model) => model,
-        };
+        let reference = self.reference_model()?;
         let spec = reference.spec().clone();
         if self.pe_rows == 0 || self.pe_cols == 0 {
             return Err(ConfigError::Geometry {
@@ -443,7 +449,9 @@ pub struct Session {
     scheme: SchemeSpec,
     spec: ModelSpec,
     hooks: Box<dyn InferenceHooks + Send>,
-    reference: TransformerModel,
+    /// The unquantised reference weights, shared with every session built
+    /// from the same resolved builder.
+    reference: Arc<TransformerModel>,
     prepared: Option<Arc<TransformerModel>>,
     gemm_workers: usize,
     prepared_cache: PreparedCache,
@@ -974,9 +982,9 @@ mod tests {
     fn with_model_shares_reference_weights_across_schemes() {
         // A sweep can synthesise once and hand the same weights to every
         // per-scheme session.
-        let model = TransformerModel::synthesize(&zoo::tiny_test_model());
+        let model = Arc::new(TransformerModel::synthesize(&zoo::tiny_test_model()));
         let a = SessionBuilder::new()
-            .with_model(model.clone())
+            .with_model(Arc::clone(&model))
             .scheme("bbfp:4,2")
             .eval_set(2, 12, 99)
             .build()
@@ -989,6 +997,33 @@ mod tests {
             .unwrap();
         assert_eq!(a.evaluate(), b.evaluate());
         assert_eq!(a.model_spec().name, "Tiny");
+        // The sweep's sessions hold the caller's model, not copies of it.
+        let c = SessionBuilder::new()
+            .with_model(Arc::clone(&model))
+            .scheme("bfp4")
+            .build()
+            .unwrap();
+        assert!(Arc::ptr_eq(&a.reference, &model));
+        assert!(Arc::ptr_eq(&c.reference, &model));
+    }
+
+    #[test]
+    fn sessions_from_one_template_share_one_reference() {
+        // A serve pool's sessions: 64 builds from one resolved template
+        // hold one reference model between them.
+        let template = SessionBuilder::new().model("Tiny").resolve_model().unwrap();
+        let sessions: Vec<Session> = (0..64)
+            .map(|i| {
+                let scheme = if i % 2 == 0 { "bbfp:4,2" } else { "fp16" };
+                template.clone().scheme(scheme).build().unwrap()
+            })
+            .collect();
+        assert!(sessions
+            .iter()
+            .all(|s| Arc::ptr_eq(&s.reference, &sessions[0].reference)));
+        // An unresolved builder synthesises per build: nothing shared.
+        let lone = SessionBuilder::new().model("Tiny").build().unwrap();
+        assert!(!Arc::ptr_eq(&lone.reference, &sessions[0].reference));
     }
 
     #[test]
@@ -1323,6 +1358,38 @@ mod tests {
         let a = session.prepare().layers()[0].wq.get(0, 0);
         let b = session.prepare().layers()[0].wq.get(0, 0);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn prepared_weights_decode_to_the_ptq_tensors_for_every_scheme() {
+        // The prepared model keeps only packed weights: decoding them must
+        // give back the PTQ tensors bit for bit, and the packed serving
+        // path must reproduce the dense PTQ model's logits bit for bit.
+        let reference = TransformerModel::synthesize(&zoo::tiny_test_model());
+        let bits = |l: &bbal_llm::LayerWeights| {
+            let mut out = Vec::new();
+            l.clone()
+                .for_each_weight_mut(&mut |w| out.extend(w.iter().map(|v| v.to_bits())));
+            out
+        };
+        let prompt = [3usize, 1, 4, 1, 5];
+        for &scheme in bbal_quant::TABLE2_SCHEMES {
+            let mut session = SessionBuilder::new()
+                .model("Tiny")
+                .scheme_spec(scheme)
+                .build()
+                .unwrap();
+            let hooks = hooks_for(scheme).unwrap();
+            let dense = reference.with_transformed_weights(&hooks.as_ref());
+            let prepared = session.prepare();
+            assert_eq!(prepared.packed_scheme(), Some(scheme));
+            for (p, d) in prepared.layers().iter().zip(dense.layers().iter()) {
+                assert_eq!(bits(p), bits(d), "{scheme}");
+            }
+            let packed = session.prefill(&prompt).unwrap();
+            let scalar = dense.prefill(&prompt, &hooks.as_ref(), &mut dense.kv_cache());
+            assert_eq!(packed.data(), scalar.data(), "{scheme}");
+        }
     }
 
     #[test]

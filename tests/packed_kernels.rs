@@ -344,3 +344,177 @@ fn fp32_dense_layout_is_the_identity() {
     assert_eq!(p.layout_kind(), LayoutKind::Dense);
     assert_eq!(p.decode(), w);
 }
+
+// ---------------------------------------------------------------------
+// Adversarial-range battery
+// ---------------------------------------------------------------------
+
+/// Weights of magnitude ~1e-3, quantised by the scheme's own PTQ hook:
+/// small enough that every block scale `2^s` sits well below 1, so a
+/// tiny activation folded into it (`a·2^s`) drops out of the normal f32
+/// range.
+fn milli_weights(scheme: SchemeSpec, n: usize, seed: u64) -> Vec<f32> {
+    let mut w: Vec<f32> = raw_values(n, seed).iter().map(|v| v * 2.5e-4).collect();
+    let hooks = hooks_for(scheme).expect("every sweep scheme has hooks");
+    hooks.transform_weights(&mut w);
+    w
+}
+
+/// One activation row per adversarial class, each `k` long: values near
+/// 1e-36, subnormals, values near `f32::MAX`, rows carrying ±inf or NaN
+/// among ordinary values, all-zero blocks next to tiny values, an
+/// all-zero row, and ordinary values interleaved with 1e-36.
+fn adversarial_rows(k: usize, seed: u64) -> Vec<(&'static str, Vec<f32>)> {
+    let mut s = seed | 1;
+    let mut draw = move || {
+        let r = xorshift(&mut s);
+        let sign = if r & 1 == 0 { 1.0f32 } else { -1.0 };
+        (sign, r)
+    };
+    let mut row = |f: &mut dyn FnMut(usize, f32, u64) -> f32| -> Vec<f32> {
+        (0..k)
+            .map(|j| {
+                let (sign, r) = draw();
+                f(j, sign, r)
+            })
+            .collect()
+    };
+    let unit = |r: u64| 1.0 + (r >> 40) as f32 / (1u64 << 24) as f32;
+    vec![
+        ("near 1e-36", row(&mut |_, sg, r| sg * 1e-36 * unit(r))),
+        (
+            "subnormal",
+            row(&mut |_, sg, r| sg * f32::from_bits((r % 0x7f_ffff) as u32 + 1)),
+        ),
+        (
+            "near f32::MAX",
+            row(&mut |_, sg, r| sg * f32::MAX * 0.499 * unit(r)),
+        ),
+        (
+            "±inf",
+            row(&mut |j, sg, r| match j % 11 {
+                3 => sg * f32::INFINITY,
+                _ => sg * 0.25 * unit(r),
+            }),
+        ),
+        (
+            "NaN",
+            row(&mut |j, sg, r| {
+                if j % 13 == 5 {
+                    f32::NAN
+                } else {
+                    sg * 0.5 * unit(r)
+                }
+            }),
+        ),
+        (
+            "zero blocks",
+            row(&mut |j, sg, r| {
+                if (j / 32) % 2 == 0 {
+                    0.0
+                } else {
+                    sg * 3e-37 * unit(r)
+                }
+            }),
+        ),
+        ("all zero", row(&mut |_, _, _| 0.0)),
+        (
+            "mixed",
+            row(&mut |j, sg, r| {
+                if j % 3 == 0 {
+                    sg * 1e-36 * unit(r)
+                } else {
+                    sg * unit(r)
+                }
+            }),
+        ),
+    ]
+}
+
+/// Bitwise equality with NaN matched by class: which NaN payload an IEEE
+/// operation returns is a platform detail, so a NaN must meet a NaN.
+fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+        assert!(same, "{what}: index {i} packed {g:e} vs scalar {w:e}");
+    }
+}
+
+/// Every weight GEMM entry point — `gemm`, `gemm_cols` over a two-way
+/// column split, `gemm_transposed` and `gemm_transposed_rows` over a
+/// two-way row split — equals the scalar `a·w` reference bit for bit on
+/// every adversarial activation class, for BFP4, BBFP(4,2), BFP6, every
+/// Table II scheme and the algebra families, on aligned and ragged
+/// shapes.
+#[test]
+fn weight_gemms_match_scalar_on_adversarial_activations() {
+    let mut schemes = vec![
+        SchemeSpec::Bfp(4),
+        SchemeSpec::Bbfp(4, 2),
+        SchemeSpec::Bfp(6),
+    ];
+    schemes.extend(sweep_schemes());
+    for scheme in schemes {
+        for (k, n) in [(64, 96), (37, 45)] {
+            let seed = (k * 1000 + n) as u64;
+            let rows = adversarial_rows(k, seed);
+            let x_rows = rows.len();
+            let x: Vec<f32> = rows.iter().flat_map(|(_, r)| r.iter().copied()).collect();
+            let w = milli_weights(scheme, k * n, seed);
+            let p = PackedMatrix::pack(&w, k, n, scheme);
+            assert_eq!(p.layout_kind(), expected_layout(scheme), "{scheme:?}");
+            let want = reference_matmul(&x, x_rows, &w, k, n);
+
+            let mut got = vec![f32::NAN; x_rows * n];
+            p.gemm(&x, x_rows, &mut got);
+            let mut split = vec![f32::NAN; x_rows * n];
+            let mid = n / 2;
+            let mut left = vec![f32::NAN; x_rows * mid];
+            let mut right = vec![f32::NAN; x_rows * (n - mid)];
+            p.gemm_cols(&x, x_rows, 0, mid, &mut left);
+            p.gemm_cols(&x, x_rows, mid, n, &mut right);
+            for i in 0..x_rows {
+                split[i * n..i * n + mid].copy_from_slice(&left[i * mid..(i + 1) * mid]);
+                split[i * n + mid..(i + 1) * n]
+                    .copy_from_slice(&right[i * (n - mid)..(i + 1) * (n - mid)]);
+            }
+            for (c, (name, _)) in rows.iter().enumerate() {
+                let r = c * n..(c + 1) * n;
+                let what = format!("{scheme:?} {k}x{n} {name}");
+                assert_same_bits(&got[r.clone()], &want[r.clone()], &format!("gemm {what}"));
+                assert_same_bits(&split[r.clone()], &want[r], &format!("gemm_cols {what}"));
+            }
+
+            // x · Wᵀ: the same weights read as an n × k matrix.
+            let xt: Vec<f32> = adversarial_rows(k, seed ^ 0x5A5A)
+                .into_iter()
+                .flat_map(|(_, r)| r)
+                .collect();
+            let pt = PackedMatrix::pack(&w, n, k, scheme);
+            let want_t = reference_matmul_transposed(&xt, x_rows, &w, n, k);
+            let mut got_t = vec![f32::NAN; x_rows * n];
+            pt.gemm_transposed(&xt, x_rows, &mut got_t);
+            let mut lo = vec![f32::NAN; x_rows * mid];
+            let mut hi = vec![f32::NAN; x_rows * (n - mid)];
+            pt.gemm_transposed_rows(&xt, x_rows, 0, mid, &mut lo);
+            pt.gemm_transposed_rows(&xt, x_rows, mid, n, &mut hi);
+            for (c, (name, _)) in rows.iter().enumerate() {
+                let r = c * n..(c + 1) * n;
+                let what = format!("{scheme:?} {n}x{k} {name}");
+                assert_same_bits(
+                    &got_t[r.clone()],
+                    &want_t[r],
+                    &format!("gemm_transposed {what}"),
+                );
+                let mut stitched = lo[c * mid..(c + 1) * mid].to_vec();
+                stitched.extend_from_slice(&hi[c * (n - mid)..(c + 1) * (n - mid)]);
+                assert_same_bits(
+                    &stitched,
+                    &want_t[c * n..(c + 1) * n],
+                    &format!("gemm_transposed_rows {what}"),
+                );
+            }
+        }
+    }
+}

@@ -47,7 +47,10 @@
 //!   element in ascending-`k` order with the same `a == 0.0` skip as the
 //!   reference i-k-j loop, and `fl((x+y)·2^s) = fl(x·2^s + y·2^s)` makes
 //!   the once-per-block scaling of `block_dot` equal to scaling every
-//!   partial sum.
+//!   partial sum. (The multi-row tile of [`PackedMatrix::gemm_cols`]
+//!   adds a zero activation's `±0·w` instead of skipping it when other
+//!   rows of its tile are nonzero; against a finite weight that never
+//!   changes the sum's bits, since the sum never holds `-0`.)
 //!
 //! Schemes whose scales are *not* powers of two (olive, oltron,
 //! omniquant, int) cannot use the block layout; [`PackedMatrix::pack`]
@@ -254,6 +257,10 @@ pub enum LayoutKind {
 enum Layout {
     Dense {
         lane: Vec<f32>,
+        /// Whether every lane value is finite — the condition under which
+        /// the row tile may add a zero activation's `±0` product instead
+        /// of skipping it ([`PackedMatrix::tile_end`]).
+        finite: bool,
     },
     Fp16 {
         bits: Vec<u16>,
@@ -350,6 +357,7 @@ impl PackedMatrix {
         }
         .unwrap_or_else(|| Layout::Dense {
             lane: values.to_vec(),
+            finite: values.iter().all(|v| v.is_finite()),
         });
         PackedMatrix {
             rows,
@@ -388,7 +396,7 @@ impl PackedMatrix {
     /// memory-density tests pin).
     pub fn packed_bits(&self) -> usize {
         match &self.layout {
-            Layout::Dense { lane } => lane.len() * 32,
+            Layout::Dense { lane, .. } => lane.len() * 32,
             Layout::Fp16 { bits, .. } => bits.len() * 16,
             Layout::Block { bit_len, .. } => *bit_len,
         }
@@ -399,7 +407,7 @@ impl PackedMatrix {
     /// lane.
     pub fn decode(&self) -> Vec<f32> {
         match &self.layout {
-            Layout::Dense { lane } => lane.clone(),
+            Layout::Dense { lane, .. } => lane.clone(),
             Layout::Fp16 { bits, .. } => {
                 bits.iter().map(|&b| Fp16::from_bits(b).to_f32()).collect()
             }
@@ -457,24 +465,71 @@ impl PackedMatrix {
         let (lane, scale) = self.kernel_operands();
         let k_len = self.rows;
         let n = self.cols;
+        let x_row = |i: usize| &x[i * k_len..(i + 1) * k_len];
+        let folds: Vec<bool> = (0..x_rows).map(|i| self.folds_exactly(x_row(i))).collect();
+        // Two or more guard-passing rows share every lane load in the
+        // row tile over columns `[c0, tile_end)`; the rest of each row
+        // (and every other row) takes the one-row kernels.
+        let tiled: Vec<usize> = (0..x_rows).filter(|&i| folds[i]).collect();
+        let mut tile_end = c0;
+        if tiled.len() >= 2 {
+            tile_end = self.tile_end(c0, c1);
+            let tile = RowTile {
+                x,
+                k_len,
+                rows: &tiled,
+                lane,
+                n,
+                scale,
+                c0,
+                width,
+            };
+            tile.run(tile_end, out);
+        }
         for i in 0..x_rows {
-            let x_row = &x[i * k_len..(i + 1) * k_len];
-            let out_row = &mut out[i * width..(i + 1) * width];
+            let start = if folds[i] { tile_end } else { c0 };
+            if start == c1 {
+                continue;
+            }
+            let x_row = x_row(i);
+            let out_row = &mut out[i * width + (start - c0)..(i + 1) * width];
             out_row.fill(0.0);
             match scale {
-                None => axpy_dense(x_row, lane, n, c0, c1, out_row),
-                Some((scale, group)) if !self.folds_exactly(x_row) => {
-                    axpy_unfolded(x_row, lane, scale, group, n, c0, c1, out_row);
+                None => axpy_dense(x_row, lane, n, start, c1, out_row),
+                Some((scale, group)) if !folds[i] => {
+                    axpy_unfolded(x_row, lane, scale, group, n, start, c1, out_row);
                 }
                 Some((scale, group)) => {
                     if n.is_multiple_of(group)
-                        && c0.is_multiple_of(group)
+                        && start.is_multiple_of(group)
                         && c1.is_multiple_of(group)
                     {
-                        axpy_block_aligned(x_row, lane, scale, group, n, c0, c1, out_row);
+                        axpy_block_aligned(x_row, lane, scale, group, n, start, c1, out_row);
                     } else {
-                        axpy_block_ragged(x_row, lane, scale, group, n, c0, c1, out_row);
+                        axpy_block_ragged(x_row, lane, scale, group, n, start, c1, out_row);
                     }
+                }
+            }
+        }
+    }
+
+    /// Where the row tile over output columns `[c0, c1)` ends: it covers
+    /// whole [`TILE_COLS`]-wide column tiles, each inside one block of
+    /// every weight row, and only lanes the tile may treat as finite
+    /// (it adds a zero activation's `±0` product rather than skipping
+    /// it, which is exact only against a finite weight). Returns `c0`
+    /// when the layout or the range admits no tile.
+    fn tile_end(&self, c0: usize, c1: usize) -> usize {
+        let whole = c0 + (c1 - c0) / TILE_COLS * TILE_COLS;
+        match &self.layout {
+            Layout::Dense { finite: true, .. } | Layout::Fp16 { .. } => whole,
+            Layout::Dense { finite: false, .. } => c0,
+            Layout::Block { group, .. } => {
+                let aligned = [self.cols, c0, c1].iter().all(|v| v.is_multiple_of(*group));
+                if aligned && group.is_multiple_of(TILE_COLS) {
+                    c1
+                } else {
+                    c0
                 }
             }
         }
@@ -572,7 +627,7 @@ impl PackedMatrix {
     /// per-block scales with their block-size stride.
     fn kernel_operands(&self) -> (&[f32], Option<(&[f32], usize)>) {
         match &self.layout {
-            Layout::Dense { lane } => (lane, None),
+            Layout::Dense { lane, .. } => (lane, None),
             Layout::Fp16 { lane, .. } => (lane, None),
             Layout::Block {
                 lane, scale, group, ..
@@ -861,6 +916,113 @@ fn dot_scaled(x_row: &[f32], w_row: &[f32], scale: &[f32], group: usize, flat0: 
         j = seg_end;
     }
     acc
+}
+
+/// Output columns per row tile: two AVX2 registers of f32.
+const TILE_COLS: usize = 16;
+
+/// Activation rows per row tile: with [`TILE_COLS`] this keeps eight
+/// accumulator registers live, so each lane slice is loaded once per
+/// four rows.
+const TILE_ROWS: usize = 4;
+
+/// The operands of [`PackedMatrix::gemm_cols`]'s row tile: activation
+/// rows `rows` of `x` (all passing the range guard) against the lane
+/// (and, for the block layout, the per-block scales) over output
+/// columns `c0..`, written into the compact `width`-wide `out`.
+struct RowTile<'a> {
+    x: &'a [f32],
+    k_len: usize,
+    rows: &'a [usize],
+    lane: &'a [f32],
+    n: usize,
+    scale: Option<(&'a [f32], usize)>,
+    c0: usize,
+    width: usize,
+}
+
+impl RowTile<'_> {
+    /// Computes columns `[c0, end)` of every tiled row: the AVX2 build
+    /// of [`RowTile::columns`] where the CPU has it, the baseline build
+    /// otherwise. Both are the same portable code, so both give the
+    /// same bits.
+    fn run(&self, end: usize, out: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked just above.
+            unsafe { self.columns_avx2(end, out) };
+            return;
+        }
+        self.columns(end, out);
+    }
+
+    /// [`RowTile::columns`] compiled for AVX2.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn columns_avx2(&self, end: usize, out: &mut [f32]) {
+        self.columns(end, out);
+    }
+
+    /// Column tile by column tile, so one tile's lane strip stays in
+    /// cache across every row group.
+    #[inline(always)]
+    fn columns(&self, end: usize, out: &mut [f32]) {
+        for j in (self.c0..end).step_by(TILE_COLS) {
+            for rows in self.rows.chunks(TILE_ROWS) {
+                match *rows {
+                    [a, b, c, d] => self.tile([a, b, c, d], j, out),
+                    [a, b, c] => self.tile([a, b, c], j, out),
+                    [a, b] => self.tile([a, b], j, out),
+                    [a] => self.tile([a], j, out),
+                    _ => unreachable!("chunks of at most TILE_ROWS rows"),
+                }
+            }
+        }
+    }
+
+    /// One `R × TILE_COLS` tile at output column `j`, in registers: each
+    /// output element accumulates `fl(fl(a·2^s)·lane)` (`fl(a·lane)` on
+    /// the dense lanes) in ascending `k` with a separate multiply and
+    /// add, exactly as the one-row kernels do. A `k` whose activations
+    /// are all zero is skipped; a zero among nonzeros adds `±0`, which
+    /// leaves the sum unchanged because it never holds `-0` and the
+    /// lane is finite ([`PackedMatrix::tile_end`]).
+    #[inline(always)]
+    fn tile<const R: usize>(&self, rows: [usize; R], j: usize, out: &mut [f32]) {
+        let xs: [&[f32]; R] = rows.map(|i| &self.x[i * self.k_len..(i + 1) * self.k_len]);
+        // The tile's column of block scales: one per weight row, `bpr`
+        // blocks apart (the tile lies inside one block of every row).
+        let scales = self
+            .scale
+            .map(|(scale, group)| (&scale[j / group..], self.n / group));
+        let mut acc = [[0.0f32; TILE_COLS]; R];
+        for k in 0..self.k_len {
+            let mut a: [f32; R] = std::array::from_fn(|r| xs[r][k]);
+            if a.iter().all(|&v| v == 0.0) {
+                continue;
+            }
+            if let Some((scale, bpr)) = scales {
+                let s = scale[k * bpr];
+                a = a.map(|v| v * s);
+            }
+            let l: &[f32; TILE_COLS] = self.lane[k * self.n + j..k * self.n + j + TILE_COLS]
+                .try_into()
+                .expect("a whole column tile");
+            for (acc_row, &a_r) in acc.iter_mut().zip(&a) {
+                for (o, &w) in acc_row.iter_mut().zip(l) {
+                    *o += a_r * w;
+                }
+            }
+        }
+        let o0 = j - self.c0;
+        for (&i, acc_row) in rows.iter().zip(&acc) {
+            out[i * self.width + o0..i * self.width + o0 + TILE_COLS].copy_from_slice(acc_row);
+        }
+    }
 }
 
 /// The storage layout of a [`PackedRows`] buffer.
@@ -1522,6 +1684,73 @@ mod tests {
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same);
         }
+    }
+
+    /// The portable row-tile body, called directly so its baseline build
+    /// is pinned even on hosts where `gemm_cols` dispatches to the AVX2
+    /// build: block, FP16 and dense lanes, 2..=9 rows (full and partial
+    /// tiles, zero activations mixed in), against the scalar reference.
+    #[test]
+    fn portable_row_tile_matches_the_scalar_reference() {
+        let (k_len, n) = (40usize, 64usize);
+        let schemes = [
+            SchemeSpec::Bfp(4),
+            SchemeSpec::Bbfp(4, 2),
+            SchemeSpec::Msfp(4, 16),
+            SchemeSpec::Fp16,
+            SchemeSpec::Fp32,
+        ];
+        for scheme in schemes {
+            let w = quantised(scheme, k_len * n, 61);
+            let p = PackedMatrix::pack(&w, k_len, n, scheme);
+            let (lane, scale) = p.kernel_operands();
+            assert_eq!(p.tile_end(0, n), n, "{scheme:?} tiles every column");
+            for x_rows in 2..=9 {
+                let mut x = quantised(SchemeSpec::Fp16, x_rows * k_len, 67 + x_rows as u64);
+                for (i, v) in x.iter_mut().enumerate() {
+                    if i % 7 == 0 {
+                        *v = 0.0;
+                    }
+                }
+                let rows: Vec<usize> = (0..x_rows).collect();
+                let tile = RowTile {
+                    x: &x,
+                    k_len,
+                    rows: &rows,
+                    lane,
+                    n,
+                    scale,
+                    c0: 16,
+                    width: n - 16,
+                };
+                let mut out = vec![f32::NAN; x_rows * (n - 16)];
+                tile.columns(n, &mut out);
+                let want = reference_gemm(&x, x_rows, &w, k_len, n);
+                for i in 0..x_rows {
+                    let got = &out[i * (n - 16)..(i + 1) * (n - 16)];
+                    let same = got
+                        .iter()
+                        .zip(&want[i * n + 16..(i + 1) * n])
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(same, "{scheme:?} {x_rows} rows: row {i}");
+                }
+            }
+        }
+    }
+
+    /// A dense lane holding a non-finite weight takes no tile: the tile
+    /// adds a zero activation's product, and `0·inf` is NaN where the
+    /// scalar path skips the term.
+    #[test]
+    fn non_finite_dense_lanes_keep_the_zero_skip() {
+        let mut w = vec![0.5f32; 4 * 16];
+        w[16] = f32::INFINITY;
+        let p = PackedMatrix::pack(&w, 4, 16, SchemeSpec::Fp32);
+        assert_eq!(p.tile_end(0, 16), 0);
+        let x = [1.0f32, 0.0, 1.0, 1.0, 2.0, 0.0, 0.0, 1.0];
+        let mut out = vec![f32::NAN; 2 * 16];
+        p.gemm(&x, 2, &mut out);
+        assert!(out.iter().all(|&v| v == 1.5), "{out:?}");
     }
 
     #[test]

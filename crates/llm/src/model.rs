@@ -19,8 +19,9 @@ use crate::ops;
 use crate::rng::Stream;
 use crate::tensor::Tensor;
 use crate::zoo::{Family, ModelSpec};
-use bbal_core::{attn_dot_packed, attn_weighted_sum_packed, PackedMatrix, SchemeSpec};
+use bbal_core::{attn_dot_packed, attn_weighted_sum_packed, PackedMatrix, PackedRows, SchemeSpec};
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The weight matrices of one decoder layer, in one storage form `W`:
@@ -205,6 +206,20 @@ impl KvCache {
             self.arena
                 .publish_prefix(class, &tokens[..(b + 1) * self.page_tokens], pages);
         }
+    }
+
+    /// The cached key and value rows of token `pos` at decoder layer
+    /// `layer`, exactly as the attention kernels read them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` or `pos` is out of range.
+    pub fn kv_row(&self, layer: usize, pos: usize) -> (Vec<f32>, Vec<f32>) {
+        assert!(pos < self.len, "token {pos} not cached (len {})", self.len);
+        let page = &self.layers[layer].pages[pos / self.page_tokens];
+        let r = pos % self.page_tokens;
+        let row = |rows: &PackedRows| (0..self.hidden).map(|c| rows.get(r, c)).collect();
+        (row(&page.k), row(&page.v))
     }
 
     fn push_layer_row(&mut self, layer: usize, k_row: &[f32], v_row: &[f32]) {
@@ -711,14 +726,14 @@ impl TransformerModel {
     /// as one batched GEMM over the chunk, while each row attends
     /// causally over the cache (`past + i + 1` keys for chunk row `i`).
     ///
-    /// This is the one decoder implementation: [`TransformerModel::forward`]
-    /// and [`TransformerModel::prefill`] are the empty-cache case and
-    /// [`TransformerModel::decode_step`] the single-token case. Every
-    /// linear operator is row-independent and each row's attention dot
-    /// products accumulate in key order whatever the chunk boundaries,
-    /// so for hooks whose activation transform is block-local the logits
-    /// are bit-identical to one whole-sequence chunk — any chunking of a
-    /// prompt yields the same tokens.
+    /// This is the one-segment [`forward_segments`](TransformerModel::forward_segments);
+    /// [`TransformerModel::forward`] and [`TransformerModel::prefill`]
+    /// are the empty-cache case and [`TransformerModel::decode_step`] the
+    /// single-token case. Every linear operator is row-independent and
+    /// each row's attention dot products accumulate in key order whatever
+    /// the chunk boundaries, so for hooks whose activation transform is
+    /// block-local the logits are bit-identical to one whole-sequence
+    /// chunk — any chunking of a prompt yields the same tokens.
     ///
     /// # Panics
     ///
@@ -730,106 +745,170 @@ impl TransformerModel {
         hooks: &impl InferenceHooks,
         cache: &mut KvCache,
     ) -> Tensor {
+        self.forward_segments(&mut [(cache, tokens)], hooks)
+    }
+
+    /// The one decoder body: feeds several independent sequences at
+    /// once, each a *segment* — a KV cache and the chunk of tokens to
+    /// append to it (a multi-token prefill chunk or a one-token decode
+    /// step). Returns the `[Σ chunk, vocab]` logits, segment after
+    /// segment in list order.
+    ///
+    /// Every linear layer runs as **one** GEMM over all segments' rows,
+    /// so each weight is streamed once per call rather than once per
+    /// sequence; attention stays per segment, over that segment's own
+    /// cache. Each hook call (`transform_activations`, `activation`,
+    /// `softmax_row`) sees exactly the rows the segment's own
+    /// [`prefill_chunk`](TransformerModel::prefill_chunk) would hand it,
+    /// and every GEMM is row-independent, so each segment's logits and
+    /// KV rows are bit-identical to running it alone — whatever the
+    /// hooks' [`activation_stats_span`](InferenceHooks::activation_stats_span).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `segments` is empty, a cache was built for a different
+    /// geometry, a segment has no tokens, or a token is out of vocab. All
+    /// of these are checked before any cache is touched.
+    pub fn forward_segments(
+        &self,
+        segments: &mut [(&mut KvCache, &[usize])],
+        hooks: &impl InferenceHooks,
+    ) -> Tensor {
         match &self.weights {
-            Weights::Dense(w) => self.decode_chunk(w, tokens, hooks, cache),
-            Weights::Packed(_, linears) => self.decode_chunk(linears, tokens, hooks, cache),
+            Weights::Dense(w) => self.decode_segments(w, segments, hooks),
+            Weights::Packed(_, linears) => self.decode_segments(linears, segments, hooks),
         }
     }
 
-    /// The decoder body of [`prefill_chunk`](TransformerModel::prefill_chunk),
+    /// The decoder body of [`forward_segments`](TransformerModel::forward_segments),
     /// over whichever storage holds the weights.
-    fn decode_chunk<W: Linear>(
+    fn decode_segments<W: Linear>(
         &self,
         weights: &Linears<W>,
-        tokens: &[usize],
+        segments: &mut [(&mut KvCache, &[usize])],
         hooks: &impl InferenceHooks,
-        cache: &mut KvCache,
     ) -> Tensor {
-        self.check_cache(cache);
-        assert!(!tokens.is_empty(), "empty token sequence");
+        assert!(!segments.is_empty(), "no segments to decode");
         let h = self.spec.hidden;
-        let new = tokens.len();
-        let past = cache.len;
-        let heads = self.spec.heads;
-        let dh = self.spec.head_dim();
-        let scale = 1.0 / (dh as f32).sqrt();
+        // Each segment's rows in the fused activation buffers.
+        let mut spans = Vec::with_capacity(segments.len());
+        let mut total = 0;
+        for (cache, tokens) in segments.iter() {
+            self.check_cache(cache);
+            assert!(!tokens.is_empty(), "empty token sequence");
+            if let Some(t) = tokens.iter().find(|&&t| t >= self.spec.vocab) {
+                panic!("token id {t} out of vocab");
+            }
+            spans.push(total..total + tokens.len());
+            total += tokens.len();
+        }
+        // A hook call per segment, over that segment's rows only.
+        let per_segment = |t: &mut Tensor, f: &dyn Fn(&mut [f32])| {
+            let cols = t.cols();
+            for span in &spans {
+                f(&mut t.data_mut()[span.start * cols..span.end * cols]);
+            }
+        };
 
-        let mut x = Tensor::zeros(new, h);
-        for (i, &t) in tokens.iter().enumerate() {
-            assert!(t < self.spec.vocab, "token id {t} out of vocab");
+        let mut x = Tensor::zeros(total, h);
+        let all_tokens = segments.iter().flat_map(|(_, tokens)| tokens.iter());
+        for (i, &t) in all_tokens.enumerate() {
             x.row_mut(i).copy_from_slice(self.embedding.row(t));
         }
 
         let workers = self.gemm_workers;
+        let act = self.spec.activation();
         for (li, layer) in weights.layers.iter().enumerate() {
             // --- Attention block ---
             let mut a = self.normalise(&x);
-            hooks.transform_activations(a.data_mut());
+            per_segment(&mut a, &|rows| hooks.transform_activations(rows));
             let q = layer.wq.apply(&a, workers);
             let k = layer.wk.apply(&a, workers);
             let v = layer.wv.apply(&a, workers);
-            for r in 0..new {
-                cache.push_layer_row(li, k.row(r), v.row(r));
-            }
-
-            let pt = cache.page_tokens;
-            let lk = &cache.layers[li];
-            let mut ctx = Tensor::zeros(new, h);
-            for head in 0..heads {
-                let c0 = head * dh;
-                for i in 0..new {
-                    // Row i attends over the cache up to and including
-                    // itself — same dot-loop order as decode_step. The
-                    // page table resolves token j to its page; the dot
-                    // products accumulate in the same order as the
-                    // contiguous layout, so paging never changes a bit.
-                    let span = past + i + 1;
-                    let mut scores = vec![0.0f32; span];
-                    let q_row = &q.row(i)[c0..c0 + dh];
-                    for (j, s) in scores.iter_mut().enumerate() {
-                        let page = &lk.pages[j / pt];
-                        *s = attn_dot_packed(q_row, &page.k, j % pt, c0) * scale;
-                    }
-                    hooks.softmax_row(&mut scores);
-                    let ctx_row = &mut ctx.row_mut(i)[c0..c0 + dh];
-                    let mut j0 = 0;
-                    while j0 < span {
-                        let page = &lk.pages[j0 / pt];
-                        let take = (span - j0).min(pt - (j0 % pt));
-                        attn_weighted_sum_packed(&scores[j0..j0 + take], &page.v, c0, ctx_row);
-                        j0 += take;
-                    }
+            let mut ctx = Tensor::zeros(total, h);
+            for ((cache, _), span) in segments.iter_mut().zip(&spans) {
+                for r in span.clone() {
+                    cache.push_layer_row(li, k.row(r), v.row(r));
                 }
+                self.attend(cache, li, &q, span.clone(), &mut ctx, hooks);
             }
-            hooks.transform_activations(ctx.data_mut());
+            per_segment(&mut ctx, &|rows| hooks.transform_activations(rows));
             let attn_out = layer.wo.apply(&ctx, workers);
             x.add_assign(&attn_out);
 
             // --- FFN block ---
             let mut f = self.normalise(&x);
-            hooks.transform_activations(f.data_mut());
+            per_segment(&mut f, &|rows| hooks.transform_activations(rows));
             let ffn_out = match &layer.w_gate {
                 Some(w_gate) => {
                     let mut gate = w_gate.apply(&f, workers);
-                    hooks.activation(gate.data_mut(), self.spec.activation());
+                    per_segment(&mut gate, &|rows| hooks.activation(rows, act));
                     let up = layer.w_up.apply(&f, workers);
                     gate.mul_assign_elementwise(&up);
-                    hooks.transform_activations(gate.data_mut());
+                    per_segment(&mut gate, &|rows| hooks.transform_activations(rows));
                     layer.w_down.apply(&gate, workers)
                 }
                 None => {
                     let mut up = layer.w_up.apply(&f, workers);
-                    hooks.activation(up.data_mut(), self.spec.activation());
-                    hooks.transform_activations(up.data_mut());
+                    per_segment(&mut up, &|rows| hooks.activation(rows, act));
+                    per_segment(&mut up, &|rows| hooks.transform_activations(rows));
                     layer.w_down.apply(&up, workers)
                 }
             };
             x.add_assign(&ffn_out);
         }
-        cache.len = past + new;
+        for (cache, tokens) in segments.iter_mut() {
+            cache.len += tokens.len();
+        }
 
         let final_norm = self.normalise(&x);
         weights.unembedding.apply(&final_norm, workers)
+    }
+
+    /// Causal attention of one segment's query rows `span` (of `q`) over
+    /// layer `li` of its cache, which already holds the segment's own new
+    /// KV rows: row `i` of the span attends over the `past + i + 1`
+    /// cached keys, writing its context into the same rows of `ctx`.
+    fn attend(
+        &self,
+        cache: &KvCache,
+        li: usize,
+        q: &Tensor,
+        span: Range<usize>,
+        ctx: &mut Tensor,
+        hooks: &impl InferenceHooks,
+    ) {
+        let dh = self.spec.head_dim();
+        let scale = 1.0 / (dh as f32).sqrt();
+        let pt = cache.page_tokens;
+        let pages = &cache.layers[li].pages;
+        for head in 0..self.spec.heads {
+            let c0 = head * dh;
+            for (i, r) in span.clone().enumerate() {
+                // The page table resolves token j to its page; the dot
+                // products accumulate in the same order as a contiguous
+                // layout, so paging never changes a bit.
+                let keys = cache.len + i + 1;
+                let mut scores = vec![0.0f32; keys];
+                let q_row = &q.row(r)[c0..c0 + dh];
+                for (j, s) in scores.iter_mut().enumerate() {
+                    *s = attn_dot_packed(q_row, &pages[j / pt].k, j % pt, c0) * scale;
+                }
+                hooks.softmax_row(&mut scores);
+                let ctx_row = &mut ctx.row_mut(r)[c0..c0 + dh];
+                let mut j0 = 0;
+                while j0 < keys {
+                    let take = (keys - j0).min(pt - (j0 % pt));
+                    attn_weighted_sum_packed(
+                        &scores[j0..j0 + take],
+                        &pages[j0 / pt].v,
+                        c0,
+                        ctx_row,
+                    );
+                    j0 += take;
+                }
+            }
+        }
     }
 
     /// One autoregressive decode step: processes `token` against the

@@ -14,8 +14,10 @@ use bbal_mem::LinkClass;
 ///   per tick. Chunking keeps a long prompt from monopolising the
 ///   accelerator: decode steps of other requests interleave between
 ///   chunks, which is what bounds TTFT under mixed traffic.
-/// * `workers` — worker threads executing the per-request tensor math.
-///   Parallelism changes wall-clock time only; generated tokens and
+/// * `workers` — worker threads executing the tick's tensor math: each
+///   group of requests sharing a prepared model runs as at most
+///   `workers` fused forwards, one per thread. Parallelism changes
+///   wall-clock time only; generated tokens and
 ///   simulated cycle counts are identical for any worker count.
 /// * `admission` — which queued requests take the free batch slots each
 ///   tick (see [`AdmissionPolicy`]). The default, FCFS, ignores schemes;

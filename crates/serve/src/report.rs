@@ -461,6 +461,12 @@ impl ServeReport {
     /// sequential decode tick carries 1 row (prefill ticks carry up to
     /// `prefill_chunk`), and mixed-scheme FCFS traffic sits well below
     /// a single-scheme batch of the same budget.
+    ///
+    /// The host batches the same way: each per-scheme group of a tick
+    /// runs as one fused forward, so with one worker this is also the
+    /// mean row count of the host's packed weight GEMMs (with several
+    /// workers a group is split into up to that many jobs, each with its
+    /// share of the rows).
     pub fn mean_fused_rows_per_gemm(&self) -> f64 {
         let mut rows_weighted = 0.0;
         let mut cycles = 0.0;

@@ -8,9 +8,14 @@
 //!    [`AdmissionPolicy`] (FCFS, or scheme-affinity so linear GEMMs
 //!    fuse) — acquiring a pooled session per admitted request;
 //! 3. give every active request one unit of work — the next prefill
-//!    chunk of its prompt, or one decode step — and fan the units out to
-//!    the worker threads (each unit runs on the request's own session,
-//!    which travels to the worker and back through channels);
+//!    chunk of its prompt, or one decode step — group the units whose
+//!    sessions share a prepared model (one model + scheme), and fan the
+//!    groups out to the worker threads, each group split into at most
+//!    `workers` contiguous jobs. A job is one fused forward
+//!    ([`Session::forward_batch`]): every linear layer is one GEMM over
+//!    all its units' rows, the host-side twin of the fused op list step
+//!    4 costs. The sessions travel to the worker and back through
+//!    channels;
 //! 4. cost the tick on the accelerator cycle model: the fused op list of
 //!    all units (see [`bbal_llm::graph::tick_ops`]), grouped by scheme,
 //!    through `bbal_accel::simulate_with`, while the workers grind the
@@ -62,26 +67,28 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
-/// A unit of per-request work executed on a worker thread.
-enum Work {
-    /// Feed these prompt tokens (a chunk) into the session.
-    Prefill(Vec<usize>),
-    /// Decode one token against the session's KV cache.
-    Decode(usize),
-}
-
-struct Job {
+/// One request's share of a tick: the feed tokens its session takes
+/// in (a prefill chunk, or the one token of a decode step).
+struct Unit {
     id: usize,
-    session: Session,
-    work: Work,
+    tokens: Vec<usize>,
     /// Whether the argmax of the resulting logits becomes a generated
     /// token (true for decode steps and for the final prefill chunk).
     emit: bool,
 }
 
+/// One worker job: a fused forward ([`Session::forward_batch`]) over
+/// units whose sessions share one prepared model, `sessions[i]` running
+/// `units[i]`.
+struct Job {
+    units: Vec<Unit>,
+    sessions: Vec<Session>,
+}
+
+/// One unit's completion.
 struct Done {
     id: usize,
-    /// `None` when the unit panicked and took its session with it.
+    /// `None` when the unit's job panicked and took its sessions with it.
     session: Option<Session>,
     emit: bool,
     result: Result<usize, ServeError>,
@@ -99,38 +106,57 @@ fn worker_loop(jobs: Arc<Mutex<mpsc::Receiver<Job>>>, done: mpsc::Sender<Done>) 
             guard.recv()
         };
         let Ok(Job {
-            id,
-            mut session,
-            work,
-            emit,
+            units,
+            mut sessions,
         }) = job
         else {
             return;
         };
         // A panic inside the tensor math must not strand the scheduler
-        // waiting for a completion that will never come: catch it and
-        // report the unit as failed (the session is lost with the panic).
+        // waiting for completions that will never come: catch it and
+        // report every unit of the job as failed (their sessions are
+        // lost with the panic).
+        let chunks: Vec<&[usize]> = units.iter().map(|u| u.tokens.as_slice()).collect();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let result = match work {
-                Work::Prefill(tokens) => session.prefill_chunk(&tokens).map(|l| argmax(&l)),
-                Work::Decode(token) => session.decode_step(token).map(|l| argmax(&l)),
-            };
-            (session, result)
+            let result = Session::forward_batch(&mut sessions, &chunks);
+            (sessions, result)
         }));
-        let (session, result) = match outcome {
-            Ok((session, result)) => (Some(session), result.map_err(ServeError::Session)),
-            Err(_) => (None, Err(ServeError::UnitPanicked)),
+        let dones: Vec<Done> = match outcome {
+            Ok((sessions, Ok(logits))) => units
+                .iter()
+                .zip(sessions)
+                .zip(logits)
+                .map(|((u, session), row)| Done {
+                    id: u.id,
+                    session: Some(session),
+                    emit: u.emit,
+                    result: Ok(argmax(&row)),
+                })
+                .collect(),
+            Ok((sessions, Err(e))) => units
+                .iter()
+                .zip(sessions)
+                .map(|(u, session)| Done {
+                    id: u.id,
+                    session: Some(session),
+                    emit: u.emit,
+                    result: Err(ServeError::Session(e.clone())),
+                })
+                .collect(),
+            Err(_) => units
+                .iter()
+                .map(|u| Done {
+                    id: u.id,
+                    session: None,
+                    emit: u.emit,
+                    result: Err(ServeError::UnitPanicked),
+                })
+                .collect(),
         };
-        if done
-            .send(Done {
-                id,
-                session,
-                emit,
-                result,
-            })
-            .is_err()
-        {
-            return;
+        for d in dones {
+            if done.send(d).is_err() {
+                return;
+            }
         }
     }
 }
@@ -1153,11 +1179,13 @@ impl ServeRuntime {
                 .ensure_free_bytes(self.planned_growth_bytes(&ss.states, &ss.active));
         }
 
-        // Dispatch one unit of work per active request: the next
-        // chunk of its feed sequence (prompt, or prompt + generated
-        // tokens when replaying after a preemption), or one decode
-        // step.
+        // One unit of work per active request: the next chunk of its
+        // feed sequence (prompt, or prompt + generated tokens when
+        // replaying after a preemption), or one decode step. Units whose
+        // sessions share a prepared model (one model + scheme: one
+        // prefix class) form a group that runs as one fused forward.
         let mut items: BTreeMap<SchemeSpec, Vec<Chunk>> = BTreeMap::new();
+        let mut groups: BTreeMap<u64, Job> = BTreeMap::new();
         let mut prefill_tokens = 0usize;
         let mut decode_steps = 0usize;
         for &id in &ss.active {
@@ -1167,20 +1195,21 @@ impl ServeRuntime {
             // the `fed` tokens already cached; a decode step is the
             // one-token chunk of the last generated token.
             let past = st.fed;
-            let (work, new, emit) = if chunk > 0 {
-                let tokens: Vec<usize> = (past..past + chunk).map(|p| st.feed_token(p)).collect();
+            let (tokens, emit) = if chunk > 0 {
                 prefill_tokens += chunk;
                 // Only a *fresh* prefill emits its last chunk's
                 // argmax as the first token; a replay regenerates
                 // state for tokens it already emitted.
                 let first_token = past + chunk == st.feed_len() && st.tokens.is_empty();
-                (Work::Prefill(tokens), chunk, first_token)
+                let tokens = (past..past + chunk).map(|p| st.feed_token(p)).collect();
+                (tokens, first_token)
             } else {
                 let last = *st.tokens.last().expect("decode follows the first token");
                 debug_assert_eq!(past + 1, st.prompt.len() + st.tokens.len());
                 decode_steps += 1;
-                (Work::Decode(last), 1, true)
+                (vec![last], true)
             };
+            let new = tokens.len();
             st.fed += new;
             st.cached += new;
             items
@@ -1188,14 +1217,21 @@ impl ServeRuntime {
                 .or_default()
                 .push(Chunk { new, past });
             let session = st.session.take().expect("active request owns a session");
-            ss.job_tx
-                .send(Job {
-                    id,
-                    session,
-                    work,
-                    emit,
-                })
-                .map_err(|_| ServeError::WorkerLost)?;
+            let group = groups
+                .entry(prefix_class(session.model_spec(), session.scheme()))
+                .or_insert_with(|| Job {
+                    units: Vec::new(),
+                    sessions: Vec::new(),
+                });
+            group.units.push(Unit { id, tokens, emit });
+            group.sessions.push(session);
+        }
+        // Split each group into at most `workers` contiguous parts, so
+        // worker parallelism is what it was with one job per request.
+        for group in groups.into_values() {
+            for job in split_job(group, self.config.workers) {
+                ss.job_tx.send(job).map_err(|_| ServeError::WorkerLost)?;
+            }
         }
         let dispatched = ss.active.len();
         // Page tables once every dispatched unit lands, shared
@@ -1379,6 +1415,23 @@ impl ServeRuntime {
     }
 }
 
+/// Splits a group job into at most `parts` contiguous jobs of near-equal
+/// unit counts.
+fn split_job(job: Job, parts: usize) -> Vec<Job> {
+    let n = job.units.len();
+    let parts = parts.clamp(1, n.max(1));
+    let (mut units, mut sessions) = (job.units.into_iter(), job.sessions.into_iter());
+    (0..parts)
+        .map(|p| {
+            let take = n * (p + 1) / parts - n * p / parts;
+            Job {
+                units: units.by_ref().take(take).collect(),
+                sessions: sessions.by_ref().take(take).collect(),
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1417,19 +1470,48 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_outputs_or_timeline() {
-        let reports: Vec<ServeReport> = [1usize, 4]
-            .into_iter()
-            .map(|workers| {
-                let mut rt = runtime(ServeConfig {
-                    workers,
-                    ..ServeConfig::default()
-                });
-                rt.serve(&trace()).unwrap()
+        // Three schemes, so every tick runs up to three fused groups,
+        // each split across up to `workers` jobs, over packed KV pages.
+        let schemes = [
+            SchemeSpec::Bbfp(4, 2),
+            SchemeSpec::Bfp(4),
+            SchemeSpec::Oltron,
+        ];
+        let reqs: Vec<GenerateRequest> = (0..9)
+            .map(|i| {
+                GenerateRequest::new(vec![1 + i, 2, 3 + i], 4)
+                    .arriving_at(i as u64 * 2_000)
+                    .scheme(schemes[i % 3])
             })
             .collect();
-        assert_eq!(reports[0].requests, reports[1].requests);
-        assert_eq!(reports[0].ticks, reports[1].ticks);
-        assert_eq!(reports[0].total_cycles, reports[1].total_cycles);
+        let reports: Vec<ServeReport> = [1usize, 2, 3, 8]
+            .into_iter()
+            .map(|workers| {
+                let config = ServeConfig {
+                    workers,
+                    ..ServeConfig::default()
+                };
+                runtime(config.with_kv_packed(true)).serve(&reqs).unwrap()
+            })
+            .collect();
+        assert!(
+            reports[0].ticks.iter().any(|t| t.active > 3),
+            "some tick must fuse several requests of one scheme"
+        );
+        for report in &reports[1..] {
+            assert_eq!(reports[0].requests, report.requests);
+            assert_eq!(reports[0].ticks, report.ticks);
+            assert_eq!(reports[0].total_cycles, report.total_cycles);
+        }
+        for (r, req) in reports[0].requests.iter().zip(&reqs) {
+            let mut lone = SessionBuilder::new()
+                .model("Tiny")
+                .scheme_spec(req.scheme)
+                .build()
+                .unwrap();
+            let expected = lone.generate(&req.prompt, req.max_new_tokens).unwrap();
+            assert_eq!(r.tokens, expected, "request {}", r.id);
+        }
     }
 
     #[test]
@@ -1661,43 +1743,90 @@ mod tests {
 
     #[test]
     fn worker_panic_recovers_sessions_and_runtime() {
+        // One worker, so each fused group runs as one job.
         let mut rt = runtime(ServeConfig {
-            max_batch: 3,
+            max_batch: 4,
+            workers: 1,
             ..ServeConfig::default()
         });
-        // A poison session: right scheme and vocabulary (so every
-        // scheduler- and session-level check passes), but a head count
-        // that does not divide the hidden width — the first unit of work
-        // panics on the head-dimension assert deep in the tensor math.
+        // Poison sessions: right scheme and vocabulary (so every
+        // scheduler- and session-level check passes), but another spec
+        // whose head count does not divide the hidden width — the first
+        // unit of work panics on the head-dimension assert deep in the
+        // tensor math. Both come from one builder, so they share one
+        // prepared model and form one fused group of their own.
         let mut poison_spec = bbal_llm::zoo::tiny_test_model();
         poison_spec.name = "Tiny-poison";
         poison_spec.heads = 5;
         let poison = SessionBuilder::new()
             .model_spec(poison_spec)
-            .scheme("bbfp:4,2")
-            .build()
-            .unwrap();
-        rt.pool.release(poison);
-        let idle_before = rt.pool().idle_count();
+            .scheme("bbfp:4,2");
+        for _ in 0..2 {
+            rt.pool.release(poison.clone().build().unwrap());
+        }
+        // The runtime's probe session plus the two poison ones.
+        assert_eq!(rt.pool().idle_count(), 3);
 
-        // The pool hands sessions out LIFO, so request 0 draws the
-        // poison; requests 1 and 2 run on healthy sessions in the same
-        // tick.
-        let reqs: Vec<GenerateRequest> = (0..3usize)
+        // The pool hands sessions out LIFO, so requests 0 and 1 draw the
+        // poison; requests 2 and 3 — the same scheme — run on healthy
+        // sessions (the probe and a fresh build) in the same tick.
+        let reqs: Vec<GenerateRequest> = (0..4usize)
             .map(|i| GenerateRequest::new(vec![50, 2 + i], 3))
             .collect();
         let err = rt.serve(&reqs).unwrap_err();
 
         assert_eq!(err, ServeError::UnitPanicked);
-        // The panicking unit's session died with it, but both healthy
-        // in-flight sessions were recovered into the pool.
-        assert_eq!(rt.pool().idle_count(), idle_before);
+        // The poison group's sessions died with it, but the poison never
+        // joined the healthy group: both healthy in-flight sessions were
+        // recovered into the pool.
+        assert_eq!(rt.pool().idle_count(), 2);
 
         // The scheduler did not deadlock and the runtime stays usable:
         // a follow-up trace serves normally on the recycled sessions.
         let report = rt.serve(&trace()).unwrap();
         assert_eq!(report.requests.len(), 6);
         assert!(report.requests.iter().all(|r| r.tokens.len() == 4));
+    }
+
+    #[test]
+    fn a_panicking_job_fails_each_of_its_units_and_no_other() {
+        let healthy = SessionBuilder::new().model("Tiny").scheme("bbfp:4,2");
+        let mut poison_spec = bbal_llm::zoo::tiny_test_model();
+        poison_spec.heads = 5;
+        let poison = SessionBuilder::new()
+            .model_spec(poison_spec)
+            .scheme("bbfp:4,2");
+        let job = |builder: &SessionBuilder, ids: [usize; 2]| Job {
+            units: ids
+                .iter()
+                .map(|&id| Unit {
+                    id,
+                    tokens: vec![1, 2],
+                    emit: true,
+                })
+                .collect(),
+            sessions: ids
+                .iter()
+                .map(|_| builder.clone().build().unwrap())
+                .collect(),
+        };
+        let (job_tx, job_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel();
+        job_tx.send(job(&poison, [0, 1])).unwrap();
+        job_tx.send(job(&healthy, [2, 3])).unwrap();
+        drop(job_tx);
+        worker_loop(Arc::new(Mutex::new(job_rx)), done_tx);
+        let mut dones: Vec<Done> = done_rx.iter().collect();
+        dones.sort_by_key(|d| d.id);
+        assert_eq!(dones.len(), 4);
+        for d in &dones[..2] {
+            assert!(d.session.is_none(), "unit {}", d.id);
+            assert_eq!(d.result, Err(ServeError::UnitPanicked), "unit {}", d.id);
+        }
+        for d in &dones[2..] {
+            assert!(d.session.is_some(), "unit {}", d.id);
+            assert!(d.result.is_ok(), "unit {}", d.id);
+        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ use bbal_nonlinear::NonlinearUnitConfig;
 use bbal_quant::hooks_for;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// Prepared (PTQ-transformed + packed) models, shared across every
 /// session cloned from one builder and keyed by [`prefix_class`] — the
@@ -104,6 +104,9 @@ pub enum SessionError {
         /// The model's context window.
         max_seq: usize,
     },
+    /// [`Session::forward_batch`] was handed sessions that do not share
+    /// one prepared model (same model, same scheme, same builder).
+    UnsharedModel,
 }
 
 impl fmt::Display for SessionError {
@@ -126,6 +129,9 @@ impl fmt::Display for SessionError {
                     f,
                     "sequence of {needed} tokens exceeds the model's context window of {max_seq}"
                 )
+            }
+            SessionError::UnsharedModel => {
+                write!(f, "a fused batch needs sessions sharing one prepared model")
             }
         }
     }
@@ -358,17 +364,25 @@ impl SessionBuilder {
     /// `Arc`) instead of re-synthesising them — what a session pool wants
     /// when it builds one session per scheme over a single model.
     ///
+    /// Resolving is shared across builders too: while a model resolved
+    /// for a spec is alive, resolving the same spec again returns it
+    /// rather than synthesising a second, identical copy (synthesis is
+    /// deterministic in the spec).
+    ///
     /// # Errors
     ///
     /// [`SessionError::UnknownModel`] if a model name is not in the zoo.
     pub fn resolve_model(mut self) -> Result<SessionBuilder, SessionError> {
-        self.model = ModelChoice::Built(self.reference_model()?);
+        self.model = ModelChoice::Built(self.reference_model(resident_model)?);
         Ok(self)
     }
 
-    /// The reference model the builder names: synthesised for a name or
-    /// spec, shared for an already-built one.
-    fn reference_model(&self) -> Result<Arc<TransformerModel>, SessionError> {
+    /// The reference model the builder names: made by `synthesize` for a
+    /// name or spec, shared for an already-built one.
+    fn reference_model(
+        &self,
+        synthesize: fn(&ModelSpec) -> Arc<TransformerModel>,
+    ) -> Result<Arc<TransformerModel>, SessionError> {
         let spec = match &self.model {
             ModelChoice::Name(name) => {
                 zoo::find(name).ok_or_else(|| SessionError::UnknownModel(name.clone()))?
@@ -376,7 +390,7 @@ impl SessionBuilder {
             ModelChoice::Spec(spec) => spec.clone(),
             ModelChoice::Built(model) => return Ok(Arc::clone(model)),
         };
-        Ok(Arc::new(TransformerModel::synthesize(&spec)))
+        Ok(synthesize(&spec))
     }
 
     /// Resolves every choice and assembles the session: parses/validates
@@ -397,7 +411,8 @@ impl SessionBuilder {
                 *s
             }
         };
-        let reference = self.reference_model()?;
+        let reference =
+            self.reference_model(|spec| Arc::new(TransformerModel::synthesize(spec)))?;
         let spec = reference.spec().clone();
         if self.pe_rows == 0 || self.pe_cols == 0 {
             return Err(ConfigError::Geometry {
@@ -637,15 +652,76 @@ impl Session {
     /// [`SessionError::TokenOutOfVocab`] or
     /// [`SessionError::ContextOverflow`].
     pub fn prefill_chunk(&mut self, tokens: &[usize]) -> Result<Vec<f32>, SessionError> {
-        if tokens.is_empty() {
-            return Err(SessionError::EmptyPrompt);
+        let mut logits = Session::forward_batch(std::slice::from_mut(self), &[tokens])?;
+        Ok(logits.pop().expect("one row per session"))
+    }
+
+    /// Feeds `chunks[i]` into `sessions[i]` for every `i` in **one**
+    /// fused forward ([`TransformerModel::forward_segments`]): each linear
+    /// layer runs as one GEMM over every session's rows, while each
+    /// session attends over its own KV cache. A chunk may be a prefill
+    /// chunk or a one-token decode step. Returns each session's
+    /// next-token logits (after the last token of its chunk).
+    ///
+    /// Bit-identical to calling [`Session::prefill_chunk`] on each
+    /// session in turn — the fusion changes how often a weight is
+    /// streamed, never a result. [`Session::prefill_chunk`] and
+    /// [`Session::decode_step`] are the one-session case.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::EmptyPrompt`], [`SessionError::TokenOutOfVocab`]
+    /// or [`SessionError::ContextOverflow`] for any chunk, and
+    /// [`SessionError::UnsharedModel`] unless every session runs on the
+    /// same prepared model (sessions of one scheme cloned from one
+    /// builder do). Every check runs before any KV cache is touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sessions` and `chunks` differ in length.
+    pub fn forward_batch(
+        sessions: &mut [Session],
+        chunks: &[&[usize]],
+    ) -> Result<Vec<Vec<f32>>, SessionError> {
+        assert_eq!(sessions.len(), chunks.len(), "one chunk per session");
+        for (session, tokens) in sessions.iter().zip(chunks) {
+            if tokens.is_empty() {
+                return Err(SessionError::EmptyPrompt);
+            }
+            session.check_tokens(tokens)?;
+            session.check_context(session.kv.len() + tokens.len())?;
         }
-        self.check_tokens(tokens)?;
-        self.check_context(self.kv.len() + tokens.len())?;
-        self.prepare();
-        let model = self.prepared.as_ref().expect("prepared above");
-        let logits = model.prefill_chunk(tokens, &self.hooks.as_ref(), &mut self.kv);
-        Ok(logits.row(logits.rows() - 1).to_vec())
+        let mut model: Option<Arc<TransformerModel>> = None;
+        for session in sessions.iter_mut() {
+            session.prepare();
+            let prepared = session.prepared.as_ref().expect("prepared above");
+            match &model {
+                None => model = Some(Arc::clone(prepared)),
+                Some(m) if Arc::ptr_eq(m, prepared) => {}
+                Some(_) => return Err(SessionError::UnsharedModel),
+            }
+        }
+        let Some(model) = model else {
+            return Ok(Vec::new());
+        };
+        // One shared prepared model means one model + scheme, so every
+        // session's hook set is the same; the first one's serves all.
+        let mut hooks = None;
+        let mut segments: Vec<(&mut KvCache, &[usize])> = Vec::with_capacity(sessions.len());
+        for (session, &tokens) in sessions.iter_mut().zip(chunks) {
+            hooks.get_or_insert(session.hooks.as_ref());
+            segments.push((&mut session.kv, tokens));
+        }
+        let hooks = hooks.expect("a model implies a session");
+        let logits = model.forward_segments(&mut segments, &hooks);
+        let mut end = 0;
+        Ok(chunks
+            .iter()
+            .map(|tokens| {
+                end += tokens.len();
+                logits.row(end - 1).to_vec()
+            })
+            .collect())
     }
 
     /// True when [`Session::prefill_chunk`] is *chunk-invariant*: any
@@ -771,11 +847,7 @@ impl Session {
     /// [`SessionError::TokenOutOfVocab`] or
     /// [`SessionError::ContextOverflow`].
     pub fn decode_step(&mut self, token: usize) -> Result<Vec<f32>, SessionError> {
-        self.check_tokens(&[token])?;
-        self.check_context(self.kv.len() + 1)?;
-        self.prepare();
-        let model = self.prepared.as_ref().expect("prepared above");
-        Ok(model.decode_step(token, &self.hooks.as_ref(), &mut self.kv))
+        self.prefill_chunk(&[token])
     }
 
     /// Greedy generation: prefills `prompt`, then decodes `n` tokens by
@@ -895,6 +967,25 @@ impl Session {
             .ok_or(SchemeError::NoHardwareMapping(self.scheme))?;
         Ok(BbalEngine::new(cfg, self.nonlinear))
     }
+}
+
+/// The reference model synthesised from `spec`, shared with every
+/// resolved builder that still holds one: a second resident copy would
+/// be identical, since synthesis is deterministic in the spec.
+fn resident_model(spec: &ModelSpec) -> Arc<TransformerModel> {
+    static RESIDENT: Mutex<Vec<(ModelSpec, Weak<TransformerModel>)>> = Mutex::new(Vec::new());
+    // Every update leaves the list valid, so a poisoned lock is usable.
+    let mut resident = RESIDENT.lock().unwrap_or_else(PoisonError::into_inner);
+    resident.retain(|(_, model)| model.strong_count() > 0);
+    let alive = resident
+        .iter()
+        .find(|(s, _)| s == spec)
+        .and_then(|(_, model)| model.upgrade());
+    alive.unwrap_or_else(|| {
+        let model = Arc::new(TransformerModel::synthesize(spec));
+        resident.push((spec.clone(), Arc::downgrade(&model)));
+        model
+    })
 }
 
 /// The prefix-cache namespace for KV rows produced by `spec` under
@@ -1027,6 +1118,36 @@ mod tests {
     }
 
     #[test]
+    fn resolving_one_spec_shares_the_model_while_it_is_alive() {
+        let mut spec = zoo::tiny_test_model();
+        spec.name = "Tiny-resident";
+        let resolve = || {
+            SessionBuilder::new()
+                .model_spec(spec.clone())
+                .resolve_model()
+                .unwrap()
+                .build()
+                .unwrap()
+        };
+        let (a, b) = (resolve(), resolve());
+        assert!(Arc::ptr_eq(&a.reference, &b.reference));
+        let gone = Arc::downgrade(&a.reference);
+        drop((a, b));
+        assert!(gone.upgrade().is_none(), "no holder keeps the model alive");
+        assert_eq!(
+            resolve().reference.layers()[0].wq.data(),
+            SessionBuilder::new()
+                .model_spec(spec.clone())
+                .build()
+                .unwrap()
+                .reference
+                .layers()[0]
+                .wq
+                .data()
+        );
+    }
+
+    #[test]
     fn serving_lifecycle_matches_model_path() {
         // Session prefill/decode must agree with driving the model and
         // hooks by hand.
@@ -1045,6 +1166,42 @@ mod tests {
         assert_eq!(s_logits.data(), m_logits.data());
         let m_step = prepared.decode_step(4, &hooks.as_ref(), &mut cache);
         assert_eq!(step, m_step);
+    }
+
+    #[test]
+    fn forward_batch_matches_lone_sessions_and_rejects_unshared_models() {
+        let builder = SessionBuilder::new()
+            .model("Tiny")
+            .scheme("bbfp:4,2")
+            .resolve_model()
+            .unwrap();
+        let prompts: [&[usize]; 3] = [&[1, 2, 3], &[4], &[5, 6]];
+        let mut lone: Vec<Session> = (0..3).map(|_| builder.clone().build().unwrap()).collect();
+        let mut fused: Vec<Session> = (0..3).map(|_| builder.clone().build().unwrap()).collect();
+        // Round 1 prefills; round 2 mixes a decode step with two chunks.
+        for round in [prompts, [&[7], &[8, 9], &[10]]] {
+            let want: Vec<Vec<f32>> = lone
+                .iter_mut()
+                .zip(round)
+                .map(|(s, chunk)| s.prefill_chunk(chunk).unwrap())
+                .collect();
+            let got = Session::forward_batch(&mut fused, &round).unwrap();
+            assert_eq!(got, want);
+        }
+
+        // Another builder (its own prepared cache) or another scheme is
+        // another prepared model; the error leaves every cache untouched.
+        let stranger = SessionBuilder::new().model("Tiny").build().unwrap();
+        let other_scheme = builder.clone().scheme("bfp:4").build().unwrap();
+        for odd in [stranger, other_scheme] {
+            let mut mixed = vec![builder.clone().build().unwrap(), odd];
+            let err = Session::forward_batch(&mut mixed, &[&[1], &[2]]).unwrap_err();
+            assert_eq!(err, SessionError::UnsharedModel);
+            assert!(mixed.iter().all(|s| s.kv_len() == 0));
+        }
+        let err = Session::forward_batch(&mut fused, &[&[1], &[], &[2]]).unwrap_err();
+        assert_eq!(err, SessionError::EmptyPrompt);
+        assert!(Session::forward_batch(&mut [], &[]).unwrap().is_empty());
     }
 
     #[test]

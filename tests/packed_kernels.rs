@@ -518,3 +518,122 @@ fn weight_gemms_match_scalar_on_adversarial_activations() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Multi-row battery: the row tile
+// ---------------------------------------------------------------------
+
+/// One activation row of `x_rows`, `k` long: a guard-failing class
+/// (1e-36, subnormal, ±inf, NaN) when `kind` picks one, an ordinary
+/// activation row otherwise.
+fn mixed_row(kind: u64, k: usize, seed: u64) -> Vec<f32> {
+    let classes = ["near 1e-36", "subnormal", "±inf", "NaN"];
+    match kind % 8 {
+        c @ 0..=3 => adversarial_rows(k, seed)
+            .into_iter()
+            .find(|(name, _)| *name == classes[c as usize])
+            .map(|(_, row)| row)
+            .expect("a named adversarial class"),
+        _ => activations(k, seed),
+    }
+}
+
+/// The first index where two buffers differ in bits (a NaN meets any
+/// NaN: its payload is a platform detail), if any.
+fn first_mismatch(got: &[f32], want: &[f32]) -> Option<usize> {
+    got.iter()
+        .zip(want)
+        .position(|(g, w)| g.to_bits() != w.to_bits() && !(g.is_nan() && w.is_nan()))
+}
+
+proptest! {
+    /// `gemm` and `gemm_cols` over 1..=17 activation rows — two or more
+    /// guard-passing rows take the row tile — equal row-by-row `gemm`
+    /// and the scalar `a·w` reference bit for bit: every sweep scheme
+    /// (the FP16 and Oltron dense lanes included), ragged and
+    /// block-aligned widths, arbitrary and block-aligned column
+    /// partitions, and guard-failing rows interleaved with ordinary rows
+    /// in one tile, against ordinary and ~1e-3 weights.
+    #[test]
+    fn multi_row_gemm_matches_row_by_row_and_scalar(
+        scheme in sweep_scheme(),
+        x_rows in 1usize..=17,
+        k in 1usize..80,
+        n in prop_oneof![1usize..100, (1usize..5).prop_map(|b| b * 32)],
+        cuts in proptest::collection::vec(any::<u16>(), 0..4),
+        aligned_cuts: bool,
+        milli: bool,
+        kinds in proptest::collection::vec(any::<u64>(), 17),
+        seed in any::<u64>(),
+    ) {
+        let w = if milli {
+            milli_weights(scheme, k * n, seed)
+        } else {
+            quantised_weights(scheme, k * n, seed)
+        };
+        let p = PackedMatrix::pack(&w, k, n, scheme);
+        let rows: Vec<Vec<f32>> = (0..x_rows)
+            .map(|i| mixed_row(kinds[i], k, seed.rotate_left(i as u32 + 1)))
+            .collect();
+        let x: Vec<f32> = rows.concat();
+
+        let want = reference_matmul(&x, x_rows, &w, k, n);
+        let mut got = vec![f32::NAN; x_rows * n];
+        p.gemm(&x, x_rows, &mut got);
+        let mut by_row = Vec::with_capacity(x_rows * n);
+        for row in &rows {
+            let mut out = vec![f32::NAN; n];
+            p.gemm(row, 1, &mut out);
+            by_row.extend(out);
+        }
+        prop_assert!(first_mismatch(&by_row, &want).is_none(), "row-by-row gemm vs scalar");
+        let bad = first_mismatch(&got, &want);
+        prop_assert!(bad.is_none(), "{:?} {}x{}x{}: gemm vs scalar at {:?}", scheme, x_rows, k, n, bad);
+
+        // Any column partition stitches back to the same bits.
+        let mut bounds: Vec<usize> = cuts
+            .iter()
+            .map(|&c| {
+                let at = c as usize * n / (u16::MAX as usize + 1);
+                if aligned_cuts { at / 32 * 32 } else { at }
+            })
+            .chain([0, n])
+            .collect();
+        bounds.sort_unstable();
+        bounds.dedup();
+        let mut stitched = vec![f32::NAN; x_rows * n];
+        for pair in bounds.windows(2) {
+            let (c0, c1) = (pair[0], pair[1]);
+            let width = c1 - c0;
+            let mut part = vec![f32::NAN; x_rows * width];
+            p.gemm_cols(&x, x_rows, c0, c1, &mut part);
+            for i in 0..x_rows {
+                stitched[i * n + c0..i * n + c1].copy_from_slice(&part[i * width..(i + 1) * width]);
+            }
+        }
+        let bad = first_mismatch(&stitched, &want);
+        prop_assert!(bad.is_none(), "{:?} cuts {:?}: gemm_cols vs scalar at {:?}", scheme, bounds, bad);
+    }
+}
+
+/// The paper's decoder shapes at every row count the runtime fuses:
+/// 1..=17 rows of ordinary activations with one guard-failing row
+/// dropped into the middle of the first tile, for every sweep scheme.
+#[test]
+fn multi_row_paper_shapes_match_scalar_for_every_scheme() {
+    let (k, n) = (64, 96);
+    for scheme in sweep_schemes() {
+        let w = quantised_weights(scheme, k * n, 0x7117);
+        let p = PackedMatrix::pack(&w, k, n, scheme);
+        for x_rows in 1..=17 {
+            let mut x = activations(x_rows * k, 0x5EED + x_rows as u64);
+            if x_rows >= 3 {
+                x[k..2 * k].fill(f32::from_bits(1)); // a subnormal row
+            }
+            let want = reference_matmul(&x, x_rows, &w, k, n);
+            let mut got = vec![f32::NAN; x_rows * n];
+            p.gemm(&x, x_rows, &mut got);
+            assert_same_bits(&got, &want, &format!("{scheme:?} {x_rows} rows"));
+        }
+    }
+}

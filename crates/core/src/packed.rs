@@ -467,12 +467,12 @@ impl PackedMatrix {
         let n = self.cols;
         let x_row = |i: usize| &x[i * k_len..(i + 1) * k_len];
         let folds: Vec<bool> = (0..x_rows).map(|i| self.folds_exactly(x_row(i))).collect();
-        // Two or more guard-passing rows share every lane load in the
-        // row tile over columns `[c0, tile_end)`; the rest of each row
-        // (and every other row) takes the one-row kernels.
+        // On AVX2 hosts, two or more guard-passing rows share every lane
+        // load in the row tile over columns `[c0, tile_end)`; the rest of
+        // each row (and every other row) takes the one-row kernels.
         let tiled: Vec<usize> = (0..x_rows).filter(|&i| folds[i]).collect();
         let mut tile_end = c0;
-        if tiled.len() >= 2 {
+        if tiled.len() >= 2 && RowTile::supported() {
             tile_end = self.tile_end(c0, c1);
             let tile = RowTile {
                 x,
@@ -942,17 +942,36 @@ struct RowTile<'a> {
 }
 
 impl RowTile<'_> {
-    /// Computes columns `[c0, end)` of every tiled row: the AVX2 build
-    /// of [`RowTile::columns`] where the CPU has it, the baseline build
-    /// otherwise. Both are the same portable code, so both give the
-    /// same bits.
-    fn run(&self, end: usize, out: &mut [f32]) {
+    /// Whether this CPU runs the tile: only its AVX2 build beats the
+    /// one-row kernels (the baseline SSE2 build of the same body
+    /// measured no faster at 8 rows), so other hosts keep those.
+    fn supported() -> bool {
         #[cfg(target_arch = "x86_64")]
-        if std::is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU supports AVX2, checked just above.
-            unsafe { self.columns_avx2(end, out) };
-            return;
+        {
+            std::is_x86_feature_detected!("avx2")
         }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    }
+
+    /// Computes columns `[c0, end)` of every tiled row with the AVX2
+    /// build of [`RowTile::columns`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`RowTile::supported`].
+    fn run(&self, end: usize, out: &mut [f32]) {
+        assert!(RowTile::supported(), "the row tile needs AVX2");
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the CPU supports AVX2, asserted just above.
+        unsafe {
+            self.columns_avx2(end, out);
+        }
+        // Unreached (`supported()` is false off x86-64); keeps the
+        // portable body compiled there.
+        #[cfg(not(target_arch = "x86_64"))]
         self.columns(end, out);
     }
 
@@ -1687,8 +1706,8 @@ mod tests {
     }
 
     /// The portable row-tile body, called directly so its baseline build
-    /// is pinned even on hosts where `gemm_cols` dispatches to the AVX2
-    /// build: block, FP16 and dense lanes, 2..=9 rows (full and partial
+    /// is pinned even though `gemm_cols` runs only the AVX2 build (and
+    /// only on AVX2 hosts): block, FP16 and dense lanes, 2..=9 rows (full and partial
     /// tiles, zero activations mixed in), against the scalar reference.
     #[test]
     fn portable_row_tile_matches_the_scalar_reference() {

@@ -208,12 +208,15 @@ impl KvCache {
         }
     }
 
-    /// The cached key and value rows of token `pos` at decoder layer
-    /// `layer`, exactly as the attention kernels read them.
+    /// Test support, not part of the API: the cached key and value rows
+    /// of token `pos` at decoder layer `layer`, exactly as the attention
+    /// kernels read them, so the fused-forward equivalence test can
+    /// compare caches row by row.
     ///
     /// # Panics
     ///
     /// Panics if `layer` or `pos` is out of range.
+    #[doc(hidden)]
     pub fn kv_row(&self, layer: usize, pos: usize) -> (Vec<f32>, Vec<f32>) {
         assert!(pos < self.len, "token {pos} not cached (len {})", self.len);
         let page = &self.layers[layer].pages[pos / self.page_tokens];

@@ -66,7 +66,7 @@ use bbal_nonlinear::NonlinearUnitConfig;
 use bbal_quant::hooks_for;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError, Weak};
+use std::sync::{Arc, Mutex};
 
 /// Prepared (PTQ-transformed + packed) models, shared across every
 /// session cloned from one builder and keyed by [`prefix_class`] — the
@@ -364,25 +364,17 @@ impl SessionBuilder {
     /// `Arc`) instead of re-synthesising them — what a session pool wants
     /// when it builds one session per scheme over a single model.
     ///
-    /// Resolving is shared across builders too: while a model resolved
-    /// for a spec is alive, resolving the same spec again returns it
-    /// rather than synthesising a second, identical copy (synthesis is
-    /// deterministic in the spec).
-    ///
     /// # Errors
     ///
     /// [`SessionError::UnknownModel`] if a model name is not in the zoo.
     pub fn resolve_model(mut self) -> Result<SessionBuilder, SessionError> {
-        self.model = ModelChoice::Built(self.reference_model(resident_model)?);
+        self.model = ModelChoice::Built(self.reference_model()?);
         Ok(self)
     }
 
-    /// The reference model the builder names: made by `synthesize` for a
-    /// name or spec, shared for an already-built one.
-    fn reference_model(
-        &self,
-        synthesize: fn(&ModelSpec) -> Arc<TransformerModel>,
-    ) -> Result<Arc<TransformerModel>, SessionError> {
+    /// The reference model the builder names: synthesised for a name or
+    /// spec, shared for an already-built one.
+    fn reference_model(&self) -> Result<Arc<TransformerModel>, SessionError> {
         let spec = match &self.model {
             ModelChoice::Name(name) => {
                 zoo::find(name).ok_or_else(|| SessionError::UnknownModel(name.clone()))?
@@ -390,7 +382,7 @@ impl SessionBuilder {
             ModelChoice::Spec(spec) => spec.clone(),
             ModelChoice::Built(model) => return Ok(Arc::clone(model)),
         };
-        Ok(synthesize(&spec))
+        Ok(Arc::new(TransformerModel::synthesize(&spec)))
     }
 
     /// Resolves every choice and assembles the session: parses/validates
@@ -411,8 +403,7 @@ impl SessionBuilder {
                 *s
             }
         };
-        let reference =
-            self.reference_model(|spec| Arc::new(TransformerModel::synthesize(spec)))?;
+        let reference = self.reference_model()?;
         let spec = reference.spec().clone();
         if self.pe_rows == 0 || self.pe_cols == 0 {
             return Err(ConfigError::Geometry {
@@ -969,25 +960,6 @@ impl Session {
     }
 }
 
-/// The reference model synthesised from `spec`, shared with every
-/// resolved builder that still holds one: a second resident copy would
-/// be identical, since synthesis is deterministic in the spec.
-fn resident_model(spec: &ModelSpec) -> Arc<TransformerModel> {
-    static RESIDENT: Mutex<Vec<(ModelSpec, Weak<TransformerModel>)>> = Mutex::new(Vec::new());
-    // Every update leaves the list valid, so a poisoned lock is usable.
-    let mut resident = RESIDENT.lock().unwrap_or_else(PoisonError::into_inner);
-    resident.retain(|(_, model)| model.strong_count() > 0);
-    let alive = resident
-        .iter()
-        .find(|(s, _)| s == spec)
-        .and_then(|(_, model)| model.upgrade());
-    alive.unwrap_or_else(|| {
-        let model = Arc::new(TransformerModel::synthesize(spec));
-        resident.push((spec.clone(), Arc::downgrade(&model)));
-        model
-    })
-}
-
 /// The prefix-cache namespace for KV rows produced by `spec` under
 /// `scheme`: an FNV-1a hash over the full model specification and the
 /// scheme. Cached KV rows depend on *everything* that shapes the
@@ -1115,36 +1087,6 @@ mod tests {
         // An unresolved builder synthesises per build: nothing shared.
         let lone = SessionBuilder::new().model("Tiny").build().unwrap();
         assert!(!Arc::ptr_eq(&lone.reference, &sessions[0].reference));
-    }
-
-    #[test]
-    fn resolving_one_spec_shares_the_model_while_it_is_alive() {
-        let mut spec = zoo::tiny_test_model();
-        spec.name = "Tiny-resident";
-        let resolve = || {
-            SessionBuilder::new()
-                .model_spec(spec.clone())
-                .resolve_model()
-                .unwrap()
-                .build()
-                .unwrap()
-        };
-        let (a, b) = (resolve(), resolve());
-        assert!(Arc::ptr_eq(&a.reference, &b.reference));
-        let gone = Arc::downgrade(&a.reference);
-        drop((a, b));
-        assert!(gone.upgrade().is_none(), "no holder keeps the model alive");
-        assert_eq!(
-            resolve().reference.layers()[0].wq.data(),
-            SessionBuilder::new()
-                .model_spec(spec.clone())
-                .build()
-                .unwrap()
-                .reference
-                .layers()[0]
-                .wq
-                .data()
-        );
     }
 
     #[test]

@@ -1,75 +1,100 @@
 //! Packed quantised matrix storage and block-dot GEMM kernels.
 //!
-//! [`PackedBlock`] owns the bit-exact storage layout of a single block;
-//! this module promotes it to the *storage format* of whole matrices. A
-//! [`PackedMatrix`] holds a weight matrix in its scheme's native layout
-//! — one shared scale field per block (5-bit exponent for BFP/BBFP,
-//! 8-bit for MX/MSFP, a signed bias for block minifloat), any
-//! per-sub-block offset codes, then the packed element payloads
-//! (`sign|mantissa`, `sign|flag|mantissa`, or `sign|exp|mantissa`),
-//! with no padding between fields — plus the two kernel operands that
-//! layout factors every weight into:
+//! [`PackedBlock`] owns the bit-exact storage layout of a single block:
+//! one shared scale field per block (5-bit exponent for BFP/BBFP, 8-bit
+//! for MX/MSFP, a signed bias for block minifloat), any per-sub-block
+//! offset codes, then the packed element payloads (`sign|mantissa`,
+//! `sign|flag|mantissa`, or `sign|exp|mantissa`), with no padding
+//! between fields. A [`PackedMatrix`] stores a whole weight matrix in
+//! the form its kernels read: that layout factored into one integer
+//! element code per weight and one power-of-two scale per block.
 //!
 //! ```text
 //!   block b:   [ e₄e₃e₂e₁e₀ | s f m₃m₂m₁m₀ | s f m₃m₂m₁m₀ | … ]
 //!               `────┬────'   `─────┬─────'
-//!            shared exponent   one element lane (BBFP: flag picks the
+//!            shared exponent   one element (BBFP: flag picks the
 //!                              high window, worth ×2^(m−o))
 //!
-//!   weight[j] = lane[j] × 2^(scale-exponent(b))
-//!               `──┬──'    `────────┬────────'
-//!           exact f32 (flags,   one power-of-two scale
-//!           micro-exponents,    per block
-//!           minifloat exps
-//!           folded in)
+//!   weight[j] = code[j] × scale(b)      code = lane·2^c,  scale = 2^(e(b)−c)
+//!               `──┬──'   `───┬───'
+//!      signed integer:    one power-of-two scale per block,
+//!      flags, micro-      with the matrix's one shift c folded in
+//!      exponents and      (c = 1 for two-level MX lanes, which are
+//!      minifloat exps     half-integers; 0 otherwise)
+//!      folded in
 //! ```
 //!
-//! The kernels exploit that factoring: [`PackedBlock::block_dot`]
+//! Codes are `i16` whenever every code of the matrix fits, which holds
+//! for every BFP/BBFP point of the paper (the widest, BBFP(6,3), reaches
+//! |code| = 504); a matrix whose codes outgrow `i16` (block minifloat,
+//! whose lanes reach `15·2^14`) keeps the same layout with `f32` codes.
+//! An `i16` holds `2·code`, plus one for a negative-zero weight, so
+//! [`PackedMatrix::decode`] gives every stored weight back bit for bit
+//! (an integer has no `-0`); the kernels read `code` and so see a `-0`
+//! weight as `+0` (see the invariant below). The bits themselves are
+//! not kept: [`PackedMatrix::packed_bits`] charges what
+//! [`PackedBlock`]'s layout would take.
+//!
+//! When every block starts a row and is a multiple of 16 columns wide
+//! (every decoder matrix), codes are stored **tile-major** —
+//! `[16-column tile][k][16]`, scales `[block column][k]` — so the row
+//! tile of [`PackedMatrix::gemm_cols`] streams one contiguous strip per
+//! column tile; other (ragged) shapes keep the flat row-major order.
+//!
+//! The kernels exploit the factoring: [`PackedBlock::block_dot`]
 //! accumulates activation × mantissa-integer products and applies the
 //! shared-exponent scale **once per block**; the [`PackedMatrix`] GEMMs
 //! fold the block scale into the broadcast activation (`a·2^s` is exact
-//! — a power-of-two scale only shifts the exponent) so the inner loop is
-//! a plain fused multiply-accumulate over the mantissa lane. No
-//! per-element f32 re-quantisation happens anywhere on the hot path.
+//! — a power-of-two scale only shifts the exponent) and widen each code
+//! to f32 in registers, so the inner loop is a plain multiply-accumulate
+//! over the codes. No per-element f32 re-quantisation happens anywhere
+//! on the hot path.
 //!
 //! ## The bit-identity invariant
 //!
 //! Every kernel here is **bit-identical** to the scalar f32 reference
 //! path (`Tensor::matmul` over the decoded weights) by construction:
 //!
-//! * decoding is exact: `mantissa × 2^s` is a representable f32 (it *is*
-//!   the stored weight), so the mantissa lane plus block scale lose
-//!   nothing;
-//! * power-of-two scaling commutes with rounding: `fl(a·(m·2^s)) =
-//!   fl((a·2^s)·m) = fl(a·m)·2^s` whenever no intermediate is subnormal
-//!   or infinite — the GEMMs check this per activation row (see below);
+//! * decoding is exact: `code × scale` is a representable f32 (it *is*
+//!   the stored weight), and `pack()` checks that for every element;
+//! * power-of-two scaling commutes with rounding: `fl(a·(code·2^s)) =
+//!   fl((a·2^s)·code)` whenever `a·2^s` is an exact, normal f32 — the
+//!   GEMMs check this per activation row (see below) — because both
+//!   sides round the same real product `a·w`;
 //! * accumulation order is preserved: the GEMMs accumulate each output
 //!   element in ascending-`k` order with the same `a == 0.0` skip as the
 //!   reference i-k-j loop, and `fl((x+y)·2^s) = fl(x·2^s + y·2^s)` makes
 //!   the once-per-block scaling of `block_dot` equal to scaling every
-//!   partial sum. (The multi-row tile of [`PackedMatrix::gemm_cols`]
-//!   adds a zero activation's `±0·w` instead of skipping it when other
-//!   rows of its tile are nonzero; against a finite weight that never
-//!   changes the sum's bits, since the sum never holds `-0`.)
+//!   partial sum;
+//! * signed zeros cannot show: every sum starts at `+0`, and adding a
+//!   `±0` term to a sum that is not `-0` leaves its bits unchanged. So
+//!   reading a `-0` weight as `+0` changes nothing, and neither does the
+//!   row tile of [`PackedMatrix::gemm_cols`], which adds a zero
+//!   activation's `±0·code` instead of skipping it (every code is
+//!   finite). A `±inf`/NaN
+//!   activation meets the weight in the scalar order below, where
+//!   `inf·±0` is the same invalid-operation NaN either way.
 //!
 //! Schemes whose scales are *not* powers of two (olive, oltron,
 //! omniquant, int) cannot use the block layout; [`PackedMatrix::pack`]
 //! stores them as a dense f32 lane instead ([`LayoutKind::Dense`]), and
 //! FP16 keeps its raw bits next to an exact f32 lane
-//! ([`LayoutKind::Fp16`]). Packing *verifies* itself: the packed bytes
+//! ([`LayoutKind::Fp16`]). Packing *verifies* itself: the stored codes
 //! are decoded and compared bit-for-bit against the input, falling back
-//! to the dense layout on any mismatch.
+//! to the dense layout on any mismatch or on a folded scale outside the
+//! normal range.
 //!
 //! The activation side needs `a·2^s` to stay a normal f32. Every
 //! [`PackedMatrix`] GEMM checks that once per activation row: the row's
 //! smallest nonzero and largest magnitude against the matrix's smallest
-//! and largest block scale (recorded at pack time). A row that would
-//! leave the normal range, or that holds ±inf/NaN, takes the scalar
-//! `a·w` order instead. So the weight GEMMs are bit-identical to the
-//! scalar path for every input. The attention kernels
-//! ([`attn_dot_packed`], [`attn_weighted_sum_packed`]) fold the scale
-//! without that guard: for them the invariant still holds only while
-//! the folded products stay in the normal range.
+//! and largest (folded) block scale, recorded at pack time. A row that
+//! would leave the normal range, or that holds ±inf/NaN, takes the
+//! scalar `a·(code·2^s)` order instead, which multiplies the exact
+//! weight. So the weight GEMMs are bit-identical to the scalar path for
+//! every input. The attention kernels ([`attn_dot_packed`],
+//! [`attn_weighted_sum_packed`]) fold the scale without that guard: for
+//! them the invariant still holds only while the folded products stay
+//! in the normal range.
 
 use crate::algebra::{self, AlgChunk, FormatAlgebra, ScaleKind};
 use crate::bfp::exp2i;
@@ -248,9 +273,67 @@ pub enum LayoutKind {
     Dense,
     /// Raw IEEE binary16 bits plus an exact f32 lane.
     Fp16,
-    /// Native block layout: packed bits + mantissa lane + per-block
-    /// power-of-two scales.
+    /// Native block layout: one integer element code per weight (`i16`,
+    /// or `f32` where a matrix's codes outgrow it) plus one power-of-two
+    /// scale per block.
     Block,
+}
+
+/// The element codes of a block-layout matrix, in its storage order.
+#[derive(Debug, Clone)]
+enum Codes {
+    /// `2·code`, or 1 for a negative-zero weight (see [`Code`]).
+    I16(Vec<i16>),
+    /// The code itself, for matrices whose codes do not fit `i16`.
+    F32(Vec<f32>),
+}
+
+/// An element code type of the block layout: what the kernels multiply,
+/// and the stored weight it decodes to.
+trait Code: Copy {
+    /// The code as the kernels read it; a negative-zero weight reads
+    /// `+0`, which no sum can tell apart (module docs).
+    fn widen(self) -> f32;
+
+    /// The stored weight, bit for bit: `code·scale`, signed zero
+    /// included.
+    fn weight(self, scale: f32) -> f32;
+}
+
+impl Code for i16 {
+    #[inline(always)]
+    fn widen(self) -> f32 {
+        (self >> 1) as f32
+    }
+
+    fn weight(self, scale: f32) -> f32 {
+        if self == 1 {
+            -0.0
+        } else {
+            self.widen() * scale
+        }
+    }
+}
+
+impl Code for f32 {
+    #[inline(always)]
+    fn widen(self) -> f32 {
+        self
+    }
+
+    fn weight(self, scale: f32) -> f32 {
+        self * scale
+    }
+}
+
+/// The `i16` form of an f32 code: `2·code` (1 for `-0`), or `None` if
+/// the code is not an integer of at most `i16::MAX / 2`.
+fn i16_code(code: f32) -> Option<i16> {
+    if code == 0.0 && code.is_sign_negative() {
+        return Some(1);
+    }
+    let half_range = f32::from(i16::MAX / 2);
+    (code.fract() == 0.0 && code.abs() <= half_range).then(|| code as i16 * 2)
 }
 
 #[derive(Debug, Clone)]
@@ -259,7 +342,7 @@ enum Layout {
         lane: Vec<f32>,
         /// Whether every lane value is finite — the condition under which
         /// the row tile may add a zero activation's `±0` product instead
-        /// of skipping it ([`PackedMatrix::tile_end`]).
+        /// of skipping it ([`PackedMatrix::tile_span`]).
         finite: bool,
     },
     Fp16 {
@@ -267,24 +350,41 @@ enum Layout {
         lane: Vec<f32>,
     },
     Block {
-        /// The block-format point the bits are encoded in.
+        /// The block-format point the codes come from.
         alg: FormatAlgebra,
-        /// Packed bits of every block, concatenated with no padding.
-        bytes: Vec<u8>,
-        bit_len: usize,
-        /// Signed effective lane values (flags, micro-exponents and
-        /// minifloat exponents already folded in), one per element.
-        lane: Vec<f32>,
-        /// One power-of-two scale per `group`-element block of the flat
-        /// row-major buffer (final block may be ragged).
+        /// One element code per weight: tile-major when
+        /// [`tile_major`] holds for the matrix, flat row-major otherwise.
+        codes: Codes,
+        /// One power-of-two scale (with the code shift folded in) per
+        /// `group`-element block of the flat row-major buffer (final
+        /// block may be ragged): `[block column][k]` when tile-major,
+        /// in flat block order otherwise.
         scale: Vec<f32>,
-        /// The scheme's block size — the stride of `scale` along the
-        /// flat buffer.
+        /// The scheme's block size.
         group: usize,
         /// The smallest and largest entry of `scale`, recorded at pack
         /// time for the per-row range guard ([`PackedMatrix::folds_exactly`]).
         scale_range: (f32, f32),
     },
+}
+
+/// Whether a matrix `cols` wide with `group`-element blocks stores its
+/// codes tile-major: every block then starts a row and covers whole
+/// [`TILE_COLS`]-wide column tiles, so one tile lies inside one block of
+/// every weight row.
+fn tile_major(cols: usize, group: usize) -> bool {
+    cols.is_multiple_of(group) && group.is_multiple_of(TILE_COLS)
+}
+
+/// A row-major `rows × cols` buffer as `[cols / width strips][rows][width]`.
+fn strip_major<T: Copy>(flat: &[T], rows: usize, cols: usize, width: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(flat.len());
+    for j in (0..cols).step_by(width) {
+        for k in 0..rows {
+            out.extend_from_slice(&flat[k * cols + j..k * cols + j + width]);
+        }
+    }
+    out
 }
 
 /// A weight matrix stored in its quantisation scheme's packed layout,
@@ -307,7 +407,7 @@ enum Layout {
 ///
 /// let packed = PackedMatrix::pack(&q, 2, 32, SchemeSpec::Bbfp(4, 2));
 /// assert_eq!(packed.layout_kind(), LayoutKind::Block);
-/// assert_eq!(packed.decode(), q); // exact round trip from the bits
+/// assert_eq!(packed.decode(), q); // exact round trip from the codes
 ///
 /// // x · W, bit-identical to the f32 reference.
 /// let x = vec![0.5f32, -1.0];
@@ -337,7 +437,7 @@ impl PackedMatrix {
     ///
     /// Block schemes ([`SchemeSpec::block_algebra`]) get the block
     /// layout, FP16 the binary16 layout; every other scheme — and any
-    /// input the block encoder cannot reproduce bit-for-bit (e.g.
+    /// input the block layout cannot reproduce bit-for-bit (e.g.
     /// values that did not come from this scheme's quantiser) — falls
     /// back to a dense f32 lane, so the weight side of the GEMM
     /// bit-identity invariant never depends on the encoder; the
@@ -349,22 +449,35 @@ impl PackedMatrix {
     pub fn pack(values: &[f32], rows: usize, cols: usize, scheme: SchemeSpec) -> PackedMatrix {
         assert!(rows > 0 && cols > 0, "degenerate matrix {rows}x{cols}");
         assert_eq!(values.len(), rows * cols, "data length mismatch");
+        let dense = || Layout::Dense {
+            lane: values.to_vec(),
+            finite: values.iter().all(|v| v.is_finite()),
+        };
         let layout = match scheme {
             SchemeSpec::Fp16 => pack_fp16(values),
             _ => scheme
                 .block_algebra()
-                .and_then(|alg| pack_blocks(values, alg)),
-        }
-        .unwrap_or_else(|| Layout::Dense {
-            lane: values.to_vec(),
-            finite: values.iter().all(|v| v.is_finite()),
-        });
-        PackedMatrix {
+                .and_then(|alg| pack_blocks(values, rows, cols, alg)),
+        };
+        let mut packed = PackedMatrix {
             rows,
             cols,
             scheme,
-            layout,
+            layout: layout.unwrap_or_else(dense),
+        };
+        // Self-verification: the block layout must decode to the input
+        // bit for bit, or the matrix keeps it as a dense lane.
+        if let Layout::Block { .. } = packed.layout {
+            let decoded = packed.decode();
+            if decoded
+                .iter()
+                .zip(values)
+                .any(|(d, v)| d.to_bits() != v.to_bits())
+            {
+                packed.layout = dense();
+            }
         }
+        packed
     }
 
     /// Number of rows (the GEMM contraction length).
@@ -393,18 +506,24 @@ impl PackedMatrix {
 
     /// Exact storage size of the packed representation in bits
     /// (`rows·cols·32` for the dense fallback — the honesty metric the
-    /// memory-density tests pin).
+    /// memory-density tests pin). The block layout is charged what its
+    /// scheme's bit layout ([`PackedBlock`]) takes for the flat buffer's
+    /// chunks, ragged tail included.
     pub fn packed_bits(&self) -> usize {
         match &self.layout {
             Layout::Dense { lane, .. } => lane.len() * 32,
             Layout::Fp16 { bits, .. } => bits.len() * 16,
-            Layout::Block { bit_len, .. } => *bit_len,
+            Layout::Block { alg, group, .. } => {
+                let n = self.rows * self.cols;
+                let tail = n % group;
+                let tail_bits = if tail > 0 { chunk_bits(alg, tail) } else { 0 };
+                n / group * chunk_bits(alg, *group) + tail_bits
+            }
         }
     }
 
-    /// Decodes the authoritative storage back to the full f32 matrix —
-    /// for the block layout that means reading the packed bits, not the
-    /// lane.
+    /// Decodes the storage back to the full f32 matrix, bit for bit —
+    /// for the block layout, `code·scale` per element.
     pub fn decode(&self) -> Vec<f32> {
         match &self.layout {
             Layout::Dense { lane, .. } => lane.clone(),
@@ -412,23 +531,30 @@ impl PackedMatrix {
                 bits.iter().map(|&b| Fp16::from_bits(b).to_f32()).collect()
             }
             Layout::Block {
-                alg, bytes, group, ..
-            } => {
-                let n = self.rows * self.cols;
-                let mut out = Vec::with_capacity(n);
-                let mut r = BitReader::new(bytes);
-                let mut done = 0;
-                while done < n {
-                    let len = (*group).min(n - done);
-                    let chunk = algebra::read_chunk(&mut r, len, alg);
-                    for i in 0..len {
-                        out.push(chunk.decode_value(i, alg));
-                    }
-                    done += len;
-                }
-                out
+                codes: Codes::I16(codes),
+                scale,
+                group,
+                ..
+            } => self.decode_codes(codes, scale, *group),
+            Layout::Block {
+                codes: Codes::F32(codes),
+                scale,
+                group,
+                ..
+            } => self.decode_codes(codes, scale, *group),
+        }
+    }
+
+    /// The block layout's weights in row-major order, `code·scale` each.
+    fn decode_codes<C: Code>(&self, codes: &[C], scale: &[f32], group: usize) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.rows * self.cols);
+        for k in 0..self.rows {
+            for run in self.runs(group, k, 0, self.cols) {
+                let s = scale[run.scale];
+                out.extend(run.codes(codes).iter().map(|c| c.weight(s)));
             }
         }
+        out
     }
 
     /// `x · W` for row-major `x` of shape `x_rows × self.rows`, writing
@@ -460,79 +586,212 @@ impl PackedMatrix {
     pub fn gemm_cols(&self, x: &[f32], x_rows: usize, c0: usize, c1: usize, out: &mut [f32]) {
         assert!(c0 < c1 && c1 <= self.cols, "bad column range {c0}..{c1}");
         assert_eq!(x.len(), x_rows * self.rows, "x shape mismatch");
-        let width = c1 - c0;
-        assert_eq!(out.len(), x_rows * width, "out shape mismatch");
-        let (lane, scale) = self.kernel_operands();
-        let k_len = self.rows;
-        let n = self.cols;
-        let x_row = |i: usize| &x[i * k_len..(i + 1) * k_len];
-        let folds: Vec<bool> = (0..x_rows).map(|i| self.folds_exactly(x_row(i))).collect();
-        // On AVX2 hosts, two or more guard-passing rows share every lane
-        // load in the row tile over columns `[c0, tile_end)`; the rest of
-        // each row (and every other row) takes the one-row kernels.
-        let tiled: Vec<usize> = (0..x_rows).filter(|&i| folds[i]).collect();
-        let mut tile_end = c0;
-        if tiled.len() >= 2 && RowTile::supported() {
-            tile_end = self.tile_end(c0, c1);
-            let tile = RowTile {
-                x,
-                k_len,
-                rows: &tiled,
-                lane,
-                n,
+        assert_eq!(out.len(), x_rows * (c1 - c0), "out shape mismatch");
+        let cols = Cols { x, x_rows, c0, c1 };
+        match &self.layout {
+            Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => {
+                self.lane_gemm(lane, cols, out)
+            }
+            Layout::Block {
+                codes: Codes::I16(codes),
                 scale,
-                c0,
-                width,
-            };
-            tile.run(tile_end, out);
+                group,
+                ..
+            } => self.block_gemm(codes, scale, *group, cols, out),
+            Layout::Block {
+                codes: Codes::F32(codes),
+                scale,
+                group,
+                ..
+            } => self.block_gemm(codes, scale, *group, cols, out),
+        }
+    }
+
+    /// [`PackedMatrix::gemm_cols`] over a dense or FP16 lane: on AVX2
+    /// hosts two or more rows share every lane load in the row tile over
+    /// [`PackedMatrix::tile_span`]; the rest of each row (and every row
+    /// elsewhere) takes the one-row kernel.
+    fn lane_gemm(&self, lane: &[f32], cols: Cols<'_>, out: &mut [f32]) {
+        let Cols { x, x_rows, c0, c1 } = cols;
+        let (k_len, n, width) = (self.rows, self.cols, c1 - c0);
+        let mut tile_end = c0;
+        if x_rows >= 2 && RowTile::<f32>::supported() {
+            let rows: Vec<usize> = (0..x_rows).collect();
+            let tile = self.lane_tile(lane, cols, &rows);
+            tile_end = tile.tiles.end;
+            tile.run(out);
+        }
+        if tile_end == c1 {
+            return;
         }
         for i in 0..x_rows {
-            let start = if folds[i] { tile_end } else { c0 };
-            if start == c1 {
-                continue;
-            }
-            let x_row = x_row(i);
-            let out_row = &mut out[i * width + (start - c0)..(i + 1) * width];
+            let out_row = &mut out[i * width + (tile_end - c0)..(i + 1) * width];
             out_row.fill(0.0);
-            match scale {
-                None => axpy_dense(x_row, lane, n, start, c1, out_row),
-                Some((scale, group)) if !folds[i] => {
-                    axpy_unfolded(x_row, lane, scale, group, n, start, c1, out_row);
-                }
-                Some((scale, group)) => {
-                    if n.is_multiple_of(group)
-                        && start.is_multiple_of(group)
-                        && c1.is_multiple_of(group)
-                    {
-                        axpy_block_aligned(x_row, lane, scale, group, n, start, c1, out_row);
-                    } else {
-                        axpy_block_ragged(x_row, lane, scale, group, n, start, c1, out_row);
+            axpy_dense(
+                &x[i * k_len..(i + 1) * k_len],
+                lane,
+                n,
+                tile_end,
+                c1,
+                out_row,
+            );
+        }
+    }
+
+    /// [`PackedMatrix::gemm_cols`] over block codes. Guard-passing rows
+    /// take the row tile over [`PackedMatrix::tile_span`] (every row
+    /// count, one row included); the columns the tile leaves, and every
+    /// row the range guard rejects, walk each weight row's runs, folding
+    /// the scale into the activation when the guard allows and in the
+    /// scalar `a·(code·2^s)` order when it does not.
+    fn block_gemm<C: Code>(
+        &self,
+        codes: &[C],
+        scale: &[f32],
+        group: usize,
+        cols: Cols<'_>,
+        out: &mut [f32],
+    ) {
+        let Cols { x, x_rows, c0, c1 } = cols;
+        let (k_len, width) = (self.rows, c1 - c0);
+        let x_row = |i: usize| &x[i * k_len..(i + 1) * k_len];
+        let folds: Vec<bool> = (0..x_rows).map(|i| self.folds_exactly(x_row(i))).collect();
+        let rows: Vec<usize> = (0..x_rows).filter(|&i| folds[i]).collect();
+        let tile = self.block_tile(codes, scale, group, cols, &rows);
+        let span = tile.tiles.clone();
+        if !span.is_empty() {
+            tile.run(out);
+        }
+        for (i, &folds) in folds.iter().enumerate() {
+            let walks = if folds {
+                [c0..span.start, span.end..c1]
+            } else {
+                [c0..c1, c1..c1]
+            };
+            let out_row = &mut out[i * width..(i + 1) * width];
+            for walk in walks.into_iter().filter(|w| !w.is_empty()) {
+                let out_part = &mut out_row[walk.start - c0..walk.end - c0];
+                out_part.fill(0.0);
+                for (k, &a) in x_row(i).iter().enumerate() {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for run in self.runs(group, k, walk.start, walk.end) {
+                        let s = scale[run.scale];
+                        let o = out_part[run.j0 - walk.start..run.j1 - walk.start].iter_mut();
+                        if folds {
+                            let a_s = a * s;
+                            for (ov, cv) in o.zip(run.codes(codes)) {
+                                *ov += a_s * cv.widen();
+                            }
+                        } else {
+                            for (ov, cv) in o.zip(run.codes(codes)) {
+                                *ov += a * (cv.widen() * s);
+                            }
+                        }
                     }
                 }
             }
         }
     }
 
-    /// Where the row tile over output columns `[c0, c1)` ends: it covers
-    /// whole [`TILE_COLS`]-wide column tiles, each inside one block of
-    /// every weight row, and only lanes the tile may treat as finite
-    /// (it adds a zero activation's `±0` product rather than skipping
-    /// it, which is exact only against a finite weight). Returns `c0`
-    /// when the layout or the range admits no tile.
-    fn tile_end(&self, c0: usize, c1: usize) -> usize {
-        let whole = c0 + (c1 - c0) / TILE_COLS * TILE_COLS;
+    /// The row tile of `rows` over a row-major lane.
+    fn lane_tile<'a>(
+        &self,
+        lane: &'a [f32],
+        cols: Cols<'a>,
+        rows: &'a [usize],
+    ) -> RowTile<'a, f32> {
+        RowTile {
+            cols,
+            k_len: self.rows,
+            rows,
+            codes: lane,
+            col_stride: 1,
+            k_stride: self.cols,
+            scale: None,
+            tiles: self.tile_span(cols.c0, cols.c1),
+        }
+    }
+
+    /// The row tile of `rows` over tile-major block codes.
+    fn block_tile<'a, C>(
+        &self,
+        codes: &'a [C],
+        scale: &'a [f32],
+        group: usize,
+        cols: Cols<'a>,
+        rows: &'a [usize],
+    ) -> RowTile<'a, C> {
+        RowTile {
+            cols,
+            k_len: self.rows,
+            rows,
+            codes,
+            col_stride: self.rows,
+            k_stride: TILE_COLS,
+            scale: Some((scale, group)),
+            tiles: self.tile_span(cols.c0, cols.c1),
+        }
+    }
+
+    /// The output columns of `[c0, c1)` the row tile covers, in whole
+    /// [`TILE_COLS`]-wide tiles. A tile-major block layout covers every
+    /// whole tile inside the range (a worker's range is block-aligned,
+    /// so that is all of it); a dense or FP16 lane tiles from `c0`, and
+    /// only when every weight is finite (the tile adds a zero
+    /// activation's `±0` product rather than skipping it, which is
+    /// exact only against a finite weight). Empty when the layout admits
+    /// no tile.
+    fn tile_span(&self, c0: usize, c1: usize) -> std::ops::Range<usize> {
         match &self.layout {
-            Layout::Dense { finite: true, .. } | Layout::Fp16 { .. } => whole,
-            Layout::Dense { finite: false, .. } => c0,
-            Layout::Block { group, .. } => {
-                let aligned = [self.cols, c0, c1].iter().all(|v| v.is_multiple_of(*group));
-                if aligned && group.is_multiple_of(TILE_COLS) {
-                    c1
+            Layout::Dense { finite: true, .. } | Layout::Fp16 { .. } => {
+                c0..c0 + (c1 - c0) / TILE_COLS * TILE_COLS
+            }
+            Layout::Block { group, .. } if tile_major(self.cols, *group) => {
+                let (start, end) = (c0.next_multiple_of(TILE_COLS), c1 / TILE_COLS * TILE_COLS);
+                if start < end {
+                    start..end
                 } else {
-                    c0
+                    c0..c0
                 }
             }
+            Layout::Dense { finite: false, .. } | Layout::Block { .. } => c0..c0,
         }
+    }
+
+    /// Row `k`'s columns `[c0, c1)` of a block layout, as runs that
+    /// share one block scale and lie contiguous in the code buffer.
+    fn runs(&self, group: usize, k: usize, c0: usize, c1: usize) -> impl Iterator<Item = Run> {
+        let (rows, cols) = (self.rows, self.cols);
+        let tiled = tile_major(cols, group);
+        let mut j = c0;
+        std::iter::from_fn(move || {
+            if j >= c1 {
+                return None;
+            }
+            let j0 = j;
+            let run = if tiled {
+                let t = j0 / TILE_COLS;
+                j = c1.min((t + 1) * TILE_COLS);
+                Run {
+                    j0,
+                    j1: j,
+                    code: (t * rows + k) * TILE_COLS + j0 % TILE_COLS,
+                    scale: j0 / group * rows + k,
+                }
+            } else {
+                let flat = k * cols + j0;
+                j = c1.min(j0 + group - flat % group);
+                Run {
+                    j0,
+                    j1: j,
+                    code: flat,
+                    scale: flat / group,
+                }
+            };
+            Some(run)
+        })
     }
 
     /// `x · Wᵀ` for row-major `x` of shape `x_rows × self.cols`, writing
@@ -568,34 +827,66 @@ impl PackedMatrix {
         assert_eq!(x.len(), x_rows * self.cols, "x shape mismatch");
         let width = r1 - r0;
         assert_eq!(out.len(), x_rows * width, "out shape mismatch");
-        let (lane, scale) = self.kernel_operands();
         let n = self.cols;
         for i in 0..x_rows {
             let x_row = &x[i * n..(i + 1) * n];
-            let folds = self.folds_exactly(x_row);
-            for r in r0..r1 {
-                let w_row = &lane[r * n..(r + 1) * n];
-                let acc = match scale {
-                    None => dot_plain(x_row, w_row),
-                    Some((scale, group)) if !folds => {
-                        dot_unfolded(x_row, w_row, scale, group, r * n)
+            let out_row = &mut out[i * width..(i + 1) * width];
+            for (r, o) in (r0..r1).zip(out_row) {
+                *o = match &self.layout {
+                    Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => {
+                        dot_plain(x_row, &lane[r * n..(r + 1) * n])
                     }
-                    // Row-aligned rows (the common decoder shapes, where
-                    // n is a multiple of the block size) take the fast
-                    // path: no per-segment flat-index division.
-                    Some((scale, group)) if n.is_multiple_of(group) => {
-                        dot_scaled_aligned(x_row, w_row, &scale[r * (n / group)..], group)
-                    }
-                    Some((scale, group)) => dot_scaled(x_row, w_row, scale, group, r * n),
+                    Layout::Block {
+                        codes: Codes::I16(codes),
+                        scale,
+                        group,
+                        ..
+                    } => self.block_dot_row(x_row, codes, scale, *group, r),
+                    Layout::Block {
+                        codes: Codes::F32(codes),
+                        scale,
+                        group,
+                        ..
+                    } => self.block_dot_row(x_row, codes, scale, *group, r),
                 };
-                out[i * width + (r - r0)] = acc;
             }
         }
     }
 
+    /// Sequential dot of `x_row` with weight row `r` over block codes:
+    /// the block scale folds into the activation when the range guard
+    /// allows, else each weight is rebuilt as `code·2^s` first — either
+    /// way every term is the reference `fl(xⱼ·wⱼ)`, accumulated in the
+    /// reference order.
+    fn block_dot_row<C: Code>(
+        &self,
+        x_row: &[f32],
+        codes: &[C],
+        scale: &[f32],
+        group: usize,
+        r: usize,
+    ) -> f32 {
+        let folds = self.folds_exactly(x_row);
+        let mut acc = 0.0f32;
+        for run in self.runs(group, r, 0, self.cols) {
+            let s = scale[run.scale];
+            let xs = &x_row[run.j0..run.j1];
+            if folds {
+                for (xv, cv) in xs.iter().zip(run.codes(codes)) {
+                    acc += (xv * s) * cv.widen();
+                }
+            } else {
+                for (xv, cv) in xs.iter().zip(run.codes(codes)) {
+                    acc += xv * (cv.widen() * s);
+                }
+            }
+        }
+        acc
+    }
+
     /// The per-row range guard of the scale-folding kernels: true when
     /// every `a·2^s` — any activation of `x_row` times any block scale of
-    /// this matrix — is an exact, normal f32, so `fl((a·2^s)·lane)`
+    /// this matrix — is an exact, normal f32, so `fl((a·2^s)·code)`
     /// equals the scalar `fl(a·w)` bit for bit. False for a row holding
     /// ±inf or NaN, or whose smallest nonzero / largest magnitude would
     /// leave the normal range against the matrix's smallest / largest
@@ -622,17 +913,29 @@ impl PackedMatrix {
         }
         max == 0.0 || (min * lo >= f32::MIN_POSITIVE && max * hi <= f32::MAX)
     }
+}
 
-    /// The kernel operands: the f32 lane and, for the block layout, the
-    /// per-block scales with their block-size stride.
-    fn kernel_operands(&self) -> (&[f32], Option<(&[f32], usize)>) {
-        match &self.layout {
-            Layout::Dense { lane, .. } => (lane, None),
-            Layout::Fp16 { lane, .. } => (lane, None),
-            Layout::Block {
-                lane, scale, group, ..
-            } => (lane, Some((scale, *group))),
-        }
+/// The activation operand of one [`PackedMatrix::gemm_cols`] call.
+#[derive(Clone, Copy)]
+struct Cols<'a> {
+    x: &'a [f32],
+    x_rows: usize,
+    c0: usize,
+    c1: usize,
+}
+
+/// Columns `[j0, j1)` of one weight row of a block layout: they share
+/// the scale at index `scale` and their codes start at index `code`.
+struct Run {
+    j0: usize,
+    j1: usize,
+    code: usize,
+    scale: usize,
+}
+
+impl Run {
+    fn codes<'c, C>(&self, codes: &'c [C]) -> &'c [C] {
+        &codes[self.code..self.code + (self.j1 - self.j0)]
     }
 }
 
@@ -653,43 +956,54 @@ fn pack_fp16(values: &[f32]) -> Option<Layout> {
     Some(Layout::Fp16 { bits, lane })
 }
 
-/// Packs the block layout over the flat buffer; `None` if any block
-/// fails the bit-exact round-trip check.
-fn pack_blocks(values: &[f32], alg: FormatAlgebra) -> Option<Layout> {
+/// Packs the block layout: encodes every chunk of the flat buffer,
+/// scales each lane by the matrix's code shift `c` and folds `2^−c`
+/// into the block scale, then stores the codes as `i16` when they all
+/// fit (else as `f32`), tile-major when [`tile_major`] holds. `None` on
+/// a non-finite value or a folded scale outside the normal range; the
+/// caller verifies the rest.
+fn pack_blocks(values: &[f32], rows: usize, cols: usize, alg: FormatAlgebra) -> Option<Layout> {
     let group = alg.block_size;
-    let mut w = BitWriter::new();
-    let mut lane = Vec::with_capacity(values.len());
+    // Two-level lanes are multiples of 2^−(largest sub-block offset).
+    let shift = match alg.scale {
+        ScaleKind::TwoLevel { sub_scale_bits, .. } => (1i32 << sub_scale_bits) - 1,
+        _ => 0,
+    };
+    let mut flat = Vec::with_capacity(values.len());
     let mut scale = Vec::with_capacity(values.len().div_ceil(group));
     for chunk in values.chunks(group) {
         if chunk.iter().any(|v| !v.is_finite()) {
             return None;
         }
         let encoded = encode_chunk(chunk, &alg);
-        for (i, v) in chunk.iter().enumerate() {
-            if encoded.decode_value(i, &alg).to_bits() != v.to_bits() {
-                return None;
-            }
-            lane.push(encoded.lane_value(i, &alg));
+        let s = exp2i(encoded.scale_exponent(&alg) - shift);
+        if !s.is_normal() {
+            return None;
         }
-        scale.push(exp2i(encoded.scale_exponent(&alg)));
-        algebra::write_chunk(&mut w, &encoded, &alg);
+        scale.push(s);
+        flat.extend((0..chunk.len()).map(|i| encoded.lane_value(i, &alg) * exp2i(shift)));
     }
-    let bit_len = w.bit_len();
     let scale_range = scale.iter().fold((f32::INFINITY, 0.0f32), |(lo, hi), &s| {
         (lo.min(s), hi.max(s))
     });
+    if tile_major(cols, group) {
+        flat = strip_major(&flat, rows, cols, TILE_COLS);
+        scale = strip_major(&scale, rows, cols / group, 1);
+    }
+    let codes = match flat.iter().map(|&c| i16_code(c)).collect() {
+        Some(narrow) => Codes::I16(narrow),
+        None => Codes::F32(flat),
+    };
     Some(Layout::Block {
         alg,
-        bytes: w.into_bytes(),
-        bit_len,
-        lane,
+        codes,
         scale,
         group,
         scale_range,
     })
 }
 
-/// How many nonzero activation rows the fused axpy kernels fold per
+/// How many nonzero activation rows the fused axpy kernel folds per
 /// pass: quarters the read/write traffic on the output row, which is
 /// what bounds the scalar i-k-j loop.
 const KQUAD: usize = 4;
@@ -733,140 +1047,6 @@ fn axpy_dense(x_row: &[f32], lane: &[f32], n: usize, c0: usize, c1: usize, out_r
     }
 }
 
-/// Block-layout axpy when every block boundary is column-aligned (the
-/// decoder-dimension fast path): the block scale folds into the
-/// broadcast activation once per block, and four activation rows fuse
-/// per pass exactly as in [`axpy_dense`].
-#[allow(clippy::too_many_arguments)]
-fn axpy_block_aligned(
-    x_row: &[f32],
-    lane: &[f32],
-    scale: &[f32],
-    group: usize,
-    n: usize,
-    c0: usize,
-    c1: usize,
-    out_row: &mut [f32],
-) {
-    let bpr = n / group;
-    let b0 = c0 / group;
-    let b1 = c1 / group;
-    let mut quad = [(0usize, 0.0f32); KQUAD];
-    let mut filled = 0;
-    for (k, &a) in x_row.iter().enumerate() {
-        if a == 0.0 {
-            continue;
-        }
-        quad[filled] = (k, a);
-        filled += 1;
-        if filled == KQUAD {
-            let [q0, q1, q2, q3] = quad;
-            for b in b0..b1 {
-                let j0 = b * group;
-                let as0 = q0.1 * scale[q0.0 * bpr + b];
-                let as1 = q1.1 * scale[q1.0 * bpr + b];
-                let as2 = q2.1 * scale[q2.0 * bpr + b];
-                let as3 = q3.1 * scale[q3.0 * bpr + b];
-                let l0 = &lane[q0.0 * n + j0..q0.0 * n + j0 + group];
-                let l1 = &lane[q1.0 * n + j0..q1.0 * n + j0 + group];
-                let l2 = &lane[q2.0 * n + j0..q2.0 * n + j0 + group];
-                let l3 = &lane[q3.0 * n + j0..q3.0 * n + j0 + group];
-                let o = &mut out_row[j0 - c0..j0 - c0 + group];
-                for j in 0..group {
-                    let mut v = o[j];
-                    v += as0 * l0[j];
-                    v += as1 * l1[j];
-                    v += as2 * l2[j];
-                    v += as3 * l3[j];
-                    o[j] = v;
-                }
-            }
-            filled = 0;
-        }
-    }
-    for &(k, a) in &quad[..filled] {
-        for b in b0..b1 {
-            let j0 = b * group;
-            let a_s = a * scale[k * bpr + b];
-            let l = &lane[k * n + j0..k * n + j0 + group];
-            let o = &mut out_row[j0 - c0..j0 - c0 + group];
-            for j in 0..group {
-                o[j] += a_s * l[j];
-            }
-        }
-    }
-}
-
-/// Block-layout axpy for arbitrary column ranges and widths (blocks run
-/// along the *flat* buffer, so a ragged matrix's block boundaries shift
-/// per row): walks each row's covered flat-block segments one at a time.
-#[allow(clippy::too_many_arguments)]
-fn axpy_block_ragged(
-    x_row: &[f32],
-    lane: &[f32],
-    scale: &[f32],
-    group: usize,
-    n: usize,
-    c0: usize,
-    c1: usize,
-    out_row: &mut [f32],
-) {
-    for (k, &a) in x_row.iter().enumerate() {
-        if a == 0.0 {
-            continue;
-        }
-        let mut j = c0;
-        while j < c1 {
-            let flat = k * n + j;
-            let block = flat / group;
-            let seg_end = c1.min(j + (group - flat % group));
-            let a_s = a * scale[block];
-            let l = &lane[flat..flat + (seg_end - j)];
-            let o = &mut out_row[j - c0..seg_end - c0];
-            for (ov, &lv) in o.iter_mut().zip(l) {
-                *ov += a_s * lv;
-            }
-            j = seg_end;
-        }
-    }
-}
-
-/// Block-layout axpy in the scalar reference order, for activation rows
-/// the range guard rejects: each weight is rebuilt as `lane·2^s` (exact —
-/// it is the stored value) before the product, so every term is the
-/// reference `fl(a·w)`; ascending `k` with the reference zero skip.
-#[allow(clippy::too_many_arguments)]
-fn axpy_unfolded(
-    x_row: &[f32],
-    lane: &[f32],
-    scale: &[f32],
-    group: usize,
-    n: usize,
-    c0: usize,
-    c1: usize,
-    out_row: &mut [f32],
-) {
-    for (k, &a) in x_row.iter().enumerate() {
-        if a == 0.0 {
-            continue;
-        }
-        for (j, o) in (c0..c1).zip(out_row.iter_mut()) {
-            let flat = k * n + j;
-            *o += a * (lane[flat] * scale[flat / group]);
-        }
-    }
-}
-
-/// Sequential dot in the scalar reference order against weights rebuilt
-/// as `lane·2^s` — the transposed counterpart of [`axpy_unfolded`].
-fn dot_unfolded(x_row: &[f32], w_row: &[f32], scale: &[f32], group: usize, flat0: usize) -> f32 {
-    let mut acc = 0.0f32;
-    for (j, (x, l)) in x_row.iter().zip(w_row).enumerate() {
-        acc += x * (l * scale[(flat0 + j) / group]);
-    }
-    acc
-}
-
 /// Sequential dot product (the transposed-GEMM reference order).
 fn dot_plain(x_row: &[f32], w_row: &[f32]) -> f32 {
     let mut acc = 0.0f32;
@@ -876,12 +1056,12 @@ fn dot_plain(x_row: &[f32], w_row: &[f32]) -> f32 {
     acc
 }
 
-/// Sequential dot against the mantissa lane when the row starts on a
-/// block boundary and covers whole blocks (`n % group == 0`): the
-/// per-segment flat-index division of [`dot_scaled`] disappears and the
-/// inner loop runs over exact-size chunks the compiler can keep in
-/// registers. Accumulation order is identical to [`dot_scaled`] (and to
-/// the scalar reference), so the result is bit-identical.
+/// Sequential dot against a packed-row lane when the row starts on a
+/// block boundary and covers whole blocks: the per-segment flat-index
+/// division of [`dot_scaled`] disappears and the inner loop runs over
+/// exact-size chunks the compiler can keep in registers. Accumulation
+/// order is identical to [`dot_scaled`] (and to the scalar reference),
+/// so the result is bit-identical.
 fn dot_scaled_aligned(x_row: &[f32], w_row: &[f32], scale: &[f32], group: usize) -> f32 {
     let mut acc = 0.0f32;
     for (bi, (xc, wc)) in x_row
@@ -897,7 +1077,7 @@ fn dot_scaled_aligned(x_row: &[f32], w_row: &[f32], scale: &[f32], group: usize)
     acc
 }
 
-/// Sequential dot against the mantissa lane: the block scale folds into
+/// Sequential dot against a packed-row lane: the block scale folds into
 /// the activation at each flat-block boundary, keeping every partial
 /// product equal to `fl(aⱼ·wⱼ)` while the accumulator order matches the
 /// reference exactly.
@@ -922,29 +1102,34 @@ fn dot_scaled(x_row: &[f32], w_row: &[f32], scale: &[f32], group: usize, flat0: 
 const TILE_COLS: usize = 16;
 
 /// Activation rows per row tile: with [`TILE_COLS`] this keeps eight
-/// accumulator registers live, so each lane slice is loaded once per
+/// accumulator registers live, so each code strip is loaded once per
 /// four rows.
 const TILE_ROWS: usize = 4;
 
 /// The operands of [`PackedMatrix::gemm_cols`]'s row tile: activation
-/// rows `rows` of `x` (all passing the range guard) against the lane
-/// (and, for the block layout, the per-block scales) over output
-/// columns `c0..`, written into the compact `width`-wide `out`.
-struct RowTile<'a> {
-    x: &'a [f32],
+/// rows `rows` of `cols.x` (all passing the range guard) against codes
+/// `C` (and, for the block layout, the `[block column][k]` scales),
+/// computing the whole column tiles of `tiles` (inside `[c0, c1)`) into
+/// the compact `c1 − c0`-wide `out`. The 16 codes of output column
+/// `j`'s tile at contraction index `k` start at `j·col_stride +
+/// k·k_stride`: tile-major block codes have `col_stride = k_len`,
+/// `k_stride = 16`; a row-major lane has 1 and `n`.
+struct RowTile<'a, C> {
+    cols: Cols<'a>,
     k_len: usize,
     rows: &'a [usize],
-    lane: &'a [f32],
-    n: usize,
+    codes: &'a [C],
+    col_stride: usize,
+    k_stride: usize,
     scale: Option<(&'a [f32], usize)>,
-    c0: usize,
-    width: usize,
+    tiles: std::ops::Range<usize>,
 }
 
-impl RowTile<'_> {
-    /// Whether this CPU runs the tile: only its AVX2 build beats the
-    /// one-row kernels (the baseline SSE2 build of the same body
-    /// measured no faster at 8 rows), so other hosts keep those.
+impl<C: Code> RowTile<'_, C> {
+    /// Whether this CPU runs the AVX2 build of the tile. Elsewhere the
+    /// portable build runs the block layout's codes; dense and FP16
+    /// lanes keep their one-row kernel there (the baseline SSE2 build of
+    /// the tile measured no faster than it at 8 rows).
     fn supported() -> bool {
         #[cfg(target_arch = "x86_64")]
         {
@@ -956,23 +1141,18 @@ impl RowTile<'_> {
         }
     }
 
-    /// Computes columns `[c0, end)` of every tiled row with the AVX2
-    /// build of [`RowTile::columns`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`RowTile::supported`].
-    fn run(&self, end: usize, out: &mut [f32]) {
-        assert!(RowTile::supported(), "the row tile needs AVX2");
+    /// Computes every tile, with the AVX2 build of [`RowTile::columns`]
+    /// where the CPU has it.
+    fn run(&self, out: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the CPU supports AVX2, asserted just above.
-        unsafe {
-            self.columns_avx2(end, out);
+        {
+            if Self::supported() {
+                // SAFETY: the CPU supports AVX2, checked just above.
+                unsafe { self.columns_avx2(out) };
+                return;
+            }
         }
-        // Unreached (`supported()` is false off x86-64); keeps the
-        // portable body compiled there.
-        #[cfg(not(target_arch = "x86_64"))]
-        self.columns(end, out);
+        self.columns(out);
     }
 
     /// [`RowTile::columns`] compiled for AVX2.
@@ -982,15 +1162,15 @@ impl RowTile<'_> {
     /// The CPU must support AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn columns_avx2(&self, end: usize, out: &mut [f32]) {
-        self.columns(end, out);
+    unsafe fn columns_avx2(&self, out: &mut [f32]) {
+        self.columns(out);
     }
 
-    /// Column tile by column tile, so one tile's lane strip stays in
+    /// Column tile by column tile, so one tile's code strip stays in
     /// cache across every row group.
     #[inline(always)]
-    fn columns(&self, end: usize, out: &mut [f32]) {
-        for j in (self.c0..end).step_by(TILE_COLS) {
+    fn columns(&self, out: &mut [f32]) {
+        for j in self.tiles.clone().step_by(TILE_COLS) {
             for rows in self.rows.chunks(TILE_ROWS) {
                 match *rows {
                     [a, b, c, d] => self.tile([a, b, c, d], j, out),
@@ -1004,42 +1184,42 @@ impl RowTile<'_> {
     }
 
     /// One `R × TILE_COLS` tile at output column `j`, in registers: each
-    /// output element accumulates `fl(fl(a·2^s)·lane)` (`fl(a·lane)` on
+    /// output element accumulates `fl(fl(a·2^s)·code)` (`fl(a·w)` on
     /// the dense lanes) in ascending `k` with a separate multiply and
-    /// add, exactly as the one-row kernels do. A `k` whose activations
-    /// are all zero is skipped; a zero among nonzeros adds `±0`, which
-    /// leaves the sum unchanged because it never holds `-0` and the
-    /// lane is finite ([`PackedMatrix::tile_end`]).
+    /// add, exactly as the one-row kernels do. A zero activation is not
+    /// skipped: it adds `±0`, which leaves the sum unchanged because the
+    /// sum never holds `-0` and every code is finite
+    /// ([`PackedMatrix::tile_span`]).
     #[inline(always)]
     fn tile<const R: usize>(&self, rows: [usize; R], j: usize, out: &mut [f32]) {
-        let xs: [&[f32]; R] = rows.map(|i| &self.x[i * self.k_len..(i + 1) * self.k_len]);
-        // The tile's column of block scales: one per weight row, `bpr`
-        // blocks apart (the tile lies inside one block of every row).
+        let k_len = self.k_len;
+        let Cols { x, c0, c1, .. } = self.cols;
+        let xs: [&[f32]; R] = rows.map(|i| &x[i * k_len..(i + 1) * k_len]);
+        // The tile's column of block scales, one per weight row (the
+        // tile lies inside one block of every row).
         let scales = self
             .scale
-            .map(|(scale, group)| (&scale[j / group..], self.n / group));
+            .map(|(scale, group)| &scale[j / group * k_len..(j / group + 1) * k_len]);
+        let strips = self.codes[j * self.col_stride..].chunks(self.k_stride);
         let mut acc = [[0.0f32; TILE_COLS]; R];
-        for k in 0..self.k_len {
+        for (k, strip) in strips.take(k_len).enumerate() {
             let mut a: [f32; R] = std::array::from_fn(|r| xs[r][k]);
-            if a.iter().all(|&v| v == 0.0) {
-                continue;
-            }
-            if let Some((scale, bpr)) = scales {
-                let s = scale[k * bpr];
+            if let Some(scale) = scales {
+                let s = scale[k];
                 a = a.map(|v| v * s);
             }
-            let l: &[f32; TILE_COLS] = self.lane[k * self.n + j..k * self.n + j + TILE_COLS]
-                .try_into()
-                .expect("a whole column tile");
+            let strip: &[C; TILE_COLS] =
+                strip[..TILE_COLS].try_into().expect("a whole column tile");
+            let w = strip.map(Code::widen);
             for (acc_row, &a_r) in acc.iter_mut().zip(&a) {
-                for (o, &w) in acc_row.iter_mut().zip(l) {
+                for (o, &w) in acc_row.iter_mut().zip(&w) {
                     *o += a_r * w;
                 }
             }
         }
-        let o0 = j - self.c0;
+        let (o0, width) = (j - c0, c1 - c0);
         for (&i, acc_row) in rows.iter().zip(&acc) {
-            out[i * self.width + o0..i * self.width + o0 + TILE_COLS].copy_from_slice(acc_row);
+            out[i * width + o0..i * width + o0 + TILE_COLS].copy_from_slice(acc_row);
         }
     }
 }
@@ -1654,6 +1834,62 @@ mod tests {
         assert_eq!(p.decode(), q);
     }
 
+    /// A block-layout matrix holds its codes and one f32 scale per block
+    /// and nothing else — no per-element f32, no bit stream — for every
+    /// Table II / Fig. 8 block scheme and the new families, at 192×512
+    /// and a ragged shape. `packed_bits()`, computed from the algebra,
+    /// equals the bit length `write_chunk` gives the same chunks, ragged
+    /// tail included.
+    #[test]
+    fn block_storage_is_codes_and_scales_only() {
+        let schemes = [
+            SchemeSpec::Bfp(4),
+            SchemeSpec::Bfp(6),
+            SchemeSpec::Bbfp(3, 1),
+            SchemeSpec::Bbfp(3, 2),
+            SchemeSpec::Bbfp(4, 2),
+            SchemeSpec::Bbfp(4, 3),
+            SchemeSpec::Bbfp(6, 3),
+            SchemeSpec::Bbfp(6, 4),
+            SchemeSpec::Bbfp(6, 5),
+        ];
+        for scheme in schemes.into_iter().chain(NEW_FAMILIES) {
+            let alg = scheme.block_algebra().unwrap();
+            for (rows, cols) in [(192usize, 512usize), (7, 45)] {
+                let q = quantised(scheme, rows * cols, 83);
+                let p = PackedMatrix::pack(&q, rows, cols, scheme);
+                // Every field named, so a new one has to be counted here.
+                let Layout::Block {
+                    alg: _,
+                    codes,
+                    scale,
+                    group,
+                    scale_range: _,
+                } = &p.layout
+                else {
+                    panic!("{scheme} {rows}x{cols} takes the block layout");
+                };
+                let (code_bytes, held) = match codes {
+                    Codes::I16(c) => (2, std::mem::size_of_val(c.as_slice())),
+                    Codes::F32(c) => (4, std::mem::size_of_val(c.as_slice())),
+                };
+                let wide = matches!(scheme, SchemeSpec::BlockMf(..));
+                assert_eq!(code_bytes, if wide { 4 } else { 2 }, "{scheme} code width");
+                let blocks = (rows * cols).div_ceil(*group);
+                assert_eq!(
+                    held + std::mem::size_of_val(scale.as_slice()),
+                    code_bytes * rows * cols + 4 * blocks,
+                    "{scheme} {rows}x{cols} resident bytes"
+                );
+                let mut w = BitWriter::new();
+                for chunk in q.chunks(alg.block_size) {
+                    algebra::write_chunk(&mut w, &encode_chunk(chunk, &alg), &alg);
+                }
+                assert_eq!(p.packed_bits(), w.bit_len(), "{scheme} {rows}x{cols} bits");
+            }
+        }
+    }
+
     #[test]
     fn gemm_matches_reference_aligned_and_ragged() {
         for scheme in [
@@ -1706,9 +1942,9 @@ mod tests {
     }
 
     /// The portable row-tile body, called directly so its baseline build
-    /// is pinned even though `gemm_cols` runs only the AVX2 build (and
-    /// only on AVX2 hosts): block, FP16 and dense lanes, 2..=9 rows (full and partial
-    /// tiles, zero activations mixed in), against the scalar reference.
+    /// is pinned whichever build `gemm_cols` runs on this host: block
+    /// codes, FP16 and dense lanes, 1..=9 rows (full and partial tiles,
+    /// zero activations mixed in), against the scalar reference.
     #[test]
     fn portable_row_tile_matches_the_scalar_reference() {
         let (k_len, n) = (40usize, 64usize);
@@ -1722,9 +1958,9 @@ mod tests {
         for scheme in schemes {
             let w = quantised(scheme, k_len * n, 61);
             let p = PackedMatrix::pack(&w, k_len, n, scheme);
-            let (lane, scale) = p.kernel_operands();
-            assert_eq!(p.tile_end(0, n), n, "{scheme:?} tiles every column");
-            for x_rows in 2..=9 {
+            let (c0, c1) = (16, n);
+            assert_eq!(p.tile_span(c0, c1), c0..c1, "{scheme:?} tiles every column");
+            for x_rows in 1..=9 {
                 let mut x = quantised(SchemeSpec::Fp16, x_rows * k_len, 67 + x_rows as u64);
                 for (i, v) in x.iter_mut().enumerate() {
                     if i % 7 == 0 {
@@ -1732,24 +1968,34 @@ mod tests {
                     }
                 }
                 let rows: Vec<usize> = (0..x_rows).collect();
-                let tile = RowTile {
+                let cols = Cols {
                     x: &x,
-                    k_len,
-                    rows: &rows,
-                    lane,
-                    n,
-                    scale,
-                    c0: 16,
-                    width: n - 16,
+                    x_rows,
+                    c0,
+                    c1,
                 };
-                let mut out = vec![f32::NAN; x_rows * (n - 16)];
-                tile.columns(n, &mut out);
+                let width = c1 - c0;
+                let mut out = vec![f32::NAN; x_rows * width];
+                match &p.layout {
+                    Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => {
+                        p.lane_tile(lane, cols, &rows).columns(&mut out);
+                    }
+                    Layout::Block {
+                        codes: Codes::I16(codes),
+                        scale,
+                        group,
+                        ..
+                    } => p
+                        .block_tile(codes, scale, *group, cols, &rows)
+                        .columns(&mut out),
+                    Layout::Block { .. } => panic!("{scheme:?} codes fit i16"),
+                }
                 let want = reference_gemm(&x, x_rows, &w, k_len, n);
                 for i in 0..x_rows {
-                    let got = &out[i * (n - 16)..(i + 1) * (n - 16)];
+                    let got = &out[i * width..(i + 1) * width];
                     let same = got
                         .iter()
-                        .zip(&want[i * n + 16..(i + 1) * n])
+                        .zip(&want[i * n + c0..i * n + c1])
                         .all(|(a, b)| a.to_bits() == b.to_bits());
                     assert!(same, "{scheme:?} {x_rows} rows: row {i}");
                 }
@@ -1765,7 +2011,7 @@ mod tests {
         let mut w = vec![0.5f32; 4 * 16];
         w[16] = f32::INFINITY;
         let p = PackedMatrix::pack(&w, 4, 16, SchemeSpec::Fp32);
-        assert_eq!(p.tile_end(0, 16), 0);
+        assert!(p.tile_span(0, 16).is_empty());
         let x = [1.0f32, 0.0, 1.0, 1.0, 2.0, 0.0, 0.0, 1.0];
         let mut out = vec![f32::NAN; 2 * 16];
         p.gemm(&x, 2, &mut out);
@@ -1774,9 +2020,10 @@ mod tests {
 
     #[test]
     fn transposed_aligned_fast_path_is_bit_identical_to_segment_walk() {
-        // Satellite check for the PR 8 `gemm_transposed` regression: the
-        // aligned fast path must agree bit-for-bit with the generic
-        // segment walk it bypasses, on every block scheme.
+        // The aligned fast path of the packed-row dot must agree
+        // bit-for-bit with the generic segment walk it bypasses, and the
+        // matrix's transposed GEMM over codes (tile-major or flat) with
+        // both, on every block scheme.
         for scheme in [
             SchemeSpec::Bbfp(4, 2),
             SchemeSpec::Bfp(6),
@@ -1790,15 +2037,26 @@ mod tests {
             let q = quantised(scheme, w_rows * n, 31);
             let p = PackedMatrix::pack(&q, w_rows, n, scheme);
             assert_eq!(p.layout_kind(), LayoutKind::Block, "{scheme}");
-            let (lane, scale) = p.kernel_operands();
-            let (scale, g) = scale.unwrap();
-            assert_eq!(g, group);
+            let mut rows = PackedRows::new(scheme, n);
+            for r in 0..w_rows {
+                rows.push_row(&q[r * n..(r + 1) * n]);
+            }
+            let RowsLayout::Block { lane, scale, .. } = &rows.layout else {
+                panic!("{scheme} rows take the block layout");
+            };
             let x = quantised(SchemeSpec::Fp16, n, 37);
+            let mut packed = vec![f32::NAN; w_rows];
+            p.gemm_transposed(&x, 1, &mut packed);
             for r in 0..w_rows {
                 let w_row = &lane[r * n..(r + 1) * n];
                 let fast = dot_scaled_aligned(&x, w_row, &scale[r * (n / group)..], group);
                 let slow = dot_scaled(&x, w_row, scale, group, r * n);
                 assert_eq!(fast.to_bits(), slow.to_bits(), "{scheme} row {r}");
+                assert_eq!(
+                    packed[r].to_bits(),
+                    slow.to_bits(),
+                    "{scheme} codes row {r}"
+                );
             }
         }
     }

@@ -548,7 +548,7 @@ impl TransformerModel {
     /// The decoder layers as dense tensors (for inspection and
     /// statistics). Borrowed from a dense model; a packed model holds
     /// its weights only in packed form, so for it every matrix is
-    /// decoded from the packed bits (exactly the weights it computes
+    /// decoded from the packed storage (exactly the weights it computes
     /// with).
     pub fn layers(&self) -> Cow<'_, [LayerWeights]> {
         match self.dense() {
@@ -950,7 +950,7 @@ mod tests {
     /// An independent reference decoder: dense whole-sequence attention
     /// (`Tensor::matmul` over a causally masked score matrix, no KV
     /// cache) on the scalar GEMMs, over the dense weights — decoded from
-    /// the packed bits for a packed model.
+    /// the packed storage for a packed model.
     fn reference(
         model: &TransformerModel,
         tokens: &[usize],
@@ -1440,7 +1440,7 @@ mod tests {
     fn packed_weights_match_the_scalar_reference() {
         // Packed block-dot GEMMs reproduce the reference decoder's
         // scalar GEMMs — run over the weights decoded from the packed
-        // bits — bit for bit on block-quantised weights.
+        // storage — bit for bit on block-quantised weights.
         for scheme in PACKED_SCHEMES {
             let mut model = TransformerModel::synthesize(&tiny_test_model())
                 .with_transformed_weights(&Quantise(store(scheme, true, false)));

@@ -15,7 +15,7 @@
 
 use bbal::core::{LayoutKind, PackedBlock, PackedMatrix, SchemeSpec};
 use bbal::llm::Tensor;
-use bbal::quant::registry::{hooks_for, TABLE2_SCHEMES};
+use bbal::quant::registry::{hooks_for, FIG8_SCHEMES, TABLE2_SCHEMES};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -634,6 +634,104 @@ fn multi_row_paper_shapes_match_scalar_for_every_scheme() {
             let mut got = vec![f32::NAN; x_rows * n];
             p.gemm(&x, x_rows, &mut got);
             assert_same_bits(&got, &want, &format!("{scheme:?} {x_rows} rows"));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Code-lane battery: block weights stored as element codes
+// ---------------------------------------------------------------------
+
+/// The code-lane battery. A block-layout matrix keeps one element code
+/// per weight (`i16`, or `f32` where codes outgrow it) in tile-major
+/// order when its blocks are column-aligned and a multiple of 16 wide.
+/// For every Table II and Fig. 8 block scheme, `mx:8,4,2` (code shift
+/// 1), `msfp:4,16` (16-wide blocks), `blockmf:4,3,8` (f32 codes) and
+/// `bbfp:10,1` (codes past `i16`), on aligned and ragged shapes: the
+/// layout is `Block`, `decode()` returns the input bit for bit, and
+/// `gemm`, `gemm_cols` over several column partitions and
+/// `gemm_transposed(_rows)` at 1..=17 rows equal the scalar reference,
+/// with guard-failing rows (1e-36, subnormal, ±inf, NaN) mixed into the
+/// tiles.
+#[test]
+fn code_lane_battery() {
+    let mut schemes: Vec<SchemeSpec> = TABLE2_SCHEMES
+        .iter()
+        .chain(FIG8_SCHEMES)
+        .copied()
+        .filter(|s| s.block_algebra().is_some())
+        .collect();
+    schemes.extend([
+        SchemeSpec::Mx(8, 4, 2),
+        SchemeSpec::Msfp(4, 16),
+        SchemeSpec::BlockMf(4, 3, 8),
+        SchemeSpec::Bbfp(10, 1),
+    ]);
+    schemes.sort();
+    schemes.dedup();
+    for scheme in schemes {
+        for (k, n) in [(64, 96), (20, 160), (37, 45), (9, 20)] {
+            let seed = (k * 1000 + n) as u64;
+            let w = quantised_weights(scheme, k * n, seed);
+            let p = PackedMatrix::pack(&w, k, n, scheme);
+            assert_eq!(p.layout_kind(), LayoutKind::Block, "{scheme:?} {k}x{n}");
+            let decoded = p.decode();
+            for (i, (d, v)) in decoded.iter().zip(&w).enumerate() {
+                assert_eq!(d.to_bits(), v.to_bits(), "{scheme:?} {k}x{n} decode at {i}");
+            }
+            // The same weights read as an n × k matrix, for x · Wᵀ.
+            let pt = PackedMatrix::pack(&w, n, k, scheme);
+            assert_eq!(pt.layout_kind(), LayoutKind::Block, "{scheme:?} {n}x{k}");
+            for x_rows in 1..=17 {
+                let row_seed = |i: usize| seed ^ (x_rows * 31 + i) as u64;
+                let kind = |i: usize| (x_rows * 5 + i * 3) as u64;
+                let x: Vec<f32> = (0..x_rows)
+                    .flat_map(|i| mixed_row(kind(i), k, row_seed(i)))
+                    .collect();
+                let what = format!("{scheme:?} {k}x{n} {x_rows} rows");
+                let want = reference_matmul(&x, x_rows, &w, k, n);
+                let mut got = vec![f32::NAN; x_rows * n];
+                p.gemm(&x, x_rows, &mut got);
+                assert_same_bits(&got, &want, &format!("gemm {what}"));
+                let cut = (x_rows * 7) % n;
+                for bounds in [vec![0, cut, n], vec![0, 1, 17, 31, 48, n]] {
+                    let mut bounds: Vec<usize> = bounds.into_iter().map(|b| b.min(n)).collect();
+                    bounds.dedup();
+                    let mut stitched = vec![f32::NAN; x_rows * n];
+                    for pair in bounds.windows(2) {
+                        let (c0, c1) = (pair[0], pair[1]);
+                        let width = c1 - c0;
+                        let mut part = vec![f32::NAN; x_rows * width];
+                        p.gemm_cols(&x, x_rows, c0, c1, &mut part);
+                        for i in 0..x_rows {
+                            stitched[i * n + c0..i * n + c1]
+                                .copy_from_slice(&part[i * width..(i + 1) * width]);
+                        }
+                    }
+                    assert_same_bits(&stitched, &want, &format!("gemm_cols {bounds:?} {what}"));
+                }
+
+                let xt: Vec<f32> = (0..x_rows)
+                    .flat_map(|i| mixed_row(kind(i) + 1, k, row_seed(i) ^ 0x5A5A))
+                    .collect();
+                let want_t = reference_matmul_transposed(&xt, x_rows, &w, n, k);
+                let mut got_t = vec![f32::NAN; x_rows * n];
+                pt.gemm_transposed(&xt, x_rows, &mut got_t);
+                assert_same_bits(&got_t, &want_t, &format!("gemm_transposed {what}"));
+                let mid = cut.max(1);
+                let mut lo = vec![f32::NAN; x_rows * mid];
+                let mut hi = vec![f32::NAN; x_rows * (n - mid)];
+                pt.gemm_transposed_rows(&xt, x_rows, 0, mid, &mut lo);
+                let mut stitched = Vec::with_capacity(x_rows * n);
+                if mid < n {
+                    pt.gemm_transposed_rows(&xt, x_rows, mid, n, &mut hi);
+                }
+                for i in 0..x_rows {
+                    stitched.extend_from_slice(&lo[i * mid..(i + 1) * mid]);
+                    stitched.extend_from_slice(&hi[i * (n - mid)..(i + 1) * (n - mid)]);
+                }
+                assert_same_bits(&stitched, &want_t, &format!("gemm_transposed_rows {what}"));
+            }
         }
     }
 }

@@ -41,6 +41,13 @@
 //! tile of [`PackedMatrix::gemm_cols`] streams one contiguous strip per
 //! column tile; other (ragged) shapes keep the flat row-major order.
 //!
+//! A [`PackedRows`] buffer (a KV-cache page) is the same store: element
+//! codes plus one folded scale per block, written by the same chunk
+//! encoder as each row is appended and read by the same run walk. It
+//! grows row by row, so its codes stay in flat row-major order whatever
+//! its width; the order is recorded with the codes, never re-derived
+//! from the shape.
+//!
 //! The kernels exploit the factoring: [`PackedBlock::block_dot`]
 //! accumulates activation × mantissa-integer products and applies the
 //! shared-exponent scale **once per block**; the [`PackedMatrix`] GEMMs
@@ -94,7 +101,10 @@
 //! every input. The attention kernels ([`attn_dot_packed`],
 //! [`attn_weighted_sum_packed`]) fold the scale without that guard: for
 //! them the invariant still holds only while the folded products stay
-//! in the normal range.
+//! in the normal range. [`attn_weighted_sum_packed`] adds into the
+//! caller's output, which may hold a `-0`; a call that finds one takes
+//! the exact `p·(code·2^s)` order, since there a `-0` value read as
+//! `+0` would flip the sum's sign.
 
 use crate::algebra::{self, AlgChunk, FormatAlgebra, ScaleKind};
 use crate::bfp::exp2i;
@@ -273,19 +283,39 @@ pub enum LayoutKind {
     Dense,
     /// Raw IEEE binary16 bits plus an exact f32 lane.
     Fp16,
-    /// Native block layout: one integer element code per weight (`i16`,
-    /// or `f32` where a matrix's codes outgrow it) plus one power-of-two
+    /// Native block layout: one integer element code per value (`i16`,
+    /// or `f32` where a store's codes outgrow it) plus one power-of-two
     /// scale per block.
     Block,
 }
 
-/// The element codes of a block-layout matrix, in its storage order.
+/// The element codes of a block-layout store, in its storage order.
 #[derive(Debug, Clone)]
 enum Codes {
-    /// `2·code`, or 1 for a negative-zero weight (see [`Code`]).
+    /// `2·code`, or 1 for a negative-zero value (see [`Code`]).
     I16(Vec<i16>),
-    /// The code itself, for matrices whose codes do not fit `i16`.
+    /// The code itself, for stores whose codes do not fit `i16`.
     F32(Vec<f32>),
+}
+
+impl Codes {
+    /// Appends `new`, widening the whole buffer to `f32` codes at the
+    /// first code `i16` cannot hold — so a store holds `i16` codes
+    /// exactly when every code fits.
+    fn extend(&mut self, new: &[f32]) {
+        if let Codes::I16(narrow) = self {
+            let start = narrow.len();
+            narrow.extend(new.iter().map_while(|&c| i16_code(c)));
+            if narrow.len() - start == new.len() {
+                return;
+            }
+            narrow.truncate(start);
+            *self = Codes::F32(narrow.iter().map(|c| c.weight(1.0)).collect());
+        }
+        if let Codes::F32(wide) = self {
+            wide.extend_from_slice(new);
+        }
+    }
 }
 
 /// An element code type of the block layout: what the kernels multiply,
@@ -342,30 +372,194 @@ enum Layout {
         lane: Vec<f32>,
         /// Whether every lane value is finite — the condition under which
         /// the row tile may add a zero activation's `±0` product instead
-        /// of skipping it ([`PackedMatrix::tile_span`]).
+        /// of skipping it ([`PackedMatrix::tile_span`]). Only matrices
+        /// read it; a [`PackedRows`] lane leaves it `false` unscanned.
         finite: bool,
     },
     Fp16 {
         bits: Vec<u16>,
         lane: Vec<f32>,
     },
-    Block {
-        /// The block-format point the codes come from.
-        alg: FormatAlgebra,
-        /// One element code per weight: tile-major when
-        /// [`tile_major`] holds for the matrix, flat row-major otherwise.
-        codes: Codes,
-        /// One power-of-two scale (with the code shift folded in) per
-        /// `group`-element block of the flat row-major buffer (final
-        /// block may be ragged): `[block column][k]` when tile-major,
-        /// in flat block order otherwise.
-        scale: Vec<f32>,
-        /// The scheme's block size.
-        group: usize,
-        /// The smallest and largest entry of `scale`, recorded at pack
-        /// time for the per-row range guard ([`PackedMatrix::folds_exactly`]).
-        scale_range: (f32, f32),
-    },
+    Block(Blocks),
+}
+
+impl Layout {
+    fn kind(&self) -> LayoutKind {
+        match self {
+            Layout::Dense { .. } => LayoutKind::Dense,
+            Layout::Fp16 { .. } => LayoutKind::Fp16,
+            Layout::Block(_) => LayoutKind::Block,
+        }
+    }
+
+    /// Bits `n` flat values take in this layout: 32 each dense, 16 each
+    /// FP16, and for the block layout what its scheme's bit layout
+    /// ([`PackedBlock`]) takes for `group`-element chunks of the flat
+    /// buffer, ragged tail included. The one bit count behind
+    /// [`PackedMatrix::packed_bits`], [`PackedRows::packed_bits`] and
+    /// [`packed_rows_capacity_bytes`].
+    fn bits(&self, n: usize) -> usize {
+        match self {
+            Layout::Dense { .. } => n * 32,
+            Layout::Fp16 { .. } => n * 16,
+            Layout::Block(blocks) => {
+                let (alg, group) = (&blocks.alg, blocks.group());
+                let tail = n % group;
+                let tail_bits = if tail > 0 { chunk_bits(alg, tail) } else { 0 };
+                n / group * chunk_bits(alg, group) + tail_bits
+            }
+        }
+    }
+
+    /// The `rows × cols` values of the store, row-major, bit for bit —
+    /// for the block layout, `code·scale` per element. Codes past the
+    /// last row (of a row whose encoding stopped part way) are not read.
+    fn decode(&self, rows: usize, cols: usize) -> Vec<f32> {
+        match self {
+            Layout::Dense { lane, .. } => lane[..rows * cols].to_vec(),
+            Layout::Fp16 { bits, .. } => bits[..rows * cols]
+                .iter()
+                .map(|&b| Fp16::from_bits(b).to_f32())
+                .collect(),
+            Layout::Block(blocks) => match &blocks.codes {
+                Codes::I16(codes) => blocks.decode(codes, rows, cols),
+                Codes::F32(codes) => blocks.decode(codes, rows, cols),
+            },
+        }
+    }
+}
+
+/// The block layout's store, one form for weights ([`PackedMatrix`])
+/// and KV pages ([`PackedRows`]): one element code per value and one
+/// power-of-two scale per block, nothing else.
+#[derive(Debug, Clone)]
+struct Blocks {
+    /// The block-format point the codes come from.
+    alg: FormatAlgebra,
+    /// One element code per value, in the order `tiled` names.
+    codes: Codes,
+    /// One power-of-two scale (with the code shift folded in) per
+    /// `group`-element block of the flat row-major buffer (final block
+    /// may be ragged): `[block column][k]` when tiled, in flat block
+    /// order otherwise.
+    scale: Vec<f32>,
+    /// The smallest and largest entry of `scale`, for the per-row range
+    /// guard ([`PackedMatrix::folds_exactly`]); unread for KV pages,
+    /// whose attention kernels fold without the guard.
+    scale_range: (f32, f32),
+    /// Whether codes and scales are tile-major ([`tile_major`]). Set
+    /// when a matrix is laid out, never derived from the shape: a
+    /// buffer that grows row by row stays flat whatever its width.
+    tiled: bool,
+}
+
+impl Blocks {
+    /// An empty flat store of `alg`'s codes, `i16` until one does not fit.
+    fn new(alg: FormatAlgebra) -> Blocks {
+        Blocks {
+            alg,
+            codes: Codes::I16(Vec::new()),
+            scale: Vec::new(),
+            scale_range: (f32::INFINITY, 0.0),
+            tiled: false,
+        }
+    }
+
+    /// The scheme's block size.
+    fn group(&self) -> usize {
+        self.alg.block_size
+    }
+
+    /// [`Layout::decode`] over this store's `codes`.
+    fn decode<C: Code>(&self, codes: &[C], rows: usize, cols: usize) -> Vec<f32> {
+        let mut out = Vec::with_capacity(rows * cols);
+        for k in 0..rows {
+            for run in self.runs(rows, cols, k, 0, cols) {
+                let s = self.scale[run.scale];
+                out.extend(run.codes(codes).iter().map(|c| c.weight(s)));
+            }
+        }
+        out
+    }
+
+    /// The chunk encoder: appends one chunk (a full block or a ragged
+    /// tail) of **already quantised** values as codes `lane·2^c` and the
+    /// folded scale `2^(e−c)`, where `c` is the point's code shift (1
+    /// for two-level MX lanes, which are half-integers; 0 otherwise).
+    /// Returns `false`, appending nothing, for a chunk the store cannot
+    /// give back bit for bit: a non-finite value, a value `code·scale`
+    /// does not reproduce, or a folded scale outside the normal range.
+    fn push_chunk(&mut self, values: &[f32]) -> bool {
+        if values.iter().any(|v| !v.is_finite()) {
+            return false;
+        }
+        let alg = &self.alg;
+        // Two-level lanes are multiples of 2^−(largest sub-block offset).
+        let shift = match alg.scale {
+            ScaleKind::TwoLevel { sub_scale_bits, .. } => (1i32 << sub_scale_bits) - 1,
+            _ => 0,
+        };
+        let (encoded, unit) = (encode_chunk(values, alg), exp2i(shift));
+        let s = exp2i(encoded.scale_exponent(alg) - shift);
+        let codes: Vec<f32> = (0..values.len())
+            .map(|i| encoded.lane_value(i, alg) * unit)
+            .collect();
+        let exact = codes
+            .iter()
+            .zip(values)
+            .all(|(c, v)| c.weight(s).to_bits() == v.to_bits());
+        if !s.is_normal() || !exact {
+            return false;
+        }
+        self.codes.extend(&codes);
+        self.scale.push(s);
+        self.scale_range = (self.scale_range.0.min(s), self.scale_range.1.max(s));
+        true
+    }
+
+    /// Row `k`'s columns `[c0, c1)` of a `rows × cols` store, as runs
+    /// that share one block scale and lie contiguous in the code buffer.
+    /// Block sizes are powers of two ([`FormatAlgebra::validate`]), so
+    /// block indices are shifts and masks, not divisions.
+    fn runs(
+        &self,
+        rows: usize,
+        cols: usize,
+        k: usize,
+        c0: usize,
+        c1: usize,
+    ) -> impl Iterator<Item = Run> {
+        let (group, tiled) = (self.group(), self.tiled);
+        debug_assert!(group.is_power_of_two(), "block size {group}");
+        let log2 = group.trailing_zeros();
+        let mut j = c0;
+        std::iter::from_fn(move || {
+            if j >= c1 {
+                return None;
+            }
+            let j0 = j;
+            let run = if tiled {
+                let t = j0 / TILE_COLS;
+                j = c1.min((t + 1) * TILE_COLS);
+                Run {
+                    j0,
+                    j1: j,
+                    code: (t * rows + k) * TILE_COLS + j0 % TILE_COLS,
+                    scale: (j0 >> log2) * rows + k,
+                }
+            } else {
+                let flat = k * cols + j0;
+                j = c1.min(j0 + group - (flat & (group - 1)));
+                Run {
+                    j0,
+                    j1: j,
+                    code: flat,
+                    scale: flat >> log2,
+                }
+            };
+            Some(run)
+        })
+    }
 }
 
 /// Whether a matrix `cols` wide with `group`-element blocks stores its
@@ -467,7 +661,7 @@ impl PackedMatrix {
         };
         // Self-verification: the block layout must decode to the input
         // bit for bit, or the matrix keeps it as a dense lane.
-        if let Layout::Block { .. } = packed.layout {
+        if let Layout::Block(_) = packed.layout {
             let decoded = packed.decode();
             if decoded
                 .iter()
@@ -497,11 +691,7 @@ impl PackedMatrix {
 
     /// Which layout the matrix ended up in.
     pub fn layout_kind(&self) -> LayoutKind {
-        match &self.layout {
-            Layout::Dense { .. } => LayoutKind::Dense,
-            Layout::Fp16 { .. } => LayoutKind::Fp16,
-            Layout::Block { .. } => LayoutKind::Block,
-        }
+        self.layout.kind()
     }
 
     /// Exact storage size of the packed representation in bits
@@ -510,51 +700,13 @@ impl PackedMatrix {
     /// scheme's bit layout ([`PackedBlock`]) takes for the flat buffer's
     /// chunks, ragged tail included.
     pub fn packed_bits(&self) -> usize {
-        match &self.layout {
-            Layout::Dense { lane, .. } => lane.len() * 32,
-            Layout::Fp16 { bits, .. } => bits.len() * 16,
-            Layout::Block { alg, group, .. } => {
-                let n = self.rows * self.cols;
-                let tail = n % group;
-                let tail_bits = if tail > 0 { chunk_bits(alg, tail) } else { 0 };
-                n / group * chunk_bits(alg, *group) + tail_bits
-            }
-        }
+        self.layout.bits(self.rows * self.cols)
     }
 
     /// Decodes the storage back to the full f32 matrix, bit for bit —
     /// for the block layout, `code·scale` per element.
     pub fn decode(&self) -> Vec<f32> {
-        match &self.layout {
-            Layout::Dense { lane, .. } => lane.clone(),
-            Layout::Fp16 { bits, .. } => {
-                bits.iter().map(|&b| Fp16::from_bits(b).to_f32()).collect()
-            }
-            Layout::Block {
-                codes: Codes::I16(codes),
-                scale,
-                group,
-                ..
-            } => self.decode_codes(codes, scale, *group),
-            Layout::Block {
-                codes: Codes::F32(codes),
-                scale,
-                group,
-                ..
-            } => self.decode_codes(codes, scale, *group),
-        }
-    }
-
-    /// The block layout's weights in row-major order, `code·scale` each.
-    fn decode_codes<C: Code>(&self, codes: &[C], scale: &[f32], group: usize) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.rows * self.cols);
-        for k in 0..self.rows {
-            for run in self.runs(group, k, 0, self.cols) {
-                let s = scale[run.scale];
-                out.extend(run.codes(codes).iter().map(|c| c.weight(s)));
-            }
-        }
-        out
+        self.layout.decode(self.rows, self.cols)
     }
 
     /// `x · W` for row-major `x` of shape `x_rows × self.rows`, writing
@@ -592,18 +744,10 @@ impl PackedMatrix {
             Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => {
                 self.lane_gemm(lane, cols, out)
             }
-            Layout::Block {
-                codes: Codes::I16(codes),
-                scale,
-                group,
-                ..
-            } => self.block_gemm(codes, scale, *group, cols, out),
-            Layout::Block {
-                codes: Codes::F32(codes),
-                scale,
-                group,
-                ..
-            } => self.block_gemm(codes, scale, *group, cols, out),
+            Layout::Block(blocks) => match &blocks.codes {
+                Codes::I16(codes) => self.block_gemm(blocks, codes, cols, out),
+                Codes::F32(codes) => self.block_gemm(blocks, codes, cols, out),
+            },
         }
     }
 
@@ -644,20 +788,13 @@ impl PackedMatrix {
     /// row the range guard rejects, walk each weight row's runs, folding
     /// the scale into the activation when the guard allows and in the
     /// scalar `a·(code·2^s)` order when it does not.
-    fn block_gemm<C: Code>(
-        &self,
-        codes: &[C],
-        scale: &[f32],
-        group: usize,
-        cols: Cols<'_>,
-        out: &mut [f32],
-    ) {
+    fn block_gemm<C: Code>(&self, blocks: &Blocks, codes: &[C], cols: Cols<'_>, out: &mut [f32]) {
         let Cols { x, x_rows, c0, c1 } = cols;
         let (k_len, width) = (self.rows, c1 - c0);
         let x_row = |i: usize| &x[i * k_len..(i + 1) * k_len];
         let folds: Vec<bool> = (0..x_rows).map(|i| self.folds_exactly(x_row(i))).collect();
         let rows: Vec<usize> = (0..x_rows).filter(|&i| folds[i]).collect();
-        let tile = self.block_tile(codes, scale, group, cols, &rows);
+        let tile = self.block_tile(blocks, codes, cols, &rows);
         let span = tile.tiles.clone();
         if !span.is_empty() {
             tile.run(out);
@@ -676,8 +813,8 @@ impl PackedMatrix {
                     if a == 0.0 {
                         continue;
                     }
-                    for run in self.runs(group, k, walk.start, walk.end) {
-                        let s = scale[run.scale];
+                    for run in blocks.runs(self.rows, self.cols, k, walk.start, walk.end) {
+                        let s = blocks.scale[run.scale];
                         let o = out_part[run.j0 - walk.start..run.j1 - walk.start].iter_mut();
                         if folds {
                             let a_s = a * s;
@@ -717,9 +854,8 @@ impl PackedMatrix {
     /// The row tile of `rows` over tile-major block codes.
     fn block_tile<'a, C>(
         &self,
+        blocks: &'a Blocks,
         codes: &'a [C],
-        scale: &'a [f32],
-        group: usize,
         cols: Cols<'a>,
         rows: &'a [usize],
     ) -> RowTile<'a, C> {
@@ -730,7 +866,7 @@ impl PackedMatrix {
             codes,
             col_stride: self.rows,
             k_stride: TILE_COLS,
-            scale: Some((scale, group)),
+            scale: Some((&blocks.scale, blocks.group())),
             tiles: self.tile_span(cols.c0, cols.c1),
         }
     }
@@ -748,7 +884,7 @@ impl PackedMatrix {
             Layout::Dense { finite: true, .. } | Layout::Fp16 { .. } => {
                 c0..c0 + (c1 - c0) / TILE_COLS * TILE_COLS
             }
-            Layout::Block { group, .. } if tile_major(self.cols, *group) => {
+            Layout::Block(Blocks { tiled: true, .. }) => {
                 let (start, end) = (c0.next_multiple_of(TILE_COLS), c1 / TILE_COLS * TILE_COLS);
                 if start < end {
                     start..end
@@ -756,42 +892,8 @@ impl PackedMatrix {
                     c0..c0
                 }
             }
-            Layout::Dense { finite: false, .. } | Layout::Block { .. } => c0..c0,
+            Layout::Dense { finite: false, .. } | Layout::Block(_) => c0..c0,
         }
-    }
-
-    /// Row `k`'s columns `[c0, c1)` of a block layout, as runs that
-    /// share one block scale and lie contiguous in the code buffer.
-    fn runs(&self, group: usize, k: usize, c0: usize, c1: usize) -> impl Iterator<Item = Run> {
-        let (rows, cols) = (self.rows, self.cols);
-        let tiled = tile_major(cols, group);
-        let mut j = c0;
-        std::iter::from_fn(move || {
-            if j >= c1 {
-                return None;
-            }
-            let j0 = j;
-            let run = if tiled {
-                let t = j0 / TILE_COLS;
-                j = c1.min((t + 1) * TILE_COLS);
-                Run {
-                    j0,
-                    j1: j,
-                    code: (t * rows + k) * TILE_COLS + j0 % TILE_COLS,
-                    scale: j0 / group * rows + k,
-                }
-            } else {
-                let flat = k * cols + j0;
-                j = c1.min(j0 + group - flat % group);
-                Run {
-                    j0,
-                    j1: j,
-                    code: flat,
-                    scale: flat / group,
-                }
-            };
-            Some(run)
-        })
     }
 
     /// `x · Wᵀ` for row-major `x` of shape `x_rows × self.cols`, writing
@@ -831,57 +933,25 @@ impl PackedMatrix {
         for i in 0..x_rows {
             let x_row = &x[i * n..(i + 1) * n];
             let out_row = &mut out[i * width..(i + 1) * width];
+            let folds = self.folds_exactly(x_row);
             for (r, o) in (r0..r1).zip(out_row) {
                 *o = match &self.layout {
                     Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => {
                         dot_plain(x_row, &lane[r * n..(r + 1) * n])
                     }
-                    Layout::Block {
-                        codes: Codes::I16(codes),
-                        scale,
-                        group,
-                        ..
-                    } => self.block_dot_row(x_row, codes, scale, *group, r),
-                    Layout::Block {
-                        codes: Codes::F32(codes),
-                        scale,
-                        group,
-                        ..
-                    } => self.block_dot_row(x_row, codes, scale, *group, r),
+                    Layout::Block(blocks) => {
+                        let runs = blocks.runs(self.rows, n, r, 0, n);
+                        let scale = &blocks.scale;
+                        match (&blocks.codes, folds) {
+                            (Codes::I16(c), true) => runs_dot::<_, true>(x_row, c, scale, runs),
+                            (Codes::I16(c), false) => runs_dot::<_, false>(x_row, c, scale, runs),
+                            (Codes::F32(c), true) => runs_dot::<_, true>(x_row, c, scale, runs),
+                            (Codes::F32(c), false) => runs_dot::<_, false>(x_row, c, scale, runs),
+                        }
+                    }
                 };
             }
         }
-    }
-
-    /// Sequential dot of `x_row` with weight row `r` over block codes:
-    /// the block scale folds into the activation when the range guard
-    /// allows, else each weight is rebuilt as `code·2^s` first — either
-    /// way every term is the reference `fl(xⱼ·wⱼ)`, accumulated in the
-    /// reference order.
-    fn block_dot_row<C: Code>(
-        &self,
-        x_row: &[f32],
-        codes: &[C],
-        scale: &[f32],
-        group: usize,
-        r: usize,
-    ) -> f32 {
-        let folds = self.folds_exactly(x_row);
-        let mut acc = 0.0f32;
-        for run in self.runs(group, r, 0, self.cols) {
-            let s = scale[run.scale];
-            let xs = &x_row[run.j0..run.j1];
-            if folds {
-                for (xv, cv) in xs.iter().zip(run.codes(codes)) {
-                    acc += (xv * s) * cv.widen();
-                }
-            } else {
-                for (xv, cv) in xs.iter().zip(run.codes(codes)) {
-                    acc += xv * (cv.widen() * s);
-                }
-            }
-        }
-        acc
     }
 
     /// The per-row range guard of the scale-folding kernels: true when
@@ -893,10 +963,10 @@ impl PackedMatrix {
     /// block scale; such rows take the scalar `a·w` order instead. Always
     /// true for layouts without block scales.
     fn folds_exactly(&self, x_row: &[f32]) -> bool {
-        let Layout::Block {
+        let Layout::Block(Blocks {
             scale_range: (lo, hi),
             ..
-        } = &self.layout
+        }) = &self.layout
         else {
             return true;
         };
@@ -924,8 +994,8 @@ struct Cols<'a> {
     c1: usize,
 }
 
-/// Columns `[j0, j1)` of one weight row of a block layout: they share
-/// the scale at index `scale` and their codes start at index `code`.
+/// Columns `[j0, j1)` of one row of a block store: they share the
+/// scale at index `scale` and their codes start at index `code`.
 struct Run {
     j0: usize,
     j1: usize,
@@ -956,51 +1026,29 @@ fn pack_fp16(values: &[f32]) -> Option<Layout> {
     Some(Layout::Fp16 { bits, lane })
 }
 
-/// Packs the block layout: encodes every chunk of the flat buffer,
-/// scales each lane by the matrix's code shift `c` and folds `2^−c`
-/// into the block scale, then stores the codes as `i16` when they all
-/// fit (else as `f32`), tile-major when [`tile_major`] holds. `None` on
-/// a non-finite value or a folded scale outside the normal range; the
-/// caller verifies the rest.
+/// Packs the block layout: every chunk of the flat buffer through the
+/// chunk encoder ([`Blocks::push_chunk`]), then codes and scales
+/// reordered tile-major when [`tile_major`] holds. `None` on a chunk the
+/// encoder cannot reproduce; the caller verifies the whole matrix.
 fn pack_blocks(values: &[f32], rows: usize, cols: usize, alg: FormatAlgebra) -> Option<Layout> {
-    let group = alg.block_size;
-    // Two-level lanes are multiples of 2^−(largest sub-block offset).
-    let shift = match alg.scale {
-        ScaleKind::TwoLevel { sub_scale_bits, .. } => (1i32 << sub_scale_bits) - 1,
-        _ => 0,
-    };
-    let mut flat = Vec::with_capacity(values.len());
-    let mut scale = Vec::with_capacity(values.len().div_ceil(group));
-    for chunk in values.chunks(group) {
-        if chunk.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
-        let encoded = encode_chunk(chunk, &alg);
-        let s = exp2i(encoded.scale_exponent(&alg) - shift);
-        if !s.is_normal() {
-            return None;
-        }
-        scale.push(s);
-        flat.extend((0..chunk.len()).map(|i| encoded.lane_value(i, &alg) * exp2i(shift)));
+    let mut blocks = Blocks::new(alg);
+    let group = blocks.group();
+    blocks.scale.reserve_exact(values.len().div_ceil(group));
+    if let Codes::I16(codes) = &mut blocks.codes {
+        codes.reserve_exact(values.len());
     }
-    let scale_range = scale.iter().fold((f32::INFINITY, 0.0f32), |(lo, hi), &s| {
-        (lo.min(s), hi.max(s))
-    });
+    if !values.chunks(group).all(|chunk| blocks.push_chunk(chunk)) {
+        return None;
+    }
     if tile_major(cols, group) {
-        flat = strip_major(&flat, rows, cols, TILE_COLS);
-        scale = strip_major(&scale, rows, cols / group, 1);
+        blocks.codes = match &blocks.codes {
+            Codes::I16(c) => Codes::I16(strip_major(c, rows, cols, TILE_COLS)),
+            Codes::F32(c) => Codes::F32(strip_major(c, rows, cols, TILE_COLS)),
+        };
+        blocks.scale = strip_major(&blocks.scale, rows, cols / group, 1);
+        blocks.tiled = true;
     }
-    let codes = match flat.iter().map(|&c| i16_code(c)).collect() {
-        Some(narrow) => Codes::I16(narrow),
-        None => Codes::F32(flat),
-    };
-    Some(Layout::Block {
-        alg,
-        codes,
-        scale,
-        group,
-        scale_range,
-    })
+    Some(Layout::Block(blocks))
 }
 
 /// How many nonzero activation rows the fused axpy kernel folds per
@@ -1056,44 +1104,57 @@ fn dot_plain(x_row: &[f32], w_row: &[f32]) -> f32 {
     acc
 }
 
-/// Sequential dot against a packed-row lane when the row starts on a
-/// block boundary and covers whole blocks: the per-segment flat-index
-/// division of [`dot_scaled`] disappears and the inner loop runs over
-/// exact-size chunks the compiler can keep in registers. Accumulation
-/// order is identical to [`dot_scaled`] (and to the scalar reference),
-/// so the result is bit-identical.
-fn dot_scaled_aligned(x_row: &[f32], w_row: &[f32], scale: &[f32], group: usize) -> f32 {
+/// Sequential dot of `x` with the codes of `runs`, which walk one code
+/// row from the column `x[0]` meets: the block scale folds into the
+/// activation (`fl(x·2^s)·code`) when `FOLDS`, else each value is
+/// rebuilt as `code·2^s` first. Either way every term is the reference
+/// `fl(xⱼ·wⱼ)`, accumulated in the reference order, while the folded
+/// products stay normal (module docs).
+fn runs_dot<C: Code, const FOLDS: bool>(
+    x: &[f32],
+    codes: &[C],
+    scale: &[f32],
+    runs: impl Iterator<Item = Run>,
+) -> f32 {
+    // Terms land in a stack buffer run by run (independent, so they
+    // vectorise) and the buffer is summed in order when full and at the
+    // end, which keeps the per-run bookkeeping off the add chain.
+    const TERMS: usize = 64;
     let mut acc = 0.0f32;
-    for (bi, (xc, wc)) in x_row
-        .chunks_exact(group)
-        .zip(w_row.chunks_exact(group))
-        .enumerate()
-    {
-        let s = scale[bi];
-        for (x, w) in xc.iter().zip(wc) {
-            acc += (x * s) * w;
+    let mut terms = [0.0f32; TERMS];
+    let mut filled = 0;
+    let mut rest = x;
+    for run in runs {
+        let (mut xs, tail) = rest.split_at(run.j1 - run.j0);
+        rest = tail;
+        let s = scale[run.scale];
+        let mut cs = run.codes(codes);
+        while !xs.is_empty() {
+            let n = xs.len().min(TERMS - filled);
+            for ((t, &xv), &cv) in terms[filled..filled + n]
+                .iter_mut()
+                .zip(&xs[..n])
+                .zip(&cs[..n])
+            {
+                *t = if FOLDS {
+                    (xv * s) * cv.widen()
+                } else {
+                    xv * (cv.widen() * s)
+                };
+            }
+            filled += n;
+            xs = &xs[n..];
+            cs = &cs[n..];
+            if filled == TERMS {
+                for t in terms {
+                    acc += t;
+                }
+                filled = 0;
+            }
         }
     }
-    acc
-}
-
-/// Sequential dot against a packed-row lane: the block scale folds into
-/// the activation at each flat-block boundary, keeping every partial
-/// product equal to `fl(aⱼ·wⱼ)` while the accumulator order matches the
-/// reference exactly.
-fn dot_scaled(x_row: &[f32], w_row: &[f32], scale: &[f32], group: usize, flat0: usize) -> f32 {
-    let mut acc = 0.0f32;
-    let n = x_row.len();
-    let mut j = 0;
-    while j < n {
-        let flat = flat0 + j;
-        let block = flat / group;
-        let seg_end = n.min(j + (group - flat % group));
-        let s = scale[block];
-        for jj in j..seg_end {
-            acc += (x_row[jj] * s) * w_row[jj];
-        }
-        j = seg_end;
+    for &t in &terms[..filled] {
+        acc += t;
     }
     acc
 }
@@ -1224,52 +1285,27 @@ impl<C: Code> RowTile<'_, C> {
     }
 }
 
-/// The storage layout of a [`PackedRows`] buffer.
-#[derive(Debug, Clone)]
-enum RowsLayout {
-    /// Plain f32 rows — non-block schemes, widths that are not whole
-    /// blocks, or the verified fallback after a row the block encoder
-    /// could not reproduce bit-for-bit.
-    Dense { lane: Vec<f32> },
-    /// Scheme-native block layout. Because the row width is a whole
-    /// number of blocks, every row starts block-aligned and blocks
-    /// never straddle rows.
-    Block {
-        /// The block-format point rows are encoded in.
-        alg: FormatAlgebra,
-        /// Packed bits of every chunk, appended row by row.
-        writer: BitWriter,
-        /// Effective lane values (flags, micro-exponents folded), one
-        /// per element, row-major.
-        lane: Vec<f32>,
-        /// One power-of-two scale per `group`-element block of the flat
-        /// row-major buffer.
-        scale: Vec<f32>,
-        /// The scheme's block size — the stride of `scale`.
-        group: usize,
-    },
-}
-
 /// A row-append packed buffer: the storage format of KV-cache pages and
 /// other append-only row stores.
 ///
 /// Where [`PackedMatrix`] packs a complete matrix once (weights, known
 /// at prepare time), `PackedRows` grows one row at a time — the shape
 /// of a KV cache, which appends one key/value row per token per layer.
-/// Rows are encoded into the scheme's block layout on append
-/// ([`PackedRows::push_row`]), with the same self-verification as
-/// [`PackedMatrix::pack`]: any row the encoder cannot reproduce
-/// bit-for-bit demotes the *whole buffer* to a dense f32 lane
-/// (reconstructed exactly from the already-verified rows), so reads are
-/// always bit-identical to the rows that were pushed, for every scheme
-/// and every input.
+/// Both hold the same block store: one integer element code per value
+/// (`i16`, widened once to `f32` at the first code that does not fit)
+/// and one power-of-two scale per block, here in flat row-major order.
+/// Rows go through the same chunk encoder on append
+/// ([`PackedRows::push_row`]); any row it cannot reproduce bit-for-bit
+/// demotes the *whole buffer* to a dense f32 lane (rebuilt exactly as
+/// `code·scale` from the already-verified rows), so reads are always
+/// bit-identical to the rows that were pushed, for every scheme and
+/// every input.
 ///
 /// The attention kernels ([`attn_dot_packed`],
 /// [`attn_weighted_sum_packed`]) read head-column slices of the rows
-/// straight off the mantissa lane + block scales, reusing the
-/// power-of-two commuting argument of the module docs — so QK^T and AV
-/// over a packed buffer are bit-identical to the dense f32 loops they
-/// replace.
+/// straight off the codes + block scales, reusing the power-of-two
+/// commuting argument of the module docs — so QK^T and AV over a packed
+/// buffer are bit-identical to the dense f32 loops they replace.
 ///
 /// ```
 /// use bbal_core::packed::{LayoutKind, PackedRows};
@@ -1292,31 +1328,23 @@ enum RowsLayout {
 pub struct PackedRows {
     width: usize,
     rows: usize,
-    layout: RowsLayout,
-}
-
-impl Default for PackedRows {
-    /// An empty dense buffer of zero width (reconfigure with
-    /// [`PackedRows::reset`] before use).
-    fn default() -> PackedRows {
-        PackedRows::new(SchemeSpec::Fp32, 0)
-    }
+    layout: Layout,
 }
 
 impl PackedRows {
     /// An empty buffer whose rows are `width` columns wide, stored in
     /// `scheme`'s block layout when the scheme has one and `width` is a
-    /// whole number of blocks, else as dense f32.
+    /// whole number of blocks (so no block straddles a row), else as
+    /// dense f32.
     pub fn new(scheme: SchemeSpec, width: usize) -> PackedRows {
         let layout = match scheme.block_algebra() {
-            Some(alg) if width > 0 && width.is_multiple_of(alg.block_size) => RowsLayout::Block {
-                alg,
-                writer: BitWriter::new(),
+            Some(alg) if width > 0 && width.is_multiple_of(alg.block_size) => {
+                Layout::Block(Blocks::new(alg))
+            }
+            _ => Layout::Dense {
                 lane: Vec::new(),
-                scale: Vec::new(),
-                group: alg.block_size,
+                finite: false,
             },
-            _ => RowsLayout::Dense { lane: Vec::new() },
         };
         PackedRows {
             width,
@@ -1343,19 +1371,13 @@ impl PackedRows {
     /// Which layout the buffer currently holds ([`LayoutKind::Fp16`]
     /// never occurs here).
     pub fn layout_kind(&self) -> LayoutKind {
-        match &self.layout {
-            RowsLayout::Dense { .. } => LayoutKind::Dense,
-            RowsLayout::Block { .. } => LayoutKind::Block,
-        }
+        self.layout.kind()
     }
 
     /// Exact storage size of the current contents in bits
     /// (`rows·width·32` after a dense demotion — the honesty metric).
     pub fn packed_bits(&self) -> usize {
-        match &self.layout {
-            RowsLayout::Dense { lane } => lane.len() * 32,
-            RowsLayout::Block { writer, .. } => writer.bit_len(),
-        }
+        self.layout.bits(self.rows * self.width)
     }
 
     /// [`PackedRows::packed_bits`] rounded up to whole bytes.
@@ -1363,37 +1385,12 @@ impl PackedRows {
         self.packed_bits().div_ceil(8)
     }
 
-    /// Drops every row, keeping the scheme/width configuration.
-    pub fn clear(&mut self) {
-        self.rows = 0;
-        match &mut self.layout {
-            RowsLayout::Dense { lane } => lane.clear(),
-            RowsLayout::Block {
-                writer,
-                lane,
-                scale,
-                ..
-            } => {
-                *writer = BitWriter::new();
-                lane.clear();
-                scale.clear();
-            }
-        }
-    }
-
-    /// Drops every row *and* reconfigures the buffer for a (possibly
-    /// different) scheme and width — how a recycled page buffer is
-    /// prepared for its next owner.
-    pub fn reset(&mut self, scheme: SchemeSpec, width: usize) {
-        *self = PackedRows::new(scheme, width);
-    }
-
     /// Appends one row, encoding it into the block layout when possible.
     ///
     /// A row that is not exactly representable in the scheme (it did not
     /// come from this scheme's quantiser, or contains non-finite values)
     /// demotes the whole buffer to the dense layout; previously encoded
-    /// rows are reconstructed exactly (`lane × 2^scale` is the stored
+    /// rows are reconstructed exactly (`code·scale` is the stored
     /// value), so the buffer's contents always equal the pushed rows
     /// bit-for-bit.
     ///
@@ -1402,51 +1399,23 @@ impl PackedRows {
     /// Panics if `row.len() != self.width()`.
     pub fn push_row(&mut self, row: &[f32]) {
         assert_eq!(row.len(), self.width, "row width mismatch");
-        self.rows += 1;
-        match &mut self.layout {
-            RowsLayout::Dense { lane } => {
-                lane.extend_from_slice(row);
-                return;
-            }
-            RowsLayout::Block {
-                alg,
-                writer,
-                lane,
-                scale,
-                group,
-            } => {
-                if let Some((row_lane, chunks)) = encode_row(row, alg, *group) {
-                    lane.extend_from_slice(&row_lane);
-                    for c in &chunks {
-                        scale.push(exp2i(c.scale_exponent(alg)));
-                        algebra::write_chunk(writer, c, alg);
-                    }
-                    return;
-                }
+        if let Layout::Block(blocks) = &mut self.layout {
+            let group = blocks.group();
+            if !row.chunks(group).all(|chunk| blocks.push_chunk(chunk)) {
+                // Demote, exactly: the rows pushed so far decode to
+                // themselves, and the codes of this row's earlier chunks
+                // lie past them, unread.
+                let lane = self.to_dense();
+                self.layout = Layout::Dense {
+                    lane,
+                    finite: false,
+                };
             }
         }
-        // The row is not representable in the block layout: demote the
-        // buffer to dense (exact) and append the row as raw f32.
-        self.demote();
-        if let RowsLayout::Dense { lane } = &mut self.layout {
+        if let Layout::Dense { lane, .. } = &mut self.layout {
             lane.extend_from_slice(row);
         }
-    }
-
-    /// Rebuilds the dense layout from the block layout — exact, because
-    /// every stored value *is* `lane × 2^scale` (a representable f32).
-    fn demote(&mut self) {
-        if let RowsLayout::Block {
-            lane, scale, group, ..
-        } = &self.layout
-        {
-            let dense: Vec<f32> = lane
-                .iter()
-                .enumerate()
-                .map(|(i, &l)| l * scale[i / *group])
-                .collect();
-            self.layout = RowsLayout::Dense { lane: dense };
-        }
+        self.rows += 1;
     }
 
     /// The stored value at `(row, col)` — bit-identical to what was
@@ -1457,50 +1426,25 @@ impl PackedRows {
     /// Panics if the position is out of range.
     pub fn get(&self, row: usize, col: usize) -> f32 {
         assert!(row < self.rows && col < self.width, "position out of range");
-        let flat = row * self.width + col;
         match &self.layout {
-            RowsLayout::Dense { lane } => lane[flat],
-            RowsLayout::Block {
-                lane, scale, group, ..
-            } => lane[flat] * scale[flat / group],
+            Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => lane[row * self.width + col],
+            Layout::Block(blocks) => {
+                let mut runs = blocks.runs(self.rows, self.width, row, col, col + 1);
+                let run = runs.next().expect("one column is one run");
+                let s = blocks.scale[run.scale];
+                match &blocks.codes {
+                    Codes::I16(codes) => codes[run.code].weight(s),
+                    Codes::F32(codes) => codes[run.code].weight(s),
+                }
+            }
         }
     }
 
     /// All rows as a flat dense f32 buffer — bit-identical to the rows
     /// that were pushed.
     pub fn to_dense(&self) -> Vec<f32> {
-        match &self.layout {
-            RowsLayout::Dense { lane } => lane.clone(),
-            RowsLayout::Block {
-                lane, scale, group, ..
-            } => lane
-                .iter()
-                .enumerate()
-                .map(|(i, &l)| l * scale[i / *group])
-                .collect(),
-        }
+        self.layout.decode(self.rows, self.width)
     }
-}
-
-/// Encodes one whole-block row into (lane values, chunks); `None` if
-/// any chunk fails the bit-exact round trip (the caller demotes).
-fn encode_row(row: &[f32], alg: &FormatAlgebra, group: usize) -> Option<(Vec<f32>, Vec<AlgChunk>)> {
-    let mut lane = Vec::with_capacity(row.len());
-    let mut chunks = Vec::with_capacity(row.len() / group);
-    for chunk_vals in row.chunks(group) {
-        if chunk_vals.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
-        let encoded = encode_chunk(chunk_vals, alg);
-        for (i, v) in chunk_vals.iter().enumerate() {
-            if encoded.decode_value(i, alg).to_bits() != v.to_bits() {
-                return None;
-            }
-            lane.push(encoded.lane_value(i, alg));
-        }
-        chunks.push(encoded);
-    }
-    Some((lane, chunks))
 }
 
 /// `q · K[j, c0..c0+q.len()]` over a packed row buffer: the QK^T inner
@@ -1518,17 +1462,16 @@ pub fn attn_dot_packed(q: &[f32], rows: &PackedRows, j: usize, c0: usize) -> f32
         j < rows.rows && c0 + dh <= rows.width,
         "attention span out of range"
     );
-    let flat0 = j * rows.width + c0;
     match &rows.layout {
-        RowsLayout::Dense { lane } => dot_plain(q, &lane[flat0..flat0 + dh]),
-        RowsLayout::Block {
-            lane, scale, group, ..
-        } => {
-            let k_row = &lane[flat0..flat0 + dh];
-            if c0.is_multiple_of(*group) && dh.is_multiple_of(*group) {
-                dot_scaled_aligned(q, k_row, &scale[flat0 / *group..], *group)
-            } else {
-                dot_scaled(q, k_row, scale, *group, flat0)
+        Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => {
+            let flat0 = j * rows.width + c0;
+            dot_plain(q, &lane[flat0..flat0 + dh])
+        }
+        Layout::Block(blocks) => {
+            let runs = blocks.runs(rows.rows, rows.width, j, c0, c0 + dh);
+            match &blocks.codes {
+                Codes::I16(codes) => runs_dot::<_, true>(q, codes, &blocks.scale, runs),
+                Codes::F32(codes) => runs_dot::<_, true>(q, codes, &blocks.scale, runs),
             }
         }
     }
@@ -1538,7 +1481,9 @@ pub fn attn_dot_packed(q: &[f32], rows: &PackedRows, j: usize, c0: usize) -> f32
 /// order: the AV accumulation of one attention head over a packed row
 /// buffer, bit-identical to the dense f32 loop (per output element the
 /// `+=`s arrive in the same order, and the power-of-two block scale
-/// folds into the broadcast probability exactly).
+/// folds into the broadcast probability exactly). A call whose `out`
+/// holds a `-0` multiplies each value rebuilt as `code·scale` instead,
+/// so a `-0` value keeps its sign (module docs).
 ///
 /// # Panics
 ///
@@ -1550,7 +1495,7 @@ pub fn attn_weighted_sum_packed(probs: &[f32], rows: &PackedRows, c0: usize, out
         "attention span out of range"
     );
     match &rows.layout {
-        RowsLayout::Dense { lane } => {
+        Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => {
             for (j, &p) in probs.iter().enumerate() {
                 let flat0 = j * rows.width + c0;
                 let v_row = &lane[flat0..flat0 + dh];
@@ -1559,21 +1504,37 @@ pub fn attn_weighted_sum_packed(probs: &[f32], rows: &PackedRows, c0: usize, out
                 }
             }
         }
-        RowsLayout::Block {
-            lane, scale, group, ..
-        } => {
-            for (j, &p) in probs.iter().enumerate() {
-                let flat0 = j * rows.width + c0;
-                let mut d = 0;
-                while d < dh {
-                    let flat = flat0 + d;
-                    let block = flat / group;
-                    let seg_end = dh.min(d + (group - flat % group));
-                    let ps = p * scale[block];
-                    for dd in d..seg_end {
-                        out[dd] += ps * lane[flat0 + dd];
-                    }
-                    d = seg_end;
+        Layout::Block(blocks) => match &blocks.codes {
+            Codes::I16(codes) => runs_axpy(probs, rows, blocks, codes, c0, out),
+            Codes::F32(codes) => runs_axpy(probs, rows, blocks, codes, c0, out),
+        },
+    }
+}
+
+/// [`attn_weighted_sum_packed`] over block codes: each row's runs, the
+/// block scale folded into the probability unless `out` holds a `-0`.
+fn runs_axpy<C: Code>(
+    probs: &[f32],
+    rows: &PackedRows,
+    blocks: &Blocks,
+    codes: &[C],
+    c0: usize,
+    out: &mut [f32],
+) {
+    let c1 = c0 + out.len();
+    let folds = !out.iter().any(|o| *o == 0.0 && o.is_sign_negative());
+    for (j, &p) in probs.iter().enumerate() {
+        for run in blocks.runs(rows.rows, rows.width, j, c0, c1) {
+            let s = blocks.scale[run.scale];
+            let o = out[run.j0 - c0..run.j1 - c0].iter_mut();
+            if folds {
+                let ps = p * s;
+                for (ov, cv) in o.zip(run.codes(codes)) {
+                    *ov += ps * cv.widen();
+                }
+            } else {
+                for (ov, cv) in o.zip(run.codes(codes)) {
+                    *ov += p * cv.weight(s);
                 }
             }
         }
@@ -1594,19 +1555,17 @@ fn chunk_bits(alg: &FormatAlgebra, len: usize) -> usize {
 }
 
 /// Exact storage capacity, in bytes, of `rows` packed rows of `width`
-/// columns under `scheme` — dense f32 bytes when the scheme has no
+/// columns under `scheme` — what the layout [`PackedRows::new`] picks
+/// takes for that many rows, so dense f32 bytes when the scheme has no
 /// block layout or `width` is not a whole number of blocks. This is the
 /// single source of truth KV arenas and serving schedulers size page
 /// byte budgets by: a full [`PackedRows`] buffer of quantised rows
 /// occupies exactly this many bytes.
 pub fn packed_rows_capacity_bytes(scheme: SchemeSpec, width: usize, rows: usize) -> usize {
-    let bits = match scheme.block_algebra() {
-        Some(alg) if width > 0 && width.is_multiple_of(alg.block_size) => {
-            rows * (width / alg.block_size) * chunk_bits(&alg, alg.block_size)
-        }
-        _ => rows * width * 32,
-    };
-    bits.div_ceil(8)
+    PackedRows::new(scheme, width)
+        .layout
+        .bits(rows * width)
+        .div_ceil(8)
 }
 
 #[cfg(test)]
@@ -1616,7 +1575,7 @@ mod tests {
     use crate::bfp::bfp_quantize_slice;
     use crate::format::{BbfpConfig, BfpConfig};
 
-    fn quantised(scheme: SchemeSpec, n: usize, seed: u64) -> Vec<f32> {
+    fn raw(n: usize, seed: u64) -> Vec<f32> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -1624,17 +1583,25 @@ mod tests {
             state ^= state << 17;
             ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) as f32
         };
-        let raw: Vec<f32> = (0..n).map(|_| next() * 4.0).collect();
-        let mut out = vec![0.0; n];
+        (0..n).map(|_| next() * 4.0).collect()
+    }
+
+    fn quantised(scheme: SchemeSpec, n: usize, seed: u64) -> Vec<f32> {
+        quantise(scheme, &raw(n, seed))
+    }
+
+    /// `raw` through `scheme`'s own quantiser.
+    fn quantise(scheme: SchemeSpec, raw: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0; raw.len()];
         match scheme {
             SchemeSpec::Bfp(m) => bfp_quantize_slice(
-                &raw,
+                raw,
                 BfpConfig::new(m).unwrap(),
                 RoundingMode::NearestEven,
                 &mut out,
             ),
             SchemeSpec::Bbfp(m, o) => bbfp_quantize_slice(
-                &raw,
+                raw,
                 BbfpConfig::new(m, o).unwrap(),
                 RoundingMode::NearestEven,
                 &mut out,
@@ -1642,18 +1609,18 @@ mod tests {
             SchemeSpec::Mx(..) | SchemeSpec::Msfp(..) | SchemeSpec::BlockMf(..) => {
                 let alg = scheme.algebra().unwrap().unwrap();
                 crate::algebra::algebra_quantize_slice(
-                    &raw,
+                    raw,
                     &alg,
                     RoundingMode::NearestEven,
                     &mut out,
                 );
             }
             SchemeSpec::Fp16 => {
-                for (o, &v) in out.iter_mut().zip(&raw) {
+                for (o, &v) in out.iter_mut().zip(raw) {
                     *o = Fp16::from_f32_saturating(v).to_f32();
                 }
             }
-            _ => out.copy_from_slice(&raw),
+            _ => out.copy_from_slice(raw),
         }
         out
     }
@@ -1834,12 +1801,13 @@ mod tests {
         assert_eq!(p.decode(), q);
     }
 
-    /// A block-layout matrix holds its codes and one f32 scale per block
+    /// A block-layout store holds its codes and one f32 scale per block
     /// and nothing else — no per-element f32, no bit stream — for every
-    /// Table II / Fig. 8 block scheme and the new families, at 192×512
-    /// and a ragged shape. `packed_bits()`, computed from the algebra,
-    /// equals the bit length `write_chunk` gives the same chunks, ragged
-    /// tail included.
+    /// Table II / Fig. 8 block scheme and the new families: a matrix at
+    /// 192×512 and a ragged shape, and a 16-row KV page 192 wide, which
+    /// stays flat although its width would tile. `packed_bits()`,
+    /// computed from the algebra, equals the bit length `write_chunk`
+    /// gives the same chunks, ragged tail included.
     #[test]
     fn block_storage_is_codes_and_scales_only() {
         let schemes = [
@@ -1855,38 +1823,54 @@ mod tests {
         ];
         for scheme in schemes.into_iter().chain(NEW_FAMILIES) {
             let alg = scheme.block_algebra().unwrap();
-            for (rows, cols) in [(192usize, 512usize), (7, 45)] {
-                let q = quantised(scheme, rows * cols, 83);
-                let p = PackedMatrix::pack(&q, rows, cols, scheme);
+            let check = |layout: &Layout, bits: usize, q: &[f32], what: &str| {
                 // Every field named, so a new one has to be counted here.
-                let Layout::Block {
+                let Layout::Block(Blocks {
                     alg: _,
                     codes,
                     scale,
-                    group,
                     scale_range: _,
-                } = &p.layout
+                    tiled: _,
+                }) = layout
                 else {
-                    panic!("{scheme} {rows}x{cols} takes the block layout");
+                    panic!("{what} takes the block layout");
                 };
                 let (code_bytes, held) = match codes {
                     Codes::I16(c) => (2, std::mem::size_of_val(c.as_slice())),
                     Codes::F32(c) => (4, std::mem::size_of_val(c.as_slice())),
                 };
                 let wide = matches!(scheme, SchemeSpec::BlockMf(..));
-                assert_eq!(code_bytes, if wide { 4 } else { 2 }, "{scheme} code width");
-                let blocks = (rows * cols).div_ceil(*group);
+                assert_eq!(code_bytes, if wide { 4 } else { 2 }, "{what} code width");
+                let blocks = q.len().div_ceil(alg.block_size);
                 assert_eq!(
                     held + std::mem::size_of_val(scale.as_slice()),
-                    code_bytes * rows * cols + 4 * blocks,
-                    "{scheme} {rows}x{cols} resident bytes"
+                    code_bytes * q.len() + 4 * blocks,
+                    "{what} resident bytes"
                 );
                 let mut w = BitWriter::new();
                 for chunk in q.chunks(alg.block_size) {
                     algebra::write_chunk(&mut w, &encode_chunk(chunk, &alg), &alg);
                 }
-                assert_eq!(p.packed_bits(), w.bit_len(), "{scheme} {rows}x{cols} bits");
+                assert_eq!(bits, w.bit_len(), "{what} bits");
+            };
+            for (rows, cols) in [(192usize, 512usize), (7, 45)] {
+                let q = quantised(scheme, rows * cols, 83);
+                let p = PackedMatrix::pack(&q, rows, cols, scheme);
+                let what = format!("{scheme} {rows}x{cols} matrix");
+                check(&p.layout, p.packed_bits(), &q, &what);
             }
+            let (page, width) = (16usize, 192usize);
+            let q = quantised(scheme, page * width, 89);
+            let mut kv = PackedRows::new(scheme, width);
+            for row in q.chunks(width) {
+                kv.push_row(row);
+            }
+            let what = format!("{scheme} {page}x{width} rows");
+            assert!(
+                matches!(&kv.layout, Layout::Block(Blocks { tiled: false, .. })),
+                "{what} stay flat"
+            );
+            check(&kv.layout, kv.packed_bits(), &q, &what);
         }
     }
 
@@ -1980,15 +1964,12 @@ mod tests {
                     Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => {
                         p.lane_tile(lane, cols, &rows).columns(&mut out);
                     }
-                    Layout::Block {
-                        codes: Codes::I16(codes),
-                        scale,
-                        group,
-                        ..
-                    } => p
-                        .block_tile(codes, scale, *group, cols, &rows)
-                        .columns(&mut out),
-                    Layout::Block { .. } => panic!("{scheme:?} codes fit i16"),
+                    Layout::Block(blocks) => match &blocks.codes {
+                        Codes::I16(codes) => {
+                            p.block_tile(blocks, codes, cols, &rows).columns(&mut out)
+                        }
+                        Codes::F32(_) => panic!("{scheme:?} codes fit i16"),
+                    },
                 }
                 let want = reference_gemm(&x, x_rows, &w, k_len, n);
                 for i in 0..x_rows {
@@ -2018,45 +1999,63 @@ mod tests {
         assert!(out.iter().all(|&v| v == 1.5), "{out:?}");
     }
 
+    /// The one run walk reads tile-major and flat codes alike: a matrix
+    /// laid out tile-major (read by `gemm_transposed`) and the same rows
+    /// pushed into a flat `PackedRows` (read by `attn_dot_packed`, over
+    /// whole rows and over spans that start and end inside a block)
+    /// both give the reference sequential dot bit for bit, on every
+    /// block family.
     #[test]
-    fn transposed_aligned_fast_path_is_bit_identical_to_segment_walk() {
-        // The aligned fast path of the packed-row dot must agree
-        // bit-for-bit with the generic segment walk it bypasses, and the
-        // matrix's transposed GEMM over codes (tile-major or flat) with
-        // both, on every block scheme.
+    fn tiled_and_flat_run_walks_agree_bit_for_bit() {
         for scheme in [
             SchemeSpec::Bbfp(4, 2),
+            SchemeSpec::Bbfp(6, 3),
             SchemeSpec::Bfp(6),
             SchemeSpec::Mx(8, 4, 2),
             SchemeSpec::Msfp(4, 16),
             SchemeSpec::BlockMf(4, 3, 8),
         ] {
-            let bs = scheme.block_algebra().unwrap();
-            let group = bs.block_size;
+            let group = scheme.block_algebra().unwrap().block_size;
             let (w_rows, n) = (4usize, group * 3);
             let q = quantised(scheme, w_rows * n, 31);
             let p = PackedMatrix::pack(&q, w_rows, n, scheme);
-            assert_eq!(p.layout_kind(), LayoutKind::Block, "{scheme}");
+            let Layout::Block(matrix) = &p.layout else {
+                panic!("{scheme} matrix takes the block layout");
+            };
+            assert_eq!(matrix.tiled, tile_major(n, group), "{scheme} matrix order");
             let mut rows = PackedRows::new(scheme, n);
             for r in 0..w_rows {
                 rows.push_row(&q[r * n..(r + 1) * n]);
             }
-            let RowsLayout::Block { lane, scale, .. } = &rows.layout else {
-                panic!("{scheme} rows take the block layout");
-            };
+            assert!(
+                matches!(&rows.layout, Layout::Block(Blocks { tiled: false, .. })),
+                "{scheme} rows take the flat block layout"
+            );
             let x = quantised(SchemeSpec::Fp16, n, 37);
             let mut packed = vec![f32::NAN; w_rows];
             p.gemm_transposed(&x, 1, &mut packed);
             for r in 0..w_rows {
-                let w_row = &lane[r * n..(r + 1) * n];
-                let fast = dot_scaled_aligned(&x, w_row, &scale[r * (n / group)..], group);
-                let slow = dot_scaled(&x, w_row, scale, group, r * n);
-                assert_eq!(fast.to_bits(), slow.to_bits(), "{scheme} row {r}");
+                let w_row = &q[r * n..(r + 1) * n];
+                let dot = |c0: usize, c1: usize| {
+                    let mut acc = 0.0f32;
+                    for (xv, wv) in x[c0..c1].iter().zip(&w_row[c0..c1]) {
+                        acc += xv * wv;
+                    }
+                    acc
+                };
                 assert_eq!(
                     packed[r].to_bits(),
-                    slow.to_bits(),
-                    "{scheme} codes row {r}"
+                    dot(0, n).to_bits(),
+                    "{scheme} tiled row {r}"
                 );
+                for (c0, c1) in [(0, n), (group / 2, n), (1, n - 3), (group, 2 * group)] {
+                    let got = attn_dot_packed(&x[c0..c1], &rows, r, c0);
+                    assert_eq!(
+                        got.to_bits(),
+                        dot(c0, c1).to_bits(),
+                        "{scheme} flat row {r} span {c0}..{c1}"
+                    );
+                }
             }
         }
     }
@@ -2106,17 +2105,24 @@ mod tests {
         }
     }
 
+    /// The capacity a KV arena charges equals the bit length
+    /// `write_chunk` gives the pushed rows' chunks — an independent
+    /// count, not the bit formula both sides share.
     #[test]
     fn packed_rows_capacity_matches_actual_bits() {
         for scheme in [SchemeSpec::Bbfp(4, 2), SchemeSpec::Mx(8, 4, 2)] {
-            let bs = scheme.block_algebra().unwrap();
-            let width = bs.block_size;
+            let alg = scheme.block_algebra().unwrap();
+            let width = alg.block_size;
             let mut rows = PackedRows::new(scheme, width);
+            let mut w = BitWriter::new();
             for r in 0..3 {
-                rows.push_row(&quantised(scheme, width, 7 + r));
+                let row = quantised(scheme, width, 7 + r);
+                rows.push_row(&row);
+                algebra::write_chunk(&mut w, &encode_chunk(&row, &alg), &alg);
             }
+            assert_eq!(rows.packed_bits(), w.bit_len(), "{scheme} bits");
             assert_eq!(
-                rows.packed_bits().div_ceil(8),
+                w.bit_len().div_ceil(8),
                 packed_rows_capacity_bytes(scheme, width, 3),
                 "{scheme}"
             );
@@ -2161,26 +2167,113 @@ mod tests {
         assert_eq!(packed_rows_capacity_bytes(SchemeSpec::Bfp(4), 33, 2), 264);
     }
 
-    #[test]
-    fn packed_rows_reset_recycles_across_schemes() {
-        let mut rows = PackedRows::new(SchemeSpec::Bfp(4), 32);
-        rows.push_row(&quantised(SchemeSpec::Bfp(4), 32, 9));
-        rows.reset(SchemeSpec::Msfp(4, 16), 16);
-        assert!(rows.is_empty());
-        assert_eq!(rows.width(), 16);
-        assert_eq!(rows.layout_kind(), LayoutKind::Block);
-        rows.push_row(&quantised(SchemeSpec::Msfp(4, 16), 16, 9));
-        assert_eq!(rows.rows(), 1);
-        rows.clear();
-        assert!(rows.is_empty());
-        assert_eq!(rows.packed_bits(), 0);
+    /// `rows` quantised `width`-wide rows of `scheme` whose every fifth
+    /// column is `-0` and every seventh (otherwise) `+0`.
+    fn signed_zero_rows(scheme: SchemeSpec, rows: usize, width: usize, seed: u64) -> Vec<f32> {
+        let mut values = raw(rows * width, seed);
+        for (i, v) in values.iter_mut().enumerate() {
+            match i % width {
+                c if c.is_multiple_of(5) => *v = -0.0,
+                c if c.is_multiple_of(7) => *v = 0.0,
+                _ => {}
+            }
+        }
+        quantise(scheme, &values)
     }
 
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
+        }
+    }
+
+    /// Both attention kernels over `rows` against the dense loops over
+    /// `dense`, on aligned and ragged head spans: queries and
+    /// probabilities finite or holding `±inf`/NaN, and an `out` seeded
+    /// with `+0` or with `-0`s (which the `-0` columns of
+    /// [`signed_zero_rows`] leave `-0` in the dense loop).
+    fn check_attention(rows: &PackedRows, dense: &[f32], what: &str) {
+        let (width, n_rows) = (rows.width(), rows.rows());
+        let with_each_non_finite = |finite: Vec<f32>, at: usize| {
+            let mut sets = vec![finite.clone()];
+            for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+                let mut v = finite.clone();
+                v[at] = bad;
+                sets.push(v);
+            }
+            sets
+        };
+        // Signed probabilities, which the API accepts, and softmax-like
+        // nonnegative ones, under which a `-0` column of V keeps a `-0`
+        // seed `-0` in the dense loop.
+        let signed = quantised(SchemeSpec::Fp16, n_rows, 77);
+        let nonnegative: Vec<f32> = signed.iter().map(|p| p.abs()).collect();
+        assert!(
+            signed.iter().any(|p| *p < 0.0),
+            "{what}: some probability is negative"
+        );
+        let mut prob_sets = with_each_non_finite(signed, n_rows / 2);
+        prob_sets.extend(with_each_non_finite(nonnegative, n_rows / 2));
+        let spans = [
+            (0usize, 16usize),
+            (16, 16),
+            (48, 16),
+            (0, 32),
+            (32, 32),
+            (8, 48),
+            (40, 24),
+        ];
+        for (c0, dh) in spans {
+            let v = |j: usize, d: usize| dense[j * width + c0 + d];
+            for q in with_each_non_finite(quantised(SchemeSpec::Fp16, dh, 81), dh / 3) {
+                for j in 0..n_rows {
+                    let mut reference = 0.0f32;
+                    for (d, qv) in q.iter().enumerate() {
+                        reference += qv * v(j, d);
+                    }
+                    let got = attn_dot_packed(&q, rows, j, c0);
+                    let msg = format!("{what} dot c0={c0} dh={dh} j={j} q={q:?}");
+                    assert_eq!(got.to_bits(), reference.to_bits(), "{msg}");
+                }
+            }
+            let out_seeds = [
+                vec![0.0f32; dh],
+                (0..dh)
+                    .map(|d| if d.is_multiple_of(3) { 1.5 } else { -0.0 })
+                    .collect(),
+            ];
+            for probs in &prob_sets {
+                for seed in &out_seeds {
+                    let mut reference = seed.clone();
+                    for (j, &p) in probs.iter().enumerate() {
+                        for (d, rv) in reference.iter_mut().enumerate() {
+                            *rv += p * v(j, d);
+                        }
+                    }
+                    let block = rows.layout_kind() == LayoutKind::Block;
+                    let softmax_like = probs.iter().all(|p| p.is_finite() && *p >= 0.0);
+                    if block && softmax_like && seed[1].is_sign_negative() {
+                        let kept = reference.iter().any(|r| r.to_bits() == (-0.0f32).to_bits());
+                        assert!(kept, "{what} c0={c0}: a -0 seed survives the dense loop");
+                    }
+                    let mut out = seed.clone();
+                    attn_weighted_sum_packed(probs, rows, c0, &mut out);
+                    let msg = format!("{what} weighted sum c0={c0} dh={dh} probs={probs:?}");
+                    assert_same_bits(&out, &reference, &msg);
+                }
+            }
+        }
+    }
+
+    /// The attention kernels equal the dense loops on every block family
+    /// and two dense schemes, over rows with `±0` columns; then over a
+    /// `bbfp:10,1` buffer whose codes widen from `i16` to `f32` part way
+    /// (zero rows first, then rows with flagged codes past `i16`), and
+    /// the same buffer after a row no code reproduces demotes it.
     #[test]
     fn attn_kernels_match_dense_reference_aligned_and_ragged() {
-        // head_dim 16 against block-32 schemes exercises the ragged
-        // segment walk; block-16 MSFP and c0 multiples of 32 the aligned
-        // fast path.
+        let width = 64usize;
         for scheme in [
             SchemeSpec::Bfp(4),
             SchemeSpec::Bbfp(4, 2),
@@ -2191,45 +2284,62 @@ mod tests {
             SchemeSpec::Fp32,
             SchemeSpec::Oltron,
         ] {
-            let width = 64usize;
-            let n_rows = 7usize;
+            let dense = signed_zero_rows(scheme, 7, width, 50);
+            assert!(
+                dense.iter().any(|v| v.to_bits() == (-0.0f32).to_bits()),
+                "{scheme} keeps -0 values"
+            );
             let mut rows = PackedRows::new(scheme, width);
-            let mut dense = Vec::new();
-            for r in 0..n_rows {
-                let q = quantised(scheme, width, 50 + r as u64);
-                rows.push_row(&q);
-                dense.extend_from_slice(&q);
+            for row in dense.chunks(width) {
+                rows.push_row(row);
             }
-            let probs = quantised(SchemeSpec::Fp16, n_rows, 77);
-            for (c0, dh) in [(0usize, 16usize), (16, 16), (48, 16), (0, 32), (32, 32)] {
-                let q_vec = quantised(SchemeSpec::Fp16, dh, 81);
-                for j in 0..n_rows {
-                    let mut reference = 0.0f32;
-                    for (d, qv) in q_vec.iter().enumerate() {
-                        reference += qv * dense[j * width + c0 + d];
-                    }
-                    let got = attn_dot_packed(&q_vec, &rows, j, c0);
-                    assert_eq!(
-                        got.to_bits(),
-                        reference.to_bits(),
-                        "{scheme} dot c0={c0} dh={dh} j={j}"
-                    );
-                }
-                let mut out = vec![0.0f32; dh];
-                let mut reference = vec![0.0f32; dh];
-                for (j, &p) in probs.iter().enumerate() {
-                    for (d, rv) in reference.iter_mut().enumerate() {
-                        *rv += p * dense[j * width + c0 + d];
-                    }
-                }
-                attn_weighted_sum_packed(&probs, &rows, c0, &mut out);
-                let same = out
-                    .iter()
-                    .zip(&reference)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "{scheme} weighted sum c0={c0} dh={dh}");
-            }
+            let kind = match scheme.block_algebra() {
+                Some(_) => LayoutKind::Block,
+                None => LayoutKind::Dense,
+            };
+            assert_eq!(rows.layout_kind(), kind, "{scheme}");
+            check_attention(&rows, &dense, &scheme.to_string());
         }
+
+        let scheme = SchemeSpec::Bbfp(10, 1);
+        let mut rows = PackedRows::new(scheme, width);
+        let zeros: Vec<f32> = (0..2 * width)
+            .map(|i| {
+                if (i % width).is_multiple_of(5) {
+                    -0.0
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let mut dense = zeros.clone();
+        dense.extend(signed_zero_rows(scheme, 5, width, 60));
+        for row in dense.chunks(width) {
+            let narrow = matches!(
+                &rows.layout,
+                Layout::Block(Blocks {
+                    codes: Codes::I16(_),
+                    ..
+                })
+            );
+            assert_eq!(narrow, rows.rows() < 3, "i16 codes until row 3");
+            rows.push_row(row);
+        }
+        assert!(matches!(
+            &rows.layout,
+            Layout::Block(Blocks {
+                codes: Codes::F32(_),
+                ..
+            })
+        ));
+        assert_same_bits(&rows.to_dense(), &dense, "bbfp:10,1 widened");
+        check_attention(&rows, &dense, "bbfp:10,1 widened");
+        let foreign = raw(width, 61);
+        rows.push_row(&foreign);
+        dense.extend_from_slice(&foreign);
+        assert_eq!(rows.layout_kind(), LayoutKind::Dense);
+        assert_same_bits(&rows.to_dense(), &dense, "bbfp:10,1 demoted");
+        check_attention(&rows, &dense, "bbfp:10,1 demoted");
     }
 
     #[test]

@@ -98,10 +98,15 @@ impl std::error::Error for ArenaFull {}
 ///   deterministically — it is the paper's compressed-KV operating
 ///   point, applied identically in prefill and decode.
 /// * `packed` stores the page buffers in `scheme`'s packed block layout
-///   ([`PackedRows`]) instead of dense f32. This **never changes the
-///   numerics**: packing self-verifies and the attention kernels are
-///   bit-identical to the dense loops, so `packed` on/off yields the
-///   same token streams at a fraction of the page bytes.
+///   ([`PackedRows`]) instead of dense f32: one integer element code
+///   per value (`i16`, or `f32` where codes outgrow it) plus one
+///   power-of-two scale per block, the same store packed weights use.
+///   This **never changes the numerics**: packing self-verifies and the
+///   attention kernels are bit-identical to the dense loops, so `packed`
+///   on/off yields the same token streams at a fraction of the page
+///   bytes. Pages are *charged* the scheme's bit layout
+///   ([`packed_rows_capacity_bytes`]); the codes they hold resident are
+///   wider than those bits.
 ///
 /// Packing without quantisation stores dense f32 (raw activations are
 /// not representable in a block format), so the byte win requires both
@@ -184,10 +189,11 @@ impl Default for KvStore {
 
 /// One page of KV storage: up to `page_tokens` key rows and value rows
 /// of one decoder layer, each held in a [`PackedRows`] buffer (dense
-/// f32 for the classic store, the scheme's block layout for a packed
-/// store). The row width is whatever the owning cache pushes (the
-/// model's hidden width); the arena only recycles the backing buffers.
-#[derive(Debug, Clone, Default)]
+/// f32 for the classic store, the scheme's element codes and block
+/// scales for a packed store). The arena builds each page fresh in the
+/// scheme and width its cache asks for, and drops it when the last
+/// reference goes.
+#[derive(Debug, Clone)]
 pub(crate) struct PageBuf {
     /// Key rows, `page_tokens × hidden`.
     pub k: PackedRows,
@@ -279,7 +285,8 @@ struct ArenaInner {
     /// twin of `budget_pages` once pages are scheme-sized. Both budgets
     /// are enforced when both are set.
     budget_bytes: Option<u64>,
-    /// Unique pages out of the free-list (shared pages count once).
+    /// Unique pages allocated and not yet released (shared pages count
+    /// once).
     unique: usize,
     peak_unique: usize,
     /// Bytes charged by unique pages (each page's full-capacity charge).
@@ -292,7 +299,6 @@ struct ArenaInner {
     /// Byte twin of `logical`: page charges summed per holder.
     logical_bytes: u64,
     peak_logical_bytes: u64,
-    free: Vec<PageBuf>,
     /// (class, prefix hash) → indexed block.
     index: BTreeMap<(u64, u64), PrefixEntry>,
     /// LRU clock, bumped once per adoption/publication.
@@ -322,13 +328,9 @@ impl ArenaInner {
             // `reclaimable` held under this same lock, and every clone
             // of an index page is made under the lock too, so unwrap
             // cannot race; stay defensive anyway.
-            if let Ok(mut buf) = Arc::try_unwrap(page) {
-                buf.k.clear();
-                buf.v.clear();
+            if let Ok(buf) = Arc::try_unwrap(page) {
                 self.unique = self.unique.saturating_sub(1);
                 self.unique_bytes = self.unique_bytes.saturating_sub(buf.charge);
-                buf.charge = 0;
-                self.free.push(buf);
             }
         }
         self.evictions += 1;
@@ -454,7 +456,6 @@ impl KvArena {
                 peak_logical: 0,
                 logical_bytes: 0,
                 peak_logical_bytes: 0,
-                free: Vec::new(),
                 index: BTreeMap::new(),
                 clock: 0,
                 hits: 0,
@@ -517,7 +518,7 @@ impl KvArena {
         self.lock().peak_logical_bytes
     }
 
-    /// Unique pages currently out of the free-list — what the budget is
+    /// Unique pages currently allocated — what the budget is
     /// judged against. A page shared by many caches (or retained only
     /// by the prefix index) counts once.
     pub fn pages_in_use(&self) -> usize {
@@ -745,16 +746,22 @@ impl KvArena {
         g.insertions += 1;
     }
 
-    /// Takes one page out of the arena (recycled when available),
-    /// charging `charge` bytes against the byte accounting. When a
-    /// budget (pages or bytes) is exhausted, reclaimable prefix entries
-    /// are evicted LRU-first before giving up.
+    /// Allocates one empty page whose rows are `width` wide and stored
+    /// as `storage` ([`PackedRows::new`]), charging `charge` bytes
+    /// against the byte accounting. When a budget (pages or bytes) is
+    /// exhausted, reclaimable prefix entries are evicted LRU-first
+    /// before giving up.
     ///
     /// # Errors
     ///
     /// [`ArenaFull`] when a budget is exhausted and nothing is
     /// reclaimable.
-    pub(crate) fn alloc(&self, charge: u64) -> Result<PageBuf, ArenaFull> {
+    pub(crate) fn alloc(
+        &self,
+        storage: SchemeSpec,
+        width: usize,
+        charge: u64,
+    ) -> Result<PageBuf, ArenaFull> {
         let mut g = self.lock();
         if g.budget_pages.is_some() || g.budget_bytes.is_some() {
             let over = |g: &ArenaInner| {
@@ -776,9 +783,11 @@ impl KvArena {
         g.peak_logical = g.peak_logical.max(g.logical);
         g.logical_bytes += charge;
         g.peak_logical_bytes = g.peak_logical_bytes.max(g.logical_bytes);
-        let mut buf = g.free.pop().unwrap_or_default();
-        buf.charge = charge;
-        Ok(buf)
+        Ok(PageBuf {
+            k: PackedRows::new(storage, width),
+            v: PackedRows::new(storage, width),
+            charge,
+        })
     }
 
     /// Registers `handles` additional cache-held references (charging
@@ -792,23 +801,18 @@ impl KvArena {
         g.peak_logical_bytes = g.peak_logical_bytes.max(g.logical_bytes);
     }
 
-    /// Drops one cache-held page reference. The page returns to the
-    /// free-list only when this was the last reference anywhere
-    /// (including the prefix index); otherwise only the holder count
-    /// drops.
+    /// Drops one cache-held page reference. The page itself is freed
+    /// only when this was the last reference anywhere (including the
+    /// prefix index); otherwise only the holder count drops.
     pub(crate) fn release_ref(&self, page: PageRef) {
         let mut g = self.lock();
         debug_assert!(g.logical > 0, "releasing into an empty arena");
         g.logical = g.logical.saturating_sub(1);
         g.logical_bytes = g.logical_bytes.saturating_sub(page.charge);
-        if let Ok(mut buf) = Arc::try_unwrap(page) {
-            buf.k.clear();
-            buf.v.clear();
+        if let Ok(buf) = Arc::try_unwrap(page) {
             debug_assert!(g.unique > 0, "freeing an untracked page");
             g.unique = g.unique.saturating_sub(1);
             g.unique_bytes = g.unique_bytes.saturating_sub(buf.charge);
-            buf.charge = 0;
-            g.free.push(buf);
         }
     }
 }
@@ -827,7 +831,7 @@ mod tests {
     /// Allocates one page (zero byte charge) and wraps it in the handle
     /// a cache would hold.
     fn alloc_ref(arena: &KvArena) -> Result<PageRef, ArenaFull> {
-        arena.alloc(0).map(Arc::new)
+        arena.alloc(SchemeSpec::Fp32, 1, 0).map(Arc::new)
     }
 
     /// Publishes a one-layer block for `prefix`, allocating a fresh full
@@ -843,9 +847,9 @@ mod tests {
         prefix: &[usize],
         charge: u64,
     ) -> PageRef {
-        let mut page = arena.alloc(charge).expect("arena has room");
-        page.k.reset(SchemeSpec::Fp32, 1);
-        page.v.reset(SchemeSpec::Fp32, 1);
+        let mut page = arena
+            .alloc(SchemeSpec::Fp32, 1, charge)
+            .expect("arena has room");
         for &t in prefix {
             page.k.push_row(&[t as f32]);
             page.v.push_row(&[-(t as f32)]);
@@ -863,7 +867,7 @@ mod tests {
         assert_eq!(arena.pages_in_use(), 2);
         assert_eq!(arena.free_pages(), 0);
         assert_eq!(
-            arena.alloc(0).unwrap_err(),
+            arena.alloc(SchemeSpec::Fp32, 1, 0).unwrap_err(),
             ArenaFull {
                 budget_pages: Some(2),
                 budget_bytes: None
@@ -882,14 +886,14 @@ mod tests {
     #[test]
     fn released_buffers_come_back_empty() {
         let arena = KvArena::unbounded(4);
-        let mut page = arena.alloc(8).unwrap();
-        page.k.reset(SchemeSpec::Fp32, 2);
+        let mut page = arena.alloc(SchemeSpec::Fp32, 2, 8).unwrap();
         page.k.push_row(&[1.0, 2.0]);
         arena.release_ref(Arc::new(page));
         assert_eq!(arena.bytes_in_use(), 0);
-        let recycled = arena.alloc(4).unwrap();
-        assert!(recycled.k.is_empty() && recycled.v.is_empty());
-        assert_eq!(recycled.charge, 4);
+        let fresh = arena.alloc(SchemeSpec::Bfp(4), 32, 4).unwrap();
+        assert!(fresh.k.is_empty() && fresh.v.is_empty());
+        assert_eq!(fresh.k.width(), 32);
+        assert_eq!(fresh.charge, 4);
         assert_eq!(arena.bytes_in_use(), 4);
     }
 
@@ -899,11 +903,11 @@ mod tests {
         assert_eq!(arena.budget_pages(), None);
         assert_eq!(arena.budget_bytes(), Some(100));
         assert_eq!(arena.free_bytes(), 100);
-        let a = Arc::new(arena.alloc(60).unwrap());
+        let a = Arc::new(arena.alloc(SchemeSpec::Fp32, 1, 60).unwrap());
         assert_eq!(arena.bytes_in_use(), 60);
         assert_eq!(arena.free_bytes(), 40);
         assert_eq!(
-            arena.alloc(60).unwrap_err(),
+            arena.alloc(SchemeSpec::Fp32, 1, 60).unwrap_err(),
             ArenaFull {
                 budget_pages: None,
                 budget_bytes: Some(100)
@@ -911,12 +915,12 @@ mod tests {
         );
         // A smaller page still fits: byte budgets admit by size, not
         // count.
-        let b = Arc::new(arena.alloc(40).unwrap());
+        let b = Arc::new(arena.alloc(SchemeSpec::Fp32, 1, 40).unwrap());
         assert_eq!(arena.peak_bytes(), 100);
         assert_eq!(arena.logical_bytes_in_use(), 100);
         arena.release_ref(a);
         assert_eq!(arena.bytes_in_use(), 40);
-        let c = Arc::new(arena.alloc(60).unwrap());
+        let c = Arc::new(arena.alloc(SchemeSpec::Fp32, 1, 60).unwrap());
         arena.release_ref(b);
         arena.release_ref(c);
         assert_eq!(arena.bytes_in_use(), 0);
@@ -931,7 +935,7 @@ mod tests {
         arena.release_ref(cold);
         assert_eq!(arena.reclaimable_bytes(), 80);
         // The next allocation does not fit without evicting the entry.
-        let page = Arc::new(arena.alloc(50).unwrap());
+        let page = Arc::new(arena.alloc(SchemeSpec::Fp32, 1, 50).unwrap());
         assert_eq!(arena.prefix_stats().evictions, 1);
         assert_eq!(arena.bytes_in_use(), 50);
         arena.release_ref(page);
@@ -991,9 +995,9 @@ mod tests {
         let arena = KvArena::with_budget(4, 1);
         let other = arena.clone();
         let page = alloc_ref(&other).unwrap();
-        assert!(arena.alloc(0).is_err());
+        assert!(arena.alloc(SchemeSpec::Fp32, 1, 0).is_err());
         other.release_ref(page);
-        assert!(arena.alloc(0).is_ok());
+        assert!(arena.alloc(SchemeSpec::Fp32, 1, 0).is_ok());
     }
 
     #[test]
@@ -1134,7 +1138,7 @@ mod tests {
         let b = publish_block(&arena, 1, &[3, 4]);
         assert_eq!(arena.free_pages(), 0);
         // Both entries are held by caches: nothing to evict.
-        assert!(arena.alloc(0).is_err());
+        assert!(arena.alloc(SchemeSpec::Fp32, 1, 0).is_err());
         arena.release_ref(a);
         // Now one entry is reclaimable and alloc succeeds by evicting it.
         let c = alloc_ref(&arena).unwrap();

@@ -245,13 +245,10 @@ impl KvCache {
             // The scheduler reserves pages before dispatching work, and
             // a lone session's private arena is unbounded — running out
             // here means the caller's accounting is wrong.
-            let mut page = self
+            let page = self
                 .arena
-                .alloc(self.page_charge)
+                .alloc(self.store.storage_scheme(), self.hidden, self.page_charge)
                 .unwrap_or_else(|e| panic!("KV cache page allocation failed: {e}"));
-            let storage = self.store.storage_scheme();
-            page.k.reset(storage, self.hidden);
-            page.v.reset(storage, self.hidden);
             lk.pages.push(Arc::new(page));
         } else if Arc::get_mut(lk.pages.last_mut().expect("tail checked above")).is_none() {
             // Copy-on-write: the partial tail page is shared (this cache
@@ -261,7 +258,7 @@ impl KvCache {
             let tail = lk.pages.last().expect("tail checked above");
             let mut copy = self
                 .arena
-                .alloc(self.page_charge)
+                .alloc(self.store.storage_scheme(), self.hidden, self.page_charge)
                 .unwrap_or_else(|e| panic!("KV cache copy-on-write failed: {e}"));
             copy.k = tail.k.clone();
             copy.v = tail.v.clone();

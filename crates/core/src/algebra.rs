@@ -55,10 +55,13 @@
 //! on: every scale is a power of two, so a block factors into an exact
 //! integer-valued (or exactly-representable) f32 *lane* times one
 //! power-of-two scale per block, and `fl(a·(lane·2^s)) =
-//! fl((a·2^s)·lane)`. [`algebra_quantize_in_place`] and the packed
-//! encoder share the per-block scale choice and the per-element
-//! encoders, so packing a quantised matrix is the identity and the
-//! self-verify fallback never fires on honest input.
+//! fl((a·2^s)·lane)`. One block encoder (`encode_block`) writes a
+//! block's dequantised values and, on demand, its integer codes and
+//! folded scale: [`algebra_quantize_in_place`] is that encoder with the
+//! codes dropped, and the packed store keeps them, so packing a
+//! quantised matrix is the identity, quantising and packing raw values
+//! is one pass, and the self-verify fallback never fires on honest
+//! input.
 
 use crate::bbfp::encode_element;
 use crate::bfp::{exp2i, max_exponent};
@@ -477,72 +480,18 @@ impl FormatAlgebra {
 }
 
 // ---------------------------------------------------------------------
-// The generic chunk codec
+// The block encoder
 // ---------------------------------------------------------------------
 
-/// One encoded element of an algebra chunk. `exp` is the minifloat
-/// exponent code (0 otherwise), `flag` the BBFP high-window flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct AlgElement {
-    pub(crate) sign: bool,
-    pub(crate) flag: bool,
-    pub(crate) exp: u8,
-    pub(crate) mantissa: u16,
-}
-
-/// One encoded chunk (a full block or a ragged tail): the shared scale
-/// code, the two-level sub-block offsets (empty otherwise), and the
-/// element payloads.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct AlgChunk {
-    /// `SharedExponent`/`TwoLevel`: the biased block exponent.
-    /// `SharedBias`: the signed bias `w` (stored excess-`2^(bits−1)`).
-    pub(crate) scale_code: i32,
-    /// One offset code per sub-block (two-level scaling only).
-    pub(crate) sub: Vec<u8>,
-    pub(crate) elements: Vec<AlgElement>,
-}
-
-impl AlgChunk {
-    /// The power-of-two exponent of the chunk's single kernel-facing
-    /// scale: every element's value is `lane × 2^scale_exponent`.
-    pub(crate) fn scale_exponent(&self, alg: &FormatAlgebra) -> i32 {
-        let m = alg.mantissa_bits as i32;
-        match alg.scale {
-            ScaleKind::SharedExponent { .. } | ScaleKind::TwoLevel { .. } => {
-                self.scale_code - 14 - m
-            }
-            ScaleKind::SharedBias { .. } => -self.scale_code - 14 - m,
-        }
-    }
-
-    /// The element's lane value: an exactly-representable f32 such that
-    /// `value = lane × 2^scale_exponent`. Signed zeros survive.
-    pub(crate) fn lane_value(&self, idx: usize, alg: &FormatAlgebra) -> f32 {
-        let e = &self.elements[idx];
-        let mag = match alg.element {
-            ElementKind::Fixed => match alg.scale {
-                ScaleKind::TwoLevel { sub_block, .. } => {
-                    e.mantissa as f32 * exp2i(-(self.sub[idx / sub_block] as i32))
-                }
-                _ => e.mantissa as f32,
-            },
-            ElementKind::Flagged { .. } if e.flag => {
-                e.mantissa as f32 * exp2i(alg.window_gap().unwrap_or(0) as i32)
-            }
-            ElementKind::Flagged { .. } => e.mantissa as f32,
-            ElementKind::Minifloat { .. } => minifloat_lane(e, alg.mantissa_bits),
-        };
-        if e.sign {
-            -mag
-        } else {
-            mag
-        }
-    }
-
-    /// Decodes element `idx` back to its f32 value.
-    pub(crate) fn decode_value(&self, idx: usize, alg: &FormatAlgebra) -> f32 {
-        self.lane_value(idx, alg) * exp2i(self.scale_exponent(alg))
+/// The code shift `c` of a point: a code is `lane·2^c`, where the lane is
+/// what the element decodes to against its block's top scale. Two-level
+/// lanes are multiples of `2^−(largest sub-block offset)`, so `c` is that
+/// offset there (1 for 1-bit sub-scales); every other lane is an integer
+/// and `c = 0`.
+fn code_shift(alg: &FormatAlgebra) -> i32 {
+    match alg.scale {
+        ScaleKind::TwoLevel { sub_scale_bits, .. } => (1i32 << sub_scale_bits) - 1,
+        _ => 0,
     }
 }
 
@@ -587,91 +536,127 @@ fn sub_block_offset(e1: i32, values: &[Fp16]) -> i32 {
     (e1 - max_exponent(values)).clamp(0, 1)
 }
 
-/// Encodes one chunk of values (a full block or a ragged tail, each
-/// with its own shared scale) at this algebra point: the packed
-/// encoder's view of the block, built from the same scale choices and
-/// element encoders as [`algebra_quantize_in_place`], so re-encoding a
-/// quantised chunk is the identity.
-pub(crate) fn encode_chunk(
-    values: &[Fp16],
+/// `±magnitude`, the sign taken from `negative` (so a zero keeps it).
+#[inline(always)]
+fn signed(negative: bool, magnitude: f32) -> f32 {
+    if negative {
+        -magnitude
+    } else {
+        magnitude
+    }
+}
+
+/// The block encoder: quantises one FP16 block (a full block or a
+/// ragged tail, with its own shared scale) at any packable point. It
+/// writes each element's dequantised value into `out` and, when
+/// `CODES`, the element's signed integer code into `codes`, and returns
+/// the exponent `e` of the block's one folded scale, so that every value
+/// is exactly `code × 2^e`. A code folds in the element's flag,
+/// sub-block offset or minifloat exponent and the point's
+/// [`code_shift`]; a `-0` value has the code `-0`.
+///
+/// Quantise-dequantise ([`algebra_quantize_in_place`]) is this encoder
+/// with the codes dropped, and the packed block store
+/// ([`crate::packed`]) is it with the codes kept, so both see the same
+/// scale choice and element encoders. The point's encoder is picked once
+/// per block, then runs over it with no per-element dispatch and no
+/// allocation.
+#[inline(always)]
+pub(crate) fn encode_block<const CODES: bool>(
+    fp16: &[Fp16],
     alg: &FormatAlgebra,
     rounding: RoundingMode,
-) -> AlgChunk {
+    out: &mut [f32],
+    codes: &mut [f32],
+) -> i32 {
     let m = alg.mantissa_bits as u32;
-    let fixed = |v: &Fp16, shared: i32| AlgElement {
-        sign: v.is_sign_negative(),
-        flag: false,
-        exp: 0,
-        mantissa: fixed_mantissa(*v, shared, m, rounding) as u16,
-    };
     match (alg.scale, alg.element) {
         (ScaleKind::SharedExponent { .. }, ElementKind::Flagged { overlap_bits }) => {
-            let shared = flagged_shared_exponent(values, alg.window_gap().unwrap_or(0));
-            AlgChunk {
-                scale_code: shared,
-                sub: Vec::new(),
-                elements: values
-                    .iter()
-                    .map(|&v| {
-                        let e =
-                            encode_element(v, alg.mantissa_bits, overlap_bits, shared, rounding);
-                        AlgElement {
-                            sign: e.sign,
-                            flag: e.flag,
-                            exp: 0,
-                            mantissa: e.mantissa,
-                        }
-                    })
-                    .collect(),
+            let gap = alg.window_gap().unwrap_or(0);
+            let shared = flagged_shared_exponent(fp16, gap);
+            let low = exp2i(shared - 14 - m as i32);
+            let high = low * exp2i(gap as i32);
+            let wide = (1u32 << gap) as f32;
+            for (i, (v, o)) in fp16.iter().zip(out.iter_mut()).enumerate() {
+                let e = encode_element(*v, alg.mantissa_bits, overlap_bits, shared, rounding);
+                let mag = e.mantissa as f32 * if e.flag { high } else { low };
+                *o = signed(e.sign, mag);
+                if CODES {
+                    let code = e.mantissa as f32 * if e.flag { wide } else { 1.0 };
+                    codes[i] = signed(e.sign, code);
+                }
             }
+            shared - 14 - m as i32
         }
         (ScaleKind::SharedExponent { .. }, _) => {
-            let shared = max_exponent(values);
-            AlgChunk {
-                scale_code: shared,
-                sub: Vec::new(),
-                elements: values.iter().map(|v| fixed(v, shared)).collect(),
-            }
+            let shared = max_exponent(fp16);
+            quantize_fixed::<CODES>(fp16, shared, m, rounding, 1.0, out, codes);
+            shared - 14 - m as i32
         }
         (ScaleKind::TwoLevel { sub_block, .. }, _) => {
-            let e1 = max_exponent(values);
-            let mut sub = Vec::with_capacity(values.len().div_ceil(sub_block));
-            let mut elements = Vec::with_capacity(values.len());
-            for part in values.chunks(sub_block) {
+            let (e1, c) = (max_exponent(fp16), code_shift(alg));
+            for (p, (part, out)) in fp16
+                .chunks(sub_block)
+                .zip(out.chunks_mut(sub_block))
+                .enumerate()
+            {
                 let d = sub_block_offset(e1, part);
-                sub.push(d as u8);
-                elements.extend(part.iter().map(|v| fixed(v, e1 - d)));
+                let (unit, codes) = if CODES {
+                    let at = p * sub_block;
+                    ((1u32 << (c - d)) as f32, &mut codes[at..at + part.len()])
+                } else {
+                    (0.0, &mut [][..])
+                };
+                quantize_fixed::<CODES>(part, e1 - d, m, rounding, unit, out, codes);
             }
-            AlgChunk {
-                scale_code: e1,
-                sub,
-                elements,
-            }
+            e1 - 14 - m as i32 - c
         }
         (ScaleKind::SharedBias { bits }, _) => {
-            let grid = MinifloatGrid::new(alg, bits);
-            let mut decoded = vec![0.0; values.len()];
-            let w = grid.settle_bias(values, rounding, &mut decoded);
-            AlgChunk {
-                scale_code: w,
-                sub: Vec::new(),
-                elements: values
-                    .iter()
-                    .map(|&v| grid.encode(v, w, rounding))
-                    .collect(),
-            }
+            let w = MinifloatGrid::new(alg, bits).settle_bias::<CODES>(fp16, rounding, out, codes);
+            -w - 14 - m as i32
         }
     }
+}
+
+/// Writes `±mantissa(v) × scale` for every fixed-point element of one
+/// (sub-)block aligned against `shared` and, when `CODES`, the code
+/// `±mantissa × unit`.
+#[inline]
+fn quantize_fixed<const CODES: bool>(
+    values: &[Fp16],
+    shared: i32,
+    m: u32,
+    rounding: RoundingMode,
+    unit: f32,
+    out: &mut [f32],
+    codes: &mut [f32],
+) {
+    let scale = exp2i(shared - 14 - m as i32);
+    for (i, (v, o)) in values.iter().zip(out.iter_mut()).enumerate() {
+        let mantissa = fixed_mantissa(*v, shared, m, rounding) as f32;
+        *o = signed(v.is_sign_negative(), mantissa * scale);
+        if CODES {
+            codes[i] = signed(v.is_sign_negative(), mantissa * unit);
+        }
+    }
+}
+
+/// One encoded minifloat element: `exp` is its exponent code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MiniElement {
+    sign: bool,
+    exp: u8,
+    mantissa: u16,
 }
 
 /// A minifloat element's lane magnitude: `mant` (subnormal, `exp = 0`)
 /// or `(2^m + mant) × 2^(exp − 1)`.
 #[inline]
-fn minifloat_lane(e: &AlgElement, mantissa_bits: u8) -> f32 {
-    if e.exp == 0 {
-        e.mantissa as f32
+fn minifloat_lane(exp: u8, mantissa: u16, mantissa_bits: u8) -> f32 {
+    if exp == 0 {
+        mantissa as f32
     } else {
-        (((1u32 << mantissa_bits) + e.mantissa as u32) as f32) * exp2i(e.exp as i32 - 1)
+        (((1u32 << mantissa_bits) + mantissa as u32) as f32) * exp2i(exp as i32 - 1)
     }
 }
 
@@ -710,18 +695,28 @@ impl MinifloatGrid {
     }
 
     /// Block minifloat's bias search: pick `w`, round every element to
-    /// its own `e`-bit-exponent float (decoded into `out`), and repeat
-    /// until `w` is stable. Rounding can carry the block maximum into
-    /// the next binade; the max only moves up and `w` only down, so
-    /// this terminates, and re-encoding `out` is the identity.
-    fn settle_bias(&self, values: &[Fp16], rounding: RoundingMode, out: &mut [f32]) -> i32 {
+    /// its own `e`-bit-exponent float (decoded into `out`, its lane into
+    /// `codes` when `CODES`), and repeat until `w` is stable. Rounding
+    /// can carry the block maximum into the next binade; the max only
+    /// moves up and `w` only down, so this terminates, and re-encoding
+    /// `out` is the identity.
+    fn settle_bias<const CODES: bool>(
+        &self,
+        values: &[Fp16],
+        rounding: RoundingMode,
+        out: &mut [f32],
+        codes: &mut [f32],
+    ) -> i32 {
         let mut w = self.pick_w(values.iter().copied());
         loop {
             let scale = exp2i(-w - 14 - self.m);
-            for (v, o) in values.iter().zip(out.iter_mut()) {
+            for (i, (v, o)) in values.iter().zip(out.iter_mut()).enumerate() {
                 let e = self.encode(*v, w, rounding);
-                let mag = minifloat_lane(&e, self.m as u8) * scale;
-                *o = if e.sign { -mag } else { mag };
+                let lane = minifloat_lane(e.exp, e.mantissa, self.m as u8);
+                *o = signed(e.sign, lane * scale);
+                if CODES {
+                    codes[i] = signed(e.sign, lane);
+                }
             }
             let w_next = self.pick_w(out.iter().map(|&v| Fp16::from_f32_saturating(v)));
             if w_next == w {
@@ -734,7 +729,7 @@ impl MinifloatGrid {
     /// Rounds one FP16 value to the minifloat grid `±(2^m + mant) ×
     /// 2^(ee − w − 15 − m)` (normal, `ee >= 1`) / `±mant × 2^(1 − w − 15
     /// − m)` (subnormal, `ee = 0`), saturating at the top code.
-    fn encode(&self, v: Fp16, w: i32, rounding: RoundingMode) -> AlgElement {
+    fn encode(&self, v: Fp16, w: i32, rounding: RoundingMode) -> MiniElement {
         let m = self.m;
         // When w is clamped at the stored-field (or FP16-step) maximum,
         // the grid's nominal top can exceed FP16's largest finite value;
@@ -744,9 +739,8 @@ impl MinifloatGrid {
         let top = self.top.min(w + 30);
         let (sig, exp) = v.significand();
         let sign = v.is_sign_negative();
-        let element = |exp: i32, mantissa: u64| AlgElement {
+        let element = |exp: i32, mantissa: u64| MiniElement {
             sign,
-            flag: false,
             exp: exp as u8,
             mantissa: mantissa as u16,
         };
@@ -791,6 +785,10 @@ impl MinifloatGrid {
     }
 }
 
+// ---------------------------------------------------------------------
+// The bit layout of one chunk
+// ---------------------------------------------------------------------
+
 /// Bit width of the stored scale field.
 fn scale_field_bits(alg: &FormatAlgebra) -> u32 {
     match alg.scale {
@@ -800,53 +798,122 @@ fn scale_field_bits(alg: &FormatAlgebra) -> u32 {
     }
 }
 
-/// The per-element field widths `(flag, exp)` after the sign bit.
-fn element_field_bits(alg: &FormatAlgebra) -> (u32, u32) {
-    match alg.element {
-        ElementKind::Fixed => (0, 0),
-        ElementKind::Flagged { .. } => (1, 0),
-        ElementKind::Minifloat { exp_bits } => (0, exp_bits as u32),
+/// A chunk's scale code — the biased block exponent for shared-exponent
+/// and two-level points, the signed bias `w` for block minifloat — from
+/// the exponent `e` of its folded scale ([`encode_block`]).
+pub(crate) fn scale_code(e: i32, alg: &FormatAlgebra) -> i32 {
+    let m = alg.mantissa_bits as i32;
+    match alg.scale {
+        ScaleKind::SharedExponent { .. } | ScaleKind::TwoLevel { .. } => {
+            e + 14 + m + code_shift(alg)
+        }
+        ScaleKind::SharedBias { .. } => -e - 14 - m,
     }
 }
 
-/// Writes one chunk into `w`: scale field, sub-block offsets, element
-/// payloads (`sign [flag] [exp] mantissa`, in that order).
-pub(crate) fn write_chunk(w: &mut BitWriter, chunk: &AlgChunk, alg: &FormatAlgebra) {
-    let bits = scale_field_bits(alg);
-    let stored = match alg.scale {
-        ScaleKind::SharedBias { bits } => chunk.scale_code + (1i32 << (bits - 1)),
-        _ => chunk.scale_code,
+/// A two-level sub-block's offset, read off its codes: the largest `d`
+/// whose mantissas `|code| / 2^(c − d)` are all whole and fit `m` bits.
+/// The encoder's own offset always qualifies, and any offset that does
+/// decodes to the same values.
+fn sub_offset_of(part: &[f32], c: i32, m: u32) -> i32 {
+    let fits = |d: i32| {
+        let shift = (c - d) as u32;
+        part.iter().all(|x| {
+            let mag = x.abs() as u64;
+            mag & ((1 << shift) - 1) == 0 && mag >> shift < 1 << m
+        })
     };
-    w.push(stored as u32, bits);
-    if let ScaleKind::TwoLevel { sub_scale_bits, .. } = alg.scale {
-        for &d in &chunk.sub {
-            w.push(d as u32, sub_scale_bits as u32);
-        }
-    }
+    (0..=c).rev().find(|&d| fits(d)).unwrap_or(0)
+}
+
+/// Writes one encoded chunk — `codes` and the exponent `e` of its folded
+/// scale, as [`encode_block`] gives them — into `w` in the packed bit
+/// layout: the scale field, any sub-block offsets, then each element's
+/// `sign [flag] [exp] mantissa`, every field read back off the codes.
+pub(crate) fn write_chunk(w: &mut BitWriter, codes: &[f32], e: i32, alg: &FormatAlgebra) {
+    let code = scale_code(e, alg);
+    let stored = match alg.scale {
+        ScaleKind::SharedBias { bits } => code + (1i32 << (bits - 1)),
+        _ => code,
+    };
+    w.push(stored as u32, scale_field_bits(alg));
     let m = alg.mantissa_bits as u32;
-    let (flag_bits, exp_bits) = element_field_bits(alg);
-    for e in &chunk.elements {
-        w.push(e.sign as u32, 1);
-        if flag_bits > 0 {
-            w.push(e.flag as u32, flag_bits);
+    let top = (1u64 << m) - 1;
+    let mag = |code: &f32| code.abs() as u64;
+    let sign = |code: &f32| code.is_sign_negative() as u32;
+    match (alg.scale, alg.element) {
+        (
+            ScaleKind::TwoLevel {
+                sub_block,
+                sub_scale_bits,
+                ..
+            },
+            _,
+        ) => {
+            let c = code_shift(alg);
+            for part in codes.chunks(sub_block) {
+                w.push(sub_offset_of(part, c, m) as u32, sub_scale_bits as u32);
+            }
+            for part in codes.chunks(sub_block) {
+                let shift = c - sub_offset_of(part, c, m);
+                for x in part {
+                    w.push(sign(x), 1);
+                    w.push((mag(x) >> shift) as u32, m);
+                }
+            }
         }
-        if exp_bits > 0 {
-            w.push(e.exp as u32, exp_bits);
+        (_, ElementKind::Fixed) => {
+            for x in codes {
+                w.push(sign(x), 1);
+                w.push(mag(x) as u32, m);
+            }
         }
-        w.push(e.mantissa as u32, m);
+        (_, ElementKind::Flagged { .. }) => {
+            // A high-window code is `mant·2^gap`; any code that fits the
+            // low window is written there (same value).
+            let gap = alg.window_gap().unwrap_or(0);
+            for x in codes {
+                let flag = mag(x) > top;
+                w.push(sign(x), 1);
+                w.push(flag as u32, 1);
+                w.push((if flag { mag(x) >> gap } else { mag(x) }) as u32, m);
+            }
+        }
+        (_, ElementKind::Minifloat { exp_bits }) => {
+            for x in codes {
+                let lane = mag(x);
+                let (exp, mantissa) = if lane <= top {
+                    (0, lane)
+                } else {
+                    let exp = 64 - lane.leading_zeros() - m;
+                    (exp, (lane >> (exp - 1)) - (1u64 << m))
+                };
+                w.push(sign(x), 1);
+                w.push(exp, exp_bits as u32);
+                w.push(mantissa as u32, m);
+            }
+        }
     }
 }
 
 /// Reads one chunk of `len` elements from `r` — the exact inverse of
-/// [`write_chunk`].
-pub(crate) fn read_chunk(r: &mut BitReader<'_>, len: usize, alg: &FormatAlgebra) -> AlgChunk {
-    let bits = scale_field_bits(alg);
-    let raw = r.read(bits).expect("packed buffer intact") as i32;
-    let scale_code = match alg.scale {
-        ScaleKind::SharedBias { bits } => raw - (1i32 << (bits - 1)),
-        _ => raw,
+/// [`write_chunk`]: appends the codes to `codes` and returns the
+/// exponent of the chunk's folded scale.
+pub(crate) fn read_chunk(
+    r: &mut BitReader<'_>,
+    len: usize,
+    alg: &FormatAlgebra,
+    codes: &mut Vec<f32>,
+) -> i32 {
+    let mut read = |bits: u32| r.read(bits).expect("packed buffer intact");
+    let raw = read(scale_field_bits(alg)) as i32;
+    let m = alg.mantissa_bits as i32;
+    let c = code_shift(alg);
+    let e = match alg.scale {
+        ScaleKind::SharedBias { bits } => (1i32 << (bits - 1)) - raw - 14 - m,
+        _ => raw - 14 - m - c,
     };
-    let mut sub = Vec::new();
+    let mut shifts = Vec::new();
     if let ScaleKind::TwoLevel {
         sub_block,
         sub_scale_bits,
@@ -854,54 +921,43 @@ pub(crate) fn read_chunk(r: &mut BitReader<'_>, len: usize, alg: &FormatAlgebra)
     } = alg.scale
     {
         for _ in 0..len.div_ceil(sub_block) {
-            sub.push(r.read(sub_scale_bits as u32).expect("packed buffer intact") as u8);
+            shifts.push(c - read(sub_scale_bits as u32) as i32);
         }
     }
-    let m = alg.mantissa_bits as u32;
-    let (flag_bits, exp_bits) = element_field_bits(alg);
-    let mut elements = Vec::with_capacity(len);
-    for _ in 0..len {
-        let sign = r.read(1).expect("packed buffer intact") == 1;
-        let flag = flag_bits > 0 && r.read(flag_bits).expect("packed buffer intact") == 1;
-        let exp = if exp_bits > 0 {
-            r.read(exp_bits).expect("packed buffer intact") as u8
-        } else {
-            0
+    let gap = alg.window_gap().unwrap_or(0);
+    for i in 0..len {
+        let negative = read(1) == 1;
+        let mag = match (alg.scale, alg.element) {
+            (ScaleKind::TwoLevel { sub_block, .. }, _) => {
+                read(m as u32) as f32 * (1u32 << shifts[i / sub_block]) as f32
+            }
+            (_, ElementKind::Fixed) => read(m as u32) as f32,
+            (_, ElementKind::Flagged { .. }) => {
+                let wide = read(1) == 1;
+                read(m as u32) as f32 * if wide { (1u32 << gap) as f32 } else { 1.0 }
+            }
+            (_, ElementKind::Minifloat { exp_bits }) => {
+                let exp = read(exp_bits as u32) as u8;
+                minifloat_lane(exp, read(m as u32) as u16, alg.mantissa_bits)
+            }
         };
-        let mantissa = r.read(m).expect("packed buffer intact") as u16;
-        elements.push(AlgElement {
-            sign,
-            flag,
-            exp,
-            mantissa,
-        });
+        codes.push(signed(negative, mag));
     }
-    AlgChunk {
-        scale_code,
-        sub,
-        elements,
-    }
+    e
 }
 
-/// Writes `±mantissa(v) × scale` for every fixed-point element of one
-/// (sub-)block aligned against `shared`.
-#[inline]
-fn quantize_fixed(values: &[Fp16], shared: i32, m: u32, rounding: RoundingMode, out: &mut [f32]) {
-    let scale = exp2i(shared - 14 - m as i32);
-    for (v, o) in values.iter().zip(out.iter_mut()) {
-        let mag = fixed_mantissa(*v, shared, m, rounding) as f32 * scale;
-        *o = if v.is_sign_negative() { -mag } else { mag };
-    }
-}
+// ---------------------------------------------------------------------
+// Quantise-dequantise
+// ---------------------------------------------------------------------
 
 /// Quantise-dequantise `data` in place through any packable algebra
 /// point, block by block. The final partial block gets its own shared
 /// scale; non-finite inputs saturate through FP16 narrowing first.
 /// Idempotent: the packed encoder re-encodes this output bit-for-bit.
 ///
-/// This is the block quantiser every block scheme runs through. It
-/// picks the point's encoder once per block, reuses one FP16 buffer for
-/// the whole slice, and allocates nothing per block.
+/// This is the block quantiser every block scheme runs through: the
+/// block encoder with its codes dropped. It reuses one FP16 buffer for
+/// the whole slice and allocates nothing per block.
 ///
 /// ```
 /// use bbal_core::{algebra_quantize_in_place, FormatAlgebra, RoundingMode};
@@ -922,7 +978,7 @@ pub fn algebra_quantize_in_place(data: &mut [f32], alg: &FormatAlgebra, rounding
     let mut fp16 = block_buffer(alg, data.len());
     for chunk in data.chunks_mut(alg.block_size) {
         narrow_into(&mut fp16, chunk);
-        quantize_block(&fp16, alg, rounding, chunk);
+        encode_block::<false>(&fp16, alg, rounding, chunk, &mut []);
     }
 }
 
@@ -939,39 +995,6 @@ fn block_buffer(alg: &FormatAlgebra, len: usize) -> Vec<Fp16> {
 fn narrow_into(fp16: &mut Vec<Fp16>, values: &[f32]) {
     fp16.clear();
     fp16.extend(values.iter().map(|&v| Fp16::from_f32_saturating(v)));
-}
-
-/// Quantise-dequantises one FP16 block into `out`: the point's encoder
-/// is chosen once here, then runs over the block without per-element
-/// dispatch.
-#[inline]
-fn quantize_block(fp16: &[Fp16], alg: &FormatAlgebra, rounding: RoundingMode, out: &mut [f32]) {
-    let m = alg.mantissa_bits as u32;
-    match (alg.scale, alg.element) {
-        (ScaleKind::SharedExponent { .. }, ElementKind::Flagged { overlap_bits }) => {
-            let gap = alg.window_gap().unwrap_or(0);
-            let shared = flagged_shared_exponent(fp16, gap);
-            let low = exp2i(shared - 14 - m as i32);
-            let high = low * exp2i(gap as i32);
-            for (v, o) in fp16.iter().zip(out.iter_mut()) {
-                let e = encode_element(*v, alg.mantissa_bits, overlap_bits, shared, rounding);
-                let mag = e.mantissa as f32 * if e.flag { high } else { low };
-                *o = if e.sign { -mag } else { mag };
-            }
-        }
-        (ScaleKind::SharedExponent { .. }, _) => {
-            quantize_fixed(fp16, max_exponent(fp16), m, rounding, out);
-        }
-        (ScaleKind::TwoLevel { sub_block, .. }, _) => {
-            let e1 = max_exponent(fp16);
-            for (part, out) in fp16.chunks(sub_block).zip(out.chunks_mut(sub_block)) {
-                quantize_fixed(part, e1 - sub_block_offset(e1, part), m, rounding, out);
-            }
-        }
-        (ScaleKind::SharedBias { bits }, _) => {
-            MinifloatGrid::new(alg, bits).settle_bias(fp16, rounding, out);
-        }
-    }
 }
 
 /// As [`algebra_quantize_in_place`], reading `values` and writing the
@@ -1006,7 +1029,7 @@ pub fn algebra_quantize_slice(
         .zip(out.chunks_mut(alg.block_size))
     {
         narrow_into(&mut fp16, block);
-        quantize_block(&fp16, alg, rounding, chunk);
+        encode_block::<false>(&fp16, alg, rounding, chunk, &mut []);
     }
 }
 
@@ -1270,18 +1293,36 @@ mod tests {
             FormatAlgebra::bfp(6).unwrap(),
             FormatAlgebra::bbfp(4, 2).unwrap(),
             FormatAlgebra::bbfp(6, 0).unwrap(),
+            FormatAlgebra::bbfp(10, 1).unwrap(),
         ];
         for alg in &points {
-            for len in [alg.block_size, 5, 1] {
-                let raw = wavy(len, 0.03);
+            for (len, scale) in [(alg.block_size, 0.03), (5, 0.03), (1, 0.03), (7, 2e-7)] {
+                let len = len.min(alg.block_size);
+                let raw = wavy(len, scale);
                 let fp16: Vec<Fp16> = raw.iter().map(|&v| Fp16::from_f32_saturating(v)).collect();
-                let chunk = encode_chunk(&fp16, alg, RoundingMode::NearestEven);
+                let (mut values, mut codes) = (vec![0.0; len], vec![0.0; len]);
+                let e = encode_block::<true>(
+                    &fp16,
+                    alg,
+                    RoundingMode::NearestEven,
+                    &mut values,
+                    &mut codes,
+                );
+                // The encoder's values are its codes times its scale.
+                let mut q = vec![0.0; len];
+                algebra_quantize_slice(&raw, alg, RoundingMode::NearestEven, &mut q);
+                for (i, (c, v)) in codes.iter().zip(&q).enumerate() {
+                    assert_eq!((c * exp2i(e)).to_bits(), v.to_bits(), "{alg:?} idx {i}");
+                }
                 let mut w = BitWriter::new();
-                write_chunk(&mut w, &chunk, alg);
+                write_chunk(&mut w, &codes, e, alg);
                 let bytes = w.into_bytes();
-                let mut r = BitReader::new(&bytes);
-                let back = read_chunk(&mut r, len, alg);
-                assert_eq!(chunk, back, "{} len {len}", alg.display_name());
+                let mut back = Vec::new();
+                let e_back = read_chunk(&mut BitReader::new(&bytes), len, alg, &mut back);
+                let what = format!("{} len {len}", alg.display_name());
+                assert_eq!(e_back, e, "{what} scale");
+                let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&back), bits(&codes), "{what} codes");
             }
         }
     }

@@ -91,39 +91,53 @@
 //! to the dense layout on any mismatch or on a folded scale outside the
 //! normal range.
 //!
-//! The activation side needs `a·2^s` to stay a normal f32. Every
-//! [`PackedMatrix`] GEMM checks that once per activation row: the row's
+//! The activation side needs `a·2^s` to stay a normal f32. The folding
+//! GEMMs ([`PackedMatrix::gemm`], [`PackedMatrix::gemm_cols`]) check
+//! that once per activation row: the row's
 //! smallest nonzero and largest magnitude against the matrix's smallest
 //! and largest (folded) block scale, recorded at pack time. A row that
 //! would leave the normal range, or that holds ±inf/NaN, takes the
 //! scalar `a·(code·2^s)` order instead, which multiplies the exact
 //! weight. So the weight GEMMs are bit-identical to the scalar path for
-//! every input. The attention kernels ([`attn_dot_packed`],
-//! [`attn_weighted_sum_packed`]) fold the scale without that guard: for
-//! them the invariant still holds only while the folded products stay
-//! in the normal range. [`attn_weighted_sum_packed`] adds into the
-//! caller's output, which may hold a `-0`; a call that finds one takes
-//! the exact `p·(code·2^s)` order, since there a `-0` value read as
-//! `+0` would flip the sum's sign.
+//! every input, and so are the attention kernels. The dot kernels
+//! ([`attn_dot_packed`], [`PackedMatrix::gemm_transposed`]) never fold:
+//! their `x` varies per term, so `x·(code·2^s)` costs the same two
+//! multiplies and multiplies the exact value. [`attn_weighted_sum_packed`]
+//! folds the scale into each broadcast probability only for a run where
+//! `p·2^s` is exact (`p` zero, or `p·2^s` a normal f32), and takes the
+//! `p·(code·2^s)` order elsewhere; it also adds into the caller's
+//! output, which may hold a `-0`, and a call that finds one takes the
+//! exact order throughout, since there a `-0` value read as `+0` would
+//! flip the sum's sign.
 
-use crate::algebra::{self, AlgChunk, FormatAlgebra, ScaleKind};
+use crate::algebra::{
+    self, algebra_quantize_in_place, algebra_quantize_slice, FormatAlgebra, ScaleKind,
+};
 use crate::bfp::exp2i;
 use crate::bitpack::{BitReader, BitWriter};
 use crate::error::FormatError;
 use crate::fp16::Fp16;
 use crate::rounding::RoundingMode;
 use crate::scheme::SchemeSpec;
+use std::borrow::Cow;
 
-/// Encodes one chunk (a full block or a ragged tail) of *already
-/// quantised* values against its own shared scale — exactly the
-/// per-chunk step of [`crate::algebra::algebra_quantize_in_place`], so
-/// re-encoding a quantised chunk is the identity.
-fn encode_chunk(values: &[f32], alg: &FormatAlgebra) -> AlgChunk {
-    let fp16: Vec<Fp16> = values
-        .iter()
-        .map(|&v| Fp16::from_f32_saturating(v))
-        .collect();
-    algebra::encode_chunk(&fp16, alg, RoundingMode::NearestEven)
+/// Narrows one chunk of `values` into `fp16` (saturating, as the
+/// paper's FP16-input pipeline does) and runs the block encoder over it,
+/// writing the dequantised values into `out` and the codes into `codes`.
+/// Returns the exponent of the chunk's folded scale and whether the
+/// narrowing held a NaN.
+fn encode_chunk(
+    values: &[f32],
+    alg: &FormatAlgebra,
+    fp16: &mut [Fp16],
+    out: &mut [f32],
+    codes: &mut [f32],
+) -> (i32, bool) {
+    for (h, &v) in fp16.iter_mut().zip(values) {
+        *h = Fp16::from_f32_saturating(v);
+    }
+    let e = algebra::encode_block::<true>(fp16, alg, RoundingMode::NearestEven, out, codes);
+    (e, fp16.iter().any(|h| h.is_nan()))
 }
 
 /// One block (up to `block_size` values) of a block-format algebra
@@ -192,19 +206,25 @@ impl PackedBlock {
                 return Err(FormatError::NonFinite(i));
             }
         }
-        let chunk = encode_chunk(values, &format);
-        for (i, v) in values.iter().enumerate() {
-            if chunk.decode_value(i, &format).to_bits() != v.to_bits() {
-                return Err(FormatError::NotRepresentable(i));
-            }
+        let n = values.len();
+        let (mut fp16, mut requantised, mut codes) =
+            (vec![Fp16::ZERO; n], vec![0.0; n], vec![0.0; n]);
+        let (e, _) = encode_chunk(values, &format, &mut fp16, &mut requantised, &mut codes);
+        let scale = exp2i(e);
+        if let Some(i) = codes
+            .iter()
+            .zip(values)
+            .position(|(c, v)| c.weight(scale).to_bits() != v.to_bits())
+        {
+            return Err(FormatError::NotRepresentable(i));
         }
         let mut w = BitWriter::new();
-        algebra::write_chunk(&mut w, &chunk, &format);
+        algebra::write_chunk(&mut w, &codes, e, &format);
         let bit_len = w.bit_len();
         Ok(PackedBlock {
             format,
             len: values.len(),
-            shared_exponent: chunk.scale_code,
+            shared_exponent: algebra::scale_code(e, &format),
             bit_len,
             bytes: w.into_bytes(),
         })
@@ -247,10 +267,16 @@ impl PackedBlock {
     /// Decodes the packed bytes back to f32 values — the exact inverse
     /// of [`PackedBlock::encode`].
     pub fn decode(&self) -> Vec<f32> {
-        let alg = &self.format;
+        let (codes, scale) = self.read();
+        codes.iter().map(|c| c.weight(scale)).collect()
+    }
+
+    /// The element codes and the block scale, read off the packed bits.
+    fn read(&self) -> (Vec<f32>, f32) {
+        let mut codes = Vec::with_capacity(self.len);
         let mut r = BitReader::new(&self.bytes);
-        let chunk = algebra::read_chunk(&mut r, self.len, alg);
-        (0..self.len).map(|i| chunk.decode_value(i, alg)).collect()
+        let e = algebra::read_chunk(&mut r, self.len, &self.format, &mut codes);
+        (codes, exp2i(e))
     }
 
     /// The block-dot kernel: accumulates activation × mantissa-integer
@@ -264,14 +290,12 @@ impl PackedBlock {
     /// Panics if `acts.len() != self.len()`.
     pub fn block_dot(&self, acts: &[f32]) -> f32 {
         assert_eq!(acts.len(), self.len, "activation length mismatch");
-        let alg = &self.format;
-        let mut r = BitReader::new(&self.bytes);
-        let chunk = algebra::read_chunk(&mut r, self.len, alg);
+        let (codes, scale) = self.read();
         let mut acc = 0.0f32;
-        for (i, a) in acts.iter().enumerate() {
-            acc += a * chunk.lane_value(i, alg);
+        for (a, c) in acts.iter().zip(&codes) {
+            acc += a * c;
         }
-        acc * exp2i(chunk.scale_exponent(alg))
+        acc * scale
     }
 }
 
@@ -301,7 +325,7 @@ enum Codes {
 impl Codes {
     /// Appends `new`, widening the whole buffer to `f32` codes at the
     /// first code `i16` cannot hold — so a store holds `i16` codes
-    /// exactly when every code fits.
+    /// exactly when every code fits. Widening keeps the room reserved.
     fn extend(&mut self, new: &[f32]) {
         if let Codes::I16(narrow) = self {
             let start = narrow.len();
@@ -310,10 +334,28 @@ impl Codes {
                 return;
             }
             narrow.truncate(start);
-            *self = Codes::F32(narrow.iter().map(|c| c.weight(1.0)).collect());
+            let mut wide = Vec::with_capacity(narrow.capacity());
+            wide.extend(narrow.iter().map(|c| c.weight(1.0)));
+            *self = Codes::F32(wide);
         }
         if let Codes::F32(wide) = self {
             wide.extend_from_slice(new);
+        }
+    }
+
+    /// Reserves room for `more` codes, exactly.
+    fn reserve_exact(&mut self, more: usize) {
+        match self {
+            Codes::I16(codes) => codes.reserve_exact(more),
+            Codes::F32(codes) => codes.reserve_exact(more),
+        }
+    }
+
+    /// How many codes fit without growing the buffer.
+    fn capacity(&self) -> usize {
+        match self {
+            Codes::I16(codes) => codes.capacity(),
+            Codes::F32(codes) => codes.capacity(),
         }
     }
 }
@@ -444,8 +486,8 @@ struct Blocks {
     /// order otherwise.
     scale: Vec<f32>,
     /// The smallest and largest entry of `scale`, for the per-row range
-    /// guard ([`PackedMatrix::folds_exactly`]); unread for KV pages,
-    /// whose attention kernels fold without the guard.
+    /// guard of the weight GEMMs ([`PackedMatrix::folds_exactly`]);
+    /// unread for KV pages, whose attention kernels check each fold.
     scale_range: (f32, f32),
     /// Whether codes and scales are tile-major ([`tile_major`]). Set
     /// when a matrix is laid out, never derived from the shape: a
@@ -482,28 +524,68 @@ impl Blocks {
         out
     }
 
-    /// The chunk encoder: appends one chunk (a full block or a ragged
-    /// tail) of **already quantised** values as codes `lane·2^c` and the
-    /// folded scale `2^(e−c)`, where `c` is the point's code shift (1
-    /// for two-level MX lanes, which are half-integers; 0 otherwise).
-    /// Returns `false`, appending nothing, for a chunk the store cannot
-    /// give back bit for bit: a non-finite value, a value `code·scale`
-    /// does not reproduce, or a folded scale outside the normal range.
-    fn push_chunk(&mut self, values: &[f32]) -> bool {
+    /// An empty flat store with room for `values` codes and their
+    /// blocks' scales.
+    fn with_capacity(alg: FormatAlgebra, values: usize) -> Blocks {
+        let mut blocks = Blocks::new(alg);
+        blocks.reserve_exact(values);
+        blocks
+    }
+
+    /// Reserves room for `values` more codes and their blocks' scales.
+    fn reserve_exact(&mut self, values: usize) {
+        self.codes.reserve_exact(values);
+        self.scale.reserve_exact(values.div_ceil(self.group()));
+    }
+
+    /// The chunk encoder over raw values: one pass of the block encoder
+    /// over one chunk (a full block or a ragged tail) writes its
+    /// dequantised values into `out` and appends its codes and folded
+    /// scale. Returns `false`, appending nothing, for a chunk the store
+    /// refuses ([`Blocks::push_codes`]); `out` is written either way.
+    ///
+    /// A chunk that narrows to an FP16 NaN is checked as
+    /// [`Blocks::push_quantised`] checks its values: the encoder reads a
+    /// NaN as a maximal exponent, so those values need not be FP16
+    /// values, and only re-encoding them tells whether codes hold them.
+    fn push_raw(&mut self, raw: &[f32], out: &mut [f32]) -> bool {
+        let n = raw.len();
+        let (mut fp16, mut codes) = ([Fp16::ZERO; MAX_STORE_BLOCK], [0.0f32; MAX_STORE_BLOCK]);
+        let (e, nan) = encode_chunk(raw, &self.alg, &mut fp16[..n], out, &mut codes[..n]);
+        if nan {
+            return self.push_quantised(out);
+        }
+        self.push_codes(&codes[..n], e, out)
+    }
+
+    /// The chunk encoder over **already quantised** values (what `pack`
+    /// and `push_row` are given): re-encodes one chunk and appends its
+    /// codes and folded scale if they give the values back. Returns
+    /// `false`, appending nothing, for a non-finite value or a chunk the
+    /// store refuses.
+    fn push_quantised(&mut self, values: &[f32]) -> bool {
         if values.iter().any(|v| !v.is_finite()) {
             return false;
         }
-        let alg = &self.alg;
-        // Two-level lanes are multiples of 2^−(largest sub-block offset).
-        let shift = match alg.scale {
-            ScaleKind::TwoLevel { sub_scale_bits, .. } => (1i32 << sub_scale_bits) - 1,
-            _ => 0,
-        };
-        let (encoded, unit) = (encode_chunk(values, alg), exp2i(shift));
-        let s = exp2i(encoded.scale_exponent(alg) - shift);
-        let codes: Vec<f32> = (0..values.len())
-            .map(|i| encoded.lane_value(i, alg) * unit)
-            .collect();
+        let n = values.len();
+        let mut fp16 = [Fp16::ZERO; MAX_STORE_BLOCK];
+        let (mut requantised, mut codes) = ([0.0f32; MAX_STORE_BLOCK], [0.0f32; MAX_STORE_BLOCK]);
+        let (e, _) = encode_chunk(
+            values,
+            &self.alg,
+            &mut fp16[..n],
+            &mut requantised[..n],
+            &mut codes[..n],
+        );
+        self.push_codes(&codes[..n], e, values)
+    }
+
+    /// Appends one chunk's codes and its folded scale `2^e`, as the block
+    /// encoder gives them, when they give `values` back bit for bit and
+    /// the scale is normal. Returns `false`, appending nothing,
+    /// otherwise.
+    fn push_codes(&mut self, codes: &[f32], e: i32, values: &[f32]) -> bool {
+        let s = exp2i(e);
         let exact = codes
             .iter()
             .zip(values)
@@ -511,10 +593,24 @@ impl Blocks {
         if !s.is_normal() || !exact {
             return false;
         }
-        self.codes.extend(&codes);
+        self.codes.extend(codes);
         self.scale.push(s);
         self.scale_range = (self.scale_range.0.min(s), self.scale_range.1.max(s));
         true
+    }
+
+    /// The finished store of a `rows × cols` matrix: codes and scales
+    /// reordered tile-major when [`tile_major`] holds.
+    fn laid_out(mut self, rows: usize, cols: usize) -> Layout {
+        if tile_major(cols, self.group()) {
+            self.codes = match &self.codes {
+                Codes::I16(c) => Codes::I16(strip_major(c, rows, cols, TILE_COLS)),
+                Codes::F32(c) => Codes::F32(strip_major(c, rows, cols, TILE_COLS)),
+            };
+            self.scale = strip_major(&self.scale, rows, cols / self.group(), 1);
+            self.tiled = true;
+        }
+        Layout::Block(self)
     }
 
     /// Row `k`'s columns `[c0, c1)` of a `rows × cols` store, as runs
@@ -643,35 +739,109 @@ impl PackedMatrix {
     pub fn pack(values: &[f32], rows: usize, cols: usize, scheme: SchemeSpec) -> PackedMatrix {
         assert!(rows > 0 && cols > 0, "degenerate matrix {rows}x{cols}");
         assert_eq!(values.len(), rows * cols, "data length mismatch");
-        let dense = || Layout::Dense {
-            lane: values.to_vec(),
-            finite: values.iter().all(|v| v.is_finite()),
-        };
         let layout = match scheme {
             SchemeSpec::Fp16 => pack_fp16(values),
-            _ => scheme
-                .block_algebra()
-                .and_then(|alg| pack_blocks(values, rows, cols, alg)),
+            _ => store_algebra(scheme).and_then(|alg| {
+                let mut blocks = Blocks::with_capacity(alg, values.len());
+                let stored = values
+                    .chunks(alg.block_size)
+                    .all(|chunk| blocks.push_quantised(chunk));
+                stored.then(|| blocks.laid_out(rows, cols))
+            }),
         };
-        let mut packed = PackedMatrix {
+        PackedMatrix::verified(rows, cols, scheme, layout, Cow::Borrowed(values))
+    }
+
+    /// Quantises a **raw** `rows × cols` row-major matrix through
+    /// `scheme`'s block quantiser and packs it in the same pass: each
+    /// chunk goes through the block encoder once, which yields both the
+    /// quantised values and the codes the matrix stores, so no dense
+    /// quantised copy is made. The result equals
+    /// `pack(algebra_quantize_slice(raw))` — layout, decoded bits and
+    /// packed bits — and is self-verified the same way: the layout must
+    /// decode to the encoder's own values, or the matrix keeps those
+    /// values as a dense lane. `None` when `scheme` has no block layout.
+    ///
+    /// ```
+    /// use bbal_core::packed::PackedMatrix;
+    /// use bbal_core::{algebra_quantize_slice, RoundingMode, SchemeSpec};
+    ///
+    /// let scheme = SchemeSpec::Bbfp(4, 2);
+    /// let raw: Vec<f32> = (0..64).map(|i| ((i * 7 % 23) as f32 - 11.0) * 0.07).collect();
+    /// let once = PackedMatrix::encode(&raw, 2, 32, scheme).expect("a block scheme");
+    ///
+    /// let alg = scheme.block_algebra().expect("a block scheme");
+    /// let mut q = vec![0.0; 64];
+    /// algebra_quantize_slice(&raw, &alg, RoundingMode::NearestEven, &mut q);
+    /// let twice = PackedMatrix::pack(&q, 2, 32, scheme);
+    /// assert_eq!(once.layout_kind(), twice.layout_kind());
+    /// assert_eq!(once.decode(), q);
+    /// assert!(PackedMatrix::encode(&raw, 2, 32, SchemeSpec::Oltron).is_none());
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `raw.len() != rows * cols` or a dimension is zero.
+    pub fn encode(
+        raw: &[f32],
+        rows: usize,
+        cols: usize,
+        scheme: SchemeSpec,
+    ) -> Option<PackedMatrix> {
+        let alg = store_algebra(scheme)?;
+        assert!(rows > 0 && cols > 0, "degenerate matrix {rows}x{cols}");
+        assert_eq!(raw.len(), rows * cols, "data length mismatch");
+        let group = alg.block_size;
+        let mut values = vec![0.0; raw.len()];
+        let mut blocks = Blocks::with_capacity(alg, raw.len());
+        let mut stored = true;
+        for (chunk, out) in raw.chunks(group).zip(values.chunks_mut(group)) {
+            if stored {
+                stored = blocks.push_raw(chunk, out);
+            } else {
+                algebra_quantize_slice(chunk, &alg, RoundingMode::NearestEven, out);
+            }
+        }
+        let layout = stored.then(|| blocks.laid_out(rows, cols));
+        Some(PackedMatrix::verified(
             rows,
             cols,
             scheme,
-            layout: layout.unwrap_or_else(dense),
-        };
-        // Self-verification: the block layout must decode to the input
-        // bit for bit, or the matrix keeps it as a dense lane.
-        if let Layout::Block(_) = packed.layout {
-            let decoded = packed.decode();
-            if decoded
+            layout,
+            Cow::Owned(values),
+        ))
+    }
+
+    /// The matrix over `layout`, self-verified: a block layout must
+    /// decode to `values` bit for bit, and a matrix with no layout or a
+    /// failing one keeps `values` as a dense lane.
+    fn verified(
+        rows: usize,
+        cols: usize,
+        scheme: SchemeSpec,
+        layout: Option<Layout>,
+        values: Cow<'_, [f32]>,
+    ) -> PackedMatrix {
+        let same = |layout: &Layout| {
+            let decoded = layout.decode(rows, cols);
+            decoded
                 .iter()
-                .zip(values)
-                .any(|(d, v)| d.to_bits() != v.to_bits())
-            {
-                packed.layout = dense();
-            }
+                .zip(values.iter())
+                .all(|(d, v)| d.to_bits() == v.to_bits())
+        };
+        let layout = match layout {
+            Some(layout) if !matches!(layout, Layout::Block(_)) || same(&layout) => layout,
+            _ => Layout::Dense {
+                finite: values.iter().all(|v| v.is_finite()),
+                lane: values.into_owned(),
+            },
+        };
+        PackedMatrix {
+            rows,
+            cols,
+            scheme,
+            layout,
         }
-        packed
     }
 
     /// Number of rows (the GEMM contraction length).
@@ -933,7 +1103,6 @@ impl PackedMatrix {
         for i in 0..x_rows {
             let x_row = &x[i * n..(i + 1) * n];
             let out_row = &mut out[i * width..(i + 1) * width];
-            let folds = self.folds_exactly(x_row);
             for (r, o) in (r0..r1).zip(out_row) {
                 *o = match &self.layout {
                     Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => {
@@ -941,12 +1110,9 @@ impl PackedMatrix {
                     }
                     Layout::Block(blocks) => {
                         let runs = blocks.runs(self.rows, n, r, 0, n);
-                        let scale = &blocks.scale;
-                        match (&blocks.codes, folds) {
-                            (Codes::I16(c), true) => runs_dot::<_, true>(x_row, c, scale, runs),
-                            (Codes::I16(c), false) => runs_dot::<_, false>(x_row, c, scale, runs),
-                            (Codes::F32(c), true) => runs_dot::<_, true>(x_row, c, scale, runs),
-                            (Codes::F32(c), false) => runs_dot::<_, false>(x_row, c, scale, runs),
+                        match &blocks.codes {
+                            Codes::I16(c) => runs_dot(x_row, c, &blocks.scale, runs),
+                            Codes::F32(c) => runs_dot(x_row, c, &blocks.scale, runs),
                         }
                     }
                 };
@@ -1026,29 +1192,17 @@ fn pack_fp16(values: &[f32]) -> Option<Layout> {
     Some(Layout::Fp16 { bits, lane })
 }
 
-/// Packs the block layout: every chunk of the flat buffer through the
-/// chunk encoder ([`Blocks::push_chunk`]), then codes and scales
-/// reordered tile-major when [`tile_major`] holds. `None` on a chunk the
-/// encoder cannot reproduce; the caller verifies the whole matrix.
-fn pack_blocks(values: &[f32], rows: usize, cols: usize, alg: FormatAlgebra) -> Option<Layout> {
-    let mut blocks = Blocks::new(alg);
-    let group = blocks.group();
-    blocks.scale.reserve_exact(values.len().div_ceil(group));
-    if let Codes::I16(codes) = &mut blocks.codes {
-        codes.reserve_exact(values.len());
-    }
-    if !values.chunks(group).all(|chunk| blocks.push_chunk(chunk)) {
-        return None;
-    }
-    if tile_major(cols, group) {
-        blocks.codes = match &blocks.codes {
-            Codes::I16(c) => Codes::I16(strip_major(c, rows, cols, TILE_COLS)),
-            Codes::F32(c) => Codes::F32(strip_major(c, rows, cols, TILE_COLS)),
-        };
-        blocks.scale = strip_major(&blocks.scale, rows, cols / group, 1);
-        blocks.tiled = true;
-    }
-    Some(Layout::Block(blocks))
+/// Largest block the block store encodes. Every scheme's block fits
+/// (MSFP tops out at 128), so a chunk is encoded in stack scratch with no
+/// allocation; a point with wider blocks would take the dense layout.
+const MAX_STORE_BLOCK: usize = 128;
+
+/// The point whose blocks a `scheme` store holds, if it has a block
+/// layout.
+fn store_algebra(scheme: SchemeSpec) -> Option<FormatAlgebra> {
+    scheme
+        .block_algebra()
+        .filter(|alg| alg.block_size <= MAX_STORE_BLOCK)
 }
 
 /// How many nonzero activation rows the fused axpy kernel folds per
@@ -1105,12 +1259,13 @@ fn dot_plain(x_row: &[f32], w_row: &[f32]) -> f32 {
 }
 
 /// Sequential dot of `x` with the codes of `runs`, which walk one code
-/// row from the column `x[0]` meets: the block scale folds into the
-/// activation (`fl(x·2^s)·code`) when `FOLDS`, else each value is
-/// rebuilt as `code·2^s` first. Either way every term is the reference
-/// `fl(xⱼ·wⱼ)`, accumulated in the reference order, while the folded
-/// products stay normal (module docs).
-fn runs_dot<C: Code, const FOLDS: bool>(
+/// row from the column `x[0]` meets: each term multiplies `x` by the
+/// stored value rebuilt as `code·2^s`, which is exact, so every term is
+/// the reference `fl(xⱼ·wⱼ)` for every `x` and the sum is the reference
+/// `Σ` in order. (Folding the scale into `x` instead would cost the same
+/// two multiplies per term — `x` is not shared across terms — and is
+/// inexact where `x·2^s` leaves the normal range.)
+fn runs_dot<C: Code>(
     x: &[f32],
     codes: &[C],
     scale: &[f32],
@@ -1136,11 +1291,7 @@ fn runs_dot<C: Code, const FOLDS: bool>(
                 .zip(&xs[..n])
                 .zip(&cs[..n])
             {
-                *t = if FOLDS {
-                    (xv * s) * cv.widen()
-                } else {
-                    xv * (cv.widen() * s)
-                };
+                *t = xv * (cv.widen() * s);
             }
             filled += n;
             xs = &xs[n..];
@@ -1337,7 +1488,7 @@ impl PackedRows {
     /// whole number of blocks (so no block straddles a row), else as
     /// dense f32.
     pub fn new(scheme: SchemeSpec, width: usize) -> PackedRows {
-        let layout = match scheme.block_algebra() {
+        let layout = match store_algebra(scheme) {
             Some(alg) if width > 0 && width.is_multiple_of(alg.block_size) => {
                 Layout::Block(Blocks::new(alg))
             }
@@ -1385,7 +1536,18 @@ impl PackedRows {
         self.packed_bits().div_ceil(8)
     }
 
-    /// Appends one row, encoding it into the block layout when possible.
+    /// Reserves room for `rows` more rows, exactly, so a buffer sized
+    /// once (a KV page, at its page size) never grows past it.
+    pub fn reserve_exact(&mut self, rows: usize) {
+        let values = rows * self.width;
+        match &mut self.layout {
+            Layout::Block(blocks) => blocks.reserve_exact(values),
+            Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => lane.reserve_exact(values),
+        }
+    }
+
+    /// Appends one **already quantised** row, encoding it into the block
+    /// layout when possible.
     ///
     /// A row that is not exactly representable in the scheme (it did not
     /// come from this scheme's quantiser, or contains non-finite values)
@@ -1401,21 +1563,94 @@ impl PackedRows {
         assert_eq!(row.len(), self.width, "row width mismatch");
         if let Layout::Block(blocks) = &mut self.layout {
             let group = blocks.group();
-            if !row.chunks(group).all(|chunk| blocks.push_chunk(chunk)) {
-                // Demote, exactly: the rows pushed so far decode to
-                // themselves, and the codes of this row's earlier chunks
-                // lie past them, unread.
-                let lane = self.to_dense();
-                self.layout = Layout::Dense {
-                    lane,
-                    finite: false,
-                };
+            if !row.chunks(group).all(|chunk| blocks.push_quantised(chunk)) {
+                self.demote();
             }
         }
         if let Layout::Dense { lane, .. } = &mut self.layout {
             lane.extend_from_slice(row);
         }
         self.rows += 1;
+    }
+
+    /// Appends one **raw** row quantised through `alg` (a KV cache's
+    /// `quantize` knob), encoding it once. Rows, layout and demotion are
+    /// exactly those of quantising the row with
+    /// [`algebra_quantize_in_place`] — which a row holding ±inf/NaN
+    /// skips, so it is stored raw — and then [`PackedRows::push_row`]:
+    /// a buffer that stores `alg`'s blocks takes each chunk's codes
+    /// straight from the block encoder, a chunk it refuses leaves the
+    /// quantised row in the demoted lane, and a dense buffer quantises
+    /// the row in its lane. A `alg` with no block quantiser (a scalar
+    /// point) leaves the row raw.
+    ///
+    /// ```
+    /// use bbal_core::packed::{LayoutKind, PackedRows};
+    /// use bbal_core::{algebra_quantize_slice, RoundingMode, SchemeSpec};
+    ///
+    /// let scheme = SchemeSpec::Bbfp(4, 2);
+    /// let alg = scheme.block_algebra().expect("a block scheme");
+    /// let raw: Vec<f32> = (0..64).map(|i| ((i * 5 % 17) as f32 - 8.0) * 0.1).collect();
+    /// let mut rows = PackedRows::new(scheme, 32);
+    /// rows.push_quantized_row(&raw[..32], &alg);
+    /// rows.push_quantized_row(&raw[32..], &alg);
+    /// assert_eq!(rows.layout_kind(), LayoutKind::Block);
+    ///
+    /// let mut q = vec![0.0; 64];
+    /// algebra_quantize_slice(&raw[..32], &alg, RoundingMode::NearestEven, &mut q[..32]);
+    /// algebra_quantize_slice(&raw[32..], &alg, RoundingMode::NearestEven, &mut q[32..]);
+    /// assert_eq!(rows.to_dense(), q);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != self.width()`.
+    pub fn push_quantized_row(&mut self, row: &[f32], alg: &FormatAlgebra) {
+        assert_eq!(row.len(), self.width, "row width mismatch");
+        if !alg.packable() || row.iter().any(|v| !v.is_finite()) {
+            return self.push_row(row);
+        }
+        match &mut self.layout {
+            Layout::Block(blocks) if blocks.alg == *alg => {
+                let mut out = [0.0f32; MAX_STORE_BLOCK];
+                let group = blocks.group();
+                let stored = row
+                    .chunks(group)
+                    .all(|chunk| blocks.push_raw(chunk, &mut out[..chunk.len()]));
+                if !stored {
+                    self.demote();
+                    return self.push_quantized_row(row, alg);
+                }
+            }
+            Layout::Dense { lane, .. } => {
+                let start = lane.len();
+                lane.extend_from_slice(row);
+                algebra_quantize_in_place(&mut lane[start..], alg, RoundingMode::NearestEven);
+            }
+            Layout::Block(_) | Layout::Fp16 { .. } => {
+                let mut quantised = row.to_vec();
+                algebra_quantize_in_place(&mut quantised, alg, RoundingMode::NearestEven);
+                return self.push_row(&quantised);
+            }
+        }
+        self.rows += 1;
+    }
+
+    /// Demotes the buffer to a dense lane, exactly: the rows pushed so
+    /// far decode to themselves, and the codes of a row whose encoding
+    /// stopped part way lie past them, unread. The lane keeps the room
+    /// the codes had reserved.
+    fn demote(&mut self) {
+        let reserved = match &self.layout {
+            Layout::Block(blocks) => blocks.codes.capacity(),
+            Layout::Dense { .. } | Layout::Fp16 { .. } => return,
+        };
+        let mut lane = self.to_dense();
+        lane.reserve_exact(reserved.saturating_sub(lane.len()));
+        self.layout = Layout::Dense {
+            lane,
+            finite: false,
+        };
     }
 
     /// The stored value at `(row, col)` — bit-identical to what was
@@ -1449,9 +1684,9 @@ impl PackedRows {
 
 /// `q · K[j, c0..c0+q.len()]` over a packed row buffer: the QK^T inner
 /// product of one attention head against one cached key row.
-/// Bit-identical to the dense f32 dot in ascending-column order (the
-/// block scale folds into the broadcast activation, exactly as in
-/// [`PackedMatrix::gemm_transposed`]).
+/// Bit-identical to the dense f32 dot in ascending-column order for
+/// every query: each term multiplies the exact key value `code·2^s`, as
+/// in [`PackedMatrix::gemm_transposed`].
 ///
 /// # Panics
 ///
@@ -1470,8 +1705,8 @@ pub fn attn_dot_packed(q: &[f32], rows: &PackedRows, j: usize, c0: usize) -> f32
         Layout::Block(blocks) => {
             let runs = blocks.runs(rows.rows, rows.width, j, c0, c0 + dh);
             match &blocks.codes {
-                Codes::I16(codes) => runs_dot::<_, true>(q, codes, &blocks.scale, runs),
-                Codes::F32(codes) => runs_dot::<_, true>(q, codes, &blocks.scale, runs),
+                Codes::I16(codes) => runs_dot(q, codes, &blocks.scale, runs),
+                Codes::F32(codes) => runs_dot(q, codes, &blocks.scale, runs),
             }
         }
     }
@@ -1479,11 +1714,12 @@ pub fn attn_dot_packed(q: &[f32], rows: &PackedRows, j: usize, c0: usize) -> f32
 
 /// `out[d] += probs[j] · V[j, c0+d]` for every row `j` in ascending
 /// order: the AV accumulation of one attention head over a packed row
-/// buffer, bit-identical to the dense f32 loop (per output element the
-/// `+=`s arrive in the same order, and the power-of-two block scale
-/// folds into the broadcast probability exactly). A call whose `out`
-/// holds a `-0` multiplies each value rebuilt as `code·scale` instead,
-/// so a `-0` value keeps its sign (module docs).
+/// buffer, bit-identical to the dense f32 loop for every input (per
+/// output element the `+=`s arrive in the same order; the power-of-two
+/// block scale folds into the broadcast probability where `p·2^s` is
+/// exact, and each value is rebuilt as `code·scale` elsewhere). A call
+/// whose `out` holds a `-0` multiplies the rebuilt values throughout, so
+/// a `-0` value keeps its sign (module docs).
 ///
 /// # Panics
 ///
@@ -1512,7 +1748,9 @@ pub fn attn_weighted_sum_packed(probs: &[f32], rows: &PackedRows, c0: usize, out
 }
 
 /// [`attn_weighted_sum_packed`] over block codes: each row's runs, the
-/// block scale folded into the probability unless `out` holds a `-0`.
+/// block scale folded into the probability where `p·2^s` is exact (`p`
+/// zero, or `p·2^s` a normal f32) and `out` holds no `-0`, and each value
+/// rebuilt as `code·2^s` first elsewhere.
 fn runs_axpy<C: Code>(
     probs: &[f32],
     rows: &PackedRows,
@@ -1525,10 +1763,12 @@ fn runs_axpy<C: Code>(
     let folds = !out.iter().any(|o| *o == 0.0 && o.is_sign_negative());
     for (j, &p) in probs.iter().enumerate() {
         for run in blocks.runs(rows.rows, rows.width, j, c0, c1) {
-            let s = blocks.scale[run.scale];
-            let o = out[run.j0 - c0..run.j1 - c0].iter_mut();
-            if folds {
-                let ps = p * s;
+            let (s, o) = (
+                blocks.scale[run.scale],
+                out[run.j0 - c0..run.j1 - c0].iter_mut(),
+            );
+            let ps = p * s;
+            if folds && (p == 0.0 || ps.is_normal()) {
                 for (ov, cv) in o.zip(run.codes(codes)) {
                     *ov += ps * cv.widen();
                 }
@@ -1804,10 +2044,14 @@ mod tests {
     /// A block-layout store holds its codes and one f32 scale per block
     /// and nothing else — no per-element f32, no bit stream — for every
     /// Table II / Fig. 8 block scheme and the new families: a matrix at
-    /// 192×512 and a ragged shape, and a 16-row KV page 192 wide, which
-    /// stays flat although its width would tile. `packed_bits()`,
-    /// computed from the algebra, equals the bit length `write_chunk`
-    /// gives the same chunks, ragged tail included.
+    /// 192×512 and a ragged shape, packed from quantised values and
+    /// encoded from raw ones, and a 16-row KV page 192 wide, which stays
+    /// flat although its width would tile. A page reserved at its page
+    /// size, as the KV arena builds it, holds exactly its codes and
+    /// scales when full: capacity equals length, quantised rows or raw.
+    /// `packed_bits()`, computed from the algebra, equals the bit length
+    /// the chunk bit layout (`PackedBlock`) gives the same chunks, ragged
+    /// tail included.
     #[test]
     fn block_storage_is_codes_and_scales_only() {
         let schemes = [
@@ -1823,7 +2067,7 @@ mod tests {
         ];
         for scheme in schemes.into_iter().chain(NEW_FAMILIES) {
             let alg = scheme.block_algebra().unwrap();
-            let check = |layout: &Layout, bits: usize, q: &[f32], what: &str| {
+            let check = |layout: &Layout, bits: usize, q: &[f32], what: &str, full: bool| {
                 // Every field named, so a new one has to be counted here.
                 let Layout::Block(Blocks {
                     alg: _,
@@ -1839,6 +2083,11 @@ mod tests {
                     Codes::I16(c) => (2, std::mem::size_of_val(c.as_slice())),
                     Codes::F32(c) => (4, std::mem::size_of_val(c.as_slice())),
                 };
+                if full {
+                    let len = q.len();
+                    assert_eq!(codes.capacity(), len, "{what} code capacity");
+                    assert_eq!(scale.capacity(), scale.len(), "{what} scale capacity");
+                }
                 let wide = matches!(scheme, SchemeSpec::BlockMf(..));
                 assert_eq!(code_bytes, if wide { 4 } else { 2 }, "{what} code width");
                 let blocks = q.len().div_ceil(alg.block_size);
@@ -1847,30 +2096,46 @@ mod tests {
                     code_bytes * q.len() + 4 * blocks,
                     "{what} resident bytes"
                 );
-                let mut w = BitWriter::new();
-                for chunk in q.chunks(alg.block_size) {
-                    algebra::write_chunk(&mut w, &encode_chunk(chunk, &alg), &alg);
-                }
-                assert_eq!(bits, w.bit_len(), "{what} bits");
+                let chunk_bits: usize = q
+                    .chunks(alg.block_size)
+                    .map(|chunk| PackedBlock::encode(chunk, alg).unwrap().packed_bits())
+                    .sum();
+                assert_eq!(bits, chunk_bits, "{what} bits");
             };
             for (rows, cols) in [(192usize, 512usize), (7, 45)] {
-                let q = quantised(scheme, rows * cols, 83);
+                let r = raw(rows * cols, 83);
+                let q = quantise(scheme, &r);
                 let p = PackedMatrix::pack(&q, rows, cols, scheme);
                 let what = format!("{scheme} {rows}x{cols} matrix");
-                check(&p.layout, p.packed_bits(), &q, &what);
+                check(&p.layout, p.packed_bits(), &q, &what, true);
+                let e = PackedMatrix::encode(&r, rows, cols, scheme).unwrap();
+                check(
+                    &e.layout,
+                    e.packed_bits(),
+                    &q,
+                    &format!("encoded {what}"),
+                    true,
+                );
             }
             let (page, width) = (16usize, 192usize);
-            let q = quantised(scheme, page * width, 89);
+            let r = raw(page * width, 89);
+            let q = quantise(scheme, &r);
             let mut kv = PackedRows::new(scheme, width);
-            for row in q.chunks(width) {
+            let mut encoded = PackedRows::new(scheme, width);
+            kv.reserve_exact(page);
+            encoded.reserve_exact(page);
+            for (row, raw_row) in q.chunks(width).zip(r.chunks(width)) {
                 kv.push_row(row);
+                encoded.push_quantized_row(raw_row, &alg);
             }
             let what = format!("{scheme} {page}x{width} rows");
-            assert!(
-                matches!(&kv.layout, Layout::Block(Blocks { tiled: false, .. })),
-                "{what} stay flat"
-            );
-            check(&kv.layout, kv.packed_bits(), &q, &what);
+            for (rows, what) in [(&kv, what.clone()), (&encoded, format!("encoded {what}"))] {
+                assert!(
+                    matches!(&rows.layout, Layout::Block(Blocks { tiled: false, .. })),
+                    "{what} stay flat"
+                );
+                check(&rows.layout, rows.packed_bits(), &q, &what, true);
+            }
         }
     }
 
@@ -2105,24 +2370,24 @@ mod tests {
         }
     }
 
-    /// The capacity a KV arena charges equals the bit length
-    /// `write_chunk` gives the pushed rows' chunks — an independent
-    /// count, not the bit formula both sides share.
+    /// The capacity a KV arena charges equals the bit length of the
+    /// pushed rows' chunks in the chunk bit layout (`PackedBlock`) — an
+    /// independent count, not the bit formula both sides share.
     #[test]
     fn packed_rows_capacity_matches_actual_bits() {
         for scheme in [SchemeSpec::Bbfp(4, 2), SchemeSpec::Mx(8, 4, 2)] {
             let alg = scheme.block_algebra().unwrap();
             let width = alg.block_size;
             let mut rows = PackedRows::new(scheme, width);
-            let mut w = BitWriter::new();
+            let mut bit_len = 0;
             for r in 0..3 {
                 let row = quantised(scheme, width, 7 + r);
                 rows.push_row(&row);
-                algebra::write_chunk(&mut w, &encode_chunk(&row, &alg), &alg);
+                bit_len += PackedBlock::encode(&row, alg).unwrap().packed_bits();
             }
-            assert_eq!(rows.packed_bits(), w.bit_len(), "{scheme} bits");
+            assert_eq!(rows.packed_bits(), bit_len, "{scheme} bits");
             assert_eq!(
-                w.bit_len().div_ceil(8),
+                bit_len.div_ceil(8),
                 packed_rows_capacity_bytes(scheme, width, 3),
                 "{scheme}"
             );
@@ -2340,6 +2605,39 @@ mod tests {
         assert_eq!(rows.layout_kind(), LayoutKind::Dense);
         assert_same_bits(&rows.to_dense(), &dense, "bbfp:10,1 demoted");
         check_attention(&rows, &dense, "bbfp:10,1 demoted");
+    }
+
+    /// A page fed raw rows through the one-pass encoder widens its codes
+    /// from `i16` to `f32` at the same row as a page fed the quantised
+    /// rows: `bbfp:10,1` zero rows, then rows whose flagged codes outgrow
+    /// `i16`.
+    #[test]
+    fn quantized_rows_widen_at_the_same_row() {
+        let scheme = SchemeSpec::Bbfp(10, 1);
+        let alg = scheme.block_algebra().unwrap();
+        let width = 64;
+        let (mut once, mut twice) = (
+            PackedRows::new(scheme, width),
+            PackedRows::new(scheme, width),
+        );
+        let narrow = |rows: &PackedRows| {
+            matches!(
+                &rows.layout,
+                Layout::Block(Blocks {
+                    codes: Codes::I16(_),
+                    ..
+                })
+            )
+        };
+        let mut rows = vec![vec![0.0f32; width]; 2];
+        rows.extend((0..3).map(|r| raw(width, 90 + r)));
+        for (r, row) in rows.iter().enumerate() {
+            once.push_quantized_row(row, &alg);
+            twice.push_row(&quantise(scheme, row));
+            assert_eq!(narrow(&once), r < 2, "one pass: i16 codes until row 2");
+            assert_eq!(narrow(&twice), r < 2, "two steps: i16 codes until row 2");
+        }
+        assert_same_bits(&once.to_dense(), &twice.to_dense(), "bbfp:10,1 pages");
     }
 
     #[test]

@@ -167,6 +167,17 @@ impl KvStore {
         algebra_quantize_in_place(row, &alg, RoundingMode::NearestEven);
     }
 
+    /// Appends one K/V row to `rows` under this store: quantised as
+    /// [`KvStore::quantize_row`] quantises it when `quantize` is on, in
+    /// one encode pass into a page that stores the scheme's blocks
+    /// ([`PackedRows::push_quantized_row`]), and as given otherwise.
+    pub(crate) fn push_row(&self, rows: &mut PackedRows, row: &[f32]) {
+        match self.scheme.block_algebra() {
+            Some(alg) if self.quantize => rows.push_quantized_row(row, &alg),
+            _ => rows.push_row(row),
+        }
+    }
+
     /// Bytes a `layers`-layer cache holding `tokens` tokens occupies
     /// under this store — whole pages, the byte twin of
     /// [`KvArena::pages_for_tokens`].
@@ -747,7 +758,8 @@ impl KvArena {
     }
 
     /// Allocates one empty page whose rows are `width` wide and stored
-    /// as `storage` ([`PackedRows::new`]), charging `charge` bytes
+    /// as `storage` ([`PackedRows::new`]), reserved at its full
+    /// `page_tokens` rows so it never grows, charging `charge` bytes
     /// against the byte accounting. When a budget (pages or bytes) is
     /// exhausted, reclaimable prefix entries are evicted LRU-first
     /// before giving up.
@@ -783,9 +795,14 @@ impl KvArena {
         g.peak_logical = g.peak_logical.max(g.logical);
         g.logical_bytes += charge;
         g.peak_logical_bytes = g.peak_logical_bytes.max(g.logical_bytes);
+        let rows = || {
+            let mut rows = PackedRows::new(storage, width);
+            rows.reserve_exact(g.page_tokens);
+            rows
+        };
         Ok(PageBuf {
-            k: PackedRows::new(storage, width),
-            v: PackedRows::new(storage, width),
+            k: rows(),
+            v: rows(),
             charge,
         })
     }

@@ -60,6 +60,24 @@ impl<W> LayerWeights<W> {
     }
 }
 
+impl<W> LayerWeights<Option<W>> {
+    /// The layer of every matrix, if none is missing.
+    fn all_some(self) -> Option<LayerWeights<W>> {
+        Some(LayerWeights {
+            wq: self.wq?,
+            wk: self.wk?,
+            wv: self.wv?,
+            wo: self.wo?,
+            w_gate: match self.w_gate {
+                Some(gate) => Some(gate?),
+                None => None,
+            },
+            w_up: self.w_up?,
+            w_down: self.w_down?,
+        })
+    }
+}
+
 impl LayerWeights {
     /// Applies a transform to every linear weight matrix in the layer.
     pub fn for_each_weight_mut(&mut self, f: &mut impl FnMut(&mut [f32])) {
@@ -226,16 +244,6 @@ impl KvCache {
     }
 
     fn push_layer_row(&mut self, layer: usize, k_row: &[f32], v_row: &[f32]) {
-        let (mut kq, mut vq) = (Vec::new(), Vec::new());
-        let (k_row, v_row) = if self.store.quantize {
-            kq.extend_from_slice(k_row);
-            vq.extend_from_slice(v_row);
-            self.store.quantize_row(&mut kq);
-            self.store.quantize_row(&mut vq);
-            (kq.as_slice(), vq.as_slice())
-        } else {
-            (k_row, v_row)
-        };
         let lk = &mut self.layers[layer];
         if lk
             .pages
@@ -262,6 +270,9 @@ impl KvCache {
                 .unwrap_or_else(|e| panic!("KV cache copy-on-write failed: {e}"));
             copy.k = tail.k.clone();
             copy.v = tail.v.clone();
+            let room = self.page_tokens - copy.k.rows();
+            copy.k.reserve_exact(room);
+            copy.v.reserve_exact(room);
             let shared = std::mem::replace(
                 lk.pages.last_mut().expect("tail checked above"),
                 Arc::new(copy),
@@ -270,8 +281,8 @@ impl KvCache {
         }
         let page = Arc::get_mut(lk.pages.last_mut().expect("page ensured above"))
             .expect("tail page is uniquely owned after copy-on-write");
-        page.k.push_row(k_row);
-        page.v.push_row(v_row);
+        self.store.push_row(&mut page.k, k_row);
+        self.store.push_row(&mut page.v, v_row);
     }
 }
 
@@ -609,6 +620,40 @@ impl TransformerModel {
             }
         };
         self.weights = Weights::Packed(scheme, linears);
+    }
+
+    /// Quantises every decoder weight matrix through `scheme`'s block
+    /// quantiser and packs it in the same pass
+    /// ([`PackedMatrix::encode`]): the PTQ step and
+    /// [`TransformerModel::pack_weights`] at once, with no dense
+    /// quantised copy of the model. Equal, bit for bit, to
+    /// [`TransformerModel::with_transformed_weights`] under the scheme's
+    /// block quantiser followed by `pack_weights(scheme)`. The
+    /// unembedding stays full precision and packs as an f32 lane. `None`
+    /// when `scheme` has no block layout.
+    pub fn with_encoded_weights(&self, scheme: SchemeSpec) -> Option<TransformerModel> {
+        let dense = self.dense();
+        let encode = |t: &Tensor| PackedMatrix::encode(t.data(), t.rows(), t.cols(), scheme);
+        let layers = dense
+            .layers
+            .iter()
+            .map(|layer| layer.map(encode).all_some())
+            .collect::<Option<Vec<_>>>()?;
+        let u = &dense.unembedding;
+        let unembedding = PackedMatrix::pack(u.data(), u.rows(), u.cols(), SchemeSpec::Fp32);
+        Some(TransformerModel {
+            spec: self.spec.clone(),
+            embedding: self.embedding.clone(),
+            weights: Weights::Packed(
+                scheme,
+                Linears {
+                    layers,
+                    unembedding,
+                },
+            ),
+            outlier_channels: self.outlier_channels.clone(),
+            gemm_workers: self.gemm_workers,
+        })
     }
 
     /// The scheme the decoder weights are currently packed for, if any.

@@ -13,8 +13,11 @@
 //!
 //! Run with `PROPTEST_CASES=128` (CI does) for the full sweep.
 
-use bbal::core::{LayoutKind, PackedBlock, PackedMatrix, SchemeSpec};
-use bbal::llm::Tensor;
+use bbal::core::packed::{attn_dot_packed, attn_weighted_sum_packed, PackedRows};
+use bbal::core::{
+    algebra_quantize_slice, LayoutKind, PackedBlock, PackedMatrix, RoundingMode, SchemeSpec,
+};
+use bbal::llm::{KvStore, Tensor};
 use bbal::quant::registry::{hooks_for, FIG8_SCHEMES, TABLE2_SCHEMES};
 use proptest::prelude::*;
 
@@ -519,6 +522,119 @@ fn weight_gemms_match_scalar_on_adversarial_activations() {
     }
 }
 
+/// Softmax-tail probabilities or queries: magnitudes 1e-36 down to
+/// 3e-39 (subnormal), which a block scale below 1 takes out of the
+/// normal range when folded in.
+fn softmax_tail(n: usize, seed: u64) -> Vec<f32> {
+    let mut s = seed | 1;
+    (0..n)
+        .map(|j| {
+            let r = xorshift(&mut s);
+            let mag = 1e-36 * (3e-3f32).powf((r % 1001) as f32 / 1000.0);
+            if j % 2 == 0 {
+                mag
+            } else {
+                -mag
+            }
+        })
+        .collect()
+}
+
+/// K/V rows at the extremes the encoder meets: ~1e-3 rows (block scales
+/// far below 1), and rows mixing values near FP16's top, FP16 subnormals,
+/// all-zero blocks and ordinary values.
+fn extreme_kv_rows(rows: usize, width: usize, seed: u64) -> Vec<(&'static str, Vec<f32>)> {
+    let milli: Vec<f32> = raw_values(rows * width, seed)
+        .iter()
+        .map(|v| v * 2.5e-4)
+        .collect();
+    let mut s = seed | 1;
+    let wide: Vec<f32> = (0..rows * width)
+        .map(|i| {
+            let r = xorshift(&mut s);
+            let sign = if r & 1 == 0 { 1.0f32 } else { -1.0 };
+            match (i % width / 32, i % 5) {
+                (1, _) => 0.0,
+                (_, 0) => sign * 6.0e4,
+                (_, 1) => sign * 3.0e-7 * (1 + r % 7) as f32,
+                _ => sign * ((r % 257) as f32 - 128.0) * 0.03125,
+            }
+        })
+        .collect();
+    vec![("~1e-3 rows", milli), ("extreme rows", wide)]
+}
+
+/// Both attention kernels equal the dense loops bit for bit when the
+/// fold of a block scale into the query or probability is inexact:
+/// queries and probabilities from every adversarial class (1e-36,
+/// subnormal, near `f32::MAX`, ±inf, NaN, zero blocks, all zero, mixed)
+/// and the 1e-36…3e-39 softmax tail, against K/V pages of ~1e-3 rows and
+/// of extreme rows, on every sweep scheme (BFP4, BBFP(4,2) and BFP6
+/// among them), over aligned head spans and one that starts and ends
+/// inside a block.
+#[test]
+fn attention_kernels_match_dense_on_adversarial_ranges() {
+    let (n_rows, width) = (12usize, 192usize);
+    let mut schemes = vec![
+        SchemeSpec::Bfp(4),
+        SchemeSpec::Bbfp(4, 2),
+        SchemeSpec::Bfp(6),
+    ];
+    schemes.extend(sweep_schemes());
+    for scheme in schemes {
+        let store = KvStore {
+            scheme,
+            quantize: true,
+            packed: true,
+        };
+        for (page_name, raw_rows) in extreme_kv_rows(n_rows, width, 0xA77) {
+            let mut page = PackedRows::new(store.storage_scheme(), width);
+            for row in raw_rows.chunks(width) {
+                let mut q = row.to_vec();
+                store.quantize_row(&mut q);
+                page.push_row(&q);
+            }
+            let dense = page.to_dense();
+            for (c0, dh) in [(0usize, 64usize), (64, 64), (128, 64), (8, 48)] {
+                let v = |j: usize, d: usize| dense[j * width + c0 + d];
+                let what = |kind: &str, class: &str| {
+                    format!("{scheme:?} {page_name} c0={c0} dh={dh} {kind} {class}")
+                };
+                let mut queries = adversarial_rows(dh, (c0 * 31 + dh) as u64);
+                queries.push(("softmax tail", softmax_tail(dh, c0 as u64 + 5)));
+                for (class, q) in &queries {
+                    let got: Vec<f32> = (0..n_rows)
+                        .map(|j| attn_dot_packed(q, &page, j, c0))
+                        .collect();
+                    let want: Vec<f32> = (0..n_rows)
+                        .map(|j| {
+                            let mut acc = 0.0f32;
+                            for (d, qv) in q.iter().enumerate() {
+                                acc += qv * v(j, d);
+                            }
+                            acc
+                        })
+                        .collect();
+                    assert_same_bits(&got, &want, &what("attn_dot_packed", class));
+                }
+                let mut probs = adversarial_rows(n_rows, (c0 * 17 + dh) as u64);
+                probs.push(("softmax tail", softmax_tail(n_rows, c0 as u64 + 9)));
+                for (class, p) in &probs {
+                    let mut got = vec![0.0f32; dh];
+                    attn_weighted_sum_packed(p, &page, c0, &mut got);
+                    let mut want = vec![0.0f32; dh];
+                    for (j, &pj) in p.iter().enumerate() {
+                        for (d, o) in want.iter_mut().enumerate() {
+                            *o += pj * v(j, d);
+                        }
+                    }
+                    assert_same_bits(&got, &want, &what("attn_weighted_sum_packed", class));
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Multi-row battery: the row tile
 // ---------------------------------------------------------------------
@@ -734,4 +850,274 @@ fn code_lane_battery() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Encode-once battery: raw values to block codes in one pass
+// ---------------------------------------------------------------------
+
+/// Every Table II and Fig. 8 block scheme, `mx:8,4,2` (code shift 1),
+/// `msfp:4,16` (16-wide blocks), `blockmf:4,3,8` (f32 codes) and
+/// `bbfp:10,1` (codes past `i16`).
+fn encode_once_schemes() -> Vec<SchemeSpec> {
+    let mut schemes: Vec<SchemeSpec> = TABLE2_SCHEMES
+        .iter()
+        .chain(FIG8_SCHEMES)
+        .copied()
+        .filter(|s| s.block_algebra().is_some())
+        .collect();
+    schemes.extend([
+        SchemeSpec::Mx(8, 4, 2),
+        SchemeSpec::Msfp(4, 16),
+        SchemeSpec::BlockMf(4, 3, 8),
+        SchemeSpec::Bbfp(10, 1),
+    ]);
+    schemes.sort();
+    schemes.dedup();
+    schemes
+}
+
+/// Raw (unquantised) values of each class the encoder must treat as the
+/// quantiser does, `n` long: ordinary weights; a mix cycling through
+/// `+0`, `-0`, ~1e-36, f32 subnormals, FP16 subnormals, ±65504 and values
+/// beyond it (which saturate); and ordinary weights with ±inf or NaN
+/// dropped in.
+fn raw_classes(n: usize, seed: u64) -> Vec<(&'static str, Vec<f32>)> {
+    let ordinary = raw_values(n, seed);
+    let mut s = seed | 1;
+    let specials: Vec<f32> = ordinary
+        .iter()
+        .enumerate()
+        .map(|(j, &v)| {
+            let r = xorshift(&mut s);
+            let sign = if r & 1 == 0 { 1.0f32 } else { -1.0 };
+            let unit = 1.0 + (r >> 40) as f32 / (1u64 << 24) as f32;
+            match j % 8 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => sign * 1e-36 * unit,
+                3 => sign * f32::from_bits((r % 0x7f_ffff) as u32 + 1),
+                4 => sign * 2e-6 * unit,
+                5 => sign * 1e5 * unit,
+                6 => sign * 65504.0,
+                _ => v,
+            }
+        })
+        .collect();
+    let with = |every: usize, at: usize, bad: f32| -> Vec<f32> {
+        ordinary
+            .iter()
+            .enumerate()
+            .map(|(j, &v)| if j % every == at { bad.copysign(v) } else { v })
+            .collect()
+    };
+    vec![
+        ("ordinary", ordinary.clone()),
+        ("specials", specials),
+        ("±inf", with(11, 3, f32::INFINITY)),
+        ("NaN", with(13, 5, f32::NAN)),
+    ]
+}
+
+/// `raw` through `scheme`'s block quantiser.
+fn block_quantised(scheme: SchemeSpec, raw: &[f32]) -> Vec<f32> {
+    let alg = scheme.block_algebra().expect("a block scheme");
+    let mut q = vec![0.0; raw.len()];
+    algebra_quantize_slice(raw, &alg, RoundingMode::NearestEven, &mut q);
+    q
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A matrix encoded from raw weights in one pass equals packing the
+/// quantiser's output: same layout kind, `decode()` bits and
+/// `packed_bits()`, for every encode-once scheme, on aligned and ragged
+/// shapes, over every raw class. Every class free of NaN takes the block
+/// layout (the one-pass path, not the dense fallback). The NaN class
+/// runs in release builds only: there the quantiser reads an FP16 NaN as
+/// a maximal exponent, while in debug builds `Fp16::significand`'s
+/// finiteness assertion stops both paths alike.
+#[test]
+fn encode_once_matrices_equal_quantise_then_pack() {
+    for scheme in encode_once_schemes() {
+        for (k, n) in [(64, 96), (20, 160), (37, 45), (9, 20)] {
+            for (class, raw) in raw_classes(k * n, (k * 1000 + n) as u64) {
+                if class == "NaN" && cfg!(debug_assertions) {
+                    continue;
+                }
+                let what = format!("{scheme:?} {k}x{n} {class}");
+                let once = PackedMatrix::encode(&raw, k, n, scheme).expect("a block scheme");
+                let twice = PackedMatrix::pack(&block_quantised(scheme, &raw), k, n, scheme);
+                assert_eq!(once.layout_kind(), twice.layout_kind(), "{what} layout");
+                assert_eq!(bits(&once.decode()), bits(&twice.decode()), "{what} decode");
+                assert_eq!(
+                    once.packed_bits(),
+                    twice.packed_bits(),
+                    "{what} packed bits"
+                );
+                if class != "NaN" {
+                    assert_eq!(once.layout_kind(), LayoutKind::Block, "{what} one pass");
+                }
+            }
+        }
+    }
+    assert!(PackedMatrix::encode(&[1.0; 4], 2, 2, SchemeSpec::Oltron).is_none());
+}
+
+/// A one-pass page and a page fed `quantize_row` + `push_row` after
+/// pushing the same raw rows, row by row: same layout kind, rows and
+/// `to_dense()` bits after every push, so the same demotion row.
+fn assert_pages_agree(
+    scheme: SchemeSpec,
+    width: usize,
+    raw_rows: &[Vec<f32>],
+    what: &str,
+) -> PackedRows {
+    let alg = scheme.block_algebra().expect("a block scheme");
+    let store = KvStore {
+        scheme,
+        quantize: true,
+        packed: true,
+    };
+    let (mut once, mut twice) = (
+        PackedRows::new(store.storage_scheme(), width),
+        PackedRows::new(store.storage_scheme(), width),
+    );
+    for (r, row) in raw_rows.iter().enumerate() {
+        once.push_quantized_row(row, &alg);
+        let mut q = row.clone();
+        store.quantize_row(&mut q);
+        twice.push_row(&q);
+        let what = format!("{what} after row {r}");
+        assert_eq!(once.layout_kind(), twice.layout_kind(), "{what} layout");
+        assert_eq!(once.rows(), twice.rows(), "{what} rows");
+        assert_eq!(
+            bits(&once.to_dense()),
+            bits(&twice.to_dense()),
+            "{what} to_dense"
+        );
+        assert_eq!(once.packed_bytes(), twice.packed_bytes(), "{what} bytes");
+    }
+    once
+}
+
+/// A one-pass KV page equals `quantize_row` + `push_row` row for row on
+/// every encode-once scheme: pages whose width is whole blocks (the
+/// block layout) and a ragged width (dense pages, quantised in the
+/// lane), over rows of every raw class. Finite rows keep the block
+/// layout; the first row with ±inf/NaN demotes both pages at the same
+/// row.
+#[test]
+fn encode_once_kv_pages_equal_quantise_then_push() {
+    for scheme in encode_once_schemes() {
+        for width in [192usize, 45] {
+            let classes = raw_classes(width, width as u64);
+            let finite: Vec<Vec<f32>> = classes
+                .iter()
+                .filter(|(class, _)| *class == "ordinary" || *class == "specials")
+                .flat_map(|(_, row)| [row.clone(), row.iter().map(|v| v * 0.5).collect()])
+                .collect();
+            let what = format!("{scheme:?} width {width}");
+            let page = assert_pages_agree(scheme, width, &finite, &what);
+            let block = width % scheme.block_algebra().unwrap().block_size == 0;
+            let kind = if block {
+                LayoutKind::Block
+            } else {
+                LayoutKind::Dense
+            };
+            assert_eq!(page.layout_kind(), kind, "{what} finite rows");
+            for (class, bad) in classes.iter().filter(|(c, _)| *c == "±inf" || *c == "NaN") {
+                let mut rows = finite.clone();
+                rows.insert(2, bad.clone());
+                let page = assert_pages_agree(scheme, width, &rows, &format!("{what} {class}"));
+                assert_eq!(
+                    page.layout_kind(),
+                    LayoutKind::Dense,
+                    "{what} {class} demotes"
+                );
+            }
+        }
+    }
+}
+
+/// Demotion case: a row holding ±inf/NaN is not quantised (the
+/// quantiser skips it), so it is stored raw, and the page demotes to a
+/// dense lane holding the earlier rows exactly.
+#[test]
+fn encode_once_non_finite_row_stays_raw_and_demotes_the_page() {
+    let scheme = SchemeSpec::Bbfp(4, 2);
+    let alg = scheme.block_algebra().unwrap();
+    let width = 64;
+    let first = raw_values(width, 3);
+    let mut bad = raw_values(width, 4);
+    bad[7] = f32::NEG_INFINITY;
+    bad[40] = f32::NAN;
+    let mut page = PackedRows::new(scheme, width);
+    page.push_quantized_row(&first, &alg);
+    assert_eq!(page.layout_kind(), LayoutKind::Block);
+    page.push_quantized_row(&bad, &alg);
+    assert_eq!(page.layout_kind(), LayoutKind::Dense);
+    let dense = page.to_dense();
+    assert_eq!(
+        bits(&dense[..width]),
+        bits(&block_quantised(scheme, &first))
+    );
+    assert_eq!(
+        bits(&dense[width..]),
+        bits(&bad),
+        "the non-finite row stays raw"
+    );
+}
+
+/// Demotion case: a chunk the store refuses leaves the *quantised* row
+/// in the demoted lane. A BFP4 page handed a row quantised through
+/// BBFP(4,2) refuses the chunk holding its high-window element: the page
+/// demotes, and its lane holds the BBFP(4,2)-quantised row, as quantising
+/// and then `push_row` would leave it — not the raw row.
+#[test]
+fn encode_once_refused_chunk_leaves_the_quantised_row() {
+    let bfp4 = SchemeSpec::Bfp(4).block_algebra().unwrap();
+    let bbfp42 = SchemeSpec::Bbfp(4, 2).block_algebra().unwrap();
+    let width = 64;
+    let first = raw_values(width, 5);
+    let mut outlier = raw_values(width, 6);
+    outlier[3] = 3.9;
+    outlier[4] = 0.06;
+    let mut page = PackedRows::new(SchemeSpec::Bfp(4), width);
+    page.push_quantized_row(&first, &bfp4);
+    assert_eq!(page.layout_kind(), LayoutKind::Block);
+    page.push_quantized_row(&outlier, &bbfp42);
+    assert_eq!(
+        page.layout_kind(),
+        LayoutKind::Dense,
+        "a refused chunk demotes"
+    );
+    let quantised = block_quantised(SchemeSpec::Bbfp(4, 2), &outlier);
+    let dense = page.to_dense();
+    assert_eq!(
+        bits(&dense[..width]),
+        bits(&block_quantised(SchemeSpec::Bfp(4), &first))
+    );
+    assert_eq!(bits(&dense[width..]), bits(&quantised), "the quantised row");
+    assert_ne!(bits(&quantised), bits(&outlier));
+    let mut two_step = PackedRows::new(SchemeSpec::Bfp(4), width);
+    two_step.push_row(&block_quantised(SchemeSpec::Bfp(4), &first));
+    two_step.push_row(&quantised);
+    assert_eq!(bits(&two_step.to_dense()), bits(&dense));
+}
+
+/// Demotion case that is not one: a `bbfp:10,1` page's flagged codes
+/// outgrow `i16`, so the page widens its codes to `f32` part way (after
+/// rows of zeros) and keeps the block layout, equal row for row to
+/// `quantize_row` + `push_row`.
+#[test]
+fn encode_once_bbfp_10_1_page_widens_and_stays_block() {
+    let scheme = SchemeSpec::Bbfp(10, 1);
+    let width = 64;
+    let mut rows = vec![vec![0.0f32; width], vec![-0.0f32; width]];
+    rows.extend((0..4).map(|r| raw_values(width, 70 + r)));
+    let page = assert_pages_agree(scheme, width, &rows, "bbfp:10,1");
+    assert_eq!(page.layout_kind(), LayoutKind::Block);
 }

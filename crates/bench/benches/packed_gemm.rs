@@ -1,8 +1,7 @@
 //! Criterion benchmarks for the packed weight-storage GEMM kernels:
 //! scalar f32 `Tensor::matmul` (the pre-packing serving path) against
 //! [`PackedMatrix::gemm`] per scheme, at the shapes the serving stack
-//! actually runs — a one-row decode step, a 16-row chunked prefill and
-//! a transposed attention-output projection.
+//! actually runs — a one-row decode step and a 16-row chunked prefill.
 //!
 //! The packed kernels are bit-identical to the scalar path (pinned by
 //! `tests/packed_kernels.rs`); these groups measure what that identity
@@ -98,34 +97,5 @@ fn bench_prefill_gemm(c: &mut Criterion) {
     group.finish();
 }
 
-/// Transposed kernel at an attention-output shape (`x · Wᵀ`).
-fn bench_transposed_gemm(c: &mut Criterion) {
-    let (rows, n) = (512, 192);
-    let mut group = c.benchmark_group("packed_gemm/transposed_4x512x192");
-    group.throughput(Throughput::Elements((4 * rows * n) as u64));
-    group.measurement_time(Duration::from_secs(3));
-
-    let x = activations(4 * n);
-    for &(label, scheme) in &SCHEMES[..3] {
-        let w = quantised_weights(scheme, rows * n);
-        let wt = Tensor::from_vec(rows, n, w.clone());
-        let xt = Tensor::from_vec(4, n, x.clone());
-        group.bench_with_input(BenchmarkId::new("scalar_f32", label), &(), |b, ()| {
-            b.iter(|| xt.matmul_transposed(&wt));
-        });
-        let p = PackedMatrix::pack(&w, rows, n, scheme);
-        let mut out = vec![0.0f32; 4 * rows];
-        group.bench_with_input(BenchmarkId::new("packed", label), &(), |b, ()| {
-            b.iter(|| p.gemm_transposed(&x, 4, &mut out));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_decode_gemm,
-    bench_prefill_gemm,
-    bench_transposed_gemm
-);
+criterion_group!(benches, bench_decode_gemm, bench_prefill_gemm);
 criterion_main!(benches);

@@ -21,7 +21,7 @@
 //! ```
 //!
 //! [`crate::scheme::SchemeSpec`] variants *lower* into this space
-//! (`SchemeSpec::algebra`), the quantisers and the packed codec are
+//! (`SchemeSpec::algebra`), the quantisers and the packed store are
 //! *generic* over it, and the accelerator layers derive MAC kinds, PE
 //! areas, and KV footprints from [`FormatAlgebra::cost`] instead of
 //! per-scheme match arms. New families therefore flow from a parsed id
@@ -30,8 +30,8 @@
 //!
 //! ## Supported points
 //!
-//! The codec (encode/decode/pack) supports exactly three families of
-//! points, which cover every named scheme:
+//! The block encoder and the packed store support exactly three
+//! families of points, which cover every named scheme:
 //!
 //! 1. `SharedExponent × Fixed` — BFP, and MSFP (wide blocks, 8-bit
 //!    exponent field). `SharedExponent × Flagged { o }` with `o < m` —
@@ -47,7 +47,7 @@
 //!
 //! Scalar FP16 and INTx also lower (block size 1, zero shared bits) so
 //! that storage-cost accounting is uniform, but they use their own
-//! storage layouts rather than the block codec.
+//! storage layouts rather than the block store.
 //!
 //! ## Bit-identity
 //!
@@ -65,7 +65,6 @@
 
 use crate::bbfp::encode_element;
 use crate::bfp::{exp2i, max_exponent};
-use crate::bitpack::{BitReader, BitWriter};
 use crate::error::FormatError;
 use crate::format::{FormatCost, DEFAULT_BLOCK_SIZE, SHARED_EXPONENT_BITS};
 use crate::fp16::{Fp16, SIGNIFICAND_BITS};
@@ -786,178 +785,20 @@ impl MinifloatGrid {
 }
 
 // ---------------------------------------------------------------------
-// The bit layout of one chunk
-// ---------------------------------------------------------------------
-
-/// Bit width of the stored scale field.
-fn scale_field_bits(alg: &FormatAlgebra) -> u32 {
-    match alg.scale {
-        ScaleKind::SharedExponent { bits }
-        | ScaleKind::SharedBias { bits }
-        | ScaleKind::TwoLevel { bits, .. } => bits as u32,
-    }
-}
-
-/// A chunk's scale code — the biased block exponent for shared-exponent
-/// and two-level points, the signed bias `w` for block minifloat — from
-/// the exponent `e` of its folded scale ([`encode_block`]).
-pub(crate) fn scale_code(e: i32, alg: &FormatAlgebra) -> i32 {
-    let m = alg.mantissa_bits as i32;
-    match alg.scale {
-        ScaleKind::SharedExponent { .. } | ScaleKind::TwoLevel { .. } => {
-            e + 14 + m + code_shift(alg)
-        }
-        ScaleKind::SharedBias { .. } => -e - 14 - m,
-    }
-}
-
-/// A two-level sub-block's offset, read off its codes: the largest `d`
-/// whose mantissas `|code| / 2^(c − d)` are all whole and fit `m` bits.
-/// The encoder's own offset always qualifies, and any offset that does
-/// decodes to the same values.
-fn sub_offset_of(part: &[f32], c: i32, m: u32) -> i32 {
-    let fits = |d: i32| {
-        let shift = (c - d) as u32;
-        part.iter().all(|x| {
-            let mag = x.abs() as u64;
-            mag & ((1 << shift) - 1) == 0 && mag >> shift < 1 << m
-        })
-    };
-    (0..=c).rev().find(|&d| fits(d)).unwrap_or(0)
-}
-
-/// Writes one encoded chunk — `codes` and the exponent `e` of its folded
-/// scale, as [`encode_block`] gives them — into `w` in the packed bit
-/// layout: the scale field, any sub-block offsets, then each element's
-/// `sign [flag] [exp] mantissa`, every field read back off the codes.
-pub(crate) fn write_chunk(w: &mut BitWriter, codes: &[f32], e: i32, alg: &FormatAlgebra) {
-    let code = scale_code(e, alg);
-    let stored = match alg.scale {
-        ScaleKind::SharedBias { bits } => code + (1i32 << (bits - 1)),
-        _ => code,
-    };
-    w.push(stored as u32, scale_field_bits(alg));
-    let m = alg.mantissa_bits as u32;
-    let top = (1u64 << m) - 1;
-    let mag = |code: &f32| code.abs() as u64;
-    let sign = |code: &f32| code.is_sign_negative() as u32;
-    match (alg.scale, alg.element) {
-        (
-            ScaleKind::TwoLevel {
-                sub_block,
-                sub_scale_bits,
-                ..
-            },
-            _,
-        ) => {
-            let c = code_shift(alg);
-            for part in codes.chunks(sub_block) {
-                w.push(sub_offset_of(part, c, m) as u32, sub_scale_bits as u32);
-            }
-            for part in codes.chunks(sub_block) {
-                let shift = c - sub_offset_of(part, c, m);
-                for x in part {
-                    w.push(sign(x), 1);
-                    w.push((mag(x) >> shift) as u32, m);
-                }
-            }
-        }
-        (_, ElementKind::Fixed) => {
-            for x in codes {
-                w.push(sign(x), 1);
-                w.push(mag(x) as u32, m);
-            }
-        }
-        (_, ElementKind::Flagged { .. }) => {
-            // A high-window code is `mant·2^gap`; any code that fits the
-            // low window is written there (same value).
-            let gap = alg.window_gap().unwrap_or(0);
-            for x in codes {
-                let flag = mag(x) > top;
-                w.push(sign(x), 1);
-                w.push(flag as u32, 1);
-                w.push((if flag { mag(x) >> gap } else { mag(x) }) as u32, m);
-            }
-        }
-        (_, ElementKind::Minifloat { exp_bits }) => {
-            for x in codes {
-                let lane = mag(x);
-                let (exp, mantissa) = if lane <= top {
-                    (0, lane)
-                } else {
-                    let exp = 64 - lane.leading_zeros() - m;
-                    (exp, (lane >> (exp - 1)) - (1u64 << m))
-                };
-                w.push(sign(x), 1);
-                w.push(exp, exp_bits as u32);
-                w.push(mantissa as u32, m);
-            }
-        }
-    }
-}
-
-/// Reads one chunk of `len` elements from `r` — the exact inverse of
-/// [`write_chunk`]: appends the codes to `codes` and returns the
-/// exponent of the chunk's folded scale.
-pub(crate) fn read_chunk(
-    r: &mut BitReader<'_>,
-    len: usize,
-    alg: &FormatAlgebra,
-    codes: &mut Vec<f32>,
-) -> i32 {
-    let mut read = |bits: u32| r.read(bits).expect("packed buffer intact");
-    let raw = read(scale_field_bits(alg)) as i32;
-    let m = alg.mantissa_bits as i32;
-    let c = code_shift(alg);
-    let e = match alg.scale {
-        ScaleKind::SharedBias { bits } => (1i32 << (bits - 1)) - raw - 14 - m,
-        _ => raw - 14 - m - c,
-    };
-    let mut shifts = Vec::new();
-    if let ScaleKind::TwoLevel {
-        sub_block,
-        sub_scale_bits,
-        ..
-    } = alg.scale
-    {
-        for _ in 0..len.div_ceil(sub_block) {
-            shifts.push(c - read(sub_scale_bits as u32) as i32);
-        }
-    }
-    let gap = alg.window_gap().unwrap_or(0);
-    for i in 0..len {
-        let negative = read(1) == 1;
-        let mag = match (alg.scale, alg.element) {
-            (ScaleKind::TwoLevel { sub_block, .. }, _) => {
-                read(m as u32) as f32 * (1u32 << shifts[i / sub_block]) as f32
-            }
-            (_, ElementKind::Fixed) => read(m as u32) as f32,
-            (_, ElementKind::Flagged { .. }) => {
-                let wide = read(1) == 1;
-                read(m as u32) as f32 * if wide { (1u32 << gap) as f32 } else { 1.0 }
-            }
-            (_, ElementKind::Minifloat { exp_bits }) => {
-                let exp = read(exp_bits as u32) as u8;
-                minifloat_lane(exp, read(m as u32) as u16, alg.mantissa_bits)
-            }
-        };
-        codes.push(signed(negative, mag));
-    }
-    e
-}
-
-// ---------------------------------------------------------------------
 // Quantise-dequantise
 // ---------------------------------------------------------------------
 
 /// Quantise-dequantise `data` in place through any packable algebra
 /// point, block by block. The final partial block gets its own shared
-/// scale; non-finite inputs saturate through FP16 narrowing first.
+/// scale; ±inf saturates through FP16 narrowing first, and a NaN element
+/// quantises to NaN while its block's scale comes from the other
+/// elements, in debug and release builds alike.
 /// Idempotent: the packed encoder re-encodes this output bit-for-bit.
 ///
 /// This is the block quantiser every block scheme runs through: the
 /// block encoder with its codes dropped. It reuses one FP16 buffer for
-/// the whole slice and allocates nothing per block.
+/// the whole slice and allocates nothing per block, except a copy of a
+/// block that holds a NaN.
 ///
 /// ```
 /// use bbal_core::{algebra_quantize_in_place, FormatAlgebra, RoundingMode};
@@ -977,8 +818,12 @@ pub(crate) fn read_chunk(
 pub fn algebra_quantize_in_place(data: &mut [f32], alg: &FormatAlgebra, rounding: RoundingMode) {
     let mut fp16 = block_buffer(alg, data.len());
     for chunk in data.chunks_mut(alg.block_size) {
-        narrow_into(&mut fp16, chunk);
-        encode_block::<false>(&fp16, alg, rounding, chunk, &mut []);
+        let fp16 = &mut fp16[..chunk.len()];
+        let nans = narrow_block(fp16, chunk).then(|| chunk.to_vec());
+        encode_block::<false>(fp16, alg, rounding, chunk, &mut []);
+        if let Some(raw) = nans {
+            restore_nans(&raw, chunk);
+        }
     }
 }
 
@@ -986,15 +831,33 @@ pub fn algebra_quantize_in_place(data: &mut [f32], alg: &FormatAlgebra, rounding
 /// block of one call.
 fn block_buffer(alg: &FormatAlgebra, len: usize) -> Vec<Fp16> {
     assert!(alg.packable(), "scalar points have no block quantiser");
-    Vec::with_capacity(alg.block_size.min(len))
+    vec![Fp16::ZERO; alg.block_size.min(len)]
 }
 
 /// Narrows one block into `fp16` (saturating, as the paper's FP16-input
-/// pipeline does).
+/// pipeline does), ready for [`encode_block`]. A NaN narrows to `+0`, so
+/// the block's scale comes from its other elements alone; returns
+/// whether any value was NaN, so the caller can put the NaNs back over
+/// the encoder's output with [`restore_nans`]. Finite values narrow as
+/// they always did, and every narrowed value is finite.
 #[inline]
-fn narrow_into(fp16: &mut Vec<Fp16>, values: &[f32]) {
-    fp16.clear();
-    fp16.extend(values.iter().map(|&v| Fp16::from_f32_saturating(v)));
+pub(crate) fn narrow_block(fp16: &mut [Fp16], values: &[f32]) -> bool {
+    let mut nan = false;
+    for (h, &v) in fp16.iter_mut().zip(values) {
+        nan |= v.is_nan();
+        *h = Fp16::from_f32_saturating(if v.is_nan() { 0.0 } else { v });
+    }
+    nan
+}
+
+/// Writes each NaN of `values` over `out` at its own index: a NaN
+/// element quantises to NaN.
+pub(crate) fn restore_nans(values: &[f32], out: &mut [f32]) {
+    for (o, &v) in out.iter_mut().zip(values) {
+        if v.is_nan() {
+            *o = v;
+        }
+    }
 }
 
 /// As [`algebra_quantize_in_place`], reading `values` and writing the
@@ -1028,8 +891,12 @@ pub fn algebra_quantize_slice(
         .chunks(alg.block_size)
         .zip(out.chunks_mut(alg.block_size))
     {
-        narrow_into(&mut fp16, block);
-        encode_block::<false>(&fp16, alg, rounding, chunk, &mut []);
+        let fp16 = &mut fp16[..block.len()];
+        let nan = narrow_block(fp16, block);
+        encode_block::<false>(fp16, alg, rounding, chunk, &mut []);
+        if nan {
+            restore_nans(block, chunk);
+        }
     }
 }
 
@@ -1284,6 +1151,9 @@ mod tests {
         }
     }
 
+    /// One pass of the block encoder over a chunk (full blocks, ragged
+    /// tails, a tiny scale) gives the quantiser's values, and codes that
+    /// times the returned scale `2^e` equal those values bit for bit.
     #[test]
     fn chunk_codec_round_trips_bits() {
         let points = [
@@ -1308,22 +1178,59 @@ mod tests {
                     &mut values,
                     &mut codes,
                 );
-                // The encoder's values are its codes times its scale.
+                // The encoder's values are the quantiser's, and its codes
+                // times its scale give them back bit for bit.
                 let mut q = vec![0.0; len];
                 algebra_quantize_slice(&raw, alg, RoundingMode::NearestEven, &mut q);
-                for (i, (c, v)) in codes.iter().zip(&q).enumerate() {
+                for (i, ((c, v), value)) in codes.iter().zip(&q).zip(&values).enumerate() {
+                    assert_eq!(value.to_bits(), v.to_bits(), "{alg:?} idx {i} value");
                     assert_eq!((c * exp2i(e)).to_bits(), v.to_bits(), "{alg:?} idx {i}");
                 }
-                let mut w = BitWriter::new();
-                write_chunk(&mut w, &codes, e, alg);
-                let bytes = w.into_bytes();
-                let mut back = Vec::new();
-                let e_back = read_chunk(&mut BitReader::new(&bytes), len, alg, &mut back);
-                let what = format!("{} len {len}", alg.display_name());
-                assert_eq!(e_back, e, "{what} scale");
-                let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&back), bits(&codes), "{what} codes");
             }
+        }
+    }
+
+    /// A NaN element quantises to NaN and takes no part in its block's
+    /// scale: every other element quantises as if the NaN were `+0`, in
+    /// debug and release builds alike, through both quantiser entry
+    /// points. A block of NaNs alone stays NaN.
+    #[test]
+    fn nan_elements_stay_nan_and_leave_the_scale_to_the_rest() {
+        for alg in [
+            FormatAlgebra::bfp(4).unwrap(),
+            FormatAlgebra::bbfp(4, 2).unwrap(),
+            FormatAlgebra::mx(8, 4, 2).unwrap(),
+            FormatAlgebra::msfp(4, 16).unwrap(),
+            FormatAlgebra::blockmf(4, 3, 8).unwrap(),
+        ] {
+            let mut raw = wavy(72, 0.013);
+            raw[3] = f32::NAN;
+            raw[35] = -f32::NAN;
+            raw[64..].fill(f32::NAN);
+            let zeroed: Vec<f32> = raw
+                .iter()
+                .map(|v| if v.is_nan() { 0.0 } else { *v })
+                .collect();
+            let mut want = vec![0.0; raw.len()];
+            algebra_quantize_slice(&zeroed, &alg, RoundingMode::NearestEven, &mut want);
+            for (w, r) in want.iter_mut().zip(&raw) {
+                if r.is_nan() {
+                    *w = *r;
+                }
+            }
+            let mut got = vec![0.0; raw.len()];
+            algebra_quantize_slice(&raw, &alg, RoundingMode::NearestEven, &mut got);
+            let mut in_place = raw.clone();
+            algebra_quantize_in_place(&mut in_place, &alg, RoundingMode::NearestEven);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let what = alg.display_name();
+            assert_eq!(bits(&got), bits(&want), "{what} slice");
+            assert_eq!(bits(&in_place), bits(&want), "{what} in place");
+            let finite = got
+                .iter()
+                .zip(&raw)
+                .all(|(g, r)| r.is_nan() || g.is_finite());
+            assert!(finite, "{what}: every other element stays finite");
         }
     }
 

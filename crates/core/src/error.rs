@@ -34,11 +34,6 @@ pub enum FormatError {
     NonFinite(usize),
     /// Dot products require both operands to share one configuration.
     ConfigMismatch,
-    /// A value handed to a packed encoder is not exactly representable
-    /// in the target scheme (i.e. it was not produced by that scheme's
-    /// quantiser), so the packed layout could not reproduce it
-    /// bit-for-bit.
-    NotRepresentable(usize),
     /// A shared-scale field width is outside the supported `5..=8`
     /// range (it must hold any biased FP16 exponent, and silicon caps
     /// it at a byte).
@@ -86,12 +81,6 @@ impl fmt::Display for FormatError {
             }
             FormatError::ConfigMismatch => {
                 write!(f, "operands use different block format configurations")
-            }
-            FormatError::NotRepresentable(i) => {
-                write!(
-                    f,
-                    "value at index {i} is not exactly representable in the target scheme"
-                )
             }
             FormatError::ScaleWidth(b) => {
                 write!(f, "shared-scale width {b} outside supported range 5..=8")

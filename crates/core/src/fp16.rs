@@ -224,8 +224,8 @@ impl Fp16 {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if called on NaN or infinity; block encoders
-    /// validate finiteness first.
+    /// Panics in debug builds if called on NaN or infinity; the block
+    /// encoders narrow every input to a finite value first.
     #[inline]
     pub fn significand(self) -> (u16, i32) {
         debug_assert!(self.is_finite(), "significand() requires a finite value");

@@ -41,7 +41,6 @@ pub mod algebra;
 pub mod analysis;
 pub mod bbfp;
 pub mod bfp;
-pub mod bitpack;
 pub mod dot;
 pub mod error;
 pub mod format;
@@ -63,7 +62,7 @@ pub use format::{BbfpConfig, BfpConfig, FormatCost, DEFAULT_BLOCK_SIZE, SHARED_E
 pub use fp16::Fp16;
 pub use overlap::{select_overlap_width, OverlapScore, OverlapSearch};
 pub use packed::{
-    attn_dot_packed, attn_weighted_sum_packed, packed_rows_capacity_bytes, LayoutKind, PackedBlock,
+    attn_dot_packed, attn_weighted_sum_packed, packed_rows_capacity_bytes, LayoutKind,
     PackedMatrix, PackedRows,
 };
 pub use policy::ExponentPolicy;

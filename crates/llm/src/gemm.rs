@@ -1,8 +1,8 @@
 //! Data-parallel drivers for the packed GEMM kernels.
 //!
-//! [`bbal_core::PackedMatrix`] exposes column-range kernels
-//! (`gemm_cols`, `gemm_transposed_rows`) whose any-partition result is
-//! bit-identical to the single-call GEMM — each output element is owned
+//! [`bbal_core::PackedMatrix`] exposes a column-range kernel
+//! (`gemm_cols`) whose any-partition result is bit-identical to the
+//! single-call GEMM — each output element is owned
 //! by exactly one range and accumulated in the same `k` order. This
 //! module turns that property into wall-clock parallelism with the same
 //! worker-pool mechanism `bbal-serve`'s runtime uses for decode units:
@@ -37,29 +37,6 @@ pub fn gemm(p: &PackedMatrix, x: &[f32], x_rows: usize, workers: usize, out: &mu
     }
     run_pool(&ranges, x_rows, p.cols(), out, |c0, c1, strip| {
         p.gemm_cols(x, x_rows, c0, c1, strip);
-    });
-}
-
-/// `x · Wᵀ` over the packed matrix, fanned out across `workers` threads
-/// by W-row ranges. Bit-identical for every worker count.
-///
-/// # Panics
-///
-/// As [`gemm`], with [`PackedMatrix::gemm_transposed`]'s shapes.
-pub fn gemm_transposed(
-    p: &PackedMatrix,
-    x: &[f32],
-    x_rows: usize,
-    workers: usize,
-    out: &mut [f32],
-) {
-    let ranges = split_ranges(p.rows(), workers);
-    if ranges.len() <= 1 {
-        p.gemm_transposed(x, x_rows, out);
-        return;
-    }
-    run_pool(&ranges, x_rows, p.rows(), out, |r0, r1, strip| {
-        p.gemm_transposed_rows(x, x_rows, r0, r1, strip);
     });
 }
 
@@ -201,20 +178,5 @@ mod tests {
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "workers {workers}");
         }
-    }
-
-    #[test]
-    fn transposed_worker_count_never_changes_bits() {
-        let (p, _) = packed_fixture(64, 48);
-        let x: Vec<f32> = (0..48).map(|i| (i as f32 - 24.0) * 0.125).collect();
-        let mut reference = vec![0.0f32; 64];
-        gemm_transposed(&p, &x, 1, 1, &mut reference);
-        let mut out = vec![f32::NAN; 64];
-        gemm_transposed(&p, &x, 1, 3, &mut out);
-        let same = out
-            .iter()
-            .zip(&reference)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same);
     }
 }

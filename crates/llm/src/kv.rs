@@ -760,9 +760,7 @@ impl KvArena {
     /// Allocates one empty page whose rows are `width` wide and stored
     /// as `storage` ([`PackedRows::new`]), reserved at its full
     /// `page_tokens` rows so it never grows, charging `charge` bytes
-    /// against the byte accounting. When a budget (pages or bytes) is
-    /// exhausted, reclaimable prefix entries are evicted LRU-first
-    /// before giving up.
+    /// against the byte accounting ([`KvArena::charge_page`]).
     ///
     /// # Errors
     ///
@@ -774,6 +772,52 @@ impl KvArena {
         width: usize,
         charge: u64,
     ) -> Result<PageBuf, ArenaFull> {
+        let page_tokens = self.charge_page(charge)?;
+        let rows = || {
+            let mut rows = PackedRows::new(storage, width);
+            rows.reserve_exact(page_tokens);
+            rows
+        };
+        Ok(PageBuf {
+            k: rows(),
+            v: rows(),
+            charge,
+        })
+    }
+
+    /// Allocates a private copy of `page` — the copy-on-write of a shared
+    /// partial tail page — charged `charge` bytes as [`KvArena::alloc`]
+    /// charges a fresh page: its rows, with room reserved up to the full
+    /// `page_tokens` rows.
+    ///
+    /// # Errors
+    ///
+    /// [`ArenaFull`] when a budget is exhausted and nothing is
+    /// reclaimable.
+    pub(crate) fn copy_page(&self, page: &PageBuf, charge: u64) -> Result<PageBuf, ArenaFull> {
+        let page_tokens = self.charge_page(charge)?;
+        let copy = |rows: &PackedRows| {
+            let mut copy = rows.clone();
+            copy.reserve_exact(page_tokens.saturating_sub(rows.rows()));
+            copy
+        };
+        Ok(PageBuf {
+            k: copy(&page.k),
+            v: copy(&page.v),
+            charge,
+        })
+    }
+
+    /// Counts one new page of `charge` bytes as held (unique and
+    /// logical, with their peaks) and returns the arena's page size in
+    /// tokens. When a budget (pages or bytes) is exhausted, reclaimable
+    /// prefix entries are evicted LRU-first before giving up.
+    ///
+    /// # Errors
+    ///
+    /// [`ArenaFull`] when a budget is exhausted and nothing is
+    /// reclaimable.
+    fn charge_page(&self, charge: u64) -> Result<usize, ArenaFull> {
         let mut g = self.lock();
         if g.budget_pages.is_some() || g.budget_bytes.is_some() {
             let over = |g: &ArenaInner| {
@@ -795,16 +839,7 @@ impl KvArena {
         g.peak_logical = g.peak_logical.max(g.logical);
         g.logical_bytes += charge;
         g.peak_logical_bytes = g.peak_logical_bytes.max(g.logical_bytes);
-        let rows = || {
-            let mut rows = PackedRows::new(storage, width);
-            rows.reserve_exact(g.page_tokens);
-            rows
-        };
-        Ok(PageBuf {
-            k: rows(),
-            v: rows(),
-            charge,
-        })
+        Ok(g.page_tokens)
     }
 
     /// Registers `handles` additional cache-held references (charging

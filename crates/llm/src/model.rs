@@ -264,15 +264,10 @@ impl KvCache {
             // other holders, so copy the rows into a private page and
             // drop our reference on the shared one.
             let tail = lk.pages.last().expect("tail checked above");
-            let mut copy = self
+            let copy = self
                 .arena
-                .alloc(self.store.storage_scheme(), self.hidden, self.page_charge)
+                .copy_page(tail, self.page_charge)
                 .unwrap_or_else(|e| panic!("KV cache copy-on-write failed: {e}"));
-            copy.k = tail.k.clone();
-            copy.v = tail.v.clone();
-            let room = self.page_tokens - copy.k.rows();
-            copy.k.reserve_exact(room);
-            copy.v.reserve_exact(room);
             let shared = std::mem::replace(
                 lk.pages.last_mut().expect("tail checked above"),
                 Arc::new(copy),
@@ -1536,15 +1531,25 @@ mod tests {
     fn packed_cow_clone_stays_bit_identical() {
         // Copy-on-write must clone the packed buffers faithfully: a
         // clone that diverges after a shared packed tail page agrees
-        // with the original bit for bit.
+        // with the original bit for bit. Each copy charges the arena one
+        // page, and only the first writer to a shared tail copies it.
         let model = TransformerModel::synthesize(&tiny_test_model());
         let arena = KvArena::unbounded(4);
         let st = store("bbfp:4,2", true, true);
         let mut cache = model.kv_cache_with(&arena, st);
         model.prefill(&[5, 6, 7], &ExactHooks, &mut cache);
+        let layers = cache.pages_in_use();
         let mut clone = cache.clone();
+        assert_eq!(arena.pages_in_use(), layers, "a clone shares every page");
         let step_a = model.decode_step(9, &ExactHooks, &mut cache);
+        assert_eq!(arena.pages_in_use(), 2 * layers, "one copy per shared tail");
+        assert_eq!(arena.logical_pages_in_use(), 2 * layers);
         let step_b = model.decode_step(9, &ExactHooks, &mut clone);
+        assert_eq!(
+            arena.pages_in_use(),
+            2 * layers,
+            "the clone's tails are its own"
+        );
         assert_eq!(step_a, step_b);
         let step_a2 = model.decode_step(1, &ExactHooks, &mut cache);
         let step_b2 = model.decode_step(1, &ExactHooks, &mut clone);

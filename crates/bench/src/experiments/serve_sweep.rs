@@ -1,38 +1,18 @@
-//! Serving sweep (beyond the paper): aggregate throughput and latency of
-//! the `bbal-serve` continuous-batching runtime versus the batch budget,
-//! the admission policy, and the KV memory budget, on a fixed
-//! multi-user trace.
+//! Serving sweep (beyond the paper): the `bbal-serve` continuous-batching
+//! runtime and the `bbal-fleet` replica fleet under multi-user traffic,
+//! where the paper's Tables IV/V cost one request at a time.
 //!
-//! The paper's Tables IV/V report the accelerator one request at a time;
-//! this sweep shows what the same accelerator does under heavy traffic.
-//! Every batch budget and policy serves the *same* trace, so per-request
-//! outputs must be bit-identical across the sweep — the "identical"
-//! column asserts it against the sequential (batch 1) FCFS baseline.
-//!
-//! The mixed lineup runs twice: under FCFS admission, where round-robin
-//! schemes shred the batch into narrow per-scheme GEMMs, and under
-//! scheme-affinity admission, which fills slots with requests that fuse
-//! with the running batch (the `rows/GEMM` column shows the mechanism
-//! directly).
-//!
-//! The memory-pressure section re-serves the mixed batch-8 affinity
-//! configuration under tightening `kv_budget_pages`: the scheduler must
-//! admit by worst-case prefill pages and preempt-and-replay when decode
-//! growth exhausts the arena, completing every request bit-identically
-//! at a throughput cost the `preempt` column explains.
-//!
-//! The shared-system-prompt section serves a trace whose requests all
-//! open with the same 64-token system prompt, once with the prefix
-//! cache (the default) and once cold: followers adopt the published
-//! prefix pages instead of re-running prefill, so the warm run reports
-//! a page-reuse ratio > 0 and a collapsed TTFT at bit-identical
-//! outputs.
-//!
-//! Besides the human-readable table (written to `results/serve_sweep.txt`
-//! by `reproduce_all`), the sweep emits `results/serve_sweep.json` so
-//! the perf trajectory is machine-diffable across PRs.
+//! The sweep is a table of six sections, `SECTIONS`; one runner times
+//! each and records it as the `results/BENCH_serve.json` scenario of its
+//! name. The four serve sections are tables of `Row`s: a lineup label,
+//! a [`ServeConfig`], a trace and the row whose run is the speedup and
+//! identity baseline. Rows measured against each other serve the same
+//! trace, so the `identical` column asserts bit-identical per-request
+//! outputs. A `Field` is one table column or JSON field, defined once;
+//! one JSON writer, `obj`, writes every row to
+//! `results/serve_sweep.json`.
 
-use crate::util::{fmt2, print_table, to_io};
+use crate::util::{fmt1, fmt2, fmt3, fmt4, print_table, to_io};
 use bbal_accel::AcceleratorConfig;
 use bbal_arith::GateLibrary;
 use bbal_core::SchemeSpec;
@@ -53,123 +33,78 @@ const MAX_NEW: usize = 16;
 const ARRIVAL_SPACING: u64 = 5_000_000;
 const BATCHES: [usize; 5] = [1, 2, 4, 8, 16];
 /// Aging bound of the scheme-affinity rows: a queued request may be
-/// passed over at most this many slot-available ticks before it takes
-/// absolute priority.
+/// passed over at most this many slot-available ticks.
 const MAX_WAIT_TICKS: u64 = 16;
 const AFFINITY: AdmissionPolicy = AdmissionPolicy::SchemeAffinity {
     max_wait_ticks: MAX_WAIT_TICKS,
 };
-
+const FCFS: AdmissionPolicy = AdmissionPolicy::Fcfs;
 /// The mixed 3-scheme lineup of the policy and memory sweeps.
 const MIXED: [SchemeSpec; 3] = [
     SchemeSpec::BBAL_PAPER,
     SchemeSpec::Bfp(4),
     SchemeSpec::Oltron,
 ];
-
-/// System-prompt length of the shared-prefix scenario, in tokens: four
-/// full 16-token KV pages that every follower can adopt.
+/// System-prompt length of the shared-prefix scenario: four full
+/// 16-token KV pages that every follower can adopt.
 const SHARED_PREFIX: usize = 64;
-
-/// Requests in the fleet sweep's generated traces.
 const FLEET_REQUESTS: usize = 48;
-/// Seed of the fleet sweep's trace generator.
 const FLEET_SEED: u64 = 7;
-/// Mean inter-arrival gap of the saturating fleet workload, in cycles:
-/// far below the per-request service time, so a single replica is
-/// permanently backlogged and data parallelism has headroom to scale.
+/// Mean arrival gap of the saturating fleet workload, in cycles: far
+/// below a request's service time, so one replica is always backlogged.
 const SATURATING_GAP: f64 = 100_000.0;
-/// Mean inter-arrival gap of the moderate-load workload, in cycles: on
-/// the scale of a request's batched service time (~1.5 Gcycles on the
-/// Llama-7B stand-in), so queues actually drain between arrivals and
-/// both the arrival process and the routing policy have room to
-/// matter. At ~2.7 Gcycles of batched service per request this offers
-/// roughly nine requests in flight fleet-wide — enough pressure that a
-/// narrow replica backlogs while a batch-8 one still has slack. Used
-/// for the Poisson-vs-bursty comparison and the heterogeneous fleet.
+/// Mean arrival gap of the moderate fleet workload, in cycles: at ~2.7
+/// Gcycles of batched service per request, about nine requests are in
+/// flight fleet-wide, so a narrow replica backlogs while a batch-8 one
+/// still has slack.
 const MODERATE_GAP: f64 = 300_000_000.0;
-/// Diurnal period of the bursty arrival process, in cycles: the
-/// 48-request moderate trace spans roughly 1.8 periods, so the fleet
-/// sees both a burst crest and a trough.
+/// Diurnal period of the bursty arrivals, in cycles: the moderate trace
+/// spans about 1.8 periods, a burst crest and a trough.
 const BURSTY_PERIOD: u64 = 20_000_000_000;
-/// The per-class deadline the fleet goodput is measured against, in
-/// milliseconds of simulated time.
+/// The per-class fleet goodput deadline, in simulated milliseconds.
 const FLEET_SLO: SloBudget = SloBudget {
     ttft_ms: 20_000.0,
     tpot_ms: 2_000.0,
 };
+/// BBFP(4,2) against one point of each algebra-derived family at
+/// comparable equivalent bit-width.
+const FAMILY_IDS: [&str; 4] = ["bbfp:4,2", "mx:8,4,2", "msfp:4,16", "blockmf:4,3,8"];
 
-/// The fleet sweep's workload: the mixed 3-scheme lineup over the
-/// `Llama-7B` stand-in's 256-token vocab, with the given arrival
-/// process.
-fn fleet_trace_config(arrivals: ArrivalProcess) -> TraceConfig {
-    TraceConfig {
-        requests: FLEET_REQUESTS,
-        arrivals,
-        prompt_len: LengthDistribution::Uniform { min: 8, max: 24 },
-        output_len: LengthDistribution::Uniform { min: 8, max: 16 },
-        schemes: vec![
-            (SchemeSpec::BBAL_PAPER, 2.0),
-            (SchemeSpec::Bfp(4), 1.0),
-            (SchemeSpec::Oltron, 1.0),
-        ],
-        vocab: 256,
-    }
-}
+/// A section of the sweep: it serves, prints its table and returns the
+/// tokens it generated.
+type Section = fn(&mut Sweep) -> io::Result<usize>;
 
-/// `n` identical replicas at the given batch budget.
-fn homo_specs(n: usize, batch: usize) -> Vec<ReplicaSpec> {
-    (0..n)
-        .map(|i| {
-            ReplicaSpec::new(format!("r{i}"), MODEL).with_config(ServeConfig {
-                max_batch: batch,
-                prefill_chunk: 16,
-                workers: 2,
-                ..ServeConfig::default()
-            })
-        })
-        .collect()
-}
+/// The sweep in run order, each section under its scenario name.
+const SECTIONS: [(&str, Section); 6] = [
+    ("batch_sweep", batch_sweep),
+    ("memory_pressure", memory_pressure),
+    ("packed_kv_pressure", packed_kv_pressure),
+    ("shared_prompt", shared_prompt),
+    ("fleet", fleet),
+    ("format_family", format_family),
+];
 
-fn run_fleet(
-    specs: Vec<ReplicaSpec>,
-    policy: RoutePolicy,
-    trace: &[GenerateRequest],
-) -> io::Result<FleetReport> {
-    Fleet::new(specs, policy)
-        .and_then(|mut fleet| fleet.serve(trace))
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))
-}
+/// The `results/serve_sweep.json` arrays, indexed by [`Record::ARRAY`].
+const ARRAYS: [&str; 3] = ["configs", "fleet", "format_family"];
 
-/// A shared-system-prompt trace: every request opens with the same
-/// `SHARED_PREFIX`-token system prompt and appends a distinct 8-token
-/// user suffix, so only the prefix blocks are shareable.
-fn shared_trace() -> Vec<GenerateRequest> {
-    let system: Vec<usize> = (0..SHARED_PREFIX).map(|t| (3 * t + 5) % 256).collect();
-    (0..REQUESTS)
-        .map(|i| {
-            let mut prompt = system.clone();
-            prompt.extend((0..8).map(|t| (17 * i + 7 * t + 11) % 256));
-            GenerateRequest::new(prompt, MAX_NEW)
-                .scheme(SchemeSpec::BBAL_PAPER)
-                .arriving_at(i as u64 * ARRIVAL_SPACING)
-        })
-        .collect()
-}
-
-/// Serves the shared-system-prompt trace at batch 8 under FCFS, with
-/// the prefix cache on (`warm`) or off.
-fn serve_shared(warm: bool) -> io::Result<ServeReport> {
-    let template = SessionBuilder::new().model(MODEL).scheme("bbfp:4,2");
-    let config = ServeConfig {
-        max_batch: 8,
+/// Every run's scheduler settings (prefill chunk 16, two workers) at a
+/// batch budget and admission policy.
+fn config(max_batch: usize, admission: AdmissionPolicy) -> ServeConfig {
+    ServeConfig {
+        max_batch,
         prefill_chunk: 16,
         workers: 2,
+        admission,
         ..ServeConfig::default()
     }
-    .with_kv_prefix_cache(warm);
+}
+
+/// Serves `trace` on the `MODEL` stand-in under `config`. Each request
+/// carries its own scheme; the template's is BBFP(4,2).
+fn serve(config: ServeConfig, trace: &[GenerateRequest]) -> io::Result<ServeReport> {
+    let template = SessionBuilder::new().model(MODEL).scheme("bbfp:4,2");
     let mut runtime = ServeRuntime::new(template, config).map_err(to_io)?;
-    runtime.serve(&shared_trace()).map_err(to_io)
+    runtime.serve(trace).map_err(to_io)
 }
 
 /// A deterministic multi-user trace: varying prompt lengths, staggered
@@ -186,50 +121,54 @@ fn trace(schemes: &[SchemeSpec]) -> Vec<GenerateRequest> {
         .collect()
 }
 
-fn serve(
-    schemes: &[SchemeSpec],
-    batch: usize,
-    admission: AdmissionPolicy,
-    kv_budget_pages: Option<usize>,
-) -> io::Result<ServeReport> {
-    let template = SessionBuilder::new().model(MODEL).scheme("bbfp:4,2");
-    let config = ServeConfig {
-        max_batch: batch,
-        prefill_chunk: 16,
-        workers: 2,
-        admission,
-        kv_budget_pages,
-        ..ServeConfig::default()
-    };
-    let mut runtime = ServeRuntime::new(template, config).map_err(to_io)?;
-    runtime.serve(&trace(schemes)).map_err(to_io)
+/// Every request opens with the same system prompt and appends a
+/// distinct 8-token user suffix, so only the prefix blocks are shareable.
+fn shared_trace() -> Vec<GenerateRequest> {
+    let system: Vec<usize> = (0..SHARED_PREFIX).map(|t| (3 * t + 5) % 256).collect();
+    (0..REQUESTS)
+        .map(|i| {
+            let mut prompt = system.clone();
+            prompt.extend((0..8).map(|t| (17 * i + 7 * t + 11) % 256));
+            GenerateRequest::new(prompt, MAX_NEW)
+                .scheme(SchemeSpec::BBAL_PAPER)
+                .arriving_at(i as u64 * ARRIVAL_SPACING)
+        })
+        .collect()
 }
 
-/// Serves the standard trace with per-row KV quantisation on and the
-/// page store optionally packed, under an optional *byte* budget — the
-/// packed-KV pressure sweep's configuration axis. Packing never changes
-/// a token (the `bbal-serve` bit-identity battery pins that); it only
-/// shrinks what each block-scheme page charges against the budget.
-fn serve_quant(
-    schemes: &[SchemeSpec],
-    batch: usize,
-    admission: AdmissionPolicy,
-    kv_budget_bytes: Option<u64>,
-    kv_packed: bool,
-) -> io::Result<ServeReport> {
-    let template = SessionBuilder::new().model(MODEL).scheme("bbfp:4,2");
-    let config = ServeConfig {
-        max_batch: batch,
-        prefill_chunk: 16,
-        workers: 2,
-        admission,
-        kv_budget_bytes,
-        kv_quant: true,
-        kv_packed,
-        ..ServeConfig::default()
-    };
-    let mut runtime = ServeRuntime::new(template, config).map_err(to_io)?;
-    runtime.serve(&trace(schemes)).map_err(to_io)
+/// The fleet workload: the mixed lineup, weighted towards BBFP(4,2),
+/// over the stand-in's 256-token vocab.
+fn fleet_trace(arrivals: ArrivalProcess) -> Vec<GenerateRequest> {
+    TraceConfig {
+        requests: FLEET_REQUESTS,
+        arrivals,
+        prompt_len: LengthDistribution::Uniform { min: 8, max: 24 },
+        output_len: LengthDistribution::Uniform { min: 8, max: 16 },
+        schemes: vec![
+            (SchemeSpec::BBAL_PAPER, 2.0),
+            (SchemeSpec::Bfp(4), 1.0),
+            (SchemeSpec::Oltron, 1.0),
+        ],
+        vocab: 256,
+    }
+    .generate(FLEET_SEED)
+}
+
+/// Serves `trace` under least-loaded routing on FCFS replicas at the
+/// given batch budgets, named `r{i}` (`b{batch}-r{i}` if they differ).
+fn run_fleet(batches: &[usize], trace: &[GenerateRequest]) -> io::Result<FleetReport> {
+    let tagged = batches.iter().any(|&b| b != batches[0]);
+    let mut specs = Vec::new();
+    for (i, &b) in batches.iter().enumerate() {
+        let name = if tagged {
+            format!("b{b}-r{i}")
+        } else {
+            format!("r{i}")
+        };
+        specs.push(ReplicaSpec::new(name, MODEL).with_config(config(b, FCFS)));
+    }
+    let mut fleet = Fleet::new(specs, RoutePolicy::LeastLoaded).map_err(to_io)?;
+    fleet.serve(trace).map_err(to_io)
 }
 
 fn identical_outputs(base: &ServeReport, report: &ServeReport) -> bool {
@@ -239,969 +178,639 @@ fn identical_outputs(base: &ServeReport, report: &ServeReport) -> bool {
         .all(|(a, b)| a.tokens == b.tokens)
 }
 
-/// One sweep configuration's machine-readable record.
-struct JsonRow {
-    lineup: &'static str,
-    policy: &'static str,
-    batch: usize,
-    kv_budget_pages: Option<usize>,
-    /// Byte twin of `kv_budget_pages`: the packed-KV pressure sweep
-    /// budgets actual page bytes instead of page counts.
-    kv_budget_bytes: Option<u64>,
-    /// Whether K/V rows were quantised through the request scheme
-    /// before caching (off for the default sweep sections).
-    kv_quant: bool,
-    /// Whether KV pages stored scheme-native packed rows; never changes
-    /// tokens, only `peak_kv_bytes`.
-    kv_packed: bool,
-    report: ServeReport,
-    speedup: f64,
-    /// What `speedup` is measured against: the lineup's sequential
-    /// FCFS run for the batch axis, the unbounded run for the memory
-    /// axis, the cold-cache run for the shared-prompt axis. Recorded so
-    /// JSON consumers never compare speedups across incommensurable
-    /// baselines.
-    speedup_baseline: &'static str,
-    /// Whether the run served with the prefix cache enabled (the
-    /// serving default); only the shared-prompt scenario turns it off.
-    prefix_cache: bool,
-    identical: bool,
+fn yes(identical: bool) -> String {
+    if identical { "yes" } else { "NO" }.to_owned()
 }
 
-impl JsonRow {
-    fn to_json(&self) -> String {
-        let r = &self.report;
-        format!(
-            "{{\"lineup\":\"{}\",\"policy\":\"{}\",\"batch\":{},\"kv_budget_pages\":{},\
-             \"kv_budget_bytes\":{},\"kv_quant\":{},\"kv_packed\":{},\
-             \"tokens_per_s\":{:.3},\"speedup\":{:.4},\"speedup_baseline\":\"{}\",\
-             \"mean_ttft_ms\":{:.4},\
-             \"mean_tpot_ms\":{:.4},\"mean_latency_ms\":{:.4},\"occupancy\":{:.4},\
-             \"rows_per_gemm\":{:.4},\"scheme_switches\":{},\"total_cycles\":{},\
-             \"energy_pj\":{:.3},\"kv_dram_energy_pj\":{:.3},\"kv_bytes_moved\":{},\
-             \"kv_page_tokens\":{},\"peak_kv_pages\":{},\"peak_logical_kv_pages\":{},\
-             \"peak_kv_bytes\":{},\"peak_logical_kv_bytes\":{},\
-             \"preemptions\":{},\"prefix_cache\":{},\"prefix_reuse_ratio\":{:.4},\
-             \"shared_prefix_tokens\":{},\
-             \"rejected\":{},\"generated_tokens\":{},\"identical\":{}}}",
-            self.lineup,
-            self.policy,
-            self.batch,
-            self.kv_budget_pages
-                .map_or("null".to_owned(), |p| p.to_string()),
-            self.kv_budget_bytes
-                .map_or("null".to_owned(), |b| b.to_string()),
-            self.kv_quant,
-            self.kv_packed,
-            r.sim_tokens_per_s(),
-            self.speedup,
-            self.speedup_baseline,
-            r.mean_ttft_ms(),
-            r.mean_tpot_ms(),
-            r.mean_latency_ms(),
-            r.mean_batch_occupancy(),
-            r.mean_fused_rows_per_gemm(),
-            r.scheme_switches(),
-            r.total_cycles,
-            r.energy_pj,
-            r.kv_dram_energy_pj,
-            r.kv_bytes_moved(),
-            r.kv_page_tokens,
-            r.peak_kv_pages,
-            r.peak_logical_kv_pages,
-            r.peak_kv_bytes,
-            r.peak_logical_kv_bytes,
-            r.preemptions,
-            self.prefix_cache,
-            r.kv_page_reuse_ratio(),
-            r.shared_prefix_tokens(),
-            r.rejected().count(),
-            r.generated_tokens(),
-            self.identical,
-        )
+fn quote(s: &str) -> String {
+    format!("\"{s}\"")
+}
+
+/// An optional value, rendered or as `none`.
+fn or(v: Option<impl ToString>, none: &str) -> String {
+    v.map_or(none.to_owned(), |v| v.to_string())
+}
+
+/// Writes ordered `(key, rendered value)` pairs as a JSON object, on one
+/// line or (`pretty`, for a file's top level) one field per line.
+fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, String)>, pretty: bool) -> String {
+    let (open, colon, sep, close) = if pretty {
+        ("{\n  ", ": ", ",\n  ", "\n}\n")
+    } else {
+        ("{", ":", ",", "}")
+    };
+    let field = |(k, v): (&str, String)| format!("\"{k}\"{colon}{v}");
+    let fields: Vec<String> = fields.into_iter().map(field).collect();
+    format!("{open}{}{close}", fields.join(sep))
+}
+
+/// A file's top-level JSON array, one record per line.
+fn list(records: &[String]) -> String {
+    format!("[\n    {}\n  ]", records.join(",\n    "))
+}
+
+/// Each row as the one-line JSON object of `fields`.
+fn records<T>(fields: &[Field<T>], rows: &[T]) -> Vec<String> {
+    let record = |r| obj(fields.iter().map(|(k, f)| (*k, f(r))), false);
+    rows.iter().map(record).collect()
+}
+
+/// A table column or JSON field: its header or key, and how a row
+/// renders into it.
+type Field<T> = (&'static str, fn(&T) -> String);
+
+/// A table row type: its `results/serve_sweep.json` array and fields,
+/// and the tokens its runs generated.
+trait Record: Sized + 'static {
+    const ARRAY: usize;
+    const JSON: &'static [Field<Self>];
+    fn tokens(&self) -> usize;
+}
+
+/// The sweep's output so far.
+struct Sweep<'w> {
+    w: &'w mut dyn Write,
+    /// The records of each of the [`ARRAYS`].
+    records: [Vec<String>; 3],
+    /// The batch sweep's mixed batch-8 affinity run, the memory sweep's
+    /// unbounded reference (reports are deterministic: not served again).
+    mixed_affinity8: Option<Served>,
+}
+
+impl Sweep<'_> {
+    /// Prints `head`, the table of `cols` over `rows`, and `foot`.
+    fn table<T>(
+        &mut self,
+        head: &str,
+        cols: &[Field<T>],
+        rows: &[T],
+        foot: &str,
+    ) -> io::Result<()> {
+        let headers: Vec<&str> = cols.iter().map(|c| c.0).collect();
+        let cells = |r| cols.iter().map(|c| c.1(r)).collect();
+        let table: Vec<Vec<String>> = rows.iter().map(cells).collect();
+        writeln!(self.w, "{head}\n")?;
+        print_table(self.w, &headers, &table)?;
+        write!(self.w, "{foot}")
+    }
+
+    /// Records the rows a section served and returns their tokens.
+    fn record<T: Record>(&mut self, rows: &[T]) -> usize {
+        self.records[T::ARRAY].extend(records(T::JSON, rows));
+        rows.iter().map(T::tokens).sum()
     }
 }
 
-/// One fleet configuration's machine-readable record.
-struct FleetJsonRow {
-    scenario: String,
-    replicas: usize,
-    policy: &'static str,
+/// One row of a serve section: its lineup label, config, trace and the
+/// index in its section of its speedup and identity baseline row.
+struct Row(&'static str, ServeConfig, Vec<GenerateRequest>, usize);
+
+/// A served row, measured against its baseline row.
+#[derive(Clone)]
+struct Served {
+    lineup: &'static str,
+    config: ServeConfig,
+    base: usize,
+    report: ServeReport,
+    speedup: f64,
+    identical: bool,
+    /// What `speedup` is measured against, so JSON consumers never
+    /// compare speedups across incommensurable baselines.
+    baseline: &'static str,
+}
+
+/// Serves `rows` in order after `done`, the section's rows so far, then
+/// measures every row against its baseline (which may come after it).
+fn serve_rows(
+    mut done: Vec<Served>,
+    rows: Vec<Row>,
+    baseline: &'static str,
+) -> io::Result<Vec<Served>> {
+    for Row(lineup, config, trace, base) in rows {
+        let (report, speedup, identical) = (serve(config, &trace)?, 1.0, true);
+        done.push(Served {
+            lineup,
+            config,
+            base,
+            report,
+            speedup,
+            identical,
+            baseline,
+        });
+    }
+    for i in 0..done.len() {
+        let (base, report) = (&done[done[i].base].report, &done[i].report);
+        let speedup = report.sim_tokens_per_s() / base.sim_tokens_per_s();
+        (done[i].speedup, done[i].identical) = (speedup, identical_outputs(base, report));
+    }
+    Ok(done)
+}
+
+impl Record for Served {
+    const ARRAY: usize = 0;
+    const JSON: &'static [Field<Served>] = &[
+        ("lineup", |r| quote(r.lineup)),
+        ("policy", |r| quote(r.config.admission.label())),
+        ("batch", |r| r.config.max_batch.to_string()),
+        ("kv_budget_pages", |r| or(r.config.kv_budget_pages, "null")),
+        ("kv_budget_bytes", |r| or(r.config.kv_budget_bytes, "null")),
+        ("kv_quant", |r| r.config.kv_quant.to_string()),
+        ("kv_packed", |r| r.config.kv_packed.to_string()),
+        ("tokens_per_s", |r| fmt3(r.report.sim_tokens_per_s())),
+        ("speedup", |r| fmt4(r.speedup)),
+        ("speedup_baseline", |r| quote(r.baseline)),
+        ("mean_ttft_ms", |r| fmt4(r.report.mean_ttft_ms())),
+        ("mean_tpot_ms", |r| fmt4(r.report.mean_tpot_ms())),
+        ("mean_latency_ms", |r| fmt4(r.report.mean_latency_ms())),
+        ("occupancy", |r| fmt4(r.report.mean_batch_occupancy())),
+        ("rows_per_gemm", |r| {
+            fmt4(r.report.mean_fused_rows_per_gemm())
+        }),
+        ("scheme_switches", |r| {
+            r.report.scheme_switches().to_string()
+        }),
+        ("total_cycles", |r| r.report.total_cycles.to_string()),
+        ("energy_pj", |r| fmt3(r.report.energy_pj)),
+        ("kv_dram_energy_pj", |r| fmt3(r.report.kv_dram_energy_pj)),
+        ("kv_bytes_moved", |r| r.report.kv_bytes_moved().to_string()),
+        ("kv_page_tokens", |r| r.report.kv_page_tokens.to_string()),
+        ("peak_kv_pages", |r| r.report.peak_kv_pages.to_string()),
+        ("peak_logical_kv_pages", |r| {
+            r.report.peak_logical_kv_pages.to_string()
+        }),
+        ("peak_kv_bytes", |r| r.report.peak_kv_bytes.to_string()),
+        ("peak_logical_kv_bytes", |r| {
+            r.report.peak_logical_kv_bytes.to_string()
+        }),
+        ("preemptions", |r| r.report.preemptions.to_string()),
+        ("prefix_cache", |r| r.config.kv_prefix_cache.to_string()),
+        ("prefix_reuse_ratio", |r| {
+            fmt4(r.report.kv_page_reuse_ratio())
+        }),
+        ("shared_prefix_tokens", |r| {
+            r.report.shared_prefix_tokens().to_string()
+        }),
+        ("rejected", |r| r.report.rejected().count().to_string()),
+        ("generated_tokens", |r| {
+            r.report.generated_tokens().to_string()
+        }),
+        ("identical", |r| r.identical.to_string()),
+    ];
+
+    fn tokens(&self) -> usize {
+        self.report.generated_tokens()
+    }
+}
+
+const TOK_S: Field<Served> = ("tok/s (sim)", |r| fmt2(r.report.sim_tokens_per_s()));
+const SPEEDUP: fn(&Served) -> String = |r| format!("{:.2}x", r.speedup);
+const TTFT: Field<Served> = ("TTFT ms", |r| fmt2(r.report.mean_ttft_ms()));
+const PEAK_PAGES: Field<Served> = ("peak pages", |r| r.report.peak_kv_pages.to_string());
+const PREEMPT: Field<Served> = ("preempt", |r| r.report.preemptions.to_string());
+const IDENTICAL: Field<Served> = ("identical", |r| yes(r.identical));
+
+/// Each lineup at every batch budget, against its sequential FCFS run.
+/// Under FCFS the mixed lineup's round-robin schemes shred the batch
+/// into narrow per-scheme GEMMs; scheme-affinity admission fills slots
+/// with requests that fuse with the running batch (`rows/GEMM`).
+fn batch_sweep(s: &mut Sweep) -> io::Result<usize> {
+    let lineups: [(&str, &[SchemeSpec], &[AdmissionPolicy]); 3] = [
+        ("bbfp:4,2", &[SchemeSpec::BBAL_PAPER], &[FCFS]),
+        ("bfp4", &[SchemeSpec::Bfp(4)], &[FCFS]),
+        ("mixed", &MIXED, &[FCFS, AFFINITY]),
+    ];
+    let mut rows = Vec::new();
+    for (lineup, schemes, policies) in lineups {
+        let base = rows.len();
+        for (&policy, batch) in policies.iter().flat_map(|p| BATCHES.map(|b| (p, b))) {
+            rows.push(Row(lineup, config(batch, policy), trace(schemes), base));
+        }
+    }
+    let rows = serve_rows(Vec::new(), rows, "sequential")?;
+    let at8 = |lineup, policy| {
+        let at = |r: &&Served| r.lineup == lineup && r.config == config(8, policy);
+        rows.iter().find(at).expect("every lineup serves batch 8")
+    };
+    let foot = format!(
+        "\nbbfp:4,2 @ batch 8: {:.2}x aggregate tokens/s vs sequential\n\
+         mixed @ batch 8: {:.2}x under fcfs, {:.2}x under scheme-affinity admission\n\
+         per-request outputs bit-identical to sequential across the sweep: {}\n",
+        at8("bbfp:4,2", FCFS).speedup,
+        at8("mixed", FCFS).speedup,
+        at8("mixed", AFFINITY).speedup,
+        yes(rows.iter().all(|r| r.identical))
+    );
+    let head = format!(
+        "Serving sweep (beyond the paper): continuous batching on the {MODEL} stand-in\n\
+         trace: {REQUESTS} requests, prompts 8..24 tokens, {MAX_NEW} new tokens each,\n\
+         arrivals every {ARRIVAL_SPACING} cycles; 16x16 PE array @ 1 GHz, prefill chunk 16\n\
+         affinity = scheme-affinity admission, max_wait_ticks {MAX_WAIT_TICKS}"
+    );
+    let cols: [Field<Served>; 12] = [
+        ("scheme", |r| r.lineup.to_owned()),
+        ("policy", |r| r.config.admission.label().to_owned()),
+        ("batch", |r| r.config.max_batch.to_string()),
+        TOK_S,
+        ("speedup", SPEEDUP),
+        TTFT,
+        ("TPOT ms", |r| fmt2(r.report.mean_tpot_ms())),
+        ("occupancy", |r| fmt2(r.report.mean_batch_occupancy())),
+        ("rows/GEMM", |r| fmt2(r.report.mean_fused_rows_per_gemm())),
+        ("switches", |r| r.report.scheme_switches().to_string()),
+        ("Gcycles", |r| fmt1(r.report.total_cycles as f64 / 1.0e9)),
+        IDENTICAL,
+    ];
+    s.table(&head, &cols, &rows, &foot)?;
+    s.mixed_affinity8 = Some(at8("mixed", AFFINITY).clone());
+    Ok(s.record(&rows))
+}
+
+/// The mixed batch-8 affinity run under tightening KV page budgets
+/// scaled by its unbounded peak: admission gating and preempt-and-replay
+/// must never change a single output token.
+fn memory_pressure(s: &mut Sweep) -> io::Result<usize> {
+    let unbounded = s.mixed_affinity8.take().expect("the batch sweep ran");
+    let peak = unbounded.report.peak_kv_pages;
+    let page_tokens = unbounded.report.kv_page_tokens;
+    let mixed = unbounded.config;
+    let budget = |pages| Row("mixed", mixed.with_kv_budget(pages), trace(&MIXED), 0);
+    let budgets = [peak, (peak / 2).max(1), (peak / 4).max(1)];
+    let carried = vec![Served {
+        base: 0,
+        ..unbounded
+    }];
+    let rows = serve_rows(carried, budgets.map(budget).into(), "unbounded")?;
+    let head = format!(
+        "\nMemory-pressure sweep: mixed lineup, batch 8, affinity admission,\n\
+         kv pages of {page_tokens} tokens; unbounded run peaks at {peak} pages"
+    );
+    let foot = format!(
+        "\nhalf-peak budget: {} preemptions, outputs bit-identical: {}\n",
+        rows[2].report.preemptions,
+        yes(rows.iter().all(|r| r.identical))
+    );
+    let cols: [Field<Served>; 9] = [
+        ("kv budget", |r| or(r.config.kv_budget_pages, "unbounded")),
+        TOK_S,
+        ("vs unbound", SPEEDUP),
+        PEAK_PAGES,
+        PREEMPT,
+        TTFT,
+        ("KV MB", |r| fmt1(r.report.kv_bytes_moved() as f64 / 1.0e6)),
+        ("KV uJ", |r| fmt1(r.report.kv_dram_energy_pj / 1.0e6)),
+        IDENTICAL,
+    ];
+    s.table(&head, &cols, &rows, &foot)?;
+    // The batch sweep recorded and counted the unbounded run.
+    Ok(s.record(&rows[1..]))
+}
+
+/// The same trace with per-row KV quantisation, under a byte budget of
+/// half the unbounded dense-storage peak. Packed block-scheme pages
+/// charge a fraction of their f32 equivalent, so the packed runtime
+/// keeps more of the working set resident and preempts less.
+fn packed_kv_pressure(s: &mut Sweep) -> io::Result<usize> {
+    let quant = config(8, AFFINITY).with_kv_quant(true);
+    let row = |config| Row("mixed-kvquant", config, trace(&MIXED), 0);
+    let baseline = "unbounded-dense-storage";
+    let unbounded = serve_rows(Vec::new(), vec![row(quant)], baseline)?;
+    let budget = (unbounded[0].report.peak_kv_bytes / 2).max(1);
+    let dense = quant.with_kv_budget_bytes(budget);
+    let rows = vec![row(dense), row(dense.with_kv_packed(true))];
+    let rows = serve_rows(unbounded, rows, baseline)?;
+    let head = "\nPacked-KV pressure sweep: mixed lineup, batch 8, affinity admission,\n\
+                KV quantisation on; byte budget = half the unbounded dense-storage peak";
+    let foot = format!(
+        "\nhalf-peak byte budget ({budget} B): dense storage {} preemptions, packed {}\n\
+         outputs bit-identical across the packed sweep: {}\n",
+        rows[1].report.preemptions,
+        rows[2].report.preemptions,
+        yes(rows.iter().all(|r| r.identical))
+    );
+    let cols: [Field<Served>; 8] = [
+        ("storage", |r| {
+            ["dense-f32", "packed"][r.config.kv_packed as usize].to_owned()
+        }),
+        ("kv budget B", |r| or(r.config.kv_budget_bytes, "unbounded")),
+        TOK_S,
+        ("vs unbound", SPEEDUP),
+        ("peak KV KiB", |r| {
+            fmt1(r.report.peak_kv_bytes as f64 / 1024.0)
+        }),
+        ("logical KiB", |r| {
+            fmt1(r.report.peak_logical_kv_bytes as f64 / 1024.0)
+        }),
+        PREEMPT,
+        IDENTICAL,
+    ];
+    s.table(head, &cols, &rows, &foot)?;
+    Ok(s.record(&rows))
+}
+
+/// The shared-system-prompt trace with the prefix cache on (warm, the
+/// default) and off (cold): followers adopt the leader's published
+/// prefix pages instead of re-running prefill, so pages are reused and
+/// TTFT collapses at identical tokens.
+fn shared_prompt(s: &mut Sweep) -> io::Result<usize> {
+    let warm = config(8, FCFS);
+    let row = |config| Row("shared-prompt", config, shared_trace(), 1);
+    let rows = vec![row(warm), row(warm.with_kv_prefix_cache(false))];
+    let rows = serve_rows(Vec::new(), rows, "cold-cache")?;
+    let (warm, cold) = (&rows[0], &rows[1]);
+    let head = format!(
+        "\nShared-system-prompt scenario: {REQUESTS} requests, {SHARED_PREFIX}-token shared\n\
+         system prompt + distinct 8-token suffixes, bbfp:4,2, batch 8, fcfs"
+    );
+    let foot = format!(
+        "\nprefix cache: {:.3} page-reuse ratio, TTFT {} -> {} ms ({:.2}x tokens/s vs cold)\n",
+        warm.report.kv_page_reuse_ratio(),
+        fmt2(cold.report.mean_ttft_ms()),
+        fmt2(warm.report.mean_ttft_ms()),
+        warm.speedup
+    );
+    let cols: [Field<Served>; 8] = [
+        ("cache", |r| {
+            ["cold", "warm"][r.config.kv_prefix_cache as usize].to_owned()
+        }),
+        TOK_S,
+        TTFT,
+        ("reuse", |r| fmt3(r.report.kv_page_reuse_ratio())),
+        ("shared tok", |r| {
+            r.report.shared_prefix_tokens().to_string()
+        }),
+        PEAK_PAGES,
+        ("peak logical", |r| {
+            r.report.peak_logical_kv_pages.to_string()
+        }),
+        IDENTICAL,
+    ];
+    s.table(&head, &cols, &rows, &foot)?;
+    Ok(s.record(&rows))
+}
+
+/// One fleet configuration's row.
+struct FleetRow {
+    scenario: &'static str,
     arrivals: &'static str,
-    /// Aggregate tokens/s vs the single-replica saturating baseline;
-    /// `None` for the moderate-load rows, which are not comparable.
-    speedup_vs_single: Option<f64>,
+    /// Aggregate tokens/s vs the single-replica saturating run; `None`
+    /// for the moderate-load rows, which are not comparable.
+    speedup: Option<f64>,
     report: FleetReport,
 }
 
-impl FleetJsonRow {
-    fn to_json(&self) -> String {
-        let r = &self.report;
-        let per_replica = r
-            .replicas
-            .iter()
-            .map(|slice| {
-                format!(
-                    "{{\"name\":\"{}\",\"routed\":{},\"occupancy\":{:.4},\
-                     \"tokens\":{},\"total_cycles\":{},\"makespan_ms\":{:.4}}}",
-                    slice.name,
-                    slice.routed,
-                    slice.occupancy(),
-                    slice.report.generated_tokens(),
-                    slice.report.total_cycles,
-                    slice.makespan_ms(),
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"scenario\":\"{}\",\"replicas\":{},\"policy\":\"{}\",\"arrivals\":\"{}\",\
-             \"requests\":{},\"fleet_tokens_per_s\":{:.3},\"speedup_vs_single\":{},\
-             \"makespan_ms\":{:.4},\
-             \"ttft_p50_ms\":{:.4},\"ttft_p99_ms\":{:.4},\"ttft_p999_ms\":{:.4},\
-             \"tpot_p50_ms\":{:.4},\"tpot_p99_ms\":{:.4},\"tpot_p999_ms\":{:.4},\
-             \"goodput\":{:.4},\"slo_ttft_ms\":{:.1},\"slo_tpot_ms\":{:.1},\
-             \"rejected\":{},\"generated_tokens\":{},\"per_replica\":[{}]}}",
-            self.scenario,
-            self.replicas,
-            self.policy,
-            self.arrivals,
-            r.assignments.len(),
-            r.fleet_tokens_per_s(),
-            self.speedup_vs_single
-                .map_or("null".to_owned(), |s| format!("{s:.4}")),
-            r.makespan_ms(),
-            r.ttft_percentile_ms(50.0),
-            r.ttft_percentile_ms(99.0),
-            r.ttft_percentile_ms(99.9),
-            r.tpot_percentile_ms(50.0),
-            r.tpot_percentile_ms(99.0),
-            r.tpot_percentile_ms(99.9),
-            r.goodput(&FLEET_SLO),
-            FLEET_SLO.ttft_ms,
-            FLEET_SLO.tpot_ms,
-            r.rejected(),
-            r.generated_tokens(),
-            per_replica,
-        )
+const REPLICA_JSON: &[Field<ReplicaSlice>] = &[
+    ("name", |s| quote(&s.name)),
+    ("routed", |s| s.routed.to_string()),
+    ("occupancy", |s| fmt4(s.occupancy())),
+    ("tokens", |s| s.report.generated_tokens().to_string()),
+    ("total_cycles", |s| s.report.total_cycles.to_string()),
+    ("makespan_ms", |s| fmt4(s.makespan_ms())),
+];
+
+impl Record for FleetRow {
+    const ARRAY: usize = 1;
+    const JSON: &'static [Field<FleetRow>] = &[
+        ("scenario", |r| quote(r.scenario)),
+        ("replicas", |r| r.report.replicas.len().to_string()),
+        ("policy", |_| quote("least-loaded")),
+        ("arrivals", |r| quote(r.arrivals)),
+        ("requests", |r| r.report.assignments.len().to_string()),
+        ("fleet_tokens_per_s", |r| {
+            fmt3(r.report.fleet_tokens_per_s())
+        }),
+        ("speedup_vs_single", |r| or(r.speedup.map(fmt4), "null")),
+        ("makespan_ms", |r| fmt4(r.report.makespan_ms())),
+        ("ttft_p50_ms", |r| fmt4(r.report.ttft_percentile_ms(50.0))),
+        ("ttft_p99_ms", |r| fmt4(r.report.ttft_percentile_ms(99.0))),
+        ("ttft_p999_ms", |r| fmt4(r.report.ttft_percentile_ms(99.9))),
+        ("tpot_p50_ms", |r| fmt4(r.report.tpot_percentile_ms(50.0))),
+        ("tpot_p99_ms", |r| fmt4(r.report.tpot_percentile_ms(99.0))),
+        ("tpot_p999_ms", |r| fmt4(r.report.tpot_percentile_ms(99.9))),
+        ("goodput", |r| fmt4(r.report.goodput(&FLEET_SLO))),
+        ("slo_ttft_ms", |_| fmt1(FLEET_SLO.ttft_ms)),
+        ("slo_tpot_ms", |_| fmt1(FLEET_SLO.tpot_ms)),
+        ("rejected", |r| r.report.rejected().to_string()),
+        ("generated_tokens", |r| {
+            r.report.generated_tokens().to_string()
+        }),
+        ("per_replica", |r| {
+            format!("[{}]", records(REPLICA_JSON, &r.report.replicas).join(","))
+        }),
+    ];
+
+    fn tokens(&self) -> usize {
+        self.report.generated_tokens()
     }
 }
 
-/// The format-family lineup: the paper's BBFP(4,2) against one point of
-/// each algebra-derived family at comparable equivalent bit-width.
-const FAMILY_IDS: [&str; 4] = ["bbfp:4,2", "mx:8,4,2", "msfp:4,16", "blockmf:4,3,8"];
+/// One generated workload on 1..8 identical replicas; Poisson vs bursty
+/// arrivals at fixed capacity and the same baseline rate, so only the
+/// tail should move; and, under the moderate load (under saturation
+/// least-loaded degenerates to rotation), a heterogeneous fleet whose
+/// batch-8 replicas drain faster and so should absorb more traffic.
+/// Goodput counts requests meeting the per-class SLO deadline.
+fn fleet(s: &mut Sweep) -> io::Result<usize> {
+    let poisson = |mean_gap_cycles| fleet_trace(ArrivalProcess::Poisson { mean_gap_cycles });
+    let (saturating, moderate) = (poisson(SATURATING_GAP), poisson(MODERATE_GAP));
+    let bursty = fleet_trace(ArrivalProcess::Bursty {
+        mean_gap_cycles: MODERATE_GAP,
+        modulation: 0.8,
+        period_cycles: BURSTY_PERIOD,
+    });
+    let (sat, modr) = ("poisson-saturating", "poisson-moderate");
+    let runs: [(&str, &str, &[usize], &[GenerateRequest]); 7] = [
+        ("homo-1", sat, &[8], &saturating),
+        ("homo-2", sat, &[8; 2], &saturating),
+        ("homo-4", sat, &[8; 4], &saturating),
+        ("homo-8", sat, &[8; 8], &saturating),
+        ("arrivals-4", modr, &[8; 4], &moderate),
+        ("arrivals-4", "bursty-moderate", &[8; 4], &bursty),
+        ("hetero-4", modr, &[8, 8, 1, 1], &moderate),
+    ];
+    let mut rows: Vec<FleetRow> = Vec::new();
+    for (scenario, arrivals, batches, trace) in runs {
+        let report = run_fleet(batches, trace)?;
+        let single = rows.first().map_or(&report, |r| &r.report);
+        let speedup = report.fleet_tokens_per_s() / single.fleet_tokens_per_s();
+        let speedup = (arrivals == sat).then_some(speedup);
+        rows.push(FleetRow {
+            scenario,
+            arrivals,
+            speedup,
+            report,
+        });
+    }
+    let hetero = &rows[6].report.replicas;
+    let routed: Vec<String> = hetero
+        .iter()
+        .map(|r| format!("{}:{}", r.name, r.routed))
+        .collect();
+    let head = format!(
+        "\nFleet sweep: {FLEET_REQUESTS} generated requests (seed {FLEET_SEED}), mixed 3-scheme\n\
+         traffic, least-loaded routing; saturating Poisson mean gap {SATURATING_GAP} cycles,\n\
+         moderate gap {MODERATE_GAP} cycles; SLO: TTFT <= {} ms, TPOT <= {} ms",
+        FLEET_SLO.ttft_ms, FLEET_SLO.tpot_ms
+    );
+    let foot = format!(
+        "\n4 homogeneous replicas: {:.2}x aggregate tokens/s vs 1 replica\n\
+         hetero fleet routed (replica:requests): {}\n",
+        rows[2].speedup.unwrap_or_default(),
+        routed.join(", ")
+    );
+    let cols: [Field<FleetRow>; 12] = [
+        ("scenario", |r| r.scenario.to_owned()),
+        ("replicas", |r| r.report.replicas.len().to_string()),
+        ("arrivals", |r| r.arrivals.to_owned()),
+        ("tok/s (sim)", |r| fmt2(r.report.fleet_tokens_per_s())),
+        ("speedup", |r| {
+            or(r.speedup.map(|s| format!("{s:.2}x")), "-")
+        }),
+        ("TTFT p50", |r| fmt2(r.report.ttft_percentile_ms(50.0))),
+        ("p99", |r| fmt2(r.report.ttft_percentile_ms(99.0))),
+        ("p99.9", |r| fmt2(r.report.ttft_percentile_ms(99.9))),
+        ("TPOT p50", |r| fmt2(r.report.tpot_percentile_ms(50.0))),
+        ("p99", |r| fmt2(r.report.tpot_percentile_ms(99.0))),
+        ("goodput", |r| fmt2(r.report.goodput(&FLEET_SLO))),
+        ("occupancy", |r| {
+            let occupancy = r.report.replicas.iter().map(ReplicaSlice::occupancy);
+            fmt2(occupancy.sum::<f64>() / r.report.replicas.len() as f64)
+        }),
+    ];
+    s.table(&head, &cols, &rows, &foot)?;
+    Ok(s.record(&rows))
+}
 
-/// One format-family row's machine-readable record.
-struct FamilyJsonRow {
-    scheme: String,
-    paper_name: String,
-    equivalent_bits: f64,
+/// One format family's row.
+struct FamilyRow {
+    id: &'static str,
+    scheme: SchemeSpec,
+    bits: f64,
     ppl: f64,
-    pe_area_um2: f64,
-    kv_bytes_per_token: f64,
-    tokens_per_s: f64,
-    identical: bool,
+    pe_area: f64,
+    kv_bytes: f64,
+    /// Sequential and batch-8 serves of the family's trace.
+    runs: [ServeReport; 2],
 }
 
-impl FamilyJsonRow {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"scheme\":\"{}\",\"paper_name\":\"{}\",\"equivalent_bits\":{:.4},\
-             \"ppl\":{:.4},\"pe_area_um2\":{:.1},\"kv_bytes_per_token\":{:.2},\
-             \"tokens_per_s\":{:.3},\"identical\":{}}}",
-            self.scheme,
-            self.paper_name,
-            self.equivalent_bits,
-            self.ppl,
-            self.pe_area_um2,
-            self.kv_bytes_per_token,
-            self.tokens_per_s,
-            self.identical,
-        )
+impl FamilyRow {
+    fn identical(&self) -> String {
+        identical_outputs(&self.runs[0], &self.runs[1]).to_string()
     }
 }
 
-/// One sweep scenario's simulator wall-clock record for
-/// `results/BENCH_serve.json` (satellite perf tracking: how fast the
-/// *simulator* chews through each scenario, not simulated throughput).
-struct BenchScenario {
-    name: &'static str,
-    wall_ms: f64,
-    generated_tokens: usize,
-}
+impl Record for FamilyRow {
+    const ARRAY: usize = 2;
+    const JSON: &'static [Field<FamilyRow>] = &[
+        ("scheme", |r| quote(r.id)),
+        ("paper_name", |r| quote(&r.scheme.paper_name())),
+        ("equivalent_bits", |r| fmt4(r.bits)),
+        ("ppl", |r| fmt4(r.ppl)),
+        ("pe_area_um2", |r| fmt1(r.pe_area)),
+        ("kv_bytes_per_token", |r| fmt2(r.kv_bytes)),
+        ("tokens_per_s", |r| fmt3(r.runs[1].sim_tokens_per_s())),
+        ("identical", FamilyRow::identical),
+    ];
 
-impl BenchScenario {
-    fn to_json(&self) -> String {
-        let tok_per_s = if self.wall_ms > 0.0 {
-            self.generated_tokens as f64 * 1.0e3 / self.wall_ms
-        } else {
-            0.0
-        };
-        format!(
-            "{{\"name\":\"{}\",\"wall_ms\":{:.1},\"generated_tokens\":{},\
-             \"wall_tokens_per_s\":{:.1}}}",
-            self.name, self.wall_ms, self.generated_tokens, tok_per_s
-        )
+    fn tokens(&self) -> usize {
+        self.runs.iter().map(ServeReport::generated_tokens).sum()
     }
 }
 
-/// Runs the sweep and prints the scheme × batch-size table plus the
-/// memory-pressure table; also writes `results/serve_sweep.json`.
+/// The format algebra lets MX / MSFP / block-minifloat scheme ids flow
+/// through the same stack as BBFP, so the families meet at iso-bit-width
+/// on accuracy (ppl on the serve model), PE array area, KV bytes per
+/// cached token and batch-8 served throughput.
+fn format_family(s: &mut Sweep) -> io::Result<usize> {
+    let lib = GateLibrary::default();
+    let model = zoo::find(MODEL).expect("the serve model is in the zoo");
+    let mut rows = Vec::new();
+    for id in FAMILY_IDS {
+        let scheme: SchemeSpec = id.parse().map_err(to_io)?;
+        let alg = scheme.algebra().map_err(to_io)?.expect("an algebra point");
+        let session = SessionBuilder::new().model(MODEL).scheme_spec(scheme);
+        let session = session.eval_set(2, 24, 1234).build().map_err(to_io)?;
+        let accel = AcceleratorConfig::for_scheme(scheme, 16, 16).map_err(to_io)?;
+        let kv = KvFootprint::for_scheme(scheme, model.hidden, model.layers);
+        let trace = trace(&[scheme]);
+        let ppl = session.evaluate().ppl;
+        let sequential = serve(config(1, FCFS), &trace)?;
+        rows.push(FamilyRow {
+            id,
+            scheme,
+            bits: alg.cost().equivalent_bit_width,
+            ppl,
+            pe_area: accel.pe_array_area_um2(&lib),
+            kv_bytes: kv.bytes_per_token(),
+            runs: [sequential, serve(config(8, FCFS), &trace)?],
+        });
+    }
+    let head =
+        format!("\nFormat-family comparison at iso-bit-width ({MODEL} stand-in, batch 8 FCFS):");
+    let cols: [Field<FamilyRow>; 7] = [
+        ("format", |r| r.scheme.paper_name()),
+        ("eq bits", |r| fmt2(r.bits)),
+        ("ppl", |r| fmt2(r.ppl)),
+        ("PE array um2", |r| fmt2(r.pe_area)),
+        ("KV B/tok", |r| fmt2(r.kv_bytes)),
+        ("tok/s (sim)", |r| fmt2(r.runs[1].sim_tokens_per_s())),
+        ("identical", FamilyRow::identical),
+    ];
+    s.table(&head, &cols, &rows, "")?;
+    Ok(s.record(&rows))
+}
+
+/// Runs the sweep's sections in order, printing each section's table,
+/// then writes `results/serve_sweep.json` (every row) and
+/// `results/BENCH_serve.json` (each section's simulator wall clock).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the writer and serving errors as
 /// `InvalidInput`.
 pub fn run(w: &mut dyn Write) -> io::Result<()> {
-    writeln!(
+    let (records, mixed_affinity8) = (Default::default(), None);
+    let mut sweep = Sweep {
         w,
-        "Serving sweep (beyond the paper): continuous batching on the {MODEL} stand-in"
-    )?;
-    writeln!(
-        w,
-        "trace: {REQUESTS} requests, prompts 8..24 tokens, {MAX_NEW} new tokens each,"
-    )?;
-    writeln!(
-        w,
-        "arrivals every {ARRIVAL_SPACING} cycles; 16x16 PE array @ 1 GHz, prefill chunk 16"
-    )?;
-    writeln!(
-        w,
-        "affinity = scheme-affinity admission, max_wait_ticks {MAX_WAIT_TICKS}\n"
-    )?;
-
-    let lineups: [(&'static str, Vec<SchemeSpec>, Vec<AdmissionPolicy>); 3] = [
-        (
-            "bbfp:4,2",
-            vec![SchemeSpec::BBAL_PAPER],
-            vec![AdmissionPolicy::Fcfs],
-        ),
-        (
-            "bfp4",
-            vec![SchemeSpec::Bfp(4)],
-            vec![AdmissionPolicy::Fcfs],
-        ),
-        (
-            "mixed",
-            MIXED.to_vec(),
-            vec![AdmissionPolicy::Fcfs, AFFINITY],
-        ),
-    ];
-
-    let mut bench: Vec<BenchScenario> = Vec::new();
-    let mut section_start = Instant::now();
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut json_rows: Vec<JsonRow> = Vec::new();
-    let mut bbal_batch8_speedup = 0.0;
-    // Mixed-lineup batch-8 speedups, indexed [fcfs, affinity].
-    let mut mixed_batch8 = [0.0f64; 2];
-    // The mixed batch-8 affinity run doubles as the memory sweep's
-    // unbounded reference (reports are deterministic, so it need not be
-    // re-served).
-    let mut mixed_affinity8: Option<ServeReport> = None;
-    let mut all_identical = true;
-    for (label, schemes, policies) in &lineups {
-        let mut baseline: Option<ServeReport> = None;
-        for &policy in policies {
-            for batch in BATCHES {
-                let report = serve(schemes, batch, policy, None)?;
-                if *label == "mixed" && policy == AFFINITY && batch == 8 {
-                    mixed_affinity8 = Some(report.clone());
-                }
-                // The speedup/identity baseline for every policy is the
-                // same sequential FCFS run.
-                let base = baseline.get_or_insert_with(|| report.clone());
-                let identical = identical_outputs(base, &report);
-                all_identical &= identical;
-                let speedup = report.sim_tokens_per_s() / base.sim_tokens_per_s();
-                if *label == "bbfp:4,2" && batch == 8 {
-                    bbal_batch8_speedup = speedup;
-                }
-                if *label == "mixed" && batch == 8 {
-                    mixed_batch8[usize::from(policy != AdmissionPolicy::Fcfs)] = speedup;
-                }
-                rows.push(vec![
-                    (*label).to_owned(),
-                    policy.label().to_owned(),
-                    batch.to_string(),
-                    fmt2(report.sim_tokens_per_s()),
-                    format!("{speedup:.2}x"),
-                    fmt2(report.mean_ttft_ms()),
-                    fmt2(report.mean_tpot_ms()),
-                    fmt2(report.mean_batch_occupancy()),
-                    fmt2(report.mean_fused_rows_per_gemm()),
-                    report.scheme_switches().to_string(),
-                    format!("{:.1}", report.total_cycles as f64 / 1.0e9),
-                    if identical { "yes" } else { "NO" }.to_owned(),
-                ]);
-                json_rows.push(JsonRow {
-                    lineup: label,
-                    policy: policy.label(),
-                    batch,
-                    kv_budget_pages: None,
-                    kv_budget_bytes: None,
-                    kv_quant: false,
-                    kv_packed: false,
-                    report,
-                    speedup,
-                    speedup_baseline: "sequential",
-                    prefix_cache: true,
-                    identical,
-                });
-            }
-        }
-    }
-
-    print_table(
-        w,
-        &[
-            "scheme",
-            "policy",
-            "batch",
-            "tok/s (sim)",
-            "speedup",
-            "TTFT ms",
-            "TPOT ms",
-            "occupancy",
-            "rows/GEMM",
-            "switches",
-            "Gcycles",
-            "identical",
-        ],
-        &rows,
-    )?;
-    writeln!(w)?;
-    writeln!(
-        w,
-        "bbfp:4,2 @ batch 8: {bbal_batch8_speedup:.2}x aggregate tokens/s vs sequential"
-    )?;
-    writeln!(
-        w,
-        "mixed @ batch 8: {:.2}x under fcfs, {:.2}x under scheme-affinity admission",
-        mixed_batch8[0], mixed_batch8[1]
-    )?;
-    writeln!(
-        w,
-        "per-request outputs bit-identical to sequential across the sweep: {}",
-        if all_identical { "yes" } else { "NO" }
-    )?;
-
-    bench.push(BenchScenario {
-        name: "batch_sweep",
-        wall_ms: section_start.elapsed().as_secs_f64() * 1.0e3,
-        generated_tokens: json_rows.iter().map(|r| r.report.generated_tokens()).sum(),
-    });
-    section_start = Instant::now();
-    let mut section_mark = json_rows.len();
-
-    // --- Memory-pressure sweep -------------------------------------
-    // The mixed batch-8 affinity configuration again, under tightening
-    // KV budgets. The unbounded run's peak pages set the scale; tight
-    // budgets force admission gating and preempt-and-replay, which
-    // must never change a single output token.
-    writeln!(w)?;
-    writeln!(
-        w,
-        "Memory-pressure sweep: mixed lineup, batch 8, affinity admission,"
-    )?;
-    let unbounded = mixed_affinity8.expect("the main sweep serves mixed/affinity/batch 8");
-    let peak = unbounded.peak_kv_pages;
-    writeln!(
-        w,
-        "kv pages of {} tokens; unbounded run peaks at {peak} pages\n",
-        unbounded.kv_page_tokens
-    )?;
-    let budgets: Vec<Option<usize>> = vec![
-        None,
-        Some(peak),
-        Some((peak / 2).max(1)),
-        Some((peak / 4).max(1)),
-    ];
-    let mut mem_rows: Vec<Vec<String>> = Vec::new();
-    let mut pressured_identical = true;
-    let mut half_budget_preemptions = 0u64;
-    for budget in budgets {
-        let report = match budget {
-            None => unbounded.clone(),
-            Some(_) => serve(&MIXED, 8, AFFINITY, budget)?,
-        };
-        let identical = identical_outputs(&unbounded, &report);
-        pressured_identical &= identical;
-        let speedup = report.sim_tokens_per_s() / unbounded.sim_tokens_per_s();
-        if budget == Some((peak / 2).max(1)) {
-            half_budget_preemptions = report.preemptions;
-        }
-        mem_rows.push(vec![
-            budget.map_or("unbounded".to_owned(), |b| b.to_string()),
-            fmt2(report.sim_tokens_per_s()),
-            format!("{speedup:.2}x"),
-            report.peak_kv_pages.to_string(),
-            report.preemptions.to_string(),
-            fmt2(report.mean_ttft_ms()),
-            format!("{:.1}", report.kv_bytes_moved() as f64 / 1.0e6),
-            format!("{:.1}", report.kv_dram_energy_pj / 1.0e6),
-            if identical { "yes" } else { "NO" }.to_owned(),
-        ]);
-        // The unbounded configuration is already in the JSON record
-        // from the main sweep (with the sequential baseline); only the
-        // budgeted rows are new.
-        if budget.is_some() {
-            json_rows.push(JsonRow {
-                lineup: "mixed",
-                policy: AFFINITY.label(),
-                batch: 8,
-                kv_budget_pages: budget,
-                kv_budget_bytes: None,
-                kv_quant: false,
-                kv_packed: false,
-                report,
-                speedup,
-                speedup_baseline: "unbounded",
-                prefix_cache: true,
-                identical,
-            });
-        }
-    }
-    print_table(
-        w,
-        &[
-            "kv budget",
-            "tok/s (sim)",
-            "vs unbound",
-            "peak pages",
-            "preempt",
-            "TTFT ms",
-            "KV MB",
-            "KV uJ",
-            "identical",
-        ],
-        &mem_rows,
-    )?;
-    writeln!(w)?;
-    writeln!(
-        w,
-        "half-peak budget: {half_budget_preemptions} preemptions, outputs bit-identical: {}",
-        if pressured_identical { "yes" } else { "NO" }
-    )?;
-
-    bench.push(BenchScenario {
-        name: "memory_pressure",
-        wall_ms: section_start.elapsed().as_secs_f64() * 1.0e3,
-        generated_tokens: json_rows[section_mark..]
-            .iter()
-            .map(|r| r.report.generated_tokens())
-            .sum(),
-    });
-    section_start = Instant::now();
-    section_mark = json_rows.len();
-
-    // --- Packed-KV pressure sweep ------------------------------------
-    // The same mixed batch-8 affinity trace, now with per-row KV
-    // quantisation on so pages may hold scheme-native packed rows.
-    // Budgets here are *bytes*, not page counts: the byte budget is
-    // half the unbounded dense-storage peak, and both storage layouts
-    // serve under it. Packed block-scheme pages charge a fraction of
-    // their f32 equivalent, so the packed runtime keeps more of the
-    // working set resident and preempts less — with every token still
-    // bit-identical to the unbounded run.
-    writeln!(w)?;
-    writeln!(
-        w,
-        "Packed-KV pressure sweep: mixed lineup, batch 8, affinity admission,"
-    )?;
-    writeln!(
-        w,
-        "KV quantisation on; byte budget = half the unbounded dense-storage peak\n"
-    )?;
-    let quant_unbounded = serve_quant(&MIXED, 8, AFFINITY, None, false)?;
-    let byte_budget = (quant_unbounded.peak_kv_bytes / 2).max(1);
-    let packed_runs: [(&'static str, bool, Option<u64>); 3] = [
-        ("dense-f32", false, None),
-        ("dense-f32", false, Some(byte_budget)),
-        ("packed", true, Some(byte_budget)),
-    ];
-    let mut packed_tbl: Vec<Vec<String>> = Vec::new();
-    let mut packed_identical = true;
-    let mut dense_budget_preemptions = 0u64;
-    let mut packed_budget_preemptions = 0u64;
-    for (label, kv_packed, budget) in packed_runs {
-        let report = if budget.is_none() {
-            quant_unbounded.clone()
-        } else {
-            serve_quant(&MIXED, 8, AFFINITY, budget, kv_packed)?
-        };
-        let identical = identical_outputs(&quant_unbounded, &report);
-        packed_identical &= identical;
-        let speedup = report.sim_tokens_per_s() / quant_unbounded.sim_tokens_per_s();
-        if budget.is_some() {
-            if kv_packed {
-                packed_budget_preemptions = report.preemptions;
-            } else {
-                dense_budget_preemptions = report.preemptions;
-            }
-        }
-        packed_tbl.push(vec![
-            label.to_owned(),
-            budget.map_or("unbounded".to_owned(), |b| b.to_string()),
-            fmt2(report.sim_tokens_per_s()),
-            format!("{speedup:.2}x"),
-            format!("{:.1}", report.peak_kv_bytes as f64 / 1024.0),
-            format!("{:.1}", report.peak_logical_kv_bytes as f64 / 1024.0),
-            report.preemptions.to_string(),
-            if identical { "yes" } else { "NO" }.to_owned(),
-        ]);
-        json_rows.push(JsonRow {
-            lineup: "mixed-kvquant",
-            policy: AFFINITY.label(),
-            batch: 8,
-            kv_budget_pages: None,
-            kv_budget_bytes: budget,
-            kv_quant: true,
-            kv_packed,
-            report,
-            speedup,
-            speedup_baseline: "unbounded-dense-storage",
-            prefix_cache: true,
-            identical,
-        });
-    }
-    print_table(
-        w,
-        &[
-            "storage",
-            "kv budget B",
-            "tok/s (sim)",
-            "vs unbound",
-            "peak KV KiB",
-            "logical KiB",
-            "preempt",
-            "identical",
-        ],
-        &packed_tbl,
-    )?;
-    writeln!(w)?;
-    writeln!(
-        w,
-        "half-peak byte budget ({byte_budget} B): dense storage {dense_budget_preemptions} \
-         preemptions, packed {packed_budget_preemptions}"
-    )?;
-    writeln!(
-        w,
-        "outputs bit-identical across the packed sweep: {}",
-        if packed_identical { "yes" } else { "NO" }
-    )?;
-
-    bench.push(BenchScenario {
-        name: "packed_kv_pressure",
-        wall_ms: section_start.elapsed().as_secs_f64() * 1.0e3,
-        generated_tokens: json_rows[section_mark..]
-            .iter()
-            .map(|r| r.report.generated_tokens())
-            .sum(),
-    });
-    section_start = Instant::now();
-    section_mark = json_rows.len();
-
-    // --- Shared-system-prompt scenario ------------------------------
-    // Every request opens with the same 64-token system prompt; the
-    // prefix cache lets followers adopt the leader's published prefix
-    // pages instead of re-running prefill over them. Warm (the default)
-    // vs cold isolates what the cache buys: page reuse, TTFT collapse,
-    // identical tokens.
-    writeln!(w)?;
-    writeln!(
-        w,
-        "Shared-system-prompt scenario: {REQUESTS} requests, {SHARED_PREFIX}-token shared"
-    )?;
-    writeln!(
-        w,
-        "system prompt + distinct 8-token suffixes, bbfp:4,2, batch 8, fcfs\n"
-    )?;
-    let warm = serve_shared(true)?;
-    let cold = serve_shared(false)?;
-    let shared_identical = identical_outputs(&cold, &warm);
-    let warm_speedup = warm.sim_tokens_per_s() / cold.sim_tokens_per_s();
-    let mut shared_rows: Vec<Vec<String>> = Vec::new();
-    for (label, report, identical) in [("warm", &warm, shared_identical), ("cold", &cold, true)] {
-        shared_rows.push(vec![
-            (*label).to_owned(),
-            fmt2(report.sim_tokens_per_s()),
-            fmt2(report.mean_ttft_ms()),
-            format!("{:.3}", report.kv_page_reuse_ratio()),
-            report.shared_prefix_tokens().to_string(),
-            report.peak_kv_pages.to_string(),
-            report.peak_logical_kv_pages.to_string(),
-            if identical { "yes" } else { "NO" }.to_owned(),
-        ]);
-    }
-    print_table(
-        w,
-        &[
-            "cache",
-            "tok/s (sim)",
-            "TTFT ms",
-            "reuse",
-            "shared tok",
-            "peak pages",
-            "peak logical",
-            "identical",
-        ],
-        &shared_rows,
-    )?;
-    writeln!(w)?;
-    writeln!(
-        w,
-        "prefix cache: {:.3} page-reuse ratio, TTFT {} -> {} ms ({:.2}x tokens/s vs cold)",
-        warm.kv_page_reuse_ratio(),
-        fmt2(cold.mean_ttft_ms()),
-        fmt2(warm.mean_ttft_ms()),
-        warm_speedup
-    )?;
-    json_rows.push(JsonRow {
-        lineup: "shared-prompt",
-        policy: "fcfs",
-        batch: 8,
-        kv_budget_pages: None,
-        kv_budget_bytes: None,
-        kv_quant: false,
-        kv_packed: false,
-        report: warm,
-        speedup: warm_speedup,
-        speedup_baseline: "cold-cache",
-        prefix_cache: true,
-        identical: shared_identical,
-    });
-    json_rows.push(JsonRow {
-        lineup: "shared-prompt",
-        policy: "fcfs",
-        batch: 8,
-        kv_budget_pages: None,
-        kv_budget_bytes: None,
-        kv_quant: false,
-        kv_packed: false,
-        report: cold,
-        speedup: 1.0,
-        speedup_baseline: "cold-cache",
-        prefix_cache: false,
-        identical: true,
-    });
-
-    bench.push(BenchScenario {
-        name: "shared_prompt",
-        wall_ms: section_start.elapsed().as_secs_f64() * 1.0e3,
-        generated_tokens: json_rows[section_mark..]
-            .iter()
-            .map(|r| r.report.generated_tokens())
-            .sum(),
-    });
-    section_start = Instant::now();
-
-    // --- Fleet sweep -------------------------------------------------
-    // Data parallelism across replicas (bbal-fleet): the same generated
-    // workload served by 1..8 identical replicas, a Poisson-vs-bursty
-    // arrival comparison at fixed capacity, and a heterogeneous fleet
-    // where least-loaded routing adapts to unequal batch budgets. All
-    // latency percentiles are in milliseconds of simulated time;
-    // goodput counts requests meeting the per-class SLO deadline.
-    writeln!(w)?;
-    writeln!(
-        w,
-        "Fleet sweep: {FLEET_REQUESTS} generated requests (seed {FLEET_SEED}), mixed 3-scheme"
-    )?;
-    writeln!(
-        w,
-        "traffic, least-loaded routing; saturating Poisson mean gap {SATURATING_GAP} cycles,"
-    )?;
-    writeln!(
-        w,
-        "moderate gap {MODERATE_GAP} cycles; SLO: TTFT <= {} ms, TPOT <= {} ms\n",
-        FLEET_SLO.ttft_ms, FLEET_SLO.tpot_ms
-    )?;
-    let saturating = fleet_trace_config(ArrivalProcess::Poisson {
-        mean_gap_cycles: SATURATING_GAP,
-    })
-    .generate(FLEET_SEED);
-    let mut fleet_rows: Vec<Vec<String>> = Vec::new();
-    let mut fleet_json: Vec<FleetJsonRow> = Vec::new();
-    let push_fleet = |rows: &mut Vec<Vec<String>>,
-                      json: &mut Vec<FleetJsonRow>,
-                      scenario: String,
-                      arrivals: &'static str,
-                      policy: RoutePolicy,
-                      speedup: Option<f64>,
-                      report: FleetReport| {
-        let occupancy = report
-            .replicas
-            .iter()
-            .map(ReplicaSlice::occupancy)
-            .sum::<f64>()
-            / report.replicas.len() as f64;
-        rows.push(vec![
-            scenario.clone(),
-            report.replicas.len().to_string(),
-            arrivals.to_owned(),
-            fmt2(report.fleet_tokens_per_s()),
-            speedup.map_or("-".to_owned(), |s| format!("{s:.2}x")),
-            fmt2(report.ttft_percentile_ms(50.0)),
-            fmt2(report.ttft_percentile_ms(99.0)),
-            fmt2(report.ttft_percentile_ms(99.9)),
-            fmt2(report.tpot_percentile_ms(50.0)),
-            fmt2(report.tpot_percentile_ms(99.0)),
-            format!("{:.2}", report.goodput(&FLEET_SLO)),
-            fmt2(occupancy),
-        ]);
-        json.push(FleetJsonRow {
-            scenario,
-            replicas: report.replicas.len(),
-            policy: match policy {
-                RoutePolicy::RoundRobin => "round-robin",
-                RoutePolicy::LeastLoaded => "least-loaded",
-                RoutePolicy::SchemeAffinity => "scheme-affinity",
-            },
-            arrivals,
-            speedup_vs_single: speedup,
-            report,
-        });
+        records,
+        mixed_affinity8,
     };
-    let mut single_tokens_per_s = 0.0;
-    let mut homo4_speedup = 0.0;
-    for n in [1usize, 2, 4, 8] {
-        let report = run_fleet(homo_specs(n, 8), RoutePolicy::LeastLoaded, &saturating)?;
-        if n == 1 {
-            single_tokens_per_s = report.fleet_tokens_per_s();
-        }
-        let speedup = report.fleet_tokens_per_s() / single_tokens_per_s;
-        if n == 4 {
-            homo4_speedup = speedup;
-        }
-        push_fleet(
-            &mut fleet_rows,
-            &mut fleet_json,
-            format!("homo-{n}"),
-            "poisson-saturating",
-            RoutePolicy::LeastLoaded,
-            Some(speedup),
-            report,
-        );
+    // How fast the *simulator* chews through each section, not simulated
+    // throughput: host-dependent, so compare within one machine.
+    let mut bench = Vec::new();
+    for (name, section) in SECTIONS {
+        let start = Instant::now();
+        let tokens = section(&mut sweep)?;
+        let secs = start.elapsed().as_secs_f64();
+        let fields = [
+            ("name", quote(name)),
+            ("wall_ms", fmt1(secs * 1.0e3)),
+            ("generated_tokens", tokens.to_string()),
+            ("wall_tokens_per_s", fmt1(tokens as f64 / secs)),
+        ];
+        bench.push(obj(fields, false));
     }
-    // Arrival-process comparison at fixed capacity: the bursty process
-    // has the same baseline rate, so only the tail should move.
-    let moderate = fleet_trace_config(ArrivalProcess::Poisson {
-        mean_gap_cycles: MODERATE_GAP,
-    })
-    .generate(FLEET_SEED);
-    let bursty = fleet_trace_config(ArrivalProcess::Bursty {
-        mean_gap_cycles: MODERATE_GAP,
-        modulation: 0.8,
-        period_cycles: BURSTY_PERIOD,
-    })
-    .generate(FLEET_SEED);
-    for (label, trace) in [
-        ("poisson-moderate", &moderate),
-        ("bursty-moderate", &bursty),
-    ] {
-        let report = run_fleet(homo_specs(4, 8), RoutePolicy::LeastLoaded, trace)?;
-        push_fleet(
-            &mut fleet_rows,
-            &mut fleet_json,
-            "arrivals-4".to_owned(),
-            label,
-            RoutePolicy::LeastLoaded,
-            None,
-            report,
-        );
-    }
-    // Heterogeneous fleet: two batch-8 replicas next to two batch-1
-    // ones, under the moderate load (under saturation every queue grows
-    // in lockstep during the arrival burst and least-loaded degenerates
-    // to rotation). The batch-8 replicas drain faster, stay less
-    // loaded, and should therefore absorb more of the traffic.
-    let hetero_specs: Vec<ReplicaSpec> = [8usize, 8, 1, 1]
-        .iter()
-        .enumerate()
-        .map(|(i, &batch)| {
-            ReplicaSpec::new(format!("b{batch}-r{i}"), MODEL).with_config(ServeConfig {
-                max_batch: batch,
-                prefill_chunk: 16,
-                workers: 2,
-                ..ServeConfig::default()
-            })
-        })
-        .collect();
-    let hetero = run_fleet(hetero_specs, RoutePolicy::LeastLoaded, &moderate)?;
-    let hetero_routed: Vec<String> = hetero
-        .replicas
-        .iter()
-        .map(|r| format!("{}:{}", r.name, r.routed))
-        .collect();
-    push_fleet(
-        &mut fleet_rows,
-        &mut fleet_json,
-        "hetero-4".to_owned(),
-        "poisson-moderate",
-        RoutePolicy::LeastLoaded,
-        None,
-        hetero,
-    );
-    print_table(
-        w,
-        &[
-            "scenario",
-            "replicas",
-            "arrivals",
-            "tok/s (sim)",
-            "speedup",
-            "TTFT p50",
-            "p99",
-            "p99.9",
-            "TPOT p50",
-            "p99",
-            "goodput",
-            "occupancy",
-        ],
-        &fleet_rows,
-    )?;
-    writeln!(w)?;
-    writeln!(
-        w,
-        "4 homogeneous replicas: {homo4_speedup:.2}x aggregate tokens/s vs 1 replica"
-    )?;
-    writeln!(
-        w,
-        "hetero fleet routed (replica:requests): {}",
-        hetero_routed.join(", ")
-    )?;
-    bench.push(BenchScenario {
-        name: "fleet",
-        wall_ms: section_start.elapsed().as_secs_f64() * 1.0e3,
-        generated_tokens: fleet_json.iter().map(|r| r.report.generated_tokens()).sum(),
-    });
-    section_start = Instant::now();
-
-    // --- Format-family comparison ------------------------------------
-    // The composable format algebra (bbal-core::algebra) lets MX / MSFP
-    // / block-minifloat scheme ids flow through the exact same stack as
-    // BBFP — same quantiser hooks, packed kernels, PE-area model, KV
-    // accounting, and scheduler — so the families can be pitted against
-    // each other at iso-bit-width on four axes: accuracy proxy (ppl on
-    // the serve model), PE array area, KV bytes per cached token, and
-    // batch-8 served throughput.
-    writeln!(w)?;
-    writeln!(
-        w,
-        "Format-family comparison at iso-bit-width ({MODEL} stand-in, batch 8 FCFS):"
-    )?;
-    writeln!(w)?;
-    let lib = GateLibrary::default();
-    let model_spec = zoo::find(MODEL).ok_or_else(|| {
-        io::Error::new(io::ErrorKind::NotFound, format!("{MODEL} not in the zoo"))
-    })?;
-    let mut family_rows: Vec<Vec<String>> = Vec::new();
-    let mut family_json: Vec<FamilyJsonRow> = Vec::new();
-    let mut family_tokens = 0usize;
-    for id in FAMILY_IDS {
-        let scheme: SchemeSpec = id.parse().map_err(to_io)?;
-        let alg = scheme
-            .algebra()
-            .map_err(to_io)?
-            .expect("every lineup family lowers to the algebra");
-        let bits = alg.cost().equivalent_bit_width;
-        let session = SessionBuilder::new()
-            .model(MODEL)
-            .scheme_spec(scheme)
-            .eval_set(2, 24, 1234)
-            .build()
-            .map_err(to_io)?;
-        let ppl = session.evaluate().ppl;
-        let pe_area = AcceleratorConfig::for_scheme(scheme, 16, 16)
-            .map_err(to_io)?
-            .pe_array_area_um2(&lib);
-        let kv_bytes =
-            KvFootprint::for_scheme(scheme, model_spec.hidden, model_spec.layers).bytes_per_token();
-        let sequential = serve(&[scheme], 1, AdmissionPolicy::Fcfs, None)?;
-        let batched = serve(&[scheme], 8, AdmissionPolicy::Fcfs, None)?;
-        let identical = identical_outputs(&sequential, &batched);
-        family_tokens += sequential.generated_tokens() + batched.generated_tokens();
-        family_rows.push(vec![
-            scheme.paper_name(),
-            format!("{bits:.2}"),
-            format!("{ppl:.2}"),
-            fmt2(pe_area),
-            fmt2(kv_bytes),
-            fmt2(batched.sim_tokens_per_s()),
-            identical.to_string(),
-        ]);
-        family_json.push(FamilyJsonRow {
-            scheme: id.to_owned(),
-            paper_name: scheme.paper_name(),
-            equivalent_bits: bits,
-            ppl,
-            pe_area_um2: pe_area,
-            kv_bytes_per_token: kv_bytes,
-            tokens_per_s: batched.sim_tokens_per_s(),
-            identical,
-        });
-    }
-    print_table(
-        w,
-        &[
-            "format",
-            "eq bits",
-            "ppl",
-            "PE array um2",
-            "KV B/tok",
-            "tok/s (sim)",
-            "identical",
-        ],
-        &family_rows,
-    )?;
-    bench.push(BenchScenario {
-        name: "format_family",
-        wall_ms: section_start.elapsed().as_secs_f64() * 1.0e3,
-        generated_tokens: family_tokens,
-    });
-
-    // --- Machine-diffable record ------------------------------------
-    let json = format!(
-        "{{\n  \"model\": \"{MODEL}\",\n  \"requests\": {REQUESTS},\n  \
-         \"max_new_tokens\": {MAX_NEW},\n  \"configs\": [\n    {}\n  ],\n  \
-         \"fleet\": [\n    {}\n  ],\n  \"format_family\": [\n    {}\n  ]\n}}\n",
-        json_rows
-            .iter()
-            .map(JsonRow::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n    "),
-        fleet_json
-            .iter()
-            .map(FleetJsonRow::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n    "),
-        family_json
-            .iter()
-            .map(FamilyJsonRow::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n    ")
-    );
+    let head = [
+        ("model", quote(MODEL)),
+        ("requests", REQUESTS.to_string()),
+        ("max_new_tokens", MAX_NEW.to_string()),
+    ];
+    let arrays = sweep.records.iter().map(|r| list(r));
+    let sweep_json = obj(head.into_iter().chain(ARRAYS.into_iter().zip(arrays)), true);
+    // Schema-versioned so CI consumers can detect format changes.
+    let bench = [
+        ("schema_version", "1".to_owned()),
+        ("benchmark", quote("serve_sweep")),
+        ("model", quote(MODEL)),
+        ("scenarios", list(&bench)),
+    ];
     std::fs::create_dir_all("results")?;
-    std::fs::write("results/serve_sweep.json", json)?;
-    writeln!(w, "machine-readable record: results/serve_sweep.json")?;
-
-    // --- Simulator wall-clock record (BENCH_serve.json) --------------
-    // Schema-versioned so CI consumers can detect format changes; the
-    // numbers track how fast the simulator itself runs each scenario
-    // (host-dependent — compare within one machine, not across).
-    let bench_json = format!(
-        "{{\n  \"schema_version\": 1,\n  \"benchmark\": \"serve_sweep\",\n  \
-         \"model\": \"{MODEL}\",\n  \"scenarios\": [\n    {}\n  ]\n}}\n",
-        bench
-            .iter()
-            .map(BenchScenario::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n    ")
-    );
-    std::fs::write("results/BENCH_serve.json", bench_json)?;
-    writeln!(w, "simulator wall-clock record: results/BENCH_serve.json")?;
-    Ok(())
+    std::fs::write("results/serve_sweep.json", sweep_json)?;
+    std::fs::write("results/BENCH_serve.json", obj(bench, true))?;
+    let (json, bench) = ("results/serve_sweep.json", "results/BENCH_serve.json");
+    writeln!(
+        sweep.w,
+        "machine-readable record: {json}\nsimulator wall-clock record: {bench}"
+    )
 }
 
 #[cfg(test)]
@@ -1209,11 +818,29 @@ mod tests {
     use super::*;
 
     #[test]
+    fn scenario_names_match_the_committed_bench_record() {
+        // Serves nothing: the CI perf gate compares BENCH_serve.json
+        // scenarios by name, so the runner's sections must be exactly
+        // the committed baseline's, in order.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/BENCH_serve.json"
+        );
+        let committed = std::fs::read_to_string(path).expect("committed BENCH_serve.json");
+        let names: Vec<&str> = committed
+            .split("\"name\":\"")
+            .skip(1)
+            .map(|s| s.split('"').next().unwrap())
+            .collect();
+        assert_eq!(names, SECTIONS.map(|s| s.0));
+    }
+
+    #[test]
     fn batch8_doubles_throughput_with_identical_outputs() {
         // The ISSUE-3 acceptance gate, on the BBAL scheme.
-        let schemes = [SchemeSpec::BBAL_PAPER];
-        let seq = serve(&schemes, 1, AdmissionPolicy::Fcfs, None).unwrap();
-        let batched = serve(&schemes, 8, AdmissionPolicy::Fcfs, None).unwrap();
+        let trace = trace(&[SchemeSpec::BBAL_PAPER]);
+        let seq = serve(config(1, FCFS), &trace).unwrap();
+        let batched = serve(config(8, FCFS), &trace).unwrap();
         for (a, b) in seq.requests.iter().zip(&batched.requests) {
             assert_eq!(a.tokens, b.tokens, "request {} diverged", a.id);
         }
@@ -1226,8 +853,8 @@ mod tests {
         // The ISSUE-4 acceptance gate: scheme-affinity admission lifts
         // the 3-scheme round-robin trace at batch 8 from ~2.2x to at
         // least 3.5x sequential — with outputs still bit-identical.
-        let seq = serve(&MIXED, 1, AdmissionPolicy::Fcfs, None).unwrap();
-        let affinity = serve(&MIXED, 8, AFFINITY, None).unwrap();
+        let seq = serve(config(1, FCFS), &trace(&MIXED)).unwrap();
+        let affinity = serve(config(8, AFFINITY), &trace(&MIXED)).unwrap();
         for (a, b) in seq.requests.iter().zip(&affinity.requests) {
             assert_eq!(a.tokens, b.tokens, "request {} diverged", a.id);
         }
@@ -1253,12 +880,12 @@ mod tests {
         // unconstrained peak, the mixed batch-8 trace completes every
         // request via preemption with outputs bit-identical to the
         // unconstrained run, and reports the memory activity.
-        let unbounded = serve(&MIXED, 8, AFFINITY, None).unwrap();
+        let unbounded = serve(config(8, AFFINITY), &trace(&MIXED)).unwrap();
         assert!(unbounded.peak_kv_pages > 0);
         assert_eq!(unbounded.preemptions, 0);
         assert!(unbounded.kv_dram_energy_pj > 0.0);
         let budget = (unbounded.peak_kv_pages / 2).max(1);
-        let tight = serve(&MIXED, 8, AFFINITY, Some(budget)).unwrap();
+        let tight = serve(config(8, AFFINITY).with_kv_budget(budget), &trace(&MIXED)).unwrap();
         for (a, b) in unbounded.requests.iter().zip(&tight.requests) {
             assert_eq!(a.tokens, b.tokens, "request {} diverged", a.id);
         }
@@ -1282,12 +909,14 @@ mod tests {
         // unbounded dense-storage peak — packed pages charge fewer
         // bytes, keep more of the working set resident and preempt
         // strictly less, while every output token stays bit-identical.
-        let unbounded = serve_quant(&MIXED, 8, AFFINITY, None, false).unwrap();
+        let quant = config(8, AFFINITY).with_kv_quant(true);
+        let unbounded = serve(quant, &trace(&MIXED)).unwrap();
         assert_eq!(unbounded.preemptions, 0);
         assert!(unbounded.peak_kv_bytes > 0);
         let budget = (unbounded.peak_kv_bytes / 2).max(1);
-        let dense = serve_quant(&MIXED, 8, AFFINITY, Some(budget), false).unwrap();
-        let packed = serve_quant(&MIXED, 8, AFFINITY, Some(budget), true).unwrap();
+        let dense = quant.with_kv_budget_bytes(budget);
+        let packed = serve(dense.with_kv_packed(true), &trace(&MIXED)).unwrap();
+        let dense = serve(dense, &trace(&MIXED)).unwrap();
         assert!(
             dense.preemptions > 0,
             "a half-peak byte budget must pressure dense storage"
@@ -1316,12 +945,11 @@ mod tests {
         // 4 homogeneous replicas deliver at least 2x the aggregate
         // tokens/s of a single replica, and the SLO percentiles improve
         // monotonically in the right direction.
-        let trace = fleet_trace_config(ArrivalProcess::Poisson {
+        let trace = fleet_trace(ArrivalProcess::Poisson {
             mean_gap_cycles: SATURATING_GAP,
-        })
-        .generate(FLEET_SEED);
-        let single = run_fleet(homo_specs(1, 8), RoutePolicy::LeastLoaded, &trace).unwrap();
-        let quad = run_fleet(homo_specs(4, 8), RoutePolicy::LeastLoaded, &trace).unwrap();
+        });
+        let single = run_fleet(&[8], &trace).unwrap();
+        let quad = run_fleet(&[8; 4], &trace).unwrap();
         let speedup = quad.fleet_tokens_per_s() / single.fleet_tokens_per_s();
         assert!(speedup >= 2.0, "4-replica speedup only {speedup:.2}x");
         // Same total work, spread across the fleet.
@@ -1348,8 +976,8 @@ mod tests {
         // trace the warm run reports a page-reuse ratio > 0 and a
         // lower TTFT than the cold-cache run, with every output token
         // bit-identical.
-        let warm = serve_shared(true).unwrap();
-        let cold = serve_shared(false).unwrap();
+        let warm = serve(config(8, FCFS), &shared_trace()).unwrap();
+        let cold = serve(config(8, FCFS).with_kv_prefix_cache(false), &shared_trace()).unwrap();
         for (a, b) in cold.requests.iter().zip(&warm.requests) {
             assert_eq!(a.tokens, b.tokens, "request {} diverged", a.id);
         }

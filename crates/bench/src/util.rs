@@ -47,6 +47,11 @@ pub fn normalize_by_max(values: &[f64]) -> Vec<f64> {
     values.iter().map(|v| v / max).collect()
 }
 
+/// Formats a float with four decimals.
+pub fn fmt4(v: f64) -> String {
+    format!("{v:.4}")
+}
+
 /// Formats a float with three significant decimals.
 pub fn fmt3(v: f64) -> String {
     format!("{v:.3}")
@@ -55,6 +60,11 @@ pub fn fmt3(v: f64) -> String {
 /// Formats a float with two decimals.
 pub fn fmt2(v: f64) -> String {
     format!("{v:.2}")
+}
+
+/// Formats a float with one decimal.
+pub fn fmt1(v: f64) -> String {
+    format!("{v:.1}")
 }
 
 /// Adapts a stack error (scheme/config/session) to `io::Error` so the

@@ -20,6 +20,7 @@
 //!                 o = 2 overlap bits
 //! ```
 
+use crate::algebra::{narrow_block, restore_nans};
 use crate::bfp::{exp2i, max_exponent};
 use crate::error::FormatError;
 use crate::format::BbfpConfig;
@@ -240,7 +241,9 @@ pub(crate) fn encode_element(
 /// `out`.
 ///
 /// The final partial block is treated as a smaller block with its own shared
-/// exponent. Non-finite inputs saturate through FP16 narrowing first.
+/// exponent. Infinities saturate through FP16 narrowing first; a NaN
+/// quantises to NaN, and its block's shared exponent comes from the other
+/// elements.
 ///
 /// # Panics
 ///
@@ -275,11 +278,11 @@ pub fn bbfp_quantize_slice_with(
 ) {
     assert_eq!(values.len(), out.len(), "output buffer length mismatch");
     let n = config.block_size();
-    let mut fp16: Vec<Fp16> = Vec::with_capacity(n);
+    let mut fp16 = vec![Fp16::ZERO; n.min(values.len())];
     for (chunk, out_chunk) in values.chunks(n).zip(out.chunks_mut(n)) {
-        fp16.clear();
-        fp16.extend(chunk.iter().map(|&v| Fp16::from_f32_saturating(v)));
-        let shared = policy.shared_exponent(max_exponent(&fp16));
+        let fp16 = &mut fp16[..chunk.len()];
+        let nan = narrow_block(fp16, chunk);
+        let shared = policy.shared_exponent(max_exponent(fp16));
         let scale = exp2i(shared - 14 - config.mantissa_bits() as i32);
         let flag_scale = config.flag_scale();
         let (m, overlap) = (config.mantissa_bits(), config.overlap_bits());
@@ -288,6 +291,9 @@ pub fn bbfp_quantize_slice_with(
             let f = if e.flag { flag_scale } else { 1 };
             let mag = (e.mantissa as u64 * f as u64) as f32 * scale;
             *o = if e.sign { -mag } else { mag };
+        }
+        if nan {
+            restore_nans(chunk, out_chunk);
         }
     }
 }

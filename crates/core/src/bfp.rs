@@ -6,6 +6,7 @@
 //! top `m` bits. This is the baseline the paper improves upon: elements far
 //! below the block maximum lose most or all of their mantissa bits.
 
+use crate::algebra::{narrow_block, restore_nans};
 use crate::error::FormatError;
 use crate::format::BfpConfig;
 use crate::fp16::{Fp16, SIGNIFICAND_BITS};
@@ -182,8 +183,9 @@ pub(crate) fn exp2i(e: i32) -> f32 {
 ///
 /// The final partial block (if `values.len()` is not a multiple of the block
 /// size) is treated as a smaller block with its own shared exponent, which
-/// is how tiled hardware handles ragged edges. Non-finite inputs saturate
-/// through FP16 narrowing first.
+/// is how tiled hardware handles ragged edges. Infinities saturate through
+/// FP16 narrowing first; a NaN quantises to NaN, and its block's shared
+/// exponent comes from the other elements.
 ///
 /// # Panics
 ///
@@ -198,11 +200,11 @@ pub fn bfp_quantize_slice(
     let n = config.block_size();
     let m = config.mantissa_bits() as u32;
     let max_mantissa = (1u64 << m) - 1;
-    let mut fp16: Vec<Fp16> = Vec::with_capacity(n);
+    let mut fp16 = vec![Fp16::ZERO; n.min(values.len())];
     for (chunk, out_chunk) in values.chunks(n).zip(out.chunks_mut(n)) {
-        fp16.clear();
-        fp16.extend(chunk.iter().map(|&v| Fp16::from_f32_saturating(v)));
-        let shared = max_exponent(&fp16);
+        let fp16 = &mut fp16[..chunk.len()];
+        let nan = narrow_block(fp16, chunk);
+        let shared = max_exponent(fp16);
         let scale = exp2i(shared - 14 - m as i32);
         for (v, o) in fp16.iter().zip(out_chunk.iter_mut()) {
             let (sig, exp) = v.significand();
@@ -212,6 +214,9 @@ pub fn bfp_quantize_slice(
                 .min(max_mantissa);
             let mag = q as f32 * scale;
             *o = if v.is_sign_negative() { -mag } else { mag };
+        }
+        if nan {
+            restore_nans(chunk, out_chunk);
         }
     }
 }

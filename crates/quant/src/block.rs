@@ -144,19 +144,26 @@ mod tests {
     #[test]
     fn algebra_quantizer_matches_reference_encoders() {
         // The reference slice encoders stay in bbal-core; the hook must
-        // reproduce them bit for bit on every BFP/BBFP point.
-        let data = outlier_data(300);
-        for scheme in SchemeSpec::enumerate() {
+        // reproduce them bit for bit on every BFP/BBFP point, NaN included:
+        // a NaN quantises to NaN and its block scales by the rest.
+        let clean = outlier_data(300);
+        let mut nan = clean.clone();
+        nan[3] = f32::NAN;
+        nan[40] = -f32::NAN;
+        for (scheme, data) in SchemeSpec::enumerate()
+            .into_iter()
+            .flat_map(|s| [(s, &clean), (s, &nan)])
+        {
             let mut expect = vec![0.0; data.len()];
             match scheme {
                 SchemeSpec::Bfp(m) => bfp_quantize_slice(
-                    &data,
+                    data,
                     BfpConfig::new(m).unwrap(),
                     RoundingMode::NearestEven,
                     &mut expect,
                 ),
                 SchemeSpec::Bbfp(m, o) => bbfp_quantize_slice(
-                    &data,
+                    data,
                     BbfpConfig::new(m, o).unwrap(),
                     RoundingMode::NearestEven,
                     &mut expect,
@@ -170,6 +177,8 @@ mod tests {
                 .zip(&expect)
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "{scheme}");
+            let nan_where_nan = |i: usize| data[i].is_nan() != expect[i].is_finite();
+            assert!((0..data.len()).all(nan_where_nan), "{scheme}");
         }
     }
 

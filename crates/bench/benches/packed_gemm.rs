@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::time::Duration;
 
 /// Outlier-structured weight data quantised through the scheme's own
-/// PTQ hook — exactly what `TransformerModel::pack_weights` stores.
+/// PTQ hook — the values `TransformerModel::with_prepared_weights` stores.
 fn quantised_weights(scheme: SchemeSpec, n: usize) -> Vec<f32> {
     let mut w: Vec<f32> = (0..n)
         .map(|i| {

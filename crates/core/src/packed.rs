@@ -182,14 +182,6 @@ impl Codes {
         }
     }
 
-    /// Reserves room for `more` codes, exactly.
-    fn reserve_exact(&mut self, more: usize) {
-        match self {
-            Codes::I16(codes) => codes.reserve_exact(more),
-            Codes::F32(codes) => codes.reserve_exact(more),
-        }
-    }
-
     /// How many codes fit without growing the buffer.
     fn capacity(&self) -> usize {
         match self {
@@ -335,12 +327,13 @@ struct Blocks {
 }
 
 impl Blocks {
-    /// An empty flat store of `alg`'s codes, `i16` until one does not fit.
-    fn new(alg: FormatAlgebra) -> Blocks {
+    /// An empty flat store of `alg`'s codes, `i16` until one does not
+    /// fit, with room for `values` codes and their blocks' scales.
+    fn with_capacity(alg: FormatAlgebra, values: usize) -> Blocks {
         Blocks {
             alg,
-            codes: Codes::I16(Vec::new()),
-            scale: Vec::new(),
+            codes: Codes::I16(Vec::with_capacity(values)),
+            scale: Vec::with_capacity(values.div_ceil(alg.block_size)),
             scale_range: (f32::INFINITY, 0.0),
             tiled: false,
         }
@@ -361,20 +354,6 @@ impl Blocks {
             }
         }
         out
-    }
-
-    /// An empty flat store with room for `values` codes and their
-    /// blocks' scales.
-    fn with_capacity(alg: FormatAlgebra, values: usize) -> Blocks {
-        let mut blocks = Blocks::new(alg);
-        blocks.reserve_exact(values);
-        blocks
-    }
-
-    /// Reserves room for `values` more codes and their blocks' scales.
-    fn reserve_exact(&mut self, values: usize) {
-        self.codes.reserve_exact(values);
-        self.scale.reserve_exact(values.div_ceil(self.group()));
     }
 
     /// The chunk encoder over raw values: one pass of the block encoder
@@ -570,10 +549,47 @@ impl PackedMatrix {
     ///
     /// Panics if `values.len() != rows * cols` or a dimension is zero.
     pub fn pack(values: &[f32], rows: usize, cols: usize, scheme: SchemeSpec) -> PackedMatrix {
+        PackedMatrix::pack_values(Cow::Borrowed(values), rows, cols, scheme)
+    }
+
+    /// [`PackedMatrix::pack`] over an owned buffer: a layout that keeps
+    /// the f32 values (the dense lane, the FP16 lane) keeps `values`
+    /// itself, so packing a freshly quantised matrix copies nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len() != rows * cols` or a dimension is zero.
+    pub fn pack_owned(
+        values: Vec<f32>,
+        rows: usize,
+        cols: usize,
+        scheme: SchemeSpec,
+    ) -> PackedMatrix {
+        PackedMatrix::pack_values(Cow::Owned(values), rows, cols, scheme)
+    }
+
+    fn pack_values(
+        values: Cow<'_, [f32]>,
+        rows: usize,
+        cols: usize,
+        scheme: SchemeSpec,
+    ) -> PackedMatrix {
         assert!(rows > 0 && cols > 0, "degenerate matrix {rows}x{cols}");
         assert_eq!(values.len(), rows * cols, "data length mismatch");
         let layout = match scheme {
-            SchemeSpec::Fp16 => pack_fp16(values),
+            SchemeSpec::Fp16 => match fp16_bits(&values) {
+                Some(bits) => {
+                    let lane = values.into_owned();
+                    let layout = Layout::Fp16 { bits, lane };
+                    return PackedMatrix {
+                        rows,
+                        cols,
+                        scheme,
+                        layout,
+                    };
+                }
+                None => None,
+            },
             _ => store_algebra(scheme).and_then(|alg| {
                 let mut blocks = Blocks::with_capacity(alg, values.len());
                 let stored = values
@@ -582,7 +598,7 @@ impl PackedMatrix {
                 stored.then(|| blocks.laid_out(rows, cols))
             }),
         };
-        PackedMatrix::verified(rows, cols, scheme, layout, Cow::Borrowed(values))
+        PackedMatrix::verified(rows, cols, scheme, layout, values)
     }
 
     /// Quantises a **raw** `rows × cols` row-major matrix through
@@ -954,21 +970,27 @@ impl Run {
     }
 }
 
-/// Packs FP16: raw bits + exact f32 lane; `None` if any value is not an
-/// exact binary16 (then the dense fallback keeps bit-identity).
-fn pack_fp16(values: &[f32]) -> Option<Layout> {
+/// The raw binary16 bits of FP16-packed values, which stay the layout's
+/// exact f32 lane; `None` if any value is not an exact binary16 (then
+/// the dense fallback keeps bit-identity).
+fn fp16_bits(values: &[f32]) -> Option<Vec<u16>> {
     let mut bits = Vec::with_capacity(values.len());
-    let mut lane = Vec::with_capacity(values.len());
     for &v in values {
         let h = Fp16::from_f32_saturating(v);
-        let back = h.to_f32();
-        if back.to_bits() != v.to_bits() {
+        if h.to_f32().to_bits() != v.to_bits() {
             return None;
         }
         bits.push(h.to_bits());
-        lane.push(back);
     }
-    Some(Layout::Fp16 { bits, lane })
+    Some(bits)
+}
+
+/// `src` in one allocation with room for `room` elements (at least its
+/// own length).
+fn copy_with_room<T: Copy>(src: &[T], room: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(room.max(src.len()));
+    out.extend_from_slice(src);
+    out
 }
 
 /// Largest block the block store encodes. Every scheme's block fits
@@ -1269,7 +1291,7 @@ impl PackedRows {
     pub fn new(scheme: SchemeSpec, width: usize) -> PackedRows {
         let layout = match store_algebra(scheme) {
             Some(alg) if width > 0 && width.is_multiple_of(alg.block_size) => {
-                Layout::Block(Blocks::new(alg))
+                Layout::Block(Blocks::with_capacity(alg, 0))
             }
             _ => Layout::Dense {
                 lane: Vec::new(),
@@ -1315,13 +1337,48 @@ impl PackedRows {
         self.packed_bits().div_ceil(8)
     }
 
-    /// Reserves room for `rows` more rows, exactly, so a buffer sized
-    /// once (a KV page, at its page size) never grows past it.
-    pub fn reserve_exact(&mut self, rows: usize) {
+    /// Rows the buffer holds before any of its buffers has to grow.
+    pub fn capacity(&self) -> usize {
+        let values = match &self.layout {
+            Layout::Block(blocks) => blocks
+                .codes
+                .capacity()
+                .min(blocks.scale.capacity() * blocks.group()),
+            Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => lane.capacity(),
+        };
+        values.checked_div(self.width).unwrap_or(usize::MAX)
+    }
+
+    /// A copy of the buffer with room for `rows` rows (at least its
+    /// own), each of its buffers allocated once at that size, so a
+    /// buffer sized once (a KV page, fresh or copied on write, at its
+    /// page size) never grows past it.
+    pub fn copy_with_capacity(&self, rows: usize) -> PackedRows {
         let values = rows * self.width;
-        match &mut self.layout {
-            Layout::Block(blocks) => blocks.reserve_exact(values),
-            Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => lane.reserve_exact(values),
+        let layout = match &self.layout {
+            Layout::Dense { lane, finite } => Layout::Dense {
+                lane: copy_with_room(lane, values),
+                finite: *finite,
+            },
+            Layout::Fp16 { bits, lane } => Layout::Fp16 {
+                bits: copy_with_room(bits, values),
+                lane: copy_with_room(lane, values),
+            },
+            Layout::Block(blocks) => Layout::Block(Blocks {
+                alg: blocks.alg,
+                codes: match &blocks.codes {
+                    Codes::I16(codes) => Codes::I16(copy_with_room(codes, values)),
+                    Codes::F32(codes) => Codes::F32(copy_with_room(codes, values)),
+                },
+                scale: copy_with_room(&blocks.scale, values.div_ceil(blocks.group())),
+                scale_range: blocks.scale_range,
+                tiled: blocks.tiled,
+            }),
+        };
+        PackedRows {
+            width: self.width,
+            rows: self.rows,
+            layout,
         }
     }
 
@@ -1763,7 +1820,7 @@ mod tests {
     fn encode_rejects_unquantised_input() {
         let alg = SchemeSpec::Bfp(4).block_algebra().unwrap();
         let raw: Vec<f32> = (0..32).map(|i| (i as f32 * 0.37).sin()).collect();
-        let mut blocks = Blocks::new(alg);
+        let mut blocks = Blocks::with_capacity(alg, 0);
         assert!(!blocks.push_quantised(&raw));
         let q = quantised(SchemeSpec::Bfp(4), 32, 3);
         assert!(blocks.push_quantised(&q));
@@ -1968,10 +2025,8 @@ mod tests {
             let (page, width) = (16usize, 192usize);
             let r = raw(page * width, 89);
             let q = quantise(scheme, &r);
-            let mut kv = PackedRows::new(scheme, width);
-            let mut encoded = PackedRows::new(scheme, width);
-            kv.reserve_exact(page);
-            encoded.reserve_exact(page);
+            let mut kv = PackedRows::new(scheme, width).copy_with_capacity(page);
+            let mut encoded = PackedRows::new(scheme, width).copy_with_capacity(page);
             for (row, raw_row) in q.chunks(width).zip(r.chunks(width)) {
                 kv.push_row(row);
                 encoded.push_quantized_row(raw_row, &alg);
@@ -2242,6 +2297,55 @@ mod tests {
                 packed_rows_capacity_bytes(scheme, width, 5) * 2 <= 5 * width * 4,
                 "{scheme} ≤ 0.5× f32 bytes"
             );
+        }
+    }
+
+    /// A copy-on-write copy of a partly filled page holds the same rows
+    /// bit for bit in the same layout, in buffers allocated once at the
+    /// requested row count — block codes and scales, a dense lane, and a
+    /// lane demoted from the block layout alike — and filling it up to
+    /// that count grows nothing.
+    #[test]
+    fn packed_rows_copy_is_one_allocation_at_full_capacity() {
+        let unquantised: Vec<f32> = (0..64).map(|i| 0.1 + i as f32 * 1e-3).collect();
+        let cases = [
+            (SchemeSpec::Bbfp(4, 2), false),
+            (SchemeSpec::Mx(8, 4, 2), false),
+            (SchemeSpec::BlockMf(4, 3, 8), false),
+            (SchemeSpec::Bfp(4), true),
+            (SchemeSpec::Fp32, false),
+        ];
+        for (scheme, demote) in cases {
+            let width = 64;
+            let mut rows = PackedRows::new(scheme, width);
+            for r in 0..3 {
+                rows.push_row(&quantised(scheme, width, 7 + r));
+            }
+            if demote {
+                rows.push_row(&unquantised);
+            }
+            let copy = rows.copy_with_capacity(8);
+            assert_eq!(copy.rows(), rows.rows(), "{scheme}");
+            assert_eq!(copy.layout_kind(), rows.layout_kind(), "{scheme}");
+            let bits =
+                |r: &PackedRows| r.to_dense().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&copy), bits(&rows), "{scheme} contents");
+            assert_eq!(copy.capacity(), 8, "{scheme} capacity");
+            match &copy.layout {
+                Layout::Block(blocks) => {
+                    assert_eq!(blocks.codes.capacity(), 8 * width, "{scheme} codes");
+                    let scales = (8 * width).div_ceil(blocks.group());
+                    assert_eq!(blocks.scale.capacity(), scales, "{scheme} scales");
+                }
+                Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => {
+                    assert_eq!(lane.capacity(), 8 * width, "{scheme} lane");
+                }
+            }
+            let mut filled = copy;
+            while filled.rows() < 8 {
+                filled.push_row(&quantised(scheme, width, 40 + filled.rows() as u64));
+            }
+            assert_eq!(filled.capacity(), 8, "{scheme} grew while filling");
         }
     }
 

@@ -20,7 +20,8 @@
 //! raises PPL monotonically.
 
 use crate::hooks::InferenceHooks;
-use crate::model::TransformerModel;
+use crate::kv::KvArena;
+use crate::model::{KvCache, TransformerModel};
 use crate::ops;
 use crate::rng::Stream;
 use crate::zoo::ModelSpec;
@@ -71,23 +72,40 @@ pub struct PplResult {
 /// Evaluates a quantisation scheme's perplexity proxy on one model.
 ///
 /// `reference` must be the untransformed model; the student is derived by
-/// applying `hooks` to both weights (once) and the forward pass.
+/// applying `hooks` to both weights (once) and the forward pass. The
+/// student runs every sequence as one segment of a single forward, so
+/// each weight matrix is quantised once, when its GEMM runs, and no
+/// quantised copy of the model is built.
 pub fn evaluate_ppl(
     reference: &TransformerModel,
     hooks: &impl InferenceHooks,
     eval: &EvalSet,
 ) -> PplResult {
-    let student_model = reference.with_transformed_weights(hooks);
     let spec = reference.spec();
+    let student_logits = {
+        let arena = KvArena::default();
+        let mut caches: Vec<KvCache> = eval
+            .sequences
+            .iter()
+            .map(|_| reference.kv_cache_in(&arena))
+            .collect();
+        let mut segments: Vec<(&mut KvCache, &[usize])> = caches
+            .iter_mut()
+            .zip(&eval.sequences)
+            .map(|(cache, seq)| (cache, seq.as_slice()))
+            .collect();
+        (!segments.is_empty()).then(|| reference.forward_segments_ptq(&mut segments, hooks))
+    };
     let mut total_kl = 0.0f64;
     let mut positions = 0usize;
 
     for seq in &eval.sequences {
         let teacher_logits = reference.forward(seq, &crate::hooks::ExactHooks);
-        let student_logits = student_model.forward(seq, hooks);
+        let student_logits = student_logits.as_ref().expect("one segment per sequence");
         for pos in 0..seq.len() {
             let t_row = teacher_logits.row(pos);
-            let s_row = student_logits.row(pos);
+            // The student rows run on across the sequences' segments.
+            let s_row = student_logits.row(positions);
             // Common scale derived from the teacher only (fair to both).
             let std = row_std(t_row).max(1e-3);
             let gain = TARGET_LOGIT_STD / std;

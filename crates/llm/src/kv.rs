@@ -773,11 +773,7 @@ impl KvArena {
         charge: u64,
     ) -> Result<PageBuf, ArenaFull> {
         let page_tokens = self.charge_page(charge)?;
-        let rows = || {
-            let mut rows = PackedRows::new(storage, width);
-            rows.reserve_exact(page_tokens);
-            rows
-        };
+        let rows = || PackedRows::new(storage, width).copy_with_capacity(page_tokens);
         Ok(PageBuf {
             k: rows(),
             v: rows(),
@@ -787,8 +783,8 @@ impl KvArena {
 
     /// Allocates a private copy of `page` — the copy-on-write of a shared
     /// partial tail page — charged `charge` bytes as [`KvArena::alloc`]
-    /// charges a fresh page: its rows, with room reserved up to the full
-    /// `page_tokens` rows.
+    /// charges a fresh page: its rows, in buffers allocated once at the
+    /// full `page_tokens` rows.
     ///
     /// # Errors
     ///
@@ -796,14 +792,9 @@ impl KvArena {
     /// reclaimable.
     pub(crate) fn copy_page(&self, page: &PageBuf, charge: u64) -> Result<PageBuf, ArenaFull> {
         let page_tokens = self.charge_page(charge)?;
-        let copy = |rows: &PackedRows| {
-            let mut copy = rows.clone();
-            copy.reserve_exact(page_tokens.saturating_sub(rows.rows()));
-            copy
-        };
         Ok(PageBuf {
-            k: copy(&page.k),
-            v: copy(&page.v),
+            k: page.k.copy_with_capacity(page_tokens),
+            v: page.v.copy_with_capacity(page_tokens),
             charge,
         })
     }

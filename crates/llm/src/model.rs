@@ -47,7 +47,7 @@ pub struct LayerWeights<W = Tensor> {
 
 impl<W> LayerWeights<W> {
     /// The same layer with every matrix converted by `f`.
-    fn map<U>(&self, mut f: impl FnMut(&W) -> U) -> LayerWeights<U> {
+    fn map<'a, U>(&'a self, mut f: impl FnMut(&'a W) -> U) -> LayerWeights<U> {
         LayerWeights {
             wq: f(&self.wq),
             wk: f(&self.wk),
@@ -57,24 +57,6 @@ impl<W> LayerWeights<W> {
             w_up: f(&self.w_up),
             w_down: f(&self.w_down),
         }
-    }
-}
-
-impl<W> LayerWeights<Option<W>> {
-    /// The layer of every matrix, if none is missing.
-    fn all_some(self) -> Option<LayerWeights<W>> {
-        Some(LayerWeights {
-            wq: self.wq?,
-            wk: self.wk?,
-            wv: self.wv?,
-            wo: self.wo?,
-            w_gate: match self.w_gate {
-                Some(gate) => Some(gate?),
-                None => None,
-            },
-            w_up: self.w_up?,
-            w_down: self.w_down?,
-        })
     }
 }
 
@@ -343,8 +325,9 @@ impl Linears<PackedMatrix> {
 enum Weights {
     /// Dense f32 tensors: a synthesised or PTQ-transformed model.
     Dense(Linears<Tensor>),
-    /// Packed for the scheme by [`TransformerModel::pack_weights`] —
-    /// the only copy of a prepared model's weights.
+    /// Packed for the scheme by
+    /// [`TransformerModel::with_prepared_weights`] — the only copy of a
+    /// prepared model's weights.
     Packed(SchemeSpec, Linears<PackedMatrix>),
 }
 
@@ -372,11 +355,28 @@ impl Linear for PackedMatrix {
     }
 }
 
+/// A borrowed reference weight under a PTQ hook: every GEMM quantises
+/// a copy of the matrix, runs the scalar reference GEMM over it and
+/// drops it — the GEMM of `with_transformed_weights(hooks)` with only
+/// one quantised matrix alive at a time.
+struct Quantised<'a, H> {
+    weight: &'a Tensor,
+    hooks: &'a H,
+}
+
+impl<H: InferenceHooks> Linear for Quantised<'_, H> {
+    fn apply(&self, x: &Tensor, workers: usize) -> Tensor {
+        let mut w = self.weight.clone();
+        self.hooks.transform_weights(w.data_mut());
+        w.apply(x, workers)
+    }
+}
+
 /// A decoder-only transformer with synthetic weights.
 ///
-/// After PTQ ([`TransformerModel::with_transformed_weights`]) the
-/// decoder weights can additionally be *packed* into their scheme's
-/// native bit layout ([`TransformerModel::pack_weights`]); every weight
+/// A prepared model ([`TransformerModel::with_prepared_weights`]) holds
+/// its PTQ-quantised decoder weights *packed* in their scheme's native
+/// bit layout; every weight
 /// GEMM in [`prefill_chunk`](TransformerModel::prefill_chunk) (and so
 /// in `forward`, `prefill` and `decode_step`) then routes
 /// through the packed block-dot kernels — bit-identical to the scalar
@@ -592,63 +592,65 @@ impl TransformerModel {
         }
     }
 
-    /// Packs every decoder weight matrix into `scheme`'s native bit
-    /// layout so subsequent GEMMs run on the packed kernels. Call after
-    /// [`TransformerModel::with_transformed_weights`] with the scheme
-    /// that produced the weights; any weight the layout cannot reproduce
-    /// bit-for-bit falls back to a dense lane, so outputs are identical
-    /// either way. The unembedding stays full precision (as in PTQ) and
-    /// packs as an f32 lane. The dense tensors are dropped: the packed
-    /// form becomes the model's only copy of its linear weights.
-    pub fn pack_weights(&mut self, scheme: SchemeSpec) {
-        let linears = {
-            let dense = self.dense();
-            let pack =
-                |t: &Tensor, scheme| PackedMatrix::pack(t.data(), t.rows(), t.cols(), scheme);
-            Linears {
-                layers: dense
-                    .layers
-                    .iter()
-                    .map(|l| l.map(|t| pack(t, scheme)))
-                    .collect(),
-                unembedding: pack(&dense.unembedding, SchemeSpec::Fp32),
-            }
-        };
-        self.weights = Weights::Packed(scheme, linears);
-    }
-
-    /// Quantises every decoder weight matrix through `scheme`'s block
-    /// quantiser and packs it in the same pass
-    /// ([`PackedMatrix::encode`]): the PTQ step and
-    /// [`TransformerModel::pack_weights`] at once, with no dense
-    /// quantised copy of the model. Equal, bit for bit, to
-    /// [`TransformerModel::with_transformed_weights`] under the scheme's
-    /// block quantiser followed by `pack_weights(scheme)`. The
-    /// unembedding stays full precision and packs as an f32 lane. `None`
-    /// when `scheme` has no block layout.
-    pub fn with_encoded_weights(&self, scheme: SchemeSpec) -> Option<TransformerModel> {
+    /// The model prepared for serving under `scheme`: every decoder
+    /// weight matrix quantised by the PTQ step and packed in `scheme`'s
+    /// native layout, one matrix at a time, so no dense quantised copy
+    /// of the model is ever built. A block scheme quantises and packs in
+    /// one encode pass ([`PackedMatrix::encode`]; `hooks` must then be
+    /// that block quantiser); any other scheme quantises a copy of the
+    /// matrix with `hooks.transform_weights` and packs that buffer
+    /// itself ([`PackedMatrix::pack_owned`]). Equal, bit for bit, to
+    /// [`TransformerModel::with_transformed_weights`] followed by
+    /// [`PackedMatrix::pack`] of every matrix. The unembedding stays
+    /// full precision and packs as an f32 lane.
+    pub fn with_prepared_weights(
+        &self,
+        scheme: SchemeSpec,
+        hooks: &impl InferenceHooks,
+    ) -> TransformerModel {
         let dense = self.dense();
-        let encode = |t: &Tensor| PackedMatrix::encode(t.data(), t.rows(), t.cols(), scheme);
-        let layers = dense
-            .layers
-            .iter()
-            .map(|layer| layer.map(encode).all_some())
-            .collect::<Option<Vec<_>>>()?;
+        let prepare = |t: &Tensor| {
+            let (data, rows, cols) = (t.data(), t.rows(), t.cols());
+            PackedMatrix::encode(data, rows, cols, scheme).unwrap_or_else(|| {
+                let mut w = data.to_vec();
+                hooks.transform_weights(&mut w);
+                PackedMatrix::pack_owned(w, rows, cols, scheme)
+            })
+        };
         let u = &dense.unembedding;
         let unembedding = PackedMatrix::pack(u.data(), u.rows(), u.cols(), SchemeSpec::Fp32);
-        Some(TransformerModel {
+        TransformerModel {
             spec: self.spec.clone(),
             embedding: self.embedding.clone(),
             weights: Weights::Packed(
                 scheme,
                 Linears {
-                    layers,
+                    layers: dense.layers.iter().map(|l| l.map(prepare)).collect(),
                     unembedding,
                 },
             ),
             outlier_channels: self.outlier_channels.clone(),
             gemm_workers: self.gemm_workers,
-        })
+        }
+    }
+
+    /// Test support, not part of the API: every packed weight matrix of
+    /// a prepared model in decoder order (each layer's `wq`, `wk`, `wv`,
+    /// `wo`, gate, up, down), the unembedding last; empty for a dense
+    /// model.
+    #[doc(hidden)]
+    pub fn packed_matrices(&self) -> Vec<&PackedMatrix> {
+        let Weights::Packed(_, w) = &self.weights else {
+            return Vec::new();
+        };
+        let layers = w.layers.iter().flat_map(|l| {
+            let attention = [&l.wq, &l.wk, &l.wv, &l.wo];
+            attention
+                .into_iter()
+                .chain(&l.w_gate)
+                .chain([&l.w_up, &l.w_down])
+        });
+        layers.chain([&w.unembedding]).collect()
     }
 
     /// The scheme the decoder weights are currently packed for, if any.
@@ -749,8 +751,8 @@ impl TransformerModel {
     /// logits: a [`prefill_chunk`](TransformerModel::prefill_chunk) of
     /// the whole sequence into a scratch KV cache. Activation transforms
     /// and nonlinear hooks are applied at every layer; weight transforms
-    /// are *not* (call [`TransformerModel::with_transformed_weights`]
-    /// first).
+    /// are *not* (call [`TransformerModel::with_transformed_weights`] or
+    /// [`TransformerModel::with_prepared_weights`] first).
     ///
     /// # Panics
     ///
@@ -815,16 +817,38 @@ impl TransformerModel {
         hooks: &impl InferenceHooks,
     ) -> Tensor {
         match &self.weights {
-            Weights::Dense(w) => self.decode_segments(w, segments, hooks),
-            Weights::Packed(_, linears) => self.decode_segments(linears, segments, hooks),
+            Weights::Dense(w) => self.decode_segments(&w.layers, &w.unembedding, segments, hooks),
+            Weights::Packed(_, w) => {
+                self.decode_segments(&w.layers, &w.unembedding, segments, hooks)
+            }
         }
+    }
+
+    /// [`forward_segments`](TransformerModel::forward_segments) of
+    /// `with_transformed_weights(hooks)`, bit for bit, without building
+    /// that model: each decoder weight is quantised when its GEMM runs
+    /// and dropped afterwards, so one quantised matrix is alive at a
+    /// time. The unembedding stays full precision.
+    pub(crate) fn forward_segments_ptq(
+        &self,
+        segments: &mut [(&mut KvCache, &[usize])],
+        hooks: &impl InferenceHooks,
+    ) -> Tensor {
+        let dense = self.dense();
+        let layers: Vec<_> = dense
+            .layers
+            .iter()
+            .map(|l| l.map(|weight| Quantised { weight, hooks }))
+            .collect();
+        self.decode_segments(&layers, &dense.unembedding, segments, hooks)
     }
 
     /// The decoder body of [`forward_segments`](TransformerModel::forward_segments),
     /// over whichever storage holds the weights.
     fn decode_segments<W: Linear>(
         &self,
-        weights: &Linears<W>,
+        layers: &[LayerWeights<W>],
+        unembedding: &impl Linear,
         segments: &mut [(&mut KvCache, &[usize])],
         hooks: &impl InferenceHooks,
     ) -> Tensor {
@@ -858,7 +882,7 @@ impl TransformerModel {
 
         let workers = self.gemm_workers;
         let act = self.spec.activation();
-        for (li, layer) in weights.layers.iter().enumerate() {
+        for (li, layer) in layers.iter().enumerate() {
             // --- Attention block ---
             let mut a = self.normalise(&x);
             per_segment(&mut a, &|rows| hooks.transform_activations(rows));
@@ -902,7 +926,7 @@ impl TransformerModel {
         }
 
         let final_norm = self.normalise(&x);
-        weights.unembedding.apply(&final_norm, workers)
+        unembedding.apply(&final_norm, workers)
     }
 
     /// Causal attention of one segment's query rows `span` (of `q`) over
@@ -1479,9 +1503,10 @@ mod tests {
         // scalar GEMMs — run over the weights decoded from the packed
         // storage — bit for bit on block-quantised weights.
         for scheme in PACKED_SCHEMES {
-            let mut model = TransformerModel::synthesize(&tiny_test_model())
-                .with_transformed_weights(&Quantise(store(scheme, true, false)));
-            model.pack_weights(scheme.parse().unwrap());
+            let model = TransformerModel::synthesize(&tiny_test_model()).with_prepared_weights(
+                scheme.parse().unwrap(),
+                &Quantise(store(scheme, true, false)),
+            );
             let tokens = [1usize, 5, 9, 2];
             let scalar = reference(&model, &tokens, &ExactHooks);
             let packed = model.forward(&tokens, &ExactHooks);
@@ -1499,10 +1524,10 @@ mod tests {
             out
         };
         for scheme in PACKED_SCHEMES {
-            let transformed = TransformerModel::synthesize(&tiny_test_model())
-                .with_transformed_weights(&Quantise(store(scheme, true, false)));
-            let mut packed = transformed.clone();
-            packed.pack_weights(scheme.parse().unwrap());
+            let reference = TransformerModel::synthesize(&tiny_test_model());
+            let hooks = Quantise(store(scheme, true, false));
+            let transformed = reference.with_transformed_weights(&hooks);
+            let packed = reference.with_prepared_weights(scheme.parse().unwrap(), &hooks);
             assert!(
                 matches!(packed.weights, Weights::Packed(..)),
                 "no dense mirror"
@@ -1554,5 +1579,36 @@ mod tests {
         let step_a2 = model.decode_step(1, &ExactHooks, &mut cache);
         let step_b2 = model.decode_step(1, &ExactHooks, &mut clone);
         assert_eq!(step_a2, step_b2);
+    }
+
+    #[test]
+    fn copy_on_write_copies_a_tail_page_at_full_capacity() {
+        // The private copy of a shared partial tail page is one
+        // allocation at the page size holding the shared rows bit for
+        // bit, packed and dense stores alike.
+        let model = TransformerModel::synthesize(&tiny_test_model());
+        for st in [store("bbfp:4,2", true, true), KvStore::dense_f32()] {
+            let arena = KvArena::unbounded(8);
+            let mut cache = model.kv_cache_with(&arena, st);
+            model.prefill(&[5, 6, 7], &ExactHooks, &mut cache);
+            let shared = cache.clone();
+            model.decode_step(9, &ExactHooks, &mut cache);
+            for (li, layer) in cache.layers.iter().enumerate() {
+                let tail = &layer.pages[0];
+                assert!(!Arc::ptr_eq(tail, &shared.layers[li].pages[0]), "copied");
+                assert_eq!(tail.k.capacity(), 8, "{st:?} key rows");
+                assert_eq!(tail.v.capacity(), 8, "{st:?} value rows");
+                for pos in 0..3 {
+                    let bits = |(k, v): (Vec<f32>, Vec<f32>)| {
+                        k.iter().chain(&v).map(|x| x.to_bits()).collect::<Vec<_>>()
+                    };
+                    assert_eq!(
+                        bits(cache.kv_row(li, pos)),
+                        bits(shared.kv_row(li, pos)),
+                        "{st:?} layer {li} row {pos}"
+                    );
+                }
+            }
+        }
     }
 }

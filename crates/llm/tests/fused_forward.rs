@@ -85,9 +85,7 @@ fn models() -> &'static [Vec<TransformerModel>; 2] {
             let mut models = vec![reference.clone()];
             for scheme in schemes() {
                 let hooks = hooks_for(scheme).expect("every swept scheme has hooks");
-                let mut prepared = reference.with_transformed_weights(&hooks.as_ref());
-                prepared.pack_weights(scheme);
-                models.push(prepared);
+                models.push(reference.with_prepared_weights(scheme, &hooks.as_ref()));
             }
             models
         })

@@ -540,11 +540,11 @@ impl Session {
     }
 
     /// Quantises the weights once (the PTQ step) and packs them into
-    /// the scheme's native bit layout for the packed GEMM kernels. A
-    /// block scheme does both in one encode pass straight from the
-    /// reference weights ([`TransformerModel::with_encoded_weights`]:
-    /// its hooks are that block quantiser); any other scheme runs its
-    /// PTQ hook, then packs. Idempotent; called automatically by the
+    /// the scheme's native bit layout for the packed GEMM kernels, one
+    /// matrix at a time ([`TransformerModel::with_prepared_weights`]: a
+    /// block scheme's hooks are its block quantiser, which encodes and
+    /// packs in one pass; any other scheme runs its PTQ hook on each
+    /// matrix, then packs it). Idempotent; called automatically by the
     /// serving entry points.
     ///
     /// Sessions cloned from one [`SessionBuilder`] (a serve pool's
@@ -566,14 +566,7 @@ impl Session {
             let model = cached.unwrap_or_else(|| {
                 let mut built = self
                     .reference
-                    .with_encoded_weights(self.scheme)
-                    .unwrap_or_else(|| {
-                        let mut ptq = self
-                            .reference
-                            .with_transformed_weights(&self.hooks.as_ref());
-                        ptq.pack_weights(self.scheme);
-                        ptq
-                    });
+                    .with_prepared_weights(self.scheme, &self.hooks.as_ref());
                 built.set_gemm_workers(self.gemm_workers);
                 let built = Arc::new(built);
                 let mut cache = match self.prepared_cache.lock() {

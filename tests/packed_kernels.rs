@@ -69,8 +69,8 @@ fn activations(n: usize, seed: u64) -> Vec<f32> {
 }
 
 /// Weights as the model stores them: raw values pushed through the
-/// scheme's own PTQ hook (`transform_weights`), i.e. exactly what
-/// `TransformerModel::pack_weights` hands to `PackedMatrix::pack`.
+/// scheme's own PTQ hook (`transform_weights`), i.e. exactly the values
+/// `TransformerModel::with_prepared_weights` packs.
 fn quantised_weights(scheme: SchemeSpec, n: usize, seed: u64) -> Vec<f32> {
     let mut w = raw_values(n, seed);
     let hooks = hooks_for(scheme).expect("every Table II scheme has hooks");

@@ -20,7 +20,7 @@ use bbal_fleet::{
     ArrivalProcess, Fleet, FleetReport, LengthDistribution, ReplicaSlice, ReplicaSpec, RoutePolicy,
     SloBudget, TraceConfig,
 };
-use bbal_llm::zoo;
+use bbal_llm::{zoo, KvBudget};
 use bbal_mem::KvFootprint;
 use bbal_serve::{AdmissionPolicy, GenerateRequest, ServeConfig, ServeReport, ServeRuntime};
 use bbal_session::SessionBuilder;
@@ -191,6 +191,13 @@ fn or(v: Option<impl ToString>, none: &str) -> String {
     v.map_or(none.to_owned(), |v| v.to_string())
 }
 
+/// A run's KV budget when it counts `unit` (`"page"` or `"byte"`),
+/// else `none`.
+fn budget_in(r: &Served, unit: &str, none: &str) -> String {
+    let budget = r.config.kv_budget.filter(|b| b.unit() == unit);
+    or(budget.map(KvBudget::limit), none)
+}
+
 /// Writes ordered `(key, rendered value)` pairs as a JSON object, on one
 /// line or (`pretty`, for a file's top level) one field per line.
 fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, String)>, pretty: bool) -> String {
@@ -312,8 +319,8 @@ impl Record for Served {
         ("lineup", |r| quote(r.lineup)),
         ("policy", |r| quote(r.config.admission.label())),
         ("batch", |r| r.config.max_batch.to_string()),
-        ("kv_budget_pages", |r| or(r.config.kv_budget_pages, "null")),
-        ("kv_budget_bytes", |r| or(r.config.kv_budget_bytes, "null")),
+        ("kv_budget_pages", |r| budget_in(r, "page", "null")),
+        ("kv_budget_bytes", |r| budget_in(r, "byte", "null")),
         ("kv_quant", |r| r.config.kv_quant.to_string()),
         ("kv_packed", |r| r.config.kv_packed.to_string()),
         ("tokens_per_s", |r| fmt3(r.report.sim_tokens_per_s())),
@@ -450,7 +457,7 @@ fn memory_pressure(s: &mut Sweep) -> io::Result<usize> {
         yes(rows.iter().all(|r| r.identical))
     );
     let cols: [Field<Served>; 9] = [
-        ("kv budget", |r| or(r.config.kv_budget_pages, "unbounded")),
+        ("kv budget", |r| budget_in(r, "page", "unbounded")),
         TOK_S,
         ("vs unbound", SPEEDUP),
         PEAK_PAGES,
@@ -491,7 +498,7 @@ fn packed_kv_pressure(s: &mut Sweep) -> io::Result<usize> {
         ("storage", |r| {
             ["dense-f32", "packed"][r.config.kv_packed as usize].to_owned()
         }),
-        ("kv budget B", |r| or(r.config.kv_budget_bytes, "unbounded")),
+        ("kv budget B", |r| budget_in(r, "byte", "unbounded")),
         TOK_S,
         ("vs unbound", SPEEDUP),
         ("peak KV KiB", |r| {
@@ -930,7 +937,7 @@ mod tests {
         );
         assert!(dense.peak_kv_bytes <= budget);
         assert!(packed.peak_kv_bytes <= budget);
-        assert_eq!(packed.kv_budget_bytes, Some(budget));
+        assert_eq!(packed.kv_budget, Some(KvBudget::Bytes(budget)));
         for (a, b) in unbounded.requests.iter().zip(&dense.requests) {
             assert_eq!(a.tokens, b.tokens, "dense request {} diverged", a.id);
         }

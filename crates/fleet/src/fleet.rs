@@ -321,8 +321,11 @@ mod tests {
         let trace = TraceConfig::tiny_test(16).generate(13);
         let mut fleet = Fleet::new(specs, RoutePolicy::RoundRobin).unwrap();
         let report = fleet.serve(&trace).unwrap();
-        assert_eq!(report.replicas[0].report.kv_budget_pages, None);
-        assert_eq!(report.replicas[1].report.kv_budget_pages, Some(64));
+        assert_eq!(report.replicas[0].report.kv_budget, None);
+        assert_eq!(
+            report.replicas[1].report.kv_budget,
+            Some(bbal_llm::KvBudget::Pages(64))
+        );
         let slo = SloBudget {
             ttft_ms: f64::INFINITY,
             tpot_ms: f64::INFINITY,

@@ -72,7 +72,7 @@ mod router;
 mod tracegen;
 
 pub use fleet::{Fleet, ReplicaSpec};
-pub use report::{FleetReport, ReplicaSlice, SchemeGoodput, SloBudget};
+pub use report::{FleetReport, ReplicaSlice, SloBudget};
 pub use router::{ReplicaSignals, RoutePolicy, Router};
 pub use tracegen::{ArrivalProcess, LengthDistribution, TraceConfig};
 

@@ -6,7 +6,6 @@
 //! aggregates convert through each replica's `clock_ghz` so TTFT/TPOT
 //! percentiles and goodput are comparable across a heterogeneous fleet.
 
-use bbal_core::SchemeSpec;
 use bbal_serve::{percentile, ServeReport};
 
 /// A per-class service-level objective: deadlines on time-to-first-token
@@ -18,29 +17,6 @@ pub struct SloBudget {
     /// TPOT deadline in ms (applied to requests with ≥ 2 tokens; a
     /// single-token request has no inter-token gap to measure).
     pub tpot_ms: f64,
-}
-
-/// Goodput of one scheme class under an [`SloBudget`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchemeGoodput {
-    /// The scheme class.
-    pub scheme: SchemeSpec,
-    /// Requests of this class that finished within the budget.
-    pub met: usize,
-    /// All requests of this class routed into the fleet (rejected ones
-    /// count as missed — they consumed the class's traffic share).
-    pub total: usize,
-}
-
-impl SchemeGoodput {
-    /// `met / total`, 0 for an empty class.
-    pub fn fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.met as f64 / self.total as f64
-        }
-    }
 }
 
 /// One replica's slice of the fleet run.
@@ -78,14 +54,13 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Iterates `(scheme, ttft_ms, tpot_ms if ≥2 tokens, served)` per
-    /// routed request, already converted through its replica's clock.
+    /// Iterates `(ttft_ms, tpot_ms if ≥2 tokens, served)` per routed
+    /// request, already converted through its replica's clock.
     fn request_metrics(&self) -> impl Iterator<Item = RequestMetrics> + '_ {
         self.assignments.iter().map(|&(replica, local)| {
             let report = &self.replicas[replica].report;
             let r = &report.requests[local];
             RequestMetrics {
-                scheme: r.scheme,
                 served: r.rejected.is_none() && !r.tokens.is_empty(),
                 ttft_ms: report.cycles_to_ms(r.ttft_cycles()),
                 tpot_ms: (r.tokens.len() >= 2).then(|| r.tpot_cycles() * report.cycles_to_ms(1)),
@@ -162,30 +137,6 @@ impl FleetReport {
         met as f64 / self.assignments.len() as f64
     }
 
-    /// Goodput broken out per scheme class, in scheme order of first
-    /// appearance in the trace.
-    pub fn goodput_by_scheme(&self, slo: &SloBudget) -> Vec<SchemeGoodput> {
-        let mut classes: Vec<SchemeGoodput> = Vec::new();
-        for m in self.request_metrics() {
-            let entry = match classes.iter_mut().find(|c| c.scheme == m.scheme) {
-                Some(e) => e,
-                None => {
-                    classes.push(SchemeGoodput {
-                        scheme: m.scheme,
-                        met: 0,
-                        total: 0,
-                    });
-                    classes.last_mut().expect("just pushed")
-                }
-            };
-            entry.total += 1;
-            if m.meets(slo) {
-                entry.met += 1;
-            }
-        }
-        classes
-    }
-
     /// Total ring-all-reduce wire bytes across every tensor-sharded
     /// replica (0 for a pure data-parallel fleet).
     pub fn interconnect_wire_bytes(&self) -> u64 {
@@ -215,7 +166,6 @@ impl FleetReport {
 /// One routed request's SLO-relevant numbers in the fleet's common
 /// millisecond domain.
 struct RequestMetrics {
-    scheme: SchemeSpec,
     served: bool,
     ttft_ms: f64,
     tpot_ms: Option<f64>,

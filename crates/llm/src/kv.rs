@@ -39,11 +39,15 @@
 //!   *partial* tail page first copies it into a private page
 //!   (copy-on-write); full pages stay shared forever.
 //!
-//! The budget counts **unique** pages: a page shared by ten caches
-//! costs one page of arena space. [`KvArena::pages_in_use`] reports
-//! unique pages (what the budget is judged against) and
-//! [`KvArena::logical_pages_in_use`] the per-holder view (what the
-//! caches would cost without sharing); the gap is the sharing win.
+//! The budget is one [`KvBudget`]: a number of pages, or a number of
+//! bytes of page charges. Either way a page has one cost against it (1
+//! under a page budget, its byte charge under a byte budget), and every
+//! decision compares that cost with what the budget has free. The
+//! budget counts **unique** pages: a page shared by ten caches costs
+//! one page of arena space. [`KvArena::in_use`] reports unique pages
+//! and bytes (what the budget is judged against) and
+//! [`KvArena::logical_in_use`] the per-holder view (what the caches
+//! would cost without sharing); the gap is the sharing win.
 //!
 //! Index entries whose pages no cache references any more are
 //! *reclaimable*: they are evicted least-recently-used, either on
@@ -62,25 +66,113 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// bookkeeping is negligible against the attention math.
 pub const DEFAULT_PAGE_TOKENS: usize = 16;
 
+/// A KV arena's budget: what it counts, and how much of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KvBudget {
+    /// At most this many unique pages; every page costs 1.
+    Pages(usize),
+    /// At most this many bytes of page charges; every page costs its
+    /// charge (its full-page capacity under its cache's store), so a
+    /// packed store fits more pages than a dense one.
+    Bytes(u64),
+}
+
+impl KvBudget {
+    /// The budget, in its own unit.
+    pub fn limit(self) -> u64 {
+        match self {
+            KvBudget::Pages(pages) => pages as u64,
+            KvBudget::Bytes(bytes) => bytes,
+        }
+    }
+
+    /// What `usage` costs against this budget: its pages or its bytes.
+    pub fn cost(self, usage: KvUsage) -> u64 {
+        match self {
+            KvBudget::Pages(_) => usage.pages as u64,
+            KvBudget::Bytes(_) => usage.bytes,
+        }
+    }
+
+    /// The budget's unit, singular: `"page"` or `"byte"`.
+    pub fn unit(self) -> &'static str {
+        match self {
+            KvBudget::Pages(_) => "page",
+            KvBudget::Bytes(_) => "byte",
+        }
+    }
+}
+
+impl fmt::Display for KvBudget {
+    /// `"64 pages"`, `"4096 bytes"`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {}s", self.limit(), self.unit())
+    }
+}
+
+/// An amount of KV storage counted both ways: pages, and the bytes
+/// those pages are charged.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KvUsage {
+    /// Pages.
+    pub pages: usize,
+    /// Bytes charged by those pages.
+    pub bytes: u64,
+}
+
+impl KvUsage {
+    /// One page charged `bytes`.
+    pub fn page(bytes: u64) -> KvUsage {
+        KvUsage { pages: 1, bytes }
+    }
+
+    /// Both counts less `other`'s, clamped at zero.
+    pub fn saturating_sub(self, other: KvUsage) -> KvUsage {
+        KvUsage {
+            pages: self.pages.saturating_sub(other.pages),
+            bytes: self.bytes.saturating_sub(other.bytes),
+        }
+    }
+
+    /// The larger of each count (the update of a high-water mark).
+    pub fn max(self, other: KvUsage) -> KvUsage {
+        KvUsage {
+            pages: self.pages.max(other.pages),
+            bytes: self.bytes.max(other.bytes),
+        }
+    }
+}
+
+impl std::ops::Add for KvUsage {
+    type Output = KvUsage;
+
+    fn add(self, other: KvUsage) -> KvUsage {
+        KvUsage {
+            pages: self.pages + other.pages,
+            bytes: self.bytes + other.bytes,
+        }
+    }
+}
+
+impl std::iter::Sum for KvUsage {
+    fn sum<I: Iterator<Item = KvUsage>>(iter: I) -> KvUsage {
+        iter.fold(KvUsage::default(), |a, b| a + b)
+    }
+}
+
 /// The arena has no free page left (its budget is exhausted and no
 /// reclaimable prefix-cache entry remains).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArenaFull {
-    /// The arena's budget in pages, if one is set.
-    pub budget_pages: Option<usize>,
-    /// The arena's budget in bytes, if one is set.
-    pub budget_bytes: Option<u64>,
+    /// The arena's budget, if one is set.
+    pub budget: Option<KvBudget>,
 }
 
 impl fmt::Display for ArenaFull {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (self.budget_pages, self.budget_bytes) {
-            (Some(p), Some(b)) => {
-                write!(f, "KV arena budget of {p} pages / {b} bytes exhausted")
-            }
-            (Some(p), None) => write!(f, "KV arena budget of {p} pages exhausted"),
-            (None, Some(b)) => write!(f, "KV arena budget of {b} bytes exhausted"),
-            (None, None) => write!(f, "KV arena budget exhausted"),
+        match self.budget {
+            Some(budget) => write!(f, "KV arena budget of {budget} exhausted"),
+            None => write!(f, "KV arena budget exhausted"),
         }
     }
 }
@@ -177,19 +269,6 @@ impl KvStore {
             _ => rows.push_row(row),
         }
     }
-
-    /// Bytes a `layers`-layer cache holding `tokens` tokens occupies
-    /// under this store — whole pages, the byte twin of
-    /// [`KvArena::pages_for_tokens`].
-    pub fn bytes_for_tokens(
-        &self,
-        hidden: usize,
-        page_tokens: usize,
-        tokens: usize,
-        layers: usize,
-    ) -> u64 {
-        (layers * tokens.div_ceil(page_tokens)) as u64 * self.page_bytes(hidden, page_tokens)
-    }
 }
 
 impl Default for KvStore {
@@ -276,40 +355,27 @@ pub struct PrefixProbe {
     /// Prompt tokens covered by resident indexed blocks (a multiple of
     /// [`KvArena::page_tokens`]).
     pub tokens: usize,
-    /// Total pages those blocks span (`blocks × layers`).
-    pub pages: usize,
-    /// Of those, pages some cache already holds a reference to — pages
-    /// a new adopter gets *for free* against the budget, because they
-    /// are pinned by another request either way.
-    pub held_pages: usize,
-    /// Byte twin of `pages`: charges of the resident blocks' pages.
-    pub bytes: u64,
-    /// Byte twin of `held_pages`.
-    pub held_bytes: u64,
+    /// The pages those blocks span (`blocks × layers`) and their
+    /// charges.
+    pub resident: KvUsage,
+    /// Of those, the pages some cache already holds a reference to —
+    /// pages a new adopter gets *for free* against the budget, because
+    /// they are pinned by another request either way.
+    pub held: KvUsage,
 }
 
 #[derive(Debug)]
 struct ArenaInner {
     page_tokens: usize,
-    budget_pages: Option<usize>,
-    /// Optional budget in *bytes* of packed page storage — the honest
-    /// twin of `budget_pages` once pages are scheme-sized. Both budgets
-    /// are enforced when both are set.
-    budget_bytes: Option<u64>,
+    budget: Option<KvBudget>,
     /// Unique pages allocated and not yet released (shared pages count
-    /// once).
-    unique: usize,
-    peak_unique: usize,
-    /// Bytes charged by unique pages (each page's full-capacity charge).
-    unique_bytes: u64,
-    peak_unique_bytes: u64,
+    /// once), with each page's full-capacity charge.
+    unique: KvUsage,
+    peak_unique: KvUsage,
     /// Page handles held by caches (shared pages count once per
     /// holder). Excludes the prefix index's own references.
-    logical: usize,
-    peak_logical: usize,
-    /// Byte twin of `logical`: page charges summed per holder.
-    logical_bytes: u64,
-    peak_logical_bytes: u64,
+    logical: KvUsage,
+    peak_logical: KvUsage,
     /// (class, prefix hash) → indexed block.
     index: BTreeMap<(u64, u64), PrefixEntry>,
     /// LRU clock, bumped once per adoption/publication.
@@ -340,21 +406,24 @@ impl ArenaInner {
             // of an index page is made under the lock too, so unwrap
             // cannot race; stay defensive anyway.
             if let Ok(buf) = Arc::try_unwrap(page) {
-                self.unique = self.unique.saturating_sub(1);
-                self.unique_bytes = self.unique_bytes.saturating_sub(buf.charge);
+                self.unique = self.unique.saturating_sub(KvUsage::page(buf.charge));
             }
         }
         self.evictions += 1;
         true
     }
 
-    /// Bytes still allocatable under the byte budget without eviction
-    /// (`u64::MAX` when no byte budget is set).
-    fn free_bytes(&self) -> u64 {
-        match self.budget_bytes {
-            Some(b) => b.saturating_sub(self.unique_bytes),
-            None => u64::MAX,
-        }
+    /// Budget still allocatable without eviction, in the budget's unit
+    /// (`u64::MAX` for an unbounded arena).
+    fn free(&self) -> u64 {
+        self.budget
+            .map_or(u64::MAX, |b| b.limit().saturating_sub(b.cost(self.unique)))
+    }
+
+    /// Counts `added` more cache-held page handles.
+    fn hold(&mut self, added: KvUsage) {
+        self.logical = self.logical + added;
+        self.peak_logical = self.peak_logical.max(self.logical);
     }
 }
 
@@ -368,12 +437,13 @@ impl ArenaInner {
 /// pages with every other cache in the arena.
 ///
 /// ```
-/// use bbal_llm::KvArena;
+/// use bbal_llm::{KvArena, KvBudget};
 ///
-/// let arena = KvArena::with_budget(4, 64);
+/// let arena = KvArena::with_budget(4, KvBudget::Pages(64));
 /// assert_eq!(arena.page_tokens(), 4);
-/// assert_eq!(arena.budget_pages(), Some(64));
-/// assert_eq!(arena.pages_in_use(), 0);
+/// assert_eq!(arena.budget(), Some(KvBudget::Pages(64)));
+/// assert_eq!(arena.free(), 64);
+/// assert_eq!(arena.in_use().pages, 0);
 /// // 10 tokens over 3 layers at 4 tokens/page: 3 pages per layer.
 /// assert_eq!(arena.pages_for_tokens(10, 3), 9);
 /// ```
@@ -387,7 +457,7 @@ impl fmt::Debug for KvArena {
         let g = self.lock();
         f.debug_struct("KvArena")
             .field("page_tokens", &g.page_tokens)
-            .field("budget_pages", &g.budget_pages)
+            .field("budget", &g.budget)
             .field("unique", &g.unique)
             .field("logical", &g.logical)
             .field("peak_unique", &g.peak_unique)
@@ -397,76 +467,38 @@ impl fmt::Debug for KvArena {
 }
 
 impl KvArena {
-    /// An arena with no page budget (allocation never fails).
+    /// An arena with no budget (allocation never fails).
     ///
     /// # Panics
     ///
     /// Panics if `page_tokens` is zero.
     pub fn unbounded(page_tokens: usize) -> KvArena {
-        KvArena::build(page_tokens, None, None)
+        KvArena::build(page_tokens, None)
     }
 
-    /// An arena limited to `budget_pages` pages across every cache that
-    /// draws from it.
+    /// An arena limited to `budget` across every cache that draws from
+    /// it: a number of pages, or a number of bytes of page charges (a
+    /// compressed page charges only its packed capacity, so a byte
+    /// budget admits more compressed pages than f32 ones).
     ///
     /// # Panics
     ///
-    /// Panics if `page_tokens` or `budget_pages` is zero.
-    pub fn with_budget(page_tokens: usize, budget_pages: usize) -> KvArena {
-        assert!(budget_pages > 0, "zero-page budget");
-        KvArena::build(page_tokens, Some(budget_pages), None)
+    /// Panics if `page_tokens` or the budget is zero.
+    pub fn with_budget(page_tokens: usize, budget: KvBudget) -> KvArena {
+        assert!(budget.limit() > 0, "zero-{} budget", budget.unit());
+        KvArena::build(page_tokens, Some(budget))
     }
 
-    /// An arena limited to `budget_bytes` bytes of packed page storage
-    /// across every cache that draws from it — the honest budget once
-    /// pages are scheme-sized (a compressed page charges only its
-    /// packed capacity, so a byte budget admits more compressed pages
-    /// than f32 ones).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page_tokens` or `budget_bytes` is zero.
-    pub fn with_byte_budget(page_tokens: usize, budget_bytes: u64) -> KvArena {
-        assert!(budget_bytes > 0, "zero-byte budget");
-        KvArena::build(page_tokens, None, Some(budget_bytes))
-    }
-
-    /// An arena constrained by any combination of page and byte budgets
-    /// (`None` + `None` is [`KvArena::unbounded`]). Allocation fails as
-    /// soon as *either* budget is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page_tokens` is zero, or if either budget is `Some(0)`.
-    pub fn with_budgets(
-        page_tokens: usize,
-        budget_pages: Option<usize>,
-        budget_bytes: Option<u64>,
-    ) -> KvArena {
-        assert!(budget_pages != Some(0), "zero-page budget");
-        assert!(budget_bytes != Some(0), "zero-byte budget");
-        KvArena::build(page_tokens, budget_pages, budget_bytes)
-    }
-
-    fn build(
-        page_tokens: usize,
-        budget_pages: Option<usize>,
-        budget_bytes: Option<u64>,
-    ) -> KvArena {
+    fn build(page_tokens: usize, budget: Option<KvBudget>) -> KvArena {
         assert!(page_tokens > 0, "zero-token pages");
         KvArena {
             inner: Arc::new(Mutex::new(ArenaInner {
                 page_tokens,
-                budget_pages,
-                budget_bytes,
-                unique: 0,
-                peak_unique: 0,
-                unique_bytes: 0,
-                peak_unique_bytes: 0,
-                logical: 0,
-                peak_logical: 0,
-                logical_bytes: 0,
-                peak_logical_bytes: 0,
+                budget,
+                unique: KvUsage::default(),
+                peak_unique: KvUsage::default(),
+                logical: KvUsage::default(),
+                peak_logical: KvUsage::default(),
                 index: BTreeMap::new(),
                 clock: 0,
                 hits: 0,
@@ -491,78 +523,43 @@ impl KvArena {
         self.lock().page_tokens
     }
 
-    /// The budget in pages, or `None` for an unbounded arena.
-    pub fn budget_pages(&self) -> Option<usize> {
-        self.lock().budget_pages
+    /// The budget, or `None` for an unbounded arena.
+    pub fn budget(&self) -> Option<KvBudget> {
+        self.lock().budget
     }
 
-    /// The budget in bytes, or `None` when no byte budget is set.
-    pub fn budget_bytes(&self) -> Option<u64> {
-        self.lock().budget_bytes
-    }
-
-    /// Bytes charged by unique pages — the byte twin of
-    /// [`KvArena::pages_in_use`], judged against the byte budget.
-    pub fn bytes_in_use(&self) -> u64 {
-        self.lock().unique_bytes
-    }
-
-    /// Byte twin of [`KvArena::logical_pages_in_use`]: page charges
-    /// summed per holder. `logical − unique` bytes is the sharing win.
-    pub fn logical_bytes_in_use(&self) -> u64 {
-        self.lock().logical_bytes
-    }
-
-    /// Bytes still allocatable before the byte budget is hit, without
-    /// eviction (`u64::MAX` when no byte budget is set).
-    pub fn free_bytes(&self) -> u64 {
-        self.lock().free_bytes()
-    }
-
-    /// High-water mark of [`KvArena::bytes_in_use`].
-    pub fn peak_bytes(&self) -> u64 {
-        self.lock().peak_unique_bytes
-    }
-
-    /// High-water mark of [`KvArena::logical_bytes_in_use`].
-    pub fn peak_logical_bytes(&self) -> u64 {
-        self.lock().peak_logical_bytes
-    }
-
-    /// Unique pages currently allocated — what the budget is
-    /// judged against. A page shared by many caches (or retained only
-    /// by the prefix index) counts once.
-    pub fn pages_in_use(&self) -> usize {
+    /// Unique pages currently allocated, and the bytes they charge —
+    /// what the budget is judged against. A page shared by many caches
+    /// (or retained only by the prefix index) counts once.
+    pub fn in_use(&self) -> KvUsage {
         self.lock().unique
     }
 
-    /// Page handles held by caches: what the same caches would occupy
-    /// without sharing. `logical − unique` pages is the space sharing
-    /// saved. Prefix-index retention does not count as a holder.
-    pub fn logical_pages_in_use(&self) -> usize {
+    /// Page handles held by caches, and their charges: what the same
+    /// caches would occupy without sharing. `logical − unique` is the
+    /// space sharing saved. Prefix-index retention does not count as a
+    /// holder.
+    pub fn logical_in_use(&self) -> KvUsage {
         self.lock().logical
     }
 
-    /// Pages still allocatable before the budget is hit, *without*
-    /// evicting anything (`usize::MAX` for an unbounded arena).
-    pub fn free_pages(&self) -> usize {
-        let g = self.lock();
-        match g.budget_pages {
-            Some(b) => b.saturating_sub(g.unique),
-            None => usize::MAX,
-        }
+    /// Budget still allocatable before it is hit, *without* evicting
+    /// anything, in the budget's unit (`u64::MAX` for an unbounded
+    /// arena).
+    pub fn free(&self) -> u64 {
+        self.lock().free()
     }
 
-    /// High-water mark of [`KvArena::pages_in_use`] (unique pages) over
-    /// the arena's lifetime.
-    pub fn peak_pages(&self) -> usize {
+    /// High-water marks of [`KvArena::in_use`] over the arena's
+    /// lifetime (pages and bytes each their own maximum).
+    pub fn peak(&self) -> KvUsage {
         self.lock().peak_unique
     }
 
-    /// High-water mark of [`KvArena::logical_pages_in_use`]: the peak
-    /// the reports would have shown if shared pages were double-counted
-    /// per holder.
-    pub fn peak_logical_pages(&self) -> usize {
+    /// High-water marks of [`KvArena::logical_in_use`]: the peak the
+    /// reports would have shown if shared pages were double-counted per
+    /// holder.
+    pub fn peak_logical(&self) -> KvUsage {
         self.lock().peak_logical
     }
 
@@ -575,26 +572,16 @@ impl KvArena {
         layers * tokens.div_ceil(self.lock().page_tokens)
     }
 
-    /// Pages held *only* by the prefix index: evicting them frees real
-    /// budget space without touching any active cache.
-    pub fn reclaimable_pages(&self) -> usize {
+    /// Pages held *only* by the prefix index, and their charges:
+    /// evicting them frees real budget space without touching any
+    /// active cache.
+    pub fn reclaimable(&self) -> KvUsage {
         let g = self.lock();
         g.index
             .values()
             .flat_map(|e| &e.pages)
             .filter(|p| Arc::strong_count(p) == 1)
-            .count()
-    }
-
-    /// Byte twin of [`KvArena::reclaimable_pages`]: charges of pages
-    /// held only by the prefix index.
-    pub fn reclaimable_bytes(&self) -> u64 {
-        let g = self.lock();
-        g.index
-            .values()
-            .flat_map(|e| &e.pages)
-            .filter(|p| Arc::strong_count(p) == 1)
-            .map(|p| p.charge)
+            .map(|p| KvUsage::page(p.charge))
             .sum()
     }
 
@@ -634,12 +621,10 @@ impl KvArena {
                 break;
             }
             probe.tokens += pt;
-            probe.pages += layers;
             for p in &entry.pages {
-                probe.bytes += p.charge;
+                probe.resident = probe.resident + KvUsage::page(p.charge);
                 if Arc::strong_count(p) > 1 {
-                    probe.held_pages += 1;
-                    probe.held_bytes += p.charge;
+                    probe.held = probe.held + KvUsage::page(p.charge);
                 }
             }
         }
@@ -647,34 +632,16 @@ impl KvArena {
     }
 
     /// Evicts least-recently-used reclaimable prefix entries until at
-    /// least `pages` pages are allocatable without further eviction (or
-    /// nothing reclaimable remains). Returns the entries evicted. A
-    /// scheduler calls this before dispatching a tick's allocations so
-    /// worker threads never have to evict (eviction order stays
-    /// deterministic). No-op on an unbounded arena.
-    pub fn ensure_free(&self, pages: usize) -> usize {
+    /// least `amount` (in the budget's unit) is allocatable without
+    /// further eviction (or nothing reclaimable remains). Returns the
+    /// entries evicted. A scheduler calls this before dispatching a
+    /// tick's allocations so worker threads never have to evict
+    /// (eviction order stays deterministic). No-op on an unbounded
+    /// arena.
+    pub fn ensure_free(&self, amount: u64) -> usize {
         let mut g = self.lock();
-        let Some(budget) = g.budget_pages else {
-            return 0;
-        };
         let mut evicted = 0;
-        while budget.saturating_sub(g.unique) < pages && g.evict_one() {
-            evicted += 1;
-        }
-        evicted
-    }
-
-    /// Byte twin of [`KvArena::ensure_free`]: evicts LRU reclaimable
-    /// prefix entries until at least `bytes` bytes are allocatable
-    /// without further eviction (or nothing reclaimable remains).
-    /// Returns the entries evicted. No-op without a byte budget.
-    pub fn ensure_free_bytes(&self, bytes: u64) -> usize {
-        let mut g = self.lock();
-        if g.budget_bytes.is_none() {
-            return 0;
-        }
-        let mut evicted = 0;
-        while g.free_bytes() < bytes && g.evict_one() {
+        while g.free() < amount && g.evict_one() {
             evicted += 1;
         }
         evicted
@@ -714,14 +681,8 @@ impl KvArena {
         } else {
             g.hits += blocks.len() as u64;
         }
-        g.logical += blocks.len() * layers;
-        g.peak_logical = g.peak_logical.max(g.logical);
-        g.logical_bytes += blocks
-            .iter()
-            .flatten()
-            .map(|p: &PageRef| p.charge)
-            .sum::<u64>();
-        g.peak_logical_bytes = g.peak_logical_bytes.max(g.logical_bytes);
+        let adopted = blocks.iter().flatten().map(|p| KvUsage::page(p.charge));
+        g.hold(adopted.sum());
         blocks
     }
 
@@ -801,47 +762,34 @@ impl KvArena {
 
     /// Counts one new page of `charge` bytes as held (unique and
     /// logical, with their peaks) and returns the arena's page size in
-    /// tokens. When a budget (pages or bytes) is exhausted, reclaimable
-    /// prefix entries are evicted LRU-first before giving up.
+    /// tokens. When the budget is exhausted, reclaimable prefix entries
+    /// are evicted LRU-first before giving up.
     ///
     /// # Errors
     ///
-    /// [`ArenaFull`] when a budget is exhausted and nothing is
+    /// [`ArenaFull`] when the budget is exhausted and nothing is
     /// reclaimable.
     fn charge_page(&self, charge: u64) -> Result<usize, ArenaFull> {
+        let page = KvUsage::page(charge);
         let mut g = self.lock();
-        if g.budget_pages.is_some() || g.budget_bytes.is_some() {
-            let over = |g: &ArenaInner| {
-                g.budget_pages.is_some_and(|b| g.unique >= b) || g.free_bytes() < charge
-            };
-            while over(&g) && g.evict_one() {}
-            if over(&g) {
-                return Err(ArenaFull {
-                    budget_pages: g.budget_pages,
-                    budget_bytes: g.budget_bytes,
-                });
+        if let Some(budget) = g.budget {
+            let cost = budget.cost(page);
+            while g.free() < cost && g.evict_one() {}
+            if g.free() < cost {
+                return Err(ArenaFull { budget: g.budget });
             }
         }
-        g.unique += 1;
+        g.unique = g.unique + page;
         g.peak_unique = g.peak_unique.max(g.unique);
-        g.unique_bytes += charge;
-        g.peak_unique_bytes = g.peak_unique_bytes.max(g.unique_bytes);
-        g.logical += 1;
-        g.peak_logical = g.peak_logical.max(g.logical);
-        g.logical_bytes += charge;
-        g.peak_logical_bytes = g.peak_logical_bytes.max(g.logical_bytes);
+        g.hold(page);
         Ok(g.page_tokens)
     }
 
-    /// Registers `handles` additional cache-held references (charging
-    /// `bytes` in total) to already allocated pages (a copy-on-write
-    /// cache clone): logical pages grow, unique pages do not.
-    pub(crate) fn share(&self, handles: usize, bytes: u64) {
-        let mut g = self.lock();
-        g.logical += handles;
-        g.peak_logical = g.peak_logical.max(g.logical);
-        g.logical_bytes += bytes;
-        g.peak_logical_bytes = g.peak_logical_bytes.max(g.logical_bytes);
+    /// Registers `shared` additional cache-held references to already
+    /// allocated pages (a copy-on-write cache clone): logical pages
+    /// grow, unique pages do not.
+    pub(crate) fn share(&self, shared: KvUsage) {
+        self.lock().hold(shared);
     }
 
     /// Drops one cache-held page reference. The page itself is freed
@@ -849,13 +797,12 @@ impl KvArena {
     /// prefix index); otherwise only the holder count drops.
     pub(crate) fn release_ref(&self, page: PageRef) {
         let mut g = self.lock();
-        debug_assert!(g.logical > 0, "releasing into an empty arena");
-        g.logical = g.logical.saturating_sub(1);
-        g.logical_bytes = g.logical_bytes.saturating_sub(page.charge);
-        if let Ok(buf) = Arc::try_unwrap(page) {
-            debug_assert!(g.unique > 0, "freeing an untracked page");
-            g.unique = g.unique.saturating_sub(1);
-            g.unique_bytes = g.unique_bytes.saturating_sub(buf.charge);
+        debug_assert!(g.logical.pages > 0, "releasing into an empty arena");
+        let usage = KvUsage::page(page.charge);
+        g.logical = g.logical.saturating_sub(usage);
+        if Arc::try_unwrap(page).is_ok() {
+            debug_assert!(g.unique.pages > 0, "freeing an untracked page");
+            g.unique = g.unique.saturating_sub(usage);
         }
     }
 }
@@ -904,26 +851,25 @@ mod tests {
 
     #[test]
     fn budget_is_enforced_and_released_pages_recycle() {
-        let arena = KvArena::with_budget(8, 2);
+        let arena = KvArena::with_budget(8, KvBudget::Pages(2));
         let a = alloc_ref(&arena).unwrap();
         let b = alloc_ref(&arena).unwrap();
-        assert_eq!(arena.pages_in_use(), 2);
-        assert_eq!(arena.free_pages(), 0);
+        assert_eq!(arena.in_use().pages, 2);
+        assert_eq!(arena.free(), 0);
         assert_eq!(
             arena.alloc(SchemeSpec::Fp32, 1, 0).unwrap_err(),
             ArenaFull {
-                budget_pages: Some(2),
-                budget_bytes: None
+                budget: Some(KvBudget::Pages(2))
             }
         );
         arena.release_ref(a);
-        assert_eq!(arena.pages_in_use(), 1);
+        assert_eq!(arena.in_use().pages, 1);
         let c = alloc_ref(&arena).unwrap();
-        assert_eq!(arena.peak_pages(), 2);
+        assert_eq!(arena.peak().pages, 2);
         arena.release_ref(b);
         arena.release_ref(c);
-        assert_eq!(arena.pages_in_use(), 0);
-        assert_eq!(arena.logical_pages_in_use(), 0);
+        assert_eq!(arena.in_use().pages, 0);
+        assert_eq!(arena.logical_in_use().pages, 0);
     }
 
     #[test]
@@ -932,74 +878,72 @@ mod tests {
         let mut page = arena.alloc(SchemeSpec::Fp32, 2, 8).unwrap();
         page.k.push_row(&[1.0, 2.0]);
         arena.release_ref(Arc::new(page));
-        assert_eq!(arena.bytes_in_use(), 0);
+        assert_eq!(arena.in_use().bytes, 0);
         let fresh = arena.alloc(SchemeSpec::Bfp(4), 32, 4).unwrap();
         assert!(fresh.k.is_empty() && fresh.v.is_empty());
         assert_eq!(fresh.k.width(), 32);
         assert_eq!(fresh.charge, 4);
-        assert_eq!(arena.bytes_in_use(), 4);
+        assert_eq!(arena.in_use().bytes, 4);
     }
 
     #[test]
     fn byte_budget_is_enforced_and_released_bytes_recycle() {
-        let arena = KvArena::with_byte_budget(8, 100);
-        assert_eq!(arena.budget_pages(), None);
-        assert_eq!(arena.budget_bytes(), Some(100));
-        assert_eq!(arena.free_bytes(), 100);
+        let arena = KvArena::with_budget(8, KvBudget::Bytes(100));
+        assert_eq!(arena.budget(), Some(KvBudget::Bytes(100)));
+        assert_eq!(arena.free(), 100);
         let a = Arc::new(arena.alloc(SchemeSpec::Fp32, 1, 60).unwrap());
-        assert_eq!(arena.bytes_in_use(), 60);
-        assert_eq!(arena.free_bytes(), 40);
+        assert_eq!(arena.in_use().bytes, 60);
+        assert_eq!(arena.free(), 40);
         assert_eq!(
             arena.alloc(SchemeSpec::Fp32, 1, 60).unwrap_err(),
             ArenaFull {
-                budget_pages: None,
-                budget_bytes: Some(100)
+                budget: Some(KvBudget::Bytes(100))
             }
         );
         // A smaller page still fits: byte budgets admit by size, not
         // count.
         let b = Arc::new(arena.alloc(SchemeSpec::Fp32, 1, 40).unwrap());
-        assert_eq!(arena.peak_bytes(), 100);
-        assert_eq!(arena.logical_bytes_in_use(), 100);
+        assert_eq!(arena.peak().bytes, 100);
+        assert_eq!(arena.logical_in_use().bytes, 100);
         arena.release_ref(a);
-        assert_eq!(arena.bytes_in_use(), 40);
+        assert_eq!(arena.in_use().bytes, 40);
         let c = Arc::new(arena.alloc(SchemeSpec::Fp32, 1, 60).unwrap());
         arena.release_ref(b);
         arena.release_ref(c);
-        assert_eq!(arena.bytes_in_use(), 0);
-        assert_eq!(arena.logical_bytes_in_use(), 0);
-        assert_eq!(arena.peak_bytes(), 100);
+        assert_eq!(arena.in_use().bytes, 0);
+        assert_eq!(arena.logical_in_use().bytes, 0);
+        assert_eq!(arena.peak().bytes, 100);
     }
 
     #[test]
     fn byte_budget_evicts_reclaimable_prefix_entries() {
-        let arena = KvArena::with_byte_budget(2, 100);
+        let arena = KvArena::with_budget(2, KvBudget::Bytes(100));
         let cold = publish_block_charged(&arena, 1, &[1, 2], 80);
         arena.release_ref(cold);
-        assert_eq!(arena.reclaimable_bytes(), 80);
+        assert_eq!(arena.reclaimable().bytes, 80);
         // The next allocation does not fit without evicting the entry.
         let page = Arc::new(arena.alloc(SchemeSpec::Fp32, 1, 50).unwrap());
         assert_eq!(arena.prefix_stats().evictions, 1);
-        assert_eq!(arena.bytes_in_use(), 50);
+        assert_eq!(arena.in_use().bytes, 50);
         arena.release_ref(page);
     }
 
     #[test]
     fn ensure_free_bytes_evicts_up_front() {
-        let arena = KvArena::with_byte_budget(2, 100);
+        let arena = KvArena::with_budget(2, KvBudget::Bytes(100));
         for (prefix, charge) in [([1usize, 2], 30), ([3, 4], 30), ([5, 6], 30)] {
             let p = publish_block_charged(&arena, 1, &prefix, charge);
             arena.release_ref(p);
         }
-        assert_eq!(arena.free_bytes(), 10);
-        assert_eq!(arena.ensure_free_bytes(10), 0); // already free
-        assert_eq!(arena.ensure_free_bytes(50), 2); // evicts two entries
-        assert_eq!(arena.free_bytes(), 70);
-        // Unbounded (no byte budget): never evicts.
-        let unbounded = KvArena::with_budget(2, 8);
+        assert_eq!(arena.free(), 10);
+        assert_eq!(arena.ensure_free(10), 0); // already free
+        assert_eq!(arena.ensure_free(50), 2); // evicts two entries
+        assert_eq!(arena.free(), 70);
+        // Unbounded (no budget): never evicts.
+        let unbounded = KvArena::unbounded(2);
         let p = publish_block_charged(&unbounded, 1, &[1, 2], 30);
         unbounded.release_ref(p);
-        assert_eq!(unbounded.ensure_free_bytes(u64::MAX), 0);
+        assert_eq!(unbounded.ensure_free(u64::MAX), 0);
     }
 
     #[test]
@@ -1009,18 +953,18 @@ mod tests {
         let released = publish_block_charged(&arena, 1, &[1, 2, 3, 4], 10);
         arena.release_ref(released);
         let probe = arena.probe_prefix(1, &[1, 2, 3, 4], 4, 1);
-        assert_eq!(probe.bytes, 20);
-        assert_eq!(probe.held_bytes, 10);
+        assert_eq!(probe.resident.bytes, 20);
+        assert_eq!(probe.held.bytes, 10);
         let blocks = arena.adopt_prefix(1, &[1, 2, 3, 4], 4, 1);
         assert_eq!(blocks.len(), 2);
         // held (10) + adopter's two handles (20).
-        assert_eq!(arena.logical_bytes_in_use(), 30);
+        assert_eq!(arena.logical_in_use().bytes, 30);
         for block in blocks {
             for page in block {
                 arena.release_ref(page);
             }
         }
-        assert_eq!(arena.logical_bytes_in_use(), 10);
+        assert_eq!(arena.logical_in_use().bytes, 10);
         drop(held);
     }
 
@@ -1035,7 +979,7 @@ mod tests {
 
     #[test]
     fn clones_share_the_budget() {
-        let arena = KvArena::with_budget(4, 1);
+        let arena = KvArena::with_budget(4, KvBudget::Pages(1));
         let other = arena.clone();
         let page = alloc_ref(&other).unwrap();
         assert!(arena.alloc(SchemeSpec::Fp32, 1, 0).is_err());
@@ -1046,8 +990,8 @@ mod tests {
     #[test]
     fn unbounded_reports_max_free() {
         let arena = KvArena::default();
-        assert_eq!(arena.free_pages(), usize::MAX);
-        assert_eq!(arena.budget_pages(), None);
+        assert_eq!(arena.free(), u64::MAX);
+        assert_eq!(arena.budget(), None);
         assert_eq!(arena.page_tokens(), DEFAULT_PAGE_TOKENS);
     }
 
@@ -1056,18 +1000,18 @@ mod tests {
         let arena = KvArena::unbounded(4);
         let a = alloc_ref(&arena).unwrap();
         let b = a.clone();
-        arena.share(1, 0);
-        assert_eq!(arena.pages_in_use(), 1);
-        assert_eq!(arena.logical_pages_in_use(), 2);
-        assert_eq!(arena.peak_logical_pages(), 2);
+        arena.share(KvUsage::page(0));
+        assert_eq!(arena.in_use().pages, 1);
+        assert_eq!(arena.logical_in_use().pages, 2);
+        assert_eq!(arena.peak_logical().pages, 2);
         arena.release_ref(a);
         // The other holder keeps the page allocated.
-        assert_eq!(arena.pages_in_use(), 1);
-        assert_eq!(arena.logical_pages_in_use(), 1);
+        assert_eq!(arena.in_use().pages, 1);
+        assert_eq!(arena.logical_in_use().pages, 1);
         arena.release_ref(b);
-        assert_eq!(arena.pages_in_use(), 0);
-        assert_eq!(arena.peak_pages(), 1);
-        assert_eq!(arena.peak_logical_pages(), 2);
+        assert_eq!(arena.in_use().pages, 0);
+        assert_eq!(arena.peak().pages, 1);
+        assert_eq!(arena.peak_logical().pages, 2);
     }
 
     #[test]
@@ -1076,15 +1020,15 @@ mod tests {
         let prefix = [3usize, 1];
         let page = publish_block(&arena, 7, &prefix);
         assert_eq!(arena.prefix_stats().insertions, 1);
-        assert_eq!(arena.pages_in_use(), 1);
+        assert_eq!(arena.in_use().pages, 1);
 
         let blocks = arena.adopt_prefix(7, &[3, 1, 9, 9], 4, 1);
         assert_eq!(blocks.len(), 1);
         assert_eq!(blocks[0][0].k.to_dense(), page.k.to_dense());
         assert!(Arc::ptr_eq(&blocks[0][0], &page));
         // Adoption allocated nothing: one unique page, two holders.
-        assert_eq!(arena.pages_in_use(), 1);
-        assert_eq!(arena.logical_pages_in_use(), 2);
+        assert_eq!(arena.in_use().pages, 1);
+        assert_eq!(arena.logical_in_use().pages, 2);
         assert_eq!(arena.prefix_stats().hits, 1);
 
         // A different class or a different prefix misses.
@@ -1117,7 +1061,7 @@ mod tests {
         let first = publish_block(&arena, 1, &[1, 2]);
         let second = publish_block(&arena, 1, &[1, 2]);
         assert_eq!(arena.prefix_stats().insertions, 1);
-        assert_eq!(arena.pages_in_use(), 2);
+        assert_eq!(arena.in_use().pages, 2);
         // The adopted page is the first publication's.
         let blocks = arena.adopt_prefix(1, &[1, 2], 2, 1);
         assert!(Arc::ptr_eq(&blocks[0][0], &first));
@@ -1130,12 +1074,12 @@ mod tests {
         let held = publish_block(&arena, 1, &[1, 2]);
         let released = publish_block(&arena, 1, &[1, 2, 3, 4]);
         arena.release_ref(released);
-        assert_eq!(arena.reclaimable_pages(), 1);
+        assert_eq!(arena.reclaimable().pages, 1);
 
         let probe = arena.probe_prefix(1, &[1, 2, 3, 4, 5], 5, 1);
         assert_eq!(probe.tokens, 4);
-        assert_eq!(probe.pages, 2);
-        assert_eq!(probe.held_pages, 1); // block 1 is still held by `held`
+        assert_eq!(probe.resident.pages, 2);
+        assert_eq!(probe.held.pages, 1); // block 1 is still held by `held`
         assert_eq!(arena.probe_prefix(1, &[1, 2, 3, 4], 2, 1).tokens, 2);
         assert_eq!(arena.probe_prefix(2, &[1, 2], 2, 1), PrefixProbe::default());
         // Probing never counts as a hit or a miss.
@@ -1148,7 +1092,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_reclaims_only_unreferenced_entries() {
-        let arena = KvArena::with_budget(2, 3);
+        let arena = KvArena::with_budget(2, KvBudget::Pages(3));
         let held = publish_block(&arena, 1, &[1, 2]); // oldest, but held
         let cold = publish_block(&arena, 1, &[3, 4]);
         arena.release_ref(cold);
@@ -1161,8 +1105,8 @@ mod tests {
                 arena.release_ref(page);
             }
         }
-        assert_eq!(arena.pages_in_use(), 3);
-        assert_eq!(arena.reclaimable_pages(), 2);
+        assert_eq!(arena.in_use().pages, 3);
+        assert_eq!(arena.reclaimable().pages, 2);
 
         // The budget is full: the next alloc must evict exactly [3, 4].
         let page = alloc_ref(&arena).unwrap();
@@ -1176,10 +1120,10 @@ mod tests {
 
     #[test]
     fn alloc_fails_only_when_nothing_is_reclaimable() {
-        let arena = KvArena::with_budget(2, 2);
+        let arena = KvArena::with_budget(2, KvBudget::Pages(2));
         let a = publish_block(&arena, 1, &[1, 2]);
         let b = publish_block(&arena, 1, &[3, 4]);
-        assert_eq!(arena.free_pages(), 0);
+        assert_eq!(arena.free(), 0);
         // Both entries are held by caches: nothing to evict.
         assert!(arena.alloc(SchemeSpec::Fp32, 1, 0).is_err());
         arena.release_ref(a);
@@ -1191,25 +1135,25 @@ mod tests {
 
     #[test]
     fn ensure_free_evicts_up_front_and_reports_honestly() {
-        let arena = KvArena::with_budget(2, 4);
+        let arena = KvArena::with_budget(2, KvBudget::Pages(4));
         for prefix in [[1usize, 2], [3, 4], [5, 6]] {
             let p = publish_block(&arena, 1, &prefix);
             arena.release_ref(p);
         }
-        assert_eq!(arena.free_pages(), 1);
+        assert_eq!(arena.free(), 1);
         assert_eq!(arena.ensure_free(1), 0); // already free
         assert_eq!(arena.ensure_free(3), 2); // evicts the two oldest
-        assert_eq!(arena.free_pages(), 3);
+        assert_eq!(arena.free(), 3);
         // Asking for more than the budget can ever give evicts all and
         // stops.
         assert_eq!(arena.ensure_free(100), 1);
-        assert_eq!(arena.free_pages(), 4);
+        assert_eq!(arena.free(), 4);
         assert_eq!(arena.ensure_free(100), 0);
         // Unbounded arenas never evict on ensure_free.
         let unbounded = KvArena::unbounded(2);
         let p = publish_block(&unbounded, 1, &[1, 2]);
         unbounded.release_ref(p);
-        assert_eq!(unbounded.ensure_free(usize::MAX), 0);
+        assert_eq!(unbounded.ensure_free(u64::MAX), 0);
         assert_eq!(unbounded.prefix_stats().entries, 1);
     }
 
@@ -1230,6 +1174,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero-page budget")]
     fn zero_budget_is_rejected() {
-        let _ = KvArena::with_budget(4, 0);
+        let _ = KvArena::with_budget(4, KvBudget::Pages(0));
     }
 }

@@ -39,7 +39,9 @@ pub mod zoo;
 
 pub use eval::{evaluate_ppl, EvalSet, PplResult};
 pub use hooks::{Activation, ComposedHooks, ExactHooks, Fp16Hooks, InferenceHooks, StatsSpan};
-pub use kv::{ArenaFull, KvArena, KvStore, PrefixProbe, PrefixStats, DEFAULT_PAGE_TOKENS};
+pub use kv::{
+    ArenaFull, KvArena, KvBudget, KvStore, KvUsage, PrefixProbe, PrefixStats, DEFAULT_PAGE_TOKENS,
+};
 pub use model::{KvCache, LayerWeights, TransformerModel};
 pub use tensor::Tensor;
 pub use zoo::{Family, ModelSpec, OutlierProfile};

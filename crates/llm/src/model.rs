@@ -14,7 +14,7 @@
 //! outliers.
 
 use crate::hooks::InferenceHooks;
-use crate::kv::{KvArena, KvStore, PageRef};
+use crate::kv::{KvArena, KvStore, KvUsage, PageRef};
 use crate::ops;
 use crate::rng::Stream;
 use crate::tensor::Tensor;
@@ -278,9 +278,9 @@ impl Clone for KvCache {
                 pages: l.pages.clone(),
             })
             .collect();
-        let handles = layers.iter().map(|l| l.pages.len()).sum();
-        let bytes = layers.iter().flat_map(|l| &l.pages).map(|p| p.charge).sum();
-        self.arena.share(handles, bytes);
+        let pages = layers.iter().flat_map(|l| &l.pages);
+        let shared = pages.map(|p| KvUsage::page(p.charge));
+        self.arena.share(shared.sum());
         KvCache {
             hidden: self.hidden,
             page_tokens: self.page_tokens,
@@ -386,7 +386,9 @@ impl<H: InferenceHooks> Linear for Quantised<'_, H> {
 #[derive(Debug, Clone)]
 pub struct TransformerModel {
     spec: ModelSpec,
-    embedding: Tensor,
+    /// Token embedding, full precision and never quantised: every
+    /// model prepared from this one shares it.
+    embedding: Arc<Tensor>,
     weights: Weights,
     outlier_channels: Vec<usize>,
     /// Worker threads the packed GEMM driver may fan out to (1 =
@@ -533,7 +535,7 @@ impl TransformerModel {
 
         TransformerModel {
             spec: spec.clone(),
-            embedding,
+            embedding: Arc::new(embedding),
             weights: Weights::Dense(Linears {
                 layers,
                 unembedding,
@@ -1005,7 +1007,7 @@ impl TransformerModel {
 mod tests {
     use super::*;
     use crate::hooks::ExactHooks;
-    use crate::kv::KvArena;
+    use crate::kv::{KvArena, KvBudget};
     use crate::zoo::tiny_test_model;
 
     /// An independent reference decoder: dense whole-sequence attention
@@ -1300,36 +1302,36 @@ mod tests {
         let arena = KvArena::unbounded(2);
         let mut cache = model.kv_cache_in(&arena);
         model.prefill(&[1, 2, 3], &ExactHooks, &mut cache);
-        assert_eq!(arena.pages_in_use(), cache.pages_in_use());
-        assert_eq!(arena.pages_in_use(), 2); // 1 layer, ⌈3/2⌉ pages
+        assert_eq!(arena.in_use().pages, cache.pages_in_use());
+        assert_eq!(arena.in_use().pages, 2); // 1 layer, ⌈3/2⌉ pages
         cache.clear();
-        assert_eq!(arena.pages_in_use(), 0);
+        assert_eq!(arena.in_use().pages, 0);
         model.prefill(&[4], &ExactHooks, &mut cache);
         drop(cache);
-        assert_eq!(arena.pages_in_use(), 0);
-        assert_eq!(arena.peak_pages(), 2);
+        assert_eq!(arena.in_use().pages, 0);
+        assert_eq!(arena.peak().pages, 2);
     }
 
     #[test]
     fn cloned_cache_shares_pages_and_copies_on_write() {
         let model = TransformerModel::synthesize(&tiny_test_model());
-        let arena = KvArena::with_budget(4, 4);
+        let arena = KvArena::with_budget(4, KvBudget::Pages(4));
         let mut cache = model.kv_cache_in(&arena);
         model.prefill(&[5, 6, 7], &ExactHooks, &mut cache);
         let clone = cache.clone();
         // The clone shares the single page: one unique page against the
         // budget, two logical holders.
-        assert_eq!(arena.pages_in_use(), 1);
-        assert_eq!(arena.logical_pages_in_use(), 2);
+        assert_eq!(arena.in_use().pages, 1);
+        assert_eq!(arena.logical_in_use().pages, 2);
         // Appending to the shared partial tail copies it on write, so
         // the copies diverge safely and still agree bit for bit.
         let step_a = model.decode_step(9, &ExactHooks, &mut cache);
-        assert_eq!(arena.pages_in_use(), 2);
+        assert_eq!(arena.in_use().pages, 2);
         let mut clone = clone;
         let step_b = model.decode_step(9, &ExactHooks, &mut clone);
         // The clone's tail became uniquely owned after the original's
         // copy-on-write: it appends in place, no third page.
-        assert_eq!(arena.pages_in_use(), 2);
+        assert_eq!(arena.in_use().pages, 2);
         assert_eq!(step_a, step_b);
         // Diverging decodes stay independent.
         let step_a2 = model.decode_step(1, &ExactHooks, &mut cache);
@@ -1337,8 +1339,8 @@ mod tests {
         assert_eq!(step_a2, step_b2);
         drop(cache);
         drop(clone);
-        assert_eq!(arena.pages_in_use(), 0);
-        assert_eq!(arena.logical_pages_in_use(), 0);
+        assert_eq!(arena.in_use().pages, 0);
+        assert_eq!(arena.logical_in_use().pages, 0);
     }
 
     #[test]
@@ -1355,7 +1357,7 @@ mod tests {
         // 2 full blocks of 2 tokens were published (the 5th row sits in
         // a partial page); publication allocated nothing.
         assert_eq!(arena.prefix_stats().insertions, 2);
-        assert_eq!(arena.pages_in_use(), first.pages_in_use());
+        assert_eq!(arena.in_use().pages, first.pages_in_use());
 
         let mut warm = model.kv_cache_in(&arena);
         let adopted = warm.adopt_prefix(class, &prompt_b, prompt_b.len() - 1);
@@ -1382,7 +1384,7 @@ mod tests {
     #[should_panic(expected = "KV arena budget")]
     fn exhausted_arena_panics_with_a_clear_message() {
         let model = TransformerModel::synthesize(&tiny_test_model());
-        let arena = KvArena::with_budget(1, 2);
+        let arena = KvArena::with_budget(1, KvBudget::Pages(2));
         let mut cache = model.kv_cache_in(&arena);
         model.prefill(&[1, 2, 3], &ExactHooks, &mut cache);
     }
@@ -1435,10 +1437,10 @@ mod tests {
                 assert_eq!(sa, sb, "{scheme} decode {t}");
             }
             assert!(
-                2 * packed_arena.bytes_in_use() <= dense_arena.bytes_in_use(),
+                2 * packed_arena.in_use().bytes <= dense_arena.in_use().bytes,
                 "{scheme}: packed {} vs dense {} bytes",
-                packed_arena.bytes_in_use(),
-                dense_arena.bytes_in_use(),
+                packed_arena.in_use().bytes,
+                dense_arena.in_use().bytes,
             );
         }
     }
@@ -1482,7 +1484,7 @@ mod tests {
         let exact = reference(&model, &tokens, &ExactHooks);
         assert_eq!(got.data(), exact.data());
         assert_eq!(
-            arena.bytes_in_use(),
+            arena.in_use().bytes,
             KvStore::dense_f32().page_bytes(model.spec().hidden, 4)
         );
     }
@@ -1565,13 +1567,13 @@ mod tests {
         model.prefill(&[5, 6, 7], &ExactHooks, &mut cache);
         let layers = cache.pages_in_use();
         let mut clone = cache.clone();
-        assert_eq!(arena.pages_in_use(), layers, "a clone shares every page");
+        assert_eq!(arena.in_use().pages, layers, "a clone shares every page");
         let step_a = model.decode_step(9, &ExactHooks, &mut cache);
-        assert_eq!(arena.pages_in_use(), 2 * layers, "one copy per shared tail");
-        assert_eq!(arena.logical_pages_in_use(), 2 * layers);
+        assert_eq!(arena.in_use().pages, 2 * layers, "one copy per shared tail");
+        assert_eq!(arena.logical_in_use().pages, 2 * layers);
         let step_b = model.decode_step(9, &ExactHooks, &mut clone);
         assert_eq!(
-            arena.pages_in_use(),
+            arena.in_use().pages,
             2 * layers,
             "the clone's tails are its own"
         );

@@ -2,6 +2,7 @@
 
 use crate::policy::AdmissionPolicy;
 use crate::ServeError;
+use bbal_llm::KvBudget;
 use bbal_mem::LinkClass;
 
 /// Knobs of the continuous-batching scheduler.
@@ -23,14 +24,15 @@ use bbal_mem::LinkClass;
 ///   tick (see [`AdmissionPolicy`]). The default, FCFS, ignores schemes;
 ///   `SchemeAffinity` fills slots with requests that fuse with the
 ///   running batch, which is what mixed-scheme throughput needs.
-/// * `kv_page_tokens` / `kv_budget_pages` — the KV memory axis: every
+/// * `kv_page_tokens` / `kv_budget` — the KV memory axis: every
 ///   pooled session's KV cache draws fixed-size pages of
-///   `kv_page_tokens` rows from one shared arena, and `kv_budget_pages`
-///   caps how many pages that arena may hand out (`None` = unbounded).
-///   Under a budget the scheduler admits only requests whose worst-case
-///   prefill fits and *preempts* the youngest request (evicting its
-///   pages, replaying it later, outputs bit-identical) when decode
-///   growth would exhaust the arena mid-run.
+///   `kv_page_tokens` rows from one shared arena, and `kv_budget` caps
+///   what that arena may hand out, in pages or in bytes of page charges
+///   ([`KvBudget`]; `None` = unbounded). Under a budget the scheduler
+///   admits only requests whose worst-case prefill fits and *preempts*
+///   the youngest request (evicting its pages, replaying it later,
+///   outputs bit-identical) when decode growth would exhaust the arena
+///   mid-run.
 /// * `kv_prefix_cache` — whether prompt prefixes are cached in the
 ///   arena's prefix index and shared across requests (default on).
 ///   A request whose prompt starts with an already-computed prefix
@@ -42,11 +44,12 @@ use bbal_mem::LinkClass;
 ///   cold-cache baseline `serve_sweep` compares against.
 ///
 /// ```
+/// use bbal_llm::KvBudget;
 /// use bbal_serve::ServeConfig;
 ///
 /// let config = ServeConfig::default();
 /// assert_eq!((config.max_batch, config.prefill_chunk), (8, 32));
-/// assert_eq!(config.kv_budget_pages, None);
+/// assert_eq!(config.kv_budget, None);
 /// config.validate()?;
 ///
 /// // The sequential baseline: one request at a time, same chunking.
@@ -56,7 +59,7 @@ use bbal_mem::LinkClass;
 /// // A memory-budgeted runtime: 64 pages of 16 tokens, shared by the
 /// // whole batch.
 /// let tight = ServeConfig::default().with_kv_budget(64);
-/// assert_eq!(tight.kv_budget_pages, Some(64));
+/// assert_eq!(tight.kv_budget, Some(KvBudget::Pages(64)));
 /// tight.validate()?;
 ///
 /// // Prefix caching is on by default; the cold-cache baseline turns
@@ -82,19 +85,16 @@ pub struct ServeConfig {
     pub admission: AdmissionPolicy,
     /// Tokens per KV page (the shared arena's granularity).
     pub kv_page_tokens: usize,
-    /// KV arena budget in pages, across every active request (`None` =
-    /// unbounded — the pre-budget behaviour).
-    pub kv_budget_pages: Option<usize>,
+    /// KV arena budget across every active request, in pages or in
+    /// bytes (`None` = unbounded — the pre-budget behaviour). Pages are
+    /// charged at the byte size of the sessions' KV store, so a packed
+    /// store fits more pages under the same byte budget — the
+    /// equal-byte memory-pressure axis of `serve_sweep`.
+    pub kv_budget: Option<KvBudget>,
     /// Whether requests share cached prompt-prefix pages through the
     /// arena's prefix index (copy-on-write; outputs bit-identical to a
     /// cold cache). `false` is the cold-cache baseline.
     pub kv_prefix_cache: bool,
-    /// KV arena budget in *bytes* across every active request (`None` =
-    /// unbounded). Orthogonal to `kv_budget_pages`: pages are counted
-    /// at the byte charge of the sessions' KV store, so a packed store
-    /// fits more pages under the same byte budget — the equal-byte
-    /// memory-pressure axis of `serve_sweep`.
-    pub kv_budget_bytes: Option<u64>,
     /// Quantise every cached K/V row through each session's scheme (the
     /// compressed-KV operating point; deterministic, chunking-invariant,
     /// but different numerics from the exact f32 cache). Default off.
@@ -135,9 +135,8 @@ impl Default for ServeConfig {
             workers: 2,
             admission: AdmissionPolicy::Fcfs,
             kv_page_tokens: bbal_llm::DEFAULT_PAGE_TOKENS,
-            kv_budget_pages: None,
+            kv_budget: None,
             kv_prefix_cache: true,
-            kv_budget_bytes: None,
             kv_quant: false,
             kv_packed: false,
             tensor_shards: 1,
@@ -172,10 +171,10 @@ impl ServeConfig {
         self
     }
 
-    /// Returns a copy with a KV arena budget of `pages` — the
-    /// `serve_sweep` memory-pressure axis.
+    /// Returns a copy with a KV arena budget of `pages` in place of any
+    /// other — the `serve_sweep` memory-pressure axis.
     pub fn with_kv_budget(mut self, pages: usize) -> ServeConfig {
-        self.kv_budget_pages = Some(pages);
+        self.kv_budget = Some(KvBudget::Pages(pages));
         self
     }
 
@@ -185,11 +184,11 @@ impl ServeConfig {
         self
     }
 
-    /// Returns a copy with a KV arena budget of `bytes` — the
-    /// equal-byte memory-pressure axis, where a packed KV store fits
-    /// more pages than a dense one under the same budget.
+    /// Returns a copy with a KV arena budget of `bytes` in place of any
+    /// other — the equal-byte memory-pressure axis, where a packed KV
+    /// store fits more pages than a dense one under the same budget.
     pub fn with_kv_budget_bytes(mut self, bytes: u64) -> ServeConfig {
-        self.kv_budget_bytes = Some(bytes);
+        self.kv_budget = Some(KvBudget::Bytes(bytes));
         self
     }
 
@@ -249,17 +248,12 @@ impl ServeConfig {
                 return Err(ServeError::Config { field, value });
             }
         }
-        if self.kv_budget_pages == Some(0) {
-            return Err(ServeError::Config {
-                field: "kv_budget_pages",
-                value: 0,
-            });
-        }
-        if self.kv_budget_bytes == Some(0) {
-            return Err(ServeError::Config {
-                field: "kv_budget_bytes",
-                value: 0,
-            });
+        if let Some(budget) = self.kv_budget.filter(|b| b.limit() == 0) {
+            let field = match budget {
+                KvBudget::Pages(_) => "kv_budget_pages",
+                KvBudget::Bytes(_) => "kv_budget_bytes",
+            };
+            return Err(ServeError::Config { field, value: 0 });
         }
         if self.max_trace_ticks == Some(0) {
             return Err(ServeError::Config {
@@ -382,10 +376,7 @@ mod tests {
     #[test]
     fn packed_kv_knobs_default_off_and_validate() {
         let d = ServeConfig::default();
-        assert_eq!(
-            (d.kv_budget_bytes, d.kv_quant, d.kv_packed),
-            (None, false, false)
-        );
+        assert_eq!((d.kv_budget, d.kv_quant, d.kv_packed), (None, false, false));
         let c = ServeConfig::default().with_kv_budget_bytes(0);
         assert_eq!(
             c.validate().unwrap_err(),

@@ -28,16 +28,17 @@
 //! ## KV memory budget
 //!
 //! Every pooled session's KV cache draws fixed-size pages from one
-//! shared [`bbal_llm::KvArena`]; [`ServeConfig::kv_budget_pages`] caps
-//! the pool. Under a budget the scheduler (1) rejects — in the report,
-//! not as an error — requests that could never complete (context window
-//! overflow, or a worst-case footprint above the whole budget), (2)
-//! admits only requests whose worst-case prefill pages fit the arena's
-//! free space, and (3) *preempts* the youngest active request when
-//! decode growth would exhaust the arena mid-run: its pages are evicted,
-//! the request re-queued, and its feed sequence replayed on
-//! re-admission. Greedy decoding is deterministic, so preemption changes
-//! timelines and recompute cost, never tokens.
+//! shared [`bbal_llm::KvArena`]; [`ServeConfig::kv_budget`] caps the
+//! pool, in pages or in bytes ([`bbal_llm::KvBudget`]). Every page has
+//! one cost against it, and under a budget the scheduler (1) rejects —
+//! in the report, not as an error — requests that could never complete
+//! (context window overflow, or a worst-case footprint above the whole
+//! budget), (2) admits only requests whose worst-case prefill cost fits
+//! the arena's free space, and (3) *preempts* the youngest active
+//! request when decode growth would exhaust the arena mid-run: its
+//! pages are evicted, the request re-queued, and its feed sequence
+//! replayed on re-admission. Greedy decoding is deterministic, so
+//! preemption changes timelines and recompute cost, never tokens.
 //!
 //! ## Prefix caching
 //!

@@ -26,20 +26,15 @@ pub struct QueuedEntry {
     /// request queued behind this one, while this one stayed queued.
     /// (Merely waiting for a full batch does not count.)
     pub passed_over: u64,
-    /// Worst-case KV pages the request's prefill will *newly* occupy:
-    /// its whole feed sequence, paged, minus any prefix-cache pages it
-    /// would adopt that another request already holds (shared pages are
-    /// pinned either way, so they are charged once across the batch).
-    /// Admission only takes a request whose worst case fits in the
-    /// arena's free pages.
-    pub pages: usize,
-    /// Byte twin of [`pages`](QueuedEntry::pages): the worst-case KV
-    /// *bytes* those newly-occupied pages charge against the arena's
-    /// byte budget. Pages are scheme-sized once packed storage is on,
-    /// so two requests with equal page counts can have very different
-    /// byte footprints. Admission requires both the pages *and* the
-    /// bytes to fit.
-    pub bytes: u64,
+    /// Worst-case KV cost of the pages the request's prefill will
+    /// *newly* occupy, in the arena budget's unit (pages, or bytes of
+    /// page charges — pages are scheme-sized once packed storage is
+    /// on): its whole feed sequence, paged, minus any prefix-cache pages
+    /// it would adopt that another request already holds (shared pages
+    /// are pinned either way, so they are charged once across the
+    /// batch). Admission only takes a request whose worst case fits in
+    /// what the arena has free.
+    pub cost: u64,
 }
 
 /// How the scheduler picks queued requests for free batch slots.
@@ -50,21 +45,20 @@ pub struct QueuedEntry {
 /// use std::collections::BTreeSet;
 ///
 /// let queued = [
-///     QueuedEntry { id: 0, scheme: SchemeSpec::Bfp(4), passed_over: 0, pages: 2, bytes: 512 },
-///     QueuedEntry { id: 1, scheme: SchemeSpec::BBAL_PAPER, passed_over: 0, pages: 2, bytes: 512 },
-///     QueuedEntry { id: 2, scheme: SchemeSpec::Bfp(4), passed_over: 0, pages: 2, bytes: 512 },
+///     QueuedEntry { id: 0, scheme: SchemeSpec::Bfp(4), passed_over: 0, cost: 2 },
+///     QueuedEntry { id: 1, scheme: SchemeSpec::BBAL_PAPER, passed_over: 0, cost: 2 },
+///     QueuedEntry { id: 2, scheme: SchemeSpec::Bfp(4), passed_over: 0, cost: 2 },
 /// ];
 /// let active: BTreeSet<_> = [SchemeSpec::Bfp(4)].into();
 ///
 /// // FCFS fills slots in queue order regardless of scheme...
-/// assert_eq!(AdmissionPolicy::Fcfs.admit(&queued, &active, 2, usize::MAX, u64::MAX), vec![0, 1]);
+/// assert_eq!(AdmissionPolicy::Fcfs.admit(&queued, &active, 2, u64::MAX), vec![0, 1]);
 /// // ...affinity picks the requests that will fuse with the active batch.
 /// let affinity = AdmissionPolicy::SchemeAffinity { max_wait_ticks: 8 };
-/// assert_eq!(affinity.admit(&queued, &active, 2, usize::MAX, u64::MAX), vec![0, 2]);
+/// assert_eq!(affinity.admit(&queued, &active, 2, u64::MAX), vec![0, 2]);
 /// // Either way, a request only gets a slot if its worst-case prefill
-/// // fits in the arena's free pages *and* free bytes.
-/// assert_eq!(AdmissionPolicy::Fcfs.admit(&queued, &active, 2, 3, u64::MAX), vec![0]);
-/// assert_eq!(AdmissionPolicy::Fcfs.admit(&queued, &active, 2, usize::MAX, 600), vec![0]);
+/// // fits in what the arena has free.
+/// assert_eq!(AdmissionPolicy::Fcfs.admit(&queued, &active, 2, 3), vec![0]);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
@@ -95,13 +89,11 @@ impl AdmissionPolicy {
     /// Picks up to `slots` requests from `queued` (given in FCFS queue
     /// order) to admit this tick, returning their ids in admission
     /// order. `active_schemes` are the schemes of the requests already
-    /// holding batch slots; `free_pages` is how many KV pages the arena
-    /// can still hand out (`usize::MAX` for an unbounded arena) and
-    /// `free_bytes` its byte twin (`u64::MAX` for no byte budget) —
+    /// holding batch slots; `free` is how much of its KV budget the
+    /// arena can still hand out (`u64::MAX` for an unbounded arena) —
     /// every admission deducts the entry's worst-case prefill
-    /// [`pages`](QueuedEntry::pages) and [`bytes`](QueuedEntry::bytes)
-    /// from them, and a request that does not fit on *either* axis is
-    /// never admitted.
+    /// [`cost`](QueuedEntry::cost) from it, and a request that does not
+    /// fit is never admitted.
     ///
     /// `Fcfs` admits a queue prefix: it stops at the first entry that
     /// does not fit (head-of-line blocking preserves FCFS order, and
@@ -119,21 +111,16 @@ impl AdmissionPolicy {
         queued: &[QueuedEntry],
         active_schemes: &BTreeSet<SchemeSpec>,
         slots: usize,
-        free_pages: usize,
-        free_bytes: u64,
+        mut free: u64,
     ) -> Vec<usize> {
-        let mut free = free_pages;
-        let mut free_b = free_bytes;
-        let fits = |e: &QueuedEntry, free: usize, free_b: u64| e.pages <= free && e.bytes <= free_b;
         match *self {
             AdmissionPolicy::Fcfs => {
                 let mut admitted: Vec<usize> = Vec::new();
                 for e in queued.iter().take(slots) {
-                    if !fits(e, free, free_b) {
+                    if e.cost > free {
                         break;
                     }
-                    free -= e.pages;
-                    free_b -= e.bytes;
+                    free -= e.cost;
                     admitted.push(e.id);
                 }
                 admitted
@@ -153,11 +140,10 @@ impl AdmissionPolicy {
                         return admitted;
                     }
                     if e.passed_over >= max_wait_ticks {
-                        if !fits(e, free, free_b) {
+                        if e.cost > free {
                             return admitted;
                         }
-                        free -= e.pages;
-                        free_b -= e.bytes;
+                        free -= e.cost;
                         admitted.push(e.id);
                         preferred.insert(e.scheme);
                     }
@@ -175,12 +161,9 @@ impl AdmissionPolicy {
                     if admitted.len() == slots {
                         break;
                     }
-                    if preferred.contains(&e.scheme)
-                        && !admitted.contains(&e.id)
-                        && fits(e, free, free_b)
+                    if preferred.contains(&e.scheme) && !admitted.contains(&e.id) && e.cost <= free
                     {
-                        free -= e.pages;
-                        free_b -= e.bytes;
+                        free -= e.cost;
                         admitted.push(e.id);
                     }
                 }
@@ -206,34 +189,30 @@ mod tests {
         sized(id, scheme, passed_over, 1)
     }
 
-    fn sized(id: usize, scheme: SchemeSpec, passed_over: u64, pages: usize) -> QueuedEntry {
+    fn sized(id: usize, scheme: SchemeSpec, passed_over: u64, cost: u64) -> QueuedEntry {
         QueuedEntry {
             id,
             scheme,
             passed_over,
-            pages,
-            // Pages charge 100 bytes each in these tests, so the byte
-            // axis mirrors the page axis unless a test overrides it.
-            bytes: pages as u64 * 100,
+            cost,
         }
     }
 
     const A: SchemeSpec = SchemeSpec::BBAL_PAPER;
     const B: SchemeSpec = SchemeSpec::Bfp(4);
     const C: SchemeSpec = SchemeSpec::Oltron;
-    const UNBOUNDED: usize = usize::MAX;
-    const NO_BYTE_BUDGET: u64 = u64::MAX;
+    const UNBOUNDED: u64 = u64::MAX;
 
     #[test]
     fn fcfs_takes_the_front_of_the_queue() {
         let q = [entry(3, A, 0), entry(5, B, 9), entry(7, C, 0)];
         let active = BTreeSet::new();
         assert_eq!(
-            AdmissionPolicy::Fcfs.admit(&q, &active, 2, UNBOUNDED, NO_BYTE_BUDGET),
+            AdmissionPolicy::Fcfs.admit(&q, &active, 2, UNBOUNDED),
             vec![3, 5]
         );
         assert_eq!(
-            AdmissionPolicy::Fcfs.admit(&q, &active, 9, UNBOUNDED, NO_BYTE_BUDGET),
+            AdmissionPolicy::Fcfs.admit(&q, &active, 9, UNBOUNDED),
             vec![3, 5, 7]
         );
     }
@@ -244,12 +223,9 @@ mod tests {
         // head of the line is not jumped by the small one behind it.
         let q = [sized(0, A, 0, 2), sized(1, A, 0, 8), sized(2, A, 0, 1)];
         let active = BTreeSet::new();
+        assert_eq!(AdmissionPolicy::Fcfs.admit(&q, &active, 3, 4), vec![0]);
         assert_eq!(
-            AdmissionPolicy::Fcfs.admit(&q, &active, 3, 4, NO_BYTE_BUDGET),
-            vec![0]
-        );
-        assert_eq!(
-            AdmissionPolicy::Fcfs.admit(&q, &active, 3, 11, NO_BYTE_BUDGET),
+            AdmissionPolicy::Fcfs.admit(&q, &active, 3, 11),
             vec![0, 1, 2]
         );
     }
@@ -257,34 +233,17 @@ mod tests {
     #[test]
     fn byte_budget_gates_admission_independently_of_pages() {
         // Two one-page requests with very different byte charges (a
-        // packed page vs an f32 page, say). The page axis fits both;
-        // the byte axis only fits the first.
-        let q = [
-            QueuedEntry {
-                id: 0,
-                scheme: A,
-                passed_over: 0,
-                pages: 1,
-                bytes: 900,
-            },
-            QueuedEntry {
-                id: 1,
-                scheme: A,
-                passed_over: 0,
-                pages: 1,
-                bytes: 200,
-            },
-        ];
+        // packed page vs an f32 page, say): under a byte budget their
+        // costs are those charges, and 1000 free bytes fit only the
+        // first.
+        let q = [sized(0, A, 0, 900), sized(1, A, 0, 200)];
         let active = BTreeSet::new();
-        assert_eq!(
-            AdmissionPolicy::Fcfs.admit(&q, &active, 2, UNBOUNDED, 1000),
-            vec![0]
-        );
+        assert_eq!(AdmissionPolicy::Fcfs.admit(&q, &active, 2, 1000), vec![0]);
         // Affinity skips the non-fitting preferred entry but still
         // admits the later peer that fits in the remaining bytes.
         let p = AdmissionPolicy::SchemeAffinity { max_wait_ticks: 9 };
         let active: BTreeSet<_> = [A].into();
-        assert_eq!(p.admit(&q, &active, 2, UNBOUNDED, 500), vec![1]);
+        assert_eq!(p.admit(&q, &active, 2, 500), vec![1]);
     }
 
     #[test]
@@ -294,7 +253,7 @@ mod tests {
         let active: BTreeSet<_> = [A].into();
         // Only the A request fuses; the B requests stay queued even
         // though a slot remains.
-        assert_eq!(p.admit(&q, &active, 3, UNBOUNDED, NO_BYTE_BUDGET), vec![1]);
+        assert_eq!(p.admit(&q, &active, 3, UNBOUNDED), vec![1]);
     }
 
     #[test]
@@ -304,11 +263,11 @@ mod tests {
         // A preferred entry that does not fit is skipped; a later
         // fitting peer still gets the slot.
         let q = [sized(0, A, 0, 9), sized(1, A, 0, 2)];
-        assert_eq!(p.admit(&q, &active, 2, 4, NO_BYTE_BUDGET), vec![1]);
+        assert_eq!(p.admit(&q, &active, 2, 4), vec![1]);
         // A non-fitting *overdue* entry stops admission entirely: the
         // free pages are held for it.
         let q = [sized(0, B, 4, 9), sized(1, A, 0, 2)];
-        assert!(p.admit(&q, &active, 2, 4, NO_BYTE_BUDGET).is_empty());
+        assert!(p.admit(&q, &active, 2, 4).is_empty());
     }
 
     #[test]
@@ -317,10 +276,7 @@ mod tests {
         let q = [entry(0, B, 0), entry(1, A, 0), entry(2, B, 0)];
         let active = BTreeSet::new();
         // Front scheme B becomes the seed, and both B's are taken.
-        assert_eq!(
-            p.admit(&q, &active, 2, UNBOUNDED, NO_BYTE_BUDGET),
-            vec![0, 2]
-        );
+        assert_eq!(p.admit(&q, &active, 2, UNBOUNDED), vec![0, 2]);
     }
 
     #[test]
@@ -330,27 +286,16 @@ mod tests {
         let active: BTreeSet<_> = [A].into();
         // The overdue B jumps the A's; its scheme then counts as active,
         // and the remaining slot goes FCFS among preferred schemes.
-        assert_eq!(
-            p.admit(&q, &active, 2, UNBOUNDED, NO_BYTE_BUDGET),
-            vec![1, 0]
-        );
+        assert_eq!(p.admit(&q, &active, 2, UNBOUNDED), vec![1, 0]);
         let q2 = [entry(0, B, 0), entry(1, B, 3), entry(2, A, 0)];
-        assert_eq!(
-            p.admit(&q2, &active, 2, UNBOUNDED, NO_BYTE_BUDGET),
-            vec![1, 0]
-        );
+        assert_eq!(p.admit(&q2, &active, 2, UNBOUNDED), vec![1, 0]);
     }
 
     #[test]
     fn admit_never_exceeds_the_slots() {
         let p = AdmissionPolicy::SchemeAffinity { max_wait_ticks: 1 };
         let q: Vec<QueuedEntry> = (0..10).map(|i| entry(i, A, 5)).collect();
-        assert_eq!(
-            p.admit(&q, &BTreeSet::new(), 3, UNBOUNDED, NO_BYTE_BUDGET),
-            vec![0, 1, 2]
-        );
-        assert!(p
-            .admit(&q, &BTreeSet::new(), 0, UNBOUNDED, NO_BYTE_BUDGET)
-            .is_empty());
+        assert_eq!(p.admit(&q, &BTreeSet::new(), 3, UNBOUNDED), vec![0, 1, 2]);
+        assert!(p.admit(&q, &BTreeSet::new(), 0, UNBOUNDED).is_empty());
     }
 }

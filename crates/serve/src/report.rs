@@ -3,6 +3,7 @@
 
 use bbal_accel::EnergyBreakdown;
 use bbal_core::SchemeSpec;
+use bbal_llm::KvBudget;
 
 /// Nearest-rank percentile of `values` (need not be sorted): the
 /// element at 1-indexed sorted rank `⌈p/100 · n⌉`, clamped to `[1, n]`.
@@ -200,11 +201,9 @@ pub struct ServeReport {
     /// Tokens per KV page of the run's arena.
     pub kv_page_tokens: usize,
     /// The arena budget the run was served under (`None` = unbounded).
-    pub kv_budget_pages: Option<usize>,
-    /// The arena's *byte* budget (`None` = no byte budget). Judged
-    /// against actual packed page charges, so a byte budget admits
-    /// more compressed-scheme pages than f32 ones.
-    pub kv_budget_bytes: Option<u64>,
+    /// A byte budget is judged against actual packed page charges, so
+    /// it admits more compressed-scheme pages than f32 ones.
+    pub kv_budget: Option<KvBudget>,
     /// Most *unique* KV pages in use at any tick end (shared pages
     /// counted once — what the arena budget is judged against).
     pub peak_kv_pages: usize,
@@ -261,8 +260,7 @@ impl PartialEq for ServeReport {
             && self.sessions_built == other.sessions_built
             && self.sessions_reused == other.sessions_reused
             && self.kv_page_tokens == other.kv_page_tokens
-            && self.kv_budget_pages == other.kv_budget_pages
-            && self.kv_budget_bytes == other.kv_budget_bytes
+            && self.kv_budget == other.kv_budget
             && self.peak_kv_pages == other.peak_kv_pages
             && self.peak_logical_kv_pages == other.peak_logical_kv_pages
             && self.peak_kv_bytes == other.peak_kv_bytes
@@ -385,13 +383,6 @@ impl ServeReport {
             .map(|r| r.tpot_cycles() / (self.clock_ghz * 1.0e6))
             .collect();
         percentile(&v, p).unwrap_or(0.0)
-    }
-
-    /// Worst time to first token, ms.
-    pub fn max_ttft_ms(&self) -> f64 {
-        self.served()
-            .map(|r| self.cycles_to_ms(r.ttft_cycles()))
-            .fold(0.0, f64::max)
     }
 
     /// Mean time per output token, ms, over the requests that *have* an
@@ -605,8 +596,7 @@ mod tests {
             sessions_built: 2,
             sessions_reused: 0,
             kv_page_tokens: 16,
-            kv_budget_pages: None,
-            kv_budget_bytes: None,
+            kv_budget: None,
             peak_kv_pages: 2,
             peak_logical_kv_pages: 2,
             peak_kv_bytes: 1024,

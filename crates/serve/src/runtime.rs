@@ -56,7 +56,7 @@ use bbal_accel::{
 use bbal_arith::GateLibrary;
 use bbal_core::SchemeSpec;
 use bbal_llm::graph::{tick_ops, Chunk, PaperDims};
-use bbal_llm::{KvArena, KvStore, ModelSpec, PrefixProbe};
+use bbal_llm::{KvArena, KvBudget, KvStore, KvUsage, ModelSpec, PrefixProbe};
 use bbal_mem::interconnect::ring_allreduce_cycles;
 use bbal_mem::{InterconnectTraffic, KvFootprint, KvTraffic};
 use bbal_session::{argmax, prefix_class, Session, SessionBuilder};
@@ -303,10 +303,10 @@ struct RunState {
     kv_traffic: KvTraffic,
     kv_dram_energy_pj: f64,
     interconnect: InterconnectTraffic,
-    peak_kv_pages: usize,
-    peak_logical_kv_pages: usize,
-    peak_kv_bytes: u64,
-    peak_logical_kv_bytes: u64,
+    /// Most unique KV pages (and bytes) held at any tick end.
+    peak_kv: KvUsage,
+    /// Most logical KV pages (and bytes) at any tick's dispatch.
+    peak_logical_kv: KvUsage,
 }
 
 impl fmt::Debug for RunState {
@@ -351,12 +351,11 @@ impl ServeRuntime {
         config.validate()?;
         // One shared paged arena: every pooled session's KV cache draws
         // from (and is bounded by) it. Pages charge their scheme-native
-        // packed capacity, so the byte budget is honest under packing.
-        let arena = KvArena::with_budgets(
-            config.kv_page_tokens,
-            config.kv_budget_pages,
-            config.kv_budget_bytes,
-        );
+        // packed capacity, so a byte budget is honest under packing.
+        let arena = match config.kv_budget {
+            Some(budget) => KvArena::with_budget(config.kv_page_tokens, budget),
+            None => KvArena::unbounded(config.kv_page_tokens),
+        };
         let template = template
             .resolve_model()?
             .kv_arena(arena.clone())
@@ -407,43 +406,35 @@ impl ServeRuntime {
     }
 
     /// Pages a sequence of `tokens` tokens occupies in the served
-    /// model's caches: one page table per decoder layer.
-    fn pages_for(&self, tokens: usize) -> usize {
-        self.model_layers * tokens.div_ceil(self.config.kv_page_tokens)
-    }
-
-    /// The KV storage configuration a session serving `scheme` runs
-    /// under — the runtime's knobs applied to the request's scheme.
-    fn kv_store_for(&self, scheme: SchemeSpec) -> KvStore {
-        KvStore {
+    /// model's caches (one page table per decoder layer), and the bytes
+    /// they charge: each page its full capacity under the KV store a
+    /// session serving `scheme` runs — the runtime's knobs applied to
+    /// the request's scheme, so a packed Bbfp page is a fraction of an
+    /// f32 one.
+    fn kv_for(&self, scheme: SchemeSpec, tokens: usize) -> KvUsage {
+        let pages = self.model_layers * tokens.div_ceil(self.config.kv_page_tokens);
+        let store = KvStore {
             scheme,
             quantize: self.config.kv_quant,
             packed: self.config.kv_packed,
+        };
+        let charge = store.page_bytes(self.spec.hidden, self.config.kv_page_tokens);
+        KvUsage {
+            pages,
+            bytes: pages as u64 * charge,
         }
     }
 
-    /// Bytes one arena page charges for a session serving `scheme` —
-    /// the *actual* packed page capacity, which is what sessions charge
-    /// the arena per page. Scheme-dependent: a packed Bbfp page is a
-    /// fraction of an f32 one.
-    fn page_charge(&self, scheme: SchemeSpec) -> u64 {
-        self.kv_store_for(scheme)
-            .page_bytes(self.spec.hidden, self.config.kv_page_tokens)
+    /// What `usage` costs against the KV budget, in its unit (0 when
+    /// unbounded).
+    fn cost(&self, usage: KvUsage) -> u64 {
+        self.config.kv_budget.map_or(0, |b| b.cost(usage))
     }
 
-    /// Byte twin of [`ServeRuntime::pages_for`] for a request served
+    /// [`ServeRuntime::cost`] of `tokens` tokens of a request served
     /// under `scheme`.
-    fn bytes_for(&self, scheme: SchemeSpec, tokens: usize) -> u64 {
-        self.pages_for(tokens) as u64 * self.page_charge(scheme)
-    }
-
-    /// Byte twin of [`ServeRuntime::held_kv_pages`]: bytes the active
-    /// requests actually hold, with index-only retained bytes treated
-    /// as free (they are reclaimed on demand).
-    fn held_kv_bytes(&self) -> u64 {
-        self.arena
-            .bytes_in_use()
-            .saturating_sub(self.arena.reclaimable_bytes())
+    fn cost_for(&self, scheme: SchemeSpec, tokens: usize) -> u64 {
+        self.cost(self.kv_for(scheme, tokens))
     }
 
     /// The prefix-index class sessions of this runtime publish and
@@ -460,20 +451,27 @@ impl ServeRuntime {
         }
     }
 
-    /// Unique KV pages the active requests actually hold: the arena's
-    /// in-use count (shared pages once) less what only the prefix index
-    /// retains — those are reclaimable the instant the budget needs
-    /// them, so admission and preemption treat them as free.
-    fn held_kv_pages(&self) -> usize {
-        self.arena
-            .pages_in_use()
-            .saturating_sub(self.arena.reclaimable_pages())
+    /// Unique KV pages (and bytes) the active requests actually hold:
+    /// the arena's in-use count (shared pages once) less what only the
+    /// prefix index retains — those are reclaimable the instant the
+    /// budget needs them, so admission and preemption treat them as
+    /// free.
+    fn held_kv(&self) -> KvUsage {
+        self.arena.in_use().saturating_sub(self.arena.reclaimable())
     }
 
-    /// New pages this tick's planned units will allocate, summed over
-    /// the active batch (the scheduler's page plan; exact, because
-    /// adopted prefix blocks are always whole pages).
-    fn planned_growth(&self, states: &[ReqState], active: &[usize]) -> usize {
+    /// Budget the arena still has free for newcomers, in its unit
+    /// (`u64::MAX` when unbounded).
+    fn free_kv(&self) -> u64 {
+        self.config.kv_budget.map_or(u64::MAX, |b| {
+            b.limit().saturating_sub(b.cost(self.held_kv()))
+        })
+    }
+
+    /// Cost of the new pages this tick's planned units will allocate,
+    /// summed over the active batch (the scheduler's page plan; exact,
+    /// because adopted prefix blocks are always whole pages).
+    fn planned_growth(&self, states: &[ReqState], active: &[usize]) -> u64 {
         active
             .iter()
             .map(|&id| {
@@ -482,23 +480,7 @@ impl ServeRuntime {
                     0 => st.cached + 1, // decode step
                     chunk => st.cached + chunk,
                 };
-                self.pages_for(next) - self.pages_for(st.cached)
-            })
-            .sum()
-    }
-
-    /// Byte twin of [`ServeRuntime::planned_growth`], priced per
-    /// request at its scheme's packed page charge.
-    fn planned_growth_bytes(&self, states: &[ReqState], active: &[usize]) -> u64 {
-        active
-            .iter()
-            .map(|&id| {
-                let st = &states[id];
-                let next = match st.next_chunk(self.config.prefill_chunk) {
-                    0 => st.cached + 1, // decode step
-                    chunk => st.cached + chunk,
-                };
-                self.bytes_for(st.scheme, next) - self.bytes_for(st.scheme, st.cached)
+                self.cost_for(st.scheme, next) - self.cost_for(st.scheme, st.cached)
             })
             .sum()
     }
@@ -631,10 +613,8 @@ impl ServeRuntime {
             kv_traffic: KvTraffic::default(),
             kv_dram_energy_pj: 0.0,
             interconnect: InterconnectTraffic::default(),
-            peak_kv_pages: 0,
-            peak_logical_kv_pages: 0,
-            peak_kv_bytes: 0,
-            peak_logical_kv_bytes: 0,
+            peak_kv: KvUsage::default(),
+            peak_logical_kv: KvUsage::default(),
         });
         Ok(())
     }
@@ -677,8 +657,7 @@ impl ServeRuntime {
         // arena. (The latter is also what guarantees preemption
         // converges: any admitted request can always finish alone.)
         let needed = request.prompt.len() + request.max_new_tokens;
-        let worst_pages = self.pages_for(needed);
-        let worst_bytes = self.bytes_for(request.scheme, needed);
+        let worst = self.cost_for(request.scheme, needed);
         let rejected = if needed > self.max_seq {
             Some(format!(
                 "prompt of {} + {} new tokens exceeds the context window of {}",
@@ -686,28 +665,12 @@ impl ServeRuntime {
                 request.max_new_tokens,
                 self.max_seq
             ))
-        } else if self
-            .config
-            .kv_budget_pages
-            .is_some_and(|budget| worst_pages > budget)
-        {
-            Some(format!(
-                "worst-case KV footprint of {worst_pages} pages exceeds the \
-                 arena budget of {} pages",
-                self.config.kv_budget_pages.expect("checked above")
-            ))
-        } else if self
-            .config
-            .kv_budget_bytes
-            .is_some_and(|budget| worst_bytes > budget)
-        {
-            Some(format!(
-                "worst-case KV footprint of {worst_bytes} bytes exceeds the \
-                 arena budget of {} bytes",
-                self.config.kv_budget_bytes.expect("checked above")
-            ))
         } else {
-            None
+            let over = self.config.kv_budget.filter(|b| worst > b.limit());
+            over.map(|budget| {
+                let unit = budget.unit();
+                format!("worst-case KV footprint of {worst} {unit}s exceeds the arena budget of {budget}")
+            })
         };
         let schedulable = rejected.is_none();
         let ss = self.run.as_mut().expect("checked above");
@@ -852,12 +815,11 @@ impl ServeRuntime {
             sessions_built: self.pool.built() - ss.built_before,
             sessions_reused: self.pool.reused() - ss.reused_before,
             kv_page_tokens: self.config.kv_page_tokens,
-            kv_budget_pages: self.config.kv_budget_pages,
-            kv_budget_bytes: self.config.kv_budget_bytes,
-            peak_kv_pages: ss.peak_kv_pages,
-            peak_logical_kv_pages: ss.peak_logical_kv_pages,
-            peak_kv_bytes: ss.peak_kv_bytes,
-            peak_logical_kv_bytes: ss.peak_logical_kv_bytes,
+            kv_budget: self.config.kv_budget,
+            peak_kv_pages: ss.peak_kv.pages,
+            peak_logical_kv_pages: ss.peak_logical_kv.pages,
+            peak_kv_bytes: ss.peak_kv.bytes,
+            peak_logical_kv_bytes: ss.peak_logical_kv.bytes,
             preemptions: ss.states.iter().map(|st| st.preemptions).sum(),
             kv_read_bytes: ss.kv_traffic.read_bytes,
             kv_write_bytes: ss.kv_traffic.write_bytes,
@@ -893,22 +855,15 @@ impl ServeRuntime {
         self.run.as_ref().map_or(0, |r| r.active.len())
     }
 
-    /// KV pages the arena still has free for newcomers (`None` =
-    /// unbounded). Pages retained only by the prefix index count as
-    /// free — they are reclaimed on demand. A router's memory signal.
+    /// KV pages the arena still has free for newcomers under a page
+    /// budget (`None` = unbounded, or a byte budget). Pages retained
+    /// only by the prefix index count as free — they are reclaimed on
+    /// demand. A router's memory signal.
     pub fn free_kv_pages(&self) -> Option<usize> {
-        self.config
-            .kv_budget_pages
-            .map(|budget| budget.saturating_sub(self.held_kv_pages()))
-    }
-
-    /// Byte twin of [`ServeRuntime::free_kv_pages`]: packed KV bytes
-    /// the arena still has free for newcomers (`None` = no byte
-    /// budget). Bytes retained only by the prefix index count as free.
-    pub fn free_kv_bytes(&self) -> Option<u64> {
-        self.config
-            .kv_budget_bytes
-            .map(|budget| budget.saturating_sub(self.held_kv_bytes()))
+        match self.config.kv_budget {
+            Some(KvBudget::Pages(_)) => Some(self.free_kv() as usize),
+            _ => None,
+        }
     }
 
     /// Tears a run down after an error: recovers every recoverable
@@ -979,20 +934,12 @@ impl ServeRuntime {
             // Budget space left for newcomers: the arena's held
             // pages count shared pages *once* (and not at all when
             // only the prefix index retains them).
-            let free_pages = match self.config.kv_budget_pages {
-                Some(budget) => budget.saturating_sub(self.held_kv_pages()),
-                None => usize::MAX,
-            };
-            let free_bytes = match self.config.kv_budget_bytes {
-                Some(budget) => budget.saturating_sub(self.held_kv_bytes()),
-                None => u64::MAX,
-            };
+            let free = self.free_kv();
             // Under a budget, credit each queued request the shared
-            // pages (and their bytes) it would adopt that another
-            // request already holds — they are pinned (and counted)
-            // either way, so charging them again would double-count.
-            let probe_credit = self.config.kv_prefix_cache
-                && (self.config.kv_budget_pages.is_some() || self.config.kv_budget_bytes.is_some());
+            // pages it would adopt that another request already holds
+            // — they are pinned (and counted) either way, so charging
+            // them again would double-count.
+            let probe_credit = self.config.kv_prefix_cache && self.config.kv_budget.is_some();
             let entries: Vec<QueuedEntry> = ss
                 .queue
                 .iter()
@@ -1012,22 +959,16 @@ impl ServeRuntime {
                         id,
                         scheme: st.scheme,
                         passed_over: st.passed_over,
-                        pages: self
-                            .pages_for(st.feed_len())
-                            .saturating_sub(probe.held_pages),
-                        bytes: self
-                            .bytes_for(st.scheme, st.feed_len())
-                            .saturating_sub(probe.held_bytes),
+                        cost: self
+                            .cost_for(st.scheme, st.feed_len())
+                            .saturating_sub(self.cost(probe.held)),
                     }
                 })
                 .collect();
-            let admitted = self.config.admission.admit(
-                &entries,
-                &active_schemes,
-                slots,
-                free_pages,
-                free_bytes,
-            );
+            let admitted = self
+                .config
+                .admission
+                .admit(&entries, &active_schemes, slots, free);
             // A remaining request was *passed over* if the policy
             // either held a slot it could have taken open or gave
             // one to a request queued behind it: age it. Under FCFS
@@ -1035,23 +976,16 @@ impl ServeRuntime {
             // stop only on capacity (batch slots or, under a KV
             // budget, memory), which the report field documents as
             // not counting — so `passed_over_ticks` stays 0 there.
-            // An entry whose worst-case pages exceed what the arena
+            // An entry whose worst-case cost exceeds what the arena
             // has left is blocked by memory, not preference, and is
             // not aged either.
             if !matches!(self.config.admission, AdmissionPolicy::Fcfs) {
                 let leftover = slots - admitted.len();
-                let free_after = free_pages.saturating_sub(
+                let free_after = free.saturating_sub(
                     entries
                         .iter()
                         .filter(|e| admitted.contains(&e.id))
-                        .map(|e| e.pages)
-                        .sum(),
-                );
-                let free_bytes_after = free_bytes.saturating_sub(
-                    entries
-                        .iter()
-                        .filter(|e| admitted.contains(&e.id))
-                        .map(|e| e.bytes)
+                        .map(|e| e.cost)
                         .sum(),
                 );
                 let last_taken_pos = entries
@@ -1061,10 +995,7 @@ impl ServeRuntime {
                     .map(|(pos, _)| pos)
                     .max();
                 for (pos, e) in entries.iter().enumerate() {
-                    if admitted.contains(&e.id)
-                        || e.pages > free_after
-                        || e.bytes > free_bytes_after
-                    {
+                    if admitted.contains(&e.id) || e.cost > free_after {
                         continue;
                     }
                     if leftover > 0 || last_taken_pos.is_some_and(|last| pos < last) {
@@ -1132,23 +1063,13 @@ impl ServeRuntime {
         // reconstructs the state bit for bit) and re-queue it at
         // the front. The up-front footprint rejection guarantees
         // the oldest request always fits alone, so this converges.
-        if self.config.kv_budget_pages.is_some() || self.config.kv_budget_bytes.is_some() {
-            loop {
-                // Held pages count shared pages once; index-only
-                // pages don't count at all (eviction frees them
-                // before any preemption is worth it). Either budget
-                // axis — pages or packed bytes — can force a
-                // preemption.
-                let over_pages = self.config.kv_budget_pages.is_some_and(|budget| {
-                    self.held_kv_pages() + self.planned_growth(&ss.states, &ss.active) > budget
-                });
-                let over_bytes = self.config.kv_budget_bytes.is_some_and(|budget| {
-                    self.held_kv_bytes() + self.planned_growth_bytes(&ss.states, &ss.active)
-                        > budget
-                });
-                if (!over_pages && !over_bytes) || ss.active.len() <= 1 {
-                    break;
-                }
+        if self.config.kv_budget.is_some() {
+            // Held pages count shared pages once; index-only pages
+            // don't count at all (eviction frees them before any
+            // preemption is worth it).
+            while self.planned_growth(&ss.states, &ss.active) > self.free_kv()
+                && ss.active.len() > 1
+            {
                 let victim = *ss
                     .active
                     .iter()
@@ -1171,12 +1092,9 @@ impl ServeRuntime {
             }
             // Make room *before* dispatch: evict LRU index-only
             // entries until this tick's planned allocations fit, so
-            // worker threads never have to evict mid-tick. (Each call
-            // is a no-op when its budget axis is unset.)
+            // worker threads never have to evict mid-tick.
             self.arena
                 .ensure_free(self.planned_growth(&ss.states, &ss.active));
-            self.arena
-                .ensure_free_bytes(self.planned_growth_bytes(&ss.states, &ss.active));
         }
 
         // One unit of work per active request: the next chunk of its
@@ -1238,18 +1156,12 @@ impl ServeRuntime {
         // pages counted per holder — the logical trace point of
         // this tick (the unique count is read off the arena after
         // the workers are done).
-        let tick_kv_logical: usize = ss
+        let tick_kv_logical: KvUsage = ss
             .active
             .iter()
-            .map(|&id| self.pages_for(ss.states[id].cached))
+            .map(|&id| self.kv_for(ss.states[id].scheme, ss.states[id].cached))
             .sum();
-        ss.peak_logical_kv_pages = ss.peak_logical_kv_pages.max(tick_kv_logical);
-        let tick_kv_logical_bytes: u64 = ss
-            .active
-            .iter()
-            .map(|&id| self.bytes_for(ss.states[id].scheme, ss.states[id].cached))
-            .sum();
-        ss.peak_logical_kv_bytes = ss.peak_logical_kv_bytes.max(tick_kv_logical_bytes);
+        ss.peak_logical_kv = ss.peak_logical_kv.max(tick_kv_logical);
 
         // Cost the tick while the workers compute: per-scheme fused
         // op lists on that scheme's accelerator instance, run
@@ -1339,9 +1251,8 @@ impl ServeRuntime {
         // every unit landed (workers idle, arena quiescent) and the
         // completed requests still holding their pages, mirroring
         // the pre-sharing per-request sum.
-        let tick_kv_pages = self.held_kv_pages();
-        ss.peak_kv_pages = ss.peak_kv_pages.max(tick_kv_pages);
-        ss.peak_kv_bytes = ss.peak_kv_bytes.max(self.held_kv_bytes());
+        let tick_kv = self.held_kv();
+        ss.peak_kv = ss.peak_kv.max(tick_kv);
 
         // Publish every fully-prefilled prompt's blocks into the
         // prefix index (once per request, in admission order — the
@@ -1394,8 +1305,8 @@ impl ServeRuntime {
                 prefill_tokens,
                 decode_steps,
                 schemes: tick_schemes,
-                kv_pages: tick_kv_pages,
-                kv_logical_pages: tick_kv_logical,
+                kv_pages: tick_kv.pages,
+                kv_logical_pages: tick_kv_logical.pages,
             });
             if let Some(cap) = self.config.max_trace_ticks {
                 if ss.ticks.len() > cap {

@@ -14,7 +14,7 @@
 
 use bbal_accel::FormatSpec;
 use bbal_core::SchemeSpec;
-use bbal_llm::{KvArena, KvStore};
+use bbal_llm::{KvArena, KvBudget, KvStore};
 use bbal_quant::registry::TABLE2_SCHEMES;
 use bbal_serve::{GenerateRequest, ServeConfig, ServeReport, ServeRuntime};
 use bbal_session::{argmax, SessionBuilder};
@@ -200,7 +200,7 @@ fn equal_byte_budget_packing_preempts_strictly_less() {
         prefill_chunk: 4,
         workers: 2,
         kv_page_tokens: 4,
-        kv_budget_bytes: budget,
+        kv_budget: budget.map(KvBudget::Bytes),
         kv_quant: true,
         kv_packed: packed,
         ..ServeConfig::default()
@@ -227,7 +227,7 @@ fn equal_byte_budget_packing_preempts_strictly_less() {
     // The byte budget was honoured, and outputs never changed.
     assert!(dense.peak_kv_bytes <= budget);
     assert!(packed.peak_kv_bytes <= budget);
-    assert_eq!(dense.kv_budget_bytes, Some(budget));
+    assert_eq!(dense.kv_budget, Some(KvBudget::Bytes(budget)));
     for (a, b) in unbounded.requests.iter().zip(&dense.requests) {
         assert_eq!(a.tokens, b.tokens, "dense request {} diverged", a.id);
     }
@@ -250,7 +250,7 @@ fn byte_budget_rejects_impossible_requests_up_front() {
         workers: 1,
         kv_page_tokens: 4,
         // Enough bytes for the small request only.
-        kv_budget_bytes: Some(KvStore::dense_f32().page_bytes(64, 4) * 4),
+        kv_budget: Some(KvBudget::Bytes(KvStore::dense_f32().page_bytes(64, 4) * 4)),
         ..ServeConfig::default()
     };
     let report = serve(config, &requests);

@@ -6,6 +6,7 @@
 //! exhaustive property battery lives in the facade's `tests/kv_prefix.rs`.
 
 use bbal_core::SchemeSpec;
+use bbal_llm::KvBudget;
 use bbal_serve::{AdmissionPolicy, GenerateRequest, ServeConfig, ServeRuntime};
 use bbal_session::SessionBuilder;
 
@@ -117,7 +118,7 @@ fn admission_counts_shared_pages_once_against_the_budget() {
         prefill_chunk: 32,
         workers: 2,
         kv_page_tokens: 4,
-        kv_budget_pages: Some(12),
+        kv_budget: Some(KvBudget::Pages(12)),
         ..ServeConfig::default()
     };
 

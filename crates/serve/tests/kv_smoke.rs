@@ -6,6 +6,7 @@
 //! in the report, not panicked on mid-run.
 
 use bbal_core::SchemeSpec;
+use bbal_llm::KvBudget;
 use bbal_serve::{GenerateRequest, ServeConfig, ServeReport, ServeRuntime};
 use bbal_session::SessionBuilder;
 
@@ -33,7 +34,7 @@ fn config(kv_budget_pages: Option<usize>) -> ServeConfig {
         prefill_chunk: 4,
         workers: 2,
         kv_page_tokens: 4,
-        kv_budget_pages,
+        kv_budget: kv_budget_pages.map(KvBudget::Pages),
         ..ServeConfig::default()
     }
 }
@@ -95,7 +96,7 @@ fn tiny_memory_pressure_sweep_stays_identical() {
         .unwrap();
     for budget in [peak, (peak * 3) / 4, peak / 2, largest] {
         let report = serve(config(Some(budget)), &trace());
-        assert_eq!(report.kv_budget_pages, Some(budget));
+        assert_eq!(report.kv_budget, Some(KvBudget::Pages(budget)));
         assert!(report.peak_kv_pages <= budget, "budget {budget}");
         assert!(report.rejected().count() == 0, "budget {budget}");
         for (a, b) in unbounded.requests.iter().zip(&report.requests) {

@@ -761,11 +761,6 @@ impl Session {
         }
     }
 
-    /// The KV storage policy the session's cache runs under.
-    pub fn kv_store(&self) -> &KvStore {
-        self.kv.store()
-    }
-
     /// Clears the cache and adopts the longest cached token prefix of
     /// `tokens` (capped at `max_tokens`) from the session's arena —
     /// the prefix-cache lookup a scheduler runs *before* prefill, so
@@ -1424,8 +1419,8 @@ mod tests {
 
     #[test]
     fn shared_arena_reaches_the_session_cache() {
-        use bbal_llm::KvArena;
-        let arena = KvArena::with_budget(4, 64);
+        use bbal_llm::{KvArena, KvBudget};
+        let arena = KvArena::with_budget(4, KvBudget::Pages(64));
         let mut session = SessionBuilder::new()
             .model("Tiny")
             .scheme("bbfp:4,2")
@@ -1436,12 +1431,12 @@ mod tests {
         session.prefill(&[1, 2, 3, 4, 5]).unwrap();
         // 1 layer, ⌈5/4⌉ = 2 pages, visible through the shared handle.
         assert_eq!(session.kv_pages(), 2);
-        assert_eq!(arena.pages_in_use(), 2);
-        assert_eq!(session.kv_arena().budget_pages(), Some(64));
+        assert_eq!(arena.in_use().pages, 2);
+        assert_eq!(session.kv_arena().budget(), Some(KvBudget::Pages(64)));
         // The arena-backed session generates the same tokens as a
         // default (private unbounded arena) session.
         session.reset();
-        assert_eq!(arena.pages_in_use(), 0);
+        assert_eq!(arena.in_use().pages, 0);
         let shared = session.generate(&[9, 8, 7], 6).unwrap();
         let private = tiny("bbfp:4,2").generate(&[9, 8, 7], 6).unwrap();
         assert_eq!(shared, private);

@@ -90,11 +90,11 @@ proptest! {
         for ch in prompt.chunks(chunk) {
             model.prefill_chunk(ch, &hooks.as_ref(), &mut cache);
             prop_assert_eq!(
-                arena.pages_in_use(),
+                arena.in_use().pages,
                 arena.pages_for_tokens(cache.len(), model.spec().layers)
             );
         }
         cache.clear();
-        prop_assert_eq!(arena.pages_in_use(), 0);
+        prop_assert_eq!(arena.in_use().pages, 0);
     }
 }

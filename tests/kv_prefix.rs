@@ -17,7 +17,7 @@
 //!    preemption included) checking every scheduled request against a
 //!    lone `Session::generate`.
 
-use bbal::llm::KvArena;
+use bbal::llm::{KvArena, KvBudget};
 use bbal::quant::TABLE2_SCHEMES;
 use bbal::serve::{GenerateRequest, ServeConfig, ServeRuntime};
 use bbal::{SchemeSpec, Session, SessionBuilder};
@@ -116,7 +116,7 @@ proptest! {
         // the next round.
         let max_seq_tokens = prefix.len() + 2 + 1;
         let budget = max_seq_tokens.div_ceil(page_tokens);
-        let arena = KvArena::with_budget(page_tokens, budget);
+        let arena = KvArena::with_budget(page_tokens, KvBudget::Pages(budget));
 
         for round in 0..rounds {
             let mut prompt = prefix.clone();
@@ -125,10 +125,10 @@ proptest! {
             let warm_logits = warm.prefill_shared(&prompt).unwrap();
             let warm_step = warm.decode_step(3).unwrap();
             prop_assert!(
-                arena.pages_in_use() <= budget,
+                arena.in_use().pages <= budget,
                 "round {}: {} pages over budget {}",
                 round,
-                arena.pages_in_use(),
+                arena.in_use().pages,
                 budget
             );
 
@@ -194,7 +194,7 @@ fn served_shared_traffic_matches_lone_sessions_across_the_grid() {
                     prefill_chunk: 8,
                     workers: 2,
                     kv_page_tokens: page_tokens,
-                    kv_budget_pages: budget,
+                    kv_budget: budget.map(KvBudget::Pages),
                     ..ServeConfig::default()
                 }
                 .with_kv_prefix_cache(warm);

@@ -5,7 +5,9 @@
 //! high-water mark may exceed that by at most the largest weight matrix
 //! plus a fixed slack for activations, KV pages and logits. A second
 //! dense copy of the model (5.4 MiB on the Llama-7B stand-in) does not
-//! fit in that bound.
+//! fit in that bound. What `Session::prepare` leaves behind is its
+//! prepared weights and little else: the token embedding stays shared
+//! with the reference model, not copied into it.
 //!
 //! Everything runs in one `#[test]` fn, so no other test allocates
 //! while a call is measured.
@@ -107,6 +109,28 @@ fn ptq_paths_hold_one_weight_matrix_beyond_their_result() {
     let (retained, peak) = measure(|| {
         session.prepare();
     });
+    // Oltron has no block layout, so its prepared decoder and
+    // unembedding weights are 4-byte lanes. Anything above them beyond
+    // a small slack (the layer vectors, spec and outlier list) is a
+    // copy of something the reference already holds: one embedding is
+    // 4 × vocab × hidden = 196,608 B here.
+    const PREPARED_SLACK: usize = 16 << 10;
+    let decoder: usize = reference
+        .layers()
+        .iter()
+        .flat_map(|l| {
+            [&l.wq, &l.wk, &l.wv, &l.wo, &l.w_up, &l.w_down]
+                .into_iter()
+                .chain(&l.w_gate)
+        })
+        .map(|w| w.data().len())
+        .sum();
+    let weights = std::mem::size_of::<f32>() * (decoder + spec.hidden * spec.vocab);
+    assert!(
+        retained <= weights + PREPARED_SLACK,
+        "Session::prepare oltron retains {retained} B, above its {weights} B of decoder and \
+         unembedding weights + {PREPARED_SLACK} B slack"
+    );
     report.push(("Session::prepare oltron".to_owned(), retained, peak));
 
     for (what, retained, peak) in report {

@@ -4,8 +4,8 @@
 //! PE array → FP encoder/adder → max unit → nonlinear unit → output
 //! encoder).
 
-use crate::bbal::BbalGemm;
-use bbal_core::{BbfpBlock, BbfpConfig, SchemeError, SchemeSpec};
+use crate::bbal::{BbalGemm, EncodedRow};
+use bbal_core::{BbfpConfig, SchemeError, SchemeSpec};
 use bbal_llm::Tensor;
 use bbal_nonlinear::{NonlinearUnit, NonlinearUnitConfig};
 
@@ -110,8 +110,7 @@ impl BbalEngine {
         let len = k.rows();
         // The weight buffer holds K transposed: each key row is encoded
         // into BBFP blocks once, then scored against every query.
-        let k_blocks: Vec<Vec<BbfpBlock>> =
-            (0..len).map(|j| self.gemm.encode_row(k.row(j))).collect();
+        let k_blocks: Vec<EncodedRow> = (0..len).map(|j| self.gemm.encode_row(k.row(j))).collect();
 
         let mut probs = Tensor::zeros(q.rows(), len);
         for i in 0..q.rows() {

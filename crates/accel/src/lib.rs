@@ -34,7 +34,7 @@ pub mod sim;
 pub mod systolic;
 pub mod tp;
 
-pub use bbal::BbalGemm;
+pub use bbal::{BbalGemm, EncodedRow};
 pub use config::{AcceleratorConfig, ConfigError, FormatSpec};
 pub use engine::BbalEngine;
 pub use isoarea::{array_for_budget, iso_area_sweep, IsoAreaPoint};

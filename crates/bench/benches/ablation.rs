@@ -4,7 +4,10 @@
 //! corresponding hardware deltas as context.
 
 use bbal_arith::{GateLibrary, RippleCarryAdder, SparseAdder};
-use bbal_core::{bbfp_quantize_slice_with, BbfpConfig, ExponentPolicy, RoundingMode};
+use bbal_core::{
+    algebra_quantize_slice, algebra_quantize_slice_with, ExponentPolicy, FormatAlgebra,
+    RoundingMode,
+};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
@@ -56,7 +59,7 @@ fn bench_carry_chain(c: &mut Criterion) {
 
 /// Shared-exponent policy sweep (the Fig. 3 knob) on the encode path.
 fn bench_policy(c: &mut Criterion) {
-    let cfg = BbfpConfig::new(4, 2).unwrap();
+    let bbfp = FormatAlgebra::bbfp(4, 2).unwrap();
     let xs = data(4096);
     let mut out = vec![0.0f32; 4096];
     let mut group = c.benchmark_group("exponent_policy");
@@ -64,7 +67,7 @@ fn bench_policy(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("max_minus", offset), &offset, |b, &o| {
             let policy = ExponentPolicy::MaxMinus(o);
             b.iter(|| {
-                bbfp_quantize_slice_with(&xs, cfg, policy, RoundingMode::NearestEven, &mut out)
+                algebra_quantize_slice_with(&xs, &bbfp, policy, RoundingMode::NearestEven, &mut out)
             });
         });
     }
@@ -77,17 +80,9 @@ fn bench_overlap(c: &mut Criterion) {
     let mut out = vec![0.0f32; 4096];
     let mut group = c.benchmark_group("overlap_width");
     for o in [0u8, 2, 4, 5] {
-        let cfg = BbfpConfig::new(6, o).unwrap();
-        group.bench_with_input(BenchmarkId::new("bbfp6", o), &cfg, |b, cfg| {
-            b.iter(|| {
-                bbfp_quantize_slice_with(
-                    &xs,
-                    *cfg,
-                    ExponentPolicy::paper_default(*cfg),
-                    RoundingMode::NearestEven,
-                    &mut out,
-                )
-            });
+        let bbfp = FormatAlgebra::bbfp(6, o).unwrap();
+        group.bench_with_input(BenchmarkId::new("bbfp6", o), &bbfp, |b, bbfp| {
+            b.iter(|| algebra_quantize_slice(&xs, bbfp, RoundingMode::NearestEven, &mut out));
         });
     }
     group.finish();

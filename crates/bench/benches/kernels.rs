@@ -1,14 +1,11 @@
 //! Criterion benchmarks for the hot kernels of the reproduction stack:
-//! block encoding (the reference BFP/BBFP slices and the format-algebra
-//! quantiser side by side), block dot products, the functional BBAL
-//! GEMM, the segmented-LUT nonlinear unit, and the cycle simulator.
+//! block encoding (the format-algebra quantiser), the PE array's block
+//! dot product, the functional BBAL GEMM, the segmented-LUT nonlinear
+//! unit, and the cycle simulator.
 
 use bbal_accel::{simulate, AcceleratorConfig, BbalEngine, BbalGemm};
 use bbal_arith::GateLibrary;
-use bbal_core::{
-    algebra_quantize_slice, bbfp_dot, bbfp_quantize_slice, bfp_quantize_slice, BbfpBlock,
-    BbfpConfig, BfpConfig, FormatAlgebra, RoundingMode,
-};
+use bbal_core::{algebra_quantize_slice, BbfpConfig, FormatAlgebra, RoundingMode};
 use bbal_llm::graph::{decoder_ops, paper_dims};
 use bbal_llm::Tensor;
 use bbal_nonlinear::{NonlinearUnit, NonlinearUnitConfig};
@@ -37,39 +34,31 @@ fn bench_block_encode(c: &mut Criterion) {
     // constants the hooks never see.
     let rne = black_box(RoundingMode::NearestEven);
     group.throughput(Throughput::Elements(4096));
-    group.bench_function("bbfp_4_2", |b| {
-        let cfg = black_box(BbfpConfig::new(4, 2).unwrap());
-        b.iter(|| bbfp_quantize_slice(&data, cfg, rne, &mut out));
-    });
-    group.bench_function("bbfp_6_3", |b| {
-        let cfg = black_box(BbfpConfig::new(6, 3).unwrap());
-        b.iter(|| bbfp_quantize_slice(&data, cfg, rne, &mut out));
-    });
-    group.bench_function("bfp_4", |b| {
-        let cfg = black_box(BfpConfig::new(4).unwrap());
-        b.iter(|| bfp_quantize_slice(&data, cfg, rne, &mut out));
-    });
-    // The format-algebra block quantiser (every block scheme's hook) on
-    // the same points, for parity with the reference slices above.
-    group.bench_function("algebra_bbfp_4_2", |b| {
-        let alg = black_box(FormatAlgebra::bbfp(4, 2).unwrap());
-        b.iter(|| algebra_quantize_slice(&data, &alg, rne, &mut out));
-    });
-    group.bench_function("algebra_bfp_4", |b| {
-        let alg = black_box(FormatAlgebra::bfp(4).unwrap());
-        b.iter(|| algebra_quantize_slice(&data, &alg, rne, &mut out));
-    });
+    // The format-algebra block quantiser, every block scheme's hook.
+    for (name, alg) in [
+        ("bbfp_4_2", FormatAlgebra::bbfp(4, 2)),
+        ("bbfp_6_3", FormatAlgebra::bbfp(6, 3)),
+        ("bfp_4", FormatAlgebra::bfp(4)),
+    ] {
+        let alg = black_box(alg.unwrap());
+        group.bench_function(name, |b| {
+            b.iter(|| algebra_quantize_slice(&data, &alg, rne, &mut out));
+        });
+    }
     group.finish();
 }
 
 fn bench_block_dot(c: &mut Criterion) {
+    // The PE array's block dot, as `BbalGemm` runs it: integer codes
+    // multiplied and summed in i64, scaled once per block.
     let mut group = c.benchmark_group("block_dot");
-    let cfg = BbfpConfig::new(4, 2).unwrap();
-    let a = BbfpBlock::from_f32_slice(&test_data(32), cfg).expect("finite");
-    let b = BbfpBlock::from_f32_slice(&test_data(32)[..32], cfg).expect("finite");
+    let gemm = BbalGemm::new(BbfpConfig::new(4, 2).unwrap());
+    let data = test_data(64);
+    let a = gemm.encode_row(&data[..32]);
+    let b = gemm.encode_row(&data[32..]);
     group.throughput(Throughput::Elements(32));
     group.bench_function("bbfp_dot_32", |bch| {
-        bch.iter(|| bbfp_dot(&a, &b).expect("same config"));
+        bch.iter(|| gemm.dot_encoded(&a, &b));
     });
     group.finish();
 }

@@ -8,7 +8,7 @@
 
 use crate::util::{print_table, to_io};
 use bbal_core::{
-    bbfp_quantize_slice_with, bfp_quantize_slice, ExponentPolicy, RoundingMode, SchemeSpec,
+    algebra_quantize_slice, algebra_quantize_slice_with, ExponentPolicy, RoundingMode, SchemeSpec,
 };
 use bbal_llm::stats::collect_activations_by_layer;
 use bbal_llm::{zoo, EvalSet, TransformerModel};
@@ -37,14 +37,13 @@ pub fn run(w: &mut dyn Write) -> io::Result<()> {
     let eval = EvalSet::generate(&spec, 1, 32, 3);
     let grouped = collect_activations_by_layer(&model, &eval.sequences[0]);
 
-    let cfg = SchemeSpec::Bbfp(4, 2)
-        .bbfp_config()
-        .map_err(to_io)?
-        .expect("bbfp scheme has a bbfp config");
-    let bfp = SchemeSpec::Bfp(4)
-        .bfp_config()
-        .map_err(to_io)?
-        .expect("bfp scheme has a bfp config");
+    let point = |scheme: SchemeSpec| -> io::Result<_> {
+        Ok(scheme
+            .algebra()
+            .map_err(to_io)?
+            .expect("a block scheme lowers to an algebra point"))
+    };
+    let (bbfp, bfp) = (point(SchemeSpec::Bbfp(4, 2))?, point(SchemeSpec::Bfp(4))?);
     let policies = [
         ("Max-1", ExponentPolicy::MaxMinus(1)),
         ("Max-2 (Eq.9)", ExponentPolicy::MaxMinus(2)),
@@ -57,12 +56,12 @@ pub fn run(w: &mut dyn Write) -> io::Result<()> {
         let mut row = vec![label.to_string()];
         let mut out = vec![0.0f32; acts.len()];
         for (i, (_, policy)) in policies.iter().enumerate() {
-            bbfp_quantize_slice_with(acts, cfg, *policy, RoundingMode::NearestEven, &mut out);
+            algebra_quantize_slice_with(acts, &bbfp, *policy, RoundingMode::NearestEven, &mut out);
             let e = mse(acts, &out);
             avgs[i] += e;
             row.push(format!("{e:.6}"));
         }
-        bfp_quantize_slice(acts, bfp, RoundingMode::NearestEven, &mut out);
+        algebra_quantize_slice(acts, &bfp, RoundingMode::NearestEven, &mut out);
         let e = mse(acts, &out);
         avgs[policies.len()] += e;
         row.push(format!("{e:.6}"));

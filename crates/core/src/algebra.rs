@@ -62,9 +62,13 @@
 //! quantised matrix is the identity, quantising and packing raw values
 //! is one pass, and the self-verify fallback never fires on honest
 //! input.
+//!
+//! The hardware models read the same encoder: the functional PE array
+//! multiplies the codes of [`algebra_encode_slice`], the nonlinear
+//! unit's LUT addresses each element by the flag and mantissa of
+//! [`encode_elements`], and the Fig. 3 sweep moves the flagged shared
+//! exponent with [`algebra_quantize_slice_with`].
 
-use crate::bbfp::encode_element;
-use crate::bfp::{exp2i, max_exponent};
 use crate::error::FormatError;
 use crate::format::{FormatCost, DEFAULT_BLOCK_SIZE, SHARED_EXPONENT_BITS};
 use crate::fp16::{Fp16, SIGNIFICAND_BITS};
@@ -407,6 +411,16 @@ impl FormatAlgebra {
         }
     }
 
+    /// The shared-exponent policy the block encoder applies at this
+    /// point: the paper's Eq. 9, `MaxMinus(m − o)`, for flagged elements
+    /// and `Max` for every other kind.
+    pub fn exponent_policy(&self) -> ExponentPolicy {
+        match self.window_gap() {
+            Some(gap) => ExponentPolicy::MaxMinus(gap as u8),
+            None => ExponentPolicy::Max,
+        }
+    }
+
     /// Shared bits stored per block: the scale field, plus every
     /// sub-block's offset code for two-level scaling.
     pub fn shared_bits_per_block(&self) -> u32 {
@@ -482,6 +496,156 @@ impl FormatAlgebra {
 // The block encoder
 // ---------------------------------------------------------------------
 
+/// One element as BBFP's element encoder writes it: sign, high/low-window
+/// flag and `m`-bit mantissa magnitude.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct BbfpElement {
+    /// Sign bit (`true` = negative).
+    pub sign: bool,
+    /// Window flag: `true` means the mantissa lives in the high window and
+    /// the decoded value scales by `2^(m−o)`.
+    pub flag: bool,
+    /// Mantissa magnitude, `< 2^m`.
+    pub mantissa: u16,
+}
+
+/// Maximum biased exponent over the non-zero elements of a block (0 if the
+/// block is entirely zero).
+pub(crate) fn max_exponent(values: &[Fp16]) -> i32 {
+    values
+        .iter()
+        .filter(|v| {
+            let (m, _) = v.significand();
+            m != 0
+        })
+        .map(|v| v.significand().1)
+        .max()
+        .unwrap_or(0)
+}
+
+#[inline]
+pub(crate) fn exp2i(e: i32) -> f32 {
+    // Exact for the exponent ranges block formats produce (|e| < 64).
+    (e as f64).exp2() as f32
+}
+
+/// Encodes a single FP16 value into `BBFP(m, o)` against a given shared
+/// exponent.
+pub(crate) fn encode_element(
+    v: Fp16,
+    mantissa_bits: u8,
+    overlap_bits: u8,
+    shared: i32,
+    rounding: RoundingMode,
+) -> BbfpElement {
+    let m = mantissa_bits as i32;
+    let o = overlap_bits as i32;
+    let max_mantissa = (1u64 << m) - 1;
+    let (sig, exp) = v.significand();
+    let sign = v.is_sign_negative();
+    if sig == 0 {
+        return BbfpElement {
+            sign,
+            flag: false,
+            mantissa: 0,
+        };
+    }
+
+    if exp > shared {
+        // High window (flag = 1): the significand's top bit must land at
+        // high-window bit m-1, whose weight is 2^(shared-15+(m-o)) in units
+        // of the element's own 2^(exp-15) leading weight. Net right shift:
+        let shift = (SIGNIFICAND_BITS as i32 - o) - (exp - shared);
+        let q = if shift >= 0 {
+            rounding.shift_right(sig as u64, shift as u32)
+        } else {
+            // Policy offset beyond the window gap: the MSB escapes the
+            // window (paper's "Max−3" pathology); saturate below.
+            (sig as u64) << (-shift).min(32)
+        };
+        BbfpElement {
+            sign,
+            flag: true,
+            mantissa: q.min(max_mantissa) as u16,
+        }
+    } else {
+        // Low window (flag = 0): vanilla BFP alignment against `shared`.
+        let shift = (SIGNIFICAND_BITS as i32 - m) + (shared - exp);
+        debug_assert!(shift >= 1);
+        let q = rounding.shift_right(sig as u64, shift as u32);
+        BbfpElement {
+            sign,
+            flag: false,
+            mantissa: q.min(max_mantissa) as u16,
+        }
+    }
+}
+
+/// The overlap width a policy-driven encode runs with: a flagged point's
+/// own. Any other point takes only an offset-0 (`Max`) policy, under
+/// which no element reaches the high window, so its overlap is never read.
+fn policy_overlap(alg: &FormatAlgebra, policy: ExponentPolicy) -> u8 {
+    match alg.element {
+        ElementKind::Flagged { overlap_bits } => overlap_bits,
+        _ => {
+            assert_eq!(
+                policy.offset(),
+                0,
+                "{} has no flagged elements: only the Max exponent policy applies",
+                alg.display_name()
+            );
+            0
+        }
+    }
+}
+
+/// BBFP's element encoder over one block of a shared-exponent point (BFP,
+/// MSFP or BBFP), the shared exponent picked by `policy`: writes each
+/// element's sign, window flag and mantissa into `out` and returns the
+/// shared biased exponent. `values` is one block whatever its length, and
+/// must be finite (narrow a NaN to `+0` first, as the quantisers do). Read
+/// flags here, not from codes: BBFP(10,5)'s flagged mantissa 16 and
+/// low-window mantissa 512 share the code 512.
+///
+/// ```
+/// use bbal_core::{encode_elements, BbfpElement, FormatAlgebra, Fp16, RoundingMode};
+///
+/// let alg = FormatAlgebra::bbfp(4, 2)?;
+/// let block = [8.0f32, 3.0].map(Fp16::from_f32);
+/// let mut elements = [BbfpElement::default(); 2];
+/// let policy = alg.exponent_policy();
+/// let shared = encode_elements(&block, &alg, policy, RoundingMode::NearestEven, &mut elements);
+/// assert_eq!(shared, 18 - 2); // Eq. 9: the block maximum's exponent less m − o
+/// assert!(elements[0].flag && !elements[1].flag);
+/// # Ok::<(), bbal_core::FormatError>(())
+/// ```
+///
+/// # Panics
+///
+/// Panics if the point's scale is not one shared exponent, if `policy`
+/// has a nonzero offset at a point without flagged elements, or if `out`
+/// is shorter than `values`.
+pub fn encode_elements(
+    values: &[Fp16],
+    alg: &FormatAlgebra,
+    policy: ExponentPolicy,
+    rounding: RoundingMode,
+    out: &mut [BbfpElement],
+) -> i32 {
+    assert!(
+        matches!(alg.scale, ScaleKind::SharedExponent { .. }),
+        "{} has no shared exponent",
+        alg.display_name()
+    );
+    assert!(out.len() >= values.len(), "element buffer too short");
+    let overlap_bits = policy_overlap(alg, policy);
+    let shared = policy.shared_exponent(max_exponent(values));
+    for (v, e) in values.iter().zip(out.iter_mut()) {
+        *e = encode_element(*v, alg.mantissa_bits, overlap_bits, shared, rounding);
+    }
+    shared
+}
+
 /// The code shift `c` of a point: a code is `lane·2^c`, where the lane is
 /// what the element decodes to against its block's top scale. Two-level
 /// lanes are multiples of `2^−(largest sub-block offset)`, so `c` is that
@@ -521,12 +685,6 @@ fn fixed_mantissa(v: Fp16, shared: i32, m: u32, rounding: RoundingMode) -> u64 {
     rounding
         .shift_right(sig as u64, shift as u32)
         .min((1u64 << m) - 1)
-}
-
-/// The shared exponent of a flagged (BBFP) chunk: the block maximum
-/// lowered by the window gap (the paper's Eq. 9 policy).
-fn flagged_shared_exponent(values: &[Fp16], gap: u32) -> i32 {
-    ExponentPolicy::MaxMinus(gap as u8).shared_exponent(max_exponent(values))
 }
 
 /// A two-level sub-block's offset below the block exponent `e1`: 1 when
@@ -571,21 +729,8 @@ pub(crate) fn encode_block<const CODES: bool>(
     let m = alg.mantissa_bits as u32;
     match (alg.scale, alg.element) {
         (ScaleKind::SharedExponent { .. }, ElementKind::Flagged { overlap_bits }) => {
-            let gap = alg.window_gap().unwrap_or(0);
-            let shared = flagged_shared_exponent(fp16, gap);
-            let low = exp2i(shared - 14 - m as i32);
-            let high = low * exp2i(gap as i32);
-            let wide = (1u32 << gap) as f32;
-            for (i, (v, o)) in fp16.iter().zip(out.iter_mut()).enumerate() {
-                let e = encode_element(*v, alg.mantissa_bits, overlap_bits, shared, rounding);
-                let mag = e.mantissa as f32 * if e.flag { high } else { low };
-                *o = signed(e.sign, mag);
-                if CODES {
-                    let code = e.mantissa as f32 * if e.flag { wide } else { 1.0 };
-                    codes[i] = signed(e.sign, code);
-                }
-            }
-            shared - 14 - m as i32
+            let policy = alg.exponent_policy();
+            encode_flagged::<CODES>(fp16, alg, overlap_bits, policy, rounding, out, codes)
         }
         (ScaleKind::SharedExponent { .. }, _) => {
             let shared = max_exponent(fp16);
@@ -615,6 +760,38 @@ pub(crate) fn encode_block<const CODES: bool>(
             -w - 14 - m as i32
         }
     }
+}
+
+/// The flagged (BBFP) arm of the block encoder, with the shared exponent
+/// `policy` picks from the block maximum: [`encode_block`] passes the
+/// point's own Eq. 9 policy, the Fig. 3 sweep
+/// ([`algebra_quantize_slice_with`]) any other.
+#[inline(always)]
+fn encode_flagged<const CODES: bool>(
+    fp16: &[Fp16],
+    alg: &FormatAlgebra,
+    overlap_bits: u8,
+    policy: ExponentPolicy,
+    rounding: RoundingMode,
+    out: &mut [f32],
+    codes: &mut [f32],
+) -> i32 {
+    let m = alg.mantissa_bits as u32;
+    let gap = alg.window_gap().unwrap_or(0);
+    let shared = policy.shared_exponent(max_exponent(fp16));
+    let low = exp2i(shared - 14 - m as i32);
+    let high = low * exp2i(gap as i32);
+    let wide = (1u32 << gap) as f32;
+    for (i, (v, o)) in fp16.iter().zip(out.iter_mut()).enumerate() {
+        let e = encode_element(*v, alg.mantissa_bits, overlap_bits, shared, rounding);
+        let mag = e.mantissa as f32 * if e.flag { high } else { low };
+        *o = signed(e.sign, mag);
+        if CODES {
+            let code = e.mantissa as f32 * if e.flag { wide } else { 1.0 };
+            codes[i] = signed(e.sign, code);
+        }
+    }
+    shared - 14 - m as i32
 }
 
 /// Writes `±mantissa(v) × scale` for every fixed-point element of one
@@ -885,6 +1062,58 @@ pub fn algebra_quantize_slice(
     rounding: RoundingMode,
     out: &mut [f32],
 ) {
+    quantize_blocks(values, alg, out, |fp16, chunk| {
+        encode_block::<false>(fp16, alg, rounding, chunk, &mut []);
+    });
+}
+
+/// As [`algebra_quantize_slice`], with the shared exponent of a flagged
+/// point picked by `policy` instead of the point's own Eq. 9 offset: the
+/// paper's Fig. 3 sweep of `Max−1/−2/−3`. `Max` turns BBFP(m,o) into
+/// BFP(m). At the point's own policy this is [`algebra_quantize_slice`].
+///
+/// ```
+/// use bbal_core::{algebra_quantize_slice, algebra_quantize_slice_with};
+/// use bbal_core::{ExponentPolicy, FormatAlgebra, RoundingMode};
+///
+/// let raw: Vec<f32> = (0..32).map(|i| (i as f32 - 16.0) * 0.1).collect();
+/// let (mut max, mut bfp) = (vec![0.0; 32], vec![0.0; 32]);
+/// let rne = RoundingMode::NearestEven;
+/// algebra_quantize_slice_with(&raw, &FormatAlgebra::bbfp(4, 2)?, ExponentPolicy::Max, rne, &mut max);
+/// algebra_quantize_slice(&raw, &FormatAlgebra::bfp(4)?, rne, &mut bfp);
+/// assert_eq!(max, bfp);
+/// # Ok::<(), bbal_core::FormatError>(())
+/// ```
+///
+/// # Panics
+///
+/// As [`algebra_quantize_slice`], and if `policy` has a nonzero offset at
+/// a point without flagged elements.
+pub fn algebra_quantize_slice_with(
+    values: &[f32],
+    alg: &FormatAlgebra,
+    policy: ExponentPolicy,
+    rounding: RoundingMode,
+    out: &mut [f32],
+) {
+    let overlap_bits = policy_overlap(alg, policy);
+    if alg.window_gap().is_none() {
+        return algebra_quantize_slice(values, alg, rounding, out);
+    }
+    quantize_blocks(values, alg, out, |fp16, chunk| {
+        encode_flagged::<false>(fp16, alg, overlap_bits, policy, rounding, chunk, &mut []);
+    });
+}
+
+/// The block loop of the slice quantisers: narrows each block of `values`
+/// into one reused FP16 buffer, runs `encode` over it into the matching
+/// chunk of `out`, and puts any NaN back at its own index.
+fn quantize_blocks(
+    values: &[f32],
+    alg: &FormatAlgebra,
+    out: &mut [f32],
+    mut encode: impl FnMut(&[Fp16], &mut [f32]),
+) {
     assert_eq!(out.len(), values.len(), "output length mismatch");
     let mut fp16 = block_buffer(alg, values.len());
     for (block, chunk) in values
@@ -893,19 +1122,80 @@ pub fn algebra_quantize_slice(
     {
         let fp16 = &mut fp16[..block.len()];
         let nan = narrow_block(fp16, block);
-        encode_block::<false>(fp16, alg, rounding, chunk, &mut []);
+        encode(fp16, chunk);
         if nan {
             restore_nans(block, chunk);
         }
     }
 }
 
+/// The block encoder's integer view of `values`, rounding to nearest
+/// even: writes each element's signed integer code into `codes` and
+/// returns one exponent per block (the final partial block included), so
+/// that every non-NaN element quantises to exactly
+/// `codes[i] × 2^exponents[i / block_size]`, the value
+/// [`algebra_quantize_slice`] writes. The packed store keeps these codes;
+/// the functional PE model multiplies them. A NaN element takes no part
+/// in its block's exponent and gets the code 0.
+///
+/// ```
+/// use bbal_core::{algebra_encode_slice, algebra_quantize_slice, FormatAlgebra, RoundingMode};
+///
+/// let alg = FormatAlgebra::bbfp(4, 2)?;
+/// let raw: Vec<f32> = (0..40).map(|i| (i as f32 - 20.0) * 0.07).collect();
+/// let mut codes = vec![0.0; 40];
+/// let exps = algebra_encode_slice(&raw, &alg, &mut codes);
+/// assert_eq!(exps.len(), 2); // one whole block and a ragged tail
+/// let mut q = vec![0.0; 40];
+/// algebra_quantize_slice(&raw, &alg, RoundingMode::NearestEven, &mut q);
+/// for (i, (c, v)) in codes.iter().zip(&q).enumerate() {
+///     assert_eq!(c * (exps[i / 32] as f32).exp2(), *v);
+/// }
+/// # Ok::<(), bbal_core::FormatError>(())
+/// ```
+///
+/// # Panics
+///
+/// Panics if `codes.len() != values.len()` or the point is not packable.
+pub fn algebra_encode_slice(values: &[f32], alg: &FormatAlgebra, codes: &mut [f32]) -> Vec<i32> {
+    assert_eq!(codes.len(), values.len(), "code length mismatch");
+    let mut fp16 = block_buffer(alg, values.len());
+    let mut out = vec![0.0; fp16.len()];
+    values
+        .chunks(alg.block_size)
+        .zip(codes.chunks_mut(alg.block_size))
+        .map(|(block, codes)| {
+            let n = block.len();
+            encode_chunk(block, alg, &mut fp16[..n], &mut out[..n], codes).0
+        })
+        .collect()
+}
+
+/// Narrows one chunk of `values` into `fp16` and runs the block encoder
+/// over it, writing the dequantised values into `out` and the codes into
+/// `codes`, exactly as the quantiser does: a NaN value takes no part in
+/// the scale and is written back into `out` as itself. Returns the
+/// exponent of the chunk's folded scale and whether `values` held a NaN.
+pub(crate) fn encode_chunk(
+    values: &[f32],
+    alg: &FormatAlgebra,
+    fp16: &mut [Fp16],
+    out: &mut [f32],
+    codes: &mut [f32],
+) -> (i32, bool) {
+    let nan = narrow_block(fp16, values);
+    let e = encode_block::<true>(fp16, alg, RoundingMode::NearestEven, out, codes);
+    if nan {
+        restore_nans(values, out);
+    }
+    (e, nan)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bbfp::bbfp_quantize_slice;
-    use crate::bfp::bfp_quantize_slice;
     use crate::format::{BbfpConfig, BfpConfig};
+    use crate::reference::{bbfp_quantize_slice, bbfp_quantize_slice_with, bfp_quantize_slice};
 
     fn wavy(n: usize, scale: f32) -> Vec<f32> {
         (0..n)
@@ -1064,6 +1354,112 @@ mod tests {
             &mut b,
         );
         assert_eq!(a, b, "msfp(4,16)");
+    }
+
+    /// The policy entry is the reference sweep at every Fig. 3 offset, on
+    /// ragged tails and NaN blocks alike; at a point's own policy it is
+    /// the plain quantiser.
+    #[test]
+    fn policy_sweep_matches_reference_quantiser() {
+        let mut raw = wavy(70, 0.013);
+        raw[40] = f32::NAN;
+        for (m, o) in [(4u8, 2u8), (6, 3), (10, 5), (3, 0)] {
+            let alg = FormatAlgebra::bbfp(m, o).unwrap();
+            let cfg = BbfpConfig::new(m, o).unwrap();
+            for policy in [0, 1, 2, 3, m - o + 1].map(ExponentPolicy::MaxMinus) {
+                let mut a = vec![0.0; raw.len()];
+                algebra_quantize_slice_with(&raw, &alg, policy, RoundingMode::NearestEven, &mut a);
+                let mut b = vec![0.0; raw.len()];
+                bbfp_quantize_slice_with(&raw, cfg, policy, RoundingMode::NearestEven, &mut b);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b), "bbfp({m},{o}) {policy:?}");
+            }
+            let mut own = vec![0.0; raw.len()];
+            let policy = alg.exponent_policy();
+            algebra_quantize_slice_with(&raw, &alg, policy, RoundingMode::NearestEven, &mut own);
+            let mut plain = vec![0.0; raw.len()];
+            algebra_quantize_slice(&raw, &alg, RoundingMode::NearestEven, &mut plain);
+            assert_eq!(own[..40], plain[..40]);
+            assert_eq!(own[41..], plain[41..]);
+        }
+        // A point without flagged elements takes `Max`, as itself.
+        let bfp = FormatAlgebra::bfp(4).unwrap();
+        let (mut a, mut b) = (vec![0.0; 32], vec![0.0; 32]);
+        let rne = RoundingMode::NearestEven;
+        algebra_quantize_slice_with(&raw[..32], &bfp, ExponentPolicy::Max, rne, &mut a);
+        algebra_quantize_slice(&raw[..32], &bfp, rne, &mut b);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "only the Max exponent policy applies")]
+    fn offset_policy_on_unflagged_point_is_rejected() {
+        let bfp = FormatAlgebra::bfp(4).unwrap();
+        let mut out = vec![0.0; 32];
+        let policy = ExponentPolicy::MaxMinus(2);
+        algebra_quantize_slice_with(
+            &[1.0; 32],
+            &bfp,
+            policy,
+            RoundingMode::NearestEven,
+            &mut out,
+        );
+    }
+
+    /// A flag is read from the element encoder, never from a code's size:
+    /// BBFP(10,5) on `[-3e-5, -5e-4]` clamps the shared exponent to 0 and
+    /// flags the FP16 subnormal `-3e-5` with mantissa 16, whose code 512
+    /// is also the code of an unflagged mantissa 512.
+    #[test]
+    fn subnormal_near_tie_is_flagged_with_a_small_code() {
+        let alg = FormatAlgebra::bbfp(10, 5).unwrap();
+        let raw = [-3.0e-5f32, -5.0e-4];
+        let fp16 = raw.map(Fp16::from_f32_saturating);
+        let mut elements = [BbfpElement::default(); 2];
+        let rne = RoundingMode::NearestEven;
+        let shared = encode_elements(&fp16, &alg, alg.exponent_policy(), rne, &mut elements);
+        assert_eq!(shared, 0);
+        let e = elements[0];
+        assert!(e.sign && e.flag && e.mantissa == 16, "{e:?}");
+        let mut codes = [0.0; 2];
+        let exps = algebra_encode_slice(&raw, &alg, &mut codes);
+        assert_eq!(codes[0], -512.0);
+        assert!(
+            codes[0].abs() < (1 << 10) as f32,
+            "a flagged code below 2^m"
+        );
+        assert_eq!(exps, [-24]);
+    }
+
+    /// The integer view writes the codes the packed store keeps: times the
+    /// block's exponent they are the quantiser's values, and a NaN gets
+    /// the code 0 and no say in its block's exponent.
+    #[test]
+    fn encoded_codes_give_the_quantised_values() {
+        let mut raw = wavy(72, 0.013);
+        raw[5] = f32::NAN;
+        for alg in [
+            FormatAlgebra::bfp(4).unwrap(),
+            FormatAlgebra::bbfp(4, 2).unwrap(),
+            FormatAlgebra::bbfp(10, 0).unwrap(),
+            FormatAlgebra::mx(8, 4, 2).unwrap(),
+        ] {
+            let rne = RoundingMode::NearestEven;
+            let mut codes = vec![0.0; raw.len()];
+            let exps = algebra_encode_slice(&raw, &alg, &mut codes);
+            assert_eq!(exps.len(), 3, "{alg:?}: two blocks and a tail");
+            let mut q = vec![0.0; raw.len()];
+            algebra_quantize_slice(&raw, &alg, rne, &mut q);
+            for (i, (c, v)) in codes.iter().zip(&q).enumerate() {
+                if i == 5 {
+                    assert_eq!(*c, 0.0);
+                    assert!(v.is_nan());
+                } else {
+                    let decoded = c * exp2i(exps[i / alg.block_size]);
+                    assert_eq!(decoded.to_bits(), v.to_bits(), "{alg:?} idx {i}");
+                }
+            }
+        }
     }
 
     #[test]

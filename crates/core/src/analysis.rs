@@ -68,7 +68,7 @@ fn exponent_pmf(
             .iter()
             .map(|&v| Fp16::from_f32_saturating(v))
             .collect();
-        let max_e = crate::bfp::max_exponent(&fp16);
+        let max_e = crate::algebra::max_exponent(&fp16);
         let shared = policy.shared_exponent(max_e);
         let entry = counts.entry(shared).or_insert((0, 0, 0));
         entry.0 += 1;
@@ -148,8 +148,7 @@ pub fn sqnr_db(original: &[f32], reconstructed: &[f32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bbfp::bbfp_quantize_slice;
-    use crate::bfp::bfp_quantize_slice;
+    use crate::algebra::{algebra_quantize_slice, FormatAlgebra};
     use crate::rounding::RoundingMode;
 
     fn gaussian_with_outliers(n: usize, seed: u64) -> Vec<f32> {
@@ -204,7 +203,8 @@ mod tests {
 
         let bfp_cfg = BfpConfig::new(6).unwrap();
         let mut out = vec![0.0; data.len()];
-        bfp_quantize_slice(&data, bfp_cfg, RoundingMode::NearestEven, &mut out);
+        let bfp = FormatAlgebra::bfp(6).unwrap();
+        algebra_quantize_slice(&data, &bfp, RoundingMode::NearestEven, &mut out);
         let empirical = mse(&data, &out);
         let predicted = predicted_error_variance(&bfp_exponent_pmf(&data, bfp_cfg), 6, 0);
         // The model assumes uniformly distributed roundoff; real data gives
@@ -215,7 +215,8 @@ mod tests {
         );
 
         let bbfp_cfg = BbfpConfig::new(6, 3).unwrap();
-        bbfp_quantize_slice(&data, bbfp_cfg, RoundingMode::NearestEven, &mut out);
+        let bbfp = FormatAlgebra::bbfp(6, 3).unwrap();
+        algebra_quantize_slice(&data, &bbfp, RoundingMode::NearestEven, &mut out);
         let empirical_b = mse(&data, &out);
         let predicted_b = predicted_error_variance(
             &bbfp_exponent_pmf(&data, bbfp_cfg, ExponentPolicy::paper_default(bbfp_cfg)),
@@ -233,9 +234,9 @@ mod tests {
         let data = gaussian_with_outliers(4096, 4);
         let mut prev = -f64::INFINITY;
         for m in [3u8, 4, 6, 8] {
-            let cfg = BfpConfig::new(m).unwrap();
+            let bfp = FormatAlgebra::bfp(m).unwrap();
             let mut out = vec![0.0; data.len()];
-            bfp_quantize_slice(&data, cfg, RoundingMode::NearestEven, &mut out);
+            algebra_quantize_slice(&data, &bfp, RoundingMode::NearestEven, &mut out);
             let s = sqnr_db(&data, &out);
             assert!(s > prev, "m={m}: {s} <= {prev}");
             prev = s;

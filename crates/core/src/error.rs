@@ -1,9 +1,9 @@
-//! Error types for format construction and block encoding.
+//! Error types for format construction.
 
 use std::fmt;
 
-/// Errors produced when constructing format configurations or encoding
-/// blocks.
+/// Errors produced when constructing format configurations and algebra
+/// points.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FormatError {
@@ -23,17 +23,6 @@ pub enum FormatError {
     },
     /// Block size must be a positive power of two (hardware blocks are).
     BlockSize(usize),
-    /// Input slice length does not match the configured block size.
-    LengthMismatch {
-        /// Number of elements supplied.
-        got: usize,
-        /// Block size expected by the configuration.
-        expected: usize,
-    },
-    /// A non-finite value (NaN or infinity) cannot be block-quantised.
-    NonFinite(usize),
-    /// Dot products require both operands to share one configuration.
-    ConfigMismatch,
     /// A shared-scale field width is outside the supported `5..=8`
     /// range (it must hold any biased FP16 exponent, and silicon caps
     /// it at a byte).
@@ -72,15 +61,6 @@ impl fmt::Display for FormatError {
             ),
             FormatError::BlockSize(n) => {
                 write!(f, "block size {n} is not a positive power of two")
-            }
-            FormatError::LengthMismatch { got, expected } => {
-                write!(f, "expected {expected} elements per block, got {got}")
-            }
-            FormatError::NonFinite(i) => {
-                write!(f, "non-finite value at index {i} cannot be block-quantised")
-            }
-            FormatError::ConfigMismatch => {
-                write!(f, "operands use different block format configurations")
             }
             FormatError::ScaleWidth(b) => {
                 write!(f, "shared-scale width {b} outside supported range 5..=8")

@@ -110,33 +110,13 @@
 //! flip the sum's sign.
 
 use crate::algebra::{
-    self, algebra_quantize_in_place, algebra_quantize_slice, FormatAlgebra, ScaleKind,
+    algebra_quantize_in_place, algebra_quantize_slice, encode_chunk, exp2i, FormatAlgebra,
+    ScaleKind,
 };
-use crate::bfp::exp2i;
 use crate::fp16::Fp16;
 use crate::rounding::RoundingMode;
 use crate::scheme::SchemeSpec;
 use std::borrow::Cow;
-
-/// Narrows one chunk of `values` into `fp16` and runs the block encoder
-/// over it, writing the dequantised values into `out` and the codes into
-/// `codes`, exactly as the quantiser does: a NaN value takes no part in
-/// the scale and is written back into `out` as itself. Returns the
-/// exponent of the chunk's folded scale and whether `values` held a NaN.
-fn encode_chunk(
-    values: &[f32],
-    alg: &FormatAlgebra,
-    fp16: &mut [Fp16],
-    out: &mut [f32],
-    codes: &mut [f32],
-) -> (i32, bool) {
-    let nan = algebra::narrow_block(fp16, values);
-    let e = algebra::encode_block::<true>(fp16, alg, RoundingMode::NearestEven, out, codes);
-    if nan {
-        algebra::restore_nans(values, out);
-    }
-    (e, nan)
-}
 
 /// Which storage layout a [`PackedMatrix`] ended up with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -500,12 +480,12 @@ fn strip_major<T: Copy>(flat: &[T], rows: usize, cols: usize, width: usize) -> V
 ///
 /// ```
 /// use bbal_core::packed::{LayoutKind, PackedMatrix};
-/// use bbal_core::{bbfp_quantize_slice, BbfpConfig, RoundingMode, SchemeSpec};
+/// use bbal_core::{algebra_quantize_slice, FormatAlgebra, RoundingMode, SchemeSpec};
 ///
-/// let cfg = BbfpConfig::new(4, 2)?;
+/// let bbfp = FormatAlgebra::bbfp(4, 2)?;
 /// let raw: Vec<f32> = (0..64).map(|i| ((i * 7 % 23) as f32 - 11.0) * 0.07).collect();
 /// let mut q = vec![0.0; 64];
-/// bbfp_quantize_slice(&raw, cfg, RoundingMode::NearestEven, &mut q);
+/// algebra_quantize_slice(&raw, &bbfp, RoundingMode::NearestEven, &mut q);
 ///
 /// let packed = PackedMatrix::pack(&q, 2, 32, SchemeSpec::Bbfp(4, 2));
 /// assert_eq!(packed.layout_kind(), LayoutKind::Block);
@@ -1261,12 +1241,12 @@ impl<C: Code> RowTile<'_, C> {
 ///
 /// ```
 /// use bbal_core::packed::{LayoutKind, PackedRows};
-/// use bbal_core::{bbfp_quantize_slice, BbfpConfig, RoundingMode, SchemeSpec};
+/// use bbal_core::{algebra_quantize_slice, FormatAlgebra, RoundingMode, SchemeSpec};
 ///
-/// let cfg = BbfpConfig::new(4, 2)?;
+/// let bbfp = FormatAlgebra::bbfp(4, 2)?;
 /// let raw: Vec<f32> = (0..64).map(|i| ((i * 5 % 17) as f32 - 8.0) * 0.1).collect();
 /// let mut q = vec![0.0; 64];
-/// bbfp_quantize_slice(&raw, cfg, RoundingMode::NearestEven, &mut q);
+/// algebra_quantize_slice(&raw, &bbfp, RoundingMode::NearestEven, &mut q);
 ///
 /// let mut rows = PackedRows::new(SchemeSpec::Bbfp(4, 2), 32);
 /// rows.push_row(&q[..32]);
@@ -1646,9 +1626,8 @@ pub fn packed_rows_capacity_bytes(scheme: SchemeSpec, width: usize, rows: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bbfp::bbfp_quantize_slice;
-    use crate::bfp::bfp_quantize_slice;
     use crate::format::{BbfpConfig, BfpConfig};
+    use crate::reference::{bbfp_quantize_slice, bfp_quantize_slice};
 
     fn raw(n: usize, seed: u64) -> Vec<f32> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;

@@ -195,19 +195,6 @@ impl SchemeSpec {
         }
     }
 
-    /// The BFP block configuration behind this scheme, if it is a plain
-    /// BFP scheme.
-    ///
-    /// # Errors
-    ///
-    /// [`SchemeError::Format`] if the mantissa width is invalid.
-    pub fn bfp_config(&self) -> Result<Option<BfpConfig>, SchemeError> {
-        match *self {
-            SchemeSpec::Bfp(m) => BfpConfig::new(m).map(Some).map_err(SchemeError::Format),
-            _ => Ok(None),
-        }
-    }
-
     /// The BBFP block configuration behind this scheme, if it is a BBFP
     /// scheme.
     ///
@@ -737,8 +724,8 @@ mod tests {
         let cfg = SchemeSpec::Bbfp(4, 2).bbfp_config().unwrap().unwrap();
         assert_eq!((cfg.mantissa_bits(), cfg.overlap_bits()), (4, 2));
         assert!(SchemeSpec::Fp16.bbfp_config().unwrap().is_none());
-        let bfp = SchemeSpec::Bfp(6).bfp_config().unwrap().unwrap();
-        assert_eq!(bfp.mantissa_bits(), 6);
+        let bfp = SchemeSpec::Bfp(6).algebra().unwrap().unwrap();
+        assert_eq!(bfp.mantissa_bits, 6);
         assert!(SchemeSpec::Bbfp(9, 9).bbfp_config().is_err());
     }
 

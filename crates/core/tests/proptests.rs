@@ -1,8 +1,8 @@
 //! Property-based tests for the BBFP/BFP format layer.
 
 use bbal_core::{
-    analysis, bbfp_dot, bbfp_quantize_slice, bfp_dot, bfp_quantize_slice, BbfpBlock, BbfpConfig,
-    BfpBlock, BfpConfig, ExponentPolicy, Fp16, RoundingMode,
+    algebra_encode_slice, algebra_quantize_slice, algebra_quantize_slice_with, analysis,
+    encode_elements, BbfpElement, ExponentPolicy, FormatAlgebra, Fp16, RoundingMode,
 };
 use proptest::prelude::*;
 
@@ -23,14 +23,46 @@ fn block32() -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(finite_f32(), 32)
 }
 
-fn bbfp_config() -> impl Strategy<Value = BbfpConfig> {
+fn bbfp_config() -> impl Strategy<Value = FormatAlgebra> {
     (1u8..=10)
         .prop_flat_map(|m| (Just(m), 0..m))
-        .prop_map(|(m, o)| BbfpConfig::new(m, o).unwrap())
+        .prop_map(|(m, o)| FormatAlgebra::bbfp(m, o).unwrap())
 }
 
-fn bfp_config() -> impl Strategy<Value = BfpConfig> {
-    (1u8..=10).prop_map(|m| BfpConfig::new(m).unwrap())
+fn bfp_config() -> impl Strategy<Value = FormatAlgebra> {
+    (1u8..=10).prop_map(|m| FormatAlgebra::bfp(m).unwrap())
+}
+
+const RNE: RoundingMode = RoundingMode::NearestEven;
+
+fn quantise(data: &[f32], alg: &FormatAlgebra) -> Vec<f32> {
+    let mut out = vec![0.0; data.len()];
+    algebra_quantize_slice(data, alg, RNE, &mut out);
+    out
+}
+
+/// One block's shared exponent and elements from the element encoder.
+fn encode(data: &[f32], alg: &FormatAlgebra) -> (i32, Vec<BbfpElement>) {
+    let fp16: Vec<Fp16> = data.iter().map(|&v| Fp16::from_f32_saturating(v)).collect();
+    let mut elements = vec![BbfpElement::default(); data.len()];
+    let shared = encode_elements(&fp16, alg, alg.exponent_policy(), RNE, &mut elements);
+    (shared, elements)
+}
+
+/// The PE array's block dot on the algebra's codes, and the f64 dot of
+/// the dequantised blocks it must equal.
+fn dots(a: &[f32], b: &[f32], alg: &FormatAlgebra) -> (f64, f64) {
+    let (mut ca, mut cb) = (vec![0.0; a.len()], vec![0.0; b.len()]);
+    let ea = algebra_encode_slice(a, alg, &mut ca)[0];
+    let eb = algebra_encode_slice(b, alg, &mut cb)[0];
+    let acc: i64 = ca.iter().zip(&cb).map(|(x, y)| *x as i64 * *y as i64).sum();
+    let fixed = acc as f64 * ((ea + eb) as f64).exp2();
+    let reference = quantise(a, alg)
+        .iter()
+        .zip(&quantise(b, alg))
+        .map(|(x, y)| *x as f64 * *y as f64)
+        .sum();
+    (fixed, reference)
 }
 
 proptest! {
@@ -67,13 +99,14 @@ proptest! {
     /// step (plus FP16 narrowing error), except where saturated.
     #[test]
     fn bfp_error_bound(data in block32(), cfg in bfp_config()) {
-        let block = BfpBlock::from_f32_slice(&data, cfg).unwrap();
-        let step = 2f64.powi(block.scale_exponent());
-        let max_m = (1u32 << cfg.mantissa_bits()) - 1;
+        let (shared, elements) = encode(&data, &cfg);
+        let values = quantise(&data, &cfg);
+        let step = 2f64.powi(shared - 14 - cfg.mantissa_bits as i32);
+        let max_m = (1u32 << cfg.mantissa_bits) - 1;
         for (i, &orig) in data.iter().enumerate() {
             let h = Fp16::from_f32_saturating(orig).to_f32() as f64;
-            let back = block.element_to_f32(i) as f64;
-            if block.mantissas()[i] as u32 != max_m {
+            let back = values[i] as f64;
+            if elements[i].mantissa as u32 != max_m {
                 prop_assert!((h - back).abs() <= step * 0.5 + 1e-12,
                     "i={i} orig={orig} back={back} step={step}");
             }
@@ -84,14 +117,16 @@ proptest! {
     /// times the element's flag scale, except where saturated.
     #[test]
     fn bbfp_error_bound(data in block32(), cfg in bbfp_config()) {
-        let block = BbfpBlock::from_f32_slice(&data, cfg).unwrap();
-        let step = 2f64.powi(block.scale_exponent());
-        let max_m = (1u32 << cfg.mantissa_bits()) - 1;
+        let (shared, elements) = encode(&data, &cfg);
+        let values = quantise(&data, &cfg);
+        let step = 2f64.powi(shared - 14 - cfg.mantissa_bits as i32);
+        let max_m = (1u32 << cfg.mantissa_bits) - 1;
+        let flag_scale = (1u32 << cfg.window_gap().unwrap()) as f64;
         for (i, &orig) in data.iter().enumerate() {
             let h = Fp16::from_f32_saturating(orig).to_f32() as f64;
-            let back = block.element_to_f32(i) as f64;
-            let el = block.elements()[i];
-            let f = if el.flag { cfg.flag_scale() as f64 } else { 1.0 };
+            let back = values[i] as f64;
+            let el = elements[i];
+            let f = if el.flag { flag_scale } else { 1.0 };
             if el.mantissa as u32 != max_m {
                 prop_assert!((h - back).abs() <= step * f * 0.5 + 1e-12,
                     "i={i} orig={orig} back={back} step={step} f={f}");
@@ -103,11 +138,7 @@ proptest! {
     /// floating-point dot product.
     #[test]
     fn bbfp_dot_exactness(a in block32(), b in block32(), cfg in bbfp_config()) {
-        let ba = BbfpBlock::from_f32_slice(&a, cfg).unwrap();
-        let bb = BbfpBlock::from_f32_slice(&b, cfg).unwrap();
-        let fixed = bbfp_dot(&ba, &bb).unwrap().to_f64();
-        let reference: f64 = ba.to_f32_vec().iter().zip(bb.to_f32_vec().iter())
-            .map(|(x, y)| *x as f64 * *y as f64).sum();
+        let (fixed, reference) = dots(&a, &b, &cfg);
         let tol = reference.abs().max(1.0) * 1e-6;
         prop_assert!((fixed - reference).abs() <= tol, "{fixed} vs {reference}");
     }
@@ -115,11 +146,7 @@ proptest! {
     /// Same exactness for BFP.
     #[test]
     fn bfp_dot_exactness(a in block32(), b in block32(), cfg in bfp_config()) {
-        let ba = BfpBlock::from_f32_slice(&a, cfg).unwrap();
-        let bb = BfpBlock::from_f32_slice(&b, cfg).unwrap();
-        let fixed = bfp_dot(&ba, &bb).unwrap().to_f64();
-        let reference: f64 = ba.to_f32_vec().iter().zip(bb.to_f32_vec().iter())
-            .map(|(x, y)| *x as f64 * *y as f64).sum();
+        let (fixed, reference) = dots(&a, &b, &cfg);
         let tol = reference.abs().max(1.0) * 1e-6;
         prop_assert!((fixed - reference).abs() <= tol, "{fixed} vs {reference}");
     }
@@ -128,10 +155,8 @@ proptest! {
     /// the same values.
     #[test]
     fn bbfp_idempotent(data in block32(), cfg in bbfp_config()) {
-        let mut once = vec![0.0; data.len()];
-        bbfp_quantize_slice(&data, cfg, RoundingMode::NearestEven, &mut once);
-        let mut twice = vec![0.0; data.len()];
-        bbfp_quantize_slice(&once, cfg, RoundingMode::NearestEven, &mut twice);
+        let once = quantise(&data, &cfg);
+        let twice = quantise(&once, &cfg);
         for (i, (a, b)) in once.iter().zip(&twice).enumerate() {
             prop_assert_eq!(a, b, "index {}", i);
         }
@@ -143,13 +168,11 @@ proptest! {
     fn max_policy_equals_bfp(data in block32(), m in 1u8..=10) {
         let o = m.saturating_sub(1);
         prop_assume!(o < m);
-        let bbfp_cfg = BbfpConfig::new(m, o).unwrap();
-        let bfp_cfg = BfpConfig::new(m).unwrap();
-        let fp16: Vec<Fp16> = data.iter().map(|&v| Fp16::from_f32_saturating(v)).collect();
-        let bb = BbfpBlock::from_fp16_slice_with(
-            &fp16, bbfp_cfg, ExponentPolicy::Max, RoundingMode::NearestEven).unwrap();
-        let bf = BfpBlock::from_fp16_slice(&fp16, bfp_cfg).unwrap();
-        prop_assert_eq!(bb.to_f32_vec(), bf.to_f32_vec());
+        let bbfp = FormatAlgebra::bbfp(m, o).unwrap();
+        let mut bb = vec![0.0; data.len()];
+        algebra_quantize_slice_with(&data, &bbfp, ExponentPolicy::Max, RNE, &mut bb);
+        let bf = quantise(&data, &FormatAlgebra::bfp(m).unwrap());
+        prop_assert_eq!(bb, bf);
     }
 
     /// MSE through the analysis helpers is non-negative and zero only for
@@ -168,8 +191,8 @@ proptest! {
     fn truncate_le_nearest(data in block32(), cfg in bfp_config()) {
         let mut t = vec![0.0; data.len()];
         let mut n = vec![0.0; data.len()];
-        bfp_quantize_slice(&data, cfg, RoundingMode::Truncate, &mut t);
-        bfp_quantize_slice(&data, cfg, RoundingMode::NearestEven, &mut n);
+        algebra_quantize_slice(&data, &cfg, RoundingMode::Truncate, &mut t);
+        algebra_quantize_slice(&data, &cfg, RoundingMode::NearestEven, &mut n);
         for (a, b) in t.iter().zip(&n) {
             prop_assert!(a.abs() <= b.abs() + 1e-12);
         }

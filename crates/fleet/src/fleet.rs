@@ -336,6 +336,44 @@ mod tests {
         assert_eq!(report.rejected(), 0);
     }
 
+    /// A byte budget of `n` dense-f32 pages is the same memory signal as
+    /// a page budget of `n`: the router sees the same free pages, so the
+    /// two fleets route every request alike and serve the same reports.
+    #[test]
+    fn byte_budgets_route_like_the_equal_page_budgets() {
+        let page_bytes = bbal_llm::KvStore::dense_f32().page_bytes(
+            bbal_llm::zoo::tiny_test_model().hidden,
+            bbal_llm::DEFAULT_PAGE_TOKENS,
+        );
+        let trace = TraceConfig::tiny_test(24).generate(7);
+        let run = |by_bytes: bool| {
+            let specs = [("small", 400), ("large", 800)].map(|(name, pages)| {
+                let config = if by_bytes {
+                    ServeConfig::default().with_kv_budget_bytes(pages as u64 * page_bytes)
+                } else {
+                    ServeConfig::default().with_kv_budget(pages)
+                };
+                tiny(name).with_config(config)
+            });
+            let mut fleet = Fleet::new(specs.to_vec(), RoutePolicy::LeastLoaded).unwrap();
+            fleet.serve(&trace).unwrap()
+        };
+        let by_pages = run(false);
+        let mut by_bytes = run(true);
+        assert_eq!(by_bytes.assignments, by_pages.assignments);
+        for (b, p) in by_bytes.replicas.iter_mut().zip(&by_pages.replicas) {
+            assert!(matches!(
+                b.report.kv_budget,
+                Some(bbal_llm::KvBudget::Bytes(_))
+            ));
+            b.report.kv_budget = p.report.kv_budget;
+        }
+        assert_eq!(by_bytes, by_pages);
+        assert_eq!(by_pages.rejected(), 0);
+        // The larger replica's free pages win the first idle tie.
+        assert_eq!(by_pages.assignments[0].0, 1);
+    }
+
     #[test]
     fn fleet_percentiles_and_throughput_are_populated() {
         let trace = TraceConfig::tiny_test(24).generate(1);

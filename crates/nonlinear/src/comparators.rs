@@ -17,6 +17,7 @@ use bbal_arith::{
     ArrayMultiplier, BarrelShifter, CostSummary, GateCounts, GateKind, GateLibrary,
     LeadingOneDetector, MaxTree, RestoringDivider, RippleCarryAdder,
 };
+use bbal_core::ElementKind;
 
 /// One Table V row.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,14 +194,15 @@ impl HighPrecisionSoftmaxUnit {
 /// Our unit's Table V row.
 pub fn ours_table5_row(unit: &NonlinearUnit, lib: &GateLibrary) -> TableVRow {
     let cost = unit.cost(lib);
+    let format = unit.config().format;
+    let overlap = match format.element {
+        ElementKind::Flagged { overlap_bits } => overlap_bits,
+        _ => 0,
+    };
     TableVRow {
         name: "Ours".to_owned(),
         num: unit.config().lanes,
-        format: format!(
-            "BBFP({},{},5)",
-            unit.config().format.mantissa_bits(),
-            unit.config().format.overlap_bits()
-        ),
+        format: format!("BBFP({},{overlap},5)", format.mantissa_bits),
         adp: cost.adp(),
         edp: cost.edp(),
         efficiency: efficiency(unit.throughput_gops(), &cost, unit.config().clock_ghz),

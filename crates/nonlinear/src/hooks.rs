@@ -39,18 +39,10 @@ pub struct NonlinearUnitHooks {
 impl NonlinearUnitHooks {
     /// Wraps a unit configuration with the given scope.
     pub fn new(config: NonlinearUnitConfig, scope: NonlinearScope) -> NonlinearUnitHooks {
-        let format_label = match config.policy {
-            bbal_core::ExponentPolicy::Max => format!("BFP{}", config.format.mantissa_bits()),
-            _ => format!(
-                "BBFP({},{})",
-                config.format.mantissa_bits(),
-                config.format.overlap_bits()
-            ),
-        };
         NonlinearUnitHooks {
             unit: RefCell::new(NonlinearUnit::new(config)),
             scope,
-            label: format!("{format_label} {}", scope.label()),
+            label: format!("{} {}", config.format.display_name(), scope.label()),
         }
     }
 }

@@ -13,13 +13,12 @@
 //! datapath uses, so a lookup's output feeds the next fixed-point stage
 //! unchanged (§IV-B "INT Computation").
 
-use bbal_core::{BbfpBlock, BbfpConfig, ExponentPolicy, Fp16, RoundingMode};
+use bbal_core::{encode_elements, BbfpElement, FormatAlgebra, Fp16, RoundingMode};
 use std::collections::BTreeMap;
 
 /// A segmented LUT for one scalar function.
 pub struct SegmentedLut {
-    config: BbfpConfig,
-    policy: ExponentPolicy,
+    format: FormatAlgebra,
     address_bits: u32,
     tables: BTreeMap<(bool, i32), Vec<f32>>,
     function: Box<dyn Fn(f64) -> f64 + Send + Sync>,
@@ -28,7 +27,7 @@ pub struct SegmentedLut {
 impl std::fmt::Debug for SegmentedLut {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SegmentedLut")
-            .field("config", &self.config)
+            .field("format", &self.format)
             .field("address_bits", &self.address_bits)
             .field("materialised_tables", &self.tables.len())
             .finish()
@@ -36,7 +35,10 @@ impl std::fmt::Debug for SegmentedLut {
 }
 
 impl SegmentedLut {
-    /// Creates an empty segmented LUT for `function`.
+    /// Creates an empty segmented LUT for `function` whose inputs are
+    /// aligned into `format`, a shared-exponent point: BBFP(10,5) in the
+    /// paper, or BFP10, which never flags an element, for the Table IV
+    /// comparison rows.
     ///
     /// Sub-tables are materialised lazily, mirroring the paper's scheme of
     /// keeping the full set off-chip and loading per shared exponent.
@@ -47,35 +49,25 @@ impl SegmentedLut {
     /// bit plus mantissa MSBs are all the address can draw from).
     pub fn new(
         function: impl Fn(f64) -> f64 + Send + Sync + 'static,
-        config: BbfpConfig,
+        format: FormatAlgebra,
         address_bits: u32,
     ) -> SegmentedLut {
         assert!(address_bits > 0);
         assert!(
-            address_bits <= config.mantissa_bits() as u32 + 1,
+            address_bits <= format.mantissa_bits as u32 + 1,
             "address wider than flag+mantissa"
         );
         SegmentedLut {
-            config,
-            policy: ExponentPolicy::paper_default(config),
+            format,
             address_bits,
             tables: BTreeMap::new(),
             function: Box::new(function),
         }
     }
 
-    /// Overrides the shared-exponent policy. `ExponentPolicy::Max` turns
-    /// the input encoding into vanilla `BFPm` (no element is ever flagged)
-    /// — the paper's BFP10 comparison rows in Table IV.
-    pub fn with_policy(mut self, policy: ExponentPolicy) -> SegmentedLut {
-        self.policy = policy;
-        self.tables.clear();
-        self
-    }
-
     /// The element format entries are stored in.
-    pub fn config(&self) -> BbfpConfig {
-        self.config
+    pub fn format(&self) -> FormatAlgebra {
+        self.format
     }
 
     /// Number of sub-tables materialised so far (the paper's "18 sub-tables
@@ -93,7 +85,7 @@ impl SegmentedLut {
     /// with the mantissa's top `address_bits − 1` bits.
     fn address(&self, flag: bool, mantissa: u16) -> usize {
         let mant_bits = self.address_bits - 1;
-        let shift = self.config.mantissa_bits() as u32 - mant_bits;
+        let shift = self.format.mantissa_bits as u32 - mant_bits;
         let hi = (mantissa >> shift) as usize;
         ((flag as usize) << mant_bits) | hi
     }
@@ -101,14 +93,15 @@ impl SegmentedLut {
     /// The representative input value of a LUT cell (cell centre).
     fn cell_input(&self, sign: bool, shared_exponent: i32, addr: usize) -> f64 {
         let mant_bits = self.address_bits - 1;
-        let shift = self.config.mantissa_bits() as u32 - mant_bits;
+        let m = self.format.mantissa_bits as u32;
+        let shift = m - mant_bits;
         let flag = addr >> mant_bits != 0;
         let hi = (addr & ((1 << mant_bits) - 1)) as u64;
         // Cell centre: top bits + half a cell.
         let mantissa = (hi << shift) as f64 + (1u64 << shift) as f64 / 2.0;
-        let scale = ((shared_exponent - 14 - self.config.mantissa_bits() as i32) as f64).exp2();
+        let scale = ((shared_exponent - 14 - m as i32) as f64).exp2();
         let f = if flag {
-            self.config.flag_scale() as f64
+            (1u64 << self.format.window_gap().unwrap_or(0)) as f64
         } else {
             1.0
         };
@@ -138,33 +131,40 @@ impl SegmentedLut {
         &self.tables[&key]
     }
 
-    /// Applies the function to a block: encode to BBFP, then one lookup
-    /// per element against the block's shared-exponent sub-table.
+    /// Applies the function to a block: align the whole of `xs` against
+    /// one shared exponent with the algebra's element encoder, then one
+    /// lookup per element against that exponent's sub-table, addressed by
+    /// the element's flag and mantissa (a code alone would not tell the
+    /// two windows apart).
     ///
     /// Returns the looked-up outputs. Inputs that encode to mantissa zero
-    /// hit the `addr 0` cell like any other value.
+    /// hit the `addr 0` cell like any other value; a NaN input gives NaN
+    /// and takes no part in the shared exponent, which the other elements
+    /// set as if it were 0.
     pub fn apply_block(&mut self, xs: &[f32]) -> Vec<f32> {
-        let cfg = BbfpConfig::with_block_size(
-            self.config.mantissa_bits(),
-            self.config.overlap_bits(),
-            xs.len().next_power_of_two().max(1),
-        )
-        .expect("config validated at construction");
-        // Encode against a padded block (hardware pads ragged tails).
-        let mut padded: Vec<Fp16> = xs.iter().map(|&v| Fp16::from_f32_saturating(v)).collect();
-        padded.resize(cfg.block_size(), Fp16::ZERO);
-        let block =
-            BbfpBlock::from_fp16_slice_with(&padded, cfg, self.policy, RoundingMode::NearestEven)
-                .expect("finite inputs");
-        let shared = block.shared_exponent();
-        let addresses: Vec<(bool, usize)> = block.elements()[..xs.len()]
+        let fp16: Vec<Fp16> = xs
             .iter()
-            .map(|e| (e.sign, self.address(e.flag, e.mantissa)))
+            .map(|&v| Fp16::from_f32_saturating(if v.is_nan() { 0.0 } else { v }))
             .collect();
-        addresses
-            .into_iter()
-            .map(|(sign, addr)| self.table(sign, shared)[addr])
-            .collect()
+        let mut elements = vec![BbfpElement::default(); xs.len()];
+        let policy = self.format.exponent_policy();
+        let shared = encode_elements(
+            &fp16,
+            &self.format,
+            policy,
+            RoundingMode::NearestEven,
+            &mut elements,
+        );
+        let mut out = Vec::with_capacity(xs.len());
+        for (x, e) in xs.iter().zip(&elements) {
+            out.push(if x.is_nan() {
+                *x
+            } else {
+                let addr = self.address(e.flag, e.mantissa);
+                self.table(e.sign, shared)[addr]
+            });
+        }
+        out
     }
 }
 
@@ -173,7 +173,7 @@ mod tests {
     use super::*;
 
     fn exp_lut() -> SegmentedLut {
-        SegmentedLut::new(|x| x.exp(), BbfpConfig::new(10, 5).unwrap(), 7)
+        SegmentedLut::new(|x| x.exp(), FormatAlgebra::bbfp(10, 5).unwrap(), 7)
     }
 
     #[test]
@@ -236,6 +236,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "address wider")]
     fn address_cannot_exceed_payload_bits() {
-        let _ = SegmentedLut::new(|x| x, BbfpConfig::new(4, 2).unwrap(), 7);
+        let _ = SegmentedLut::new(|x| x, FormatAlgebra::bbfp(4, 2).unwrap(), 7);
     }
 }

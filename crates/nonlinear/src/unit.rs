@@ -20,16 +20,15 @@ use bbal_arith::{
     ArrayMultiplier, CostSummary, GateCounts, GateKind, GateLibrary, MaxTree, RestoringDivider,
     RippleCarryAdder,
 };
-use bbal_core::{BbfpConfig, ExponentPolicy, Fp16};
+use bbal_core::{algebra_quantize_in_place, FormatAlgebra, Fp16, RoundingMode};
 use bbal_mem::{DramChannel, LutLayout, SegmentedLutStorage};
 
 /// Configuration of the nonlinear unit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NonlinearUnitConfig {
-    /// Element format of the datapath (the paper uses BBFP(10,5)).
-    pub format: BbfpConfig,
-    /// Shared-exponent policy (paper default, or `Max` for the BFP rows).
-    pub policy: ExponentPolicy,
+    /// Element format of the datapath, a shared-exponent algebra point:
+    /// the paper's BBFP(10,5), or BFP10 for the comparison rows.
+    pub format: FormatAlgebra,
     /// LUT address width (the paper uses 7).
     pub address_bits: u32,
     /// Parallel lanes (the paper's unit processes 16 elements/cycle).
@@ -42,21 +41,20 @@ impl NonlinearUnitConfig {
     /// The paper's configuration: BBFP(10,5), 7-bit addresses, 16 lanes at
     /// 1 GHz.
     pub fn paper() -> NonlinearUnitConfig {
-        let format = BbfpConfig::new(10, 5).expect("BBFP(10,5) is valid");
         NonlinearUnitConfig {
-            format,
-            policy: ExponentPolicy::paper_default(format),
+            format: FormatAlgebra::bbfp(10, 5).expect("BBFP(10,5) is valid"),
             address_bits: 7,
             lanes: 16,
             clock_ghz: 1.0,
         }
     }
 
-    /// The BFP10 comparison configuration (Table IV): same widths, maximum
-    /// alignment, no flags.
+    /// The BFP10 comparison configuration (Table IV): same mantissa
+    /// width, maximum alignment, no flags. BBFP(m,o) aligned to the block
+    /// maximum is exactly BFP(m).
     pub fn bfp10() -> NonlinearUnitConfig {
         NonlinearUnitConfig {
-            policy: ExponentPolicy::Max,
+            format: FormatAlgebra::bfp(10).expect("BFP10 is valid"),
             ..NonlinearUnitConfig::paper()
         }
     }
@@ -74,9 +72,7 @@ pub struct NonlinearUnit {
 impl NonlinearUnit {
     /// Builds a unit (tables materialise lazily as exponents are visited).
     pub fn new(config: NonlinearUnitConfig) -> NonlinearUnit {
-        let mk = |f: fn(f64) -> f64| {
-            SegmentedLut::new(f, config.format, config.address_bits).with_policy(config.policy)
-        };
+        let mk = |f: fn(f64) -> f64| SegmentedLut::new(f, config.format, config.address_bits);
         NonlinearUnit {
             config,
             exp_lut: mk(f64::exp),
@@ -95,7 +91,8 @@ impl NonlinearUnit {
     }
 
     /// Softmax over one row, in place: max unit → FP subtract → align →
-    /// LUT(exp) → adder tree → div unit.
+    /// LUT(exp) → adder tree → div unit. A row holding a NaN, or whose
+    /// maximum is +∞, comes out all NaN.
     pub fn softmax_row(&mut self, row: &mut [f32]) {
         if row.is_empty() {
             return;
@@ -111,8 +108,9 @@ impl NonlinearUnit {
         let exps = self.exp_lut.apply_block(&shifted);
         // Adder tree (full-precision integer accumulation in the paper).
         let sum: f64 = exps.iter().map(|&v| v as f64).sum();
-        // Div unit.
-        if sum > 0.0 {
+        // Div unit. A NaN input (or +∞ − +∞) leaves a NaN in the sum,
+        // which every probability then carries.
+        if sum > 0.0 || sum.is_nan() {
             for (o, e) in row.iter_mut().zip(&exps) {
                 *o = (*e as f64 / sum) as f32;
             }
@@ -131,27 +129,13 @@ impl NonlinearUnit {
 
     /// The output encoder: block-quantises a result tensor into the
     /// unit's element format so the next pipeline stage consumes BBFP.
+    /// The whole slice is one block, however long, as the LUT aligns it.
     fn encode_output(&self, xs: &mut [f32]) {
-        use bbal_core::bbfp_quantize_slice_with;
-        let cfg = bbal_core::BbfpConfig::with_block_size(
-            self.config.format.mantissa_bits(),
-            self.config.format.overlap_bits(),
-            xs.len().next_power_of_two().max(1),
-        )
-        .unwrap_or_else(|_| {
-            unreachable!("widths validated at construction; block size is a positive power of two")
-        });
-        let mut padded = xs.to_vec();
-        padded.resize(cfg.block_size(), 0.0);
-        let mut out = vec![0.0f32; cfg.block_size()];
-        bbfp_quantize_slice_with(
-            &padded,
-            cfg,
-            self.config.policy,
-            bbal_core::RoundingMode::NearestEven,
-            &mut out,
-        );
-        xs.copy_from_slice(&out[..xs.len()]);
+        let row = FormatAlgebra {
+            block_size: usize::MAX,
+            ..self.config.format
+        };
+        algebra_quantize_in_place(xs, &row, RoundingMode::NearestEven);
     }
 
     /// SILU over a slice, in place: LUT(sigmoid) → Mul unit.
@@ -214,7 +198,7 @@ impl NonlinearUnit {
     pub fn storage(&self) -> SegmentedLutStorage {
         let layout = LutLayout {
             address_bits: self.config.address_bits,
-            entry_bits: 2 + self.config.format.mantissa_bits() as u32,
+            entry_bits: 2 + self.config.format.mantissa_bits as u32,
             sub_tables: 24, // the paper's larger (SILU) table count
         };
         SegmentedLutStorage::new(layout, DramChannel::lpddr4())
@@ -225,7 +209,7 @@ impl NonlinearUnit {
     /// bank, adder tree, divider, LUT file and pipeline buffers.
     pub fn cost(&self, lib: &GateLibrary) -> CostSummary {
         let lanes = self.config.lanes as u64;
-        let m = self.config.format.mantissa_bits() as u32;
+        let m = self.config.format.mantissa_bits as u32;
         // Mantissa datapath width: mantissa plus sign/flag headroom.
         let mant = m + 2;
         // Accumulator/divider width: full product precision (the paper's
@@ -364,6 +348,52 @@ mod tests {
 
         let mut empty: Vec<f32> = vec![];
         unit.softmax_row(&mut empty);
+    }
+
+    /// A NaN anywhere in a softmax row, or a +∞ maximum, makes the whole
+    /// row NaN: no panic, and no fall-back to the uniform distribution.
+    #[test]
+    fn non_finite_softmax_rows_come_out_nan() {
+        for config in [NonlinearUnitConfig::paper(), NonlinearUnitConfig::bfp10()] {
+            let mut unit = NonlinearUnit::new(config);
+            for row in [
+                [0.5, f32::NAN, -1.0, 0.25],
+                [0.5, f32::INFINITY, -1.0, 0.25],
+                [f32::INFINITY; 4],
+            ] {
+                let mut got = row;
+                unit.softmax_row(&mut got);
+                assert!(got.iter().all(|v| v.is_nan()), "{row:?} -> {got:?}");
+            }
+        }
+    }
+
+    /// SILU and GELU follow the block codec's NaN rule: NaN at the NaN's
+    /// own index, every other element as if it were 0.
+    #[test]
+    fn nan_activations_stay_at_their_index() {
+        for config in [NonlinearUnitConfig::paper(), NonlinearUnitConfig::bfp10()] {
+            let mut unit = NonlinearUnit::new(config);
+            let ops: [fn(&mut NonlinearUnit, &mut [f32]); 2] =
+                [NonlinearUnit::silu, NonlinearUnit::gelu];
+            for op in ops {
+                let mut xs: Vec<f32> = (0..200).map(|i| (i as f32 - 100.0) * 0.07).collect();
+                xs[3] = 0.0;
+                xs[150] = 0.0;
+                let mut want = xs.clone();
+                op(&mut unit, &mut want);
+                xs[3] = f32::NAN;
+                xs[150] = -f32::NAN;
+                op(&mut unit, &mut xs);
+                for (i, (x, w)) in xs.iter().zip(&want).enumerate() {
+                    if i == 3 || i == 150 {
+                        assert!(x.is_nan(), "idx {i}");
+                    } else {
+                        assert_eq!(x.to_bits(), w.to_bits(), "idx {i}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! LUT path, lookups of monotone functions stay monotone block-wise, and
 //! the cycle model behaves.
 
-use bbal_core::BbfpConfig;
+use bbal_core::FormatAlgebra;
 use bbal_nonlinear::{NonlinearUnit, NonlinearUnitConfig, SegmentedLut};
 use proptest::prelude::*;
 
@@ -61,7 +61,7 @@ proptest! {
     fn exp_lut_relative_error_bounded(xs in proptest::collection::vec(-20.0f32..0.0, 4..32)) {
         let mut lut = SegmentedLut::new(
             |x| x.exp(),
-            BbfpConfig::new(10, 5).unwrap(),
+            FormatAlgebra::bbfp(10, 5).unwrap(),
             7,
         );
         let ys = lut.apply_block(&xs);

@@ -77,7 +77,8 @@ impl InferenceHooks for AlgebraQuantizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bbal_core::{bbfp_quantize_slice, bfp_quantize_slice, BbfpConfig, BfpConfig};
+    use bbal_core::reference::{bbfp_quantize_slice, bfp_quantize_slice};
+    use bbal_core::{BbfpConfig, BfpConfig};
 
     fn outlier_data(n: usize) -> Vec<f32> {
         (0..n)

@@ -855,14 +855,21 @@ impl ServeRuntime {
         self.run.as_ref().map_or(0, |r| r.active.len())
     }
 
-    /// KV pages the arena still has free for newcomers under a page
-    /// budget (`None` = unbounded, or a byte budget). Pages retained
-    /// only by the prefix index count as free — they are reclaimed on
+    /// KV pages the arena still has free for newcomers (`None` =
+    /// unbounded). Under a byte budget this is the free bytes over one
+    /// dense-f32 page's charge, rounded down, so a byte budget of `n`
+    /// dense pages reads like a page budget of `n`. Pages retained only
+    /// by the prefix index count as free — they are reclaimed on
     /// demand. A router's memory signal.
     pub fn free_kv_pages(&self) -> Option<usize> {
-        match self.config.kv_budget {
-            Some(KvBudget::Pages(_)) => Some(self.free_kv() as usize),
-            _ => None,
+        let free = self.free_kv();
+        match self.config.kv_budget? {
+            KvBudget::Pages(_) => Some(free as usize),
+            KvBudget::Bytes(_) => {
+                let page =
+                    KvStore::dense_f32().page_bytes(self.spec.hidden, self.config.kv_page_tokens);
+                Some((free / page) as usize)
+            }
         }
     }
 

@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run --release --example nonlinear_softmax`
 
-use bbal::core::ExponentPolicy;
 use bbal::llm::ops;
 use bbal::nonlinear::{NonlinearUnit, NonlinearUnitConfig};
 use bbal::SchemeSpec;
@@ -17,20 +16,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ops::softmax_in_place(&mut exact);
 
     // The unit's datapath format comes from a scheme string; the BFP10
-    // comparison row is the same widths under maximum alignment.
-    let format = "bbfp:10,5"
-        .parse::<SchemeSpec>()?
-        .bbfp_config()?
-        .expect("bbfp scheme");
-    let bbfp_cfg = NonlinearUnitConfig {
-        format,
-        policy: ExponentPolicy::paper_default(format),
-        ..NonlinearUnitConfig::paper()
+    // comparison row is the same mantissa width under maximum alignment
+    // (BBFP(10,5) aligned to the block maximum is BFP10).
+    let unit = |id: &str| -> Result<NonlinearUnitConfig, Box<dyn std::error::Error>> {
+        let format = id.parse::<SchemeSpec>()?.algebra()?.expect("block scheme");
+        Ok(NonlinearUnitConfig {
+            format,
+            ..NonlinearUnitConfig::paper()
+        })
     };
-    let bfp_cfg = NonlinearUnitConfig {
-        policy: ExponentPolicy::Max,
-        ..bbfp_cfg
-    };
+    let (bbfp_cfg, bfp_cfg) = (unit("bbfp:10,5")?, unit("bfp10")?);
     let mut bbfp_unit = NonlinearUnit::new(bbfp_cfg);
     let mut bfp_unit = NonlinearUnit::new(bfp_cfg);
 

@@ -50,14 +50,14 @@
 //! The format layer remains directly accessible for bit-level work:
 //!
 //! ```
-//! use bbal::core::{BbfpBlock, BbfpConfig};
+//! use bbal::core::{algebra_quantize_slice, FormatAlgebra, RoundingMode};
 //!
 //! // One outlier next to a small-valued body: the BBFP flag bit keeps both.
-//! let cfg = BbfpConfig::new(4, 2)?;
+//! let bbfp = FormatAlgebra::bbfp(4, 2)?;
 //! let mut data = vec![0.1f32; 32];
 //! data[7] = 6.5;
-//! let block = BbfpBlock::from_f32_slice(&data, cfg)?;
-//! let restored = block.to_f32_vec();
+//! let mut restored = vec![0.0; 32];
+//! algebra_quantize_slice(&data, &bbfp, RoundingMode::NearestEven, &mut restored);
 //! assert!((restored[7] - 6.5).abs() / 6.5 < 0.1); // outlier captured
 //! assert!(restored[0] > 0.0); // body survives (vanilla BFP4 zeroes it)
 //! # Ok::<(), bbal::core::FormatError>(())

@@ -8,9 +8,9 @@
 //! KV footprint as every other BBFP point — rather than collapsing into
 //! the unflagged BFP(m) point.
 
+use bbal::core::reference::bbfp_quantize_slice;
 use bbal::core::{
-    algebra_quantize_slice, bbfp_quantize_slice, BbfpConfig, LayoutKind, PackedMatrix,
-    RoundingMode, SchemeSpec,
+    algebra_quantize_slice, BbfpConfig, LayoutKind, PackedMatrix, RoundingMode, SchemeSpec,
 };
 use bbal::mem::kv_bits_per_element;
 

@@ -57,7 +57,7 @@ fn bench_block_dot(c: &mut Criterion) {
     let a = gemm.encode_row(&data[..32]);
     let b = gemm.encode_row(&data[32..]);
     group.throughput(Throughput::Elements(32));
-    group.bench_function("bbfp_dot_32", |bch| {
+    group.bench_function("code_dot_32", |bch| {
         bch.iter(|| gemm.dot_encoded(&a, &b));
     });
     group.finish();

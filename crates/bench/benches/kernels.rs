@@ -1,11 +1,14 @@
 //! Criterion benchmarks for the hot kernels of the reproduction stack:
 //! block encoding (the format-algebra quantiser), the PE array's block
 //! dot product, the functional BBAL GEMM, the segmented-LUT nonlinear
-//! unit, and the cycle simulator.
+//! unit, the host attention page kernel, and the cycle simulator.
 
 use bbal_accel::{simulate, AcceleratorConfig, BbalEngine, BbalGemm};
 use bbal_arith::GateLibrary;
-use bbal_core::{algebra_quantize_slice, BbfpConfig, FormatAlgebra, RoundingMode};
+use bbal_core::{
+    algebra_quantize_slice, attn_dot_packed, attn_scores_packed, BbfpConfig, FormatAlgebra,
+    PackedRows, RoundingMode, SchemeSpec,
+};
 use bbal_llm::graph::{decoder_ops, paper_dims};
 use bbal_llm::Tensor;
 use bbal_nonlinear::{NonlinearUnit, NonlinearUnitConfig};
@@ -127,6 +130,44 @@ fn bench_decode_attention(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_attn_page_scores(c: &mut Criterion) {
+    // One head's scores over one 16-token KV page of BBFP(4,2) keys, 192
+    // wide, as the serving decoder runs them: the page kernel over a
+    // key-minor page, against one `attn_dot_packed` per key over a
+    // row-major page.
+    let (tokens, width, dh) = (16usize, 192usize, 48usize);
+    let alg = FormatAlgebra::bbfp(4, 2).expect("a valid point");
+    let mut rows = vec![0.0f32; tokens * width];
+    algebra_quantize_slice(
+        &test_data(tokens * width),
+        &alg,
+        RoundingMode::NearestEven,
+        &mut rows,
+    );
+    let scheme = SchemeSpec::Bbfp(4, 2);
+    let mut key_minor = PackedRows::key_minor(scheme, width, tokens);
+    let mut row_major = PackedRows::new(scheme, width);
+    for row in rows.chunks(width) {
+        key_minor.push_row(row);
+        row_major.push_row(row);
+    }
+    let q = test_data(dh);
+    let mut scores = vec![0.0f32; tokens];
+    let mut group = c.benchmark_group("attn_page_scores");
+    group.throughput(Throughput::Elements((tokens * dh) as u64));
+    group.bench_function("key_minor_page_kernel", |b| {
+        b.iter(|| attn_scores_packed(black_box(&q), &key_minor, 0..tokens, 48, &mut scores));
+    });
+    group.bench_function("row_major_per_key", |b| {
+        b.iter(|| {
+            for (j, s) in scores.iter_mut().enumerate() {
+                *s = attn_dot_packed(black_box(&q), &row_major, j, 48);
+            }
+        });
+    });
+    group.finish();
+}
+
 fn bench_cycle_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("cycle_sim");
     let lib = GateLibrary::default();
@@ -151,6 +192,6 @@ fn configured() -> Criterion {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_block_encode, bench_block_dot, bench_bbal_gemm, bench_nonlinear_unit, bench_decode_attention, bench_cycle_sim
+    targets = bench_block_encode, bench_block_dot, bench_bbal_gemm, bench_nonlinear_unit, bench_decode_attention, bench_attn_page_scores, bench_cycle_sim
 }
 criterion_main!(benches);

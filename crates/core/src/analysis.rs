@@ -42,7 +42,7 @@ impl ExponentPmf {
 
 /// Empirical pmf of the BFP shared exponent (block maxima) over a slice.
 pub fn bfp_exponent_pmf(values: &[f32], config: BfpConfig) -> ExponentPmf {
-    exponent_pmf(values, config.block_size(), ExponentPolicy::Max, None)
+    exponent_pmf(values, config.block_size(), ExponentPolicy::Max)
 }
 
 /// Empirical pmf of the BBFP shared exponent under a policy, with flagged
@@ -52,15 +52,10 @@ pub fn bbfp_exponent_pmf(
     config: BbfpConfig,
     policy: ExponentPolicy,
 ) -> ExponentPmf {
-    exponent_pmf(values, config.block_size(), policy, Some(config))
+    exponent_pmf(values, config.block_size(), policy)
 }
 
-fn exponent_pmf(
-    values: &[f32],
-    block_size: usize,
-    policy: ExponentPolicy,
-    _config: Option<BbfpConfig>,
-) -> ExponentPmf {
+fn exponent_pmf(values: &[f32], block_size: usize, policy: ExponentPolicy) -> ExponentPmf {
     use std::collections::BTreeMap;
     let mut counts: BTreeMap<i32, (u64, u64, u64)> = BTreeMap::new(); // blocks, elems, flagged
     for chunk in values.chunks(block_size) {

@@ -58,8 +58,8 @@ pub use format::{BbfpConfig, BfpConfig, FormatCost, DEFAULT_BLOCK_SIZE, SHARED_E
 pub use fp16::Fp16;
 pub use overlap::{select_overlap_width, OverlapScore, OverlapSearch};
 pub use packed::{
-    attn_dot_packed, attn_weighted_sum_packed, packed_rows_capacity_bytes, LayoutKind,
-    PackedMatrix, PackedRows,
+    attn_dot_packed, attn_scores_packed, attn_weighted_sum_packed, packed_rows_capacity_bytes,
+    LayoutKind, PackedMatrix, PackedRows,
 };
 pub use policy::ExponentPolicy;
 pub use rounding::RoundingMode;

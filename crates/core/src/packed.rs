@@ -46,10 +46,22 @@
 //!
 //! A [`PackedRows`] buffer (a KV-cache page) is the same store: element
 //! codes plus one folded scale per block, written by the same chunk
-//! encoder as each row is appended and read by the same run walk. It
-//! grows row by row, so its codes stay in flat row-major order whatever
-//! its width; the order is recorded with the codes, never re-derived
-//! from the shape.
+//! encoder as each row is appended. One addressing function places
+//! element `(row, col)` in one of two orders, recorded with the buffer
+//! and never re-derived from the shape: **row-major** (`row·width +
+//! col`, growing without bound — V pages, whose weighted sum runs along
+//! a row, and every page of the classic dense KV store) or
+//! **key-minor** (`col·tokens + row` in a buffer fixed at `tokens` rows,
+//! scales `[block][row]` — the K pages of a packed KV store, so 16 keys
+//! at one column are one vector load for the attention page kernel,
+//! [`attn_scores_packed`]). Both hold the same codes and are charged the
+//! same bits.
+//!
+//! ```text
+//!   row-major  V page:  [k0: c0 c1 … c191][k1: c0 c1 … c191] …
+//!   key-minor  K page:  [c0: k0 k1 … k15][c1: k0 k1 … k15] …
+//!                        `── one 16-lane load: 16 keys at one column
+//! ```
 //!
 //! The kernels exploit the factoring: the [`PackedMatrix`] GEMMs fold
 //! the block scale into the broadcast activation (`a·2^s` is exact — a
@@ -57,6 +69,14 @@
 //! f32 in registers, so the inner loop is a plain multiply-accumulate
 //! over the codes. No per-element f32 re-quantisation happens anywhere
 //! on the hot path.
+//!
+//! The register kernels (the GEMM row tile, the attention page kernel
+//! and the weighted sum) are one body each, compiled once per vector
+//! unit and picked per call by `is_x86_feature_detected!`: AVX-512F
+//! with FMA first (16-lane registers, 8 × 32 row tiles), then AVX2 with
+//! FMA (8 lanes, 4 × 16), then a portable build that never fuses a
+//! multiply and an add. CPU features are the only choice; there is no
+//! knob.
 //!
 //! ## The bit-identity invariant
 //!
@@ -71,7 +91,17 @@
 //!   sides round the same real product `a·w`;
 //! * accumulation order is preserved: the GEMMs accumulate each output
 //!   element in ascending-`k` order with the same `a == 0.0` skip as the
-//!   reference i-k-j loop;
+//!   reference i-k-j loop, and the attention page kernel sums each key's
+//!   terms in ascending column order, one accumulator lane per key;
+//! * a fused multiply-add rounds once where the reference rounds twice,
+//!   so the GEMMs use one only where the product is exact — a `p`-bit
+//!   significand times a `q`-bit one has at most `p + q` bits, so
+//!   `fl(a·w + acc) = fl(fl(a·w) + acc)` when the row's significand bits
+//!   plus the matrix's come to at most 24 and every product stays
+//!   normal and finite ([`PackedMatrix`]'s per-row exact-product guard;
+//!   hook-quantised BFP/BBFP rows pass, arbitrary f32 rows do not); the
+//!   attention kernels, whose queries and probabilities are arbitrary,
+//!   never fuse;
 //! * signed zeros cannot show: every sum starts at `+0`, and adding a
 //!   `±0` term to a sum that is not `-0` leaves its bits unchanged. So
 //!   reading a `-0` weight as `+0` changes nothing, and neither does the
@@ -98,10 +128,10 @@
 //! would leave the normal range, or that holds ±inf/NaN, takes the
 //! scalar `a·(code·2^s)` order instead, which multiplies the exact
 //! weight. So the weight GEMMs are bit-identical to the scalar path for
-//! every input, and so are the attention kernels. The dot kernel
-//! ([`attn_dot_packed`]) never folds: its `x` varies per term, so
-//! `x·(code·2^s)` costs the same two multiplies and multiplies the exact
-//! value. [`attn_weighted_sum_packed`]
+//! every input, and so are the attention kernels. The score kernels
+//! ([`attn_scores_packed`], [`attn_dot_packed`]) never fold: their `x`
+//! varies per term, so `x·(code·2^s)` costs the same two multiplies and
+//! multiplies the exact value. [`attn_weighted_sum_packed`]
 //! folds the scale into each broadcast probability only for a run where
 //! `p·2^s` is exact (`p` zero, or `p·2^s` a normal f32), and takes the
 //! `p·(code·2^s)` order elsewhere; it also adds into the caller's
@@ -162,6 +192,31 @@ impl Codes {
         }
     }
 
+    /// Writes `new[i]` at index `at(i)` of a buffer already that long,
+    /// widening the whole buffer to `f32` codes if one of `new` does not
+    /// fit `i16`.
+    fn put(&mut self, new: &[f32], at: impl Fn(usize) -> usize) {
+        if let Codes::I16(narrow) = self {
+            let mut codes = [0i16; MAX_STORE_BLOCK];
+            let fits = new
+                .iter()
+                .zip(&mut codes)
+                .all(|(&c, slot)| i16_code(c).map(|n| *slot = n).is_some());
+            if fits {
+                for (i, &c) in codes[..new.len()].iter().enumerate() {
+                    narrow[at(i)] = c;
+                }
+                return;
+            }
+            *self = Codes::F32(narrow.iter().map(|c| c.weight(1.0)).collect());
+        }
+        if let Codes::F32(wide) = self {
+            for (i, &c) in new.iter().enumerate() {
+                wide[at(i)] = c;
+            }
+        }
+    }
+
     /// How many codes fit without growing the buffer.
     fn capacity(&self) -> usize {
         match self {
@@ -169,6 +224,18 @@ impl Codes {
             Codes::F32(codes) => codes.capacity(),
         }
     }
+}
+
+/// The folded scale `2^e` of a chunk whose `codes` the block encoder
+/// gave, when they give `values` back bit for bit and the scale is
+/// normal.
+fn verified_scale(codes: &[f32], e: i32, values: &[f32]) -> Option<f32> {
+    let scale = exp2i(e);
+    let exact = codes
+        .iter()
+        .zip(values)
+        .all(|(c, v)| c.weight(scale).to_bits() == v.to_bits());
+    (scale.is_normal() && exact).then_some(scale)
 }
 
 /// An element code type of the block layout: what the kernels multiply,
@@ -181,6 +248,13 @@ trait Code: Copy {
     /// The stored weight, bit for bit: `code·scale`, signed zero
     /// included.
     fn weight(self, scale: f32) -> f32;
+
+    /// The first `L::N` codes of `codes`, widened into one register.
+    ///
+    /// # Safety
+    ///
+    /// As [`Lanes`]: the CPU must have `L`'s extension.
+    unsafe fn lanes<L: Lanes>(codes: &[Self]) -> L;
 }
 
 impl Code for i16 {
@@ -196,6 +270,11 @@ impl Code for i16 {
             self.widen() * scale
         }
     }
+
+    #[inline(always)]
+    unsafe fn lanes<L: Lanes>(codes: &[i16]) -> L {
+        L::load_i16(codes)
+    }
 }
 
 impl Code for f32 {
@@ -206,6 +285,11 @@ impl Code for f32 {
 
     fn weight(self, scale: f32) -> f32 {
         self * scale
+    }
+
+    #[inline(always)]
+    unsafe fn lanes<L: Lanes>(codes: &[f32]) -> L {
+        L::load(codes)
     }
 }
 
@@ -338,57 +422,65 @@ impl Blocks {
 
     /// The chunk encoder over raw values: one pass of the block encoder
     /// over one chunk (a full block or a ragged tail) writes its
-    /// dequantised values into `out` and appends its codes and folded
-    /// scale. Returns `false`, appending nothing, for a chunk holding a
-    /// NaN (its values keep the NaN, which no code holds) or a chunk the
-    /// store refuses ([`Blocks::push_codes`]); `out` is written either
-    /// way.
-    fn push_raw(&mut self, raw: &[f32], out: &mut [f32]) -> bool {
-        let n = raw.len();
-        let (mut fp16, mut codes) = ([Fp16::ZERO; MAX_STORE_BLOCK], [0.0f32; MAX_STORE_BLOCK]);
-        let (e, nan) = encode_chunk(raw, &self.alg, &mut fp16[..n], out, &mut codes[..n]);
-        !nan && self.push_codes(&codes[..n], e, out)
+    /// dequantised values into `out` and its codes into `codes`, and
+    /// gives its folded scale. `None` for a chunk holding a NaN (its
+    /// values keep the NaN, which no code holds) or a chunk the store
+    /// refuses ([`verified_scale`]); `out` is written either way.
+    fn encode_raw(&self, raw: &[f32], out: &mut [f32], codes: &mut [f32]) -> Option<f32> {
+        let mut fp16 = [Fp16::ZERO; MAX_STORE_BLOCK];
+        let (e, nan) = encode_chunk(raw, &self.alg, &mut fp16[..raw.len()], out, codes);
+        if nan {
+            return None;
+        }
+        verified_scale(codes, e, out)
     }
 
     /// The chunk encoder over **already quantised** values (what `pack`
-    /// and `push_row` are given): re-encodes one chunk and appends its
-    /// codes and folded scale if they give the values back. Returns
-    /// `false`, appending nothing, for a non-finite value or a chunk the
-    /// store refuses.
-    fn push_quantised(&mut self, values: &[f32]) -> bool {
+    /// and `push_row` are given): re-encodes one chunk into `codes` and
+    /// gives its folded scale if the codes give the values back. `None`
+    /// for a non-finite value or a chunk the store refuses.
+    fn encode_quantised(&self, values: &[f32], codes: &mut [f32]) -> Option<f32> {
         if values.iter().any(|v| !v.is_finite()) {
-            return false;
+            return None;
         }
         let n = values.len();
         let mut fp16 = [Fp16::ZERO; MAX_STORE_BLOCK];
-        let (mut requantised, mut codes) = ([0.0f32; MAX_STORE_BLOCK], [0.0f32; MAX_STORE_BLOCK]);
+        let mut requantised = [0.0f32; MAX_STORE_BLOCK];
         let (e, _) = encode_chunk(
             values,
             &self.alg,
             &mut fp16[..n],
             &mut requantised[..n],
-            &mut codes[..n],
+            codes,
         );
-        self.push_codes(&codes[..n], e, values)
+        verified_scale(codes, e, values)
     }
 
-    /// Appends one chunk's codes and its folded scale `2^e`, as the block
-    /// encoder gives them, when they give `values` back bit for bit and
-    /// the scale is normal. Returns `false`, appending nothing,
-    /// otherwise.
-    fn push_codes(&mut self, codes: &[f32], e: i32, values: &[f32]) -> bool {
-        let s = exp2i(e);
-        let exact = codes
-            .iter()
-            .zip(values)
-            .all(|(c, v)| c.weight(s).to_bits() == v.to_bits());
-        if !s.is_normal() || !exact {
-            return false;
-        }
+    /// [`Blocks::encode_raw`], appending the chunk; `false`, appending
+    /// nothing, where that gives `None`.
+    fn push_raw(&mut self, raw: &[f32], out: &mut [f32]) -> bool {
+        let mut codes = [0.0f32; MAX_STORE_BLOCK];
+        let codes = &mut codes[..raw.len()];
+        self.encode_raw(raw, out, codes)
+            .map(|scale| self.push(codes, scale))
+            .is_some()
+    }
+
+    /// [`Blocks::encode_quantised`], appending the chunk; `false`,
+    /// appending nothing, where that gives `None`.
+    fn push_quantised(&mut self, values: &[f32]) -> bool {
+        let mut codes = [0.0f32; MAX_STORE_BLOCK];
+        let codes = &mut codes[..values.len()];
+        self.encode_quantised(values, codes)
+            .map(|scale| self.push(codes, scale))
+            .is_some()
+    }
+
+    /// Appends one chunk's codes and folded scale.
+    fn push(&mut self, codes: &[f32], scale: f32) {
         self.codes.extend(codes);
-        self.scale.push(s);
-        self.scale_range = (self.scale_range.0.min(s), self.scale_range.1.max(s));
-        true
+        self.scale.push(scale);
+        self.scale_range = (self.scale_range.0.min(scale), self.scale_range.1.max(scale));
     }
 
     /// The finished store of a `rows × cols` matrix: codes and scales
@@ -511,6 +603,9 @@ pub struct PackedMatrix {
     cols: usize,
     scheme: SchemeSpec,
     layout: Layout,
+    /// Bounds on what the kernels multiply (block codes, or the lane),
+    /// for the fused-accumulate guard ([`PackedMatrix::fuses_exactly`]).
+    codes: ValueRange,
 }
 
 impl PackedMatrix {
@@ -561,12 +656,7 @@ impl PackedMatrix {
                 Some(bits) => {
                     let lane = values.into_owned();
                     let layout = Layout::Fp16 { bits, lane };
-                    return PackedMatrix {
-                        rows,
-                        cols,
-                        scheme,
-                        layout,
-                    };
+                    return PackedMatrix::new(rows, cols, scheme, layout);
                 }
                 None => None,
             },
@@ -665,11 +755,27 @@ impl PackedMatrix {
                 lane: values.into_owned(),
             },
         };
+        PackedMatrix::new(rows, cols, scheme, layout)
+    }
+
+    /// The matrix over a finished `layout`, with the bounds of what its
+    /// kernels multiply recorded once.
+    fn new(rows: usize, cols: usize, scheme: SchemeSpec, layout: Layout) -> PackedMatrix {
+        let codes = match &layout {
+            Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => {
+                ValueRange::of(lane.iter().copied())
+            }
+            Layout::Block(blocks) => match &blocks.codes {
+                Codes::I16(codes) => ValueRange::of(codes.iter().map(|c| c.widen())),
+                Codes::F32(codes) => ValueRange::of(codes.iter().copied()),
+            },
+        };
         PackedMatrix {
             rows,
             cols,
             scheme,
             layout,
+            codes,
         }
     }
 
@@ -750,17 +856,22 @@ impl PackedMatrix {
         }
     }
 
-    /// [`PackedMatrix::gemm_cols`] over a dense or FP16 lane: on AVX2
-    /// hosts two or more rows share every lane load in the row tile over
+    /// [`PackedMatrix::gemm_cols`] over a dense or FP16 lane: on a host
+    /// with a vector build of the row tile ([`Simd::detect`]) two or more
+    /// rows share every lane load in the tile over
     /// [`PackedMatrix::tile_span`]; the rest of each row (and every row
     /// elsewhere) takes the one-row kernel.
     fn lane_gemm(&self, lane: &[f32], cols: Cols<'_>, out: &mut [f32]) {
         let Cols { x, x_rows, c0, c1 } = cols;
         let (k_len, n, width) = (self.rows, self.cols, c1 - c0);
         let mut tile_end = c0;
-        if x_rows >= 2 && RowTile::<f32>::supported() {
-            let rows: Vec<usize> = (0..x_rows).collect();
-            let tile = self.lane_tile(lane, cols, &rows);
+        if x_rows >= 2 && Simd::detect() != Simd::Portable {
+            let (fused, split): (Vec<usize>, Vec<usize>) = (0..x_rows).partition(|&i| {
+                self.fuses_exactly(&ValueRange::of(
+                    x[i * k_len..(i + 1) * k_len].iter().copied(),
+                ))
+            });
+            let tile = self.lane_tile(lane, cols, [&fused, &split]);
             tile_end = tile.tiles.end;
             tile.run(out);
         }
@@ -783,17 +894,23 @@ impl PackedMatrix {
 
     /// [`PackedMatrix::gemm_cols`] over block codes. Guard-passing rows
     /// take the row tile over [`PackedMatrix::tile_span`] (every row
-    /// count, one row included); the columns the tile leaves, and every
-    /// row the range guard rejects, walk each weight row's runs, folding
-    /// the scale into the activation when the guard allows and in the
-    /// scalar `a·(code·2^s)` order when it does not.
+    /// count, one row included), fused where every product is exact; the
+    /// columns the tile leaves, and every row the range guard rejects,
+    /// walk each weight row's runs, folding the scale into the activation
+    /// when the guard allows and in the scalar `a·(code·2^s)` order when
+    /// it does not.
     fn block_gemm<C: Code>(&self, blocks: &Blocks, codes: &[C], cols: Cols<'_>, out: &mut [f32]) {
         let Cols { x, x_rows, c0, c1 } = cols;
         let (k_len, width) = (self.rows, c1 - c0);
         let x_row = |i: usize| &x[i * k_len..(i + 1) * k_len];
-        let folds: Vec<bool> = (0..x_rows).map(|i| self.folds_exactly(x_row(i))).collect();
-        let rows: Vec<usize> = (0..x_rows).filter(|&i| folds[i]).collect();
-        let tile = self.block_tile(blocks, codes, cols, &rows);
+        let ranges: Vec<ValueRange> = (0..x_rows)
+            .map(|i| ValueRange::of(x_row(i).iter().copied()))
+            .collect();
+        let folds: Vec<bool> = ranges.iter().map(|r| self.folds_exactly(r)).collect();
+        let (fused, split): (Vec<usize>, Vec<usize>) = (0..x_rows)
+            .filter(|&i| folds[i])
+            .partition(|&i| self.fuses_exactly(&ranges[i]));
+        let tile = self.block_tile(blocks, codes, cols, [&fused, &split]);
         let span = tile.tiles.clone();
         if !span.is_empty() {
             tile.run(out);
@@ -831,12 +948,13 @@ impl PackedMatrix {
         }
     }
 
-    /// The row tile of `rows` over a row-major lane.
+    /// The row tile of `rows` (fused rows, then split rows) over a
+    /// row-major lane.
     fn lane_tile<'a>(
         &self,
         lane: &'a [f32],
         cols: Cols<'a>,
-        rows: &'a [usize],
+        rows: [&'a [usize]; 2],
     ) -> RowTile<'a, f32> {
         RowTile {
             cols,
@@ -850,13 +968,14 @@ impl PackedMatrix {
         }
     }
 
-    /// The row tile of `rows` over tile-major block codes.
+    /// The row tile of `rows` (fused rows, then split rows) over
+    /// tile-major block codes.
     fn block_tile<'a, C>(
         &self,
         blocks: &'a Blocks,
         codes: &'a [C],
         cols: Cols<'a>,
-        rows: &'a [usize],
+        rows: [&'a [usize]; 2],
     ) -> RowTile<'a, C> {
         RowTile {
             cols,
@@ -895,35 +1014,103 @@ impl PackedMatrix {
         }
     }
 
-    /// The per-row range guard of the scale-folding kernels: true when
-    /// every `a·2^s` — any activation of `x_row` times any block scale of
-    /// this matrix — is an exact, normal f32, so `fl((a·2^s)·code)`
-    /// equals the scalar `fl(a·w)` bit for bit. False for a row holding
-    /// ±inf or NaN, or whose smallest nonzero / largest magnitude would
-    /// leave the normal range against the matrix's smallest / largest
-    /// block scale; such rows take the scalar `a·w` order instead. Always
-    /// true for layouts without block scales.
-    fn folds_exactly(&self, x_row: &[f32]) -> bool {
-        let Layout::Block(Blocks {
-            scale_range: (lo, hi),
-            ..
-        }) = &self.layout
-        else {
-            return true;
-        };
-        let (mut min, mut max) = (f32::INFINITY, 0.0f32);
-        for &a in x_row {
-            let m = a.abs();
-            if !m.is_finite() {
-                return false;
-            }
-            if m != 0.0 {
-                min = min.min(m);
-                max = max.max(m);
-            }
+    /// The smallest and largest block scale, `(1, 1)` for the lanes,
+    /// which have none.
+    fn scale_range(&self) -> (f32, f32) {
+        match &self.layout {
+            Layout::Block(blocks) => blocks.scale_range,
+            Layout::Dense { .. } | Layout::Fp16 { .. } => (1.0, 1.0),
         }
-        max == 0.0 || (min * lo >= f32::MIN_POSITIVE && max * hi <= f32::MAX)
     }
+
+    /// The per-row range guard of the scale-folding kernels: true when
+    /// every `a·2^s` — any activation of the row `x` ranges over times
+    /// any block scale of this matrix — is an exact, normal f32, so
+    /// `fl((a·2^s)·code)` equals the scalar `fl(a·w)` bit for bit. False
+    /// for a row holding ±inf or NaN, or whose smallest nonzero / largest
+    /// magnitude would leave the normal range against the matrix's
+    /// smallest / largest block scale; such rows take the scalar `a·w`
+    /// order instead. Always true for layouts without block scales.
+    fn folds_exactly(&self, x: &ValueRange) -> bool {
+        if !matches!(self.layout, Layout::Block(_)) {
+            return true;
+        }
+        let (lo, hi) = self.scale_range();
+        x.finite && (x.max == 0.0 || (x.min * lo >= f32::MIN_POSITIVE && x.max * hi <= f32::MAX))
+    }
+
+    /// The exact-product guard of the fused accumulate: true when, for
+    /// the row `x` ranges over, every product the row tile forms —
+    /// `(a·2^s)·code`, or `a·w` on a lane — is exact, so one fused
+    /// multiply-add `fl(p + acc)` equals the separate `fl(fl(p) + acc)`.
+    /// A product of a `p`-bit and a `q`-bit significand has at most
+    /// `p + q` bits, so it is exact when `p + q ≤ 24` and its magnitude
+    /// lies in the normal range: the row's significand bits plus the
+    /// matrix's codes' ([`ValueRange`]) must fit, and the row's smallest
+    /// and largest folded magnitudes times the smallest and largest
+    /// nonzero `|code|` must stay normal and finite (checked in f64,
+    /// where those products are exact). Hook-quantised BFP/BBFP rows
+    /// pass; arbitrary f32 rows (24 significand bits) do not.
+    fn fuses_exactly(&self, x: &ValueRange) -> bool {
+        let (lo, hi) = self.scale_range();
+        let codes = self.codes;
+        let wide = |a: f32, c: f32| f64::from(a) * f64::from(c);
+        self.folds_exactly(x)
+            && x.finite
+            && x.bits + codes.bits <= f32::MANTISSA_DIGITS
+            && (x.max == 0.0
+                || (wide(x.min * lo, codes.min) >= f64::from(f32::MIN_POSITIVE)
+                    && wide(x.max * hi, codes.max) <= f64::from(f32::MAX)))
+    }
+}
+
+/// What the GEMM guards read off a run of values in one pass: an
+/// activation row, or a matrix's codes (lane values for the dense and
+/// FP16 layouts).
+#[derive(Debug, Clone, Copy)]
+struct ValueRange {
+    /// The smallest nonzero magnitude (`inf` when every value is zero).
+    min: f32,
+    /// The largest magnitude (NaN when a value is NaN).
+    max: f32,
+    /// Whether every value is finite.
+    finite: bool,
+    /// A bound on the significand bits of every value
+    /// ([`significand_bits`]).
+    bits: u32,
+}
+
+impl ValueRange {
+    fn of(values: impl IntoIterator<Item = f32>) -> ValueRange {
+        // Magnitude bit patterns order like the magnitudes (NaNs above
+        // +inf), so the scan runs on integers, which vectorise.
+        let (mut min, mut max, mut pattern) = (u32::MAX, 0u32, 0u32);
+        for v in values {
+            let bits = v.to_bits();
+            let m = bits & !(1 << 31);
+            max = max.max(m);
+            min = min.min(if m == 0 { u32::MAX } else { m });
+            pattern |= bits;
+        }
+        ValueRange {
+            min: if min == u32::MAX {
+                f32::INFINITY
+            } else {
+                f32::from_bits(min)
+            },
+            max: f32::from_bits(max),
+            finite: max < f32::INFINITY.to_bits(),
+            bits: significand_bits(pattern),
+        }
+    }
+}
+
+/// A bound on the significand bits of every finite f32 whose bit
+/// patterns OR to `pattern`: from the implicit bit down to the lowest
+/// mantissa bit any of them sets (a subnormal has fewer, a zero none).
+fn significand_bits(pattern: u32) -> u32 {
+    let mantissa = (1u32 << (f32::MANTISSA_DIGITS - 1)) - 1;
+    f32::MANTISSA_DIGITS - ((pattern & mantissa) | (mantissa + 1)).trailing_zeros()
 }
 
 /// The activation operand of one [`PackedMatrix::gemm_cols`] call.
@@ -963,14 +1150,6 @@ fn fp16_bits(values: &[f32]) -> Option<Vec<u16>> {
         bits.push(h.to_bits());
     }
     Some(bits)
-}
-
-/// `src` in one allocation with room for `room` elements (at least its
-/// own length).
-fn copy_with_room<T: Copy>(src: &[T], room: usize) -> Vec<T> {
-    let mut out = Vec::with_capacity(room.max(src.len()));
-    out.extend_from_slice(src);
-    out
 }
 
 /// Largest block the block store encodes. Every scheme's block fits
@@ -1091,26 +1270,340 @@ fn runs_dot<C: Code>(
     acc
 }
 
-/// Output columns per row tile: two AVX2 registers of f32.
+/// Columns of one code strip: one AVX-512 register, or two AVX2
+/// registers, of f32. The AVX-512 build of the row tile reads two
+/// adjacent strips per tile.
 const TILE_COLS: usize = 16;
 
-/// Activation rows per row tile: with [`TILE_COLS`] this keeps eight
-/// accumulator registers live, so each code strip is loaded once per
-/// four rows.
-const TILE_ROWS: usize = 4;
+/// Weight rows whose folded activations the row tile computes in one
+/// vector pass before accumulating them.
+const FOLD_RUN: usize = 64;
+
+/// The vector unit a kernel is compiled for ([`dispatch`]), widest
+/// first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Simd {
+    /// AVX-512F with FMA: 16-lane registers, two-strip row tiles.
+    Avx512,
+    /// AVX2 with FMA: 8-lane registers, one-strip row tiles.
+    Avx2,
+    /// The baseline build: no fused multiply-add at all (without
+    /// hardware FMA, `f32::mul_add` is a library call).
+    Portable,
+}
+
+impl Simd {
+    /// The widest build this CPU runs.
+    fn detect() -> Simd {
+        [Simd::Avx512, Simd::Avx2]
+            .into_iter()
+            .find(|simd| simd.supported())
+            .unwrap_or(Simd::Portable)
+    }
+
+    /// Whether this CPU has the features of this build.
+    fn supported(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let fma = std::is_x86_feature_detected!("fma");
+            match self {
+                Simd::Avx512 => fma && std::is_x86_feature_detected!("avx512f"),
+                Simd::Avx2 => fma && std::is_x86_feature_detected!("avx2"),
+                Simd::Portable => true,
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self == Simd::Portable
+        }
+    }
+}
+
+/// How a kernel adds one product `a·w` into an accumulator.
+trait Accumulate {
+    /// Whether the product and the sum round once, as one fused
+    /// multiply-add.
+    const FUSED: bool;
+
+    fn step(acc: f32, a: f32, w: f32) -> f32;
+}
+
+/// A separate multiply and add, `fl(fl(a·w) + acc)`: the scalar
+/// reference order.
+enum MulAdd {}
+
+impl Accumulate for MulAdd {
+    const FUSED: bool = false;
+
+    #[inline(always)]
+    fn step(acc: f32, a: f32, w: f32) -> f32 {
+        acc + a * w
+    }
+}
+
+/// One fused multiply-add, `fl(a·w + acc)`: equal to [`MulAdd`] whenever
+/// `a·w` is exact ([`PackedMatrix::fuses_exactly`]). Only the FMA builds
+/// of [`dispatch`] instantiate it.
+enum Fma {}
+
+impl Accumulate for Fma {
+    const FUSED: bool = true;
+
+    #[inline(always)]
+    fn step(acc: f32, a: f32, w: f32) -> f32 {
+        a.mul_add(w, acc)
+    }
+}
+
+/// One register of f32 lanes, the unit the row tile computes in: an
+/// AVX-512 or AVX2 register in those builds, a plain array in the
+/// portable one.
+///
+/// # Safety
+///
+/// Every method may run the instructions of the register's extension:
+/// call them only on a CPU that has it, which [`dispatch_on`] checks
+/// before it runs a [`Kernel`] in a build.
+trait Lanes: Copy {
+    /// Lanes per register.
+    const N: usize;
+
+    /// Activation rows per row tile: each code register is loaded once
+    /// per this many rows, whose two-register accumulators stay in
+    /// registers (16 of AVX-512's 32, 8 of AVX2's 16).
+    const ROWS: usize;
+
+    unsafe fn zero() -> Self;
+
+    unsafe fn splat(v: f32) -> Self;
+
+    /// The first `N` values of `src`.
+    unsafe fn load(src: &[f32]) -> Self;
+
+    /// The first `N` `i16` codes of `src`, widened as [`Code::widen`].
+    unsafe fn load_i16(src: &[i16]) -> Self;
+
+    /// `self + a·w`, accumulated as `S` does.
+    unsafe fn step<S: Accumulate>(self, a: Self, w: Self) -> Self;
+
+    /// Writes the lanes over the first `N` values of `out`.
+    unsafe fn store(self, out: &mut [f32]);
+}
+
+/// The portable build's register: eight lanes the compiler vectorises
+/// for the baseline target.
+impl Lanes for [f32; 8] {
+    const N: usize = 8;
+    const ROWS: usize = 4;
+
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        [0.0; 8]
+    }
+
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> Self {
+        [v; 8]
+    }
+
+    #[inline(always)]
+    unsafe fn load(src: &[f32]) -> Self {
+        src[..8].try_into().expect("eight lanes")
+    }
+
+    #[inline(always)]
+    unsafe fn load_i16(src: &[i16]) -> Self {
+        let codes: &[i16; 8] = src[..8].try_into().expect("eight lanes");
+        codes.map(Code::widen)
+    }
+
+    #[inline(always)]
+    unsafe fn step<S: Accumulate>(self, a: Self, w: Self) -> Self {
+        std::array::from_fn(|l| S::step(self[l], a[l], w[l]))
+    }
+
+    #[inline(always)]
+    unsafe fn store(self, out: &mut [f32]) {
+        out[..8].copy_from_slice(&self);
+    }
+}
+
+/// The vector registers of the AVX-512 and AVX2 builds, which only
+/// [`run_avx512`] and [`run_avx2`] instantiate.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{Accumulate, Lanes};
+    use std::arch::x86_64::*;
+
+    impl Lanes for __m512 {
+        const N: usize = 16;
+        const ROWS: usize = 8;
+
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            // SAFETY (every method here): the caller guarantees
+            // AVX-512F ([`Lanes`]); each access stays inside its slice,
+            // whose length is checked first.
+            unsafe { _mm512_setzero_ps() }
+        }
+
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            unsafe { _mm512_set1_ps(v) }
+        }
+
+        #[inline(always)]
+        unsafe fn load(src: &[f32]) -> Self {
+            let src = &src[..16];
+            unsafe { _mm512_loadu_ps(src.as_ptr()) }
+        }
+
+        #[inline(always)]
+        unsafe fn load_i16(src: &[i16]) -> Self {
+            let src = &src[..16];
+            unsafe {
+                let codes = _mm256_loadu_si256(src.as_ptr().cast());
+                _mm512_cvtepi32_ps(_mm512_srai_epi32::<1>(_mm512_cvtepi16_epi32(codes)))
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn step<S: Accumulate>(self, a: Self, w: Self) -> Self {
+            unsafe {
+                if S::FUSED {
+                    _mm512_fmadd_ps(a, w, self)
+                } else {
+                    _mm512_add_ps(self, _mm512_mul_ps(a, w))
+                }
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn store(self, out: &mut [f32]) {
+            let out = &mut out[..16];
+            unsafe { _mm512_storeu_ps(out.as_mut_ptr(), self) }
+        }
+    }
+
+    impl Lanes for __m256 {
+        const N: usize = 8;
+        const ROWS: usize = 4;
+
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            // SAFETY (every method here): the caller guarantees AVX2
+            // and FMA ([`Lanes`]); each access stays inside its slice,
+            // whose length is checked first.
+            unsafe { _mm256_setzero_ps() }
+        }
+
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            unsafe { _mm256_set1_ps(v) }
+        }
+
+        #[inline(always)]
+        unsafe fn load(src: &[f32]) -> Self {
+            let src = &src[..8];
+            unsafe { _mm256_loadu_ps(src.as_ptr()) }
+        }
+
+        #[inline(always)]
+        unsafe fn load_i16(src: &[i16]) -> Self {
+            let src = &src[..8];
+            unsafe {
+                let codes = _mm_loadu_si128(src.as_ptr().cast());
+                _mm256_cvtepi32_ps(_mm256_srai_epi32::<1>(_mm256_cvtepi16_epi32(codes)))
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn step<S: Accumulate>(self, a: Self, w: Self) -> Self {
+            unsafe {
+                if S::FUSED {
+                    _mm256_fmadd_ps(a, w, self)
+                } else {
+                    _mm256_add_ps(self, _mm256_mul_ps(a, w))
+                }
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn store(self, out: &mut [f32]) {
+            let out = &mut out[..8];
+            unsafe { _mm256_storeu_ps(out.as_mut_ptr(), self) }
+        }
+    }
+}
+
+/// A kernel body that [`dispatch`] compiles once per [`Simd`] build.
+trait Kernel {
+    /// The body: it computes in `L` registers and accumulates a product
+    /// proven exact with `F`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have `L`'s extension ([`Lanes`]).
+    unsafe fn run<L: Lanes, F: Accumulate>(self);
+}
+
+/// Runs `kernel` in the widest build this CPU has.
+fn dispatch(kernel: impl Kernel) {
+    dispatch_on(Simd::detect(), kernel);
+}
+
+/// Runs `kernel` in the `simd` build, which this CPU must support.
+fn dispatch_on<K: Kernel>(simd: Simd, kernel: K) {
+    assert!(simd.supported(), "{simd:?} build on a CPU without it");
+    match simd {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the CPU supports the build, asserted above.
+        Simd::Avx512 => unsafe { run_avx512(kernel) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        Simd::Avx2 => unsafe { run_avx2(kernel) },
+        // SAFETY: the portable lanes run baseline instructions only.
+        _ => unsafe { kernel.run::<[f32; 8], MulAdd>() },
+    }
+}
+
+/// `kernel` compiled for AVX-512F and FMA.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,fma")]
+unsafe fn run_avx512<K: Kernel>(kernel: K) {
+    // SAFETY: the caller guarantees AVX-512F and FMA.
+    unsafe { kernel.run::<std::arch::x86_64::__m512, Fma>() };
+}
+
+/// `kernel` compiled for AVX2 and FMA.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn run_avx2<K: Kernel>(kernel: K) {
+    // SAFETY: the caller guarantees AVX2 and FMA.
+    unsafe { kernel.run::<std::arch::x86_64::__m256, Fma>() };
+}
 
 /// The operands of [`PackedMatrix::gemm_cols`]'s row tile: activation
-/// rows `rows` of `cols.x` (all passing the range guard) against codes
-/// `C` (and, for the block layout, the `[block column][k]` scales),
-/// computing the whole column tiles of `tiles` (inside `[c0, c1)`) into
-/// the compact `c1 − c0`-wide `out`. The 16 codes of output column
-/// `j`'s tile at contraction index `k` start at `j·col_stride +
-/// k·k_stride`: tile-major block codes have `col_stride = k_len`,
-/// `k_stride = 16`; a row-major lane has 1 and `n`.
+/// rows `rows` of `cols.x` (all passing the range guard; the first list
+/// also passing the exact-product guard) against codes `C` (and, for the
+/// block layout, the `[block column][k]` scales), computing the whole
+/// column tiles of `tiles` (inside `[c0, c1)`) into the compact
+/// `c1 − c0`-wide `out`. The 16 codes of output column `j`'s strip at
+/// contraction index `k` start at `j·col_stride + k·k_stride`:
+/// tile-major block codes have `col_stride = k_len`, `k_stride = 16`; a
+/// row-major lane has 1 and `n`.
 struct RowTile<'a, C> {
     cols: Cols<'a>,
     k_len: usize,
-    rows: &'a [usize],
+    rows: [&'a [usize]; 2],
     codes: &'a [C],
     col_stride: usize,
     k_stride: usize,
@@ -1118,101 +1611,148 @@ struct RowTile<'a, C> {
     tiles: std::ops::Range<usize>,
 }
 
+/// [`RowTile::columns`] as a [`Kernel`].
+struct TileKernel<'t, 'a, C> {
+    tile: &'t RowTile<'a, C>,
+    out: &'t mut [f32],
+}
+
+impl<C: Code> Kernel for TileKernel<'_, '_, C> {
+    #[inline(always)]
+    unsafe fn run<L: Lanes, F: Accumulate>(self) {
+        // SAFETY: the caller guarantees `L`'s extension.
+        unsafe { self.tile.columns::<L, F>(self.out) };
+    }
+}
+
 impl<C: Code> RowTile<'_, C> {
-    /// Whether this CPU runs the AVX2 build of the tile. Elsewhere the
-    /// portable build runs the block layout's codes; dense and FP16
-    /// lanes keep their one-row kernel there (the baseline SSE2 build of
-    /// the tile measured no faster than it at 8 rows).
-    fn supported() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            std::is_x86_feature_detected!("avx2")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    }
-
-    /// Computes every tile, with the AVX2 build of [`RowTile::columns`]
-    /// where the CPU has it.
+    /// Computes every tile in the widest build this CPU has.
     fn run(&self, out: &mut [f32]) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if Self::supported() {
-                // SAFETY: the CPU supports AVX2, checked just above.
-                unsafe { self.columns_avx2(out) };
-                return;
-            }
-        }
-        self.columns(out);
+        dispatch(TileKernel { tile: self, out });
     }
 
-    /// [`RowTile::columns`] compiled for AVX2.
+    /// Column tile by column tile, two registers wide while whole ones
+    /// fit (32 columns in the AVX-512 build, 16 elsewhere) and one
+    /// after, so a tile's codes stay in cache across every row group:
+    /// the fused rows accumulate with `F`, the rest with [`MulAdd`].
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn columns_avx2(&self, out: &mut [f32]) {
-        self.columns(out);
-    }
-
-    /// Column tile by column tile, so one tile's code strip stays in
-    /// cache across every row group.
+    /// The CPU must have `L`'s extension, as for every method below.
     #[inline(always)]
-    fn columns(&self, out: &mut [f32]) {
-        for j in self.tiles.clone().step_by(TILE_COLS) {
-            for rows in self.rows.chunks(TILE_ROWS) {
-                match *rows {
-                    [a, b, c, d] => self.tile([a, b, c, d], j, out),
-                    [a, b, c] => self.tile([a, b, c], j, out),
-                    [a, b] => self.tile([a, b], j, out),
-                    [a] => self.tile([a], j, out),
-                    _ => unreachable!("chunks of at most TILE_ROWS rows"),
-                }
+    unsafe fn columns<L: Lanes, F: Accumulate>(&self, out: &mut [f32]) {
+        let mut j = self.tiles.start;
+        while j < self.tiles.end {
+            if j + 2 * L::N <= self.tiles.end {
+                self.row_groups::<L, F, 2>(j, out);
+                j += 2 * L::N;
+            } else {
+                self.row_groups::<L, F, 1>(j, out);
+                j += L::N;
             }
         }
     }
 
-    /// One `R × TILE_COLS` tile at output column `j`, in registers: each
-    /// output element accumulates `fl(fl(a·2^s)·code)` (`fl(a·w)` on
-    /// the dense lanes) in ascending `k` with a separate multiply and
-    /// add, exactly as the one-row kernels do. A zero activation is not
-    /// skipped: it adds `±0`, which leaves the sum unchanged because the
-    /// sum never holds `-0` and every code is finite
-    /// ([`PackedMatrix::tile_span`]).
     #[inline(always)]
-    fn tile<const R: usize>(&self, rows: [usize; R], j: usize, out: &mut [f32]) {
+    unsafe fn row_groups<L: Lanes, F: Accumulate, const V: usize>(
+        &self,
+        j: usize,
+        out: &mut [f32],
+    ) {
+        let [fused, split] = self.rows;
+        for rows in fused.chunks(L::ROWS) {
+            self.rows_tile::<L, F, V>(rows, j, out);
+        }
+        for rows in split.chunks(L::ROWS) {
+            self.rows_tile::<L, MulAdd, V>(rows, j, out);
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn rows_tile<L: Lanes, S: Accumulate, const V: usize>(
+        &self,
+        rows: &[usize],
+        j: usize,
+        out: &mut [f32],
+    ) {
+        fn first<const R: usize>(rows: &[usize]) -> [usize; R] {
+            std::array::from_fn(|r| rows[r])
+        }
+        match rows.len() {
+            8 => self.tile::<L, S, 8, V>(first(rows), j, out),
+            7 => self.tile::<L, S, 7, V>(first(rows), j, out),
+            6 => self.tile::<L, S, 6, V>(first(rows), j, out),
+            5 => self.tile::<L, S, 5, V>(first(rows), j, out),
+            4 => self.tile::<L, S, 4, V>(first(rows), j, out),
+            3 => self.tile::<L, S, 3, V>(first(rows), j, out),
+            2 => self.tile::<L, S, 2, V>(first(rows), j, out),
+            1 => self.tile::<L, S, 1, V>(first(rows), j, out),
+            _ => unreachable!("chunks of at most Lanes::ROWS rows"),
+        }
+    }
+
+    /// One tile of `R` rows by `V` registers at output column `j`, its
+    /// accumulators in registers: each output element accumulates
+    /// `(a·2^s)·code` (`a·w` on the dense lanes) in ascending `k` with
+    /// `S`. A zero activation is not skipped: it adds `±0`, which leaves
+    /// the sum unchanged because the sum never holds `-0` and every code
+    /// is finite ([`PackedMatrix::tile_span`]).
+    #[inline(always)]
+    unsafe fn tile<L: Lanes, S: Accumulate, const R: usize, const V: usize>(
+        &self,
+        rows: [usize; R],
+        j: usize,
+        out: &mut [f32],
+    ) {
         let k_len = self.k_len;
         let Cols { x, c0, c1, .. } = self.cols;
         let xs: [&[f32]; R] = rows.map(|i| &x[i * k_len..(i + 1) * k_len]);
-        // The tile's column of block scales, one per weight row (the
-        // tile lies inside one block of every row).
-        let scales = self
-            .scale
-            .map(|(scale, group)| &scale[j / group * k_len..(j / group + 1) * k_len]);
-        let strips = self.codes[j * self.col_stride..].chunks(self.k_stride);
-        let mut acc = [[0.0f32; TILE_COLS]; R];
-        for (k, strip) in strips.take(k_len).enumerate() {
-            let mut a: [f32; R] = std::array::from_fn(|r| xs[r][k]);
-            if let Some(scale) = scales {
-                let s = scale[k];
-                a = a.map(|v| v * s);
+        // Register `v`'s codes, one `k_stride` chunk per weight row, and
+        // its strip's column of block scales (a strip lies inside one
+        // block of every weight row).
+        let mut strips: [std::slice::Chunks<'_, C>; V] = std::array::from_fn(|v| {
+            let jv = j + v * L::N;
+            let lane = jv % TILE_COLS;
+            self.codes[(jv - lane) * self.col_stride + lane..].chunks(self.k_stride)
+        });
+        let scales: [Option<&[f32]>; V] = std::array::from_fn(|v| {
+            let block = (j + v * L::N) / self.scale.map_or(1, |(_, group)| group);
+            self.scale
+                .map(|(scale, _)| &scale[block * k_len..(block + 1) * k_len])
+        });
+        let mut acc = [[L::zero(); V]; R];
+        // The activations of a run of weight rows, folded by each
+        // register's block scale in one vector pass.
+        let mut folded = [[[0.0f32; FOLD_RUN]; R]; V];
+        for k0 in (0..k_len).step_by(FOLD_RUN) {
+            let run = FOLD_RUN.min(k_len - k0);
+            for (folded_v, scale) in folded.iter_mut().zip(&scales) {
+                for (dst, x) in folded_v.iter_mut().zip(&xs) {
+                    let (dst, x) = (&mut dst[..run], &x[k0..k0 + run]);
+                    match scale {
+                        Some(scale) => {
+                            for ((d, &a), &s) in dst.iter_mut().zip(x).zip(&scale[k0..k0 + run]) {
+                                *d = a * s;
+                            }
+                        }
+                        None => dst.copy_from_slice(x),
+                    }
+                }
             }
-            let strip: &[C; TILE_COLS] =
-                strip[..TILE_COLS].try_into().expect("a whole column tile");
-            let w = strip.map(Code::widen);
-            for (acc_row, &a_r) in acc.iter_mut().zip(&a) {
-                for (o, &w) in acc_row.iter_mut().zip(&w) {
-                    *o += a_r * w;
+            for kk in 0..run {
+                for (v, strip) in strips.iter_mut().enumerate() {
+                    let w = C::lanes::<L>(strip.next().expect("one chunk per weight row"));
+                    for (acc_row, a) in acc.iter_mut().zip(&folded[v]) {
+                        acc_row[v] = acc_row[v].step::<S>(L::splat(a[kk]), w);
+                    }
                 }
             }
         }
         let (o0, width) = (j - c0, c1 - c0);
         for (&i, acc_row) in rows.iter().zip(&acc) {
-            out[i * width + o0..i * width + o0 + TILE_COLS].copy_from_slice(acc_row);
+            for (v, lanes) in acc_row.iter().enumerate() {
+                lanes.store(&mut out[i * width + o0 + v * L::N..]);
+            }
         }
     }
 }
@@ -1225,7 +1765,8 @@ impl<C: Code> RowTile<'_, C> {
 /// of a KV cache, which appends one key/value row per token per layer.
 /// Both hold the same block store: one integer element code per value
 /// (`i16`, widened once to `f32` at the first code that does not fit)
-/// and one power-of-two scale per block, here in flat row-major order.
+/// and one power-of-two scale per block, here row-major
+/// ([`PackedRows::new`]) or key-minor ([`PackedRows::key_minor`]).
 /// Rows go through the same chunk encoder on append
 /// ([`PackedRows::push_row`]); any row it cannot reproduce bit-for-bit
 /// demotes the *whole buffer* to a dense f32 lane (rebuilt exactly as
@@ -1233,7 +1774,7 @@ impl<C: Code> RowTile<'_, C> {
 /// bit-identical to the rows that were pushed, for every scheme and
 /// every input.
 ///
-/// The attention kernels ([`attn_dot_packed`],
+/// The attention kernels ([`attn_scores_packed`], [`attn_dot_packed`],
 /// [`attn_weighted_sum_packed`]) read head-column slices of the rows
 /// straight off the codes + block scales, reusing the power-of-two
 /// commuting argument of the module docs — so QK^T and AV over a packed
@@ -1260,14 +1801,112 @@ impl<C: Code> RowTile<'_, C> {
 pub struct PackedRows {
     width: usize,
     rows: usize,
+    order: Order,
     layout: Layout,
+}
+
+/// Where a [`PackedRows`] buffer keeps element `(row, col)` — its codes
+/// and lane values, and, one level up, its block scales.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Order {
+    /// Row after row, growing without bound: `row·width + col`.
+    RowMajor,
+    /// Key-minor, at most `tokens` rows: `col·tokens + row`, so one
+    /// column's values lie contiguous over the rows.
+    KeyMinor { tokens: usize },
+}
+
+impl Order {
+    /// The index of element `(row, col)` of a buffer `width` columns
+    /// wide: the one addressing function of a [`PackedRows`] buffer,
+    /// for its values (`width` columns) and its block scales (`width /
+    /// group` columns) alike.
+    #[inline(always)]
+    fn at(self, row: usize, col: usize, width: usize) -> usize {
+        match self {
+            Order::RowMajor => row * width + col,
+            Order::KeyMinor { tokens } => col * tokens + row,
+        }
+    }
+
+    /// The same order for a buffer of `rows` rows.
+    fn with_rows(self, rows: usize) -> Order {
+        match self {
+            Order::RowMajor => Order::RowMajor,
+            Order::KeyMinor { .. } => Order::KeyMinor { tokens: rows },
+        }
+    }
+
+    /// The first `rows` rows of the `cols`-wide buffer `src`, held in
+    /// this order, laid out in `to` order in one allocation with room
+    /// for `room` rows.
+    fn relay<T: Copy + Default>(
+        self,
+        src: &[T],
+        rows: usize,
+        cols: usize,
+        to: Order,
+        room: usize,
+    ) -> Vec<T> {
+        let value = |r: usize, c: usize| src[self.at(r, c, cols)];
+        match to {
+            Order::RowMajor => {
+                let mut out = Vec::with_capacity(room * cols);
+                out.extend((0..rows).flat_map(|r| (0..cols).map(move |c| value(r, c))));
+                out
+            }
+            Order::KeyMinor { .. } => {
+                let mut out = vec![T::default(); room * cols];
+                for r in 0..rows {
+                    for c in 0..cols {
+                        out[to.at(r, c, cols)] = value(r, c);
+                    }
+                }
+                out
+            }
+        }
+    }
+
+    /// Stores one chunk's `codes` and `scale` as columns `c0..` of row
+    /// `row` of a `width`-wide block store: appended in row-major order
+    /// (rows arrive in order), written in place key-minor.
+    fn store(
+        self,
+        blocks: &mut Blocks,
+        width: usize,
+        row: usize,
+        c0: usize,
+        codes: &[f32],
+        scale: f32,
+    ) {
+        match self {
+            Order::RowMajor => blocks.push(codes, scale),
+            Order::KeyMinor { .. } => {
+                let log2 = blocks.group().trailing_zeros();
+                blocks.codes.put(codes, |i| self.at(row, c0 + i, width));
+                blocks.scale[self.at(row, c0 >> log2, width >> log2)] = scale;
+            }
+        }
+    }
+
+    /// Stores `values` as row `row` of a `width`-wide dense lane.
+    fn store_lane(self, lane: &mut Vec<f32>, width: usize, row: usize, values: &[f32]) {
+        match self {
+            Order::RowMajor => lane.extend_from_slice(values),
+            Order::KeyMinor { .. } => {
+                for (c, &v) in values.iter().enumerate() {
+                    lane[self.at(row, c, width)] = v;
+                }
+            }
+        }
+    }
 }
 
 impl PackedRows {
     /// An empty buffer whose rows are `width` columns wide, stored in
     /// `scheme`'s block layout when the scheme has one and `width` is a
     /// whole number of blocks (so no block straddles a row), else as
-    /// dense f32.
+    /// dense f32, row after row.
     pub fn new(scheme: SchemeSpec, width: usize) -> PackedRows {
         let layout = match store_algebra(scheme) {
             Some(alg) if width > 0 && width.is_multiple_of(alg.block_size) => {
@@ -1281,6 +1920,57 @@ impl PackedRows {
         PackedRows {
             width,
             rows: 0,
+            order: Order::RowMajor,
+            layout,
+        }
+    }
+
+    /// An empty buffer of at most `tokens` rows, in the layout
+    /// [`PackedRows::new`] picks, stored **key-minor**: the values of
+    /// one column lie contiguous over the rows, and the block scales are
+    /// `[block][row]`, so the page kernel ([`attn_scores_packed`]) loads
+    /// 16 keys at one column at once. Every buffer is allocated once, at
+    /// `tokens` rows; the buffer holds and is charged exactly what a
+    /// row-major one holds ([`PackedRows::packed_bits`]).
+    ///
+    /// ```
+    /// use bbal_core::packed::{attn_dot_packed, attn_scores_packed, PackedRows};
+    /// use bbal_core::{algebra_quantize_slice, FormatAlgebra, RoundingMode, SchemeSpec};
+    ///
+    /// let bbfp = FormatAlgebra::bbfp(4, 2)?;
+    /// let raw: Vec<f32> = (0..96).map(|i| ((i * 5 % 17) as f32 - 8.0) * 0.1).collect();
+    /// let mut q = vec![0.0; 96];
+    /// algebra_quantize_slice(&raw, &bbfp, RoundingMode::NearestEven, &mut q);
+    ///
+    /// let mut keys = PackedRows::key_minor(SchemeSpec::Bbfp(4, 2), 32, 4);
+    /// for row in q.chunks(32) {
+    ///     keys.push_row(row);
+    /// }
+    /// assert_eq!(keys.to_dense(), q);
+    /// let query = [0.5f32; 8];
+    /// let mut scores = [0.0f32; 3];
+    /// attn_scores_packed(&query, &keys, 0..3, 8, &mut scores);
+    /// for (j, s) in scores.iter().enumerate() {
+    ///     assert_eq!(*s, attn_dot_packed(&query, &keys, j, 8));
+    /// }
+    /// # Ok::<(), bbal_core::FormatError>(())
+    /// ```
+    pub fn key_minor(scheme: SchemeSpec, width: usize, tokens: usize) -> PackedRows {
+        let layout = match PackedRows::new(scheme, width).layout {
+            Layout::Block(blocks) => Layout::Block(Blocks {
+                codes: Codes::I16(vec![0; tokens * width]),
+                scale: vec![0.0; tokens * width / blocks.group()],
+                ..blocks
+            }),
+            Layout::Dense { .. } | Layout::Fp16 { .. } => Layout::Dense {
+                lane: vec![0.0; tokens * width],
+                finite: false,
+            },
+        };
+        PackedRows {
+            width,
+            rows: 0,
+            order: Order::KeyMinor { tokens },
             layout,
         }
     }
@@ -1300,6 +1990,11 @@ impl PackedRows {
         self.rows == 0
     }
 
+    /// Whether the buffer is key-minor ([`PackedRows::key_minor`]).
+    pub fn is_key_minor(&self) -> bool {
+        matches!(self.order, Order::KeyMinor { .. })
+    }
+
     /// Which layout the buffer currently holds ([`LayoutKind::Fp16`]
     /// never occurs here).
     pub fn layout_kind(&self) -> LayoutKind {
@@ -1317,8 +2012,12 @@ impl PackedRows {
         self.packed_bits().div_ceil(8)
     }
 
-    /// Rows the buffer holds before any of its buffers has to grow.
+    /// Rows the buffer holds before any of its buffers has to grow (a
+    /// key-minor buffer never grows: it holds at most this many).
     pub fn capacity(&self) -> usize {
+        if let Order::KeyMinor { tokens } = self.order {
+            return tokens;
+        }
         let values = match &self.layout {
             Layout::Block(blocks) => blocks
                 .codes
@@ -1330,27 +2029,29 @@ impl PackedRows {
     }
 
     /// A copy of the buffer with room for `rows` rows (at least its
-    /// own), each of its buffers allocated once at that size, so a
-    /// buffer sized once (a KV page, fresh or copied on write, at its
-    /// page size) never grows past it.
+    /// own), in the same order and layout, each of its buffers
+    /// allocated once at that size, so a buffer sized once (a KV page,
+    /// fresh or copied on write, at its page size) never grows past it.
     pub fn copy_with_capacity(&self, rows: usize) -> PackedRows {
-        let values = rows * self.width;
+        let room = rows.max(self.rows);
+        let order = self.order.with_rows(room);
+        let width = self.width;
         let layout = match &self.layout {
             Layout::Dense { lane, finite } => Layout::Dense {
-                lane: copy_with_room(lane, values),
+                lane: self.relaid(lane, width, order, room),
                 finite: *finite,
             },
             Layout::Fp16 { bits, lane } => Layout::Fp16 {
-                bits: copy_with_room(bits, values),
-                lane: copy_with_room(lane, values),
+                bits: self.relaid(bits, width, order, room),
+                lane: self.relaid(lane, width, order, room),
             },
             Layout::Block(blocks) => Layout::Block(Blocks {
                 alg: blocks.alg,
                 codes: match &blocks.codes {
-                    Codes::I16(codes) => Codes::I16(copy_with_room(codes, values)),
-                    Codes::F32(codes) => Codes::F32(copy_with_room(codes, values)),
+                    Codes::I16(codes) => Codes::I16(self.relaid(codes, width, order, room)),
+                    Codes::F32(codes) => Codes::F32(self.relaid(codes, width, order, room)),
                 },
-                scale: copy_with_room(&blocks.scale, values.div_ceil(blocks.group())),
+                scale: self.relaid(&blocks.scale, width / blocks.group(), order, room),
                 scale_range: blocks.scale_range,
                 tiled: blocks.tiled,
             }),
@@ -1358,8 +2059,22 @@ impl PackedRows {
         PackedRows {
             width: self.width,
             rows: self.rows,
+            order,
             layout,
         }
+    }
+
+    /// One of this buffer's stores, `cols` values per row (its width,
+    /// or its blocks per row), its rows re-laid in `order` with room for
+    /// `room` rows ([`Order::relay`]).
+    fn relaid<T: Copy + Default>(
+        &self,
+        src: &[T],
+        cols: usize,
+        order: Order,
+        room: usize,
+    ) -> Vec<T> {
+        self.order.relay(src, self.rows, cols, order, room)
     }
 
     /// Appends one **already quantised** row, encoding it into the block
@@ -1374,17 +2089,27 @@ impl PackedRows {
     ///
     /// # Panics
     ///
-    /// Panics if `row.len() != self.width()`.
+    /// Panics if `row.len() != self.width()` or a key-minor buffer is
+    /// full.
     pub fn push_row(&mut self, row: &[f32]) {
-        assert_eq!(row.len(), self.width, "row width mismatch");
+        self.check_push(row);
+        let (order, width, r) = (self.order, self.width, self.rows);
         if let Layout::Block(blocks) = &mut self.layout {
             let group = blocks.group();
-            if !row.chunks(group).all(|chunk| blocks.push_quantised(chunk)) {
+            let mut codes = [0.0f32; MAX_STORE_BLOCK];
+            let codes = &mut codes[..group];
+            let stored = row.chunks(group).enumerate().all(|(b, chunk)| {
+                blocks
+                    .encode_quantised(chunk, codes)
+                    .map(|scale| order.store(blocks, width, r, b * group, codes, scale))
+                    .is_some()
+            });
+            if !stored {
                 self.demote();
             }
         }
         if let Layout::Dense { lane, .. } = &mut self.layout {
-            lane.extend_from_slice(row);
+            order.store_lane(lane, width, r, row);
         }
         self.rows += 1;
     }
@@ -1420,30 +2145,31 @@ impl PackedRows {
     ///
     /// # Panics
     ///
-    /// Panics if `row.len() != self.width()`.
+    /// Panics if `row.len() != self.width()` or a key-minor buffer is
+    /// full.
     pub fn push_quantized_row(&mut self, row: &[f32], alg: &FormatAlgebra) {
-        assert_eq!(row.len(), self.width, "row width mismatch");
+        self.check_push(row);
         if !alg.packable() || row.iter().any(|v| !v.is_finite()) {
             return self.push_row(row);
         }
+        let (order, width, r) = (self.order, self.width, self.rows);
         match &mut self.layout {
             Layout::Block(blocks) if blocks.alg == *alg => {
-                let mut out = [0.0f32; MAX_STORE_BLOCK];
                 let group = blocks.group();
-                let stored = row
-                    .chunks(group)
-                    .all(|chunk| blocks.push_raw(chunk, &mut out[..chunk.len()]));
+                let (mut out, mut codes) = ([0.0f32; MAX_STORE_BLOCK], [0.0f32; MAX_STORE_BLOCK]);
+                let (out, codes) = (&mut out[..group], &mut codes[..group]);
+                let stored = row.chunks(group).enumerate().all(|(b, chunk)| {
+                    blocks
+                        .encode_raw(chunk, out, codes)
+                        .map(|scale| order.store(blocks, width, r, b * group, codes, scale))
+                        .is_some()
+                });
                 if !stored {
                     self.demote();
                     return self.push_quantized_row(row, alg);
                 }
             }
-            Layout::Dense { lane, .. } => {
-                let start = lane.len();
-                lane.extend_from_slice(row);
-                algebra_quantize_in_place(&mut lane[start..], alg, RoundingMode::NearestEven);
-            }
-            Layout::Block(_) | Layout::Fp16 { .. } => {
+            Layout::Dense { .. } | Layout::Block(_) | Layout::Fp16 { .. } => {
                 let mut quantised = row.to_vec();
                 algebra_quantize_in_place(&mut quantised, alg, RoundingMode::NearestEven);
                 return self.push_row(&quantised);
@@ -1452,17 +2178,29 @@ impl PackedRows {
         self.rows += 1;
     }
 
-    /// Demotes the buffer to a dense lane, exactly: the rows pushed so
-    /// far decode to themselves, and the codes of a row whose encoding
-    /// stopped part way lie past them, unread. The lane keeps the room
-    /// the codes had reserved.
+    /// The checks every push makes before storing anything.
+    fn check_push(&self, row: &[f32]) {
+        assert_eq!(row.len(), self.width, "row width mismatch");
+        if let Order::KeyMinor { tokens } = self.order {
+            assert!(self.rows < tokens, "key-minor buffer full at {tokens} rows");
+        }
+    }
+
+    /// Demotes the buffer to a dense lane in the same order, exactly:
+    /// the rows pushed so far decode to themselves, and the codes of a
+    /// row whose encoding stopped part way lie past them, unread. The
+    /// lane keeps the room the codes had reserved.
     fn demote(&mut self) {
-        let reserved = match &self.layout {
-            Layout::Block(blocks) => blocks.codes.capacity(),
-            Layout::Dense { .. } | Layout::Fp16 { .. } => return,
-        };
-        let mut lane = self.to_dense();
-        lane.reserve_exact(reserved.saturating_sub(lane.len()));
+        if !matches!(self.layout, Layout::Block(_)) {
+            return;
+        }
+        let lane = Order::RowMajor.relay(
+            &self.to_dense(),
+            self.rows,
+            self.width,
+            self.order,
+            self.capacity(),
+        );
         self.layout = Layout::Dense {
             lane,
             finite: false,
@@ -1477,41 +2215,113 @@ impl PackedRows {
     /// Panics if the position is out of range.
     pub fn get(&self, row: usize, col: usize) -> f32 {
         assert!(row < self.rows && col < self.width, "position out of range");
+        self.value(row, col)
+    }
+
+    /// [`PackedRows::get`] without the range check of the row: each
+    /// layout reads `(row, col)` through [`Order::at`].
+    fn value(&self, row: usize, col: usize) -> f32 {
+        let at = self.order.at(row, col, self.width);
         match &self.layout {
-            Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => lane[row * self.width + col],
+            Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => lane[at],
             Layout::Block(blocks) => {
-                let mut runs = blocks.runs(self.rows, self.width, row, col, col + 1);
-                let run = runs.next().expect("one column is one run");
-                let s = blocks.scale[run.scale];
+                let log2 = blocks.group().trailing_zeros();
+                let s = blocks.scale[self.order.at(row, col >> log2, self.width >> log2)];
                 match &blocks.codes {
-                    Codes::I16(codes) => codes[run.code].weight(s),
-                    Codes::F32(codes) => codes[run.code].weight(s),
+                    Codes::I16(codes) => codes[at].weight(s),
+                    Codes::F32(codes) => codes[at].weight(s),
                 }
             }
         }
     }
 
-    /// All rows as a flat dense f32 buffer — bit-identical to the rows
-    /// that were pushed.
+    /// All rows as a flat dense f32 buffer, row-major — bit-identical to
+    /// the rows that were pushed.
     pub fn to_dense(&self) -> Vec<f32> {
-        self.layout.decode(self.rows, self.width)
+        (0..self.rows)
+            .flat_map(|r| (0..self.width).map(move |c| self.value(r, c)))
+            .collect()
+    }
+}
+
+/// Keys the page kernel scores per vector pass: one AVX-512 register.
+const KEY_LANES: usize = 16;
+
+/// The scores `out[i] = q · K[keys.start + i, c0..c0+q.len()]` of a run
+/// of keys of one page: the QK^T inner products of one attention head
+/// against cached key rows. Each score is bit-identical to the dense f32
+/// dot in ascending-column order for every query: each term multiplies
+/// `q[d]` by the exact key value `code·2^s`, and the terms of one key are
+/// summed left to right. (No fused multiply-add: `q` is arbitrary, so
+/// its products are not exact.)
+///
+/// On a key-minor page ([`PackedRows::key_minor`]) the kernel keeps one
+/// accumulator per key, with 16 keys across the lanes of a register: at
+/// each column it loads 16 keys' codes at once, and each block segment
+/// of the head one per-key scale vector. A row-major page takes one key
+/// at a time.
+///
+/// # Panics
+///
+/// Panics if the keys or the column span are out of range, or
+/// `out.len() != keys.len()`.
+pub fn attn_scores_packed(
+    q: &[f32],
+    rows: &PackedRows,
+    keys: std::ops::Range<usize>,
+    c0: usize,
+    out: &mut [f32],
+) {
+    let dh = q.len();
+    assert!(
+        keys.start <= keys.end && keys.end <= rows.rows && c0 + dh <= rows.width,
+        "attention span out of range"
+    );
+    assert_eq!(out.len(), keys.len(), "one score per key");
+    match rows.order {
+        Order::KeyMinor { tokens } => dispatch(KeyScores {
+            q,
+            rows,
+            tokens,
+            j0: keys.start,
+            c0,
+            out,
+        }),
+        Order::RowMajor => {
+            for (s, j) in out.iter_mut().zip(keys) {
+                *s = row_dot(q, rows, j, c0);
+            }
+        }
     }
 }
 
 /// `q · K[j, c0..c0+q.len()]` over a packed row buffer: the QK^T inner
-/// product of one attention head against one cached key row.
-/// Bit-identical to the dense f32 dot in ascending-column order for
-/// every query: each term multiplies the exact key value `code·2^s`.
+/// product of one attention head against one cached key row, the
+/// one-key case of [`attn_scores_packed`]. Bit-identical to the dense
+/// f32 dot in ascending-column order for every query: each term
+/// multiplies the exact key value `code·2^s`.
 ///
 /// # Panics
 ///
 /// Panics if `j` or the column span is out of range.
 pub fn attn_dot_packed(q: &[f32], rows: &PackedRows, j: usize, c0: usize) -> f32 {
-    let dh = q.len();
     assert!(
-        j < rows.rows && c0 + dh <= rows.width,
+        j < rows.rows && c0 + q.len() <= rows.width,
         "attention span out of range"
     );
+    match rows.order {
+        Order::RowMajor => row_dot(q, rows, j, c0),
+        Order::KeyMinor { .. } => {
+            let mut score = [0.0f32];
+            attn_scores_packed(q, rows, j..j + 1, c0, &mut score);
+            score[0]
+        }
+    }
+}
+
+/// One key's score over a row-major buffer, its row read run by run.
+fn row_dot(q: &[f32], rows: &PackedRows, j: usize, c0: usize) -> f32 {
+    let dh = q.len();
     match &rows.layout {
         Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => {
             let flat0 = j * rows.width + c0;
@@ -1527,6 +2337,112 @@ pub fn attn_dot_packed(q: &[f32], rows: &PackedRows, j: usize, c0: usize) -> f32
     }
 }
 
+/// The page kernel of [`attn_scores_packed`] over a key-minor buffer of
+/// `tokens` rows, as a [`Kernel`].
+struct KeyScores<'a> {
+    q: &'a [f32],
+    rows: &'a PackedRows,
+    tokens: usize,
+    j0: usize,
+    c0: usize,
+    out: &'a mut [f32],
+}
+
+impl Kernel for KeyScores<'_> {
+    #[inline(always)]
+    unsafe fn run<L: Lanes, F: Accumulate>(mut self) {
+        let rows = self.rows;
+        match &rows.layout {
+            Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => self.keys(lane, None),
+            Layout::Block(blocks) => {
+                let scale = Some((blocks.scale.as_slice(), blocks.group().trailing_zeros()));
+                match &blocks.codes {
+                    Codes::I16(codes) => self.keys(codes, scale),
+                    Codes::F32(codes) => self.keys(codes, scale),
+                }
+            }
+        }
+    }
+}
+
+impl KeyScores<'_> {
+    /// Every key of `out`, [`KEY_LANES`] at a time, then the rest in
+    /// passes of 8, 4, 2 and 1 keys, so no pass reads past its keys.
+    /// `scale` is the block scales and the log2 block size of a block
+    /// store, `None` for a dense lane.
+    #[inline(always)]
+    fn keys<C: Code>(&mut self, codes: &[C], scale: Option<(&[f32], u32)>) {
+        let n = self.out.len();
+        let mut done = 0;
+        while n - done >= KEY_LANES {
+            self.pass::<C, KEY_LANES>(codes, scale, done);
+            done += KEY_LANES;
+        }
+        if n - done >= 8 {
+            self.pass::<C, 8>(codes, scale, done);
+            done += 8;
+        }
+        if n - done >= 4 {
+            self.pass::<C, 4>(codes, scale, done);
+            done += 4;
+        }
+        if n - done >= 2 {
+            self.pass::<C, 2>(codes, scale, done);
+            done += 2;
+        }
+        if n - done == 1 {
+            self.pass::<C, 1>(codes, scale, done);
+        }
+    }
+
+    /// The scores `out[done..done + N]` in one pass over the head's
+    /// columns, one accumulator lane per key: each lane adds
+    /// `q[d]·(code·2^s)` (`q[d]·v` on a dense lane) in ascending `d`.
+    #[inline(always)]
+    fn pass<C: Code, const N: usize>(
+        &mut self,
+        codes: &[C],
+        scale: Option<(&[f32], u32)>,
+        done: usize,
+    ) {
+        let (q, tokens, c0) = (self.q, self.tokens, self.c0);
+        let (j, dh) = (self.j0 + done, q.len());
+        let mut acc = [0.0f32; N];
+        let mut d = 0;
+        while d < dh {
+            // One block segment of the head: its columns share each
+            // key's scale.
+            let (end, s) = match scale {
+                Some((scale, log2)) => {
+                    let b = (c0 + d) >> log2;
+                    let at = b * tokens + j;
+                    let s: [f32; N] = scale[at..at + N].try_into().expect("N keys");
+                    ((((b + 1) << log2) - c0).min(dh), Some(s))
+                }
+                None => (dh, None),
+            };
+            for (col, &qd) in (c0 + d..).zip(&q[d..end]) {
+                let at = col * tokens + j;
+                let v: &[C; N] = codes[at..at + N].try_into().expect("N keys");
+                match s {
+                    Some(s) => {
+                        for ((a, c), s) in acc.iter_mut().zip(v).zip(s) {
+                            *a += qd * (c.widen() * s);
+                        }
+                    }
+                    None => {
+                        for (a, c) in acc.iter_mut().zip(v) {
+                            *a += qd * c.widen();
+                        }
+                    }
+                }
+            }
+            d = end;
+        }
+        self.out[done..done + N].copy_from_slice(&acc);
+    }
+}
+
 /// `out[d] += probs[j] · V[j, c0+d]` for every row `j` in ascending
 /// order: the AV accumulation of one attention head over a packed row
 /// buffer, bit-identical to the dense f32 loop for every input (per
@@ -1534,7 +2450,8 @@ pub fn attn_dot_packed(q: &[f32], rows: &PackedRows, j: usize, c0: usize) -> f32
 /// block scale folds into the broadcast probability where `p·2^s` is
 /// exact, and each value is rebuilt as `code·scale` elsewhere). A call
 /// whose `out` holds a `-0` multiplies the rebuilt values throughout, so
-/// a `-0` value keeps its sign (module docs).
+/// a `-0` value keeps its sign (module docs). A key-minor buffer is read
+/// value by value in the dense loop's own order.
 ///
 /// # Panics
 ///
@@ -1545,53 +2462,184 @@ pub fn attn_weighted_sum_packed(probs: &[f32], rows: &PackedRows, c0: usize, out
         probs.len() <= rows.rows && c0 + dh <= rows.width,
         "attention span out of range"
     );
-    match &rows.layout {
-        Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => {
-            for (j, &p) in probs.iter().enumerate() {
-                let flat0 = j * rows.width + c0;
-                let v_row = &lane[flat0..flat0 + dh];
-                for (o, &vv) in out.iter_mut().zip(v_row) {
-                    *o += p * vv;
+    dispatch(WeightedSum {
+        probs,
+        rows,
+        c0,
+        out,
+    });
+}
+
+/// [`attn_weighted_sum_packed`] as a [`Kernel`].
+struct WeightedSum<'a> {
+    probs: &'a [f32],
+    rows: &'a PackedRows,
+    c0: usize,
+    out: &'a mut [f32],
+}
+
+impl Kernel for WeightedSum<'_> {
+    #[inline(always)]
+    unsafe fn run<L: Lanes, F: Accumulate>(self) {
+        let WeightedSum {
+            probs,
+            rows,
+            c0,
+            out,
+        } = self;
+        let width = rows.width;
+        match (&rows.layout, rows.order) {
+            (_, Order::KeyMinor { .. }) => {
+                for (j, &p) in probs.iter().enumerate() {
+                    for (d, o) in out.iter_mut().enumerate() {
+                        *o += p * rows.value(j, c0 + d);
+                    }
+                }
+            }
+            (Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. }, Order::RowMajor) => {
+                for (&p, v_row) in probs.iter().zip(lane[c0..].chunks(width)) {
+                    for (o, &vv) in out.iter_mut().zip(v_row) {
+                        *o += p * vv;
+                    }
+                }
+            }
+            (Layout::Block(blocks), Order::RowMajor) => {
+                let folds = !out.iter().any(|o| *o == 0.0 && o.is_sign_negative());
+                let scale = (blocks.scale.as_slice(), blocks.group().trailing_zeros());
+                let done = folds
+                    && match &blocks.codes {
+                        // SAFETY: the caller guarantees `L`'s extension.
+                        Codes::I16(codes) => unsafe {
+                            axpy_registers::<L, _>(probs, codes, scale, width, c0, out)
+                        },
+                        // SAFETY: as above.
+                        Codes::F32(codes) => unsafe {
+                            axpy_registers::<L, _>(probs, codes, scale, width, c0, out)
+                        },
+                    };
+                if !done {
+                    match &blocks.codes {
+                        Codes::I16(codes) => rows_axpy(probs, blocks, codes, width, c0, out),
+                        Codes::F32(codes) => rows_axpy(probs, blocks, codes, width, c0, out),
+                    }
                 }
             }
         }
-        Layout::Block(blocks) => match &blocks.codes {
-            Codes::I16(codes) => runs_axpy(probs, rows, blocks, codes, c0, out),
-            Codes::F32(codes) => runs_axpy(probs, rows, blocks, codes, c0, out),
-        },
     }
 }
 
-/// [`attn_weighted_sum_packed`] over block codes: each row's runs, the
-/// block scale folded into the probability where `p·2^s` is exact (`p`
-/// zero, or `p·2^s` a normal f32) and `out` holds no `-0`, and each value
-/// rebuilt as `code·2^s` first elsewhere.
-fn runs_axpy<C: Code>(
+/// The weighted sum over the block codes of a row-major buffer `width`
+/// wide, with the head's sums held in `L` registers across every key, up
+/// to four registers at a time: each key adds `fl(p·2^s)·code` with a
+/// separate multiply and add, or, for a key whose `p·2^s` is inexact
+/// (`p` nonzero and `p·2^s` not normal), the exact `p·(code·2^s)` lane
+/// by lane. `scale` is the block scales and the log2 block size. The
+/// caller has checked that `out` holds no `-0`. Returns `false`,
+/// touching nothing, unless `c0` and the head width are whole registers
+/// and each register lies inside one block.
+///
+/// # Safety
+///
+/// The CPU must have `L`'s extension, as for [`axpy_group`].
+#[inline(always)]
+unsafe fn axpy_registers<L: Lanes, C: Code>(
     probs: &[f32],
-    rows: &PackedRows,
-    blocks: &Blocks,
     codes: &[C],
+    scale: (&[f32], u32),
+    width: usize,
+    c0: usize,
+    out: &mut [f32],
+) -> bool {
+    let n = L::N;
+    let aligned = c0.is_multiple_of(n)
+        && out.len().is_multiple_of(n)
+        && (1usize << scale.1).is_multiple_of(n);
+    if !aligned {
+        return false;
+    }
+    for (g, part) in out.chunks_mut(4 * n).enumerate() {
+        let c = c0 + g * 4 * n;
+        match part.len() / n {
+            4 => axpy_group::<L, C, 4>(probs, codes, scale, width, c, part),
+            3 => axpy_group::<L, C, 3>(probs, codes, scale, width, c, part),
+            2 => axpy_group::<L, C, 2>(probs, codes, scale, width, c, part),
+            _ => axpy_group::<L, C, 1>(probs, codes, scale, width, c, part),
+        }
+    }
+    true
+}
+
+/// One group of `REGS` registers of [`axpy_registers`].
+#[inline(always)]
+unsafe fn axpy_group<L: Lanes, C: Code, const REGS: usize>(
+    probs: &[f32],
+    codes: &[C],
+    (scale, log2): (&[f32], u32),
+    width: usize,
     c0: usize,
     out: &mut [f32],
 ) {
-    let c1 = c0 + out.len();
-    let folds = !out.iter().any(|o| *o == 0.0 && o.is_sign_negative());
+    let n = L::N;
+    let mut acc: [L; REGS] = std::array::from_fn(|r| L::load(&out[r * n..]));
     for (j, &p) in probs.iter().enumerate() {
-        for run in blocks.runs(rows.rows, rows.width, j, c0, c1) {
-            let (s, o) = (
-                blocks.scale[run.scale],
-                out[run.j0 - c0..run.j1 - c0].iter_mut(),
-            );
+        for (r, acc) in acc.iter_mut().enumerate() {
+            let at = j * width + c0 + r * n;
+            let s = scale[at >> log2];
+            let ps = p * s;
+            if p == 0.0 || ps.is_normal() {
+                *acc = acc.step::<MulAdd>(L::splat(ps), C::lanes::<L>(&codes[at..]));
+            } else {
+                let mut lanes = [0.0f32; KEY_LANES];
+                acc.store(&mut lanes);
+                for (o, c) in lanes[..n].iter_mut().zip(&codes[at..at + n]) {
+                    *o += p * c.weight(s);
+                }
+                *acc = L::load(&lanes);
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        acc.store(&mut out[r * n..]);
+    }
+}
+
+/// [`attn_weighted_sum_packed`] over the block codes of a row-major
+/// buffer `width` wide: the head's columns cut at block edges once, the
+/// same cuts for every row; in each segment the block scale folds into
+/// the probability where `p·2^s` is exact (`p` zero, or `p·2^s` a normal
+/// f32) and `out` holds no `-0`, and each value is rebuilt as `code·2^s`
+/// first elsewhere.
+#[inline(always)]
+fn rows_axpy<C: Code>(
+    probs: &[f32],
+    blocks: &Blocks,
+    codes: &[C],
+    width: usize,
+    c0: usize,
+    out: &mut [f32],
+) {
+    let folds = !out.iter().any(|o| *o == 0.0 && o.is_sign_negative());
+    let (group, dh) = (blocks.group(), out.len());
+    let log2 = group.trailing_zeros();
+    for (j, &p) in probs.iter().enumerate() {
+        let mut d = 0;
+        while d < dh {
+            let b = (c0 + d) >> log2;
+            let end = ((b + 1) * group - c0).min(dh);
+            let s = blocks.scale[((j * width) >> log2) + b];
+            let cs = &codes[j * width + c0 + d..j * width + c0 + end];
+            let o = out[d..end].iter_mut();
             let ps = p * s;
             if folds && (p == 0.0 || ps.is_normal()) {
-                for (ov, cv) in o.zip(run.codes(codes)) {
+                for (ov, cv) in o.zip(cs) {
                     *ov += ps * cv.widen();
                 }
             } else {
-                for (ov, cv) in o.zip(run.codes(codes)) {
+                for (ov, cv) in o.zip(cs) {
                     *ov += p * cv.weight(s);
                 }
             }
+            d = end;
         }
     }
 }
@@ -1930,7 +2978,8 @@ mod tests {
     /// Table II / Fig. 8 block scheme and the new families: a matrix at
     /// 192×512 and a ragged shape, packed from quantised values and
     /// encoded from raw ones, and a 16-row KV page 192 wide, which stays
-    /// flat although its width would tile. A page reserved at its page
+    /// flat although its width would tile, and the same page key-minor,
+    /// which holds the same codes and scales. A page reserved at its page
     /// size, as the KV arena builds it, holds exactly its codes and
     /// scales when full: capacity equals length, quantised rows or raw.
     /// `packed_bits()` equals the closed-form bit count of the chunks,
@@ -2006,11 +3055,16 @@ mod tests {
             let q = quantise(scheme, &r);
             let mut kv = PackedRows::new(scheme, width).copy_with_capacity(page);
             let mut encoded = PackedRows::new(scheme, width).copy_with_capacity(page);
+            let mut keys = PackedRows::key_minor(scheme, width, page);
             for (row, raw_row) in q.chunks(width).zip(r.chunks(width)) {
                 kv.push_row(row);
                 encoded.push_quantized_row(raw_row, &alg);
+                keys.push_quantized_row(raw_row, &alg);
             }
             let what = format!("{scheme} {page}x{width} rows");
+            let key_minor = format!("key-minor {what}");
+            check(&keys.layout, keys.packed_bits(), &q, &key_minor, true);
+            assert_same_bits(&keys.to_dense(), &q, &key_minor);
             for (rows, what) in [(&kv, what.clone()), (&encoded, format!("encoded {what}"))] {
                 assert!(
                     matches!(&rows.layout, Layout::Block(Blocks { tiled: false, .. })),
@@ -2072,13 +3126,16 @@ mod tests {
         }
     }
 
-    /// The portable row-tile body, called directly so its baseline build
-    /// is pinned whichever build `gemm_cols` runs on this host: block
-    /// codes, FP16 and dense lanes, 1..=9 rows (full and partial tiles,
-    /// zero activations mixed in), against the scalar reference.
+    /// Every build of the row-tile body this CPU runs — AVX-512, AVX2
+    /// and portable — called directly, so each is pinned whichever one
+    /// `gemm_cols` picks on this host: block codes, FP16 and dense lanes,
+    /// 1..=9 rows (full and partial tiles, zero activations mixed in),
+    /// once with every row split (multiply, then add) and once with the
+    /// rows the exact-product guard passes fused, against the scalar
+    /// reference and against each other, bit for bit.
     #[test]
-    fn portable_row_tile_matches_the_scalar_reference() {
-        let (k_len, n) = (40usize, 64usize);
+    fn every_row_tile_build_matches_the_scalar_reference() {
+        let (k_len, n) = (40usize, 96usize);
         let schemes = [
             SchemeSpec::Bfp(4),
             SchemeSpec::Bbfp(4, 2),
@@ -2086,6 +3143,10 @@ mod tests {
             SchemeSpec::Fp16,
             SchemeSpec::Fp32,
         ];
+        let builds: Vec<Simd> = [Simd::Avx512, Simd::Avx2, Simd::Portable]
+            .into_iter()
+            .filter(|simd| simd.supported())
+            .collect();
         for scheme in schemes {
             let w = quantised(scheme, k_len * n, 61);
             let p = PackedMatrix::pack(&w, k_len, n, scheme);
@@ -2098,7 +3159,12 @@ mod tests {
                         *v = 0.0;
                     }
                 }
-                let rows: Vec<usize> = (0..x_rows).collect();
+                let all: Vec<usize> = (0..x_rows).collect();
+                let (fused, split): (Vec<usize>, Vec<usize>) = all.iter().partition(|&&i| {
+                    p.fuses_exactly(&ValueRange::of(
+                        x[i * k_len..(i + 1) * k_len].iter().copied(),
+                    ))
+                });
                 let cols = Cols {
                     x: &x,
                     x_rows,
@@ -2106,28 +3172,139 @@ mod tests {
                     c1,
                 };
                 let width = c1 - c0;
-                let mut out = vec![f32::NAN; x_rows * width];
-                match &p.layout {
-                    Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => {
-                        p.lane_tile(lane, cols, &rows).columns(&mut out);
-                    }
-                    Layout::Block(blocks) => match &blocks.codes {
-                        Codes::I16(codes) => {
-                            p.block_tile(blocks, codes, cols, &rows).columns(&mut out)
-                        }
-                        Codes::F32(_) => panic!("{scheme:?} codes fit i16"),
-                    },
-                }
                 let want = reference_gemm(&x, x_rows, &w, k_len, n);
-                for i in 0..x_rows {
-                    let got = &out[i * width..(i + 1) * width];
-                    let same = got
-                        .iter()
-                        .zip(&want[i * n + c0..i * n + c1])
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(same, "{scheme:?} {x_rows} rows: row {i}");
+                for &simd in &builds {
+                    for rows in [[&[][..], &all[..]], [&fused[..], &split[..]]] {
+                        let mut out = vec![f32::NAN; x_rows * width];
+                        match &p.layout {
+                            Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => {
+                                let tile = p.lane_tile(lane, cols, rows);
+                                dispatch_on(
+                                    simd,
+                                    TileKernel {
+                                        tile: &tile,
+                                        out: &mut out,
+                                    },
+                                );
+                            }
+                            Layout::Block(blocks) => match &blocks.codes {
+                                Codes::I16(codes) => {
+                                    let tile = p.block_tile(blocks, codes, cols, rows);
+                                    dispatch_on(
+                                        simd,
+                                        TileKernel {
+                                            tile: &tile,
+                                            out: &mut out,
+                                        },
+                                    );
+                                }
+                                Codes::F32(_) => panic!("{scheme:?} codes fit i16"),
+                            },
+                        }
+                        for i in 0..x_rows {
+                            let got = &out[i * width..(i + 1) * width];
+                            let same = got
+                                .iter()
+                                .zip(&want[i * n + c0..i * n + c1])
+                                .all(|(a, b)| a.to_bits() == b.to_bits());
+                            let what = format!(
+                                "{simd:?} {scheme:?} {x_rows} rows, {} fused",
+                                rows[0].len()
+                            );
+                            assert!(same, "{what}: row {i}");
+                        }
+                    }
+                }
+                if scheme != SchemeSpec::Fp32 {
+                    assert_eq!(fused.len(), x_rows, "{scheme:?}: FP16 rows fuse");
                 }
             }
+        }
+    }
+
+    /// The exact-product guard passes the rows whose products are exact
+    /// and only those. Against BBFP(4,2) codes: hook-quantised BBFP(4,2)
+    /// rows, FP16 rows and a zero row pass; a row of 24-bit significands
+    /// and a row whose products pass `f32::MAX` (though its folds stay
+    /// finite) fail. `blockmf:4,3,8` and `bbfp:10,1` hold `f32` codes,
+    /// and the guard counts their significand bits, not their
+    /// magnitude, so FP16 rows pass both. The FP16 lane passes FP16
+    /// rows; a dense lane of arbitrary f32 weights passes none.
+    #[test]
+    fn exact_product_guard_sorts_rows() {
+        let range = |row: &[f32]| ValueRange::of(row.iter().copied());
+        let (k, n) = (64usize, 64usize);
+        let fp16 = quantised(SchemeSpec::Fp16, k, 7);
+        let full: Vec<f32> = raw(k, 9)
+            .iter()
+            .map(|v| f32::from_bits(v.to_bits() | 1))
+            .collect();
+        let zero = vec![0.0f32; k];
+
+        // Weights near 2^20, so the largest block scale exceeds 1.
+        let bbfp = SchemeSpec::Bbfp(4, 2);
+        let big: Vec<f32> = raw(k * n, 3).iter().map(|v| v * 1048576.0).collect();
+        let p = PackedMatrix::pack(&quantise(bbfp, &big), k, n, bbfp);
+        assert!(p.scale_range().1 > 1.0);
+        let hooked = quantised(bbfp, k, 5);
+        for (name, row) in [("hooked", &hooked), ("fp16", &fp16), ("zero", &zero)] {
+            assert!(p.fuses_exactly(&range(row)), "bbfp:4,2 {name} row fuses");
+        }
+        let hi = p.scale_range().1;
+        // The largest power of two whose folds stay finite: its
+        // products with the largest codes are not.
+        let past = vec![2f32.powi(f32::MAX_EXP - 1 - hi.log2() as i32); k];
+        assert!(p.folds_exactly(&range(&past)), "its folds stay finite");
+        for (name, row) in [("24-bit", &full), ("past f32::MAX", &past)] {
+            assert!(
+                !p.fuses_exactly(&range(row)),
+                "bbfp:4,2 {name} row does not fuse"
+            );
+        }
+
+        for scheme in [SchemeSpec::BlockMf(4, 3, 8), SchemeSpec::Bbfp(10, 1)] {
+            let w = quantise(
+                scheme,
+                &raw(k * n, 11)
+                    .iter()
+                    .map(|v| v * 64.0)
+                    .collect::<Vec<f32>>(),
+            );
+            let p = PackedMatrix::pack(&w, k, n, scheme);
+            let Layout::Block(blocks) = &p.layout else {
+                panic!("{scheme} takes the block layout");
+            };
+            assert!(
+                matches!(blocks.codes, Codes::F32(_)),
+                "{scheme} holds f32 codes"
+            );
+            assert!(
+                p.codes.max > f32::from(i16::MAX / 2),
+                "{scheme} codes outgrow i16"
+            );
+            assert!(p.fuses_exactly(&range(&fp16)), "{scheme} fp16 row fuses");
+            assert!(
+                !p.fuses_exactly(&range(&full)),
+                "{scheme} 24-bit row does not fuse"
+            );
+        }
+
+        let lane = PackedMatrix::pack(
+            &quantised(SchemeSpec::Fp16, k * n, 13),
+            k,
+            n,
+            SchemeSpec::Fp16,
+        );
+        assert!(
+            lane.fuses_exactly(&range(&fp16)),
+            "the FP16 lane fuses FP16 rows"
+        );
+        let dense = PackedMatrix::pack(&raw(k * n, 17), k, n, SchemeSpec::Oltron);
+        for (name, row) in [("fp16", &fp16), ("zero", &zero)] {
+            assert!(
+                !dense.fuses_exactly(&range(row)),
+                "a dense lane fuses no {name} row"
+            );
         }
     }
 
@@ -2185,7 +3362,12 @@ mod tests {
             let x_rows = x.len() / w_rows;
             for (i, row) in x.chunks(w_rows).enumerate() {
                 let ordinary_row = i == 0 || i == x_rows - 1;
-                assert_eq!(p.folds_exactly(row), ordinary_row, "{scheme} row {i} guard");
+                let range = ValueRange::of(row.iter().copied());
+                assert_eq!(
+                    p.folds_exactly(&range),
+                    ordinary_row,
+                    "{scheme} row {i} guard"
+                );
             }
             let want = reference_gemm(&x, x_rows, &q, w_rows, n);
             let (c0, c1) = (TILE_COLS / 2, n - 3);

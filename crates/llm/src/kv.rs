@@ -193,6 +193,9 @@ impl std::error::Error for ArenaFull {}
 ///   ([`PackedRows`]) instead of dense f32: one integer element code
 ///   per value (`i16`, or `f32` where codes outgrow it) plus one
 ///   power-of-two scale per block, the same store packed weights use.
+///   Its keys are stored key-minor ([`PackedRows::key_minor`]), the
+///   layout the attention page kernel reads; the classic dense store
+///   keeps every row row-major, as it always has.
 ///   This **never changes the numerics**: packing self-verifies and the
 ///   attention kernels are bit-identical to the dense loops, so `packed`
 ///   on/off yields the same token streams at a fraction of the page
@@ -719,9 +722,12 @@ impl KvArena {
     }
 
     /// Allocates one empty page whose rows are `width` wide and stored
-    /// as `storage` ([`PackedRows::new`]), reserved at its full
-    /// `page_tokens` rows so it never grows, charging `charge` bytes
-    /// against the byte accounting ([`KvArena::charge_page`]).
+    /// as `store` stores them ([`KvStore::storage_scheme`]), reserved at
+    /// its full `page_tokens` rows so it never grows, charging `charge`
+    /// bytes against the byte accounting ([`KvArena::charge_page`]). A
+    /// packed store keeps its keys key-minor ([`PackedRows::key_minor`]),
+    /// which the attention page kernel reads 16 keys at a time; values,
+    /// and every row of the classic dense store, are row-major.
     ///
     /// # Errors
     ///
@@ -729,14 +735,19 @@ impl KvArena {
     /// reclaimable.
     pub(crate) fn alloc(
         &self,
-        storage: SchemeSpec,
+        store: KvStore,
         width: usize,
         charge: u64,
     ) -> Result<PageBuf, ArenaFull> {
         let page_tokens = self.charge_page(charge)?;
+        let storage = store.storage_scheme();
         let rows = || PackedRows::new(storage, width).copy_with_capacity(page_tokens);
         Ok(PageBuf {
-            k: rows(),
+            k: if store.packed {
+                PackedRows::key_minor(storage, width, page_tokens)
+            } else {
+                rows()
+            },
             v: rows(),
             charge,
         })
@@ -821,7 +832,7 @@ mod tests {
     /// Allocates one page (zero byte charge) and wraps it in the handle
     /// a cache would hold.
     fn alloc_ref(arena: &KvArena) -> Result<PageRef, ArenaFull> {
-        arena.alloc(SchemeSpec::Fp32, 1, 0).map(Arc::new)
+        arena.alloc(KvStore::dense_f32(), 1, 0).map(Arc::new)
     }
 
     /// Publishes a one-layer block for `prefix`, allocating a fresh full
@@ -838,7 +849,7 @@ mod tests {
         charge: u64,
     ) -> PageRef {
         let mut page = arena
-            .alloc(SchemeSpec::Fp32, 1, charge)
+            .alloc(KvStore::dense_f32(), 1, charge)
             .expect("arena has room");
         for &t in prefix {
             page.k.push_row(&[t as f32]);
@@ -857,7 +868,7 @@ mod tests {
         assert_eq!(arena.in_use().pages, 2);
         assert_eq!(arena.free(), 0);
         assert_eq!(
-            arena.alloc(SchemeSpec::Fp32, 1, 0).unwrap_err(),
+            arena.alloc(KvStore::dense_f32(), 1, 0).unwrap_err(),
             ArenaFull {
                 budget: Some(KvBudget::Pages(2))
             }
@@ -875,12 +886,18 @@ mod tests {
     #[test]
     fn released_buffers_come_back_empty() {
         let arena = KvArena::unbounded(4);
-        let mut page = arena.alloc(SchemeSpec::Fp32, 2, 8).unwrap();
+        let mut page = arena.alloc(KvStore::dense_f32(), 2, 8).unwrap();
         page.k.push_row(&[1.0, 2.0]);
         arena.release_ref(Arc::new(page));
         assert_eq!(arena.in_use().bytes, 0);
-        let fresh = arena.alloc(SchemeSpec::Bfp(4), 32, 4).unwrap();
+        let packed = KvStore {
+            scheme: SchemeSpec::Bfp(4),
+            quantize: true,
+            packed: true,
+        };
+        let fresh = arena.alloc(packed, 32, 4).unwrap();
         assert!(fresh.k.is_empty() && fresh.v.is_empty());
+        assert!(fresh.k.is_key_minor() && !fresh.v.is_key_minor());
         assert_eq!(fresh.k.width(), 32);
         assert_eq!(fresh.charge, 4);
         assert_eq!(arena.in_use().bytes, 4);
@@ -891,23 +908,23 @@ mod tests {
         let arena = KvArena::with_budget(8, KvBudget::Bytes(100));
         assert_eq!(arena.budget(), Some(KvBudget::Bytes(100)));
         assert_eq!(arena.free(), 100);
-        let a = Arc::new(arena.alloc(SchemeSpec::Fp32, 1, 60).unwrap());
+        let a = Arc::new(arena.alloc(KvStore::dense_f32(), 1, 60).unwrap());
         assert_eq!(arena.in_use().bytes, 60);
         assert_eq!(arena.free(), 40);
         assert_eq!(
-            arena.alloc(SchemeSpec::Fp32, 1, 60).unwrap_err(),
+            arena.alloc(KvStore::dense_f32(), 1, 60).unwrap_err(),
             ArenaFull {
                 budget: Some(KvBudget::Bytes(100))
             }
         );
         // A smaller page still fits: byte budgets admit by size, not
         // count.
-        let b = Arc::new(arena.alloc(SchemeSpec::Fp32, 1, 40).unwrap());
+        let b = Arc::new(arena.alloc(KvStore::dense_f32(), 1, 40).unwrap());
         assert_eq!(arena.peak().bytes, 100);
         assert_eq!(arena.logical_in_use().bytes, 100);
         arena.release_ref(a);
         assert_eq!(arena.in_use().bytes, 40);
-        let c = Arc::new(arena.alloc(SchemeSpec::Fp32, 1, 60).unwrap());
+        let c = Arc::new(arena.alloc(KvStore::dense_f32(), 1, 60).unwrap());
         arena.release_ref(b);
         arena.release_ref(c);
         assert_eq!(arena.in_use().bytes, 0);
@@ -922,7 +939,7 @@ mod tests {
         arena.release_ref(cold);
         assert_eq!(arena.reclaimable().bytes, 80);
         // The next allocation does not fit without evicting the entry.
-        let page = Arc::new(arena.alloc(SchemeSpec::Fp32, 1, 50).unwrap());
+        let page = Arc::new(arena.alloc(KvStore::dense_f32(), 1, 50).unwrap());
         assert_eq!(arena.prefix_stats().evictions, 1);
         assert_eq!(arena.in_use().bytes, 50);
         arena.release_ref(page);
@@ -982,9 +999,9 @@ mod tests {
         let arena = KvArena::with_budget(4, KvBudget::Pages(1));
         let other = arena.clone();
         let page = alloc_ref(&other).unwrap();
-        assert!(arena.alloc(SchemeSpec::Fp32, 1, 0).is_err());
+        assert!(arena.alloc(KvStore::dense_f32(), 1, 0).is_err());
         other.release_ref(page);
-        assert!(arena.alloc(SchemeSpec::Fp32, 1, 0).is_ok());
+        assert!(arena.alloc(KvStore::dense_f32(), 1, 0).is_ok());
     }
 
     #[test]
@@ -1125,7 +1142,7 @@ mod tests {
         let b = publish_block(&arena, 1, &[3, 4]);
         assert_eq!(arena.free(), 0);
         // Both entries are held by caches: nothing to evict.
-        assert!(arena.alloc(SchemeSpec::Fp32, 1, 0).is_err());
+        assert!(arena.alloc(KvStore::dense_f32(), 1, 0).is_err());
         arena.release_ref(a);
         // Now one entry is reclaimable and alloc succeeds by evicting it.
         let c = alloc_ref(&arena).unwrap();

@@ -19,7 +19,9 @@ use crate::ops;
 use crate::rng::Stream;
 use crate::tensor::Tensor;
 use crate::zoo::{Family, ModelSpec};
-use bbal_core::{attn_dot_packed, attn_weighted_sum_packed, PackedMatrix, PackedRows, SchemeSpec};
+use bbal_core::{
+    attn_scores_packed, attn_weighted_sum_packed, PackedMatrix, PackedRows, SchemeSpec,
+};
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
@@ -237,7 +239,7 @@ impl KvCache {
             // here means the caller's accounting is wrong.
             let page = self
                 .arena
-                .alloc(self.store.storage_scheme(), self.hidden, self.page_charge)
+                .alloc(self.store, self.hidden, self.page_charge)
                 .unwrap_or_else(|e| panic!("KV cache page allocation failed: {e}"));
             lk.pages.push(Arc::new(page));
         } else if Arc::get_mut(lk.pages.last_mut().expect("tail checked above")).is_none() {
@@ -948,30 +950,28 @@ impl TransformerModel {
         let scale = 1.0 / (dh as f32).sqrt();
         let pt = cache.page_tokens;
         let pages = &cache.layers[li].pages;
+        let mut scores = Vec::with_capacity(cache.len + span.len());
         for head in 0..self.spec.heads {
             let c0 = head * dh;
             for (i, r) in span.clone().enumerate() {
-                // The page table resolves token j to its page; the dot
-                // products accumulate in the same order as a contiguous
+                // The page table resolves token j to its page; each
+                // score accumulates in the same order as a contiguous
                 // layout, so paging never changes a bit.
                 let keys = cache.len + i + 1;
-                let mut scores = vec![0.0f32; keys];
+                scores.clear();
+                scores.resize(keys, 0.0);
                 let q_row = &q.row(r)[c0..c0 + dh];
-                for (j, s) in scores.iter_mut().enumerate() {
-                    *s = attn_dot_packed(q_row, &pages[j / pt].k, j % pt, c0) * scale;
+                for (page, page_scores) in pages.iter().zip(scores.chunks_mut(pt)) {
+                    let n = page_scores.len();
+                    attn_scores_packed(q_row, &page.k, 0..n, c0, page_scores);
+                }
+                for s in &mut scores {
+                    *s *= scale;
                 }
                 hooks.softmax_row(&mut scores);
                 let ctx_row = &mut ctx.row_mut(r)[c0..c0 + dh];
-                let mut j0 = 0;
-                while j0 < keys {
-                    let take = (keys - j0).min(pt - (j0 % pt));
-                    attn_weighted_sum_packed(
-                        &scores[j0..j0 + take],
-                        &pages[j0 / pt].v,
-                        c0,
-                        ctx_row,
-                    );
-                    j0 += take;
+                for (page, probs) in pages.iter().zip(scores.chunks(pt)) {
+                    attn_weighted_sum_packed(probs, &page.v, c0, ctx_row);
                 }
             }
         }

@@ -97,14 +97,15 @@ fn session_tokens(
 }
 
 proptest! {
-    /// For any scheme in the battery, any page size, any prefill
-    /// chunking, with or without prefix sharing and KV quantisation:
-    /// the packed run's token streams equal the dense-storage run's,
-    /// request for request, token for token.
+    /// For any scheme in the battery, any page size (one-token pages
+    /// and a full 16-key pass of the attention page kernel included),
+    /// any prefill chunking, with or without prefix sharing and KV
+    /// quantisation: the packed run's token streams equal the
+    /// dense-storage run's, request for request, token for token.
     #[test]
     fn packed_streams_are_bit_identical_to_dense(
         scheme_ix in 0usize..14,
-        page_tokens in prop_oneof![Just(2usize), Just(3), Just(4), Just(8)],
+        page_tokens in prop_oneof![Just(1usize), Just(2), Just(3), Just(4), Just(8), Just(16)],
         prefill_chunk in prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
         share in proptest::arbitrary::any::<bool>(),
         quantize in proptest::arbitrary::any::<bool>(),

@@ -13,8 +13,12 @@
 //!
 //! Run with `PROPTEST_CASES=128` (CI does) for the full sweep.
 
-use bbal::core::packed::{attn_dot_packed, attn_weighted_sum_packed, PackedRows};
-use bbal::core::{algebra_quantize_slice, LayoutKind, PackedMatrix, RoundingMode, SchemeSpec};
+use bbal::core::packed::{
+    attn_dot_packed, attn_scores_packed, attn_weighted_sum_packed, PackedRows,
+};
+use bbal::core::{
+    algebra_quantize_slice, Fp16, LayoutKind, PackedMatrix, RoundingMode, SchemeSpec,
+};
 use bbal::llm::{KvStore, Tensor};
 use bbal::quant::registry::{hooks_for, FIG8_SCHEMES, TABLE2_SCHEMES};
 use proptest::prelude::*;
@@ -494,14 +498,16 @@ fn extreme_kv_rows(rows: usize, width: usize, seed: u64) -> Vec<(&'static str, V
     vec![("~1e-3 rows", milli), ("extreme rows", wide)]
 }
 
-/// Both attention kernels equal the dense loops bit for bit when the
+/// The attention kernels equal the dense loops bit for bit when the
 /// fold of a block scale into the query or probability is inexact:
 /// queries and probabilities from every adversarial class (1e-36,
 /// subnormal, near `f32::MAX`, ±inf, NaN, zero blocks, all zero, mixed)
 /// and the 1e-36…3e-39 softmax tail, against K/V pages of ~1e-3 rows and
 /// of extreme rows, on every sweep scheme (BFP4, BBFP(4,2) and BFP6
 /// among them), over aligned head spans and one that starts and ends
-/// inside a block.
+/// inside a block — on a row-major page and on the key-minor page a KV
+/// arena stores keys in, through the one-key `attn_dot_packed`, the
+/// page kernel `attn_scores_packed` over every key and `attn_weighted_sum_packed`.
 #[test]
 fn attention_kernels_match_dense_on_adversarial_ranges() {
     let (n_rows, width) = (12usize, 192usize);
@@ -517,51 +523,244 @@ fn attention_kernels_match_dense_on_adversarial_ranges() {
             quantize: true,
             packed: true,
         };
+        let storage = store.storage_scheme();
         for (page_name, raw_rows) in extreme_kv_rows(n_rows, width, 0xA77) {
-            let mut page = PackedRows::new(store.storage_scheme(), width);
+            let mut pages = [
+                PackedRows::new(storage, width),
+                PackedRows::key_minor(storage, width, n_rows),
+            ];
             for row in raw_rows.chunks(width) {
                 let mut q = row.to_vec();
                 store.quantize_row(&mut q);
-                page.push_row(&q);
-            }
-            let dense = page.to_dense();
-            for (c0, dh) in [(0usize, 64usize), (64, 64), (128, 64), (8, 48)] {
-                let v = |j: usize, d: usize| dense[j * width + c0 + d];
-                let what = |kind: &str, class: &str| {
-                    format!("{scheme:?} {page_name} c0={c0} dh={dh} {kind} {class}")
-                };
-                let mut queries = adversarial_rows(dh, (c0 * 31 + dh) as u64);
-                queries.push(("softmax tail", softmax_tail(dh, c0 as u64 + 5)));
-                for (class, q) in &queries {
-                    let got: Vec<f32> = (0..n_rows)
-                        .map(|j| attn_dot_packed(q, &page, j, c0))
-                        .collect();
-                    let want: Vec<f32> = (0..n_rows)
-                        .map(|j| {
-                            let mut acc = 0.0f32;
-                            for (d, qv) in q.iter().enumerate() {
-                                acc += qv * v(j, d);
-                            }
-                            acc
-                        })
-                        .collect();
-                    assert_same_bits(&got, &want, &what("attn_dot_packed", class));
+                for page in &mut pages {
+                    page.push_row(&q);
                 }
-                let mut probs = adversarial_rows(n_rows, (c0 * 17 + dh) as u64);
-                probs.push(("softmax tail", softmax_tail(n_rows, c0 as u64 + 9)));
-                for (class, p) in &probs {
-                    let mut got = vec![0.0f32; dh];
-                    attn_weighted_sum_packed(p, &page, c0, &mut got);
-                    let mut want = vec![0.0f32; dh];
-                    for (j, &pj) in p.iter().enumerate() {
-                        for (d, o) in want.iter_mut().enumerate() {
-                            *o += pj * v(j, d);
-                        }
+            }
+            let dense = pages[0].to_dense();
+            assert_same_bits(
+                &pages[1].to_dense(),
+                &dense,
+                &format!("{scheme:?} key-minor rows"),
+            );
+            for page in &pages {
+                let order = if page.is_key_minor() {
+                    "key-minor"
+                } else {
+                    "row-major"
+                };
+                for (c0, dh) in [(0usize, 64usize), (64, 64), (128, 64), (8, 48)] {
+                    let v = |j: usize, d: usize| dense[j * width + c0 + d];
+                    let what = |kind: &str, class: &str| {
+                        format!("{scheme:?} {order} {page_name} c0={c0} dh={dh} {kind} {class}")
+                    };
+                    let mut queries = adversarial_rows(dh, (c0 * 31 + dh) as u64);
+                    queries.push(("softmax tail", softmax_tail(dh, c0 as u64 + 5)));
+                    for (class, q) in &queries {
+                        let want: Vec<f32> = (0..n_rows)
+                            .map(|j| {
+                                let mut acc = 0.0f32;
+                                for (d, qv) in q.iter().enumerate() {
+                                    acc += qv * v(j, d);
+                                }
+                                acc
+                            })
+                            .collect();
+                        let got: Vec<f32> = (0..n_rows)
+                            .map(|j| attn_dot_packed(q, page, j, c0))
+                            .collect();
+                        assert_same_bits(&got, &want, &what("attn_dot_packed", class));
+                        let mut scores = vec![f32::NAN; n_rows];
+                        attn_scores_packed(q, page, 0..n_rows, c0, &mut scores);
+                        assert_same_bits(&scores, &want, &what("attn_scores_packed", class));
                     }
-                    assert_same_bits(&got, &want, &what("attn_weighted_sum_packed", class));
+                    let mut probs = adversarial_rows(n_rows, (c0 * 17 + dh) as u64);
+                    probs.push(("softmax tail", softmax_tail(n_rows, c0 as u64 + 9)));
+                    for (class, p) in &probs {
+                        let mut got = vec![0.0f32; dh];
+                        attn_weighted_sum_packed(p, page, c0, &mut got);
+                        let mut want = vec![0.0f32; dh];
+                        for (j, &pj) in p.iter().enumerate() {
+                            for (d, o) in want.iter_mut().enumerate() {
+                                *o += pj * v(j, d);
+                            }
+                        }
+                        assert_same_bits(&got, &want, &what("attn_weighted_sum_packed", class));
+                    }
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Key-minor pages: the attention page kernel
+// ---------------------------------------------------------------------
+
+/// Query classes for the page kernel: ordinary FP16-grid values, `-0`
+/// entries, subnormals, values near `f32::MAX`, and one `+inf`, `-inf`
+/// or NaN among ordinary values.
+fn page_queries(dh: usize, seed: u64) -> Vec<(&'static str, Vec<f32>)> {
+    let ordinary = activations(dh, seed);
+    let with = |f: &dyn Fn(usize, f32) -> f32| -> Vec<f32> {
+        ordinary.iter().enumerate().map(|(d, &v)| f(d, v)).collect()
+    };
+    vec![
+        ("ordinary", ordinary.clone()),
+        ("-0", with(&|d, v| if d % 2 == 0 { -0.0 } else { v })),
+        (
+            "subnormal",
+            with(&|d, _| f32::from_bits(1 + d as u32 * 977) * if d % 3 == 0 { -1.0 } else { 1.0 }),
+        ),
+        (
+            "huge",
+            with(&|d, v| if d % 4 == 1 { f32::MAX * 0.75 } else { v }),
+        ),
+        (
+            "+inf",
+            with(&|d, v| if d == dh / 2 { f32::INFINITY } else { v }),
+        ),
+        (
+            "-inf",
+            with(&|d, v| if d == dh / 3 { f32::NEG_INFINITY } else { v }),
+        ),
+        ("NaN", with(&|d, v| if d == dh - 1 { f32::NAN } else { v })),
+    ]
+}
+
+/// `q · row` for every row of `dense` (`width` wide) at columns
+/// `c0..c0 + q.len()`, summed left to right: the dense QKᵀ loop.
+fn dense_scores(q: &[f32], dense: &[f32], width: usize, c0: usize) -> Vec<f32> {
+    dense
+        .chunks(width)
+        .map(|row| {
+            let mut acc = 0.0f32;
+            for (qv, kv) in q.iter().zip(&row[c0..]) {
+                acc += qv * kv;
+            }
+            acc
+        })
+        .collect()
+}
+
+/// Checks every run of keys of `page` — every key count from 1 to its
+/// rows and every start — through `attn_scores_packed`, and each key
+/// through `attn_dot_packed`, against the dense loop over `dense`, for
+/// every query class at two head spans (one inside a block, one across
+/// a block edge).
+fn check_page(page: &PackedRows, dense: &[f32], what: &str) {
+    let width = page.width();
+    assert_same_bits(&page.to_dense(), dense, &format!("{what} rows"));
+    for (c0, dh) in [(0usize, 48usize), (24, 48)] {
+        for (class, q) in page_queries(dh, (c0 + dh) as u64) {
+            let want = dense_scores(&q, dense, width, c0);
+            let what = format!("{what} c0={c0} {class}");
+            for j1 in 1..=page.rows() {
+                for j0 in 0..j1 {
+                    let mut got = vec![f32::NAN; j1 - j0];
+                    attn_scores_packed(&q, page, j0..j1, c0, &mut got);
+                    assert_same_bits(&got, &want[j0..j1], &format!("{what} keys {j0}..{j1}"));
+                }
+            }
+            for (j, w) in want.iter().enumerate() {
+                let got = attn_dot_packed(&q, page, j, c0);
+                assert_same_bits(&[got], &[*w], &format!("{what} key {j}"));
+            }
+        }
+    }
+}
+
+/// Key-minor pages of 1, 3 and 16 tokens, as a KV arena fills them: the
+/// rows of a sequence split into pages with a ragged last page, every
+/// key count and start scored against the dense loop, on block schemes
+/// with `i16` and `f32` codes and on dense lanes; then a page that an
+/// unquantised row demotes to a dense lane, and a copy-on-write copy of
+/// a partly filled page that both the copy and the original keep
+/// filling.
+#[test]
+fn key_minor_pages_match_dense_at_every_page_size() {
+    let width = 96;
+    let schemes = [
+        SchemeSpec::Bbfp(4, 2),
+        SchemeSpec::Bfp(4),
+        SchemeSpec::Bbfp(10, 1),
+        SchemeSpec::BlockMf(4, 3, 8),
+        SchemeSpec::Msfp(4, 16),
+        SchemeSpec::Fp32,
+        SchemeSpec::Oltron,
+    ];
+    for scheme in schemes {
+        let store = KvStore {
+            scheme,
+            quantize: true,
+            packed: true,
+        };
+        let storage = store.storage_scheme();
+        for page_tokens in [1usize, 3, 16] {
+            let n = 2 * page_tokens + page_tokens.div_ceil(2);
+            let mut rows = raw_values(n * width, (page_tokens * 7 + width) as u64);
+            for row in rows.chunks_mut(width) {
+                store.quantize_row(row);
+            }
+            for (p, page_rows) in rows.chunks(page_tokens * width).enumerate() {
+                let mut page = PackedRows::key_minor(storage, width, page_tokens);
+                for row in page_rows.chunks(width) {
+                    page.push_row(row);
+                }
+                assert!(page.is_key_minor());
+                check_page(
+                    &page,
+                    page_rows,
+                    &format!("{scheme:?} page_tokens={page_tokens} page {p}"),
+                );
+            }
+        }
+
+        // Demotion: a row the block layout cannot hold turns the page
+        // into a dense lane, still key-minor, still exact.
+        let mut rows = raw_values(5 * width, 0xD3);
+        for row in rows.chunks_mut(width) {
+            store.quantize_row(row);
+        }
+        rows[2 * width..3 * width].copy_from_slice(
+            &raw_values(width, 0xD4)
+                .iter()
+                .map(|v| v + 1e-3)
+                .collect::<Vec<f32>>(),
+        );
+        let mut page = PackedRows::key_minor(storage, width, 8);
+        for row in rows.chunks(width) {
+            page.push_row(row);
+        }
+        assert_eq!(page.layout_kind(), LayoutKind::Dense, "{scheme:?} demoted");
+        assert!(
+            page.is_key_minor() && page.capacity() == 8,
+            "{scheme:?} demoted page keeps its order and size"
+        );
+        check_page(&page, &rows, &format!("{scheme:?} demoted"));
+
+        // Copy on write: a partly filled page copied at its page size;
+        // both keep filling, neither sees the other's rows.
+        let mut rows = raw_values(7 * width, 0xC0);
+        for row in rows.chunks_mut(width) {
+            store.quantize_row(row);
+        }
+        let mut shared = PackedRows::key_minor(storage, width, 5);
+        for row in rows[..3 * width].chunks(width) {
+            shared.push_row(row);
+        }
+        let mut copy = shared.copy_with_capacity(5);
+        assert!(
+            copy.is_key_minor() && copy.capacity() == 5,
+            "{scheme:?} copy"
+        );
+        for row in rows[3 * width..5 * width].chunks(width) {
+            copy.push_row(row);
+        }
+        shared.push_row(&rows[5 * width..6 * width]);
+        check_page(&copy, &rows[..5 * width], &format!("{scheme:?} copy"));
+        let mut original = rows[..3 * width].to_vec();
+        original.extend_from_slice(&rows[5 * width..6 * width]);
+        check_page(&shared, &original, &format!("{scheme:?} original"));
     }
 }
 
@@ -680,6 +879,108 @@ fn multi_row_paper_shapes_match_scalar_for_every_scheme() {
             let mut got = vec![f32::NAN; x_rows * n];
             p.gemm(&x, x_rows, &mut got);
             assert_same_bits(&got, &want, &format!("{scheme:?} {x_rows} rows"));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Exact-product guard battery: the fused accumulate
+// ---------------------------------------------------------------------
+
+/// Activation rows `k` long on both sides of the GEMM's exact-product
+/// guard, for weights whose largest magnitude is `w_max`: hook-quantised
+/// BBFP(4,2) rows and FP16 rows (few significand bits: they pass),
+/// 24-bit-significand rows (they fail), rows whose products come near
+/// `f32::MAX` and rows whose products pass it, hook-quantised rows with
+/// `-0` entries, an all-`+0` and an all-`-0` row.
+fn guard_rows(k: usize, w_max: f32, seed: u64) -> Vec<(&'static str, Vec<f32>)> {
+    let mut s = seed | 1;
+    let mut next = move || xorshift(&mut s);
+    let mut draws =
+        |f: &mut dyn FnMut(u64) -> f32| -> Vec<f32> { (0..k).map(|_| f(next())).collect() };
+    let sign = |r: u64| if r & 1 == 0 { 1.0f32 } else { -1.0 };
+    let gaussianish = |r: u64| sign(r) * ((r >> 8) % 4001) as f32 / 1000.0;
+    let mut hooked = draws(&mut |r| gaussianish(r));
+    hooks_for(SchemeSpec::Bbfp(4, 2))
+        .expect("bbfp:4,2 has hooks")
+        .transform_activations(&mut hooked);
+    let fp16 = draws(&mut |r| Fp16::from_f32_saturating(gaussianish(r)).to_f32());
+    let full =
+        draws(&mut |r| sign(r) * f32::from_bits(0x3F80_0001 | ((r >> 20) as u32 & 0x7F_FFFF)));
+    // The largest power of two whose products with every weight stay
+    // finite, and rows of 1- and 2-bit significands just under and over
+    // it.
+    let limit = 2f32.powi((f32::MAX / w_max).log2().floor() as i32 - 1);
+    let near = draws(&mut |r| sign(r) * limit * if r % 3 == 0 { 1.5 } else { 0.5 });
+    let past = draws(&mut |r| sign(r) * limit * if r % 3 == 0 { 6.0 } else { 0.5 });
+    let signed_zeros: Vec<f32> = hooked
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| if i % 3 == 0 { -0.0 } else { v })
+        .collect();
+    vec![
+        ("hook-quantised bbfp:4,2", hooked),
+        ("fp16", fp16),
+        ("24-bit significands", full),
+        ("near f32::MAX products", near),
+        ("past f32::MAX products", past),
+        ("-0 entries", signed_zeros),
+        ("all +0", vec![0.0; k]),
+        ("all -0", vec![-0.0; k]),
+    ]
+}
+
+/// The weight GEMM equals the scalar reference bit for bit on rows
+/// that pass the exact-product guard (which the FMA builds accumulate
+/// with one fused multiply-add) and on rows that fail it (separate
+/// multiply and add), mixed in one call so fused and split rows share
+/// the row tile: BFP/BBFP `i16` codes, the `f32` codes of `bbfp:10,1`
+/// and `blockmf:4,3,8`, MX and MSFP codes, the FP16 lane and the dense
+/// lane, on tiled and ragged shapes, through `gemm` and a `gemm_cols`
+/// split.
+#[test]
+fn fused_gemm_matches_reference_on_both_sides_of_the_guard() {
+    let schemes = [
+        SchemeSpec::Bbfp(4, 2),
+        SchemeSpec::Bfp(4),
+        SchemeSpec::Bbfp(6, 3),
+        SchemeSpec::Bbfp(10, 1),
+        SchemeSpec::BlockMf(4, 3, 8),
+        SchemeSpec::Mx(8, 4, 2),
+        SchemeSpec::Msfp(4, 16),
+        SchemeSpec::Fp16,
+        SchemeSpec::Fp32,
+    ];
+    for scheme in schemes {
+        for (k, n) in [(192, 192), (64, 96), (37, 45)] {
+            let seed = (k * 1000 + n) as u64;
+            let w = quantised_weights(scheme, k * n, seed);
+            let w_max = w.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+            let rows = guard_rows(k, w_max, seed);
+            let x_rows = rows.len();
+            let x: Vec<f32> = rows.iter().flat_map(|(_, r)| r.iter().copied()).collect();
+            let p = PackedMatrix::pack(&w, k, n, scheme);
+            assert_eq!(p.layout_kind(), expected_layout(scheme), "{scheme:?}");
+            let want = reference_matmul(&x, x_rows, &w, k, n);
+            let mut got = vec![f32::NAN; x_rows * n];
+            p.gemm(&x, x_rows, &mut got);
+            let mid = n / 2;
+            let mut split = vec![f32::NAN; x_rows * n];
+            for (c0, c1) in [(0, mid), (mid, n)] {
+                let width = c1 - c0;
+                let mut part = vec![f32::NAN; x_rows * width];
+                p.gemm_cols(&x, x_rows, c0, c1, &mut part);
+                for i in 0..x_rows {
+                    split[i * n + c0..i * n + c1]
+                        .copy_from_slice(&part[i * width..(i + 1) * width]);
+                }
+            }
+            for (i, (name, _)) in rows.iter().enumerate() {
+                let r = i * n..(i + 1) * n;
+                let what = format!("{scheme:?} {k}x{n} {name}");
+                assert_same_bits(&got[r.clone()], &want[r.clone()], &format!("gemm {what}"));
+                assert_same_bits(&split[r.clone()], &want[r], &format!("gemm_cols {what}"));
+            }
         }
     }
 }

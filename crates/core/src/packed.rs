@@ -41,7 +41,7 @@
 //! When every block starts a row and is a multiple of 16 columns wide
 //! (every decoder matrix), codes are stored **tile-major** —
 //! `[16-column tile][k][16]`, scales `[block column][k]` — so the row
-//! tile of [`PackedMatrix::gemm_cols`] streams one contiguous strip per
+//! tile of [`PackedMatrix::gemm`] streams one contiguous strip per
 //! column tile; other (ragged) shapes keep the flat row-major order.
 //!
 //! A [`PackedRows`] buffer (a KV-cache page) is the same store: element
@@ -105,9 +105,8 @@
 //! * signed zeros cannot show: every sum starts at `+0`, and adding a
 //!   `±0` term to a sum that is not `-0` leaves its bits unchanged. So
 //!   reading a `-0` weight as `+0` changes nothing, and neither does the
-//!   row tile of [`PackedMatrix::gemm_cols`], which adds a zero
-//!   activation's `±0·code` instead of skipping it (every code is
-//!   finite). A `±inf`/NaN
+//!   row tile of [`PackedMatrix::gemm`], which adds a zero activation's
+//!   `±0·code` instead of skipping it (every code is finite). A `±inf`/NaN
 //!   activation meets the weight in the scalar order below, where
 //!   `inf·±0` is the same invalid-operation NaN either way.
 //!
@@ -121,10 +120,11 @@
 //! normal range.
 //!
 //! The activation side needs `a·2^s` to stay a normal f32. The folding
-//! GEMMs ([`PackedMatrix::gemm`], [`PackedMatrix::gemm_cols`]) check
-//! that once per activation row: the row's
-//! smallest nonzero and largest magnitude against the matrix's smallest
-//! and largest (folded) block scale, recorded at pack time. A row that
+//! GEMM ([`PackedMatrix::gemm`]) checks that once per activation row:
+//! the row's smallest nonzero and largest magnitude against the
+//! matrix's smallest and largest (folded) block scale, recorded at pack
+//! time, on their exact products in f64 (in f32, a product just below
+//! the normal range rounds up to `f32::MIN_POSITIVE`). A row that
 //! would leave the normal range, or that holds ±inf/NaN, takes the
 //! scalar `a·(code·2^s)` order instead, which multiplies the exact
 //! weight. So the weight GEMMs are bit-identical to the scalar path for
@@ -133,11 +133,11 @@
 //! varies per term, so `x·(code·2^s)` costs the same two multiplies and
 //! multiplies the exact value. [`attn_weighted_sum_packed`]
 //! folds the scale into each broadcast probability only for a run where
-//! `p·2^s` is exact (`p` zero, or `p·2^s` a normal f32), and takes the
-//! `p·(code·2^s)` order elsewhere; it also adds into the caller's
-//! output, which may hold a `-0`, and a call that finds one takes the
-//! exact order throughout, since there a `-0` value read as `+0` would
-//! flip the sum's sign.
+//! `p·2^s` is exact (`p` zero, or the exact `p·2^s` a normal f32, the
+//! same f64 check), and takes the `p·(code·2^s)` order elsewhere; it
+//! also adds into the caller's output, which may hold a `-0`, and a call
+//! that finds one takes the exact order throughout, since there a `-0`
+//! value read as `+0` would flip the sum's sign.
 
 use crate::algebra::{
     algebra_quantize_in_place, algebra_quantize_slice, encode_chunk, exp2i, FormatAlgebra,
@@ -309,7 +309,7 @@ enum Layout {
         lane: Vec<f32>,
         /// Whether every lane value is finite — the condition under which
         /// the row tile may add a zero activation's `±0` product instead
-        /// of skipping it ([`PackedMatrix::tile_span`]). Only matrices
+        /// of skipping it ([`PackedMatrix::tiled_cols`]). Only matrices
         /// read it; a [`PackedRows`] lane leaves it `false` unscanned.
         finite: bool,
     },
@@ -824,84 +824,63 @@ impl PackedMatrix {
     /// Panics if `x.len() != x_rows * self.rows` or
     /// `out.len() != x_rows * self.cols`.
     pub fn gemm(&self, x: &[f32], x_rows: usize, out: &mut [f32]) {
-        self.gemm_cols(x, x_rows, 0, self.cols, out);
-    }
-
-    /// As [`PackedMatrix::gemm`], but computes only output columns
-    /// `[c0, c1)`, written *compactly* into `out` (an
-    /// `x_rows × (c1−c0)` row-major buffer) — the unit of work a worker
-    /// pool splits a GEMM into, each worker owning a private output
-    /// strip. Any partition of `0..cols` reproduces
-    /// [`PackedMatrix::gemm`] exactly, because each output element is
-    /// owned by exactly one range and accumulated in the same `k`
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != x_rows * self.rows`,
-    /// `out.len() != x_rows * (c1 - c0)`, or the range is invalid.
-    pub fn gemm_cols(&self, x: &[f32], x_rows: usize, c0: usize, c1: usize, out: &mut [f32]) {
-        assert!(c0 < c1 && c1 <= self.cols, "bad column range {c0}..{c1}");
         assert_eq!(x.len(), x_rows * self.rows, "x shape mismatch");
-        assert_eq!(out.len(), x_rows * (c1 - c0), "out shape mismatch");
-        let cols = Cols { x, x_rows, c0, c1 };
+        assert_eq!(out.len(), x_rows * self.cols, "out shape mismatch");
         match &self.layout {
             Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => {
-                self.lane_gemm(lane, cols, out)
+                self.lane_gemm(lane, x, x_rows, out)
             }
             Layout::Block(blocks) => match &blocks.codes {
-                Codes::I16(codes) => self.block_gemm(blocks, codes, cols, out),
-                Codes::F32(codes) => self.block_gemm(blocks, codes, cols, out),
+                Codes::I16(codes) => self.block_gemm(blocks, codes, x, x_rows, out),
+                Codes::F32(codes) => self.block_gemm(blocks, codes, x, x_rows, out),
             },
         }
     }
 
-    /// [`PackedMatrix::gemm_cols`] over a dense or FP16 lane: on a host
-    /// with a vector build of the row tile ([`Simd::detect`]) two or more
-    /// rows share every lane load in the tile over
-    /// [`PackedMatrix::tile_span`]; the rest of each row (and every row
+    /// [`PackedMatrix::gemm`] over a dense or FP16 lane: on a host with a
+    /// vector build of the row tile ([`Simd::detect`]) two or more rows
+    /// share every lane load in the tile over
+    /// [`PackedMatrix::tiled_cols`]; the rest of each row (and every row
     /// elsewhere) takes the one-row kernel.
-    fn lane_gemm(&self, lane: &[f32], cols: Cols<'_>, out: &mut [f32]) {
-        let Cols { x, x_rows, c0, c1 } = cols;
-        let (k_len, n, width) = (self.rows, self.cols, c1 - c0);
-        let mut tile_end = c0;
+    fn lane_gemm(&self, lane: &[f32], x: &[f32], x_rows: usize, out: &mut [f32]) {
+        let (k_len, n) = (self.rows, self.cols);
+        let mut tile_end = 0;
         if x_rows >= 2 && Simd::detect() != Simd::Portable {
             let (fused, split): (Vec<usize>, Vec<usize>) = (0..x_rows).partition(|&i| {
                 self.fuses_exactly(&ValueRange::of(
                     x[i * k_len..(i + 1) * k_len].iter().copied(),
                 ))
             });
-            let tile = self.lane_tile(lane, cols, [&fused, &split]);
-            tile_end = tile.tiles.end;
+            let tile = self.lane_tile(lane, x, [&fused, &split]);
+            tile_end = tile.tiled_cols;
             tile.run(out);
         }
-        if tile_end == c1 {
+        if tile_end == n {
             return;
         }
         for i in 0..x_rows {
-            let out_row = &mut out[i * width + (tile_end - c0)..(i + 1) * width];
+            let out_row = &mut out[i * n + tile_end..(i + 1) * n];
             out_row.fill(0.0);
-            axpy_dense(
-                &x[i * k_len..(i + 1) * k_len],
-                lane,
-                n,
-                tile_end,
-                c1,
-                out_row,
-            );
+            axpy_dense(&x[i * k_len..(i + 1) * k_len], lane, n, tile_end, out_row);
         }
     }
 
-    /// [`PackedMatrix::gemm_cols`] over block codes. Guard-passing rows
-    /// take the row tile over [`PackedMatrix::tile_span`] (every row
-    /// count, one row included), fused where every product is exact; the
+    /// [`PackedMatrix::gemm`] over block codes. Guard-passing rows take
+    /// the row tile over [`PackedMatrix::tiled_cols`] (every row count,
+    /// one row included), fused where every product is exact; the
     /// columns the tile leaves, and every row the range guard rejects,
     /// walk each weight row's runs, folding the scale into the activation
     /// when the guard allows and in the scalar `a·(code·2^s)` order when
     /// it does not.
-    fn block_gemm<C: Code>(&self, blocks: &Blocks, codes: &[C], cols: Cols<'_>, out: &mut [f32]) {
-        let Cols { x, x_rows, c0, c1 } = cols;
-        let (k_len, width) = (self.rows, c1 - c0);
+    fn block_gemm<C: Code>(
+        &self,
+        blocks: &Blocks,
+        codes: &[C],
+        x: &[f32],
+        x_rows: usize,
+        out: &mut [f32],
+    ) {
+        let (k_len, n) = (self.rows, self.cols);
         let x_row = |i: usize| &x[i * k_len..(i + 1) * k_len];
         let ranges: Vec<ValueRange> = (0..x_rows)
             .map(|i| ValueRange::of(x_row(i).iter().copied()))
@@ -910,37 +889,35 @@ impl PackedMatrix {
         let (fused, split): (Vec<usize>, Vec<usize>) = (0..x_rows)
             .filter(|&i| folds[i])
             .partition(|&i| self.fuses_exactly(&ranges[i]));
-        let tile = self.block_tile(blocks, codes, cols, [&fused, &split]);
-        let span = tile.tiles.clone();
-        if !span.is_empty() {
+        let tile = self.block_tile(blocks, codes, x, [&fused, &split]);
+        let tiled = tile.tiled_cols;
+        if tiled > 0 {
             tile.run(out);
         }
         for (i, &folds) in folds.iter().enumerate() {
-            let walks = if folds {
-                [c0..span.start, span.end..c1]
-            } else {
-                [c0..c1, c1..c1]
-            };
-            let out_row = &mut out[i * width..(i + 1) * width];
-            for walk in walks.into_iter().filter(|w| !w.is_empty()) {
-                let out_part = &mut out_row[walk.start - c0..walk.end - c0];
-                out_part.fill(0.0);
-                for (k, &a) in x_row(i).iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    for run in blocks.runs(self.rows, self.cols, k, walk.start, walk.end) {
-                        let s = blocks.scale[run.scale];
-                        let o = out_part[run.j0 - walk.start..run.j1 - walk.start].iter_mut();
-                        if folds {
-                            let a_s = a * s;
-                            for (ov, cv) in o.zip(run.codes(codes)) {
-                                *ov += a_s * cv.widen();
-                            }
-                        } else {
-                            for (ov, cv) in o.zip(run.codes(codes)) {
-                                *ov += a * (cv.widen() * s);
-                            }
+            // A folding row's tile covers `0..tiled`; the walk takes the
+            // rest of its columns.
+            let j0 = if folds { tiled } else { 0 };
+            if j0 == n {
+                continue;
+            }
+            let out_part = &mut out[i * n + j0..(i + 1) * n];
+            out_part.fill(0.0);
+            for (k, &a) in x_row(i).iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                for run in blocks.runs(k_len, n, k, j0, n) {
+                    let s = blocks.scale[run.scale];
+                    let o = out_part[run.j0 - j0..run.j1 - j0].iter_mut();
+                    if folds {
+                        let a_s = a * s;
+                        for (ov, cv) in o.zip(run.codes(codes)) {
+                            *ov += a_s * cv.widen();
+                        }
+                    } else {
+                        for (ov, cv) in o.zip(run.codes(codes)) {
+                            *ov += a * (cv.widen() * s);
                         }
                     }
                 }
@@ -948,69 +925,62 @@ impl PackedMatrix {
         }
     }
 
-    /// The row tile of `rows` (fused rows, then split rows) over a
+    /// The row tile of `rows` (fused rows, then split rows) of `x` over a
     /// row-major lane.
     fn lane_tile<'a>(
         &self,
         lane: &'a [f32],
-        cols: Cols<'a>,
+        x: &'a [f32],
         rows: [&'a [usize]; 2],
     ) -> RowTile<'a, f32> {
         RowTile {
-            cols,
+            x,
             k_len: self.rows,
+            n: self.cols,
             rows,
             codes: lane,
             col_stride: 1,
             k_stride: self.cols,
             scale: None,
-            tiles: self.tile_span(cols.c0, cols.c1),
+            tiled_cols: self.tiled_cols(),
         }
     }
 
-    /// The row tile of `rows` (fused rows, then split rows) over
+    /// The row tile of `rows` (fused rows, then split rows) of `x` over
     /// tile-major block codes.
     fn block_tile<'a, C>(
         &self,
         blocks: &'a Blocks,
         codes: &'a [C],
-        cols: Cols<'a>,
+        x: &'a [f32],
         rows: [&'a [usize]; 2],
     ) -> RowTile<'a, C> {
         RowTile {
-            cols,
+            x,
             k_len: self.rows,
+            n: self.cols,
             rows,
             codes,
             col_stride: self.rows,
             k_stride: TILE_COLS,
             scale: Some((&blocks.scale, blocks.group())),
-            tiles: self.tile_span(cols.c0, cols.c1),
+            tiled_cols: self.tiled_cols(),
         }
     }
 
-    /// The output columns of `[c0, c1)` the row tile covers, in whole
-    /// [`TILE_COLS`]-wide tiles. A tile-major block layout covers every
-    /// whole tile inside the range (a worker's range is block-aligned,
-    /// so that is all of it); a dense or FP16 lane tiles from `c0`, and
-    /// only when every weight is finite (the tile adds a zero
-    /// activation's `±0` product rather than skipping it, which is
-    /// exact only against a finite weight). Empty when the layout admits
-    /// no tile.
-    fn tile_span(&self, c0: usize, c1: usize) -> std::ops::Range<usize> {
+    /// How many output columns, from the first, the row tile covers in
+    /// whole [`TILE_COLS`]-wide tiles: all of a tile-major block layout;
+    /// the whole tiles of a dense or FP16 lane, but only when every
+    /// weight is finite (the tile adds a zero activation's `±0` product
+    /// rather than skipping it, which is exact only against a finite
+    /// weight); none of any other layout.
+    fn tiled_cols(&self) -> usize {
         match &self.layout {
             Layout::Dense { finite: true, .. } | Layout::Fp16 { .. } => {
-                c0..c0 + (c1 - c0) / TILE_COLS * TILE_COLS
+                self.cols / TILE_COLS * TILE_COLS
             }
-            Layout::Block(Blocks { tiled: true, .. }) => {
-                let (start, end) = (c0.next_multiple_of(TILE_COLS), c1 / TILE_COLS * TILE_COLS);
-                if start < end {
-                    start..end
-                } else {
-                    c0..c0
-                }
-            }
-            Layout::Dense { finite: false, .. } | Layout::Block(_) => c0..c0,
+            Layout::Block(Blocks { tiled: true, .. }) => self.cols,
+            Layout::Dense { finite: false, .. } | Layout::Block(_) => 0,
         }
     }
 
@@ -1029,14 +999,15 @@ impl PackedMatrix {
     /// `fl((a·2^s)·code)` equals the scalar `fl(a·w)` bit for bit. False
     /// for a row holding ±inf or NaN, or whose smallest nonzero / largest
     /// magnitude would leave the normal range against the matrix's
-    /// smallest / largest block scale; such rows take the scalar `a·w`
-    /// order instead. Always true for layouts without block scales.
+    /// smallest / largest block scale ([`folds_normal`]); such rows take
+    /// the scalar `a·w` order instead. Always true for layouts without
+    /// block scales.
     fn folds_exactly(&self, x: &ValueRange) -> bool {
         if !matches!(self.layout, Layout::Block(_)) {
             return true;
         }
         let (lo, hi) = self.scale_range();
-        x.finite && (x.max == 0.0 || (x.min * lo >= f32::MIN_POSITIVE && x.max * hi <= f32::MAX))
+        x.finite && (x.max == 0.0 || (folds_normal(x.min, lo) && folds_normal(x.max, hi)))
     }
 
     /// The exact-product guard of the fused accumulate: true when, for
@@ -1062,6 +1033,15 @@ impl PackedMatrix {
                 || (wide(x.min * lo, codes.min) >= f64::from(f32::MIN_POSITIVE)
                     && wide(x.max * hi, codes.max) <= f64::from(f32::MAX)))
     }
+}
+
+/// Whether `a·s`, for a power-of-two block scale `s`, is an exact,
+/// normal f32, so folding `s` into `a` rounds nothing. Checked on the
+/// exact product in f64: an f32 product just below the normal range can
+/// round up to `f32::MIN_POSITIVE` and pass as normal.
+fn folds_normal(a: f32, s: f32) -> bool {
+    let p = (f64::from(a) * f64::from(s)).abs();
+    p >= f64::from(f32::MIN_POSITIVE) && p <= f64::from(f32::MAX)
 }
 
 /// What the GEMM guards read off a run of values in one pass: an
@@ -1113,15 +1093,6 @@ fn significand_bits(pattern: u32) -> u32 {
     f32::MANTISSA_DIGITS - ((pattern & mantissa) | (mantissa + 1)).trailing_zeros()
 }
 
-/// The activation operand of one [`PackedMatrix::gemm_cols`] call.
-#[derive(Clone, Copy)]
-struct Cols<'a> {
-    x: &'a [f32],
-    x_rows: usize,
-    c0: usize,
-    c1: usize,
-}
-
 /// Columns `[j0, j1)` of one row of a block store: they share the
 /// scale at index `scale` and their codes start at index `code`.
 struct Run {
@@ -1170,12 +1141,12 @@ fn store_algebra(scheme: SchemeSpec) -> Option<FormatAlgebra> {
 /// what bounds the scalar i-k-j loop.
 const KQUAD: usize = 4;
 
-/// Dense/FP16 axpy over columns `[c0, c1)`: ascending-`k`, zero-skip,
+/// Dense/FP16 axpy over columns `[c0, n)`: ascending-`k`, zero-skip,
 /// four activation rows fused per pass (per-element accumulation order
 /// is unchanged by the fusion — each output element still sees its `+=`s
 /// in ascending `k`).
-fn axpy_dense(x_row: &[f32], lane: &[f32], n: usize, c0: usize, c1: usize, out_row: &mut [f32]) {
-    let width = c1 - c0;
+fn axpy_dense(x_row: &[f32], lane: &[f32], n: usize, c0: usize, out_row: &mut [f32]) {
+    let (c1, width) = (n, n - c0);
     let mut quad = [(0usize, 0.0f32); KQUAD];
     let mut filled = 0;
     for (k, &a) in x_row.iter().enumerate() {
@@ -1591,24 +1562,25 @@ unsafe fn run_avx2<K: Kernel>(kernel: K) {
     unsafe { kernel.run::<std::arch::x86_64::__m256, Fma>() };
 }
 
-/// The operands of [`PackedMatrix::gemm_cols`]'s row tile: activation
-/// rows `rows` of `cols.x` (all passing the range guard; the first list
-/// also passing the exact-product guard) against codes `C` (and, for the
-/// block layout, the `[block column][k]` scales), computing the whole
-/// column tiles of `tiles` (inside `[c0, c1)`) into the compact
-/// `c1 − c0`-wide `out`. The 16 codes of output column `j`'s strip at
-/// contraction index `k` start at `j·col_stride + k·k_stride`:
-/// tile-major block codes have `col_stride = k_len`, `k_stride = 16`; a
-/// row-major lane has 1 and `n`.
+/// The operands of [`PackedMatrix::gemm`]'s row tile: activation rows
+/// `rows` of `x` (all passing the range guard; the first list also
+/// passing the exact-product guard) against codes `C` (and, for the
+/// block layout, the `[block column][k]` scales), computing output
+/// columns `0..tiled_cols` into the `n`-wide `out`. The 16 codes of
+/// output column `j`'s strip at contraction index `k` start at
+/// `j·col_stride + k·k_stride`: tile-major block codes have
+/// `col_stride = k_len`, `k_stride = 16`; a row-major lane has 1 and
+/// `n`.
 struct RowTile<'a, C> {
-    cols: Cols<'a>,
+    x: &'a [f32],
     k_len: usize,
+    n: usize,
     rows: [&'a [usize]; 2],
     codes: &'a [C],
     col_stride: usize,
     k_stride: usize,
     scale: Option<(&'a [f32], usize)>,
-    tiles: std::ops::Range<usize>,
+    tiled_cols: usize,
 }
 
 /// [`RowTile::columns`] as a [`Kernel`].
@@ -1641,9 +1613,9 @@ impl<C: Code> RowTile<'_, C> {
     /// The CPU must have `L`'s extension, as for every method below.
     #[inline(always)]
     unsafe fn columns<L: Lanes, F: Accumulate>(&self, out: &mut [f32]) {
-        let mut j = self.tiles.start;
-        while j < self.tiles.end {
-            if j + 2 * L::N <= self.tiles.end {
+        let mut j = 0;
+        while j < self.tiled_cols {
+            if j + 2 * L::N <= self.tiled_cols {
                 self.row_groups::<L, F, 2>(j, out);
                 j += 2 * L::N;
             } else {
@@ -1696,7 +1668,7 @@ impl<C: Code> RowTile<'_, C> {
     /// `(a·2^s)·code` (`a·w` on the dense lanes) in ascending `k` with
     /// `S`. A zero activation is not skipped: it adds `±0`, which leaves
     /// the sum unchanged because the sum never holds `-0` and every code
-    /// is finite ([`PackedMatrix::tile_span`]).
+    /// is finite ([`PackedMatrix::tiled_cols`]).
     #[inline(always)]
     unsafe fn tile<L: Lanes, S: Accumulate, const R: usize, const V: usize>(
         &self,
@@ -1704,8 +1676,7 @@ impl<C: Code> RowTile<'_, C> {
         j: usize,
         out: &mut [f32],
     ) {
-        let k_len = self.k_len;
-        let Cols { x, c0, c1, .. } = self.cols;
+        let (x, k_len, n) = (self.x, self.k_len, self.n);
         let xs: [&[f32]; R] = rows.map(|i| &x[i * k_len..(i + 1) * k_len]);
         // Register `v`'s codes, one `k_stride` chunk per weight row, and
         // its strip's column of block scales (a strip lies inside one
@@ -1748,10 +1719,9 @@ impl<C: Code> RowTile<'_, C> {
                 }
             }
         }
-        let (o0, width) = (j - c0, c1 - c0);
         for (&i, acc_row) in rows.iter().zip(&acc) {
             for (v, lanes) in acc_row.iter().enumerate() {
-                lanes.store(&mut out[i * width + o0 + v * L::N..]);
+                lanes.store(&mut out[i * n + j + v * L::N..]);
             }
         }
     }
@@ -2532,11 +2502,11 @@ impl Kernel for WeightedSum<'_> {
 /// wide, with the head's sums held in `L` registers across every key, up
 /// to four registers at a time: each key adds `fl(p·2^s)·code` with a
 /// separate multiply and add, or, for a key whose `p·2^s` is inexact
-/// (`p` nonzero and `p·2^s` not normal), the exact `p·(code·2^s)` lane
-/// by lane. `scale` is the block scales and the log2 block size. The
-/// caller has checked that `out` holds no `-0`. Returns `false`,
-/// touching nothing, unless `c0` and the head width are whole registers
-/// and each register lies inside one block.
+/// (`p` nonzero and the exact `p·2^s` not normal, [`folds_normal`]), the
+/// exact `p·(code·2^s)` lane by lane. `scale` is the block scales and
+/// the log2 block size. The caller has checked that `out` holds no `-0`.
+/// Returns `false`, touching nothing, unless `c0` and the head width are
+/// whole registers and each register lies inside one block.
 ///
 /// # Safety
 ///
@@ -2585,9 +2555,8 @@ unsafe fn axpy_group<L: Lanes, C: Code, const REGS: usize>(
         for (r, acc) in acc.iter_mut().enumerate() {
             let at = j * width + c0 + r * n;
             let s = scale[at >> log2];
-            let ps = p * s;
-            if p == 0.0 || ps.is_normal() {
-                *acc = acc.step::<MulAdd>(L::splat(ps), C::lanes::<L>(&codes[at..]));
+            if p == 0.0 || folds_normal(p, s) {
+                *acc = acc.step::<MulAdd>(L::splat(p * s), C::lanes::<L>(&codes[at..]));
             } else {
                 let mut lanes = [0.0f32; KEY_LANES];
                 acc.store(&mut lanes);
@@ -2606,9 +2575,9 @@ unsafe fn axpy_group<L: Lanes, C: Code, const REGS: usize>(
 /// [`attn_weighted_sum_packed`] over the block codes of a row-major
 /// buffer `width` wide: the head's columns cut at block edges once, the
 /// same cuts for every row; in each segment the block scale folds into
-/// the probability where `p·2^s` is exact (`p` zero, or `p·2^s` a normal
-/// f32) and `out` holds no `-0`, and each value is rebuilt as `code·2^s`
-/// first elsewhere.
+/// the probability where `p·2^s` is exact (`p` zero, or the exact
+/// `p·2^s` a normal f32, [`folds_normal`]) and `out` holds no `-0`, and
+/// each value is rebuilt as `code·2^s` first elsewhere.
 #[inline(always)]
 fn rows_axpy<C: Code>(
     probs: &[f32],
@@ -2629,8 +2598,8 @@ fn rows_axpy<C: Code>(
             let s = blocks.scale[((j * width) >> log2) + b];
             let cs = &codes[j * width + c0 + d..j * width + c0 + end];
             let o = out[d..end].iter_mut();
-            let ps = p * s;
-            if folds && (p == 0.0 || ps.is_normal()) {
+            if folds && (p == 0.0 || folds_normal(p, s)) {
+                let ps = p * s;
                 for (ov, cv) in o.zip(cs) {
                     *ov += ps * cv.widen();
                 }
@@ -3102,33 +3071,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gemm_cols_partition_reproduces_full_gemm() {
-        let scheme = SchemeSpec::Bbfp(4, 2);
-        let (k_len, n) = (6usize, 96usize);
-        let q = quantised(scheme, k_len * n, 41);
-        let p = PackedMatrix::pack(&q, k_len, n, scheme);
-        let x = quantised(SchemeSpec::Fp16, k_len, 43);
-        let mut full = vec![0.0; n];
-        p.gemm(&x, 1, &mut full);
-        for ranges in [vec![(0, 32), (32, 96)], vec![(0, 1), (1, 50), (50, 96)]] {
-            let mut split = vec![f32::NAN; n];
-            for (c0, c1) in ranges {
-                let mut strip = vec![f32::NAN; c1 - c0];
-                p.gemm_cols(&x, 1, c0, c1, &mut strip);
-                split[c0..c1].copy_from_slice(&strip);
-            }
-            let same = split
-                .iter()
-                .zip(&full)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same);
-        }
+    /// Every [`Simd`] build this CPU runs, widest first.
+    fn builds() -> Vec<Simd> {
+        [Simd::Avx512, Simd::Avx2, Simd::Portable]
+            .into_iter()
+            .filter(|simd| simd.supported())
+            .collect()
     }
 
     /// Every build of the row-tile body this CPU runs — AVX-512, AVX2
     /// and portable — called directly, so each is pinned whichever one
-    /// `gemm_cols` picks on this host: block codes, FP16 and dense lanes,
+    /// `gemm` picks on this host: block codes, FP16 and dense lanes,
     /// 1..=9 rows (full and partial tiles, zero activations mixed in),
     /// once with every row split (multiply, then add) and once with the
     /// rows the exact-product guard passes fused, against the scalar
@@ -3143,15 +3096,11 @@ mod tests {
             SchemeSpec::Fp16,
             SchemeSpec::Fp32,
         ];
-        let builds: Vec<Simd> = [Simd::Avx512, Simd::Avx2, Simd::Portable]
-            .into_iter()
-            .filter(|simd| simd.supported())
-            .collect();
+        let builds = builds();
         for scheme in schemes {
             let w = quantised(scheme, k_len * n, 61);
             let p = PackedMatrix::pack(&w, k_len, n, scheme);
-            let (c0, c1) = (16, n);
-            assert_eq!(p.tile_span(c0, c1), c0..c1, "{scheme:?} tiles every column");
+            assert_eq!(p.tiled_cols(), n, "{scheme:?} tiles every column");
             for x_rows in 1..=9 {
                 let mut x = quantised(SchemeSpec::Fp16, x_rows * k_len, 67 + x_rows as u64);
                 for (i, v) in x.iter_mut().enumerate() {
@@ -3165,20 +3114,13 @@ mod tests {
                         x[i * k_len..(i + 1) * k_len].iter().copied(),
                     ))
                 });
-                let cols = Cols {
-                    x: &x,
-                    x_rows,
-                    c0,
-                    c1,
-                };
-                let width = c1 - c0;
                 let want = reference_gemm(&x, x_rows, &w, k_len, n);
                 for &simd in &builds {
                     for rows in [[&[][..], &all[..]], [&fused[..], &split[..]]] {
-                        let mut out = vec![f32::NAN; x_rows * width];
+                        let mut out = vec![f32::NAN; x_rows * n];
                         match &p.layout {
                             Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => {
-                                let tile = p.lane_tile(lane, cols, rows);
+                                let tile = p.lane_tile(lane, &x, rows);
                                 dispatch_on(
                                     simd,
                                     TileKernel {
@@ -3189,7 +3131,7 @@ mod tests {
                             }
                             Layout::Block(blocks) => match &blocks.codes {
                                 Codes::I16(codes) => {
-                                    let tile = p.block_tile(blocks, codes, cols, rows);
+                                    let tile = p.block_tile(blocks, codes, &x, rows);
                                     dispatch_on(
                                         simd,
                                         TileKernel {
@@ -3202,10 +3144,10 @@ mod tests {
                             },
                         }
                         for i in 0..x_rows {
-                            let got = &out[i * width..(i + 1) * width];
+                            let got = &out[i * n..(i + 1) * n];
                             let same = got
                                 .iter()
-                                .zip(&want[i * n + c0..i * n + c1])
+                                .zip(&want[i * n..(i + 1) * n])
                                 .all(|(a, b)| a.to_bits() == b.to_bits());
                             let what = format!(
                                 "{simd:?} {scheme:?} {x_rows} rows, {} fused",
@@ -3316,20 +3258,79 @@ mod tests {
         let mut w = vec![0.5f32; 4 * 16];
         w[16] = f32::INFINITY;
         let p = PackedMatrix::pack(&w, 4, 16, SchemeSpec::Fp32);
-        assert!(p.tile_span(0, 16).is_empty());
+        assert_eq!(p.tiled_cols(), 0);
         let x = [1.0f32, 0.0, 1.0, 1.0, 2.0, 0.0, 0.0, 1.0];
         let mut out = vec![f32::NAN; 2 * 16];
         p.gemm(&x, 2, &mut out);
         assert!(out.iter().all(|&v| v == 1.5), "{out:?}");
     }
 
+    /// `(2 − 2⁻²³)·2⁻¹²⁷ / s`: the value whose fold by the block scale
+    /// `s` lands just below the normal range, where the f32 product
+    /// rounds up to `f32::MIN_POSITIVE`.
+    fn just_below_normal(s: f32) -> f32 {
+        let a = ((2.0 - f64::from(f32::EPSILON)) * 2f64.powi(-127) / f64::from(s)) as f32;
+        assert_eq!(a * s, f32::MIN_POSITIVE, "the f32 fold rounds up");
+        assert!(!folds_normal(a, s), "the exact fold is not normal");
+        a
+    }
+
+    /// The fold guards of both scale-folding kernels test the exact
+    /// product: a `bbfp:4,2` activation row, and probabilities, whose
+    /// fold by the smallest block scale lands just below the normal range
+    /// take the exact `a·(code·2^s)` order. The weight GEMM then equals
+    /// the reference loop, and the weighted sum (every build, register
+    /// and segment paths) the dense loop, bit for bit.
+    #[test]
+    fn folds_just_below_the_normal_range_take_the_exact_order() {
+        let scheme = SchemeSpec::Bbfp(4, 2);
+        let (k_len, n) = (4usize, 64usize);
+        let w = quantised(scheme, k_len * n, 95);
+        let p = PackedMatrix::pack(&w, k_len, n, scheme);
+        let a = just_below_normal(p.scale_range().0);
+        let x = [a, a, -a, a, a, 0.5, a, -a];
+        assert!(!p.folds_exactly(&ValueRange::of(x[..k_len].iter().copied())));
+        let mut got = vec![f32::NAN; 2 * n];
+        p.gemm(&x, 2, &mut got);
+        assert_same_bits(&got, &reference_gemm(&x, 2, &w, k_len, n), "gemm");
+
+        let mut rows = PackedRows::new(scheme, n);
+        for row in w.chunks(n) {
+            rows.push_row(row);
+        }
+        let Layout::Block(blocks) = &rows.layout else {
+            panic!("{scheme} rows take the block layout");
+        };
+        let lo = blocks.scale.iter().fold(f32::INFINITY, |m, &s| m.min(s));
+        let probs = vec![just_below_normal(lo); k_len];
+        for simd in builds() {
+            for (c0, dh) in [(0usize, n), (3, 40)] {
+                let mut want = vec![0.0f32; dh];
+                for (j, &pj) in probs.iter().enumerate() {
+                    for (d, o) in want.iter_mut().enumerate() {
+                        *o += pj * w[j * n + c0 + d];
+                    }
+                }
+                let mut out = vec![0.0f32; dh];
+                let sum = WeightedSum {
+                    probs: &probs,
+                    rows: &rows,
+                    c0,
+                    out: &mut out,
+                };
+                dispatch_on(simd, sum);
+                assert_same_bits(&out, &want, &format!("{simd:?} weighted sum c0={c0}"));
+            }
+        }
+    }
+
     /// The one run walk reads tile-major and flat codes alike, on every
     /// block family. A matrix laid out tile-major gives its weights back
-    /// through `decode()` bit for bit, and `gemm_cols` over a span that
-    /// starts and ends inside a column tile equals the scalar reference
-    /// for ordinary rows (the tile plus run walks at both cut ends) and
-    /// for guard-failing rows (2e-38, subnormal, inf, NaN: run walks
-    /// over the whole span). The same rows pushed into a flat
+    /// through `decode()` bit for bit, and `gemm` equals the scalar
+    /// reference for ordinary rows (the tile on a tile-major matrix, run
+    /// walks on a flat one) and for guard-failing rows (2e-38,
+    /// subnormal, inf, NaN: run walks over every column). The same rows
+    /// pushed into a flat
     /// `PackedRows` give the reference sequential dot through
     /// `attn_dot_packed`, over whole rows and over spans that start and
     /// end inside a block.
@@ -3370,20 +3371,16 @@ mod tests {
                 );
             }
             let want = reference_gemm(&x, x_rows, &q, w_rows, n);
-            let (c0, c1) = (TILE_COLS / 2, n - 3);
-            let width = c1 - c0;
-            let mut got = vec![f32::NAN; x_rows * width];
-            p.gemm_cols(&x, x_rows, c0, c1, &mut got);
-            for i in 0..x_rows {
-                for (j, g) in got[i * width..(i + 1) * width].iter().enumerate() {
-                    let w = want[i * n + c0 + j];
-                    let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
-                    assert!(
-                        same,
-                        "{scheme} gemm_cols row {i} column {}: {g} vs {w}",
-                        c0 + j
-                    );
-                }
+            let mut got = vec![f32::NAN; x_rows * n];
+            p.gemm(&x, x_rows, &mut got);
+            for (at, (g, w)) in got.iter().zip(&want).enumerate() {
+                let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+                assert!(
+                    same,
+                    "{scheme} gemm row {} column {}: {g} vs {w}",
+                    at / n,
+                    at % n
+                );
             }
 
             let mut rows = PackedRows::new(scheme, n);
@@ -3749,6 +3746,120 @@ mod tests {
         assert_eq!(rows.layout_kind(), LayoutKind::Dense);
         assert_same_bits(&rows.to_dense(), &dense, "bbfp:10,1 demoted");
         check_attention(&rows, &dense, "bbfp:10,1 demoted");
+    }
+
+    /// Every build of the attention page kernel and the weighted sum this
+    /// CPU runs — AVX-512, AVX2 and portable — called directly, so each
+    /// is pinned whichever one `dispatch` picks on this host: `i16` and
+    /// `f32` block codes and a dense lane with `±0` columns, key-minor
+    /// and row-major pages, aligned and ragged head spans, the scores of
+    /// every run of keys, ordinary and `±inf`/NaN queries, ordinary
+    /// probabilities and a tail whose folds leave the normal range, and
+    /// `out` seeded with `+0` or with `-0`s, against the dense loops, bit
+    /// for bit.
+    #[test]
+    fn every_attention_build_matches_the_dense_loops() {
+        let (width, tokens) = (64usize, 19usize);
+        let ordinary: Vec<f32> = quantised(SchemeSpec::Fp16, tokens, 91)
+            .iter()
+            .map(|p| p.abs())
+            .collect();
+        let tail: Vec<f32> = ordinary
+            .iter()
+            .enumerate()
+            .map(|(j, p)| p * 2f32.powi(-118 - j as i32))
+            .collect();
+        let seeds = |dh: usize| {
+            [
+                vec![0.0f32; dh],
+                (0..dh)
+                    .map(|d| if d.is_multiple_of(3) { 1.5 } else { -0.0 })
+                    .collect::<Vec<f32>>(),
+            ]
+        };
+        for scheme in [
+            SchemeSpec::Bbfp(4, 2),
+            SchemeSpec::Bfp(4),
+            SchemeSpec::Msfp(4, 16),
+            SchemeSpec::BlockMf(4, 3, 8),
+            SchemeSpec::Fp32,
+        ] {
+            let dense = signed_zero_rows(scheme, tokens, width, 90);
+            let mut row_major = PackedRows::new(scheme, width);
+            let mut key_minor = PackedRows::key_minor(scheme, width, tokens);
+            for row in dense.chunks(width) {
+                row_major.push_row(row);
+                key_minor.push_row(row);
+            }
+            let v = |j: usize, col: usize| dense[j * width + col];
+            for simd in builds() {
+                for (c0, dh) in [(0usize, width), (16, 32), (8, 48), (3, 20)] {
+                    let what = format!("{simd:?} {scheme} c0={c0} dh={dh}");
+                    let q = quantised(SchemeSpec::Fp16, dh, 93);
+                    for bad in [None, Some(f32::INFINITY), Some(f32::NAN)] {
+                        let mut q = q.clone();
+                        if let Some(bad) = bad {
+                            q[dh / 3] = bad;
+                        }
+                        let want: Vec<f32> = (0..tokens)
+                            .map(|j| {
+                                let mut acc = 0.0f32;
+                                for (d, qd) in q.iter().enumerate() {
+                                    acc += qd * v(j, c0 + d);
+                                }
+                                acc
+                            })
+                            .collect();
+                        for j0 in 0..tokens {
+                            for j1 in j0..=tokens {
+                                let mut out = vec![f32::NAN; j1 - j0];
+                                let scores = KeyScores {
+                                    q: &q,
+                                    rows: &key_minor,
+                                    tokens,
+                                    j0,
+                                    c0,
+                                    out: &mut out,
+                                };
+                                dispatch_on(simd, scores);
+                                let msg = format!("{what} scores {j0}..{j1} {bad:?}");
+                                assert_same_bits(&out, &want[j0..j1], &msg);
+                            }
+                        }
+                    }
+                    for probs in [&ordinary, &tail] {
+                        for seed in seeds(dh) {
+                            let mut want = seed.clone();
+                            for (j, &p) in probs.iter().enumerate() {
+                                for (d, o) in want.iter_mut().enumerate() {
+                                    *o += p * v(j, c0 + d);
+                                }
+                            }
+                            for rows in [&row_major, &key_minor] {
+                                let mut out = seed.clone();
+                                let sum = WeightedSum {
+                                    probs,
+                                    rows,
+                                    c0,
+                                    out: &mut out,
+                                };
+                                dispatch_on(simd, sum);
+                                let order = if rows.is_key_minor() {
+                                    "key-minor"
+                                } else {
+                                    "row-major"
+                                };
+                                let msg = format!(
+                                    "{what} {order} weighted sum, -0 seed {}",
+                                    seed[1].is_sign_negative()
+                                );
+                                assert_same_bits(&out, &want, &msg);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// A page fed raw rows through the one-pass encoder widens its codes

@@ -26,7 +26,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod eval;
-pub mod gemm;
 pub mod graph;
 pub mod hooks;
 pub mod kv;

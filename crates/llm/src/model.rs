@@ -335,24 +335,24 @@ enum Weights {
 
 /// `x · W` for one decoder weight, in whichever storage holds it.
 trait Linear {
-    fn apply(&self, x: &Tensor, workers: usize) -> Tensor;
+    fn apply(&self, x: &Tensor) -> Tensor;
 }
 
 impl Linear for Tensor {
     /// The scalar reference GEMM.
-    fn apply(&self, x: &Tensor, _workers: usize) -> Tensor {
+    fn apply(&self, x: &Tensor) -> Tensor {
         x.matmul(self)
     }
 }
 
 impl Linear for PackedMatrix {
-    /// The packed kernel, fanned out over `workers` threads —
-    /// bit-identical to `Tensor::matmul` over the decoded weights by the
-    /// packed storage invariant (see `bbal_core::packed`).
-    fn apply(&self, x: &Tensor, workers: usize) -> Tensor {
+    /// The packed kernel — bit-identical to `Tensor::matmul` over the
+    /// decoded weights by the packed storage invariant (see
+    /// `bbal_core::packed`).
+    fn apply(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.cols(), self.rows(), "matmul shape mismatch");
         let mut out = Tensor::zeros(x.rows(), self.cols());
-        crate::gemm::gemm(self, x.data(), x.rows(), workers, out.data_mut());
+        self.gemm(x.data(), x.rows(), out.data_mut());
         out
     }
 }
@@ -367,10 +367,10 @@ struct Quantised<'a, H> {
 }
 
 impl<H: InferenceHooks> Linear for Quantised<'_, H> {
-    fn apply(&self, x: &Tensor, workers: usize) -> Tensor {
+    fn apply(&self, x: &Tensor) -> Tensor {
         let mut w = self.weight.clone();
         self.hooks.transform_weights(w.data_mut());
-        w.apply(x, workers)
+        w.apply(x)
     }
 }
 
@@ -393,9 +393,6 @@ pub struct TransformerModel {
     embedding: Arc<Tensor>,
     weights: Weights,
     outlier_channels: Vec<usize>,
-    /// Worker threads the packed GEMM driver may fan out to (1 =
-    /// inline, no spawning). Any value produces identical bits.
-    gemm_workers: usize,
 }
 
 impl TransformerModel {
@@ -543,7 +540,6 @@ impl TransformerModel {
                 unembedding,
             }),
             outlier_channels,
-            gemm_workers: 1,
         }
     }
 
@@ -592,7 +588,6 @@ impl TransformerModel {
             embedding: self.embedding.clone(),
             weights: Weights::Dense(linears),
             outlier_channels: self.outlier_channels.clone(),
-            gemm_workers: self.gemm_workers,
         }
     }
 
@@ -634,7 +629,6 @@ impl TransformerModel {
                 },
             ),
             outlier_channels: self.outlier_channels.clone(),
-            gemm_workers: self.gemm_workers,
         }
     }
 
@@ -663,18 +657,6 @@ impl TransformerModel {
             Weights::Dense(_) => None,
             Weights::Packed(scheme, _) => Some(*scheme),
         }
-    }
-
-    /// Sets how many worker threads the packed GEMM driver may fan out
-    /// to (1 = run inline). Purely a throughput knob: every worker count
-    /// produces bit-identical outputs.
-    pub fn set_gemm_workers(&mut self, workers: usize) {
-        self.gemm_workers = workers.max(1);
-    }
-
-    /// The packed GEMM driver's worker-thread budget.
-    pub fn gemm_workers(&self) -> usize {
-        self.gemm_workers
     }
 
     fn normalise(&self, x: &Tensor) -> Tensor {
@@ -884,15 +866,14 @@ impl TransformerModel {
             x.row_mut(i).copy_from_slice(self.embedding.row(t));
         }
 
-        let workers = self.gemm_workers;
         let act = self.spec.activation();
         for (li, layer) in layers.iter().enumerate() {
             // --- Attention block ---
             let mut a = self.normalise(&x);
             per_segment(&mut a, &|rows| hooks.transform_activations(rows));
-            let q = layer.wq.apply(&a, workers);
-            let k = layer.wk.apply(&a, workers);
-            let v = layer.wv.apply(&a, workers);
+            let q = layer.wq.apply(&a);
+            let k = layer.wk.apply(&a);
+            let v = layer.wv.apply(&a);
             let mut ctx = Tensor::zeros(total, h);
             for ((cache, _), span) in segments.iter_mut().zip(&spans) {
                 for r in span.clone() {
@@ -901,7 +882,7 @@ impl TransformerModel {
                 self.attend(cache, li, &q, span.clone(), &mut ctx, hooks);
             }
             per_segment(&mut ctx, &|rows| hooks.transform_activations(rows));
-            let attn_out = layer.wo.apply(&ctx, workers);
+            let attn_out = layer.wo.apply(&ctx);
             x.add_assign(&attn_out);
 
             // --- FFN block ---
@@ -909,18 +890,18 @@ impl TransformerModel {
             per_segment(&mut f, &|rows| hooks.transform_activations(rows));
             let ffn_out = match &layer.w_gate {
                 Some(w_gate) => {
-                    let mut gate = w_gate.apply(&f, workers);
+                    let mut gate = w_gate.apply(&f);
                     per_segment(&mut gate, &|rows| hooks.activation(rows, act));
-                    let up = layer.w_up.apply(&f, workers);
+                    let up = layer.w_up.apply(&f);
                     gate.mul_assign_elementwise(&up);
                     per_segment(&mut gate, &|rows| hooks.transform_activations(rows));
-                    layer.w_down.apply(&gate, workers)
+                    layer.w_down.apply(&gate)
                 }
                 None => {
-                    let mut up = layer.w_up.apply(&f, workers);
+                    let mut up = layer.w_up.apply(&f);
                     per_segment(&mut up, &|rows| hooks.activation(rows, act));
                     per_segment(&mut up, &|rows| hooks.transform_activations(rows));
-                    layer.w_down.apply(&up, workers)
+                    layer.w_down.apply(&up)
                 }
             };
             x.add_assign(&ffn_out);
@@ -930,7 +911,7 @@ impl TransformerModel {
         }
 
         let final_norm = self.normalise(&x);
-        unembedding.apply(&final_norm, workers)
+        unembedding.apply(&final_norm)
     }
 
     /// Causal attention of one segment's query rows `span` (of `q`) over

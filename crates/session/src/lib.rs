@@ -213,7 +213,6 @@ pub struct SessionBuilder {
     kv_arena: Option<KvArena>,
     kv_quant: bool,
     kv_packed: bool,
-    gemm_workers: usize,
     prepared_cache: PreparedCache,
 }
 
@@ -240,7 +239,6 @@ impl SessionBuilder {
             kv_arena: None,
             kv_quant: false,
             kv_packed: false,
-            gemm_workers: 1,
             prepared_cache: Arc::new(Mutex::new(HashMap::new())),
         }
     }
@@ -314,17 +312,6 @@ impl SessionBuilder {
         self.eval_sequences = sequences;
         self.eval_seq_len = seq_len;
         self.eval_seed = seed;
-        self
-    }
-
-    /// Sets the worker-thread budget of the packed GEMM driver
-    /// (default 1 = inline). Purely a throughput knob — every worker
-    /// count produces bit-identical outputs. Applied when a session
-    /// first prepares a model+scheme pairing; sessions sharing that
-    /// prepared model through the builder's cache inherit the first
-    /// builder's setting.
-    pub fn gemm_workers(mut self, workers: usize) -> SessionBuilder {
-        self.gemm_workers = workers.max(1);
         self
     }
 
@@ -431,7 +418,6 @@ impl SessionBuilder {
             hooks,
             reference,
             prepared: None,
-            gemm_workers: self.gemm_workers,
             prepared_cache: self.prepared_cache,
             kv,
             pe_rows: self.pe_rows,
@@ -459,7 +445,6 @@ pub struct Session {
     /// from the same resolved builder.
     reference: Arc<TransformerModel>,
     prepared: Option<Arc<TransformerModel>>,
-    gemm_workers: usize,
     prepared_cache: PreparedCache,
     kv: KvCache,
     pe_rows: usize,
@@ -564,11 +549,10 @@ impl Session {
                 cache.get(&key).cloned()
             };
             let model = cached.unwrap_or_else(|| {
-                let mut built = self
-                    .reference
-                    .with_prepared_weights(self.scheme, &self.hooks.as_ref());
-                built.set_gemm_workers(self.gemm_workers);
-                let built = Arc::new(built);
+                let built = Arc::new(
+                    self.reference
+                        .with_prepared_weights(self.scheme, &self.hooks.as_ref()),
+                );
                 let mut cache = match self.prepared_cache.lock() {
                     Ok(g) => g,
                     Err(poisoned) => poisoned.into_inner(),

@@ -1,5 +1,5 @@
 //! Bit-identity proptest battery for the packed quantised weight
-//! storage and the parallel block-dot GEMM kernels.
+//! storage and the GEMM and attention kernels that read it.
 //!
 //! Every property here pins the same invariant from a different angle:
 //! **the packed path never changes a single output bit** relative to the
@@ -7,9 +7,7 @@
 //! reference / the dense attention loops). The battery sweeps all
 //! `TABLE2_SCHEMES` plus the algebra-derived MX / MSFP / block-minifloat
 //! families × matrix shapes (including ragged dimensions not divisible
-//! by the scheme's block size) × seeds, and additionally pins
-//! worker-count determinism: the data-parallel driver in
-//! `bbal_llm::gemm` must produce identical bits for 1 and N threads.
+//! by the scheme's block size) × seeds.
 //!
 //! Run with `PROPTEST_CASES=128` (CI does) for the full sweep.
 
@@ -254,28 +252,6 @@ proptest! {
         let want = reference_matmul(&x, x_rows, &w, k, n);
         assert_bits_eq(&got, &want, "gemm")?;
     }
-
-    /// Worker-count determinism: the data-parallel driver with 1 vs N
-    /// threads produces identical bits — each output column is owned by
-    /// exactly one worker and accumulated in the same k order.
-    #[test]
-    fn worker_count_never_changes_gemm_bits(
-        scheme in sweep_scheme(),
-        k in 1usize..60,
-        n in 33usize..128, // wide enough to split into >1 block range
-        workers in 2usize..9,
-        seed in any::<u64>(),
-    ) {
-        let w = quantised_weights(scheme, k * n, seed);
-        let x = activations(2 * k, seed.rotate_left(41));
-        let p = PackedMatrix::pack(&w, k, n, scheme);
-
-        let mut lone = vec![0.0f32; 2 * n];
-        bbal::llm::gemm::gemm(&p, &x, 2, 1, &mut lone);
-        let mut pooled = vec![f32::NAN; 2 * n];
-        bbal::llm::gemm::gemm(&p, &x, 2, workers, &mut pooled);
-        assert_bits_eq(&pooled, &lone, "gemm workers")?;
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -409,8 +385,7 @@ fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
-/// Every weight GEMM entry point — `gemm` and `gemm_cols` over a two-way
-/// column split — equals the scalar `a·w` reference bit for bit on
+/// The weight GEMM equals the scalar `a·w` reference bit for bit on
 /// every adversarial activation class, for BFP4, BBFP(4,2), BFP6, every
 /// Table II scheme and the algebra families, on aligned and ragged
 /// shapes.
@@ -435,22 +410,10 @@ fn weight_gemms_match_scalar_on_adversarial_activations() {
 
             let mut got = vec![f32::NAN; x_rows * n];
             p.gemm(&x, x_rows, &mut got);
-            let mut split = vec![f32::NAN; x_rows * n];
-            let mid = n / 2;
-            let mut left = vec![f32::NAN; x_rows * mid];
-            let mut right = vec![f32::NAN; x_rows * (n - mid)];
-            p.gemm_cols(&x, x_rows, 0, mid, &mut left);
-            p.gemm_cols(&x, x_rows, mid, n, &mut right);
-            for i in 0..x_rows {
-                split[i * n..i * n + mid].copy_from_slice(&left[i * mid..(i + 1) * mid]);
-                split[i * n + mid..(i + 1) * n]
-                    .copy_from_slice(&right[i * (n - mid)..(i + 1) * (n - mid)]);
-            }
             for (c, (name, _)) in rows.iter().enumerate() {
                 let r = c * n..(c + 1) * n;
                 let what = format!("{scheme:?} {k}x{n} {name}");
-                assert_same_bits(&got[r.clone()], &want[r.clone()], &format!("gemm {what}"));
-                assert_same_bits(&split[r.clone()], &want[r], &format!("gemm_cols {what}"));
+                assert_same_bits(&got[r.clone()], &want[r], &format!("gemm {what}"));
             }
         }
     }
@@ -792,21 +755,18 @@ fn first_mismatch(got: &[f32], want: &[f32]) -> Option<usize> {
 }
 
 proptest! {
-    /// `gemm` and `gemm_cols` over 1..=17 activation rows — two or more
-    /// guard-passing rows take the row tile — equal row-by-row `gemm`
-    /// and the scalar `a·w` reference bit for bit: every sweep scheme
-    /// (the FP16 and Oltron dense lanes included), ragged and
-    /// block-aligned widths, arbitrary and block-aligned column
-    /// partitions, and guard-failing rows interleaved with ordinary rows
-    /// in one tile, against ordinary and ~1e-3 weights.
+    /// `gemm` over 1..=17 activation rows — two or more guard-passing
+    /// rows take the row tile — equals row-by-row `gemm` and the scalar
+    /// `a·w` reference bit for bit: every sweep scheme (the FP16 and
+    /// Oltron dense lanes included), ragged and block-aligned widths, and
+    /// guard-failing rows interleaved with ordinary rows in one tile,
+    /// against ordinary and ~1e-3 weights.
     #[test]
     fn multi_row_gemm_matches_row_by_row_and_scalar(
         scheme in sweep_scheme(),
         x_rows in 1usize..=17,
         k in 1usize..80,
         n in prop_oneof![1usize..100, (1usize..5).prop_map(|b| b * 32)],
-        cuts in proptest::collection::vec(any::<u16>(), 0..4),
-        aligned_cuts: bool,
         milli: bool,
         kinds in proptest::collection::vec(any::<u64>(), 17),
         seed in any::<u64>(),
@@ -834,30 +794,6 @@ proptest! {
         prop_assert!(first_mismatch(&by_row, &want).is_none(), "row-by-row gemm vs scalar");
         let bad = first_mismatch(&got, &want);
         prop_assert!(bad.is_none(), "{:?} {}x{}x{}: gemm vs scalar at {:?}", scheme, x_rows, k, n, bad);
-
-        // Any column partition stitches back to the same bits.
-        let mut bounds: Vec<usize> = cuts
-            .iter()
-            .map(|&c| {
-                let at = c as usize * n / (u16::MAX as usize + 1);
-                if aligned_cuts { at / 32 * 32 } else { at }
-            })
-            .chain([0, n])
-            .collect();
-        bounds.sort_unstable();
-        bounds.dedup();
-        let mut stitched = vec![f32::NAN; x_rows * n];
-        for pair in bounds.windows(2) {
-            let (c0, c1) = (pair[0], pair[1]);
-            let width = c1 - c0;
-            let mut part = vec![f32::NAN; x_rows * width];
-            p.gemm_cols(&x, x_rows, c0, c1, &mut part);
-            for i in 0..x_rows {
-                stitched[i * n + c0..i * n + c1].copy_from_slice(&part[i * width..(i + 1) * width]);
-            }
-        }
-        let bad = first_mismatch(&stitched, &want);
-        prop_assert!(bad.is_none(), "{:?} cuts {:?}: gemm_cols vs scalar at {:?}", scheme, bounds, bad);
     }
 }
 
@@ -936,8 +872,7 @@ fn guard_rows(k: usize, w_max: f32, seed: u64) -> Vec<(&'static str, Vec<f32>)> 
 /// multiply and add), mixed in one call so fused and split rows share
 /// the row tile: BFP/BBFP `i16` codes, the `f32` codes of `bbfp:10,1`
 /// and `blockmf:4,3,8`, MX and MSFP codes, the FP16 lane and the dense
-/// lane, on tiled and ragged shapes, through `gemm` and a `gemm_cols`
-/// split.
+/// lane, on tiled and ragged shapes.
 #[test]
 fn fused_gemm_matches_reference_on_both_sides_of_the_guard() {
     let schemes = [
@@ -964,22 +899,10 @@ fn fused_gemm_matches_reference_on_both_sides_of_the_guard() {
             let want = reference_matmul(&x, x_rows, &w, k, n);
             let mut got = vec![f32::NAN; x_rows * n];
             p.gemm(&x, x_rows, &mut got);
-            let mid = n / 2;
-            let mut split = vec![f32::NAN; x_rows * n];
-            for (c0, c1) in [(0, mid), (mid, n)] {
-                let width = c1 - c0;
-                let mut part = vec![f32::NAN; x_rows * width];
-                p.gemm_cols(&x, x_rows, c0, c1, &mut part);
-                for i in 0..x_rows {
-                    split[i * n + c0..i * n + c1]
-                        .copy_from_slice(&part[i * width..(i + 1) * width]);
-                }
-            }
             for (i, (name, _)) in rows.iter().enumerate() {
                 let r = i * n..(i + 1) * n;
                 let what = format!("{scheme:?} {k}x{n} {name}");
-                assert_same_bits(&got[r.clone()], &want[r.clone()], &format!("gemm {what}"));
-                assert_same_bits(&split[r.clone()], &want[r], &format!("gemm_cols {what}"));
+                assert_same_bits(&got[r.clone()], &want[r], &format!("gemm {what}"));
             }
         }
     }
@@ -996,9 +919,8 @@ fn fused_gemm_matches_reference_on_both_sides_of_the_guard() {
 /// 1), `msfp:4,16` (16-wide blocks), `blockmf:4,3,8` (f32 codes) and
 /// `bbfp:10,1` (codes past `i16`), on aligned and ragged shapes: the
 /// layout is `Block`, `decode()` returns the input bit for bit, and
-/// `gemm` and `gemm_cols` over several column partitions at 1..=17 rows
-/// equal the scalar reference, with guard-failing rows (1e-36,
-/// subnormal, ±inf, NaN) mixed into the tiles.
+/// `gemm` at 1..=17 rows equals the scalar reference, with guard-failing
+/// rows (1e-36, subnormal, ±inf, NaN) mixed into the tiles.
 #[test]
 fn code_lane_battery() {
     let mut schemes: Vec<SchemeSpec> = TABLE2_SCHEMES
@@ -1036,23 +958,6 @@ fn code_lane_battery() {
                 let mut got = vec![f32::NAN; x_rows * n];
                 p.gemm(&x, x_rows, &mut got);
                 assert_same_bits(&got, &want, &format!("gemm {what}"));
-                let cut = (x_rows * 7) % n;
-                for bounds in [vec![0, cut, n], vec![0, 1, 17, 31, 48, n]] {
-                    let mut bounds: Vec<usize> = bounds.into_iter().map(|b| b.min(n)).collect();
-                    bounds.dedup();
-                    let mut stitched = vec![f32::NAN; x_rows * n];
-                    for pair in bounds.windows(2) {
-                        let (c0, c1) = (pair[0], pair[1]);
-                        let width = c1 - c0;
-                        let mut part = vec![f32::NAN; x_rows * width];
-                        p.gemm_cols(&x, x_rows, c0, c1, &mut part);
-                        for i in 0..x_rows {
-                            stitched[i * n + c0..i * n + c1]
-                                .copy_from_slice(&part[i * width..(i + 1) * width]);
-                        }
-                    }
-                    assert_same_bits(&stitched, &want, &format!("gemm_cols {bounds:?} {what}"));
-                }
             }
         }
     }

@@ -38,11 +38,8 @@
 //! (an integer has no `-0`); the kernels read `code` and so see a `-0`
 //! weight as `+0` (see the invariant below).
 //!
-//! When every block starts a row and is a multiple of 16 columns wide
-//! (every decoder matrix), codes are stored **tile-major** —
-//! `[16-column tile][k][16]`, scales `[block column][k]` — so the row
-//! tile of [`PackedMatrix::gemm`] streams one contiguous strip per
-//! column tile; other (ragged) shapes keep the flat row-major order.
+//! A matrix keeps its codes in the flat row-major order of its values,
+//! and one scale per block of that flat buffer, whatever its shape.
 //!
 //! A [`PackedRows`] buffer (a KV-cache page) is the same store: element
 //! codes plus one folded scale per block, written by the same chunk
@@ -63,12 +60,13 @@
 //!                        `── one 16-lane load: 16 keys at one column
 //! ```
 //!
-//! The kernels exploit the factoring: the [`PackedMatrix`] GEMMs fold
-//! the block scale into the broadcast activation (`a·2^s` is exact — a
-//! power-of-two scale only shifts the exponent) and widen each code to
-//! f32 in registers, so the inner loop is a plain multiply-accumulate
-//! over the codes. No per-element f32 re-quantisation happens anywhere
-//! on the hot path.
+//! The kernels exploit the factoring: the row tile of
+//! [`PackedMatrix::gemm`] widens each code to f32 in registers and
+//! multiplies it by its block's broadcast scale, which rebuilds the
+//! stored weight exactly (a power-of-two scale only shifts the
+//! exponent), so its inner loop is a plain multiply-accumulate of the
+//! activation by the weight. No per-element f32 re-quantisation happens
+//! anywhere on the hot path.
 //!
 //! The register kernels (the GEMM row tile, the attention page kernel
 //! and the weighted sum) are one body each, compiled once per vector
@@ -85,19 +83,19 @@
 //!
 //! * decoding is exact: `code × scale` is a representable f32 (it *is*
 //!   the stored weight), and `pack()` checks that for every element;
-//! * power-of-two scaling commutes with rounding: `fl(a·(code·2^s)) =
-//!   fl((a·2^s)·code)` whenever `a·2^s` is an exact, normal f32 — the
-//!   GEMMs check this per activation row (see below) — because both
-//!   sides round the same real product `a·w`;
-//! * accumulation order is preserved: the GEMMs accumulate each output
+//! * the tile multiplies the exact weight: it forms `a·(code·2^s)`, the
+//!   reference's own product `a·w`, for every activation — 1e-36,
+//!   subnormal, near `f32::MAX`, ±inf and NaN alike — so the weight GEMM
+//!   needs no activation range guard;
+//! * accumulation order is preserved: the GEMM accumulates each output
 //!   element in ascending-`k` order with the same `a == 0.0` skip as the
 //!   reference i-k-j loop, and the attention page kernel sums each key's
 //!   terms in ascending column order, one accumulator lane per key;
 //! * a fused multiply-add rounds once where the reference rounds twice,
-//!   so the GEMMs use one only where the product is exact — a `p`-bit
+//!   so the GEMM uses one only where the product is exact — a `p`-bit
 //!   significand times a `q`-bit one has at most `p + q` bits, so
 //!   `fl(a·w + acc) = fl(fl(a·w) + acc)` when the row's significand bits
-//!   plus the matrix's come to at most 24 and every product stays
+//!   plus the weights' come to at most 24 and every product stays
 //!   normal and finite ([`PackedMatrix`]'s per-row exact-product guard;
 //!   hook-quantised BFP/BBFP rows pass, arbitrary f32 rows do not); the
 //!   attention kernels, whose queries and probabilities are arbitrary,
@@ -106,9 +104,9 @@
 //!   `±0` term to a sum that is not `-0` leaves its bits unchanged. So
 //!   reading a `-0` weight as `+0` changes nothing, and neither does the
 //!   row tile of [`PackedMatrix::gemm`], which adds a zero activation's
-//!   `±0·code` instead of skipping it (every code is finite). A `±inf`/NaN
-//!   activation meets the weight in the scalar order below, where
-//!   `inf·±0` is the same invalid-operation NaN either way.
+//!   `±0·w` instead of skipping it (every weight it reads is finite). A
+//!   `±inf`/NaN activation is not skipped on either side, so `inf·±0` is
+//!   the same invalid-operation NaN in the tile and in the reference.
 //!
 //! Schemes whose scales are *not* powers of two (olive, oltron,
 //! omniquant, int) cannot use the block layout; [`PackedMatrix::pack`]
@@ -119,25 +117,20 @@
 //! to the dense layout on any mismatch or on a folded scale outside the
 //! normal range.
 //!
-//! The activation side needs `a·2^s` to stay a normal f32. The folding
-//! GEMM ([`PackedMatrix::gemm`]) checks that once per activation row:
-//! the row's smallest nonzero and largest magnitude against the
-//! matrix's smallest and largest (folded) block scale, recorded at pack
-//! time, on their exact products in f64 (in f32, a product just below
-//! the normal range rounds up to `f32::MIN_POSITIVE`). A row that
-//! would leave the normal range, or that holds ±inf/NaN, takes the
-//! scalar `a·(code·2^s)` order instead, which multiplies the exact
-//! weight. So the weight GEMMs are bit-identical to the scalar path for
-//! every input, and so are the attention kernels. The score kernels
-//! ([`attn_scores_packed`], [`attn_dot_packed`]) never fold: their `x`
-//! varies per term, so `x·(code·2^s)` costs the same two multiplies and
-//! multiplies the exact value. [`attn_weighted_sum_packed`]
-//! folds the scale into each broadcast probability only for a run where
-//! `p·2^s` is exact (`p` zero, or the exact `p·2^s` a normal f32, the
-//! same f64 check), and takes the `p·(code·2^s)` order elsewhere; it
-//! also adds into the caller's output, which may hold a `-0`, and a call
-//! that finds one takes the exact order throughout, since there a `-0`
-//! value read as `+0` would flip the sum's sign.
+//! Only the weighted sum folds a scale into its other operand. The score
+//! kernels ([`attn_scores_packed`], [`attn_dot_packed`]) multiply the
+//! exact key value, like the weight GEMM: their `x` varies per term, so
+//! `x·(code·2^s)` costs the same two multiplies as a fold. The fold guard
+//! belongs to [`attn_weighted_sum_packed`] alone: it folds the scale into
+//! each broadcast probability only for a run where `p·2^s` is exact (`p`
+//! zero, or the exact `p·2^s` a normal f32, checked in f64, since an f32
+//! product just below the normal range rounds up to `f32::MIN_POSITIVE`)
+//! — power-of-two scaling commutes with rounding there, `fl(p·(code·2^s))
+//! = fl((p·2^s)·code)`, as both sides round the same real product — and
+//! takes the `p·(code·2^s)` order elsewhere. It also adds into the
+//! caller's output, which may hold a `-0`, and a call that finds one
+//! takes the exact order throughout, since there a `-0` value read as
+//! `+0` would flip the sum's sign.
 
 use crate::algebra::{
     algebra_quantize_in_place, algebra_quantize_slice, encode_chunk, exp2i, FormatAlgebra,
@@ -373,21 +366,13 @@ impl Layout {
 struct Blocks {
     /// The block-format point the codes come from.
     alg: FormatAlgebra,
-    /// One element code per value, in the order `tiled` names.
+    /// One element code per value, in the store's order (flat
+    /// row-major, or key-minor for a [`PackedRows`] K page).
     codes: Codes,
     /// One power-of-two scale (with the code shift folded in) per
     /// `group`-element block of the flat row-major buffer (final block
-    /// may be ragged): `[block column][k]` when tiled, in flat block
-    /// order otherwise.
+    /// may be ragged), in the same order as the codes.
     scale: Vec<f32>,
-    /// The smallest and largest entry of `scale`, for the per-row range
-    /// guard of the weight GEMMs ([`PackedMatrix::folds_exactly`]);
-    /// unread for KV pages, whose attention kernels check each fold.
-    scale_range: (f32, f32),
-    /// Whether codes and scales are tile-major ([`tile_major`]). Set
-    /// when a matrix is laid out, never derived from the shape: a
-    /// buffer that grows row by row stays flat whatever its width.
-    tiled: bool,
 }
 
 impl Blocks {
@@ -398,8 +383,6 @@ impl Blocks {
             alg,
             codes: Codes::I16(Vec::with_capacity(values)),
             scale: Vec::with_capacity(values.div_ceil(alg.block_size)),
-            scale_range: (f32::INFINITY, 0.0),
-            tiled: false,
         }
     }
 
@@ -411,9 +394,10 @@ impl Blocks {
     /// [`Layout::decode`] over this store's `codes`.
     fn decode<C: Code>(&self, codes: &[C], rows: usize, cols: usize) -> Vec<f32> {
         let mut out = Vec::with_capacity(rows * cols);
+        let (scale, log2) = self.scales();
         for k in 0..rows {
-            for run in self.runs(rows, cols, k, 0, cols) {
-                let s = self.scale[run.scale];
+            for run in runs(log2, cols, k, 0, cols) {
+                let s = scale[run.scale];
                 out.extend(run.codes(codes).iter().map(|c| c.weight(s)));
             }
         }
@@ -480,85 +464,13 @@ impl Blocks {
     fn push(&mut self, codes: &[f32], scale: f32) {
         self.codes.extend(codes);
         self.scale.push(scale);
-        self.scale_range = (self.scale_range.0.min(scale), self.scale_range.1.max(scale));
     }
 
-    /// The finished store of a `rows × cols` matrix: codes and scales
-    /// reordered tile-major when [`tile_major`] holds.
-    fn laid_out(mut self, rows: usize, cols: usize) -> Layout {
-        if tile_major(cols, self.group()) {
-            self.codes = match &self.codes {
-                Codes::I16(c) => Codes::I16(strip_major(c, rows, cols, TILE_COLS)),
-                Codes::F32(c) => Codes::F32(strip_major(c, rows, cols, TILE_COLS)),
-            };
-            self.scale = strip_major(&self.scale, rows, cols / self.group(), 1);
-            self.tiled = true;
-        }
-        Layout::Block(self)
+    /// The block scales and the log2 block size, as the kernels read
+    /// them.
+    fn scales(&self) -> (&[f32], u32) {
+        (&self.scale, self.group().trailing_zeros())
     }
-
-    /// Row `k`'s columns `[c0, c1)` of a `rows × cols` store, as runs
-    /// that share one block scale and lie contiguous in the code buffer.
-    /// Block sizes are powers of two ([`FormatAlgebra::validate`]), so
-    /// block indices are shifts and masks, not divisions.
-    fn runs(
-        &self,
-        rows: usize,
-        cols: usize,
-        k: usize,
-        c0: usize,
-        c1: usize,
-    ) -> impl Iterator<Item = Run> {
-        let (group, tiled) = (self.group(), self.tiled);
-        debug_assert!(group.is_power_of_two(), "block size {group}");
-        let log2 = group.trailing_zeros();
-        let mut j = c0;
-        std::iter::from_fn(move || {
-            if j >= c1 {
-                return None;
-            }
-            let j0 = j;
-            let run = if tiled {
-                let t = j0 / TILE_COLS;
-                j = c1.min((t + 1) * TILE_COLS);
-                Run {
-                    j0,
-                    j1: j,
-                    code: (t * rows + k) * TILE_COLS + j0 % TILE_COLS,
-                    scale: (j0 >> log2) * rows + k,
-                }
-            } else {
-                let flat = k * cols + j0;
-                j = c1.min(j0 + group - (flat & (group - 1)));
-                Run {
-                    j0,
-                    j1: j,
-                    code: flat,
-                    scale: flat >> log2,
-                }
-            };
-            Some(run)
-        })
-    }
-}
-
-/// Whether a matrix `cols` wide with `group`-element blocks stores its
-/// codes tile-major: every block then starts a row and covers whole
-/// [`TILE_COLS`]-wide column tiles, so one tile lies inside one block of
-/// every weight row.
-fn tile_major(cols: usize, group: usize) -> bool {
-    cols.is_multiple_of(group) && group.is_multiple_of(TILE_COLS)
-}
-
-/// A row-major `rows × cols` buffer as `[cols / width strips][rows][width]`.
-fn strip_major<T: Copy>(flat: &[T], rows: usize, cols: usize, width: usize) -> Vec<T> {
-    let mut out = Vec::with_capacity(flat.len());
-    for j in (0..cols).step_by(width) {
-        for k in 0..rows {
-            out.extend_from_slice(&flat[k * cols + j..k * cols + j + width]);
-        }
-    }
-    out
 }
 
 /// A weight matrix stored in its quantisation scheme's packed layout,
@@ -603,9 +515,9 @@ pub struct PackedMatrix {
     cols: usize,
     scheme: SchemeSpec,
     layout: Layout,
-    /// Bounds on what the kernels multiply (block codes, or the lane),
-    /// for the fused-accumulate guard ([`PackedMatrix::fuses_exactly`]).
-    codes: ValueRange,
+    /// Bounds on the stored weights, for the fused-accumulate guard
+    /// ([`PackedMatrix::fuses_exactly`]).
+    weights: ValueRange,
 }
 
 impl PackedMatrix {
@@ -616,9 +528,8 @@ impl PackedMatrix {
     /// layout, FP16 the binary16 layout; every other scheme — and any
     /// input the block layout cannot reproduce bit-for-bit (e.g.
     /// values that did not come from this scheme's quantiser) — falls
-    /// back to a dense f32 lane, so the weight side of the GEMM
-    /// bit-identity invariant never depends on the encoder; the
-    /// activation side is covered by the kernels' per-row range guard.
+    /// back to a dense f32 lane, so the GEMM bit-identity invariant
+    /// never depends on the encoder.
     ///
     /// # Panics
     ///
@@ -654,9 +565,18 @@ impl PackedMatrix {
         let layout = match scheme {
             SchemeSpec::Fp16 => match fp16_bits(&values) {
                 Some(bits) => {
-                    let lane = values.into_owned();
-                    let layout = Layout::Fp16 { bits, lane };
-                    return PackedMatrix::new(rows, cols, scheme, layout);
+                    let weights = ValueRange::of(values.iter().copied());
+                    let layout = Layout::Fp16 {
+                        bits,
+                        lane: values.into_owned(),
+                    };
+                    return PackedMatrix {
+                        rows,
+                        cols,
+                        scheme,
+                        layout,
+                        weights,
+                    };
                 }
                 None => None,
             },
@@ -665,7 +585,7 @@ impl PackedMatrix {
                 let stored = values
                     .chunks(alg.block_size)
                     .all(|chunk| blocks.push_quantised(chunk));
-                stored.then(|| blocks.laid_out(rows, cols))
+                stored.then_some(Layout::Block(blocks))
             }),
         };
         PackedMatrix::verified(rows, cols, scheme, layout, values)
@@ -721,7 +641,7 @@ impl PackedMatrix {
                 algebra_quantize_slice(chunk, &alg, RoundingMode::NearestEven, out);
             }
         }
-        let layout = stored.then(|| blocks.laid_out(rows, cols));
+        let layout = stored.then_some(Layout::Block(blocks));
         Some(PackedMatrix::verified(
             rows,
             cols,
@@ -733,7 +653,8 @@ impl PackedMatrix {
 
     /// The matrix over `layout`, self-verified: a block layout must
     /// decode to `values` bit for bit, and a matrix with no layout or a
-    /// failing one keeps `values` as a dense lane.
+    /// failing one keeps `values` as a dense lane. Either way it holds
+    /// `values`, whose bounds it records once.
     fn verified(
         rows: usize,
         cols: usize,
@@ -748,26 +669,12 @@ impl PackedMatrix {
                 .zip(values.iter())
                 .all(|(d, v)| d.to_bits() == v.to_bits())
         };
+        let weights = ValueRange::of(values.iter().copied());
         let layout = match layout {
             Some(layout) if !matches!(layout, Layout::Block(_)) || same(&layout) => layout,
             _ => Layout::Dense {
-                finite: values.iter().all(|v| v.is_finite()),
+                finite: weights.finite,
                 lane: values.into_owned(),
-            },
-        };
-        PackedMatrix::new(rows, cols, scheme, layout)
-    }
-
-    /// The matrix over a finished `layout`, with the bounds of what its
-    /// kernels multiply recorded once.
-    fn new(rows: usize, cols: usize, scheme: SchemeSpec, layout: Layout) -> PackedMatrix {
-        let codes = match &layout {
-            Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => {
-                ValueRange::of(lane.iter().copied())
-            }
-            Layout::Block(blocks) => match &blocks.codes {
-                Codes::I16(codes) => ValueRange::of(codes.iter().map(|c| c.widen())),
-                Codes::F32(codes) => ValueRange::of(codes.iter().copied()),
             },
         };
         PackedMatrix {
@@ -775,7 +682,7 @@ impl PackedMatrix {
             cols,
             scheme,
             layout,
-            codes,
+            weights,
         }
     }
 
@@ -817,7 +724,7 @@ impl PackedMatrix {
     /// `x · W` for row-major `x` of shape `x_rows × self.rows`, writing
     /// the full `x_rows × self.cols` product over `out`. Bit-identical
     /// to the reference i-k-j f32 loop (ascending-`k` accumulation per
-    /// output element, `a == 0.0` rows skipped).
+    /// output element, `a == 0.0` rows skipped) for every input.
     ///
     /// # Panics
     ///
@@ -828,130 +735,60 @@ impl PackedMatrix {
         assert_eq!(out.len(), x_rows * self.cols, "out shape mismatch");
         match &self.layout {
             Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => {
-                self.lane_gemm(lane, x, x_rows, out)
+                self.gemm_codes(lane, None, x, x_rows, out)
             }
-            Layout::Block(blocks) => match &blocks.codes {
-                Codes::I16(codes) => self.block_gemm(blocks, codes, x, x_rows, out),
-                Codes::F32(codes) => self.block_gemm(blocks, codes, x, x_rows, out),
-            },
+            Layout::Block(blocks) => {
+                let scale = Some(blocks.scales());
+                match &blocks.codes {
+                    Codes::I16(codes) => self.gemm_codes(codes, scale, x, x_rows, out),
+                    Codes::F32(codes) => self.gemm_codes(codes, scale, x, x_rows, out),
+                }
+            }
         }
     }
 
-    /// [`PackedMatrix::gemm`] over a dense or FP16 lane: on a host with a
-    /// vector build of the row tile ([`Simd::detect`]) two or more rows
-    /// share every lane load in the tile over
-    /// [`PackedMatrix::tiled_cols`]; the rest of each row (and every row
-    /// elsewhere) takes the one-row kernel.
-    fn lane_gemm(&self, lane: &[f32], x: &[f32], x_rows: usize, out: &mut [f32]) {
-        let (k_len, n) = (self.rows, self.cols);
-        let mut tile_end = 0;
-        if x_rows >= 2 && Simd::detect() != Simd::Portable {
-            let (fused, split): (Vec<usize>, Vec<usize>) = (0..x_rows).partition(|&i| {
-                self.fuses_exactly(&ValueRange::of(
-                    x[i * k_len..(i + 1) * k_len].iter().copied(),
-                ))
-            });
-            let tile = self.lane_tile(lane, x, [&fused, &split]);
-            tile_end = tile.tiled_cols;
-            tile.run(out);
-        }
-        if tile_end == n {
-            return;
-        }
-        for i in 0..x_rows {
-            let out_row = &mut out[i * n + tile_end..(i + 1) * n];
-            out_row.fill(0.0);
-            axpy_dense(&x[i * k_len..(i + 1) * k_len], lane, n, tile_end, out_row);
-        }
-    }
-
-    /// [`PackedMatrix::gemm`] over block codes. Guard-passing rows take
-    /// the row tile over [`PackedMatrix::tiled_cols`] (every row count,
-    /// one row included), fused where every product is exact; the
-    /// columns the tile leaves, and every row the range guard rejects,
-    /// walk each weight row's runs, folding the scale into the activation
-    /// when the guard allows and in the scalar `a·(code·2^s)` order when
-    /// it does not.
-    fn block_gemm<C: Code>(
+    /// [`PackedMatrix::gemm`] over `codes` (a lane's values, or block
+    /// codes with their scales): [`GEMM_ROWS`] activation rows at a time,
+    /// sorted on the stack into the rows the exact-product guard passes
+    /// and the rest, run through the row tile and the walk
+    /// ([`RowTile::run_on`]).
+    fn gemm_codes<C: Code>(
         &self,
-        blocks: &Blocks,
         codes: &[C],
+        scale: Option<(&[f32], u32)>,
         x: &[f32],
         x_rows: usize,
         out: &mut [f32],
     ) {
-        let (k_len, n) = (self.rows, self.cols);
-        let x_row = |i: usize| &x[i * k_len..(i + 1) * k_len];
-        let ranges: Vec<ValueRange> = (0..x_rows)
-            .map(|i| ValueRange::of(x_row(i).iter().copied()))
-            .collect();
-        let folds: Vec<bool> = ranges.iter().map(|r| self.folds_exactly(r)).collect();
-        let (fused, split): (Vec<usize>, Vec<usize>) = (0..x_rows)
-            .filter(|&i| folds[i])
-            .partition(|&i| self.fuses_exactly(&ranges[i]));
-        let tile = self.block_tile(blocks, codes, x, [&fused, &split]);
-        let tiled = tile.tiled_cols;
-        if tiled > 0 {
-            tile.run(out);
-        }
-        for (i, &folds) in folds.iter().enumerate() {
-            // A folding row's tile covers `0..tiled`; the walk takes the
-            // rest of its columns.
-            let j0 = if folds { tiled } else { 0 };
-            if j0 == n {
-                continue;
-            }
-            let out_part = &mut out[i * n + j0..(i + 1) * n];
-            out_part.fill(0.0);
-            for (k, &a) in x_row(i).iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                for run in blocks.runs(k_len, n, k, j0, n) {
-                    let s = blocks.scale[run.scale];
-                    let o = out_part[run.j0 - j0..run.j1 - j0].iter_mut();
-                    if folds {
-                        let a_s = a * s;
-                        for (ov, cv) in o.zip(run.codes(codes)) {
-                            *ov += a_s * cv.widen();
-                        }
-                    } else {
-                        for (ov, cv) in o.zip(run.codes(codes)) {
-                            *ov += a * (cv.widen() * s);
-                        }
-                    }
+        let (simd, k_len) = (Simd::detect(), self.rows);
+        for i0 in (0..x_rows).step_by(GEMM_ROWS) {
+            let count = GEMM_ROWS.min(x_rows - i0);
+            // Fused rows fill `order` from the front, split rows from
+            // the back.
+            let mut order = [0usize; GEMM_ROWS];
+            let (mut fused, mut split) = (0, count);
+            for i in i0..i0 + count {
+                let row = ValueRange::of(x[i * k_len..(i + 1) * k_len].iter().copied());
+                if self.fuses_exactly(&row) {
+                    order[fused] = i;
+                    fused += 1;
+                } else {
+                    split -= 1;
+                    order[split] = i;
                 }
             }
+            let (fused, split) = order[..count].split_at(fused);
+            self.row_tile(codes, scale, x, [fused, split])
+                .run_on(simd, out);
         }
     }
 
-    /// The row tile of `rows` (fused rows, then split rows) of `x` over a
-    /// row-major lane.
-    fn lane_tile<'a>(
+    /// The row tile of `rows` (rows the exact-product guard passes, then
+    /// the rest) of `x` over this matrix's `codes` and block `scale`s.
+    fn row_tile<'a, C>(
         &self,
-        lane: &'a [f32],
-        x: &'a [f32],
-        rows: [&'a [usize]; 2],
-    ) -> RowTile<'a, f32> {
-        RowTile {
-            x,
-            k_len: self.rows,
-            n: self.cols,
-            rows,
-            codes: lane,
-            col_stride: 1,
-            k_stride: self.cols,
-            scale: None,
-            tiled_cols: self.tiled_cols(),
-        }
-    }
-
-    /// The row tile of `rows` (fused rows, then split rows) of `x` over
-    /// tile-major block codes.
-    fn block_tile<'a, C>(
-        &self,
-        blocks: &'a Blocks,
         codes: &'a [C],
+        scale: Option<(&'a [f32], u32)>,
         x: &'a [f32],
         rows: [&'a [usize]; 2],
     ) -> RowTile<'a, C> {
@@ -961,77 +798,54 @@ impl PackedMatrix {
             n: self.cols,
             rows,
             codes,
-            col_stride: self.rows,
-            k_stride: TILE_COLS,
-            scale: Some((&blocks.scale, blocks.group())),
+            scale,
             tiled_cols: self.tiled_cols(),
         }
     }
 
     /// How many output columns, from the first, the row tile covers in
-    /// whole [`TILE_COLS`]-wide tiles: all of a tile-major block layout;
-    /// the whole tiles of a dense or FP16 lane, but only when every
-    /// weight is finite (the tile adds a zero activation's `±0` product
-    /// rather than skipping it, which is exact only against a finite
-    /// weight); none of any other layout.
+    /// whole [`TILE_COLS`]-wide tiles; the walk takes the rest. All of a
+    /// block layout whose blocks start rows and are whole tiles wide, so
+    /// every register lies inside one block of its weight row; the whole
+    /// tiles of a dense or FP16 lane, but only when every weight is
+    /// finite (the tile adds a zero activation's `±0` product rather than
+    /// skipping it, which is exact only against a finite weight); none of
+    /// any other layout.
     fn tiled_cols(&self) -> usize {
         match &self.layout {
             Layout::Dense { finite: true, .. } | Layout::Fp16 { .. } => {
                 self.cols / TILE_COLS * TILE_COLS
             }
-            Layout::Block(Blocks { tiled: true, .. }) => self.cols,
+            Layout::Block(blocks)
+                if self.cols.is_multiple_of(blocks.group())
+                    && blocks.group().is_multiple_of(TILE_COLS) =>
+            {
+                self.cols
+            }
             Layout::Dense { finite: false, .. } | Layout::Block(_) => 0,
         }
     }
 
-    /// The smallest and largest block scale, `(1, 1)` for the lanes,
-    /// which have none.
-    fn scale_range(&self) -> (f32, f32) {
-        match &self.layout {
-            Layout::Block(blocks) => blocks.scale_range,
-            Layout::Dense { .. } | Layout::Fp16 { .. } => (1.0, 1.0),
-        }
-    }
-
-    /// The per-row range guard of the scale-folding kernels: true when
-    /// every `a·2^s` — any activation of the row `x` ranges over times
-    /// any block scale of this matrix — is an exact, normal f32, so
-    /// `fl((a·2^s)·code)` equals the scalar `fl(a·w)` bit for bit. False
-    /// for a row holding ±inf or NaN, or whose smallest nonzero / largest
-    /// magnitude would leave the normal range against the matrix's
-    /// smallest / largest block scale ([`folds_normal`]); such rows take
-    /// the scalar `a·w` order instead. Always true for layouts without
-    /// block scales.
-    fn folds_exactly(&self, x: &ValueRange) -> bool {
-        if !matches!(self.layout, Layout::Block(_)) {
-            return true;
-        }
-        let (lo, hi) = self.scale_range();
-        x.finite && (x.max == 0.0 || (folds_normal(x.min, lo) && folds_normal(x.max, hi)))
-    }
-
-    /// The exact-product guard of the fused accumulate: true when, for
-    /// the row `x` ranges over, every product the row tile forms —
-    /// `(a·2^s)·code`, or `a·w` on a lane — is exact, so one fused
-    /// multiply-add `fl(p + acc)` equals the separate `fl(fl(p) + acc)`.
-    /// A product of a `p`-bit and a `q`-bit significand has at most
-    /// `p + q` bits, so it is exact when `p + q ≤ 24` and its magnitude
-    /// lies in the normal range: the row's significand bits plus the
-    /// matrix's codes' ([`ValueRange`]) must fit, and the row's smallest
-    /// and largest folded magnitudes times the smallest and largest
-    /// nonzero `|code|` must stay normal and finite (checked in f64,
-    /// where those products are exact). Hook-quantised BFP/BBFP rows
-    /// pass; arbitrary f32 rows (24 significand bits) do not.
+    /// The exact-product guard of the fused accumulate: true when every
+    /// product `a·w` the row tile forms for the row `x` ranges over is
+    /// exact, so one fused multiply-add `fl(a·w + acc)` equals the
+    /// separate `fl(fl(a·w) + acc)`. A product of a `p`-bit and a `q`-bit
+    /// significand has at most `p + q` bits, so it is exact when
+    /// `p + q ≤ 24` and its magnitude lies in the normal range: the row's
+    /// significand bits plus the stored weights' ([`ValueRange`]) must
+    /// fit, and the row's smallest and largest magnitudes times the
+    /// smallest and largest nonzero weight must stay normal and finite
+    /// (checked in f64, where those products are exact). Hook-quantised
+    /// BFP/BBFP rows pass; arbitrary f32 rows (24 significand bits) and
+    /// rows holding ±inf or NaN do not.
     fn fuses_exactly(&self, x: &ValueRange) -> bool {
-        let (lo, hi) = self.scale_range();
-        let codes = self.codes;
-        let wide = |a: f32, c: f32| f64::from(a) * f64::from(c);
-        self.folds_exactly(x)
-            && x.finite
-            && x.bits + codes.bits <= f32::MANTISSA_DIGITS
+        let w = self.weights;
+        let wide = |a: f32, b: f32| f64::from(a) * f64::from(b);
+        x.finite
+            && x.bits + w.bits <= f32::MANTISSA_DIGITS
             && (x.max == 0.0
-                || (wide(x.min * lo, codes.min) >= f64::from(f32::MIN_POSITIVE)
-                    && wide(x.max * hi, codes.max) <= f64::from(f32::MAX)))
+                || (wide(x.min, w.min) >= f64::from(f32::MIN_POSITIVE)
+                    && wide(x.max, w.max) <= f64::from(f32::MAX)))
     }
 }
 
@@ -1044,9 +858,8 @@ fn folds_normal(a: f32, s: f32) -> bool {
     p >= f64::from(f32::MIN_POSITIVE) && p <= f64::from(f32::MAX)
 }
 
-/// What the GEMM guards read off a run of values in one pass: an
-/// activation row, or a matrix's codes (lane values for the dense and
-/// FP16 layouts).
+/// What the exact-product guard reads off a run of values in one pass:
+/// an activation row, or a matrix's stored weights.
 #[derive(Debug, Clone, Copy)]
 struct ValueRange {
     /// The smallest nonzero magnitude (`inf` when every value is zero).
@@ -1108,6 +921,29 @@ impl Run {
     }
 }
 
+/// Row `k`'s columns `[c0, c1)` of a flat block store `cols` wide with
+/// blocks of `2^log2` values, as runs that share one block scale and lie
+/// contiguous in the code buffer. Block sizes are powers of two
+/// ([`FormatAlgebra::validate`]), so block indices are shifts and masks,
+/// not divisions.
+fn runs(log2: u32, cols: usize, k: usize, c0: usize, c1: usize) -> impl Iterator<Item = Run> {
+    let group = 1 << log2;
+    let mut j = c0;
+    std::iter::from_fn(move || {
+        if j >= c1 {
+            return None;
+        }
+        let (j0, flat) = (j, k * cols + j);
+        j = c1.min(j0 + group - (flat & (group - 1)));
+        Some(Run {
+            j0,
+            j1: j,
+            code: flat,
+            scale: flat >> log2,
+        })
+    })
+}
+
 /// The raw binary16 bits of FP16-packed values, which stay the layout's
 /// exact f32 lane; `None` if any value is not an exact binary16 (then
 /// the dense fallback keeps bit-identity).
@@ -1134,50 +970,6 @@ fn store_algebra(scheme: SchemeSpec) -> Option<FormatAlgebra> {
     scheme
         .block_algebra()
         .filter(|alg| alg.block_size <= MAX_STORE_BLOCK)
-}
-
-/// How many nonzero activation rows the fused axpy kernel folds per
-/// pass: quarters the read/write traffic on the output row, which is
-/// what bounds the scalar i-k-j loop.
-const KQUAD: usize = 4;
-
-/// Dense/FP16 axpy over columns `[c0, n)`: ascending-`k`, zero-skip,
-/// four activation rows fused per pass (per-element accumulation order
-/// is unchanged by the fusion — each output element still sees its `+=`s
-/// in ascending `k`).
-fn axpy_dense(x_row: &[f32], lane: &[f32], n: usize, c0: usize, out_row: &mut [f32]) {
-    let (c1, width) = (n, n - c0);
-    let mut quad = [(0usize, 0.0f32); KQUAD];
-    let mut filled = 0;
-    for (k, &a) in x_row.iter().enumerate() {
-        if a == 0.0 {
-            continue;
-        }
-        quad[filled] = (k, a);
-        filled += 1;
-        if filled == KQUAD {
-            let [q0, q1, q2, q3] = quad;
-            let l0 = &lane[q0.0 * n + c0..q0.0 * n + c1];
-            let l1 = &lane[q1.0 * n + c0..q1.0 * n + c1];
-            let l2 = &lane[q2.0 * n + c0..q2.0 * n + c1];
-            let l3 = &lane[q3.0 * n + c0..q3.0 * n + c1];
-            for j in 0..width {
-                let mut v = out_row[j];
-                v += q0.1 * l0[j];
-                v += q1.1 * l1[j];
-                v += q2.1 * l2[j];
-                v += q3.1 * l3[j];
-                out_row[j] = v;
-            }
-            filled = 0;
-        }
-    }
-    for &(k, a) in &quad[..filled] {
-        let l = &lane[k * n + c0..k * n + c1];
-        for (o, &b) in out_row.iter_mut().zip(l) {
-            *o += a * b;
-        }
-    }
 }
 
 /// Sequential dot product (the dense QKᵀ reference order).
@@ -1241,14 +1033,14 @@ fn runs_dot<C: Code>(
     acc
 }
 
-/// Columns of one code strip: one AVX-512 register, or two AVX2
+/// Columns of one row-tile strip: one AVX-512 register, or two AVX2
 /// registers, of f32. The AVX-512 build of the row tile reads two
 /// adjacent strips per tile.
 const TILE_COLS: usize = 16;
 
-/// Weight rows whose folded activations the row tile computes in one
-/// vector pass before accumulating them.
-const FOLD_RUN: usize = 64;
+/// Activation rows [`PackedMatrix::gemm`] sorts on the stack per pass of
+/// the row tile: a decode step's rows in one pass, with no allocation.
+const GEMM_ROWS: usize = 64;
 
 /// The vector unit a kernel is compiled for ([`dispatch`]), widest
 /// first.
@@ -1354,6 +1146,9 @@ trait Lanes: Copy {
     /// The first `N` `i16` codes of `src`, widened as [`Code::widen`].
     unsafe fn load_i16(src: &[i16]) -> Self;
 
+    /// `self·other`, lane by lane.
+    unsafe fn mul(self, other: Self) -> Self;
+
     /// `self + a·w`, accumulated as `S` does.
     unsafe fn step<S: Accumulate>(self, a: Self, w: Self) -> Self;
 
@@ -1386,6 +1181,11 @@ impl Lanes for [f32; 8] {
     unsafe fn load_i16(src: &[i16]) -> Self {
         let codes: &[i16; 8] = src[..8].try_into().expect("eight lanes");
         codes.map(Code::widen)
+    }
+
+    #[inline(always)]
+    unsafe fn mul(self, other: Self) -> Self {
+        std::array::from_fn(|l| self[l] * other[l])
     }
 
     #[inline(always)]
@@ -1439,6 +1239,11 @@ mod x86 {
         }
 
         #[inline(always)]
+        unsafe fn mul(self, other: Self) -> Self {
+            unsafe { _mm512_mul_ps(self, other) }
+        }
+
+        #[inline(always)]
         unsafe fn step<S: Accumulate>(self, a: Self, w: Self) -> Self {
             unsafe {
                 if S::FUSED {
@@ -1486,6 +1291,11 @@ mod x86 {
                 let codes = _mm_loadu_si128(src.as_ptr().cast());
                 _mm256_cvtepi32_ps(_mm256_srai_epi32::<1>(_mm256_cvtepi16_epi32(codes)))
             }
+        }
+
+        #[inline(always)]
+        unsafe fn mul(self, other: Self) -> Self {
+            unsafe { _mm256_mul_ps(self, other) }
         }
 
         #[inline(always)]
@@ -1562,24 +1372,19 @@ unsafe fn run_avx2<K: Kernel>(kernel: K) {
     unsafe { kernel.run::<std::arch::x86_64::__m256, Fma>() };
 }
 
-/// The operands of [`PackedMatrix::gemm`]'s row tile: activation rows
-/// `rows` of `x` (all passing the range guard; the first list also
-/// passing the exact-product guard) against codes `C` (and, for the
-/// block layout, the `[block column][k]` scales), computing output
-/// columns `0..tiled_cols` into the `n`-wide `out`. The 16 codes of
-/// output column `j`'s strip at contraction index `k` start at
-/// `j·col_stride + k·k_stride`: tile-major block codes have
-/// `col_stride = k_len`, `k_stride = 16`; a row-major lane has 1 and
-/// `n`.
+/// The operands of [`PackedMatrix::gemm`]'s row tile and walk:
+/// activation rows `rows` of `x` (the first list passing the
+/// exact-product guard) against the `k_len × n` row-major `codes` (and,
+/// for the block layout, their block scales and log2 block size),
+/// written into the `n`-wide `out`. The tile computes output columns
+/// `0..tiled_cols`, the walk the rest.
 struct RowTile<'a, C> {
     x: &'a [f32],
     k_len: usize,
     n: usize,
     rows: [&'a [usize]; 2],
     codes: &'a [C],
-    col_stride: usize,
-    k_stride: usize,
-    scale: Option<(&'a [f32], usize)>,
+    scale: Option<(&'a [f32], u32)>,
     tiled_cols: usize,
 }
 
@@ -1598,9 +1403,48 @@ impl<C: Code> Kernel for TileKernel<'_, '_, C> {
 }
 
 impl<C: Code> RowTile<'_, C> {
-    /// Computes every tile in the widest build this CPU has.
-    fn run(&self, out: &mut [f32]) {
-        dispatch(TileKernel { tile: self, out });
+    /// Computes every row: the tiled columns in the `simd` build, which
+    /// this CPU must support, then the rest by the walk.
+    fn run_on(&self, simd: Simd, out: &mut [f32]) {
+        if self.tiled_cols > 0 {
+            dispatch_on(simd, TileKernel { tile: self, out });
+        }
+        if self.tiled_cols < self.n {
+            for &i in self.rows.iter().copied().flatten() {
+                self.walk(i, out);
+            }
+        }
+    }
+
+    /// Row `i`'s output columns past the tile, in the scalar reference
+    /// order: ascending `k`, a zero activation skipped, each term
+    /// `a·(code·2^s)` — the exact weight — or `a·w` on a lane.
+    fn walk(&self, i: usize, out: &mut [f32]) {
+        let (k_len, n, j0) = (self.k_len, self.n, self.tiled_cols);
+        let out_part = &mut out[i * n + j0..(i + 1) * n];
+        out_part.fill(0.0);
+        for (k, &a) in self.x[i * k_len..(i + 1) * k_len].iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            match self.scale {
+                None => {
+                    let row = &self.codes[k * n + j0..(k + 1) * n];
+                    for (o, c) in out_part.iter_mut().zip(row) {
+                        *o += a * c.widen();
+                    }
+                }
+                Some((scale, log2)) => {
+                    for run in runs(log2, n, k, j0, n) {
+                        let s = scale[run.scale];
+                        let o = out_part[run.j0 - j0..run.j1 - j0].iter_mut();
+                        for (o, c) in o.zip(run.codes(self.codes)) {
+                            *o += a * (c.widen() * s);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Column tile by column tile, two registers wide while whole ones
@@ -1664,10 +1508,12 @@ impl<C: Code> RowTile<'_, C> {
     }
 
     /// One tile of `R` rows by `V` registers at output column `j`, its
-    /// accumulators in registers: each output element accumulates
-    /// `(a·2^s)·code` (`a·w` on the dense lanes) in ascending `k` with
-    /// `S`. A zero activation is not skipped: it adds `±0`, which leaves
-    /// the sum unchanged because the sum never holds `-0` and every code
+    /// accumulators in registers. At each weight row `k` every register
+    /// rebuilds its weights `code·2^s` (one widen, one multiply by the
+    /// broadcast block scale; a lane's values as they are), and each
+    /// output element accumulates `a·w` in ascending `k` with `S`. A zero
+    /// activation is not skipped: it adds `±0`, which leaves the sum
+    /// unchanged because the sum never holds `-0` and every weight here
     /// is finite ([`PackedMatrix::tiled_cols`]).
     #[inline(always)]
     unsafe fn tile<L: Lanes, S: Accumulate, const R: usize, const V: usize>(
@@ -1678,44 +1524,20 @@ impl<C: Code> RowTile<'_, C> {
     ) {
         let (x, k_len, n) = (self.x, self.k_len, self.n);
         let xs: [&[f32]; R] = rows.map(|i| &x[i * k_len..(i + 1) * k_len]);
-        // Register `v`'s codes, one `k_stride` chunk per weight row, and
-        // its strip's column of block scales (a strip lies inside one
-        // block of every weight row).
-        let mut strips: [std::slice::Chunks<'_, C>; V] = std::array::from_fn(|v| {
-            let jv = j + v * L::N;
-            let lane = jv % TILE_COLS;
-            self.codes[(jv - lane) * self.col_stride + lane..].chunks(self.k_stride)
-        });
-        let scales: [Option<&[f32]>; V] = std::array::from_fn(|v| {
-            let block = (j + v * L::N) / self.scale.map_or(1, |(_, group)| group);
-            self.scale
-                .map(|(scale, _)| &scale[block * k_len..(block + 1) * k_len])
-        });
         let mut acc = [[L::zero(); V]; R];
-        // The activations of a run of weight rows, folded by each
-        // register's block scale in one vector pass.
-        let mut folded = [[[0.0f32; FOLD_RUN]; R]; V];
-        for k0 in (0..k_len).step_by(FOLD_RUN) {
-            let run = FOLD_RUN.min(k_len - k0);
-            for (folded_v, scale) in folded.iter_mut().zip(&scales) {
-                for (dst, x) in folded_v.iter_mut().zip(&xs) {
-                    let (dst, x) = (&mut dst[..run], &x[k0..k0 + run]);
-                    match scale {
-                        Some(scale) => {
-                            for ((d, &a), &s) in dst.iter_mut().zip(x).zip(&scale[k0..k0 + run]) {
-                                *d = a * s;
-                            }
-                        }
-                        None => dst.copy_from_slice(x),
-                    }
+        for k in 0..k_len {
+            let w: [L; V] = std::array::from_fn(|v| {
+                let at = k * n + j + v * L::N;
+                let codes = C::lanes::<L>(&self.codes[at..]);
+                match self.scale {
+                    Some((scale, log2)) => codes.mul(L::splat(scale[at >> log2])),
+                    None => codes,
                 }
-            }
-            for kk in 0..run {
-                for (v, strip) in strips.iter_mut().enumerate() {
-                    let w = C::lanes::<L>(strip.next().expect("one chunk per weight row"));
-                    for (acc_row, a) in acc.iter_mut().zip(&folded[v]) {
-                        acc_row[v] = acc_row[v].step::<S>(L::splat(a[kk]), w);
-                    }
+            });
+            for (acc_row, x) in acc.iter_mut().zip(&xs) {
+                let a = L::splat(x[k]);
+                for (acc, &w) in acc_row.iter_mut().zip(&w) {
+                    *acc = acc.step::<S>(a, w);
                 }
             }
         }
@@ -2022,8 +1844,6 @@ impl PackedRows {
                     Codes::F32(codes) => Codes::F32(self.relaid(codes, width, order, room)),
                 },
                 scale: self.relaid(&blocks.scale, width / blocks.group(), order, room),
-                scale_range: blocks.scale_range,
-                tiled: blocks.tiled,
             }),
         };
         PackedRows {
@@ -2298,10 +2118,11 @@ fn row_dot(q: &[f32], rows: &PackedRows, j: usize, c0: usize) -> f32 {
             dot_plain(q, &lane[flat0..flat0 + dh])
         }
         Layout::Block(blocks) => {
-            let runs = blocks.runs(rows.rows, rows.width, j, c0, c0 + dh);
+            let (scale, log2) = blocks.scales();
+            let runs = runs(log2, rows.width, j, c0, c0 + dh);
             match &blocks.codes {
-                Codes::I16(codes) => runs_dot(q, codes, &blocks.scale, runs),
-                Codes::F32(codes) => runs_dot(q, codes, &blocks.scale, runs),
+                Codes::I16(codes) => runs_dot(q, codes, scale, runs),
+                Codes::F32(codes) => runs_dot(q, codes, scale, runs),
             }
         }
     }
@@ -2325,7 +2146,7 @@ impl Kernel for KeyScores<'_> {
         match &rows.layout {
             Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => self.keys(lane, None),
             Layout::Block(blocks) => {
-                let scale = Some((blocks.scale.as_slice(), blocks.group().trailing_zeros()));
+                let scale = Some(blocks.scales());
                 match &blocks.codes {
                     Codes::I16(codes) => self.keys(codes, scale),
                     Codes::F32(codes) => self.keys(codes, scale),
@@ -2475,7 +2296,7 @@ impl Kernel for WeightedSum<'_> {
             }
             (Layout::Block(blocks), Order::RowMajor) => {
                 let folds = !out.iter().any(|o| *o == 0.0 && o.is_sign_negative());
-                let scale = (blocks.scale.as_slice(), blocks.group().trailing_zeros());
+                let scale = blocks.scales();
                 let done = folds
                     && match &blocks.codes {
                         // SAFETY: the caller guarantees `L`'s extension.
@@ -2946,9 +2767,8 @@ mod tests {
     /// and nothing else — no per-element f32, no bit stream — for every
     /// Table II / Fig. 8 block scheme and the new families: a matrix at
     /// 192×512 and a ragged shape, packed from quantised values and
-    /// encoded from raw ones, and a 16-row KV page 192 wide, which stays
-    /// flat although its width would tile, and the same page key-minor,
-    /// which holds the same codes and scales. A page reserved at its page
+    /// encoded from raw ones, and a 16-row KV page 192 wide, row-major
+    /// and key-minor, which hold the same codes and scales. A page reserved at its page
     /// size, as the KV arena builds it, holds exactly its codes and
     /// scales when full: capacity equals length, quantised rows or raw.
     /// `packed_bits()` equals the closed-form bit count of the chunks,
@@ -2975,8 +2795,6 @@ mod tests {
                     alg: _,
                     codes,
                     scale,
-                    scale_range: _,
-                    tiled: _,
                 }) = layout
                 else {
                     panic!("{what} takes the block layout");
@@ -3035,10 +2853,6 @@ mod tests {
             check(&keys.layout, keys.packed_bits(), &q, &key_minor, true);
             assert_same_bits(&keys.to_dense(), &q, &key_minor);
             for (rows, what) in [(&kv, what.clone()), (&encoded, format!("encoded {what}"))] {
-                assert!(
-                    matches!(&rows.layout, Layout::Block(Blocks { tiled: false, .. })),
-                    "{what} stay flat"
-                );
                 check(&rows.layout, rows.packed_bits(), &q, &what, true);
             }
         }
@@ -3079,99 +2893,116 @@ mod tests {
             .collect()
     }
 
-    /// Every build of the row-tile body this CPU runs — AVX-512, AVX2
-    /// and portable — called directly, so each is pinned whichever one
-    /// `gemm` picks on this host: block codes, FP16 and dense lanes,
-    /// 1..=9 rows (full and partial tiles, zero activations mixed in),
+    /// `got` equals `want` bit for bit, a NaN matching any NaN: which
+    /// NaN an invalid operation or a NaN operand gives is the hardware's
+    /// choice, not the kernel's.
+    fn assert_same_values(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+            assert!(same, "{what}: element {i}: {g} vs {w}");
+        }
+    }
+
+    /// Every build of the row tile this CPU runs — AVX-512, AVX2 and
+    /// portable — with the walk past it, called directly, so each build's
+    /// tile-plus-walk split is pinned whichever one `gemm` picks on this
+    /// host: block codes and the FP16 and dense lanes at a shape the tile
+    /// covers whole, lanes whose width is not whole tiles (the walk takes
+    /// the last 7 columns) and a ragged block matrix (the walk takes every
+    /// column). The rows: 1..=9 FP16 rows (full and partial tiles, zero
+    /// activations mixed in), then 9 rows of which six hold 1e-36,
+    /// subnormal, near-`f32::MAX`, +inf, -inf and NaN values. Each runs
     /// once with every row split (multiply, then add) and once with the
     /// rows the exact-product guard passes fused, against the scalar
-    /// reference and against each other, bit for bit.
+    /// reference, bit for bit (NaN matched by class).
     #[test]
     fn every_row_tile_build_matches_the_scalar_reference() {
-        let (k_len, n) = (40usize, 96usize);
-        let schemes = [
-            SchemeSpec::Bfp(4),
-            SchemeSpec::Bbfp(4, 2),
-            SchemeSpec::Msfp(4, 16),
-            SchemeSpec::Fp16,
-            SchemeSpec::Fp32,
+        let k_len = 40usize;
+        let cases = [
+            (SchemeSpec::Bfp(4), 96usize, 96usize),
+            (SchemeSpec::Bbfp(4, 2), 96, 96),
+            (SchemeSpec::Msfp(4, 16), 96, 96),
+            (SchemeSpec::Fp16, 96, 96),
+            (SchemeSpec::Fp32, 96, 96),
+            (SchemeSpec::Fp16, 87, 80),
+            (SchemeSpec::Fp32, 87, 80),
+            (SchemeSpec::Bbfp(4, 2), 45, 0),
         ];
         let builds = builds();
-        for scheme in schemes {
+        for (scheme, n, tiled) in cases {
             let w = quantised(scheme, k_len * n, 61);
             let p = PackedMatrix::pack(&w, k_len, n, scheme);
-            assert_eq!(p.tiled_cols(), n, "{scheme:?} tiles every column");
-            for x_rows in 1..=9 {
-                let mut x = quantised(SchemeSpec::Fp16, x_rows * k_len, 67 + x_rows as u64);
-                for (i, v) in x.iter_mut().enumerate() {
-                    if i % 7 == 0 {
-                        *v = 0.0;
+            let shape = format!("{scheme:?} {k_len}x{n}");
+            assert_eq!(p.tiled_cols(), tiled, "{shape} tiled columns");
+            let mut batches: Vec<(Vec<f32>, bool)> = (1..=9)
+                .map(|x_rows| {
+                    let mut x = quantised(SchemeSpec::Fp16, x_rows * k_len, 67 + x_rows as u64);
+                    for (i, v) in x.iter_mut().enumerate() {
+                        if i % 7 == 0 {
+                            *v = 0.0;
+                        }
                     }
-                }
+                    (x, true)
+                })
+                .collect();
+            let mut mixed = quantised(SchemeSpec::Fp16, 9 * k_len, 71);
+            let extremes = [
+                1e-36,
+                f32::from_bits(1),
+                3e38,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::NAN,
+            ];
+            for (row, &v) in mixed.chunks_mut(k_len).skip(1).zip(&extremes) {
+                row.iter_mut().step_by(5).for_each(|a| *a = v);
+                row[1] = 0.0;
+            }
+            batches.push((mixed, false));
+            for (x, fp16) in &batches {
+                let x_rows = x.len() / k_len;
                 let all: Vec<usize> = (0..x_rows).collect();
                 let (fused, split): (Vec<usize>, Vec<usize>) = all.iter().partition(|&&i| {
                     p.fuses_exactly(&ValueRange::of(
                         x[i * k_len..(i + 1) * k_len].iter().copied(),
                     ))
                 });
-                let want = reference_gemm(&x, x_rows, &w, k_len, n);
+                if *fp16 && scheme != SchemeSpec::Fp32 {
+                    assert_eq!(fused.len(), x_rows, "{shape}: FP16 rows fuse");
+                }
+                let want = reference_gemm(x, x_rows, &w, k_len, n);
                 for &simd in &builds {
                     for rows in [[&[][..], &all[..]], [&fused[..], &split[..]]] {
                         let mut out = vec![f32::NAN; x_rows * n];
                         match &p.layout {
                             Layout::Dense { lane, .. } | Layout::Fp16 { lane, .. } => {
-                                let tile = p.lane_tile(lane, &x, rows);
-                                dispatch_on(
-                                    simd,
-                                    TileKernel {
-                                        tile: &tile,
-                                        out: &mut out,
-                                    },
-                                );
+                                p.row_tile(lane, None, x, rows).run_on(simd, &mut out)
                             }
                             Layout::Block(blocks) => match &blocks.codes {
-                                Codes::I16(codes) => {
-                                    let tile = p.block_tile(blocks, codes, &x, rows);
-                                    dispatch_on(
-                                        simd,
-                                        TileKernel {
-                                            tile: &tile,
-                                            out: &mut out,
-                                        },
-                                    );
-                                }
-                                Codes::F32(_) => panic!("{scheme:?} codes fit i16"),
+                                Codes::I16(codes) => p
+                                    .row_tile(codes, Some(blocks.scales()), x, rows)
+                                    .run_on(simd, &mut out),
+                                Codes::F32(_) => panic!("{shape} codes fit i16"),
                             },
                         }
-                        for i in 0..x_rows {
-                            let got = &out[i * n..(i + 1) * n];
-                            let same = got
-                                .iter()
-                                .zip(&want[i * n..(i + 1) * n])
-                                .all(|(a, b)| a.to_bits() == b.to_bits());
-                            let what = format!(
-                                "{simd:?} {scheme:?} {x_rows} rows, {} fused",
-                                rows[0].len()
-                            );
-                            assert!(same, "{what}: row {i}");
-                        }
+                        let what =
+                            format!("{simd:?} {shape}, {x_rows} rows, {} fused", rows[0].len());
+                        assert_same_values(&out, &want, &what);
                     }
-                }
-                if scheme != SchemeSpec::Fp32 {
-                    assert_eq!(fused.len(), x_rows, "{scheme:?}: FP16 rows fuse");
                 }
             }
         }
     }
 
     /// The exact-product guard passes the rows whose products are exact
-    /// and only those. Against BBFP(4,2) codes: hook-quantised BBFP(4,2)
+    /// and only those. Against BBFP(4,2) weights: hook-quantised BBFP(4,2)
     /// rows, FP16 rows and a zero row pass; a row of 24-bit significands
-    /// and a row whose products pass `f32::MAX` (though its folds stay
-    /// finite) fail. `blockmf:4,3,8` and `bbfp:10,1` hold `f32` codes,
-    /// and the guard counts their significand bits, not their
-    /// magnitude, so FP16 rows pass both. The FP16 lane passes FP16
-    /// rows; a dense lane of arbitrary f32 weights passes none.
+    /// and a finite row whose products pass `f32::MAX` fail.
+    /// `blockmf:4,3,8` and `bbfp:10,1` hold `f32` codes, and the guard
+    /// counts their weights' significand bits, not their codes'
+    /// magnitude, so FP16 rows pass both. The FP16 lane passes FP16 rows;
+    /// a dense lane of arbitrary f32 weights passes none.
     #[test]
     fn exact_product_guard_sorts_rows() {
         let range = |row: &[f32]| ValueRange::of(row.iter().copied());
@@ -3183,20 +3014,22 @@ mod tests {
             .collect();
         let zero = vec![0.0f32; k];
 
-        // Weights near 2^20, so the largest block scale exceeds 1.
+        // Weights near 2^20, so the largest weight exceeds 1.
         let bbfp = SchemeSpec::Bbfp(4, 2);
         let big: Vec<f32> = raw(k * n, 3).iter().map(|v| v * 1048576.0).collect();
         let p = PackedMatrix::pack(&quantise(bbfp, &big), k, n, bbfp);
-        assert!(p.scale_range().1 > 1.0);
+        assert_eq!(p.layout_kind(), LayoutKind::Block);
+        assert!(p.weights.max > 1.0);
         let hooked = quantised(bbfp, k, 5);
         for (name, row) in [("hooked", &hooked), ("fp16", &fp16), ("zero", &zero)] {
             assert!(p.fuses_exactly(&range(row)), "bbfp:4,2 {name} row fuses");
         }
-        let hi = p.scale_range().1;
-        // The largest power of two whose folds stay finite: its
-        // products with the largest codes are not.
-        let past = vec![2f32.powi(f32::MAX_EXP - 1 - hi.log2() as i32); k];
-        assert!(p.folds_exactly(&range(&past)), "its folds stay finite");
+        let hi = p.weights.max;
+        // The smallest power of two whose products with the largest
+        // weight pass `f32::MAX`: the row itself stays finite.
+        let past = vec![2f32.powi(f32::MAX_EXP - hi.log2().floor() as i32); k];
+        assert!(range(&past).finite, "the row stays finite");
+        assert!(f64::from(past[0]) * f64::from(hi) > f64::from(f32::MAX));
         for (name, row) in [("24-bit", &full), ("past f32::MAX", &past)] {
             assert!(
                 !p.fuses_exactly(&range(row)),
@@ -3213,15 +3046,15 @@ mod tests {
                     .collect::<Vec<f32>>(),
             );
             let p = PackedMatrix::pack(&w, k, n, scheme);
-            let Layout::Block(blocks) = &p.layout else {
-                panic!("{scheme} takes the block layout");
+            let Layout::Block(Blocks {
+                codes: Codes::F32(codes),
+                ..
+            }) = &p.layout
+            else {
+                panic!("{scheme} takes the block layout with f32 codes");
             };
             assert!(
-                matches!(blocks.codes, Codes::F32(_)),
-                "{scheme} holds f32 codes"
-            );
-            assert!(
-                p.codes.max > f32::from(i16::MAX / 2),
+                range(codes).max > f32::from(i16::MAX / 2),
                 "{scheme} codes outgrow i16"
             );
             assert!(p.fuses_exactly(&range(&fp16)), "{scheme} fp16 row fuses");
@@ -3275,21 +3108,29 @@ mod tests {
         a
     }
 
-    /// The fold guards of both scale-folding kernels test the exact
-    /// product: a `bbfp:4,2` activation row, and probabilities, whose
-    /// fold by the smallest block scale lands just below the normal range
-    /// take the exact `a·(code·2^s)` order. The weight GEMM then equals
-    /// the reference loop, and the weighted sum (every build, register
-    /// and segment paths) the dense loop, bit for bit.
+    /// The smallest block scale of a block store.
+    fn smallest_scale(layout: &Layout) -> f32 {
+        let Layout::Block(blocks) = layout else {
+            panic!("the block layout");
+        };
+        blocks.scale.iter().fold(f32::INFINITY, |m, &s| m.min(s))
+    }
+
+    /// Activations and probabilities whose fold by the smallest block
+    /// scale of a `bbfp:4,2` store lands just below the normal range. The
+    /// weight GEMM, which multiplies the exact weight, equals the
+    /// reference loop on such a row; the weighted sum's fold guard tests
+    /// the exact product, so such probabilities take the exact
+    /// `p·(code·2^s)` order and the sum (every build, register and
+    /// segment paths) equals the dense loop, bit for bit.
     #[test]
     fn folds_just_below_the_normal_range_take_the_exact_order() {
         let scheme = SchemeSpec::Bbfp(4, 2);
         let (k_len, n) = (4usize, 64usize);
         let w = quantised(scheme, k_len * n, 95);
         let p = PackedMatrix::pack(&w, k_len, n, scheme);
-        let a = just_below_normal(p.scale_range().0);
+        let a = just_below_normal(smallest_scale(&p.layout));
         let x = [a, a, -a, a, a, 0.5, a, -a];
-        assert!(!p.folds_exactly(&ValueRange::of(x[..k_len].iter().copied())));
         let mut got = vec![f32::NAN; 2 * n];
         p.gemm(&x, 2, &mut got);
         assert_same_bits(&got, &reference_gemm(&x, 2, &w, k_len, n), "gemm");
@@ -3298,11 +3139,7 @@ mod tests {
         for row in w.chunks(n) {
             rows.push_row(row);
         }
-        let Layout::Block(blocks) = &rows.layout else {
-            panic!("{scheme} rows take the block layout");
-        };
-        let lo = blocks.scale.iter().fold(f32::INFINITY, |m, &s| m.min(s));
-        let probs = vec![just_below_normal(lo); k_len];
+        let probs = vec![just_below_normal(smallest_scale(&rows.layout)); k_len];
         for simd in builds() {
             for (c0, dh) in [(0usize, n), (3, 40)] {
                 let mut want = vec![0.0f32; dh];
@@ -3324,18 +3161,17 @@ mod tests {
         }
     }
 
-    /// The one run walk reads tile-major and flat codes alike, on every
-    /// block family. A matrix laid out tile-major gives its weights back
-    /// through `decode()` bit for bit, and `gemm` equals the scalar
-    /// reference for ordinary rows (the tile on a tile-major matrix, run
-    /// walks on a flat one) and for guard-failing rows (2e-38,
-    /// subnormal, inf, NaN: run walks over every column). The same rows
-    /// pushed into a flat
-    /// `PackedRows` give the reference sequential dot through
+    /// Flat row-major block codes, the one order every weight GEMM and
+    /// row dot reads, on every block family. A matrix gives its weights
+    /// back through `decode()` bit for bit and its row tile covers every
+    /// column; `gemm` equals the scalar reference for ordinary rows and
+    /// for rows of 2e-38, subnormal, inf and NaN values (NaN matched by
+    /// class), which take the tile like any other. The same rows pushed
+    /// into a `PackedRows` give the reference sequential dot through
     /// `attn_dot_packed`, over whole rows and over spans that start and
     /// end inside a block.
     #[test]
-    fn tiled_and_flat_run_walks_agree_bit_for_bit() {
+    fn flat_block_codes_match_the_reference_in_gemm_and_dot() {
         for scheme in [
             SchemeSpec::Bbfp(4, 2),
             SchemeSpec::Bbfp(6, 3),
@@ -3348,11 +3184,9 @@ mod tests {
             let (w_rows, n) = (4usize, group * 3);
             let q = quantised(scheme, w_rows * n, 31);
             let p = PackedMatrix::pack(&q, w_rows, n, scheme);
-            let Layout::Block(matrix) = &p.layout else {
-                panic!("{scheme} matrix takes the block layout");
-            };
-            assert_eq!(matrix.tiled, tile_major(n, group), "{scheme} matrix order");
-            assert_same_bits(&p.decode(), &q, &format!("{scheme} tiled decode"));
+            assert_eq!(p.layout_kind(), LayoutKind::Block, "{scheme} matrix layout");
+            assert_eq!(p.tiled_cols(), n, "{scheme} matrix tiles every column");
+            assert_same_bits(&p.decode(), &q, &format!("{scheme} decode"));
 
             let ordinary = quantised(SchemeSpec::Fp16, 2 * w_rows, 41);
             let mut x = ordinary[..w_rows].to_vec();
@@ -3361,35 +3195,19 @@ mod tests {
             }
             x.extend_from_slice(&ordinary[w_rows..]);
             let x_rows = x.len() / w_rows;
-            for (i, row) in x.chunks(w_rows).enumerate() {
-                let ordinary_row = i == 0 || i == x_rows - 1;
-                let range = ValueRange::of(row.iter().copied());
-                assert_eq!(
-                    p.folds_exactly(&range),
-                    ordinary_row,
-                    "{scheme} row {i} guard"
-                );
-            }
             let want = reference_gemm(&x, x_rows, &q, w_rows, n);
             let mut got = vec![f32::NAN; x_rows * n];
             p.gemm(&x, x_rows, &mut got);
-            for (at, (g, w)) in got.iter().zip(&want).enumerate() {
-                let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
-                assert!(
-                    same,
-                    "{scheme} gemm row {} column {}: {g} vs {w}",
-                    at / n,
-                    at % n
-                );
-            }
+            assert_same_values(&got, &want, &format!("{scheme} gemm"));
 
             let mut rows = PackedRows::new(scheme, n);
             for r in 0..w_rows {
                 rows.push_row(&q[r * n..(r + 1) * n]);
             }
-            assert!(
-                matches!(&rows.layout, Layout::Block(Blocks { tiled: false, .. })),
-                "{scheme} rows take the flat block layout"
+            assert_eq!(
+                rows.layout_kind(),
+                LayoutKind::Block,
+                "{scheme} rows layout"
             );
             let x = quantised(SchemeSpec::Fp16, n, 37);
             for r in 0..w_rows {

@@ -731,9 +731,9 @@ fn key_minor_pages_match_dense_at_every_page_size() {
 // Multi-row battery: the row tile
 // ---------------------------------------------------------------------
 
-/// One activation row of `x_rows`, `k` long: a guard-failing class
-/// (1e-36, subnormal, ±inf, NaN) when `kind` picks one, an ordinary
-/// activation row otherwise.
+/// One activation row of `x_rows`, `k` long: a class the exact-product
+/// guard rejects (1e-36, subnormal, ±inf, NaN) when `kind` picks one, an
+/// ordinary activation row otherwise.
 fn mixed_row(kind: u64, k: usize, seed: u64) -> Vec<f32> {
     let classes = ["near 1e-36", "subnormal", "±inf", "NaN"];
     match kind % 8 {
@@ -755,8 +755,8 @@ fn first_mismatch(got: &[f32], want: &[f32]) -> Option<usize> {
 }
 
 proptest! {
-    /// `gemm` over 1..=17 activation rows — two or more guard-passing
-    /// rows take the row tile — equals row-by-row `gemm` and the scalar
+    /// `gemm` over 1..=17 activation rows — every row takes the row
+    /// tile — equals row-by-row `gemm` and the scalar
     /// `a·w` reference bit for bit: every sweep scheme (the FP16 and
     /// Oltron dense lanes included), ragged and block-aligned widths, and
     /// guard-failing rows interleaved with ordinary rows in one tile,
@@ -913,8 +913,9 @@ fn fused_gemm_matches_reference_on_both_sides_of_the_guard() {
 // ---------------------------------------------------------------------
 
 /// The code-lane battery. A block-layout matrix keeps one element code
-/// per weight (`i16`, or `f32` where codes outgrow it) in tile-major
-/// order when its blocks are column-aligned and a multiple of 16 wide.
+/// per weight (`i16`, or `f32` where codes outgrow it) in flat row-major
+/// order, and its row tile covers every column when its blocks start
+/// rows and are a multiple of 16 wide.
 /// For every Table II and Fig. 8 block scheme, `mx:8,4,2` (code shift
 /// 1), `msfp:4,16` (16-wide blocks), `blockmf:4,3,8` (f32 codes) and
 /// `bbfp:10,1` (codes past `i16`), on aligned and ragged shapes: the
